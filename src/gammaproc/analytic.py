@@ -101,8 +101,6 @@ def pair_chf(kind: ProcessKind, s, t, params: GammaParams, dep: Dependence):
         # Deliberately routed through the tent partition of the two-point grid
         # so the identity with the thinned closed form is a cross-check of two
         # independent code paths, not a tautology.
-        from .processes import tent_partition
-
         grid = TimeGrid(np.array([0.0, 1.0]))
         return rm_joint_chf(np.array([s, t]), grid, params, dep)
     if kind is ProcessKind.CHANGE_POINT:

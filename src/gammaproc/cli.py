@@ -36,11 +36,13 @@ from .core import (
     ProcessKind,
     TimeGrid,
     UnsupportedKindError,
+    derive_stream,
     make_uniform_grid,
 )
 from .processes import (
     CirMethod,
     CthinConfig,
+    _path_for_kind,
     marginal_sample,
     simulate_ensemble,
 )
@@ -183,10 +185,7 @@ def _resolve_dep(ns):
 
 def _resolve_grid(ns, default_n):
     if ns.times is not None:
-        try:
-            raw = open(ns.times).read()
-        except OSError:
-            raise
+        raw = open(ns.times).read()
         vals = [float(tok) for tok in raw.replace(",", " ").split()]
         return TimeGrid(vals)
     n = ns.n if ns.n is not None else default_n
@@ -310,31 +309,12 @@ def _check_marginal(cfg: RunConfig):
 
 
 def _check_acf(cfg: RunConfig):
-    from .core import derive_stream
-    from .processes import (
-        ar1_path, changepoint_path, cir_path, cthin_path, random_measure_path,
-        thinned_path,
-    )
-
     n_steps = 100000
     grid = make_uniform_grid(0.0, float(cfg.grid.gaps[0]) if cfg.grid.n > 1 else 1.0,
                              n_steps)
-    rng = derive_stream(_subseed(cfg, 2), 0)
-    kind = cfg.process
-    if kind is ProcessKind.AR1:
-        path = ar1_path(rng, grid, cfg.params, cfg.dep)
-    elif kind is ProcessKind.THINNED:
-        path = thinned_path(rng, grid, cfg.params, cfg.dep)
-    elif kind is ProcessKind.RANDOM_MEASURE:
-        path = random_measure_path(rng, grid, cfg.params, cfg.dep)
-    elif kind is ProcessKind.CHANGE_POINT:
-        path = changepoint_path(rng, grid, cfg.params, cfg.dep)
-    elif kind is ProcessKind.SQUARED_OU:
-        path = cir_path(rng, grid, cfg.params, cfg.dep, method=cfg.cir_method,
-                        substeps=cfg.euler_substeps)
-    else:
-        path = cthin_path(rng, grid, cfg.params, cfg.dep,
-                          config=CthinConfig(cfg.cthin_steps))
+    path = _path_for_kind(cfg.process, derive_stream(_subseed(cfg, 2), 0), grid,
+                          cfg.params, cfg.dep, cfg.cir_method, cfg.euler_substeps,
+                          CthinConfig(cfg.cthin_steps))
     rep = empirical_acf(path, cfg.dep, max_lag=5)
     z = np.abs(rep.estimates - rep.target) / rep.standard_errors
     ok = bool(np.all(z <= _NSIG))
@@ -470,6 +450,8 @@ def _two_sample_pairs(ens_a: Ensemble, ens_b: Ensemble, omegas):
 
 
 def cmd_compare(cfg_a: RunConfig, cfg_b: RunConfig, points) -> int:
+    if cfg_a.params != cfg_b.params or cfg_a.dep != cfg_b.dep:
+        raise ParameterError("compare requires both processes to share parameters")
     ens_a = _simulate(cfg_a)
     ens_b = _simulate(cfg_b)
     if points == 3:
@@ -526,8 +508,6 @@ def main(argv=None) -> int:
             cfg_b = _resolve_config(ns, ns.process_b, ns.paths, default_n=n)
             cfg_a = RunConfig(**{**cfg_a.__dict__, "seed": int(seed_a)})
             cfg_b = RunConfig(**{**cfg_b.__dict__, "seed": int(seed_b), "out": None})
-            if cfg_a.params != cfg_b.params or cfg_a.dep != cfg_b.dep:
-                raise ParameterError("compare requires both processes to share parameters")
             return cmd_compare(cfg_a, cfg_b, ns.points)
         raise ParameterError(f"unknown command {ns.command!r}")
     except (ParameterError, UnsupportedKindError) as exc:

@@ -253,15 +253,37 @@ class RandomSource:
     identifiers give statistically independent streams.
     """
 
-    __slots__ = ("master_seed", "stream_index", "gen")
+    __slots__ = ("master_seed", "stream_index", "gen", "_key", "_fresh_state")
 
     def __init__(self, master_seed, stream_index=0):
         self.master_seed = int(master_seed)
         self.stream_index = int(stream_index)
-        key = np.array(
+        self._key = np.array(
             [self.master_seed & _U64, self.stream_index & _U64], dtype=np.uint64
         )
-        self.gen = np.random.Generator(np.random.Philox(key=key))
+        self.gen = np.random.Generator(np.random.Philox(key=self._key))
+        zeros = np.zeros(4, dtype=np.uint64)
+        self._fresh_state = {
+            "bit_generator": "Philox",
+            "state": {"counter": zeros, "key": self._key},
+            "buffer": zeros,
+            "buffer_pos": 4,
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
+
+    def rekey(self, stream_index):
+        """Restart this source in place as stream ``stream_index`` of its master seed.
+
+        Sets the Philox key to ``(master_seed, stream_index)`` and the counter
+        and output buffer to zero through ``bit_generator.state``.  Philox is
+        counter based, so the words that follow are exactly those of a newly
+        built ``derive_stream(master_seed, stream_index)``, at a fraction of
+        the cost of building one.
+        """
+        self.stream_index = int(stream_index)
+        self._key[1] = self.stream_index & _U64
+        self.gen.bit_generator.state = self._fresh_state
 
     def words(self, n):
         """The next ``n`` raw 64-bit words of the stream."""

@@ -10,7 +10,30 @@ Each path operation consumes draws from its ``RandomSource`` in a fixed,
 documented order, so a path is a deterministic function of the stream.
 ``simulate_ensemble`` gives path ``m`` the stream ``derive_stream(master_seed,
 m)``; the result is therefore independent of thread count and of how many
-paths are simulated.
+paths are simulated, and ensemble path ``m`` is byte-identical to the path
+operation run on that stream.
+
+Plan, draw, build
+-----------------
+Paths and ensembles run on one engine, in three steps:
+
+* **plan**: everything that depends only on (grid, params, dep) - gap
+  correlations, gamma shapes, rm band masses, cir per-gap constants - is
+  computed once per path operation or ensemble (``_plan_for_kind``, the one
+  dispatch on kind).
+* **draw**: one path's raw draws are taken off its stream in the documented
+  order with as few generator calls as possible (a gamma of shape k and
+  scale s is drawn as ``s * standard_gamma(k)``, which is the same number
+  bit for bit).  An ensemble re-keys one Philox stream per worker to each
+  path's (master_seed, m), which yields exactly the words of a freshly
+  keyed one.
+* **build**: a block of paths' draws becomes values, vectorized across the
+  block; recursions stay fl(rho * x + zeta) element by element.
+
+A path operation is the one-path case of the same plan, draw and build.
+Exact cir draws each step from the state, so it has no separate draw step;
+it, Euler, squared-OU and cthin simulate whole paths one at a time inside
+their plans.
 
 The ``*_sample`` batch helpers at the bottom draw i.i.d. copies of small
 marginal/pair/triplet configurations from a *single* stream with vectorized
@@ -42,7 +65,6 @@ from .core import (
     UnsupportedKindError,
     derive_stream,
 )
-from .samplers import cir_transition_draw, gamma_draw
 
 __all__ = [
     "TentPartition",
@@ -148,105 +170,259 @@ def _require_positive_int(name, value):
     return v
 
 
-# -- the six path samplers -------------------------------------------------
+# -- the engine: plan once, draw per path, build across paths -----------------
+
+# Draws (or values, for whole-path plans) held per block of paths: 64 KiB, so
+# block buffers stay below glibc's default mmap threshold.  Freeing larger
+# ones raises that threshold, which moved later arrays onto the heap and kept
+# them resident.  A path whose draws alone exceed it runs as a block of one.
+_BLOCK_DRAWS = 1 << 13
+# numpy validates array arguments in Python (about 9 us a call), scalar ones
+# in C (about 1 us): up to this many scalar calls beat one array call.
+_SCALAR_CALLS = 6
+# Cell shapes an rm plan keeps (2 MiB); longer paths go diagonal by diagonal.
+_PLAN_CELLS = 1 << 18
+# Below this many paths a block's recursion runs on Python floats lane by
+# lane; from it on, one numpy step per grid time across all lanes.
+_VECTOR_LANES = 16
 
 
-def ar1_path(rng: RandomSource, grid: TimeGrid, params: GammaParams, dep: Dependence) -> SamplePath:
-    """Gamma AR(1): X_{t_k} = rho_k X_{t_{k-1}} + zeta_k.
+def _gamma_runs(shapes):
+    """Split a vector of gamma shapes into the fewest standard-gamma calls.
 
-    The innovation for a gap with correlation rho_k is the gamma-Poisson-gamma
-    ladder of ``walker_innovation_draw`` (mixing L ~ Ga(alpha, 1), count
-    N ~ Po(((1-rho_k)/rho_k) L), value ~ Ga(N, beta/rho_k)); here the three
-    stages are drawn vectorized over steps (stream order: X_0, all L, all N,
-    all values), then the recursion runs sequentially so that each step is
-    literally fl(rho_k * x + zeta_k).
+    Returns ``(shape, start, stop)`` triples: one scalar call per run of equal
+    shapes, or a single array call when there are many runs.  Either way the
+    draws come off the stream in element order, as one
+    ``standard_gamma(shapes)`` call would take them.
     """
-    n = grid.n
-    x = gamma_draw(rng, params.alpha, params.beta)
-    values = np.empty(n)
-    values[0] = x
-    if n > 1:
+    shapes = np.asarray(shapes, dtype=float)
+    edges = np.flatnonzero(shapes[1:] != shapes[:-1]) + 1
+    if edges.size >= _SCALAR_CALLS:
+        return [(shapes, 0, shapes.size)]
+    bounds = [0, *edges.tolist(), shapes.size]
+    return [(float(shapes[a]), a, b) for a, b in zip(bounds[:-1], bounds[1:])]
+
+
+def _draw_runs(gen, runs, out):
+    for shape, a, b in runs:
+        gen.standard_gamma(shape, out=out[a:b])
+
+
+def _as_floats(*arrays):
+    """Zip equal-length arrays as Python floats, converting 4096 elements at a time.
+
+    Python floats make a scalar loop several times faster than numpy scalars;
+    converting a chunk at a time keeps a long path from holding a Python
+    float object per step.
+    """
+    for s in range(0, len(arrays[0]), 4096):
+        yield from zip(*(a[s : s + 4096].tolist() for a in arrays))
+
+
+def _affine_recursion(a, z, x0):
+    """Rows x with x[:, 0] = x0 and x[:, k] = fl(a[k-1] * x[:, k-1] + z[:, k-1]).
+
+    ``a`` is one factor per step (shared by all lanes) or one per lane and
+    step.  Every element is one rounded multiply and one rounded add, in the
+    same order, whether the lanes run as numpy columns or as Python floats.
+    """
+    lanes, steps = z.shape
+    a = np.broadcast_to(a, z.shape)
+    out = np.empty((lanes, steps + 1))
+    out[:, 0] = x0
+    if lanes >= _VECTOR_LANES:
+        for k in range(steps):
+            out[:, k + 1] = a[:, k] * out[:, k] + z[:, k]
+        return out
+    for i in range(lanes):
+        x = float(out[i, 0])
+        row = out[i]
+        for k, (ak, zk) in enumerate(_as_floats(a[i], z[i]), 1):
+            x = ak * x + zk
+            row[k] = x
+    return out
+
+
+class _Plan:
+    """Everything a kind's paths share on one (grid, params, dep), computed once.
+
+    A plan with a ``width`` splits a path in two steps: ``draw(gen, out)``
+    takes the path's ``width`` raw draws off ``gen`` in the documented stream
+    order, and ``build(draws)`` turns a block of such rows (one per path) into
+    values, vectorized across the block.  A plan whose ``width`` is None
+    simulates one whole path at a time in ``values(gen)``.
+    """
+
+    width = None
+
+    def __init__(self, grid: TimeGrid, kind: ProcessKind):
+        self.grid = grid
+        self.kind = kind
+        self.n = grid.n
+
+    def values(self, gen):
+        """The values of one path drawn from the head of ``gen``."""
+        row = np.empty(self.width)
+        self.draw(gen, row)
+        return self.build(row[None])[0]
+
+    def path(self, rng: RandomSource) -> SamplePath:
+        return SamplePath(self.grid, self.values(rng.gen), self.kind)
+
+    def block(self, rng: RandomSource, start, stop):
+        """Values of paths ``start..stop-1``, re-keying ``rng`` to each path's stream."""
+        if self.width is None:
+            out = np.empty((stop - start, self.n))
+            for i, m in enumerate(range(start, stop)):
+                rng.rekey(m)
+                out[i] = self.values(rng.gen)
+            return out
+        draws = np.empty((stop - start, self.width))
+        for i, m in enumerate(range(start, stop)):
+            rng.rekey(m)
+            self.draw(rng.gen, draws[i])
+        return self.build(draws)
+
+
+class _Ar1Plan(_Plan):
+    """Draws: X_0 and the n - 1 innovation values, as standard gammas."""
+
+    def __init__(self, grid, params, dep):
+        super().__init__(grid, ProcessKind.AR1)
+        self.alpha = params.alpha
+        self.inv_beta = 1.0 / params.beta
+        self.rho_g = dep.rho ** grid.gaps
+        self.odds = (1.0 - self.rho_g) / self.rho_g
+        self.zeta_scale = self.rho_g / params.beta
+        self.width = self.n
+
+    def draw(self, gen, out):
+        gen.standard_gamma(self.alpha, out=out)  # X_0, then the mixing L
+        means = self.odds * out[1:]
+        if means.size > _SCALAR_CALLS:
+            gen.standard_gamma(gen.poisson(means), out=out[1:])
+        elif means.size:
+            counts = [gen.poisson(m) for m in means.tolist()]
+            out[1:] = [gen.standard_gamma(k) for k in counts]
+
+    def build(self, draws):
+        return _affine_recursion(
+            self.rho_g, draws[:, 1:] * self.zeta_scale, draws[:, 0] * self.inv_beta
+        )
+
+
+class _ThinnedPlan(_Plan):
+    """Draws: X_0, the beta numerators, the denominators, the top-ups.
+
+    All are gammas, so a path is one vector of standard-gamma shapes.
+    """
+
+    def __init__(self, grid, params, dep):
+        super().__init__(grid, ProcessKind.THINNED)
         rho_g = dep.rho ** grid.gaps
-        mixing = rng.gen.gamma(params.alpha, 1.0, size=n - 1)
-        counts = rng.gen.poisson((1.0 - rho_g) / rho_g * mixing)
-        zeta = rng.gen.gamma(counts, rho_g / params.beta)
-        for k in range(1, n):
-            x = rho_g[k - 1] * x + zeta[k - 1]
-            values[k] = x
-    return SamplePath(grid, values, ProcessKind.AR1)
+        kept = params.alpha * rho_g
+        fresh = params.alpha * (1.0 - rho_g)
+        self.runs = _gamma_runs(np.concatenate(([params.alpha], kept, fresh, fresh)))
+        self.inv_beta = 1.0 / params.beta
+        self.width = 3 * self.n - 2
+
+    def draw(self, gen, out):
+        _draw_runs(gen, self.runs, out)
+
+    def build(self, draws):
+        s = self.n - 1
+        g1 = draws[:, 1 : 1 + s]
+        g2 = draws[:, 1 + s : 1 + 2 * s]
+        return _affine_recursion(
+            g1 / (g1 + g2), draws[:, 1 + 2 * s :] * self.inv_beta, draws[:, 0] * self.inv_beta
+        )
 
 
-def thinned_path(rng: RandomSource, grid: TimeGrid, params: GammaParams, dep: Dependence) -> SamplePath:
-    """Thinned recursion: X_{t_k} = B_k X_{t_{k-1}} + zeta_k.
+class _RandomMeasurePlan(_Plan):
+    """Draws: the cells of diagonal d = 0, 1, ... in turn, as standard gammas.
 
-    B_k ~ Be(alpha rho_k, alpha (1 - rho_k)) thins the previous value
-    (beta-gamma decomposition: B X ~ Ga(alpha rho_k, beta) when
-    X ~ Ga(alpha, beta)) and zeta_k ~ Ga(alpha (1 - rho_k), beta) replaces the
-    removed mass.  Stream order: X_0, the numerator gammas of all B_k, the
-    denominator gammas, all zeta_k.
+    When a path has at most ``_PLAN_CELLS`` cells the plan keeps every cell
+    shape and a path is one row of draws; a longer path is drawn and added
+    up one diagonal at a time, so no more than one diagonal is held.
     """
-    n = grid.n
-    x = gamma_draw(rng, params.alpha, params.beta)
-    values = np.empty(n)
-    values[0] = x
-    if n > 1:
-        rho_g = dep.rho ** grid.gaps
-        g1 = rng.gen.gamma(params.alpha * rho_g, 1.0)
-        g2 = rng.gen.gamma(params.alpha * (1.0 - rho_g), 1.0)
-        b = g1 / (g1 + g2)
-        zeta = rng.gen.gamma(params.alpha * (1.0 - rho_g), 1.0 / params.beta)
-        for k in range(1, n):
-            x = b[k - 1] * x + zeta[k - 1]
-            values[k] = x
-    return SamplePath(grid, values, ProcessKind.THINNED)
+
+    def __init__(self, grid, params, dep):
+        super().__init__(grid, ProcessKind.RANDOM_MEASURE)
+        self.alpha = params.alpha
+        self.rho = dep.rho
+        self.inv_beta = 1.0 / params.beta
+        self.k = np.arange(self.n)
+        shapes, cells = [], 0
+        for shape in self._diagonal_shapes():
+            cells += shape.size
+            if cells > _PLAN_CELLS:
+                return
+            shapes.append(shape)
+        self.diagonals = len(shapes)
+        self.runs = _gamma_runs(np.concatenate(shapes))
+        self.width = cells
+
+    def _diagonal_shapes(self):
+        times, n = self.grid.times, self.n
+        for d in range(n):
+            a_d = self.rho ** (times[d:] - times[: n - d])
+            if not np.any(a_d >= _BAND_CUTOFF):
+                return
+            yield self.alpha * np.maximum(_band_masses(times, self.rho, d), 0.0)
+
+    def _add_diagonal(self, values, d, cells):
+        """Add each lane's diagonal-d cells (scaled) to the times they cover."""
+        n = self.n
+        csum = np.zeros((cells.shape[0], n - d + 1))
+        np.cumsum(cells, axis=1, out=csum[:, 1:])
+        hi = np.minimum(self.k, n - 1 - d) + 1
+        lo = np.maximum(0, self.k - d)
+        values += csum[:, hi] - csum[:, lo]
+
+    def draw(self, gen, out):
+        _draw_runs(gen, self.runs, out)
+
+    def build(self, draws):
+        cells = draws * self.inv_beta
+        values = np.zeros((draws.shape[0], self.n))
+        pos = 0
+        for d in range(self.diagonals):
+            self._add_diagonal(values, d, cells[:, pos : pos + self.n - d])
+            pos += self.n - d
+        return values
+
+    def values(self, gen):
+        if self.width is not None:
+            return super().values(gen)
+        values = np.zeros((1, self.n))
+        for d, shapes in enumerate(self._diagonal_shapes()):
+            self._add_diagonal(values, d, gen.standard_gamma(shapes)[None] * self.inv_beta)
+        return values[0]
 
 
-def random_measure_path(rng: RandomSource, grid: TimeGrid, params: GammaParams, dep: Dependence) -> SamplePath:
-    """Exact grid observation of the random-measure process.
+class _ChangepointPlan(_Plan):
+    """Draws: X_0 (standard gamma), the keep-uniforms, the fresh standard gammas."""
 
-    One independent cell variable zeta(i, j) ~ Ga(alpha m(i, j), beta) per
-    partition block, X_{t_k} = sum of the cells whose interval contains k.
-    Blocks with pair correlation below 1e-18 are dropped (their draws are 0.0
-    in double precision); this keeps the cost O(n * horizon) instead of
-    O(n^2).  Stream order: one vectorized gamma draw per diagonal d = 0, 1, ...
-    """
-    times = grid.times
-    n = grid.n
-    values = np.zeros(n)
-    k = np.arange(n)
-    for d in range(n):
-        a_d = dep.rho ** (times[d:] - times[: n - d])
-        if not np.any(a_d >= _BAND_CUTOFF):
-            break
-        m = np.maximum(_band_masses(times, dep.rho, d), 0.0)
-        zeta = rng.gen.gamma(params.alpha * m, 1.0 / params.beta)
-        csum = np.concatenate(([0.0], np.cumsum(zeta)))
-        hi = np.minimum(k, n - 1 - d) + 1
-        lo = np.maximum(0, k - d)
-        values += csum[hi] - csum[np.maximum(lo, 0)]
-    return SamplePath(grid, values, ProcessKind.RANDOM_MEASURE)
+    def __init__(self, grid, params, dep):
+        super().__init__(grid, ProcessKind.CHANGE_POINT)
+        self.alpha = params.alpha
+        self.inv_beta = 1.0 / params.beta
+        self.rho_g = dep.rho ** grid.gaps
+        self.width = 2 * self.n - 1
 
+    def draw(self, gen, out):
+        n = self.n
+        out[0] = gen.standard_gamma(self.alpha)
+        if n > 1:
+            gen.random(out=out[1:n])
+            gen.standard_gamma(self.alpha, out=out[n:])
 
-def changepoint_path(rng: RandomSource, grid: TimeGrid, params: GammaParams, dep: Dependence) -> SamplePath:
-    """Markov change-point process: piecewise constant, renewed by a Poisson clock.
-
-    Over a gap with correlation rho_k the value is kept with probability
-    rho_k (no clock event) and otherwise replaced by a fresh Ga(alpha, beta)
-    variate (the value after the last event in the gap, which is independent
-    of everything earlier).  Stream order: X_0, all keep-uniforms, all fresh
-    values (fresh values are drawn unconditionally to keep the stream layout
-    branch-free).
-    """
-    n = grid.n
-    x0 = gamma_draw(rng, params.alpha, params.beta)
-    if n == 1:
-        return SamplePath(grid, np.array([x0]), ProcessKind.CHANGE_POINT)
-    rho_g = dep.rho ** grid.gaps
-    keep = rng.gen.random(n - 1) < rho_g
-    fresh = rng.gen.gamma(params.alpha, 1.0 / params.beta, size=n - 1)
-    pool = np.concatenate(([x0], fresh))
-    idx = np.concatenate(([0], np.cumsum(~keep)))
-    return SamplePath(grid, pool[idx], ProcessKind.CHANGE_POINT)
+    def build(self, draws):
+        n = self.n
+        pool = np.concatenate((draws[:, :1], draws[:, n:]), axis=1) * self.inv_beta
+        idx = np.zeros((draws.shape[0], n), dtype=np.int64)
+        np.cumsum(draws[:, 1:n] >= self.rho_g, axis=1, out=idx[:, 1:])
+        return np.take_along_axis(pool, idx, axis=1)
 
 
 class CirMethod(enum.Enum):
@@ -267,68 +443,86 @@ class CirMethod(enum.Enum):
         )
 
 
-def cir_path(
-    rng: RandomSource,
-    grid: TimeGrid,
-    params: GammaParams,
-    dep: Dependence,
-    method: CirMethod = CirMethod.EXACT,
-    substeps: int = 16,
-) -> SamplePath:
-    """Squared OU / CIR-type diffusion dX = -lam (X - alpha/beta) dt + sqrt(2 lam X / beta) dW.
+class _CirExactPlan(_Plan):
+    """Exact CIR transitions gap by gap: K ~ Po(c x rho_d), X' ~ Ga(alpha + K, c).
 
-    method=EXACT samples the transition kernel exactly (Poisson mixture of
-    gammas) gap by gap.  method=EULER uses ``substeps`` full-truncation Euler
-    steps per gap (the diffusion coefficient reads max(X, 0); the state may
-    make small negative excursions).  method=SQUARED_OU requires 2*alpha to be
-    an integer J and evolves J independent OU coordinates exactly, returning
-    sum Z_j^2 / (2 beta); no substeps are needed because the OU update is
-    exact over any gap.
+    The arithmetic of ``cir_transition_draw`` without its argument checks:
+    each step is one scalar Poisson and one scalar gamma call.
     """
-    n = grid.n
-    a, b = params.alpha, params.beta
-    values = np.empty(n)
-    if method is CirMethod.EXACT:
-        x = gamma_draw(rng, a, b)
-        values[0] = x
-        for k in range(1, n):
-            x = cir_transition_draw(rng, params, dep, x, grid.times[k] - grid.times[k - 1])
-            values[k] = x
-        return SamplePath(grid, values, ProcessKind.SQUARED_OU)
-    if method is CirMethod.EULER:
-        m = _require_positive_int("substeps", substeps)
-        x = gamma_draw(rng, a, b)
+
+    def __init__(self, grid, params, dep):
+        super().__init__(grid, ProcessKind.SQUARED_OU)
+        self.alpha = params.alpha
+        self.beta = params.beta
+        # Python's float power, as cir_transition_draw computes rho**dt
+        self.rho_d = np.fromiter(
+            (dep.rho**dt for (dt,) in _as_floats(grid.gaps)), float, count=self.n - 1
+        )
+
+    def values(self, gen):
+        a, b = self.alpha, self.beta
+        out = np.empty(self.n)
+        x = out[0] = gen.gamma(a, 1.0 / b)
+        for k, (rho_d,) in enumerate(_as_floats(self.rho_d), 1):
+            c = b / (1.0 - rho_d)
+            x = out[k] = gen.gamma(a + gen.poisson(c * x * rho_d), 1.0 / c)
+        return out
+
+
+class _CirEulerPlan(_Plan):
+    """``substeps`` full-truncation Euler steps per gap."""
+
+    def __init__(self, grid, params, dep, substeps):
+        super().__init__(grid, ProcessKind.SQUARED_OU)
+        self.substeps = _require_positive_int("substeps", substeps)
+        self.params, self.dep = params, dep
+
+    def values(self, gen):
+        grid, m, lam = self.grid, self.substeps, self.dep.lam
+        a, b = self.params.alpha, self.params.beta
+        values = np.empty(self.n)
+        x = gen.gamma(a, 1.0 / b)
         values[0] = x
         mean = a / b
-        sig2 = 2.0 * dep.lam / b
-        if n > 1:
-            z = rng.gen.standard_normal((n - 1) * m)
+        sig2 = 2.0 * lam / b
+        if self.n > 1:
+            z = gen.standard_normal((self.n - 1) * m)
             pos = 0
-            for k in range(1, n):
+            for k in range(1, self.n):
                 h = (grid.times[k] - grid.times[k - 1]) / m
                 sqh = math.sqrt(h)
-                for j in range(m):
-                    x = x - dep.lam * (x - mean) * h + math.sqrt(sig2 * max(x, 0.0)) * sqh * z[pos]
+                for _ in range(m):
+                    x = x - lam * (x - mean) * h + math.sqrt(sig2 * max(x, 0.0)) * sqh * z[pos]
                     pos += 1
                 values[k] = x
-        return SamplePath(grid, values, ProcessKind.SQUARED_OU)
-    if method is CirMethod.SQUARED_OU:
-        j = round(2.0 * a)
-        if abs(2.0 * a - j) > 1e-9 or j < 1:
+        return values
+
+
+class _SquaredOuPlan(_Plan):
+    """J = 2 alpha independent exact OU coordinates, X = sum Z_j^2 / (2 beta)."""
+
+    def __init__(self, grid, params, dep):
+        super().__init__(grid, ProcessKind.SQUARED_OU)
+        a = params.alpha
+        self.j = round(2.0 * a)
+        if abs(2.0 * a - self.j) > 1e-9 or self.j < 1:
             raise ParameterError(
                 f"the squared-OU construction requires 2*alpha to be a positive integer, got alpha={a}"
             )
-        z = rng.gen.standard_normal(j)
-        values[0] = np.sum(z * z) / (2.0 * b)
-        if n > 1:
-            noise = rng.gen.standard_normal((n - 1, j))
-            half = dep.rho ** (grid.gaps / 2.0)
-            for k in range(1, n):
-                ak = half[k - 1]
+        self.two_beta = 2.0 * params.beta
+        self.half = dep.rho ** (grid.gaps / 2.0)
+
+    def values(self, gen):
+        values = np.empty(self.n)
+        z = gen.standard_normal(self.j)
+        values[0] = np.sum(z * z) / self.two_beta
+        if self.n > 1:
+            noise = gen.standard_normal((self.n - 1, self.j))
+            for k in range(1, self.n):
+                ak = self.half[k - 1]
                 z = ak * z + math.sqrt(1.0 - ak * ak) * noise[k - 1]
-                values[k] = np.sum(z * z) / (2.0 * b)
-        return SamplePath(grid, values, ProcessKind.SQUARED_OU)
-    raise ParameterError(f"unknown cir method {method!r}")
+                values[k] = np.sum(z * z) / self.two_beta
+        return values
 
 
 @dataclass(frozen=True)
@@ -381,6 +575,143 @@ def _affine_scan_blocks(a, z, x0, out=None):
     return out
 
 
+class _CthinPlan(_Plan):
+    """Continuously-thinned lattice steps, recorded at the grid times (see ``cthin_path``)."""
+
+    def __init__(self, grid, params, dep, config):
+        super().__init__(grid, ProcessKind.CONTINUOUSLY_THINNED)
+        eps = 1.0 / config.steps_per_unit
+        self.idx = _cthin_lattice_indices(grid, eps)
+        self.n_steps = int(self.idx[-1])
+        self.params = params
+        self.q = dep.rho**eps
+        self.p = 1.0 - self.q
+
+    def values(self, gen):
+        a, b = self.params.alpha, self.params.beta
+        idx, n_steps, p, q = self.idx, self.n_steps, self.p, self.q
+        x = gen.gamma(a, 1.0 / b)
+        values = np.empty(self.n)
+        pos = 0
+        if idx[0] == 0:
+            values[0] = x
+            pos = 1
+        chunk = 1 << 18
+        done = 0
+        buf = np.empty(min(chunk, max(n_steps, 1)))
+        while done < n_steps:
+            k = min(chunk, n_steps - done)
+            g1 = gen.gamma(a * p, 1.0, size=k)
+            g2 = gen.gamma(a * q, 1.0, size=k)
+            s = g1 + g2
+            thin = np.where(s > 0.0, g1 / np.where(s > 0.0, s, 1.0), p)
+            zeta = gen.gamma(a * p, 1.0 / b, size=k)
+            out = _affine_scan_blocks(1.0 - thin, zeta, x, out=buf[:k])
+            while pos < self.n and idx[pos] <= done + k:
+                values[pos] = out[idx[pos] - done - 1]
+                pos += 1
+            x = out[-1]
+            done += k
+        return values
+
+
+def _plan_for_kind(kind, grid, params, dep, method, substeps, cthin):
+    """The one dispatch on kind (and cir method): the plan that simulates ``kind`` on ``grid``."""
+    if kind is ProcessKind.AR1:
+        return _Ar1Plan(grid, params, dep)
+    if kind is ProcessKind.THINNED:
+        return _ThinnedPlan(grid, params, dep)
+    if kind is ProcessKind.RANDOM_MEASURE:
+        return _RandomMeasurePlan(grid, params, dep)
+    if kind is ProcessKind.CHANGE_POINT:
+        return _ChangepointPlan(grid, params, dep)
+    if kind is ProcessKind.SQUARED_OU:
+        if method is CirMethod.EXACT:
+            return _CirExactPlan(grid, params, dep)
+        if method is CirMethod.EULER:
+            return _CirEulerPlan(grid, params, dep, substeps)
+        if method is CirMethod.SQUARED_OU:
+            return _SquaredOuPlan(grid, params, dep)
+        raise ParameterError(f"unknown cir method {method!r}")
+    if kind is ProcessKind.CONTINUOUSLY_THINNED:
+        return _CthinPlan(grid, params, dep, cthin)
+    raise UnsupportedKindError(f"cannot simulate kind {kind!r}")
+
+
+# -- the six path samplers: one path, the one-lane case of the engine ---------
+
+
+def ar1_path(rng: RandomSource, grid: TimeGrid, params: GammaParams, dep: Dependence) -> SamplePath:
+    """Gamma AR(1): X_{t_k} = rho_k X_{t_{k-1}} + zeta_k.
+
+    The innovation for a gap with correlation rho_k is the gamma-Poisson-gamma
+    ladder of ``walker_innovation_draw`` (mixing L ~ Ga(alpha, 1), count
+    N ~ Po(((1-rho_k)/rho_k) L), value ~ Ga(N, beta/rho_k)); here the three
+    stages are drawn vectorized over steps (stream order: X_0, all L, all N,
+    all values), then the recursion runs sequentially so that each step is
+    literally fl(rho_k * x + zeta_k).
+    """
+    return _Ar1Plan(grid, params, dep).path(rng)
+
+
+def thinned_path(rng: RandomSource, grid: TimeGrid, params: GammaParams, dep: Dependence) -> SamplePath:
+    """Thinned recursion: X_{t_k} = B_k X_{t_{k-1}} + zeta_k.
+
+    B_k ~ Be(alpha rho_k, alpha (1 - rho_k)) thins the previous value
+    (beta-gamma decomposition: B X ~ Ga(alpha rho_k, beta) when
+    X ~ Ga(alpha, beta)) and zeta_k ~ Ga(alpha (1 - rho_k), beta) replaces the
+    removed mass.  Stream order: X_0, the numerator gammas of all B_k, the
+    denominator gammas, all zeta_k.
+    """
+    return _ThinnedPlan(grid, params, dep).path(rng)
+
+
+def random_measure_path(rng: RandomSource, grid: TimeGrid, params: GammaParams, dep: Dependence) -> SamplePath:
+    """Exact grid observation of the random-measure process.
+
+    One independent cell variable zeta(i, j) ~ Ga(alpha m(i, j), beta) per
+    partition block, X_{t_k} = sum of the cells whose interval contains k.
+    Blocks with pair correlation below 1e-18 are dropped (their draws are 0.0
+    in double precision); this keeps the cost O(n * horizon) instead of
+    O(n^2).  Stream order: the cells of diagonal d = 0, 1, ... in turn.
+    """
+    return _RandomMeasurePlan(grid, params, dep).path(rng)
+
+
+def changepoint_path(rng: RandomSource, grid: TimeGrid, params: GammaParams, dep: Dependence) -> SamplePath:
+    """Markov change-point process: piecewise constant, renewed by a Poisson clock.
+
+    Over a gap with correlation rho_k the value is kept with probability
+    rho_k (no clock event) and otherwise replaced by a fresh Ga(alpha, beta)
+    variate (the value after the last event in the gap, which is independent
+    of everything earlier).  Stream order: X_0, all keep-uniforms, all fresh
+    values (fresh values are drawn unconditionally to keep the stream layout
+    branch-free).
+    """
+    return _ChangepointPlan(grid, params, dep).path(rng)
+
+
+def cir_path(
+    rng: RandomSource,
+    grid: TimeGrid,
+    params: GammaParams,
+    dep: Dependence,
+    method: CirMethod = CirMethod.EXACT,
+    substeps: int = 16,
+) -> SamplePath:
+    """Squared OU / CIR-type diffusion dX = -lam (X - alpha/beta) dt + sqrt(2 lam X / beta) dW.
+
+    method=EXACT samples the transition kernel exactly (Poisson mixture of
+    gammas) gap by gap.  method=EULER uses ``substeps`` full-truncation Euler
+    steps per gap (the diffusion coefficient reads max(X, 0); the state may
+    make small negative excursions).  method=SQUARED_OU requires 2*alpha to be
+    an integer J and evolves J independent OU coordinates exactly, returning
+    sum Z_j^2 / (2 beta); no substeps are needed because the OU update is
+    exact over any gap.
+    """
+    return _path_for_kind(ProcessKind.SQUARED_OU, rng, grid, params, dep, method, substeps, None)
+
+
 def cthin_path(
     rng: RandomSource,
     grid: TimeGrid,
@@ -403,54 +734,14 @@ def cthin_path(
     order: X_0, then per simulation chunk the two beta-stage gamma vectors
     followed by the top-up gamma vector.
     """
-    eps = 1.0 / config.steps_per_unit
-    idx = _cthin_lattice_indices(grid, eps)
-    n_steps = int(idx[-1])
-    a, b = params.alpha, params.beta
-    q = dep.rho**eps
-    p = 1.0 - q
-    x = gamma_draw(rng, a, b)
-    values = np.empty(grid.n)
-    pos = 0
-    if idx[0] == 0:
-        values[0] = x
-        pos = 1
-    chunk = 1 << 18
-    done = 0
-    buf = np.empty(min(chunk, max(n_steps, 1)))
-    while done < n_steps:
-        k = min(chunk, n_steps - done)
-        g1 = rng.gen.gamma(a * p, 1.0, size=k)
-        g2 = rng.gen.gamma(a * q, 1.0, size=k)
-        s = g1 + g2
-        thin = np.where(s > 0.0, g1 / np.where(s > 0.0, s, 1.0), p)
-        zeta = rng.gen.gamma(a * p, 1.0 / b, size=k)
-        out = _affine_scan_blocks(1.0 - thin, zeta, x, out=buf[:k])
-        while pos < grid.n and idx[pos] <= done + k:
-            values[pos] = out[idx[pos] - done - 1]
-            pos += 1
-        x = out[-1]
-        done += k
-    return SamplePath(grid, values, ProcessKind.CONTINUOUSLY_THINNED)
+    return _CthinPlan(grid, params, dep, config).path(rng)
 
 
 # -- ensembles ---------------------------------------------------------------
 
 
 def _path_for_kind(kind, rng, grid, params, dep, method, substeps, cthin):
-    if kind is ProcessKind.AR1:
-        return ar1_path(rng, grid, params, dep)
-    if kind is ProcessKind.THINNED:
-        return thinned_path(rng, grid, params, dep)
-    if kind is ProcessKind.RANDOM_MEASURE:
-        return random_measure_path(rng, grid, params, dep)
-    if kind is ProcessKind.CHANGE_POINT:
-        return changepoint_path(rng, grid, params, dep)
-    if kind is ProcessKind.SQUARED_OU:
-        return cir_path(rng, grid, params, dep, method=method, substeps=substeps)
-    if kind is ProcessKind.CONTINUOUSLY_THINNED:
-        return cthin_path(rng, grid, params, dep, config=cthin)
-    raise UnsupportedKindError(f"cannot simulate kind {kind!r}")
+    return _plan_for_kind(kind, grid, params, dep, method, substeps, cthin).path(rng)
 
 
 def simulate_ensemble(
@@ -467,24 +758,31 @@ def simulate_ensemble(
 ) -> Ensemble:
     """Simulate ``n_paths`` independent paths; path m uses stream (master_seed, m).
 
-    The per-path streams make the output independent of ``threads`` (worker
-    threads only partition the index range) and of ``n_paths`` itself: a
-    longer run extends a shorter one path for path.
+    Paths run in blocks of consecutive indices; worker w of ``threads`` takes
+    blocks w, w + threads, ... with one stream of its own that it re-keys to
+    (master_seed, m) for each path m.  A path's values depend on its stream
+    alone, so the output is independent of ``threads`` and of ``n_paths``
+    itself: a longer run extends a shorter one path for path.
     """
     n_paths = _require_positive_int("n_paths", n_paths)
     threads = _require_positive_int("threads", threads)
+    plan = _plan_for_kind(kind, grid, params, dep, method, substeps, cthin)
     values = np.empty((n_paths, grid.n))
+    lanes = max(1, _BLOCK_DRAWS // (plan.width or grid.n))
+    starts = range(0, n_paths, lanes)
+    workers = min(threads, len(starts))
 
-    def run(m):
-        rng = derive_stream(master_seed, m)
-        values[m] = _path_for_kind(kind, rng, grid, params, dep, method, substeps, cthin).values
+    def work(w):
+        rng = derive_stream(master_seed, starts[w])
+        for start in starts[w::workers]:
+            stop = min(start + lanes, n_paths)
+            values[start:stop] = plan.block(rng, start, stop)
 
-    if threads == 1:
-        for m in range(n_paths):
-            run(m)
+    if workers == 1:
+        work(0)
     else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(run, range(n_paths)))
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            list(pool.map(work, range(workers)))
     return Ensemble(grid=grid, kind=kind, values=values, master_seed=int(master_seed))
 
 

@@ -3,7 +3,15 @@ import json
 import numpy as np
 import pytest
 
-from gammaproc.cli import build_parser, default_omega_triples, main
+from gammaproc import GammaParams, ParameterError
+from gammaproc.cli import (
+    RunConfig,
+    _resolve_config,
+    build_parser,
+    cmd_compare,
+    default_omega_triples,
+    main,
+)
 
 
 def run(args):
@@ -171,13 +179,16 @@ def test_compare_two_point_smoke(tmp_path):
     assert payload["max_z"] >= 0.0
 
 
-def test_compare_requires_shared_parameters(capsys):
-    # parameters are shared flags, so mismatched laws cannot be requested;
-    # the guard still protects programmatic misuse
-    code = run(["compare", "--process-a", "thinned", "--process-b", "rm",
-                "--points", "2", "--paths", "100", "--alpha", "1.0"])
-    capsys.readouterr()
-    assert code == 0
+def test_compare_requires_shared_parameters():
+    # the CLI shares one set of parameter flags between both processes, so
+    # only a programmatic caller can ask for two different laws
+    ns = build_parser().parse_args(["compare", "--process-a", "thinned",
+                                    "--process-b", "rm", "--paths", "10"])
+    cfg_a = _resolve_config(ns, ns.process_a, ns.paths, default_n=3)
+    cfg_b = _resolve_config(ns, ns.process_b, ns.paths, default_n=3)
+    cfg_b = RunConfig(**{**cfg_b.__dict__, "params": GammaParams(1.0, cfg_b.params.beta)})
+    with pytest.raises(ParameterError, match="share parameters"):
+        cmd_compare(cfg_a, cfg_b, 3)
 
 
 def test_default_omega_triples_shape():

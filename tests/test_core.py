@@ -130,3 +130,18 @@ def test_derive_stream_is_insensitive_to_call_order():
     _ = derive_stream(9, 0).gen.random(100)
     again = derive_stream(9, 3).gen.random(4)
     assert np.array_equal(first, again)
+
+
+def test_rekey_gives_the_words_of_a_fresh_stream():
+    rng = derive_stream(9, 0)
+    # leave a half-used 64-bit word and a part-used Philox block behind
+    rng.gen.integers(0, 1 << 32, size=3, dtype=np.uint32)
+    rng.gen.random(5)
+    for m in (5, 0, (1 << 64) - 1):
+        rng.rekey(m)
+        fresh = derive_stream(9, m)
+        assert rng.stream_index == m
+        assert np.array_equal(rng.words(7), fresh.words(7))
+        assert (rng.gen.standard_gamma(0.3, size=4).tobytes()
+                == fresh.gen.standard_gamma(0.3, size=4).tobytes())
+        rng.gen.integers(0, 1 << 32, dtype=np.uint32)

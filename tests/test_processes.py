@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from gammaproc import processes
 from gammaproc import (
     CirMethod,
     CthinConfig,
@@ -151,13 +152,62 @@ def test_ensemble_path_is_pure_function_of_seed_and_index():
         assert np.array_equal(small.values, large.values[:3]), kind
 
 
-def test_ensemble_threads_do_not_change_values():
+def test_ensemble_threads_do_not_change_values(monkeypatch):
     grid = make_uniform_grid(0.0, 1.0, 5)
-    one = simulate_ensemble(ProcessKind.THINNED, grid, P11, DEP5, 6, master_seed=3,
-                            threads=1)
-    four = simulate_ensemble(ProcessKind.THINNED, grid, P11, DEP5, 6, master_seed=3,
-                             threads=4)
-    assert np.array_equal(one.values, four.values)
+    opts = {"cthin": CthinConfig(64)}
+    one = {kind: simulate_ensemble(kind, grid, P11, DEP5, 40, master_seed=3, threads=1,
+                                   **opts) for kind in ProcessKind}
+    # blocks of a few paths, so that each of the four workers takes several
+    monkeypatch.setattr(processes, "_BLOCK_DRAWS", 16)
+    for kind in ProcessKind:
+        four = simulate_ensemble(kind, grid, P11, DEP5, 40, master_seed=3, threads=4, **opts)
+        assert one[kind].values.tobytes() == four.values.tobytes(), kind
+
+
+# Stream contract: ensemble path m is byte-identical to the path operation run
+# on derive_stream(master_seed, m).  (grid, params, dep) per case; the last
+# case makes the thinned beta ratio 0/0, so comparing bytes also pins its NaN.
+STREAM_CASES = {
+    "one-point": (make_uniform_grid(0.0, 1.0, 1), GammaParams(1.5, 2.0), DEP5),
+    "three-point": (make_uniform_grid(0.0, 1.0, 3), GammaParams(1.5, 2.0), DEP5),
+    "irregular": (TimeGrid(np.array([0.0, 0.25, 0.3125, 1.5, 2.0])),
+                  GammaParams(1.5, 2.0), Dependence.from_rho(0.8)),
+    "small-shape": (make_uniform_grid(0.0, 1.0, 20), GammaParams(0.01, 1.0),
+                    Dependence.from_rho(0.001)),
+}
+STREAM_SAMPLERS = {
+    "ar1": (ProcessKind.AR1, {}, ar1_path),
+    "thinned": (ProcessKind.THINNED, {}, thinned_path),
+    "rm": (ProcessKind.RANDOM_MEASURE, {}, random_measure_path),
+    "changepoint": (ProcessKind.CHANGE_POINT, {}, changepoint_path),
+    "cir-exact": (ProcessKind.SQUARED_OU, {"method": CirMethod.EXACT}, cir_path),
+    "cir-euler": (ProcessKind.SQUARED_OU, {"method": CirMethod.EULER, "substeps": 4},
+                  cir_path),
+    "cir-squared-ou": (ProcessKind.SQUARED_OU, {"method": CirMethod.SQUARED_OU},
+                       cir_path),
+    "cthin": (ProcessKind.CONTINUOUSLY_THINNED, {"cthin": CthinConfig(64)}, cthin_path),
+}
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered")
+@pytest.mark.parametrize("case", list(STREAM_CASES))
+@pytest.mark.parametrize("sampler", list(STREAM_SAMPLERS))
+def test_ensemble_paths_match_path_operations_byte_for_byte(sampler, case):
+    kind, opts, path_fn = STREAM_SAMPLERS[sampler]
+    grid, params, dep = STREAM_CASES[case]
+    path_opts = {"config": opts["cthin"]} if "cthin" in opts else opts
+    seed, n_paths = 7, 20  # 20 lanes: a block builds as numpy columns, a path alone as floats
+    if sampler == "cir-squared-ou" and case == "small-shape":
+        # 2*alpha is not an integer: both routes refuse it the same way
+        with pytest.raises(ParameterError, match="2\\*alpha"):
+            simulate_ensemble(kind, grid, params, dep, n_paths, master_seed=seed, **opts)
+        with pytest.raises(ParameterError, match="2\\*alpha"):
+            path_fn(derive_stream(seed, 0), grid, params, dep, **path_opts)
+        return
+    ens = simulate_ensemble(kind, grid, params, dep, n_paths, master_seed=seed, **opts)
+    for m in range(n_paths):
+        path = path_fn(derive_stream(seed, m), grid, params, dep, **path_opts)
+        assert ens.values[m].tobytes() == path.values.tobytes(), (sampler, case, m)
 
 
 # -- batch statistical samplers ---------------------------------------------------
