@@ -10,18 +10,20 @@ Three subcommands:
   pairs (``--points 2``) or triplets (``--points 3``); always exit 0 on a
   completed comparison (the report is informative, not pass/fail).
 
-Exit codes: 0 success / all checks pass, 1 verification failure, 2 usage or
-parameter error, 3 I/O error.  Output bytes are deterministic given the
-resolved config and seed, at any ``--threads`` value.
+Exit codes: 0 success / all checks pass, 1 verification failure or
+numerical failure (a NaN or infinity in the output, in which case nothing is
+written), 2 usage or parameter error, 3 I/O error.  Output bytes are
+deterministic given the resolved config and seed, at any ``--threads`` value.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
+import itertools
 import math
 import sys
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -185,7 +187,8 @@ def _resolve_dep(ns):
 
 def _resolve_grid(ns, default_n):
     if ns.times is not None:
-        raw = open(ns.times).read()
+        with open(ns.times) as fh:
+            raw = fh.read()
         vals = [float(tok) for tok in raw.replace(",", " ").split()]
         return TimeGrid(vals)
     n = ns.n if ns.n is not None else default_n
@@ -219,30 +222,106 @@ def _simulate(cfg: RunConfig) -> Ensemble:
     )
 
 
-def _write_text(path, text):
+def _write_text(path, chunks):
+    """Write an iterable of text chunks to ``path`` (standard output if None)."""
     if path is None:
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
     else:
         with open(path, "w", newline="") as fh:
-            fh.write(text)
+            fh.writelines(chunks)
 
 
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
+def _non_finite():
+    return NumericalError("non-finite value in output (NaN or infinity)")
+
+
+def _json_float_row(row, pad):
+    """A 1-D float array as a JSON list whose items sit on lines indented ``pad + '  '``."""
+    if row.size == 0:
+        return "[]"
+    if not np.isfinite(row).all():
+        raise _non_finite()
+    inner = "\n" + pad + "  "
+    return "[" + inner + ("," + inner).join(map(float.__repr__, row.tolist())) + "\n" + pad + "]"
+
+
+def _json_scalar(obj):
+    if isinstance(obj, str):
+        return encode_basestring_ascii(obj)
+    if obj is None:
+        return "null"
+    if obj is True:
+        return "true"
+    if obj is False:
+        return "false"
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    if isinstance(obj, float):
+        if not math.isfinite(obj):
+            raise _non_finite()
+        return float.__repr__(obj)
+    raise TypeError(f"object of type {type(obj).__name__} is not JSON serializable")
+
+
+def _json_chunks(obj, pad=""):
+    """Yield the text of ``json.dumps(obj, indent=2, sort_keys=True)`` in pieces.
+
+    ``pad`` is the indentation of the line on which ``obj`` starts.  Numpy
+    arrays are written as nested lists, numpy scalars as their Python values
+    and complex numbers as ``{"im": ..., "re": ...}``.  Each 1-D float array
+    is formatted in one piece from one ``tolist()``, with ``float.__repr__``,
+    the formatting ``json`` itself applies to a finite float.  A NaN or
+    infinity raises ``NumericalError``: an artifact is always strict JSON.
+    """
     if isinstance(obj, np.ndarray):
-        return [_jsonable(v) for v in obj.tolist()]
-    if isinstance(obj, (complex, np.complexfloating)):
-        return {"re": float(obj.real), "im": float(obj.imag)}
-    if isinstance(obj, (np.floating, np.integer, np.bool_)):
-        return obj.item()
-    return obj
+        if obj.dtype.kind == "f" and obj.ndim == 1:
+            yield _json_float_row(obj, pad)
+            return
+        obj = list(obj) if obj.dtype.kind == "f" and obj.ndim > 1 else obj.tolist()
+    elif isinstance(obj, (complex, np.complexfloating)):
+        obj = {"re": float(obj.real), "im": float(obj.imag)}
+    elif isinstance(obj, np.generic):
+        obj = obj.item()
+    if isinstance(obj, dict):
+        items = sorted(obj.items())
+        open_, close = "{", "}"
+    elif isinstance(obj, (list, tuple)):
+        items = obj
+        open_, close = "[", "]"
+    else:
+        yield _json_scalar(obj)
+        return
+    if not items:
+        yield open_ + close
+        return
+    inner = pad + "  "
+    sep = open_ + "\n" + inner
+    for item in items:
+        if open_ == "{":
+            key, item = item
+            sep += encode_basestring_ascii(key) + ": "
+        yield sep
+        yield from _json_chunks(item, inner)
+        sep = ",\n" + inner
+    yield "\n" + pad + close
 
 
 def _dump_json(payload):
-    return json.dumps(_jsonable(payload), indent=2, sort_keys=True) + "\n"
+    """The whole JSON text of a small payload (a report): it is built before any output opens."""
+    return "".join(_json_chunks(payload)) + "\n"
+
+
+def _csv_chunks(times, values):
+    """The ``path,t,value`` CSV of an ensemble, one chunk per path.
+
+    Each line is ``f"{m},{t:.17g},{v:.17g}"``: the time column is formatted
+    once, and each path's values in one ``%`` operation over its ``tolist()``.
+    """
+    yield "path,t,value\n"
+    cells = [format(t, ".17g") + ",%.17g" for t in times.tolist()]
+    for m, row in enumerate(values):
+        head = f"{m},"
+        yield (head + ("\n" + head).join(cells) + "\n") % tuple(row.tolist())
 
 
 # -- simulate -----------------------------------------------------------------
@@ -250,22 +329,14 @@ def _dump_json(payload):
 
 def cmd_simulate(cfg: RunConfig) -> int:
     ens = _simulate(cfg)
+    # checked before the output opens, so a failed run leaves no partial file
+    if not np.isfinite(ens.values).all():
+        raise _non_finite()
     if cfg.fmt == "csv":
-        lines = ["path,t,value"]
-        times = cfg.grid.times
-        for m in range(ens.n_paths):
-            row = ens.values[m]
-            lines.extend(
-                f"{m},{times[k]:.17g},{row[k]:.17g}" for k in range(cfg.grid.n)
-            )
-        _write_text(cfg.out, "\n".join(lines) + "\n")
+        _write_text(cfg.out, _csv_chunks(cfg.grid.times, ens.values))
     else:
-        payload = {
-            "config": cfg.echo(),
-            "grid": [float(t) for t in cfg.grid.times],
-            "paths": [[float(v) for v in row] for row in ens.values],
-        }
-        _write_text(cfg.out, _dump_json(payload))
+        payload = {"config": cfg.echo(), "grid": cfg.grid.times, "paths": ens.values}
+        _write_text(cfg.out, itertools.chain(_json_chunks(payload), "\n"))
     return 0
 
 
@@ -420,7 +491,7 @@ def cmd_verify(cfg: RunConfig, suite, omega_axis=None, force_chf_kind=None) -> i
         "checks": checks,
         "passed": passed,
     }
-    _write_text(cfg.out, _dump_json(report))
+    _write_text(cfg.out, [_dump_json(report)])
     return 0 if passed else 1
 
 
@@ -472,7 +543,7 @@ def cmd_compare(cfg_a: RunConfig, cfg_b: RunConfig, points) -> int:
         "max_z": float(np.max(z)),
         "argmax_omega": worst,
     }
-    _write_text(cfg_a.out, _dump_json(report))
+    _write_text(cfg_a.out, [_dump_json(report)])
     return 0
 
 

@@ -188,7 +188,11 @@ class ProcessKind(enum.Enum):
 
 @dataclass(frozen=True)
 class SamplePath:
-    """One realization observed on a grid."""
+    """One realization observed on a grid.
+
+    ``values`` is held read-only: a read-only float64 array is kept as it is
+    and anything else is copied into a new frozen array.
+    """
 
     grid: TimeGrid
     values: np.ndarray
@@ -200,8 +204,9 @@ class SamplePath:
             raise ParameterError(
                 f"values shape {v.shape} does not match grid length {self.grid.n}"
             )
-        v = v.copy()
-        v.setflags(write=False)
+        if v.flags.writeable:
+            v = v.copy()
+            v.setflags(write=False)
         object.__setattr__(self, "values", v)
 
 
@@ -212,7 +217,8 @@ class Ensemble:
     ``values[m, k]`` is path ``m`` at grid time ``k``.  Path ``m`` is a pure
     function of ``(master_seed, m)``: it is simulated from the stream
     ``derive_stream(master_seed, m)`` regardless of how many other paths exist
-    or how work is scheduled across threads.
+    or how work is scheduled across threads.  ``values`` is held read-only,
+    as in ``SamplePath``: a read-only float64 array is not copied.
     """
 
     grid: TimeGrid
@@ -226,8 +232,9 @@ class Ensemble:
             raise ParameterError(
                 f"values must have shape (n_paths, {self.grid.n}), got {v.shape}"
             )
-        v = v.copy()
-        v.setflags(write=False)
+        if v.flags.writeable:
+            v = v.copy()
+            v.setflags(write=False)
         object.__setattr__(self, "values", v)
 
     @property

@@ -569,9 +569,12 @@ def _affine_scan_blocks(a, z, x0, out=None):
             out[s:e] = p * (x + c)
             x = out[e - 1]
         else:
-            for i in range(s, e):
-                x = a[i] * x + z[i]
-                out[i] = x
+            # the same fl(a*x + z) per element, on Python floats
+            xs = []
+            for ai, zi in zip(ab.tolist(), z[s:e].tolist()):
+                x = ai * x + zi
+                xs.append(x)
+            out[s:e] = xs
     return out
 
 
@@ -598,15 +601,25 @@ class _CthinPlan(_Plan):
             pos = 1
         chunk = 1 << 18
         done = 0
-        buf = np.empty(min(chunk, max(n_steps, 1)))
+        size = min(chunk, max(n_steps, 1))
+        g1_buf, s_buf, zeta_buf, buf = (np.empty(size) for _ in range(4))
+        live_buf = np.empty(size, dtype=bool)
         while done < n_steps:
             k = min(chunk, n_steps - done)
-            g1 = gen.gamma(a * p, 1.0, size=k)
-            g2 = gen.gamma(a * q, 1.0, size=k)
-            s = g1 + g2
-            thin = np.where(s > 0.0, g1 / np.where(s > 0.0, s, 1.0), p)
-            zeta = gen.gamma(a * p, 1.0 / b, size=k)
-            out = _affine_scan_blocks(1.0 - thin, zeta, x, out=buf[:k])
+            g1, s, zeta, live = g1_buf[:k], s_buf[:k], zeta_buf[:k], live_buf[:k]
+            # gamma(shape, scale) is scale * standard_gamma(shape), bit for bit
+            gen.standard_gamma(a * p, out=g1)
+            gen.standard_gamma(a * q, out=s)
+            np.add(g1, s, out=s)
+            # thin = g1 / s, or p where both gammas underflowed to 0; g1 becomes 1 - thin
+            np.greater(s, 0.0, out=live)
+            np.divide(g1, s, out=g1, where=live)
+            np.logical_not(live, out=live)
+            np.copyto(g1, p, where=live)
+            np.subtract(1.0, g1, out=g1)
+            gen.standard_gamma(a * p, out=zeta)
+            zeta *= 1.0 / b
+            out = _affine_scan_blocks(g1, zeta, x, out=buf[:k])
             while pos < self.n and idx[pos] <= done + k:
                 values[pos] = out[idx[pos] - done - 1]
                 pos += 1
@@ -783,6 +796,7 @@ def simulate_ensemble(
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             list(pool.map(work, range(workers)))
+    values.setflags(write=False)  # so Ensemble holds it without a copy
     return Ensemble(grid=grid, kind=kind, values=values, master_seed=int(master_seed))
 
 

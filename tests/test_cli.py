@@ -3,10 +3,12 @@ import json
 import numpy as np
 import pytest
 
-from gammaproc import GammaParams, ParameterError
+from gammaproc import GammaParams, NumericalError, ParameterError, cli
 from gammaproc.cli import (
     RunConfig,
+    _dump_json,
     _resolve_config,
+    _simulate,
     build_parser,
     cmd_compare,
     default_omega_triples,
@@ -203,3 +205,126 @@ def test_parser_rejects_rho_and_lambda_together(capsys):
         parser.parse_args(["simulate", "--process", "ar1", "--rho", "0.5",
                            "--lambda", "0.7"])
     capsys.readouterr()
+
+
+# -- the streamed writers against the writers they replaced ---------------------
+
+
+def _jsonable(obj):
+    if isinstance(obj, dict):
+        return {k: _jsonable(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_jsonable(v) for v in obj]
+    if isinstance(obj, np.ndarray):
+        return [_jsonable(v) for v in obj.tolist()]
+    if isinstance(obj, (complex, np.complexfloating)):
+        return {"re": float(obj.real), "im": float(obj.imag)}
+    if isinstance(obj, (np.floating, np.integer, np.bool_)):
+        return obj.item()
+    return obj
+
+
+def _reference_json(payload):
+    return json.dumps(_jsonable(payload), indent=2, sort_keys=True) + "\n"
+
+
+def _reference_simulate(args):
+    ns = build_parser().parse_args(args)
+    cfg = _resolve_config(ns, ns.process, ns.paths)
+    ens = _simulate(cfg)
+    times = cfg.grid.times
+    if cfg.fmt == "csv":
+        lines = ["path,t,value"]
+        for m in range(ens.n_paths):
+            row = ens.values[m]
+            lines.extend(f"{m},{times[k]:.17g},{row[k]:.17g}" for k in range(cfg.grid.n))
+        return "\n".join(lines) + "\n"
+    return _reference_json({
+        "config": cfg.echo(),
+        "grid": [float(t) for t in times],
+        "paths": [[float(v) for v in row] for row in ens.values],
+    })
+
+
+@pytest.fixture
+def irregular_times(tmp_path):
+    times = tmp_path / "times.txt"
+    times.write_text("0.1\n0.7\n1.3\n")  # 0.1 has a 17th significant digit
+    return str(times)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("case", ["one-value", "irregular", "ar1-2000x200"])
+def test_simulate_output_equals_reference_writer(tmp_path, irregular_times, fmt, case):
+    args = {
+        "one-value": ["--process", "cir", "--n", "1", "--paths", "1", "--seed", "3"],
+        "irregular": ["--process", "rm", "--times", irregular_times, "--paths", "4",
+                      "--seed", "8"],
+        "ar1-2000x200": ["--process", "ar1", "--alpha", "0.5", "--n", "200",
+                         "--paths", "2000", "--seed", "12"],
+    }[case]
+    args = ["simulate", *args, "--format", fmt]
+    out = tmp_path / f"out.{fmt}"
+    assert run(args + ["--out", str(out)]) == 0
+    assert out.read_bytes() == _reference_simulate(args).encode()
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_simulate_stdout_equals_reference_writer(capsys, fmt):
+    args = ["simulate", "--process", "changepoint", "--n", "7", "--paths", "5",
+            "--seed", "2", "--format", fmt]
+    assert run(args) == 0
+    assert capsys.readouterr().out == _reference_simulate(args)
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--process", "ar1", "--suite", "all", "--paths", "2000", "--seed", "4"],
+    ["compare", "--process-a", "thinned", "--process-b", "rm", "--points", "2",
+     "--paths", "2000", "--seed", "6"],
+], ids=["verify-all", "compare-pairs"])
+def test_report_equals_reference_writer(tmp_path, monkeypatch, argv):
+    # nested lists, ints, bools, strings, skipped checks, numpy arrays and scalars
+    reports = []
+
+    def spy(payload):
+        reports.append(payload)
+        return _dump_json(payload)
+
+    monkeypatch.setattr(cli, "_dump_json", spy)
+    out = tmp_path / "report.json"
+    assert run(argv + ["--out", str(out)]) in (0, 1)
+    (report,) = reports
+    assert out.read_bytes() == _reference_json(report).encode()
+
+
+def test_json_writer_covers_every_value_type():
+    payload = {
+        "b": [True, False, None, "x\u00e9\"", 3, -0.0, 1e-320, 2.5e300],
+        "a": {"int": np.int64(7), "flag": np.bool_(True), "f": np.float32(0.1),
+              "c": np.complex128(1.5 - 2j), "z": 1j},
+        "arrays": [np.arange(3), np.zeros((2, 0)), np.ones((2, 2, 2)),
+                   np.array([True, False]), np.array([1 + 2j]), np.empty(0)],
+        "empty": {}, "tuple": (1, [2, []]),
+    }
+    assert _dump_json(payload) == _reference_json(payload)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), np.array([1.0, -np.inf]),
+                                 np.float64("nan"), np.array([[0.0], [np.nan]])])
+def test_json_writer_refuses_non_finite(bad):
+    with pytest.raises(NumericalError):
+        _dump_json({"x": [1.0, bad]})
+
+
+def test_non_finite_simulation_exits_1_and_writes_nothing(tmp_path, capsys):
+    args = ["simulate", "--process", "thinned", "--alpha", "0.01", "--rho", "0.001",
+            "--n", "200", "--paths", "50"]
+    for fmt in ("csv", "json"):
+        out = tmp_path / f"nan.{fmt}"
+        assert run(args + ["--format", fmt, "--out", str(out)]) == 1
+        assert not out.exists()
+        assert "numerical failure" in capsys.readouterr().err
+    assert run(args) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "numerical failure" in captured.err

@@ -114,6 +114,23 @@ def test_ensemble_paths_are_views_of_rows():
         Ensemble(g, ProcessKind.THINNED, np.zeros((2, 3)), master_seed=0)
 
 
+def test_read_only_values_are_kept_and_writeable_ones_copied():
+    g = make_uniform_grid(0.0, 1.0, 2)
+    frozen = np.array([[1.0, 2.0], [3.0, 4.0]])
+    frozen.setflags(write=False)
+    ens = Ensemble(g, ProcessKind.AR1, frozen, master_seed=0)
+    assert ens.values is frozen
+    assert np.shares_memory(ens.path(1).values, frozen)
+    live = np.array([[1.0, 2.0], [3.0, 4.0]])
+    ens = Ensemble(g, ProcessKind.AR1, live, master_seed=0)
+    live[0, 0] = 9.0
+    assert ens.values[0, 0] == 1.0 and not ens.values.flags.writeable
+    row = np.array([5.0, 6.0])
+    sp = SamplePath(g, row, ProcessKind.AR1)
+    row[0] = 0.0
+    assert sp.values[0] == 5.0 and not sp.values.flags.writeable
+
+
 def test_derive_stream_reproducible_and_distinct():
     a1 = derive_stream(123, 0).gen.random(8)
     a2 = derive_stream(123, 0).gen.random(8)

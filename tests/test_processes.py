@@ -141,6 +141,58 @@ def test_cthin_config_validation():
         CthinConfig(0)
 
 
+def _scalar_scan(a, z, x0):
+    out = np.empty(a.size)
+    x = x0
+    for i in range(a.size):
+        x = a[i] * x + z[i]
+        out[i] = x
+    return out
+
+
+def test_affine_scan_underflow_fallback_equals_numpy_scalar_loop():
+    rng = np.random.default_rng(5)
+    # the product of 1024 uniforms underflows, so every block takes the loop
+    # (the short last block through its zero factor)
+    a = rng.random(2500)
+    a[-5] = 0.0
+    z = rng.gamma(0.3, 1.0, size=a.size)
+    out = processes._affine_scan_blocks(a, z, 1.7)
+    assert out.tobytes() == _scalar_scan(a, z, 1.7).tobytes()
+
+
+def _cthin_allocating_reference(grid, params, dep, steps_per_unit, rng):
+    # the lattice loop with fresh arrays per chunk, before its buffers were reused
+    a, b = params.alpha, params.beta
+    eps = 1.0 / steps_per_unit
+    q = dep.rho**eps
+    p = 1.0 - q
+    gen = rng.gen
+    x = gen.gamma(a, 1.0 / b)
+    n_steps = int(np.rint((grid.times[-1] - grid.times[0]) / eps))
+    g1 = gen.gamma(a * p, 1.0, size=n_steps)
+    g2 = gen.gamma(a * q, 1.0, size=n_steps)
+    s = g1 + g2
+    thin = np.where(s > 0.0, g1 / np.where(s > 0.0, s, 1.0), p)
+    zeta = gen.gamma(a * p, 1.0 / b, size=n_steps)
+    lattice = np.concatenate(([x], processes._affine_scan_blocks(1.0 - thin, zeta, x)))
+    idx = np.rint((grid.times - grid.times[0]) / eps).astype(int)
+    return lattice[idx], int(np.sum(s == 0.0))
+
+
+@pytest.mark.parametrize("params,rho", [(GammaParams(2.0, 1.5), 0.5),
+                                        (GammaParams(0.001, 1.0), 0.001)])
+def test_cthin_reused_buffers_give_the_allocating_loop_bytes(params, rho):
+    grid = make_uniform_grid(0.0, 0.5, 30)
+    dep = Dependence.from_rho(rho)
+    path = cthin_path(derive_stream(9, 2), grid, params, dep, config=CthinConfig(64))
+    ref, underflows = _cthin_allocating_reference(grid, params, dep, 64,
+                                                  derive_stream(9, 2))
+    assert path.values.tobytes() == ref.tobytes()
+    # the small shape makes both beta-stage gammas underflow to 0 at many steps
+    assert (underflows > 0) == (params.alpha < 0.01)
+
+
 # -- ensembles -------------------------------------------------------------------
 
 
@@ -162,6 +214,21 @@ def test_ensemble_threads_do_not_change_values(monkeypatch):
     for kind in ProcessKind:
         four = simulate_ensemble(kind, grid, P11, DEP5, 40, master_seed=3, threads=4, **opts)
         assert one[kind].values.tobytes() == four.values.tobytes(), kind
+
+
+def test_ensemble_values_are_held_once():
+    import tracemalloc
+
+    grid = make_uniform_grid(0.0, 1.0, 200)
+    tracemalloc.start()
+    try:
+        ens = simulate_ensemble(ProcessKind.CHANGE_POINT, grid, P11, DEP5, 20000,
+                                master_seed=1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert not ens.values.flags.writeable
+    assert peak < 1.25 * ens.values.nbytes
 
 
 # Stream contract: ensemble path m is byte-identical to the path operation run
