@@ -20,13 +20,10 @@ from .core import (
     make_uniform_grid,
 )
 from .samplers import (
-    InnovationTrace,
     beta_draw,
-    cir_transition_draw,
     gamma_draw,
     normal_draw,
     poisson_draw,
-    walker_innovation_draw,
 )
 from .analytic import (
     LevyTail,
@@ -79,6 +76,7 @@ from .stats import (
     reversibility_check,
     tail_check,
     triplet_discrimination,
+    two_sample_chf,
 )
 
 __all__ = [
@@ -89,7 +87,6 @@ __all__ = [
     "ParameterError", "NumericalError", "UnsupportedKindError",
     # samplers
     "gamma_draw", "beta_draw", "poisson_draw", "normal_draw",
-    "InnovationTrace", "walker_innovation_draw", "cir_transition_draw",
     # analytic
     "gamma_chf", "innovation_chf", "pair_chf", "rm_joint_chf",
     "log_bessel_i", "cir_transition_density", "TestFunction", "generator_apply",
@@ -102,7 +99,8 @@ __all__ = [
     # stats
     "MomentReport", "empirical_moments", "AcfReport", "empirical_acf",
     "KsReport", "ks_statistic", "ChfEstimate", "empirical_chf",
-    "ChfComparison", "chf_gof", "TripletReport", "triplet_discrimination",
+    "ChfComparison", "chf_gof", "two_sample_chf", "TripletReport",
+    "triplet_discrimination",
     "ReversibilityReport", "reversibility_check",
     "GeneratorCheck", "generator_check", "TailTable", "tail_check",
     "default_omega_axis", "default_omega_pairs",

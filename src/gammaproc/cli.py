@@ -53,12 +53,12 @@ from .stats import (
     default_omega_axis,
     default_omega_pairs,
     empirical_acf,
-    empirical_chf,
     empirical_moments,
     generator_check,
     ks_statistic,
     tail_check,
     triplet_discrimination,
+    two_sample_chf,
 )
 
 SUITES = ("marginal", "acf", "chf", "generator", "tail", "all")
@@ -510,16 +510,6 @@ def default_omega_triples(beta):
     return np.asarray(rows, dtype=float) / beta
 
 
-def _two_sample_pairs(ens_a: Ensemble, ens_b: Ensemble, omegas):
-    est_a = empirical_chf(ens_a.values[:, :2], omegas)
-    est_b = empirical_chf(ens_b.values[:, :2], omegas)
-    diff = est_a.estimate - est_b.estimate
-    se_re = np.sqrt(est_a.se_re**2 + est_b.se_re**2)
-    se_im = np.sqrt(est_a.se_im**2 + est_b.se_im**2)
-    z = np.maximum(np.abs(diff.real) / se_re, np.abs(diff.imag) / se_im)
-    return z
-
-
 def cmd_compare(cfg_a: RunConfig, cfg_b: RunConfig, points) -> int:
     if cfg_a.params != cfg_b.params or cfg_a.dep != cfg_b.dep:
         raise ParameterError("compare requires both processes to share parameters")
@@ -532,7 +522,7 @@ def cmd_compare(cfg_a: RunConfig, cfg_b: RunConfig, points) -> int:
         worst = rep.argmax_omega
     else:
         omegas = default_omega_pairs(cfg_a.params.beta)
-        z = _two_sample_pairs(ens_a, ens_b, omegas)
+        z = two_sample_chf(ens_a.values[:, :2], ens_b.values[:, :2], omegas)[0]
         worst = omegas[int(np.argmax(z))]
     report = {
         "config_a": cfg_a.echo(),
@@ -571,12 +561,11 @@ def main(argv=None) -> int:
             return cmd_verify(cfg, ns.suite, omega_axis=axis,
                               force_chf_kind=ns.debug_force_chf_kind)
         if ns.command == "compare":
-            n = ns.points if ns.points else 3
-            ns.n = n
+            ns.n = ns.points
             seed_a = ns.seed_a if ns.seed_a is not None else ns.seed
             seed_b = ns.seed_b if ns.seed_b is not None else ns.seed + 1
-            cfg_a = _resolve_config(ns, ns.process_a, ns.paths, default_n=n)
-            cfg_b = _resolve_config(ns, ns.process_b, ns.paths, default_n=n)
+            cfg_a = _resolve_config(ns, ns.process_a, ns.paths)
+            cfg_b = _resolve_config(ns, ns.process_b, ns.paths)
             cfg_a = RunConfig(**{**cfg_a.__dict__, "seed": int(seed_a)})
             cfg_b = RunConfig(**{**cfg_b.__dict__, "seed": int(seed_b), "out": None})
             return cmd_compare(cfg_a, cfg_b, ns.points)

@@ -244,9 +244,6 @@ class Ensemble:
     def path(self, m):
         return SamplePath(self.grid, self.values[m], self.kind)
 
-    def __iter__(self):
-        return (self.path(m) for m in range(self.n_paths))
-
 
 _U64 = (1 << 64) - 1
 

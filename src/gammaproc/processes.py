@@ -36,11 +36,14 @@ it, Euler, squared-OU and cthin simulate whole paths one at a time inside
 their plans.
 
 The ``*_sample`` batch helpers at the bottom draw i.i.d. copies of small
-marginal/pair/triplet configurations from a *single* stream with vectorized
-stage-by-stage draws.  They exist because statistical verification needs
-10^5 - 10^6 independent replicates, for which per-path stream setup dominates
-runtime; each helper documents why its construction has exactly the law of the
-corresponding path operation restricted to those times.
+marginal/pair/triplet configurations from a *single* stream, as a vector of
+lanes.  They exist because statistical verification needs 10^5 - 10^6
+independent replicates, for which per-path stream setup dominates runtime.
+Each gap of ar1, thinned, changepoint, exact cir and each cthin lattice step
+is one call of ``_lane_step``, the only lane copy of those updates (the
+stats generator check calls it too); rm, squared-OU and Euler keep their own
+constructions.  Each helper documents why its construction has exactly the
+law of the corresponding path operation restricted to those times.
 """
 
 from __future__ import annotations
@@ -63,6 +66,7 @@ from .core import (
     SamplePath,
     TimeGrid,
     UnsupportedKindError,
+    _require_finite_positive,
     derive_stream,
 )
 
@@ -284,6 +288,28 @@ class _Plan:
         return self.build(draws)
 
 
+def _ladder_odds(rho_g):
+    """(1 - rho_g) / rho_g, the AR(1) ladder's Poisson mean per unit of mixing L."""
+    if not np.all(rho_g > 0.0):
+        raise NumericalError("AR(1) innovation ladder: a gap correlation underflowed to 0")
+    return (1.0 - rho_g) / rho_g
+
+
+def _ladder_counts(gen, means):
+    """The ladder's Po(means) counts; a mean numpy cannot draw is a NumericalError.
+
+    At a gap correlation rho_g below about 1e-19 the mean (1 - rho_g)/rho_g * L
+    passes numpy's Poisson limit (about 9.2e18).
+    """
+    try:
+        return gen.poisson(means)
+    except ValueError as exc:
+        raise NumericalError(
+            "AR(1) innovation ladder: the Poisson mean (1 - rho_g)/rho_g * L is too large "
+            "to draw (gap correlation rho_g too small)"
+        ) from exc
+
+
 class _Ar1Plan(_Plan):
     """Draws: X_0 and the n - 1 innovation values, as standard gammas."""
 
@@ -292,7 +318,7 @@ class _Ar1Plan(_Plan):
         self.alpha = params.alpha
         self.inv_beta = 1.0 / params.beta
         self.rho_g = dep.rho ** grid.gaps
-        self.odds = (1.0 - self.rho_g) / self.rho_g
+        self.odds = _ladder_odds(self.rho_g)
         self.zeta_scale = self.rho_g / params.beta
         self.width = self.n
 
@@ -300,9 +326,9 @@ class _Ar1Plan(_Plan):
         gen.standard_gamma(self.alpha, out=out)  # X_0, then the mixing L
         means = self.odds * out[1:]
         if means.size > _SCALAR_CALLS:
-            gen.standard_gamma(gen.poisson(means), out=out[1:])
+            gen.standard_gamma(_ladder_counts(gen, means), out=out[1:])
         elif means.size:
-            counts = [gen.poisson(m) for m in means.tolist()]
+            counts = [_ladder_counts(gen, m) for m in means.tolist()]
             out[1:] = [gen.standard_gamma(k) for k in counts]
 
     def build(self, draws):
@@ -446,15 +472,16 @@ class CirMethod(enum.Enum):
 class _CirExactPlan(_Plan):
     """Exact CIR transitions gap by gap: K ~ Po(c x rho_d), X' ~ Ga(alpha + K, c).
 
-    The arithmetic of ``cir_transition_draw`` without its argument checks:
-    each step is one scalar Poisson and one scalar gamma call.
+    The one-lane form of ``_lane_step``'s exact transition, with
+    c = beta / (1 - rho_d): each step is one scalar Poisson and one scalar
+    gamma call.
     """
 
     def __init__(self, grid, params, dep):
         super().__init__(grid, ProcessKind.SQUARED_OU)
         self.alpha = params.alpha
         self.beta = params.beta
-        # Python's float power, as cir_transition_draw computes rho**dt
+        # Python's float power rho**dt, gap by gap
         self.rho_d = np.fromiter(
             (dep.rho**dt for (dt,) in _as_floats(grid.gaps)), float, count=self.n - 1
         )
@@ -498,17 +525,22 @@ class _CirEulerPlan(_Plan):
         return values
 
 
+def _squared_ou_coordinates(a):
+    """J = 2 alpha, the number of OU coordinates; it must be a positive integer."""
+    j = round(2.0 * a)
+    if abs(2.0 * a - j) > 1e-9 or j < 1:
+        raise ParameterError(
+            f"the squared-OU construction requires 2*alpha to be a positive integer, got alpha={a}"
+        )
+    return j
+
+
 class _SquaredOuPlan(_Plan):
     """J = 2 alpha independent exact OU coordinates, X = sum Z_j^2 / (2 beta)."""
 
     def __init__(self, grid, params, dep):
         super().__init__(grid, ProcessKind.SQUARED_OU)
-        a = params.alpha
-        self.j = round(2.0 * a)
-        if abs(2.0 * a - self.j) > 1e-9 or self.j < 1:
-            raise ParameterError(
-                f"the squared-OU construction requires 2*alpha to be a positive integer, got alpha={a}"
-            )
+        self.j = _squared_ou_coordinates(params.alpha)
         self.two_beta = 2.0 * params.beta
         self.half = dep.rho ** (grid.gaps / 2.0)
 
@@ -658,7 +690,7 @@ def ar1_path(rng: RandomSource, grid: TimeGrid, params: GammaParams, dep: Depend
     """Gamma AR(1): X_{t_k} = rho_k X_{t_{k-1}} + zeta_k.
 
     The innovation for a gap with correlation rho_k is the gamma-Poisson-gamma
-    ladder of ``walker_innovation_draw`` (mixing L ~ Ga(alpha, 1), count
+    ladder of ``_ar1_innovations`` (mixing L ~ Ga(alpha, 1), count
     N ~ Po(((1-rho_k)/rho_k) L), value ~ Ga(N, beta/rho_k)); here the three
     stages are drawn vectorized over steps (stream order: X_0, all L, all N,
     all values), then the recursion runs sequentially so that each step is
@@ -803,19 +835,71 @@ def simulate_ensemble(
 # -- vectorized i.i.d. batch samplers (verification workhorses) ---------------
 
 
+def _ar1_innovations(g, a, b, r, n):
+    """n i.i.d. AR(1) innovations at gap correlation r: the gamma-Poisson-gamma ladder.
+
+    With L ~ Ga(a, 1), N | L ~ Po(((1-r)/r) L) and zeta | N ~ Ga(N, b/r), the
+    innovation zeta has characteristic function ((b - i w) / (b - i r w))^(-a),
+    which is exactly what X' = r X + zeta needs to keep the Ga(a, b) marginal.
+    P(zeta = 0) = P(N = 0) = r^a.
+    """
+    mixing = g.gamma(a, 1.0, size=n)
+    counts = _ladder_counts(g, _ladder_odds(r) * mixing)
+    return g.gamma(counts, r / b)
+
+
+def _lane_step(kind, g, x, a, b, r):
+    """One gap of ``kind``'s update for every lane of ``x``, drawn from ``g``.
+
+    ``a`` and ``b`` are the Ga(a, b) marginal's shape and rate and ``r`` the
+    gap correlation; for cthin the step is one lattice step at r = q = rho**eps.
+    This is the only lane copy of each update:
+
+    * ar1: X' = r X + zeta, zeta from the innovation ladder;
+    * thinned: X' = B X + Ga(a (1-r), b) with B ~ Be(a r, a (1-r)), the beta
+      drawn as the gamma ratio g1 / (g1 + g2);
+    * changepoint: keep X with probability r, else a fresh Ga(a, b);
+    * cir (exact transition): with c = b / (1-r), K ~ Po(c X r) and
+      X' ~ Ga(a + K, c), the noncentral-chi-square form of the kernel;
+    * cthin: X' = (1 - b_k) X + Ga(a p, b), b_k ~ Be(a p, a r), p = 1 - r; the
+      thinning is p where both beta-stage gammas underflow to 0.
+    """
+    n = x.size
+    if kind is ProcessKind.AR1:
+        return r * x + _ar1_innovations(g, a, b, r, n)
+    if kind is ProcessKind.THINNED:
+        g1 = g.gamma(a * r, 1.0, size=n)
+        g2 = g.gamma(a * (1.0 - r), 1.0, size=n)
+        return g1 / (g1 + g2) * x + g.gamma(a * (1.0 - r), 1.0 / b, size=n)
+    if kind is ProcessKind.CHANGE_POINT:
+        keep = g.random(n) < r
+        fresh = g.gamma(a, 1.0 / b, size=n)
+        return np.where(keep, x, fresh)
+    if kind is ProcessKind.SQUARED_OU:
+        c = b / (1.0 - r)
+        k = g.poisson(c * x * r)
+        return g.gamma(a + k, 1.0 / c, size=n)
+    if kind is ProcessKind.CONTINUOUSLY_THINNED:
+        p = 1.0 - r
+        g1 = g.gamma(a * p, 1.0, size=n)
+        g2 = g.gamma(a * r, 1.0, size=n)
+        s = g1 + g2
+        thin = np.where(s > 0.0, g1 / np.where(s > 0.0, s, 1.0), p)
+        return (1.0 - thin) * x + g.gamma(a * p, 1.0 / b, size=n)
+    raise UnsupportedKindError(f"no lane update for kind {kind!r}")
+
+
 def walker_sample(n, params: GammaParams, rho_step, master_seed):
-    """n i.i.d. AR(1) innovations at per-step rho (vectorized ladder stages)."""
+    """n i.i.d. AR(1) innovations at per-step rho (``_ar1_innovations``)."""
     rho = float(rho_step)
     if not (0.0 < rho < 1.0):
         raise ParameterError(f"rho_step must lie strictly in (0, 1), got {rho_step!r}")
     g = derive_stream(master_seed, 0).gen
     n = _require_positive_int("n", n)
-    mixing = g.gamma(params.alpha, 1.0, size=n)
-    counts = g.poisson((1.0 - rho) / rho * mixing)
-    return g.gamma(counts, rho / params.beta)
+    return _ar1_innovations(g, params.alpha, params.beta, rho, n)
 
 
-def _rm_triplet_shapes(params, rho_g):
+def _rm_triplet_shapes(rho_g):
     """Partition shapes for the three-point uniform grid [0, d, 2d]."""
     r = rho_g
     return {
@@ -844,64 +928,34 @@ def marginal_sample(
     """n i.i.d. copies of X at a fixed time, after the kind's own update mechanism.
 
     Each lane runs the same recursion as the corresponding path operation
-    (two update steps over gaps of length ``gap`` for the discrete recursions;
-    for the continuously-thinned process ``cthin_units`` time units of lattice
-    steps; for Euler a burn-in of ``euler_burn`` autocorrelation times), so a
-    lane value has exactly the law of a path value at that time.
+    (two ``_lane_step`` gaps of length ``gap`` from a Ga(alpha, beta) start
+    for the discrete recursions and exact cir; for the continuously-thinned
+    process ``cthin_units`` time units of lattice steps; for Euler a burn-in
+    of ``euler_burn`` autocorrelation times), so a lane value has exactly the
+    law of a path value at that time.  ``gap`` must be finite and positive.
     """
     n = _require_positive_int("n", n)
+    gap = _require_finite_positive("gap", gap)
     g = derive_stream(master_seed, 0).gen
     a, b = params.alpha, params.beta
-    rho_g = dep.rho ** float(gap)
-    if kind is ProcessKind.AR1:
-        x = g.gamma(a, 1.0 / b, size=n)
-        for _ in range(2):
-            mixing = g.gamma(a, 1.0, size=n)
-            counts = g.poisson((1.0 - rho_g) / rho_g * mixing)
-            x = rho_g * x + g.gamma(counts, rho_g / b)
-        return x
-    if kind is ProcessKind.THINNED:
-        x = g.gamma(a, 1.0 / b, size=n)
-        for _ in range(2):
-            g1 = g.gamma(a * rho_g, 1.0, size=n)
-            g2 = g.gamma(a * (1.0 - rho_g), 1.0, size=n)
-            x = g1 / (g1 + g2) * x + g.gamma(a * (1.0 - rho_g), 1.0 / b, size=n)
-        return x
+    rho_g = dep.rho**gap
     if kind is ProcessKind.RANDOM_MEASURE:
-        shapes = _rm_triplet_shapes(params, rho_g)
+        shapes = _rm_triplet_shapes(rho_g)
         x = np.zeros(n)
         for block in [(2, 2), (1, 2), (0, 2)]:  # blocks containing the last time
             x += g.gamma(a * shapes[block], 1.0 / b, size=n)
         return x
-    if kind is ProcessKind.CHANGE_POINT:
-        x = g.gamma(a, 1.0 / b, size=n)
-        for _ in range(2):
-            keep = g.random(n) < rho_g
-            fresh = g.gamma(a, 1.0 / b, size=n)
-            x = np.where(keep, x, fresh)
-        return x
-    if kind is ProcessKind.SQUARED_OU:
-        if method is CirMethod.EXACT:
-            x = g.gamma(a, 1.0 / b, size=n)
-            c = b / (1.0 - rho_g)
-            for _ in range(2):
-                k = g.poisson(c * x * rho_g)
-                x = g.gamma(a + k, 1.0 / c, size=n)
-            return x
+    if kind is ProcessKind.SQUARED_OU and method is not CirMethod.EXACT:
         if method is CirMethod.SQUARED_OU:
-            j = round(2.0 * a)
-            if abs(2.0 * a - j) > 1e-9 or j < 1:
-                raise ParameterError(
-                    f"the squared-OU construction requires 2*alpha to be a positive integer, got alpha={a}"
-                )
+            j = _squared_ou_coordinates(a)
             z = g.standard_normal((n, j))
-            half = dep.rho ** (float(gap) / 2.0)
+            half = dep.rho ** (gap / 2.0)
             for _ in range(2):
                 z = half * z + math.sqrt(1.0 - half * half) * g.standard_normal((n, j))
             return np.sum(z * z, axis=1) / (2.0 * b)
         if method is CirMethod.EULER:
             m = _require_positive_int("substeps", substeps)
-            h = float(gap) / m
+            h = gap / m
             n_steps = int(math.ceil(float(euler_burn) / dep.lam / h))
             x = g.gamma(a, 1.0 / b, size=n)
             mean = a / b
@@ -913,65 +967,40 @@ def marginal_sample(
                 ) * sqh * g.standard_normal(n)
             return x
         raise ParameterError(f"unknown cir method {method!r}")
+    steps, r = 2, rho_g
     if kind is ProcessKind.CONTINUOUSLY_THINNED:
-        eps = 1.0 / cthin.steps_per_unit
-        n_steps = int(round(float(cthin_units) * cthin.steps_per_unit))
-        q = dep.rho**eps
-        p = 1.0 - q
-        x = g.gamma(a, 1.0 / b, size=n)
-        for _ in range(n_steps):
-            g1 = g.gamma(a * p, 1.0, size=n)
-            g2 = g.gamma(a * q, 1.0, size=n)
-            s = g1 + g2
-            thin = np.where(s > 0.0, g1 / np.where(s > 0.0, s, 1.0), p)
-            x = (1.0 - thin) * x + g.gamma(a * p, 1.0 / b, size=n)
-        return x
-    raise UnsupportedKindError(f"cannot sample marginals for kind {kind!r}")
+        steps = int(round(float(cthin_units) * cthin.steps_per_unit))
+        r = dep.rho ** (1.0 / cthin.steps_per_unit)
+    x = g.gamma(a, 1.0 / b, size=n)
+    for _ in range(steps):
+        x = _lane_step(kind, g, x, a, b, r)
+    return x
 
 
 def pair_sample(kind: ProcessKind, n, params: GammaParams, dep: Dependence, master_seed, gap=1.0):
     """n i.i.d. copies of the consecutive pair (X_0, X_gap); exact-law constructions.
 
-    AR1/Thinned/ChangePoint apply one recursion step to a stationary start;
-    the random-measure pair is assembled from its 3-block two-point partition
-    (shared block Ga(alpha rho_g, beta) plus two private Ga(alpha (1-rho_g),
-    beta) blocks); SquaredOU applies one exact transition draw.
+    AR1/Thinned/ChangePoint apply one recursion step to a stationary start
+    and SquaredOU one exact transition (``_lane_step``); the random-measure
+    pair is assembled from its 3-block two-point partition (shared block
+    Ga(alpha rho_g, beta) plus two private Ga(alpha (1-rho_g), beta) blocks).
     """
     n = _require_positive_int("n", n)
+    gap = _require_finite_positive("gap", gap)
     g = derive_stream(master_seed, 0).gen
     a, b = params.alpha, params.beta
-    rho_g = dep.rho ** float(gap)
-    if kind is ProcessKind.AR1:
-        x0 = g.gamma(a, 1.0 / b, size=n)
-        mixing = g.gamma(a, 1.0, size=n)
-        counts = g.poisson((1.0 - rho_g) / rho_g * mixing)
-        x1 = rho_g * x0 + g.gamma(counts, rho_g / b)
-        return x0, x1
-    if kind is ProcessKind.THINNED:
-        x0 = g.gamma(a, 1.0 / b, size=n)
-        g1 = g.gamma(a * rho_g, 1.0, size=n)
-        g2 = g.gamma(a * (1.0 - rho_g), 1.0, size=n)
-        x1 = g1 / (g1 + g2) * x0 + g.gamma(a * (1.0 - rho_g), 1.0 / b, size=n)
-        return x0, x1
+    rho_g = dep.rho**gap
     if kind is ProcessKind.RANDOM_MEASURE:
         shared = g.gamma(a * rho_g, 1.0 / b, size=n)
         own0 = g.gamma(a * (1.0 - rho_g), 1.0 / b, size=n)
         own1 = g.gamma(a * (1.0 - rho_g), 1.0 / b, size=n)
         return shared + own0, shared + own1
-    if kind is ProcessKind.CHANGE_POINT:
-        x0 = g.gamma(a, 1.0 / b, size=n)
-        keep = g.random(n) < rho_g
-        fresh = g.gamma(a, 1.0 / b, size=n)
-        return x0, np.where(keep, x0, fresh)
-    if kind is ProcessKind.SQUARED_OU:
-        x0 = g.gamma(a, 1.0 / b, size=n)
-        c = b / (1.0 - rho_g)
-        k = g.poisson(c * x0 * rho_g)
-        x1 = g.gamma(a + k, 1.0 / c, size=n)
-        return x0, x1
-    raise UnsupportedKindError(
-        f"no closed-form pair comparison (and no pair sampler) for kind {kind!r}"
-    )
+    if kind is ProcessKind.CONTINUOUSLY_THINNED:
+        raise UnsupportedKindError(
+            f"no closed-form pair comparison (and no pair sampler) for kind {kind!r}"
+        )
+    x0 = g.gamma(a, 1.0 / b, size=n)
+    return x0, _lane_step(kind, g, x0, a, b, rho_g)
 
 
 def triplet_sample(kind: ProcessKind, n, params: GammaParams, dep: Dependence, master_seed, gap=1.0):
@@ -981,26 +1010,21 @@ def triplet_sample(kind: ProcessKind, n, params: GammaParams, dep: Dependence, m
     three points, which is what this sampler exists to expose.
     """
     n = _require_positive_int("n", n)
+    gap = _require_finite_positive("gap", gap)
     g = derive_stream(master_seed, 0).gen
     a, b = params.alpha, params.beta
-    rho_g = dep.rho ** float(gap)
+    rho_g = dep.rho**gap
+    out = np.empty((3, n))
     if kind is ProcessKind.THINNED:
-        x0 = g.gamma(a, 1.0 / b, size=n)
-        out = np.empty((3, n))
-        out[0] = x0
-        x = x0
+        out[0] = g.gamma(a, 1.0 / b, size=n)
         for step in (1, 2):
-            g1 = g.gamma(a * rho_g, 1.0, size=n)
-            g2 = g.gamma(a * (1.0 - rho_g), 1.0, size=n)
-            x = g1 / (g1 + g2) * x + g.gamma(a * (1.0 - rho_g), 1.0 / b, size=n)
-            out[step] = x
+            out[step] = _lane_step(kind, g, out[step - 1], a, b, rho_g)
         return out
     if kind is ProcessKind.RANDOM_MEASURE:
-        shapes = _rm_triplet_shapes(params, rho_g)
+        shapes = _rm_triplet_shapes(rho_g)
         cells = {
             block: g.gamma(a * shape, 1.0 / b, size=n) for block, shape in shapes.items()
         }
-        out = np.empty((3, n))
         out[0] = cells[(0, 0)] + cells[(0, 1)] + cells[(0, 2)]
         out[1] = cells[(1, 1)] + cells[(0, 1)] + cells[(1, 2)] + cells[(0, 2)]
         out[2] = cells[(2, 2)] + cells[(1, 2)] + cells[(0, 2)]

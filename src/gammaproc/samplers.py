@@ -1,31 +1,31 @@
-"""Variate draws: base distributions plus the two structured transition samplers.
+"""Validating scalar or array variate draws: gamma, beta, Poisson and normal.
 
-The base draws (gamma, beta, Poisson, normal) are exact samplers; the beta is
-constructed as a gamma ratio because that construction *is* the beta-gamma
-decomposition the thinned processes rest on: with X ~ Ga(a, c) and
-Y ~ Ga(b, c) independent, U = X/(X+Y) ~ Be(a, b) independent of X+Y ~ Ga(a+b, c).
+These are exact samplers; the beta is constructed as a gamma ratio because
+that construction *is* the beta-gamma decomposition the thinned processes
+rest on: with X ~ Ga(a, c) and Y ~ Ga(b, c) independent, U = X/(X+Y) ~
+Be(a, b) independent of X+Y ~ Ga(a+b, c).
 
 Shape 0 is allowed everywhere and means the point mass at 0 (``Ga(0, .)``),
 which is exactly what ``numpy`` returns for a zero shape.
+
+The structured transitions (the AR(1) innovation ladder, the exact CIR
+transition, the beta thinnings) live in ``processes``, written once for a
+vector of lanes in ``_lane_step``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Dependence, GammaParams, ParameterError, RandomSource
+from .core import ParameterError, RandomSource
 
 __all__ = [
     "gamma_draw",
     "beta_draw",
     "poisson_draw",
     "normal_draw",
-    "InnovationTrace",
-    "walker_innovation_draw",
-    "cir_transition_draw",
 ]
 
 
@@ -69,57 +69,3 @@ def poisson_draw(rng: RandomSource, mean, size=None):
 def normal_draw(rng: RandomSource, size=None):
     """Standard normal draw(s)."""
     return rng.gen.standard_normal(size=size)
-
-
-@dataclass(frozen=True)
-class InnovationTrace:
-    """One innovation draw with its latent stages kept for inspection.
-
-    ``value = 0.0`` exactly whenever ``count == 0``.
-    """
-
-    mixing: float
-    count: int
-    value: float
-
-
-def walker_innovation_draw(rng: RandomSource, params: GammaParams, rho_step) -> InnovationTrace:
-    """One AR(1) innovation via the gamma-Poisson-gamma ladder.
-
-    With L ~ Ga(alpha, 1), N | L ~ Po(((1-rho)/rho) L) and
-    zeta | N ~ Ga(N, beta/rho), the innovation zeta has characteristic function
-    ((beta - i w) / (beta - i rho w))^(-alpha), which is exactly what is needed
-    for X_t = rho X_{t-1} + zeta_t to preserve the Ga(alpha, beta) marginal.
-    P(zeta = 0) = rho^alpha.
-    """
-    rho = float(rho_step)
-    if not (0.0 < rho < 1.0):
-        raise ParameterError(f"rho_step must lie strictly in (0, 1), got {rho_step!r}")
-    mixing = gamma_draw(rng, params.alpha, 1.0)
-    count = int(poisson_draw(rng, (1.0 - rho) / rho * mixing))
-    value = gamma_draw(rng, float(count), params.beta / rho) if count else 0.0
-    return InnovationTrace(mixing=float(mixing), count=count, value=float(value))
-
-
-def cir_transition_draw(rng: RandomSource, params: GammaParams, dep: Dependence, x, dt) -> float:
-    """Exact draw of X_{t+dt} | X_t = x for the stationary gamma diffusion.
-
-    The transition is a Poisson mixture of gammas: with
-    c = beta/(1 - rho_d) and rho_d = rho**dt,
-
-        K ~ Po(c * x * rho_d),   X_{t+dt} | K ~ Ga(alpha + K, c).
-
-    This is the noncentral-chi-square form of the transition kernel (2*c*X is
-    noncentral chi-square with 2*alpha degrees of freedom and noncentrality
-    2*c*x*rho_d) and makes X_{t+dt} ~ Ga(alpha, beta) whenever x is.
-    """
-    x = float(x)
-    if x < 0.0 or not math.isfinite(x):
-        raise ParameterError(f"state x must be finite and >= 0, got {x!r}")
-    dt = float(dt)
-    if not (dt > 0.0) or not math.isfinite(dt):
-        raise ParameterError(f"dt must be finite and > 0, got {dt!r}")
-    rho_d = dep.rho**dt
-    c = params.beta / (1.0 - rho_d)
-    k = poisson_draw(rng, c * x * rho_d)
-    return float(gamma_draw(rng, params.alpha + float(k), c))

@@ -27,8 +27,10 @@ from .core import (
     ParameterError,
     ProcessKind,
     SamplePath,
+    _require_finite_positive,
     derive_stream,
 )
+from .processes import _lane_step
 
 __all__ = [
     "MomentReport",
@@ -41,6 +43,7 @@ __all__ = [
     "empirical_chf",
     "ChfComparison",
     "chf_gof",
+    "two_sample_chf",
     "TripletReport",
     "triplet_discrimination",
     "ReversibilityReport",
@@ -360,13 +363,25 @@ class TripletReport:
         return self.omegas[int(np.argmax(self.z_scores))]
 
 
-def triplet_discrimination(ensemble_a: Ensemble, ensemble_b: Ensemble, omegas) -> TripletReport:
-    """Two-sample comparison of trivariate chfs over consecutive triplets.
+def two_sample_chf(a, b, omegas):
+    """Two-sample comparison of the empirical chfs of samples ``a`` and ``b``.
 
-    z at each omega-triple is the larger of |Re diff| and |Im diff| divided by
-    the pooled standard error sqrt(se_a^2 + se_b^2); the statistic is exactly
-    symmetric in the two ensembles.
+    ``a`` and ``b`` are (N, d) samples and ``omegas`` an (M, d) matrix.  z at
+    each omega row is the larger of |Re diff| and |Im diff| divided by the
+    pooled standard error sqrt(se_a^2 + se_b^2); the statistic is exactly
+    symmetric in the two samples.  Returns ``(z, est_a, est_b)``.
     """
+    est_a = empirical_chf(a, omegas)
+    est_b = empirical_chf(b, omegas)
+    diff = est_a.estimate - est_b.estimate
+    se_re = np.sqrt(est_a.se_re**2 + est_b.se_re**2)
+    se_im = np.sqrt(est_a.se_im**2 + est_b.se_im**2)
+    z = np.maximum(np.abs(diff.real) / se_re, np.abs(diff.imag) / se_im)
+    return z, est_a, est_b
+
+
+def triplet_discrimination(ensemble_a: Ensemble, ensemble_b: Ensemble, omegas) -> TripletReport:
+    """Two-sample comparison (``two_sample_chf``) of trivariate chfs over the first three times."""
     ga, gb = ensemble_a.grid, ensemble_b.grid
     if ga.n < 3 or gb.n < 3:
         raise ParameterError("triplet_discrimination needs grids with at least 3 points")
@@ -375,12 +390,7 @@ def triplet_discrimination(ensemble_a: Ensemble, ensemble_b: Ensemble, omegas) -
     w = _as_omega_matrix(omegas)
     if w.shape[1] != 3:
         raise ParameterError("triplet omegas must be (w1, w2, w3) rows")
-    est_a = empirical_chf(ensemble_a.values[:, :3], w)
-    est_b = empirical_chf(ensemble_b.values[:, :3], w)
-    diff = est_a.estimate - est_b.estimate
-    se_re = np.sqrt(est_a.se_re**2 + est_b.se_re**2)
-    se_im = np.sqrt(est_a.se_im**2 + est_b.se_im**2)
-    z = np.maximum(np.abs(diff.real) / se_re, np.abs(diff.imag) / se_im)
+    z, est_a, est_b = two_sample_chf(ensemble_a.values[:, :3], ensemble_b.values[:, :3], w)
     return TripletReport(
         omegas=w, z_scores=z, estimate_a=est_a.estimate, estimate_b=est_b.estimate,
         n_a=est_a.n, n_b=est_b.n,
@@ -452,46 +462,31 @@ def generator_check(
     """Finite-difference generator estimate (E[phi(X_eps) | X_0 = x0] - phi(x0))/eps.
 
     Every replicate starts exactly at x0 and makes one conditional step of
-    length eps: the exact Poisson-gamma transition for the squared OU kind,
-    one thinning/top-up lattice step for the continuously-thinned kind.  The
+    length eps (``processes._lane_step`` at the gap correlation rho**eps): the
+    exact Poisson-gamma transition for the squared OU kind, one
+    thinning/top-up lattice step for the continuously-thinned kind.  The
     default eps = 1e-3/lam keeps the O(eps) finite-difference bias far below
     the Monte Carlo standard error at n_mc ~ 1e6.
     """
     x0 = float(x0)
-    if x0 < 0.0:
-        raise ParameterError(f"x0 must be nonnegative, got {x0}")
+    if not (math.isfinite(x0) and x0 >= 0.0):
+        raise ParameterError(f"x0 must be finite and nonnegative, got {x0}")
     n_mc = int(n_mc)
     if n_mc < 2:
         raise ParameterError("n_mc must be at least 2")
-    if epsilon is None:
-        epsilon = 1e-3 / dep.lam
-    eps = float(epsilon)
-    if eps <= 0.0:
-        raise ParameterError(f"epsilon must be positive, got {epsilon}")
+    eps = _require_finite_positive("epsilon", 1e-3 / dep.lam if epsilon is None else epsilon)
     g = derive_stream(master_seed, 0).gen
-    a, b = params.alpha, params.beta
     if kind not in (ProcessKind.SQUARED_OU, ProcessKind.CONTINUOUSLY_THINNED):
         raise ParameterError(
             f"generator_check supports the squared-OU and continuously-thinned kinds, not {kind!r}"
         )
+    r = dep.rho**eps
     phi_x0 = float(phi.phi(x0))
     sum_blocks, sq_blocks = [], []
     done = 0
     while done < n_mc:
         nb = min(n_mc - done, _CHF_BLOCK)
-        if kind is ProcessKind.SQUARED_OU:
-            rho_d = dep.rho**eps
-            c = b / (1.0 - rho_d)
-            k = g.poisson(c * x0 * rho_d, size=nb)
-            y = g.gamma(a + k, 1.0 / c, size=nb)
-        else:
-            q = dep.rho**eps
-            p = 1.0 - q
-            g1 = g.gamma(a * p, 1.0, size=nb)
-            g2 = g.gamma(a * q, 1.0, size=nb)
-            s = g1 + g2
-            thin = np.where(s > 0.0, g1 / np.where(s > 0.0, s, 1.0), p)
-            y = (1.0 - thin) * x0 + g.gamma(a * p, 1.0 / b, size=nb)
+        y = _lane_step(kind, g, np.full(nb, x0), params.alpha, params.beta, r)
         d = (phi.phi(y) - phi_x0) / eps
         sum_blocks.append(np.sum(d))
         sq_blocks.append(np.sum(d * d))

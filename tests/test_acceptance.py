@@ -51,6 +51,7 @@ from gammaproc import (
     tent_partition,
     triplet_discrimination,
     triplet_sample,
+    two_sample_chf,
     walker_sample,
 )
 from gammaproc.cli import default_omega_triples, main as cli_main
@@ -87,15 +88,6 @@ def _pair_z(samples, omegas, analytic):
     est = empirical_chf(samples, omegas)
     diff = est.estimate - analytic
     return np.maximum(np.abs(diff.real) / est.se_re, np.abs(diff.imag) / est.se_im)
-
-
-def _two_sample_z(samples_a, samples_b, omegas):
-    ea = empirical_chf(samples_a, omegas)
-    eb = empirical_chf(samples_b, omegas)
-    diff = ea.estimate - eb.estimate
-    se_re = np.sqrt(ea.se_re**2 + eb.se_re**2)
-    se_im = np.sqrt(ea.se_im**2 + eb.se_im**2)
-    return np.maximum(np.abs(diff.real) / se_re, np.abs(diff.imag) / se_im)
 
 
 # -- criterion 1: marginal KS grid ----------------------------------------------
@@ -268,8 +260,8 @@ def test_criterion_05_triplet_separation(capsys):
     # two-point laws coincide: two-sample pair z must stay below 4
     x0t, x1t = pair_sample(ProcessKind.THINNED, n, P11, DEP5, master_seed=MASTER + 6)
     x0r, x1r = pair_sample(ProcessKind.RANDOM_MEASURE, n, P11, DEP5, master_seed=MASTER + 7)
-    pair_z = float(np.max(_two_sample_z(
-        np.column_stack((x0t, x1t)), np.column_stack((x0r, x1r)), PAIR_OMEGAS)))
+    pair_z = float(np.max(two_sample_chf(
+        np.column_stack((x0t, x1t)), np.column_stack((x0r, x1r)), PAIR_OMEGAS)[0]))
 
     # null calibration: same kind, different seeds
     null_t = triplet_discrimination(ens_t, ens(ProcessKind.THINNED, MASTER + 2), omegas).max_z

@@ -328,3 +328,17 @@ def test_non_finite_simulation_exits_1_and_writes_nothing(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "numerical failure" in captured.err
+
+
+@pytest.mark.parametrize("args", [
+    ["simulate", "--process", "ar1", "--lambda", "50", "--n", "5", "--paths", "2"],
+    ["simulate", "--process", "ar1", "--lambda", "800", "--n", "5", "--paths", "2"],
+    ["verify", "--process", "ar1", "--rho", "0.001", "--dt", "40", "--suite", "marginal"],
+])
+def test_ar1_tiny_gap_correlation_exits_1_and_writes_nothing(tmp_path, capsys, args):
+    # the innovation ladder's Poisson mean (1 - rho_g)/rho_g * L is past numpy's
+    # limit (lambda 50, rho**40) or rho_g underflows to 0 (lambda 800)
+    out = tmp_path / "ar1.out"
+    assert run(args + ["--out", str(out)]) == 1
+    assert not out.exists()
+    assert "numerical failure" in capsys.readouterr().err

@@ -109,7 +109,7 @@ def test_ensemble_paths_are_views_of_rows():
     ens = Ensemble(g, ProcessKind.THINNED, vals, master_seed=7)
     assert ens.n_paths == 2
     assert np.array_equal(ens.path(1).values, [3.0, 4.0])
-    assert [p.values[0] for p in ens] == [1.0, 3.0]
+    assert [ens.path(m).values[0] for m in range(ens.n_paths)] == [1.0, 3.0]
     with pytest.raises(ParameterError):
         Ensemble(g, ProcessKind.THINNED, np.zeros((2, 3)), master_seed=0)
 

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -7,8 +9,10 @@ from gammaproc import (
     CthinConfig,
     Dependence,
     GammaParams,
+    NumericalError,
     ParameterError,
     ProcessKind,
+    TestFunction,
     TimeGrid,
     UnsupportedKindError,
     ar1_path,
@@ -16,6 +20,7 @@ from gammaproc import (
     cir_path,
     cthin_path,
     derive_stream,
+    generator_check,
     make_uniform_grid,
     marginal_sample,
     pair_sample,
@@ -330,3 +335,263 @@ def test_triplet_sample_lag2_correlation_is_rho_squared():
     out = triplet_sample(ProcessKind.RANDOM_MEASURE, 200000, P11, DEP5, master_seed=12)
     r2 = np.corrcoef(out[0], out[2])[0, 1]
     assert abs(r2 - DEP5.rho**2) < 0.02
+
+
+# -- the lane kernel against the batch samplers' earlier bodies -------------------
+# The _ref_* functions are the batch samplers and the generator-check step as
+# they were written before each kind's one-gap lane update moved into
+# processes._lane_step.  The samplers must still give their values bit for bit.
+
+
+def _ref_marginal(kind, n, params, dep, master_seed, gap, method, cthin, euler_burn, substeps):
+    g = derive_stream(master_seed, 0).gen
+    a, b = params.alpha, params.beta
+    rho_g = dep.rho ** float(gap)
+    if kind is ProcessKind.AR1:
+        x = g.gamma(a, 1.0 / b, size=n)
+        for _ in range(2):
+            mixing = g.gamma(a, 1.0, size=n)
+            counts = g.poisson((1.0 - rho_g) / rho_g * mixing)
+            x = rho_g * x + g.gamma(counts, rho_g / b)
+        return x
+    if kind is ProcessKind.THINNED:
+        x = g.gamma(a, 1.0 / b, size=n)
+        for _ in range(2):
+            g1 = g.gamma(a * rho_g, 1.0, size=n)
+            g2 = g.gamma(a * (1.0 - rho_g), 1.0, size=n)
+            x = g1 / (g1 + g2) * x + g.gamma(a * (1.0 - rho_g), 1.0 / b, size=n)
+        return x
+    if kind is ProcessKind.RANDOM_MEASURE:
+        r = rho_g
+        shapes = {(2, 2): 1.0 - r, (1, 2): r - r * r, (0, 2): r * r}
+        x = np.zeros(n)
+        for block in [(2, 2), (1, 2), (0, 2)]:
+            x += g.gamma(a * shapes[block], 1.0 / b, size=n)
+        return x
+    if kind is ProcessKind.CHANGE_POINT:
+        x = g.gamma(a, 1.0 / b, size=n)
+        for _ in range(2):
+            keep = g.random(n) < rho_g
+            fresh = g.gamma(a, 1.0 / b, size=n)
+            x = np.where(keep, x, fresh)
+        return x
+    if kind is ProcessKind.SQUARED_OU:
+        if method is CirMethod.EXACT:
+            x = g.gamma(a, 1.0 / b, size=n)
+            c = b / (1.0 - rho_g)
+            for _ in range(2):
+                k = g.poisson(c * x * rho_g)
+                x = g.gamma(a + k, 1.0 / c, size=n)
+            return x
+        if method is CirMethod.SQUARED_OU:
+            j = round(2.0 * a)
+            if abs(2.0 * a - j) > 1e-9 or j < 1:
+                raise ParameterError("2*alpha")
+            z = g.standard_normal((n, j))
+            half = dep.rho ** (float(gap) / 2.0)
+            for _ in range(2):
+                z = half * z + np.sqrt(1.0 - half * half) * g.standard_normal((n, j))
+            return np.sum(z * z, axis=1) / (2.0 * b)
+        h = float(gap) / substeps
+        n_steps = int(np.ceil(float(euler_burn) / dep.lam / h))
+        x = g.gamma(a, 1.0 / b, size=n)
+        mean = a / b
+        sig = np.sqrt(2.0 * dep.lam / b)
+        sqh = np.sqrt(h)
+        for _ in range(n_steps):
+            x = x - dep.lam * (x - mean) * h + sig * np.sqrt(
+                np.maximum(x, 0.0)
+            ) * sqh * g.standard_normal(n)
+        return x
+    eps = 1.0 / cthin.steps_per_unit
+    n_steps = int(round(0.25 * cthin.steps_per_unit))
+    q = dep.rho**eps
+    p = 1.0 - q
+    x = g.gamma(a, 1.0 / b, size=n)
+    for _ in range(n_steps):
+        g1 = g.gamma(a * p, 1.0, size=n)
+        g2 = g.gamma(a * q, 1.0, size=n)
+        s = g1 + g2
+        thin = np.where(s > 0.0, g1 / np.where(s > 0.0, s, 1.0), p)
+        x = (1.0 - thin) * x + g.gamma(a * p, 1.0 / b, size=n)
+    return x
+
+
+def _ref_pair(kind, n, params, dep, master_seed, gap):
+    g = derive_stream(master_seed, 0).gen
+    a, b = params.alpha, params.beta
+    rho_g = dep.rho ** float(gap)
+    if kind is ProcessKind.AR1:
+        x0 = g.gamma(a, 1.0 / b, size=n)
+        mixing = g.gamma(a, 1.0, size=n)
+        counts = g.poisson((1.0 - rho_g) / rho_g * mixing)
+        return x0, rho_g * x0 + g.gamma(counts, rho_g / b)
+    if kind is ProcessKind.THINNED:
+        x0 = g.gamma(a, 1.0 / b, size=n)
+        g1 = g.gamma(a * rho_g, 1.0, size=n)
+        g2 = g.gamma(a * (1.0 - rho_g), 1.0, size=n)
+        return x0, g1 / (g1 + g2) * x0 + g.gamma(a * (1.0 - rho_g), 1.0 / b, size=n)
+    if kind is ProcessKind.RANDOM_MEASURE:
+        shared = g.gamma(a * rho_g, 1.0 / b, size=n)
+        own0 = g.gamma(a * (1.0 - rho_g), 1.0 / b, size=n)
+        own1 = g.gamma(a * (1.0 - rho_g), 1.0 / b, size=n)
+        return shared + own0, shared + own1
+    if kind is ProcessKind.CHANGE_POINT:
+        x0 = g.gamma(a, 1.0 / b, size=n)
+        keep = g.random(n) < rho_g
+        fresh = g.gamma(a, 1.0 / b, size=n)
+        return x0, np.where(keep, x0, fresh)
+    if kind is ProcessKind.SQUARED_OU:
+        x0 = g.gamma(a, 1.0 / b, size=n)
+        c = b / (1.0 - rho_g)
+        k = g.poisson(c * x0 * rho_g)
+        return x0, g.gamma(a + k, 1.0 / c, size=n)
+    raise UnsupportedKindError(kind)
+
+
+def _ref_triplet(kind, n, params, dep, master_seed, gap):
+    g = derive_stream(master_seed, 0).gen
+    a, b = params.alpha, params.beta
+    rho_g = dep.rho ** float(gap)
+    out = np.empty((3, n))
+    if kind is ProcessKind.THINNED:
+        x = out[0] = g.gamma(a, 1.0 / b, size=n)
+        for step in (1, 2):
+            g1 = g.gamma(a * rho_g, 1.0, size=n)
+            g2 = g.gamma(a * (1.0 - rho_g), 1.0, size=n)
+            x = out[step] = g1 / (g1 + g2) * x + g.gamma(a * (1.0 - rho_g), 1.0 / b, size=n)
+        return out
+    if kind is ProcessKind.RANDOM_MEASURE:
+        r = rho_g
+        shapes = {(0, 0): 1.0 - r, (1, 1): (1.0 - r) ** 2, (2, 2): 1.0 - r,
+                  (0, 1): r - r * r, (1, 2): r - r * r, (0, 2): r * r}
+        c = {blk: g.gamma(a * shape, 1.0 / b, size=n) for blk, shape in shapes.items()}
+        out[0] = c[(0, 0)] + c[(0, 1)] + c[(0, 2)]
+        out[1] = c[(1, 1)] + c[(0, 1)] + c[(1, 2)] + c[(0, 2)]
+        out[2] = c[(2, 2)] + c[(1, 2)] + c[(0, 2)]
+        return out
+    raise UnsupportedKindError(kind)
+
+
+def _ref_walker(n, params, rho, master_seed):
+    g = derive_stream(master_seed, 0).gen
+    mixing = g.gamma(params.alpha, 1.0, size=n)
+    counts = g.poisson((1.0 - rho) / rho * mixing)
+    return g.gamma(counts, rho / params.beta)
+
+
+def _ref_generator_fd(kind, phi, x0, params, dep, eps, n_mc, master_seed):
+    g = derive_stream(master_seed, 0).gen
+    a, b = params.alpha, params.beta
+    phi_x0 = float(phi.phi(x0))
+    sums, squares, done = [], [], 0
+    while done < n_mc:
+        nb = min(n_mc - done, 1 << 17)
+        if kind is ProcessKind.SQUARED_OU:
+            rho_d = dep.rho**eps
+            c = b / (1.0 - rho_d)
+            k = g.poisson(c * x0 * rho_d, size=nb)
+            y = g.gamma(a + k, 1.0 / c, size=nb)
+        else:
+            q = dep.rho**eps
+            p = 1.0 - q
+            g1 = g.gamma(a * p, 1.0, size=nb)
+            g2 = g.gamma(a * q, 1.0, size=nb)
+            s = g1 + g2
+            thin = np.where(s > 0.0, g1 / np.where(s > 0.0, s, 1.0), p)
+            y = (1.0 - thin) * x0 + g.gamma(a * p, 1.0 / b, size=nb)
+        d = (phi.phi(y) - phi_x0) / eps
+        sums.append(np.sum(d))
+        squares.append(np.sum(d * d))
+        done += nb
+    fd = math.fsum(sums) / n_mc
+    var = max(math.fsum(squares) - n_mc * fd * fd, 0.0) / (n_mc - 1)
+    return fd, float(np.sqrt(var / n_mc))
+
+
+def _outcome(fn, *args, **kwargs):
+    """The bytes of what ``fn`` returns, or the type of what it raises."""
+    try:
+        with np.errstate(invalid="ignore"):
+            out = fn(*args, **kwargs)
+    except (ParameterError, NumericalError) as exc:
+        return type(exc)
+    return np.stack(out).tobytes() if isinstance(out, tuple) else out.tobytes()
+
+
+KERNEL_POINTS = {
+    "default": (GammaParams(2.0, 1.0), Dependence.from_rho(0.5)),
+    "small-shape": (GammaParams(0.01, 1.0), Dependence.from_rho(0.001)),
+    "large-shape": (GammaParams(37.0, 2.5), Dependence.from_rho(0.999)),
+}
+KERNEL_SAMPLERS = [(kind, CirMethod.EXACT) for kind in ProcessKind
+                   if kind is not ProcessKind.SQUARED_OU]
+KERNEL_SAMPLERS += [(ProcessKind.SQUARED_OU, m) for m in CirMethod]
+
+
+@pytest.mark.parametrize("gap", [1.0, 0.37])
+@pytest.mark.parametrize("point", list(KERNEL_POINTS))
+@pytest.mark.parametrize("kind,method", KERNEL_SAMPLERS,
+                         ids=[f"{k.cli_name}-{m.value}" for k, m in KERNEL_SAMPLERS])
+def test_batch_samplers_equal_their_earlier_bodies(kind, method, point, gap):
+    params, dep = KERNEL_POINTS[point]
+    n, cthin = 500, CthinConfig(64)
+    # a short Euler burn-in: rho 0.999 would otherwise take 2e5 substeps
+    opts = {"method": method, "cthin": cthin, "euler_burn": 0.05, "substeps": 4}
+    got = _outcome(marginal_sample, kind, n, params, dep, 21, gap=gap, **opts)
+    assert got == _outcome(_ref_marginal, kind, n, params, dep, 21, gap, **opts)
+    if method is CirMethod.EXACT:
+        for new, ref in ((pair_sample, _ref_pair), (triplet_sample, _ref_triplet)):
+            try:
+                want = _outcome(ref, kind, n, params, dep, 22, gap)
+            except UnsupportedKindError:
+                with pytest.raises(UnsupportedKindError):
+                    new(kind, n, params, dep, 22, gap=gap)
+                continue
+            assert _outcome(new, kind, n, params, dep, 22, gap=gap) == want
+    rho = dep.rho**gap
+    assert (walker_sample(n, params, rho, 23).tobytes()
+            == _ref_walker(n, params, rho, 23).tobytes())
+
+
+@pytest.mark.parametrize("n_mc", [3000, (1 << 17) + 5])
+@pytest.mark.parametrize("point", list(KERNEL_POINTS))
+@pytest.mark.parametrize("kind", [ProcessKind.SQUARED_OU, ProcessKind.CONTINUOUSLY_THINNED])
+def test_generator_check_equals_its_earlier_step(kind, point, n_mc):
+    params, dep = KERNEL_POINTS[point]
+    phi = TestFunction.identity()
+    eps = 1e-3 / dep.lam
+    for x0 in (0.0, 2.0):
+        chk = generator_check(kind, phi, x0, params, dep, n_mc=n_mc, master_seed=24)
+        fd, se = _ref_generator_fd(kind, phi, x0, params, dep, eps, n_mc, 24)
+        assert (chk.fd_estimate, chk.se) == (fd, se)
+
+
+# -- batch-sampler arguments and the AR(1) ladder's limits ---------------------------
+
+
+@pytest.mark.parametrize("gap", [0.0, -1.0, float("nan"), float("inf")])
+@pytest.mark.parametrize("sampler", [marginal_sample, pair_sample, triplet_sample])
+def test_batch_samplers_reject_a_gap_that_is_not_finite_and_positive(sampler, gap):
+    for kind in ProcessKind:
+        with pytest.raises(ParameterError, match="gap"):
+            sampler(kind, 10, P11, DEP5, master_seed=0, gap=gap)
+
+
+@pytest.mark.parametrize("dep", [Dependence(50.0), Dependence(800.0),
+                                 Dependence.from_rho(1e-25)])
+def test_ar1_ladder_past_numpy_poisson_limit_is_a_numerical_error(dep):
+    # rho_g = 1.9e-22 and 1e-25 put the Poisson mean past numpy's 9.2e18;
+    # exp(-800) underflows to 0
+    grid = make_uniform_grid(0.0, 1.0, 5)
+    with pytest.raises(NumericalError):
+        marginal_sample(ProcessKind.AR1, 100, P11, dep, master_seed=0)
+    with pytest.raises(NumericalError):
+        pair_sample(ProcessKind.AR1, 100, P11, dep, master_seed=0)
+    with pytest.raises(NumericalError):
+        ar1_path(derive_stream(0, 0), grid, P11, dep)
+    with pytest.raises(NumericalError):
+        simulate_ensemble(ProcessKind.AR1, grid, P11, dep, 40, master_seed=0)
+    if dep.rho > 0.0:
+        with pytest.raises(NumericalError):
+            walker_sample(100, P11, dep.rho, master_seed=0)

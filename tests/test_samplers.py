@@ -1,14 +1,16 @@
 import numpy as np
 import pytest
 
-from gammaproc import Dependence, GammaParams, ParameterError, derive_stream
-from gammaproc.samplers import (
-    beta_draw,
-    cir_transition_draw,
-    gamma_draw,
-    poisson_draw,
-    walker_innovation_draw,
+from gammaproc import (
+    Dependence,
+    GammaParams,
+    ParameterError,
+    ProcessKind,
+    derive_stream,
+    walker_sample,
 )
+from gammaproc.processes import _lane_step
+from gammaproc.samplers import beta_draw, gamma_draw, poisson_draw
 
 
 def test_gamma_draw_zero_shape_is_exact_zero():
@@ -52,45 +54,30 @@ def test_walker_innovation_zero_atom_probability():
     # P(innovation = 0) = P(N = 0) = E[exp(-(1-rho)/rho L)] = rho^alpha
     params = GammaParams(2.0, 1.0)
     rho = 0.3
-    rng = derive_stream(11, 0)
     n = 20000
-    zeros = 0
-    for _ in range(n):
-        tr = walker_innovation_draw(rng, params, rho)
-        if tr.count == 0:
-            assert tr.value == 0.0
-            zeros += 1
-        else:
-            assert tr.value > 0.0
-        assert tr.mixing > 0.0
-    p_hat = zeros / n
+    x = walker_sample(n, params, rho, master_seed=11)
+    assert np.all(x >= 0.0)
+    p_hat = np.mean(x == 0.0)
     p = rho**params.alpha
     assert abs(p_hat - p) < 4 * np.sqrt(p * (1 - p) / n)
 
 
 def test_walker_innovation_rejects_bad_rho():
-    rng = derive_stream(0, 0)
     params = GammaParams(1.0, 1.0)
     for rho in (0.0, 1.0, 1.2):
         with pytest.raises(ParameterError):
-            walker_innovation_draw(rng, params, rho)
+            walker_sample(10, params, rho, master_seed=0)
 
 
 def test_cir_transition_conditional_mean():
-    # E[X_dt | X_0 = x] = x rho_d + (alpha/beta)(1 - rho_d)
+    # E[X_dt | X_0 = x] = x rho_d + (alpha/beta)(1 - rho_d), one exact lane step
     params = GammaParams(1.5, 2.0)
     dep = Dependence.from_rho(0.5)
     x0, dt = 2.0, 0.7
     rho_d = dep.gap_corr(dt)
-    rng = derive_stream(3, 0)
     n = 20000
-    draws = np.array([cir_transition_draw(rng, params, dep, x0, dt) for _ in range(n)])
+    draws = _lane_step(ProcessKind.SQUARED_OU, derive_stream(3, 0).gen, np.full(n, x0),
+                       params.alpha, params.beta, rho_d)
     target = x0 * rho_d + params.mean * (1.0 - rho_d)
     assert np.all(draws >= 0.0)
     assert abs(np.mean(draws) - target) < 4 * np.std(draws) / np.sqrt(n)
-
-
-def test_cir_transition_rejects_negative_state():
-    rng = derive_stream(0, 0)
-    with pytest.raises(ParameterError):
-        cir_transition_draw(rng, GammaParams(1.0, 1.0), Dependence.from_rho(0.5), -0.1, 1.0)

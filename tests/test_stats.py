@@ -19,6 +19,7 @@ from gammaproc import (
     reversibility_check,
     tail_check,
     thinned_path,
+    two_sample_chf,
 )
 
 P11 = GammaParams(1.0, 1.0)
@@ -100,6 +101,18 @@ def test_empirical_chf_validates_shapes():
 
 
 # -- KS -----------------------------------------------------------------------
+
+
+def test_two_sample_chf_is_symmetric_and_pools_the_standard_errors():
+    rng = np.random.default_rng(4)
+    a, b = rng.gamma(2.0, size=(500, 2)), rng.gamma(2.5, size=(700, 2))
+    w = np.array([[0.5, -1.0], [1.0, 2.0]])
+    z, est_a, est_b = two_sample_chf(a, b, w)
+    assert z.tobytes() == two_sample_chf(b, a, w)[0].tobytes()
+    diff = est_a.estimate - est_b.estimate
+    np.testing.assert_allclose(z, np.maximum(
+        np.abs(diff.real) / np.hypot(est_a.se_re, est_b.se_re),
+        np.abs(diff.imag) / np.hypot(est_a.se_im, est_b.se_im)), rtol=1e-12)
 
 
 def test_ks_statistic_accepts_matching_sample():
@@ -189,9 +202,17 @@ def test_generator_check_validation():
     with pytest.raises(ParameterError):
         generator_check(ProcessKind.AR1, TestFunction.identity(), 1.0, P11, DEP5,
                         n_mc=100)
-    with pytest.raises(ParameterError):
-        generator_check(ProcessKind.SQUARED_OU, TestFunction.identity(), -1.0, P11,
-                        DEP5, n_mc=100)
+    for x0 in (-1.0, float("nan"), float("inf")):
+        with pytest.raises(ParameterError, match="x0"):
+            generator_check(ProcessKind.SQUARED_OU, TestFunction.identity(), x0, P11,
+                            DEP5, n_mc=100)
+
+
+@pytest.mark.parametrize("epsilon", [0.0, -1.0, float("nan"), float("inf")])
+def test_generator_check_rejects_an_epsilon_that_is_not_finite_and_positive(epsilon):
+    with pytest.raises(ParameterError, match="epsilon"):
+        generator_check(ProcessKind.SQUARED_OU, TestFunction.identity(), 1.0, P11, DEP5,
+                        epsilon=epsilon, n_mc=100)
 
 
 def test_generator_check_identity_quick():
