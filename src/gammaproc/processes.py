@@ -186,8 +186,9 @@ _BLOCK_DRAWS = 1 << 13
 _SCALAR_CALLS = 6
 # Cell shapes an rm plan keeps (2 MiB); longer paths go diagonal by diagonal.
 _PLAN_CELLS = 1 << 18
-# Below this many paths a block's recursion runs on Python floats lane by
-# lane; from it on, one numpy step per grid time across all lanes.
+# Below this many lanes (the paths of a block, or the segments of an exact
+# scan run) a recursion runs on Python floats lane by lane; from it on, one
+# numpy step per time step across all lanes.
 _VECTOR_LANES = 16
 
 
@@ -223,6 +224,20 @@ def _as_floats(*arrays):
         yield from zip(*(a[s : s + 4096].tolist() for a in arrays))
 
 
+def _float_recursion(a, z, x, out):
+    """out[k] = fl(a[k] * out[k-1] + z[k]) from the carry x, on Python floats.
+
+    Like ``_as_floats``, it goes 4096 steps at a time, so a long path does not
+    hold a Python float object per step.
+    """
+    for s in range(0, a.size, 4096):
+        xs = []
+        for ak, zk in zip(a[s : s + 4096].tolist(), z[s : s + 4096].tolist()):
+            x = ak * x + zk
+            xs.append(x)
+        out[s : s + 4096] = xs
+
+
 def _affine_recursion(a, z, x0):
     """Rows x with x[:, 0] = x0 and x[:, k] = fl(a[k-1] * x[:, k-1] + z[:, k-1]).
 
@@ -239,11 +254,7 @@ def _affine_recursion(a, z, x0):
             out[:, k + 1] = a[:, k] * out[:, k] + z[:, k]
         return out
     for i in range(lanes):
-        x = float(out[i, 0])
-        row = out[i]
-        for k, (ak, zk) in enumerate(_as_floats(a[i], z[i]), 1):
-            x = ak * x + zk
-            row[k] = x
+        _float_recursion(a[i], z[i], float(out[i, 0]), out[i, 1:])
     return out
 
 
@@ -295,19 +306,17 @@ def _ladder_odds(rho_g):
     return (1.0 - rho_g) / rho_g
 
 
-def _ladder_counts(gen, means):
-    """The ladder's Po(means) counts; a mean numpy cannot draw is a NumericalError.
-
-    At a gap correlation rho_g below about 1e-19 the mean (1 - rho_g)/rho_g * L
-    passes numpy's Poisson limit (about 9.2e18).
-    """
+def _poisson_counts(gen, means, what):
+    """Po(means) counts; a mean numpy cannot draw (past about 9.2e18) is a NumericalError."""
     try:
         return gen.poisson(means)
     except ValueError as exc:
-        raise NumericalError(
-            "AR(1) innovation ladder: the Poisson mean (1 - rho_g)/rho_g * L is too large "
-            "to draw (gap correlation rho_g too small)"
-        ) from exc
+        raise NumericalError(f"{what} is too large to draw") from exc
+
+
+# At a gap correlation rho_g below about 1e-19 the ladder's mean passes numpy's limit.
+_LADDER_MEAN = ("AR(1) innovation ladder: the Poisson mean (1 - rho_g)/rho_g * L "
+                "(gap correlation rho_g too small)")
 
 
 class _Ar1Plan(_Plan):
@@ -326,9 +335,9 @@ class _Ar1Plan(_Plan):
         gen.standard_gamma(self.alpha, out=out)  # X_0, then the mixing L
         means = self.odds * out[1:]
         if means.size > _SCALAR_CALLS:
-            gen.standard_gamma(_ladder_counts(gen, means), out=out[1:])
+            gen.standard_gamma(_poisson_counts(gen, means, _LADDER_MEAN), out=out[1:])
         elif means.size:
-            counts = [_ladder_counts(gen, m) for m in means.tolist()]
+            counts = [_poisson_counts(gen, m, _LADDER_MEAN) for m in means.tolist()]
             out[1:] = [gen.standard_gamma(k) for k in counts]
 
     def build(self, draws):
@@ -469,6 +478,23 @@ class CirMethod(enum.Enum):
         )
 
 
+def _cir_rate(b, r):
+    """c = b / (1 - r), the exact cir transition's gamma rate at gap correlation r.
+
+    A gap correlation that rounds to 1.0 (gap * lambda below about 1.1e-16)
+    leaves no rate, which is a NumericalError.
+    """
+    if np.any(np.asarray(r) >= 1.0):
+        raise NumericalError(
+            "exact cir transition: a gap correlation rounds to 1 (gap * lambda too small)"
+        )
+    return b / (1.0 - r)
+
+
+# Past numpy's limit at a gap correlation near 1 (c large) or a large state.
+_CIR_MEAN = "exact cir transition: the Poisson mean c * x * rho_g"
+
+
 class _CirExactPlan(_Plan):
     """Exact CIR transitions gap by gap: K ~ Po(c x rho_d), X' ~ Ga(alpha + K, c).
 
@@ -485,14 +511,14 @@ class _CirExactPlan(_Plan):
         self.rho_d = np.fromiter(
             (dep.rho**dt for (dt,) in _as_floats(grid.gaps)), float, count=self.n - 1
         )
+        self.c = _cir_rate(self.beta, self.rho_d)
 
     def values(self, gen):
-        a, b = self.alpha, self.beta
+        a = self.alpha
         out = np.empty(self.n)
-        x = out[0] = gen.gamma(a, 1.0 / b)
-        for k, (rho_d,) in enumerate(_as_floats(self.rho_d), 1):
-            c = b / (1.0 - rho_d)
-            x = out[k] = gen.gamma(a + gen.poisson(c * x * rho_d), 1.0 / c)
+        x = out[0] = gen.gamma(a, 1.0 / self.beta)
+        for k, (rho_d, c) in enumerate(_as_floats(self.rho_d, self.c), 1):
+            x = out[k] = gen.gamma(a + _poisson_counts(gen, c * x * rho_d, _CIR_MEAN), 1.0 / c)
         return out
 
 
@@ -583,31 +609,100 @@ def _cthin_lattice_indices(grid: TimeGrid, eps):
 def _affine_scan_blocks(a, z, x0, out=None):
     """Sequential-in-law evaluation of x_k = a_k x_{k-1} + z_k, vectorized in blocks.
 
-    Within a block, x_k = P_k (x_prev + sum_{i<=k} z_i / P_i) with
-    P = cumprod(a); since every a_i lies in [0, 1] the ratios P_k / P_i never
-    exceed 1, and a block falls back to the plain loop only when its prefix
-    product underflows (a near-zero thinning factor landed inside it).
+    Preconditions (the cthin lattice meets them): every factor a_k is in
+    [0, 1], every top-up z_k is >= 0, and the carry x0 is finite and >= 0.
+
+    The steps go in blocks of 1024, each taking one of two routes by its
+    prefix product P = cumprod(a):
+
+    * ``P[-1] > 1e-280``: the prefix formula
+      x_k = P_k (x_prev + sum_{i<=k} z_i / P_i); since every a_i lies in
+      [0, 1] the ratios P_k / P_i never exceed 1.
+    * otherwise (a near-zero thinning factor landed in the block): the exact
+      recursion fl(a_k * x + z_k), one rounded multiply and one rounded add
+      per step.  Each maximal run of such blocks goes in one call of
+      ``_exact_affine_run`` from the carry.
     """
     n = a.size
     if out is None:
         out = np.empty(n)
     x = x0
+    run = None  # start of the pending run of exact blocks
     for s in range(0, n, 1024):
         e = min(s + 1024, n)
-        ab = a[s:e]
-        p = np.cumprod(ab)
+        p = np.cumprod(a[s:e])
         if p[-1] > 1e-280:
+            if run is not None:
+                x = _exact_affine_run(a[run:s], z[run:s], x, out[run:s])
+                run = None
             c = np.cumsum(z[s:e] / p)
             out[s:e] = p * (x + c)
             x = out[e - 1]
-        else:
-            # the same fl(a*x + z) per element, on Python floats
-            xs = []
-            for ai, zi in zip(ab.tolist(), z[s:e].tolist()):
-                x = ai * x + zi
-                xs.append(x)
-            out[s:e] = xs
+        elif run is None:
+            run = s
+    if run is not None:
+        _exact_affine_run(a[run:], z[run:], x, out[run:])
     return out
+
+
+def _exact_affine_run(a, z, x, out):
+    """out[k] = fl(a[k] * out[k-1] + z[k]) from the carry x; returns out[-1].
+
+    Under ``_affine_scan_blocks``' preconditions two shortcuts are exact:
+
+    * a step with a == 1.0 and z == 0.0 leaves x unchanged bit for bit, so
+      it is skipped and its output forward-filled;
+    * a step with a == 0.0 gives fl(0 * x + z) == z whatever x was, so each
+      exact zero starts a segment independent of everything before it.
+
+    The segments of the remaining steps run as numpy lanes in lockstep,
+    longest first, while at least ``_VECTOR_LANES`` of them are still going;
+    the few longer tails finish on Python floats.  Either way each step is
+    one rounded multiply and one rounded add, as in ``_affine_recursion``.
+    """
+    moves = (a != 1.0) | (z != 0.0)
+    live = np.flatnonzero(moves)
+    # vals[0] is the carry, vals[1 + j] the value after the j-th live step
+    vals = np.empty(live.size + 1)
+    vals[0] = x
+    if live.size:
+        _exact_segments(a[live], z[live], vals)
+    np.take(vals, np.cumsum(moves), out=out)
+    return vals[-1]
+
+
+def _exact_segments(a, z, vals):
+    """vals[1 + k] = fl(a[k] * vals[k] + z[k]) for every k; each a[k] == 0 starts afresh."""
+    starts = np.flatnonzero(a == 0.0)
+    if starts.size == 0 or starts[0] != 0:
+        starts = np.concatenate(([0], starts))
+    lengths = np.diff(starts, append=a.size)
+    order = np.argsort(-lengths, kind="stable")
+    starts, lengths = starts[order], lengths[order]
+    # the segment at 0 starts from the carry, the others from 0.0, which the
+    # zero factor of their first step discards
+    x = np.where(starts == 0, vals[0], 0.0)
+    res = vals[1:]
+    # lockstep to the depth at which fewer than _VECTOR_LANES segments go on;
+    # the lanes still going at step k are the first active[k]
+    depth = int(lengths[_VECTOR_LANES - 1]) if starts.size >= _VECTOR_LANES else 0
+    if depth:
+        active = starts.size - np.searchsorted(lengths[::-1], np.arange(depth), side="right")
+        ends = np.cumsum(active)
+        # the lockstep steps depth-major: row k is ends[k] - active[k] .. ends[k]
+        pos = starts[np.arange(ends[-1]) - np.repeat(ends - active, active)]
+        pos += np.repeat(np.arange(depth), active)
+        a_rows, z_rows, x_rows = a[pos], z[pos], np.empty(pos.size)
+        for lo, hi in zip((ends - active).tolist(), ends.tolist()):
+            row = x_rows[lo:hi]
+            np.multiply(a_rows[lo:hi], x[: hi - lo], out=row)
+            np.add(row, z_rows[lo:hi], out=row)
+            x = row
+        res[pos] = x_rows
+    # the few longer tails, one lane at a time on Python floats
+    for i in range(int(np.count_nonzero(lengths > depth))):
+        lo, hi = starts[i] + depth, starts[i] + lengths[i]
+        _float_recursion(a[lo:hi], z[lo:hi], float(x[i]), res[lo:hi])
 
 
 class _CthinPlan(_Plan):
@@ -844,7 +939,7 @@ def _ar1_innovations(g, a, b, r, n):
     P(zeta = 0) = P(N = 0) = r^a.
     """
     mixing = g.gamma(a, 1.0, size=n)
-    counts = _ladder_counts(g, _ladder_odds(r) * mixing)
+    counts = _poisson_counts(g, _ladder_odds(r) * mixing, _LADDER_MEAN)
     return g.gamma(counts, r / b)
 
 
@@ -876,8 +971,8 @@ def _lane_step(kind, g, x, a, b, r):
         fresh = g.gamma(a, 1.0 / b, size=n)
         return np.where(keep, x, fresh)
     if kind is ProcessKind.SQUARED_OU:
-        c = b / (1.0 - r)
-        k = g.poisson(c * x * r)
+        c = _cir_rate(b, r)
+        k = _poisson_counts(g, c * x * r, _CIR_MEAN)
         return g.gamma(a + k, 1.0 / c, size=n)
     if kind is ProcessKind.CONTINUOUSLY_THINNED:
         p = 1.0 - r

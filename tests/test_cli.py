@@ -342,3 +342,25 @@ def test_ar1_tiny_gap_correlation_exits_1_and_writes_nothing(tmp_path, capsys, a
     assert run(args + ["--out", str(out)]) == 1
     assert not out.exists()
     assert "numerical failure" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("args", [
+    ["simulate", "--process", "cir", "--lambda", "1e-300", "--n", "3"],
+    ["simulate", "--process", "cir", "--times", "TIMES"],
+    ["verify", "--process", "cir", "--lambda", "1e-300", "--suite", "generator"],
+    ["verify", "--process", "cir", "--alpha", "2000", "--dt", "1e-16", "--suite", "marginal"],
+])
+def test_exact_cir_near_one_gap_correlation_exits_1_and_writes_nothing(tmp_path, capsys, args):
+    # the gap correlation rounds to 1.0 (lambda 1e-300, times 0 and 1e-300), or
+    # the Poisson mean c * x * rho_g passes numpy's limit (dt 1e-16 at alpha 2000)
+    times = tmp_path / "times.txt"
+    times.write_text("0\n1e-300\n")
+    args = [str(times) if a == "TIMES" else a for a in args]
+    out = tmp_path / "cir.out"
+    assert run(args + ["--out", str(out)]) == 1
+    assert not out.exists()
+    assert "numerical failure" in capsys.readouterr().err
+    assert run(args) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "numerical failure" in captured.err

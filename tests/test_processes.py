@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gammaproc import processes
 from gammaproc import (
@@ -166,6 +167,97 @@ def test_affine_scan_underflow_fallback_equals_numpy_scalar_loop():
     assert out.tobytes() == _scalar_scan(a, z, 1.7).tobytes()
 
 
+def _reference_affine_scan_blocks(a, z, x0, out=None):
+    # the scan as it was before underflowing blocks ran in one exact pass, verbatim
+    n = a.size
+    if out is None:
+        out = np.empty(n)
+    x = x0
+    for s in range(0, n, 1024):
+        e = min(s + 1024, n)
+        ab = a[s:e]
+        p = np.cumprod(ab)
+        if p[-1] > 1e-280:
+            c = np.cumsum(z[s:e] / p)
+            out[s:e] = p * (x + c)
+            x = out[e - 1]
+        else:
+            # the same fl(a*x + z) per element, on Python floats
+            xs = []
+            for ai, zi in zip(ab.tolist(), z[s:e].tolist()):
+                x = ai * x + zi
+                xs.append(x)
+            out[s:e] = xs
+    return out
+
+
+def _scan_block(rng, kind, size):
+    """Factors and top-ups of one 1024-step block of the given kind."""
+    z = rng.gamma(0.3, 1.0, size)
+    if kind == "formula":  # its prefix product stays above 1e-280
+        a = 0.97 + 0.03 * rng.random(size)
+        hold = rng.random(size) < 0.3
+        a[hold], z[hold] = 1.0, 0.0
+        return a, z
+    u = rng.random(size)
+    zeros = {"mixed": 0.02, "zero-rich": 0.3, "tiny": 0.0}[kind]
+    a = rng.random(size)
+    tiny = u < 0.1
+    a[tiny] = 10.0 ** -rng.uniform(10.0, 300.0, np.count_nonzero(tiny))
+    hold = (u >= 0.1) & (u < 0.8)  # exact ones with zero top-ups
+    a[hold], z[hold] = 1.0, 0.0
+    a[(u >= 0.8) & (u < 0.8 + zeros)] = 0.0
+    z[rng.random(size) < 0.05] = 0.0  # some zero top-ups with other factors
+    a[rng.integers(size)] = 10.0 ** -rng.uniform(285.0, 300.0)  # the product underflows
+    return a, z
+
+
+BLOCK_KINDS = ["formula", "mixed", "zero-rich", "tiny"]
+
+
+def _scan_case(n, kinds, seed):
+    rng = np.random.default_rng(seed)
+    blocks = [_scan_block(rng, kinds[i % len(kinds)], min(1024, n - s))
+              for i, s in enumerate(range(0, n, 1024))]
+    return np.concatenate([b[0] for b in blocks]), np.concatenate([b[1] for b in blocks])
+
+
+def _assert_scan_matches_reference(a, z, x0):
+    ref = _reference_affine_scan_blocks(a, z, x0)
+    assert processes._affine_scan_blocks(a, z, x0).tobytes() == ref.tobytes()
+    out = np.empty(a.size)
+    assert processes._affine_scan_blocks(a, z, x0, out=out) is out
+    assert out.tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("kinds", [
+    ["mixed"],                                      # one run from index 0 to n
+    ["mixed", "formula", "formula"],                # a run at 0, then formula blocks
+    ["formula", "formula", "zero-rich"],            # a run that ends at n
+    ["formula", "mixed", "tiny", "zero-rich", "formula"],  # a run over several blocks
+    ["mixed", "formula"],                           # runs alternating with formula blocks
+    ["tiny"],                                       # no zero factor: one segment, one tail
+    ["zero-rich"],                                  # many segments in lockstep
+])
+def test_exact_scan_runs_give_the_reference_bytes(kinds):
+    a, z = _scan_case(5 * 1024 + 17, kinds, seed=len(kinds))
+    # each kind of block takes the route it is named for
+    routes = [np.cumprod(a[s:s + 1024])[-1] > 1e-280 for s in range(0, a.size, 1024)]
+    assert routes == [kinds[i % len(kinds)] == "formula" for i in range(len(routes))]
+    for x0 in (0.0, 1.7, 3e5):
+        _assert_scan_matches_reference(a, z, x0)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(n=st.integers(1, 5000),
+       kinds=st.lists(st.sampled_from(BLOCK_KINDS), min_size=1, max_size=5),
+       seed=st.integers(0, 2**32 - 1),
+       x0=st.sampled_from([0.0, 1e-300, 0.4, 1.7, 3e5]))
+def test_exact_scan_gives_the_reference_bytes_on_any_block_layout(n, kinds, seed, x0):
+    a, z = _scan_case(n, kinds, seed)
+    _assert_scan_matches_reference(a, z, x0)
+
+
 def _cthin_allocating_reference(grid, params, dep, steps_per_unit, rng):
     # the lattice loop with fresh arrays per chunk, before its buffers were reused
     a, b = params.alpha, params.beta
@@ -196,6 +288,36 @@ def test_cthin_reused_buffers_give_the_allocating_loop_bytes(params, rho):
     assert path.values.tobytes() == ref.tobytes()
     # the small shape makes both beta-stage gammas underflow to 0 at many steps
     assert (underflows > 0) == (params.alpha < 0.01)
+
+
+CTHIN_POINTS = [(0.01, 0.001), (0.001, 0.5), (0.05, 0.5), (2.0, 0.5)]
+
+
+@pytest.mark.parametrize("steps_per_unit", [64, 256])
+@pytest.mark.parametrize("alpha,rho", CTHIN_POINTS)
+def test_cthin_gives_the_reference_scan_bytes(monkeypatch, alpha, rho, steps_per_unit):
+    grid = make_uniform_grid(0.0, 1.0, 9)  # 8 time units: several scan blocks
+    params, dep, config = GammaParams(alpha, 1.0), Dependence.from_rho(rho), CthinConfig(
+        steps_per_unit)
+    exact_runs = []
+    run = processes._exact_affine_run
+    monkeypatch.setattr(processes, "_exact_affine_run",
+                        lambda *args: exact_runs.append(1) or run(*args))
+
+    def both():
+        path = cthin_path(derive_stream(4, 1), grid, params, dep, config=config)
+        ens = [simulate_ensemble(ProcessKind.CONTINUOUSLY_THINNED, grid, params, dep, 6,
+                                 master_seed=4, cthin=config, threads=t) for t in (1, 3)]
+        return [path.values.tobytes()] + [e.values.tobytes() for e in ens]
+
+    with monkeypatch.context() as m:
+        m.setattr(processes, "_BLOCK_DRAWS", 2 * grid.n)  # blocks of two paths
+        new = both()
+        m.setattr(processes, "_affine_scan_blocks", _reference_affine_scan_blocks)
+        ref = both()
+    assert new == ref
+    # the small shapes go through the exact route, the default point does not
+    assert bool(exact_runs) == (alpha < 1.0)
 
 
 # -- ensembles -------------------------------------------------------------------
@@ -595,3 +717,29 @@ def test_ar1_ladder_past_numpy_poisson_limit_is_a_numerical_error(dep):
     if dep.rho > 0.0:
         with pytest.raises(NumericalError):
             walker_sample(100, P11, dep.rho, master_seed=0)
+
+
+def test_exact_cir_gap_correlation_of_one_is_a_numerical_error():
+    # rho**1e-300 rounds to 1.0, so c = beta / (1 - rho_g) does not exist
+    dep = Dependence(1e-300)
+    with pytest.raises(NumericalError):
+        marginal_sample(ProcessKind.SQUARED_OU, 100, P11, DEP5, master_seed=0, gap=1e-300)
+    with pytest.raises(NumericalError):
+        pair_sample(ProcessKind.SQUARED_OU, 100, P11, DEP5, master_seed=0, gap=1e-300)
+    with pytest.raises(NumericalError):
+        cir_path(derive_stream(0, 0), TimeGrid(np.array([0.0, 1e-300])), P11, DEP5)
+    with pytest.raises(NumericalError):
+        simulate_ensemble(ProcessKind.SQUARED_OU, make_uniform_grid(0.0, 1.0, 3), P11, dep,
+                          4, master_seed=0)
+    with pytest.raises(NumericalError):
+        generator_check(ProcessKind.SQUARED_OU, TestFunction.identity(), 1.0, P11, dep,
+                        n_mc=100)
+
+
+def test_exact_cir_poisson_mean_past_numpy_limit_is_a_numerical_error():
+    # at gap 1e-16, c = beta / (1 - rho_g) is about 1e16, so c * x * rho_g passes 9.2e18
+    params = GammaParams(2000.0, 1.0)
+    with pytest.raises(NumericalError):
+        marginal_sample(ProcessKind.SQUARED_OU, 100, params, DEP5, master_seed=0, gap=1e-16)
+    with pytest.raises(NumericalError):
+        cir_path(derive_stream(0, 0), make_uniform_grid(0.0, 1e-16, 3), params, DEP5)
