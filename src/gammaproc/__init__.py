@@ -19,12 +19,6 @@ from .core import (
     derive_stream,
     make_uniform_grid,
 )
-from .samplers import (
-    beta_draw,
-    gamma_draw,
-    normal_draw,
-    poisson_draw,
-)
 from .analytic import (
     LevyTail,
     TestFunction,
@@ -85,8 +79,6 @@ __all__ = [
     "GammaParams", "Dependence", "TimeGrid", "make_uniform_grid", "ProcessKind",
     "SamplePath", "Ensemble", "RandomSource", "derive_stream",
     "ParameterError", "NumericalError", "UnsupportedKindError",
-    # samplers
-    "gamma_draw", "beta_draw", "poisson_draw", "normal_draw",
     # analytic
     "gamma_chf", "innovation_chf", "pair_chf", "rm_joint_chf",
     "log_bessel_i", "cir_transition_density", "TestFunction", "generator_apply",

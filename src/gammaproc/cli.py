@@ -5,15 +5,18 @@ Three subcommands:
 * ``simulate`` writes an ensemble as CSV (long format ``path,t,value``) or
   JSON (config echo plus nested arrays).
 * ``verify`` runs a statistical verification suite against a process and
-  emits a JSON report; exit code 1 if any check fails.
+  emits a JSON report; exit code 1 if any check fails.  A check that raises
+  a numerical failure is reported as ``{"name", "status": "error",
+  "reason"}``; the other checks still run and the report is still written.
 * ``compare`` runs a two-sample chf comparison between two processes at
   pairs (``--points 2``) or triplets (``--points 3``); always exit 0 on a
   completed comparison (the report is informative, not pass/fail).
 
-Exit codes: 0 success / all checks pass, 1 verification failure or
-numerical failure (a NaN or infinity in the output, in which case nothing is
-written), 2 usage or parameter error, 3 I/O error.  Output bytes are
-deterministic given the resolved config and seed, at any ``--threads`` value.
+Exit codes: 0 success / all checks pass, 1 verification failure (a check
+with status ``fail`` or ``error``) or numerical failure (a NaN or infinity
+in the output, in which case nothing is written), 2 usage or parameter
+error, 3 I/O error.  Output bytes are deterministic given the resolved
+config and seed, at any ``--threads`` value.
 """
 
 from __future__ import annotations
@@ -466,6 +469,15 @@ def _check_tail(cfg: RunConfig):
     }
 
 
+def _run_check(name, check):
+    """One check's report entry; a NumericalError fails this check alone, as status "error"."""
+    try:
+        return check()
+    except NumericalError as exc:
+        print(f"gammaproc: numerical failure in the {name} check: {exc}", file=sys.stderr)
+        return {"name": name, "status": "error", "reason": str(exc)}
+
+
 def cmd_verify(cfg: RunConfig, suite, omega_axis=None, force_chf_kind=None) -> int:
     if omega_axis is None:
         omegas = None
@@ -473,18 +485,15 @@ def cmd_verify(cfg: RunConfig, suite, omega_axis=None, force_chf_kind=None) -> i
         ax = np.asarray(omega_axis, dtype=float)
         s, t = np.meshgrid(ax, ax, indexing="ij")
         omegas = np.column_stack((s.ravel(), t.ravel()))
-    checks = []
-    if suite in ("marginal", "all"):
-        checks.append(_check_marginal(cfg))
-    if suite in ("acf", "all"):
-        checks.append(_check_acf(cfg))
-    if suite in ("chf", "all"):
-        checks.append(_check_chf(cfg, omegas, force_chf_kind))
-    if suite in ("generator", "all"):
-        checks.append(_check_generator(cfg))
-    if suite in ("tail", "all"):
-        checks.append(_check_tail(cfg))
-    passed = all(c["status"] != "fail" for c in checks)
+    runs = [
+        ("marginal", lambda: _check_marginal(cfg)),
+        ("acf", lambda: _check_acf(cfg)),
+        ("chf", lambda: _check_chf(cfg, omegas, force_chf_kind)),
+        ("generator", lambda: _check_generator(cfg)),
+        ("tail", lambda: _check_tail(cfg)),
+    ]
+    checks = [_run_check(name, check) for name, check in runs if suite in (name, "all")]
+    passed = all(c["status"] not in ("fail", "error") for c in checks)
     report = {
         "config": cfg.echo(),
         "suite": suite,
@@ -540,6 +549,19 @@ def cmd_compare(cfg_a: RunConfig, cfg_b: RunConfig, points) -> int:
 # -- entry point ----------------------------------------------------------------
 
 
+def _parse_omega_grid(text):
+    """The ``--omega-grid`` axis: at least one finite frequency, checked before any simulation."""
+    try:
+        axis = [float(tok) for tok in text.split(",") if tok.strip()]
+    except ValueError:
+        raise ParameterError(f"--omega-grid must be comma-separated numbers, got {text!r}") from None
+    if not axis:
+        raise ParameterError("--omega-grid must list at least one frequency")
+    if not all(math.isfinite(w) for w in axis):
+        raise ParameterError(f"--omega-grid frequencies must be finite, got {text!r}")
+    return axis
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
@@ -553,11 +575,7 @@ def main(argv=None) -> int:
             return cmd_simulate(cfg)
         if ns.command == "verify":
             cfg = _resolve_config(ns, ns.process, ns.paths, default_n=2)
-            axis = None
-            if ns.omega_grid is not None:
-                axis = [float(tok) for tok in ns.omega_grid.split(",") if tok.strip()]
-                if not axis:
-                    raise ParameterError("--omega-grid must list at least one frequency")
+            axis = None if ns.omega_grid is None else _parse_omega_grid(ns.omega_grid)
             return cmd_verify(cfg, ns.suite, omega_axis=axis,
                               force_chf_kind=ns.debug_force_chf_kind)
         if ns.command == "compare":

@@ -215,10 +215,13 @@ class Ensemble:
     """Independent paths on one grid.
 
     ``values[m, k]`` is path ``m`` at grid time ``k``.  Path ``m`` is a pure
-    function of ``(master_seed, m)``: it is simulated from the stream
-    ``derive_stream(master_seed, m)`` regardless of how many other paths exist
-    or how work is scheduled across threads.  ``values`` is held read-only,
-    as in ``SamplePath``: a read-only float64 array is not copied.
+    function of ``(master_seed, m)``, regardless of how many other paths
+    exist or how work is scheduled across threads.  ``simulate_ensemble``
+    draws the ar1, thinned, rm and changepoint paths in blocks of ``B``, block
+    ``m // B`` from the stream ``derive_stream(master_seed, m // B)``, and
+    every other path ``m`` (and these four when ``B == 1``) from
+    ``derive_stream(master_seed, m)``.  ``values`` is held read-only, as in
+    ``SamplePath``: a read-only float64 array is not copied.
     """
 
     grid: TimeGrid

@@ -7,11 +7,20 @@ their joint laws beyond second order, which is the whole point of the package.
 Reproducibility contract
 ------------------------
 Each path operation consumes draws from its ``RandomSource`` in a fixed,
-documented order, so a path is a deterministic function of the stream.
-``simulate_ensemble`` gives path ``m`` the stream ``derive_stream(master_seed,
-m)``; the result is therefore independent of thread count and of how many
-paths are simulated, and ensemble path ``m`` is byte-identical to the path
-operation run on that stream.
+documented order, so a path is a deterministic function of the stream.  In
+``simulate_ensemble`` path ``m`` is a function of ``(master_seed, m)`` alone,
+independent of thread count and of how many paths are simulated:
+
+* ar1, thinned, rm and changepoint (the plans with a ``width`` of raw draws
+  per path) draw a block of ``B = max(1, _BLOCK_DRAWS // width)`` paths from
+  one stream, ``derive_stream(master_seed, m // B)``: the path operation's
+  stream layout, with every draw taken for all ``B`` lanes of the block at
+  once, and path ``m`` the block's lane ``m % B``.  When ``B == 1`` (a path
+  of more than ``_BLOCK_DRAWS`` draws, or an rm path too long to plan) path
+  ``m`` is ``<kind>_path(derive_stream(master_seed, m))``, byte for byte.
+* exact cir, Euler, squared-OU and cthin simulate each path whole, and
+  path ``m`` is ``<kind>_path(derive_stream(master_seed, m))``, byte for
+  byte.
 
 Plan, draw, build
 -----------------
@@ -21,16 +30,16 @@ Paths and ensembles run on one engine, in three steps:
   correlations, gamma shapes, rm band masses, cir per-gap constants - is
   computed once per path operation or ensemble (``_plan_for_kind``, the one
   dispatch on kind).
-* **draw**: one path's raw draws are taken off its stream in the documented
-  order with as few generator calls as possible (a gamma of shape k and
-  scale s is drawn as ``s * standard_gamma(k)``, which is the same number
-  bit for bit).  An ensemble re-keys one Philox stream per worker to each
-  path's (master_seed, m), which yields exactly the words of a freshly
-  keyed one.
+* **draw**: a block's raw draws are taken off its stream in the documented
+  order, each run of draws of one law in one generator call over its rows
+  for every lane (a gamma of shape k and scale s is drawn as
+  ``s * standard_gamma(k)``, which is the same number bit for bit).  An
+  ensemble re-keys one Philox stream per worker to each block's key, which
+  yields exactly the words of a freshly keyed one.
 * **build**: a block of paths' draws becomes values, vectorized across the
   block; recursions stay fl(rho * x + zeta) element by element.
 
-A path operation is the one-path case of the same plan, draw and build.
+A path operation is the one-lane case of the same plan, draw and build.
 Exact cir draws each step from the state, so it has no separate draw step;
 it, Euler, squared-OU and cthin simulate whole paths one at a time inside
 their plans.
@@ -174,12 +183,15 @@ def _require_positive_int(name, value):
     return v
 
 
-# -- the engine: plan once, draw per path, build across paths -----------------
+# -- the engine: plan once, draw per block, build across paths ----------------
 
 # Draws (or values, for whole-path plans) held per block of paths: 64 KiB, so
 # block buffers stay below glibc's default mmap threshold.  Freeing larger
 # ones raises that threshold, which moved later arrays onto the heap and kept
 # them resident.  A path whose draws alone exceed it runs as a block of one.
+# Part of the stream layout: a plan with a width draws its block of
+# max(1, _BLOCK_DRAWS // width) paths from one stream, so changing this
+# changes the ensemble values of ar1, thinned, rm and changepoint.
 _BLOCK_DRAWS = 1 << 13
 # numpy validates array arguments in Python (about 9 us a call), scalar ones
 # in C (about 1 us): up to this many scalar calls beat one array call.
@@ -196,19 +208,20 @@ def _gamma_runs(shapes):
     """Split a vector of gamma shapes into the fewest standard-gamma calls.
 
     Returns ``(shape, start, stop)`` triples: one scalar call per run of equal
-    shapes, or a single array call when there are many runs.  Either way the
-    draws come off the stream in element order, as one
-    ``standard_gamma(shapes)`` call would take them.
+    shapes, or a single array call (``shape`` then a column) when there are
+    many runs.  Either way the draws come off the stream in element order, as
+    one ``standard_gamma(shapes)`` call would take them.
     """
     shapes = np.asarray(shapes, dtype=float)
     edges = np.flatnonzero(shapes[1:] != shapes[:-1]) + 1
     if edges.size >= _SCALAR_CALLS:
-        return [(shapes, 0, shapes.size)]
+        return [(shapes[:, None], 0, shapes.size)]
     bounds = [0, *edges.tolist(), shapes.size]
     return [(float(shapes[a]), a, b) for a, b in zip(bounds[:-1], bounds[1:])]
 
 
 def _draw_runs(gen, runs, out):
+    """Standard gammas of ``runs``' shapes into the rows of ``out``, every lane of a row in turn."""
     for shape, a, b in runs:
         gen.standard_gamma(shape, out=out[a:b])
 
@@ -262,10 +275,12 @@ class _Plan:
     """Everything a kind's paths share on one (grid, params, dep), computed once.
 
     A plan with a ``width`` splits a path in two steps: ``draw(gen, out)``
-    takes the path's ``width`` raw draws off ``gen`` in the documented stream
-    order, and ``build(draws)`` turns a block of such rows (one per path) into
-    values, vectorized across the block.  A plan whose ``width`` is None
-    simulates one whole path at a time in ``values(gen)``.
+    takes the ``width`` raw draws of each of ``out.shape[1]`` lanes off
+    ``gen`` into the rows of ``out``, run by run in the documented stream
+    order, and ``build(draws)`` turns a block of rows (one per path) into
+    values, vectorized across the block.  A path operation is the one-lane
+    case.  A plan whose ``width`` is None simulates one whole path at a time
+    in ``values(gen)``.
     """
 
     width = None
@@ -277,26 +292,30 @@ class _Plan:
 
     def values(self, gen):
         """The values of one path drawn from the head of ``gen``."""
-        row = np.empty(self.width)
-        self.draw(gen, row)
-        return self.build(row[None])[0]
+        draws = np.empty((self.width, 1))
+        self.draw(gen, draws)
+        return self.build(draws.T)[0]
 
     def path(self, rng: RandomSource) -> SamplePath:
         return SamplePath(self.grid, self.values(rng.gen), self.kind)
 
-    def block(self, rng: RandomSource, start, stop):
-        """Values of paths ``start..stop-1``, re-keying ``rng`` to each path's stream."""
+    def block(self, rng: RandomSource, start, stop, lanes):
+        """Values of paths ``start..stop-1``, which begin block ``start // lanes``.
+
+        A plan with a width re-keys ``rng`` to the block and draws all
+        ``lanes`` lanes, however many of them are kept; a whole-path plan
+        re-keys it to each path.
+        """
         if self.width is None:
             out = np.empty((stop - start, self.n))
             for i, m in enumerate(range(start, stop)):
                 rng.rekey(m)
                 out[i] = self.values(rng.gen)
             return out
-        draws = np.empty((stop - start, self.width))
-        for i, m in enumerate(range(start, stop)):
-            rng.rekey(m)
-            self.draw(rng.gen, draws[i])
-        return self.build(draws)
+        rng.rekey(start // lanes)
+        draws = np.empty((self.width, lanes))
+        self.draw(rng.gen, draws)
+        return self.build(draws.T[: stop - start])
 
 
 def _ladder_odds(rho_g):
@@ -320,14 +339,17 @@ _LADDER_MEAN = ("AR(1) innovation ladder: the Poisson mean (1 - rho_g)/rho_g * L
 
 
 class _Ar1Plan(_Plan):
-    """Draws: X_0 and the n - 1 innovation values, as standard gammas."""
+    """Draws: X_0 and the n - 1 innovation values, as standard gammas.
+
+    X_0 and the mixing L go in one call, then all counts N, then all values.
+    """
 
     def __init__(self, grid, params, dep):
         super().__init__(grid, ProcessKind.AR1)
         self.alpha = params.alpha
         self.inv_beta = 1.0 / params.beta
         self.rho_g = dep.rho ** grid.gaps
-        self.odds = _ladder_odds(self.rho_g)
+        self.odds = _ladder_odds(self.rho_g)[:, None]
         self.zeta_scale = self.rho_g / params.beta
         self.width = self.n
 
@@ -337,8 +359,8 @@ class _Ar1Plan(_Plan):
         if means.size > _SCALAR_CALLS:
             gen.standard_gamma(_poisson_counts(gen, means, _LADDER_MEAN), out=out[1:])
         elif means.size:
-            counts = [_poisson_counts(gen, m, _LADDER_MEAN) for m in means.tolist()]
-            out[1:] = [gen.standard_gamma(k) for k in counts]
+            counts = [_poisson_counts(gen, m, _LADDER_MEAN) for m in means.ravel().tolist()]
+            out[1:] = np.reshape([gen.standard_gamma(k) for k in counts], means.shape)
 
     def build(self, draws):
         return _affine_recursion(
@@ -447,7 +469,7 @@ class _ChangepointPlan(_Plan):
 
     def draw(self, gen, out):
         n = self.n
-        out[0] = gen.standard_gamma(self.alpha)
+        gen.standard_gamma(self.alpha, out=out[0])
         if n > 1:
             gen.random(out=out[1:n])
             gen.standard_gamma(self.alpha, out=out[n:])
@@ -896,13 +918,17 @@ def simulate_ensemble(
     cthin: CthinConfig = CthinConfig(),
     threads: int = 1,
 ) -> Ensemble:
-    """Simulate ``n_paths`` independent paths; path m uses stream (master_seed, m).
+    """Simulate ``n_paths`` independent paths; path m depends on (master_seed, m) alone.
 
-    Paths run in blocks of consecutive indices; worker w of ``threads`` takes
-    blocks w, w + threads, ... with one stream of its own that it re-keys to
-    (master_seed, m) for each path m.  A path's values depend on its stream
-    alone, so the output is independent of ``threads`` and of ``n_paths``
-    itself: a longer run extends a shorter one path for path.
+    Paths run in blocks of ``B`` consecutive indices.  ar1, thinned, rm and
+    changepoint draw block ``j`` (paths ``j*B .. j*B + B - 1``, all ``B`` of
+    them even past ``n_paths``) from the stream (master_seed, j), with
+    ``B = max(1, _BLOCK_DRAWS // width)`` for a path of ``width`` draws; the
+    other plans draw path ``m`` from the stream (master_seed, m).  Worker w
+    of ``threads`` takes blocks w, w + threads, ... with one stream of its
+    own that it re-keys to each block (or path).  The output is therefore
+    independent of ``threads`` and of ``n_paths`` itself: a longer run
+    extends a shorter one path for path.
     """
     n_paths = _require_positive_int("n_paths", n_paths)
     threads = _require_positive_int("threads", threads)
@@ -916,7 +942,7 @@ def simulate_ensemble(
         rng = derive_stream(master_seed, starts[w])
         for start in starts[w::workers]:
             stop = min(start + lanes, n_paths)
-            values[start:stop] = plan.block(rng, start, stop)
+            values[start:stop] = plan.block(rng, start, stop, lanes)
 
     if workers == 1:
         work(0)

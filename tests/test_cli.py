@@ -333,7 +333,6 @@ def test_non_finite_simulation_exits_1_and_writes_nothing(tmp_path, capsys):
 @pytest.mark.parametrize("args", [
     ["simulate", "--process", "ar1", "--lambda", "50", "--n", "5", "--paths", "2"],
     ["simulate", "--process", "ar1", "--lambda", "800", "--n", "5", "--paths", "2"],
-    ["verify", "--process", "ar1", "--rho", "0.001", "--dt", "40", "--suite", "marginal"],
 ])
 def test_ar1_tiny_gap_correlation_exits_1_and_writes_nothing(tmp_path, capsys, args):
     # the innovation ladder's Poisson mean (1 - rho_g)/rho_g * L is past numpy's
@@ -347,8 +346,6 @@ def test_ar1_tiny_gap_correlation_exits_1_and_writes_nothing(tmp_path, capsys, a
 @pytest.mark.parametrize("args", [
     ["simulate", "--process", "cir", "--lambda", "1e-300", "--n", "3"],
     ["simulate", "--process", "cir", "--times", "TIMES"],
-    ["verify", "--process", "cir", "--lambda", "1e-300", "--suite", "generator"],
-    ["verify", "--process", "cir", "--alpha", "2000", "--dt", "1e-16", "--suite", "marginal"],
 ])
 def test_exact_cir_near_one_gap_correlation_exits_1_and_writes_nothing(tmp_path, capsys, args):
     # the gap correlation rounds to 1.0 (lambda 1e-300, times 0 and 1e-300), or
@@ -364,3 +361,96 @@ def test_exact_cir_near_one_gap_correlation_exits_1_and_writes_nothing(tmp_path,
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "numerical failure" in captured.err
+
+
+def _strict_json(text):
+    def refuse(constant):
+        raise AssertionError(f"non-strict JSON constant {constant}")
+    return json.loads(text, parse_constant=refuse)
+
+
+@pytest.mark.parametrize("args,check", [
+    # the innovation ladder's Poisson mean is past numpy's limit at rho**40
+    (["--process", "ar1", "--rho", "0.001", "--dt", "40", "--suite", "marginal"], "marginal"),
+    # the exact cir gap correlation rounds to 1.0
+    (["--process", "cir", "--lambda", "1e-300", "--suite", "generator"], "generator"),
+    # the exact cir Poisson mean c * x * rho_g passes numpy's limit
+    (["--process", "cir", "--alpha", "2000", "--dt", "1e-16", "--suite", "marginal"], "marginal"),
+    # the generator's downward-jump quadrature does not converge
+    (["--process", "cthin", "--alpha", "1e-3", "--rho", "1e-6", "--suite", "generator"],
+     "generator"),
+])
+def test_verify_numerical_failure_is_an_error_check_in_the_report(tmp_path, capsys, args, check):
+    out = tmp_path / "report.json"
+    assert run(["verify", *args, "--out", str(out)]) == 1
+    assert f"numerical failure in the {check} check" in capsys.readouterr().err
+    report = _strict_json(out.read_text())
+    assert report["passed"] is False
+    [entry] = report["checks"]
+    assert entry["name"] == check and entry["status"] == "error"
+    assert entry["reason"]
+
+
+def test_verify_all_keeps_the_other_checks_when_one_errors(tmp_path, capsys, monkeypatch):
+    def raising(cfg):
+        raise NumericalError("oracle did not converge")
+
+    monkeypatch.setattr(cli, "_check_acf", raising)
+    out = tmp_path / "report.json"
+    assert run(["verify", "--process", "ar1", "--suite", "all", "--paths", "2000",
+                "--seed", "3", "--out", str(out)]) == 1
+    assert "numerical failure in the acf check" in capsys.readouterr().err
+    report = _strict_json(out.read_text())
+    assert report["passed"] is False
+    statuses = {c["name"]: c["status"] for c in report["checks"]}
+    assert statuses == {"marginal": "pass", "acf": "error", "chf": "pass",
+                        "generator": "skipped", "tail": "pass"}
+    [acf] = [c for c in report["checks"] if c["name"] == "acf"]
+    assert acf == {"name": "acf", "status": "error", "reason": "oracle did not converge"}
+
+
+@pytest.mark.parametrize("grid", ["nan,1", "inf", "1,-inf", "abc", ","])
+def test_verify_refuses_a_bad_omega_grid_before_simulating(capsys, monkeypatch, grid):
+    def no_simulation(cfg):
+        raise AssertionError("simulated before refusing the omega grid")
+
+    monkeypatch.setattr(cli, "_simulate", no_simulation)
+    code = run(["verify", "--process", "ar1", "--suite", "chf", "--paths", "2000",
+                "--omega-grid", grid])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("gammaproc: error:") and "--omega-grid" in captured.err
+    assert "Warning" not in captured.err and captured.out == ""
+
+
+def _seed_sweep():
+    import importlib.util
+    from pathlib import Path
+
+    path = Path(__file__).resolve().parents[1] / "scripts" / "seed_sweep.py"
+    spec = importlib.util.spec_from_file_location("seed_sweep", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_seed_sweep_counts_passes_and_errors(monkeypatch, capsys):
+    sweep = _seed_sweep()
+    counts = sweep.sweep(2, 1, 500)
+    assert list(counts) == ["verify chf ar1", "verify chf thinned", "verify chf rm",
+                            "verify chf changepoint", "compare thinned/rm 2-point"]
+    assert all(runs == 2 and errors == 0 and 0 <= passes <= 2
+               for passes, runs, errors in counts.values())
+    # a run that raises or exits 2 is an error; the script then exits 1
+    codes = iter([None, 2])
+
+    def broken(argv):
+        code = next(codes, 1)
+        if code is None:
+            raise RuntimeError("boom")
+        return code
+
+    monkeypatch.setattr(sweep, "gammaproc_main", broken)
+    assert sweep.main(["--k", "1"]) == 1
+    captured = capsys.readouterr()
+    assert "RuntimeError: boom" in captured.err and "exited 2" in captured.err

@@ -334,10 +334,11 @@ def test_ensemble_path_is_pure_function_of_seed_and_index():
 def test_ensemble_threads_do_not_change_values(monkeypatch):
     grid = make_uniform_grid(0.0, 1.0, 5)
     opts = {"cthin": CthinConfig(64)}
+    # blocks of a few paths, so that each of the four workers takes several;
+    # the block size is part of the stream layout, so both runs use it
+    monkeypatch.setattr(processes, "_BLOCK_DRAWS", 16)
     one = {kind: simulate_ensemble(kind, grid, P11, DEP5, 40, master_seed=3, threads=1,
                                    **opts) for kind in ProcessKind}
-    # blocks of a few paths, so that each of the four workers takes several
-    monkeypatch.setattr(processes, "_BLOCK_DRAWS", 16)
     for kind in ProcessKind:
         four = simulate_ensemble(kind, grid, P11, DEP5, 40, master_seed=3, threads=4, **opts)
         assert one[kind].values.tobytes() == four.values.tobytes(), kind
@@ -358,9 +359,12 @@ def test_ensemble_values_are_held_once():
     assert peak < 1.25 * ens.values.nbytes
 
 
-# Stream contract: ensemble path m is byte-identical to the path operation run
-# on derive_stream(master_seed, m).  (grid, params, dep) per case; the last
-# case makes the thinned beta ratio 0/0, so comparing bytes also pins its NaN.
+# Stream contract, one stream per path: ensemble path m is byte-identical to
+# the path operation run on derive_stream(master_seed, m).  This holds for the
+# whole-path plans (exact cir, Euler, squared-OU, cthin) and for the plans with
+# a width whenever a block holds one path (B == 1).  (grid, params, dep) per
+# case; the last case makes the thinned beta ratio 0/0, so comparing bytes
+# also pins its NaN.
 STREAM_CASES = {
     "one-point": (make_uniform_grid(0.0, 1.0, 1), GammaParams(1.5, 2.0), DEP5),
     "three-point": (make_uniform_grid(0.0, 1.0, 3), GammaParams(1.5, 2.0), DEP5),
@@ -381,16 +385,19 @@ STREAM_SAMPLERS = {
                        cir_path),
     "cthin": (ProcessKind.CONTINUOUSLY_THINNED, {"cthin": CthinConfig(64)}, cthin_path),
 }
+WIDTH_SAMPLERS = ("ar1", "thinned", "rm", "changepoint")
 
 
 @pytest.mark.filterwarnings("ignore:invalid value encountered")
 @pytest.mark.parametrize("case", list(STREAM_CASES))
 @pytest.mark.parametrize("sampler", list(STREAM_SAMPLERS))
-def test_ensemble_paths_match_path_operations_byte_for_byte(sampler, case):
+def test_ensemble_paths_match_path_operations_byte_for_byte(monkeypatch, sampler, case):
     kind, opts, path_fn = STREAM_SAMPLERS[sampler]
     grid, params, dep = STREAM_CASES[case]
     path_opts = {"config": opts["cthin"]} if "cthin" in opts else opts
     seed, n_paths = 7, 20  # 20 lanes: a block builds as numpy columns, a path alone as floats
+    if sampler in WIDTH_SAMPLERS:
+        monkeypatch.setattr(processes, "_BLOCK_DRAWS", 1)  # B == 1: a stream per path
     if sampler == "cir-squared-ou" and case == "small-shape":
         # 2*alpha is not an integer: both routes refuse it the same way
         with pytest.raises(ParameterError, match="2\\*alpha"):
@@ -402,6 +409,69 @@ def test_ensemble_paths_match_path_operations_byte_for_byte(sampler, case):
     for m in range(n_paths):
         path = path_fn(derive_stream(seed, m), grid, params, dep, **path_opts)
         assert ens.values[m].tobytes() == path.values.tobytes(), (sampler, case, m)
+
+
+# Stream contract, one stream per block: with B = _BLOCK_DRAWS // width > 1,
+# block j (paths j*B .. j*B + B - 1) is drawn from derive_stream(seed, j), run
+# by run in the path operation's stream order, each run for every lane of the
+# block before the next.  _block_reference writes that layout out by hand and
+# returns the (width, B) raw draws; lane i is column i.
+
+
+def _gamma_rows(g, shapes, lanes):
+    """Standard gammas for every lane, one call per run of equal shapes."""
+    rows, start = [], 0
+    while start < shapes.size:
+        stop = start + 1
+        while stop < shapes.size and shapes[stop] == shapes[start]:
+            stop += 1
+        rows.append(g.standard_gamma(float(shapes[start]), size=(stop - start, lanes)))
+        start = stop
+    return np.concatenate(rows)
+
+
+def _block_reference(kind, grid, params, dep, seed, block, lanes):
+    g = derive_stream(seed, block).gen
+    a, times, n = params.alpha, grid.times, grid.n
+    rho_g = dep.rho ** np.diff(times)
+    if kind is ProcessKind.AR1:
+        head = g.standard_gamma(a, size=(n, lanes))  # X_0 and the mixing L
+        counts = g.poisson((1.0 - rho_g)[:, None] / rho_g[:, None] * head[1:])
+        return np.concatenate((head[:1], g.standard_gamma(counts)))
+    if kind is ProcessKind.THINNED:
+        kept, fresh = a * rho_g, a * (1.0 - rho_g)
+        return _gamma_rows(g, np.concatenate(([a], kept, fresh, fresh)), lanes)
+    if kind is ProcessKind.RANDOM_MEASURE:
+        masses = tent_partition(grid, dep).masses
+        shapes = [a * np.diagonal(masses, d) for d in range(n)
+                  if np.any(dep.rho ** (times[d:] - times[: n - d]) >= 1e-18)]
+        return _gamma_rows(g, np.concatenate(shapes), lanes)
+    x0 = g.standard_gamma(a, size=(1, lanes))
+    keep = g.random((n - 1, lanes))
+    return np.concatenate((x0, keep, g.standard_gamma(a, size=(n - 1, lanes))))
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered")
+@pytest.mark.parametrize("lanes", [None, 3])
+@pytest.mark.parametrize("case", list(STREAM_CASES))
+@pytest.mark.parametrize("sampler", WIDTH_SAMPLERS)
+def test_ensemble_blocks_follow_the_block_stream_layout(monkeypatch, sampler, case, lanes):
+    kind = STREAM_SAMPLERS[sampler][0]
+    grid, params, dep = STREAM_CASES[case]
+    plan = processes._plan_for_kind(kind, grid, params, dep, None, 16, None)
+    if lanes is None:  # the real block size
+        lanes = processes._BLOCK_DRAWS // plan.width
+    else:
+        monkeypatch.setattr(processes, "_BLOCK_DRAWS", lanes * plan.width + plan.width - 1)
+    assert lanes > 1
+    seed, n_paths = 9, min(2 * lanes + 3, 200)
+    ens = simulate_ensemble(kind, grid, params, dep, n_paths, master_seed=seed, threads=2)
+    for block in range(-(-n_paths // lanes)):
+        draws = _block_reference(kind, grid, params, dep, seed, block, lanes)
+        assert draws.shape == (plan.width, lanes)
+        for m in range(block * lanes, min((block + 1) * lanes, n_paths)):
+            want = plan.build(draws[:, m % lanes][None])[0]
+            assert ens.values[m].tobytes() == want.tobytes(), (sampler, case, m)
 
 
 # -- batch statistical samplers ---------------------------------------------------
@@ -417,6 +487,39 @@ def test_walker_sample_moments():
     # atom at zero with P = rho^alpha
     p_hat = np.mean(x == 0.0)
     assert abs(p_hat - rho**p.alpha) < 4 * np.sqrt(rho**p.alpha * (1 - rho**p.alpha) / x.size)
+
+
+def test_walker_innovation_zero_atom_probability():
+    # P(innovation = 0) = P(N = 0) = E[exp(-(1-rho)/rho L)] = rho^alpha
+    params = GammaParams(2.0, 1.0)
+    rho = 0.3
+    n = 20000
+    x = walker_sample(n, params, rho, master_seed=11)
+    assert np.all(x >= 0.0)
+    p_hat = np.mean(x == 0.0)
+    p = rho**params.alpha
+    assert abs(p_hat - p) < 4 * np.sqrt(p * (1 - p) / n)
+
+
+def test_walker_innovation_rejects_bad_rho():
+    params = GammaParams(1.0, 1.0)
+    for rho in (0.0, 1.0, 1.2):
+        with pytest.raises(ParameterError):
+            walker_sample(10, params, rho, master_seed=0)
+
+
+def test_cir_transition_conditional_mean():
+    # E[X_dt | X_0 = x] = x rho_d + (alpha/beta)(1 - rho_d), one exact lane step
+    params = GammaParams(1.5, 2.0)
+    dep = Dependence.from_rho(0.5)
+    x0, dt = 2.0, 0.7
+    rho_d = dep.gap_corr(dt)
+    n = 20000
+    draws = processes._lane_step(ProcessKind.SQUARED_OU, derive_stream(3, 0).gen,
+                                 np.full(n, x0), params.alpha, params.beta, rho_d)
+    target = x0 * rho_d + params.mean * (1.0 - rho_d)
+    assert np.all(draws >= 0.0)
+    assert abs(np.mean(draws) - target) < 4 * np.std(draws) / np.sqrt(n)
 
 
 @pytest.mark.parametrize("kind", list(ProcessKind))

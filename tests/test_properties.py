@@ -1,6 +1,9 @@
 """Property tests: every parameter point the validators accept gives finite,
-nonnegative batch-sampler values (and cthin path and ensemble values) or a
-ParameterError/NumericalError."""
+nonnegative batch-sampler values (and path and ensemble values) or a
+ParameterError/NumericalError, and ensembles keep their stream contract: a
+longer ensemble extends a shorter one and threads do not change the bytes."""
+
+import math
 
 import numpy as np
 import pytest
@@ -9,12 +12,15 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from gammaproc import (  # noqa: E402
+    CirMethod,
     CthinConfig,
     Dependence,
     GammaParams,
     NumericalError,
     ParameterError,
     ProcessKind,
+    TimeGrid,
+    cli,
     cthin_path,
     derive_stream,
     make_uniform_grid,
@@ -69,6 +75,98 @@ def test_cthin_paths_and_ensembles_are_finite_nonnegative_and_thread_independent
         assert np.all(values >= 0.0), (alpha, rho)
     assert one.values.tobytes() == three.values.tobytes(), (alpha, rho)
     assert one.values[0].tobytes() == path.values.tobytes(), (alpha, rho)
+
+
+# The eight samplers: every kind, and cir under each method.
+SAMPLERS = {
+    "ar1": (ProcessKind.AR1, {}),
+    "thinned": (ProcessKind.THINNED, {}),
+    "rm": (ProcessKind.RANDOM_MEASURE, {}),
+    "changepoint": (ProcessKind.CHANGE_POINT, {}),
+    "cir-exact": (ProcessKind.SQUARED_OU, {"method": CirMethod.EXACT}),
+    "cir-euler": (ProcessKind.SQUARED_OU, {"method": CirMethod.EULER, "substeps": 4}),
+    "cir-squared-ou": (ProcessKind.SQUARED_OU, {"method": CirMethod.SQUARED_OU}),
+    "cthin": (ProcessKind.CONTINUOUSLY_THINNED, {"cthin": CthinConfig(64)}),
+}
+# gaps are multiples of 1/64, so every grid lies on cthin's lattice
+_GAP = st.integers(1, 96).map(lambda k: k / 64.0)
+
+
+@st.composite
+def _grids(draw):
+    """Uniform grids of 1, 2, 3 and 17 points, and irregular grids of 2-9 points."""
+    if draw(st.booleans()):
+        n, dt = draw(st.sampled_from([1, 2, 3, 17])), draw(_GAP)
+        return make_uniform_grid(0.0, dt, n)
+    gaps = draw(st.lists(_GAP, min_size=1, max_size=8))
+    return TimeGrid(np.concatenate(([0.0], np.cumsum(gaps))))
+
+
+@st.composite
+def _points(draw, sampler):
+    """(alpha, rho) for ``sampler``: squared-OU needs 2*alpha integer; thinned's
+    small shapes are the strict xfail below."""
+    if sampler == "cir-squared-ou":
+        alpha = draw(st.integers(1, 8)) / 2.0
+    elif sampler == "thinned":
+        alpha = draw(st.floats(0.1, 1e3))
+    else:
+        alpha = draw(st.floats(1e-3, 1e3))
+    return alpha, draw(st.floats(1e-6, 1.0 - 1e-6))
+
+
+@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@given(data=st.data(), sampler=st.sampled_from(list(SAMPLERS)), grid=_grids(),
+       lanes=st.sampled_from([1, 2, 3, 7]), extra=st.integers(0, 1 << 10),
+       sizes=st.sampled_from([(-1, 0), (0, 1), (-1, 1), (1, "2B+3"), (-1, "2B+3")]))
+def test_ensembles_extend_and_ignore_threads_across_block_edges(data, sampler, grid, lanes,
+                                                                 extra, sizes):
+    kind, opts = SAMPLERS[sampler]
+    alpha, rho = data.draw(_points(sampler))
+    params, dep = GammaParams(alpha, 1.0), Dependence.from_rho(rho)
+
+    def ensemble(n_paths, threads):
+        return simulate_ensemble(kind, grid, params, dep, n_paths, master_seed=5,
+                                 threads=threads, **opts)
+
+    try:
+        plan = processes._plan_for_kind(kind, grid, params, dep, opts.get("method"),
+                                        opts.get("substeps", 16), opts.get("cthin"))
+    except (ParameterError, NumericalError):
+        return
+    width = plan.width or grid.n
+    # B = lanes paths per block, whatever the remainder of the block size
+    block_draws = lanes * width + extra % width
+    n_short, n_long = (lanes + d if d != "2B+3" else 2 * lanes + 3 for d in sizes)
+    n_short = max(n_short, 1)
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(processes, "_BLOCK_DRAWS", block_draws)
+        try:
+            short, long, long3 = ensemble(n_short, 1), ensemble(n_long, 1), ensemble(n_long, 3)
+        except (ParameterError, NumericalError):
+            return
+    assert long.values[:n_short].tobytes() == short.values.tobytes(), (sampler, lanes)
+    assert long3.values.tobytes() == long.values.tobytes(), (sampler, lanes)
+    assert np.all(np.isfinite(long.values)), (sampler, alpha, rho)
+    if sampler != "cir-euler":  # Euler's full-truncation state may dip below 0
+        assert np.all(long.values >= 0.0), (sampler, alpha, rho)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(process=st.sampled_from([k.cli_name for k in ProcessKind]),
+       lam=st.floats(0.05, 10.0), n=st.sampled_from([1, 2, 3, 17]))
+def test_simulate_rho_and_lambda_spellings_give_the_same_bytes(process, lam, n):
+    rho = math.exp(-lam)  # the rho that --lambda lam resolves to
+    base = ["simulate", "--process", process, "--n", str(n), "--dt", "0.5", "--paths", "5",
+            "--seed", "3", "--cthin-steps", "64"]
+    outputs = []
+    for spelling in (["--rho", repr(rho)], ["--lambda", repr(lam)]):
+        with pytest.MonkeyPatch.context() as m:
+            written = []
+            m.setattr(cli, "_write_text", lambda path, chunks: written.append("".join(chunks)))
+            assert cli.main(base + spelling) == 0
+        outputs.append(written[0])
+    assert outputs[0] == outputs[1]
 
 
 @pytest.mark.xfail(strict=True, reason="the thinned beta ratio g1/(g1+g2) is 0/0 when both "
