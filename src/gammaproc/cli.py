@@ -6,8 +6,9 @@ Three subcommands:
   JSON (config echo plus nested arrays).
 * ``verify`` runs a statistical verification suite against a process and
   emits a JSON report; exit code 1 if any check fails.  A check that raises
-  a numerical failure is reported as ``{"name", "status": "error",
-  "reason"}``; the other checks still run and the report is still written.
+  a numerical failure, or whose result holds a NaN or an infinity, is
+  reported as ``{"name", "status": "error", "reason"}``; the other checks
+  still run and the report is still written.
 * ``compare`` runs a two-sample chf comparison between two processes at
   pairs (``--points 2``) or triplets (``--points 3``); always exit 0 on a
   completed comparison (the report is informative, not pass/fail).
@@ -16,7 +17,7 @@ Exit codes: 0 success / all checks pass, 1 verification failure (a check
 with status ``fail`` or ``error``) or numerical failure (a NaN or infinity
 in the output, in which case nothing is written), 2 usage or parameter
 error, 3 I/O error.  Output bytes are deterministic given the resolved
-config and seed, at any ``--threads`` value.
+config and seed.
 """
 
 from __future__ import annotations
@@ -77,7 +78,6 @@ class RunConfig:
     grid: TimeGrid
     n_paths: int
     seed: int
-    threads: int
     cir_method: CirMethod
     euler_substeps: int
     cthin_steps: int
@@ -87,9 +87,9 @@ class RunConfig:
     def echo(self):
         """The resolved-config dictionary embedded in every JSON artifact.
 
-        Only law-determining settings appear: scheduling knobs such as
-        ``--threads`` are deliberately excluded so output bytes depend on the
-        configuration and seed alone.
+        Only law-determining settings appear, so output bytes depend on the
+        configuration and seed alone.  ``lambda`` is ``-log(rho)`` whichever
+        of ``--rho`` and ``--lambda`` spelled it (see ``Dependence``).
         """
         return {
             "process": self.process.cli_name,
@@ -124,8 +124,6 @@ def _add_common(sp, with_process=True):
     sp.add_argument("--times", type=str, default=None,
                     help="file of explicit grid times (one per line; overrides --t0/--dt/--n)")
     sp.add_argument("--seed", type=int, default=0, help="master seed (default 0)")
-    sp.add_argument("--threads", type=int, default=1,
-                    help="worker threads; output is identical at any value")
     sp.add_argument("--cir-method", choices=[m.value for m in CirMethod],
                     default="exact", help="cir sampling scheme (default exact)")
     sp.add_argument("--euler-substeps", type=int, default=16,
@@ -208,7 +206,6 @@ def _resolve_config(ns, process_name, n_paths, default_n=100):
         grid=_resolve_grid(ns, default_n),
         n_paths=int(n_paths),
         seed=int(ns.seed),
-        threads=int(ns.threads),
         cir_method=CirMethod.parse(ns.cir_method),
         euler_substeps=int(ns.euler_substeps),
         cthin_steps=int(ns.cthin_steps),
@@ -221,7 +218,7 @@ def _simulate(cfg: RunConfig) -> Ensemble:
     return simulate_ensemble(
         cfg.process, cfg.grid, cfg.params, cfg.dep, cfg.n_paths, cfg.seed,
         method=cfg.cir_method, substeps=cfg.euler_substeps,
-        cthin=CthinConfig(cfg.cthin_steps), threads=cfg.threads,
+        cthin=CthinConfig(cfg.cthin_steps),
     )
 
 
@@ -270,19 +267,17 @@ def _json_chunks(obj, pad=""):
     """Yield the text of ``json.dumps(obj, indent=2, sort_keys=True)`` in pieces.
 
     ``pad`` is the indentation of the line on which ``obj`` starts.  Numpy
-    arrays are written as nested lists, numpy scalars as their Python values
-    and complex numbers as ``{"im": ..., "re": ...}``.  Each 1-D float array
-    is formatted in one piece from one ``tolist()``, with ``float.__repr__``,
-    the formatting ``json`` itself applies to a finite float.  A NaN or
-    infinity raises ``NumericalError``: an artifact is always strict JSON.
+    arrays are written as nested lists and numpy scalars as their Python
+    values.  Each 1-D float array is formatted in one piece from one
+    ``tolist()``, with ``float.__repr__``, the formatting ``json`` itself
+    applies to a finite float.  A NaN or infinity raises ``NumericalError``:
+    an artifact is always strict JSON.
     """
     if isinstance(obj, np.ndarray):
         if obj.dtype.kind == "f" and obj.ndim == 1:
             yield _json_float_row(obj, pad)
             return
         obj = list(obj) if obj.dtype.kind == "f" and obj.ndim > 1 else obj.tolist()
-    elif isinstance(obj, (complex, np.complexfloating)):
-        obj = {"re": float(obj.real), "im": float(obj.imag)}
     elif isinstance(obj, np.generic):
         obj = obj.item()
     if isinstance(obj, dict):
@@ -470,9 +465,12 @@ def _check_tail(cfg: RunConfig):
 
 
 def _run_check(name, check):
-    """One check's report entry; a NumericalError fails this check alone, as status "error"."""
+    """One check's report entry; a NumericalError, or a NaN or infinity in the
+    entry, fails this check alone, as status "error"."""
     try:
-        return check()
+        entry = check()
+        "".join(_json_chunks(entry))  # raises NumericalError on a NaN or infinity
+        return entry
     except NumericalError as exc:
         print(f"gammaproc: numerical failure in the {name} check: {exc}", file=sys.stderr)
         return {"name": name, "status": "error", "reason": str(exc)}

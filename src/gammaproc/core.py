@@ -85,12 +85,15 @@ class GammaParams:
 class Dependence:
     """Exponential autocorrelation ``exp(-lam*|s-t|)``.
 
-    ``lam`` is the canonical stored parameter; ``rho = exp(-lam)`` (the
-    autocorrelation at unit lag) is derived once at construction.  Use
-    :meth:`from_rho` to construct from ``rho`` instead; in that case the given
-    ``rho`` is stored exactly and ``lam = -log(rho)`` is the derived one, so
-    ``from_rho(math.exp(-L))`` and ``Dependence(L)`` drive identical
-    simulations (all samplers consume ``rho``).
+    ``rho = exp(-lam)`` is the autocorrelation at unit lag.  ``Dependence(L)``
+    stores ``rho = exp(-L)``; :meth:`from_rho` stores the given ``rho``
+    exactly.  Either way ``lam`` is then ``-log(rho)``, so
+    ``from_rho(math.exp(-L))`` and ``Dependence(L)`` are equal and drive
+    identical simulations, checks and echoes.  A ``lam`` whose ``exp(-lam)``
+    rounds to 0 or 1 (which no ``rho`` in (0, 1) can spell) is kept as given.
+
+    >>> Dependence(0.1) == Dependence.from_rho(math.exp(-0.1))
+    True
     """
 
     lam: float
@@ -98,8 +101,11 @@ class Dependence:
 
     def __post_init__(self):
         lam = _require_finite_positive("lam", self.lam)
-        object.__setattr__(self, "lam", lam)
-        object.__setattr__(self, "rho", math.exp(-lam))
+        self._set_rho(math.exp(-lam), lam)
+
+    def _set_rho(self, rho, lam):
+        object.__setattr__(self, "rho", rho)
+        object.__setattr__(self, "lam", -math.log(rho) if 0.0 < rho < 1.0 else lam)
 
     @classmethod
     def from_rho(cls, rho):
@@ -107,7 +113,7 @@ class Dependence:
         if not (0.0 < r < 1.0) or not math.isfinite(r):
             raise ParameterError(f"rho must lie strictly in (0, 1), got {rho!r}")
         dep = cls(-math.log(r))
-        object.__setattr__(dep, "rho", r)
+        dep._set_rho(r, dep.lam)
         return dep
 
     def gap_corr(self, delta):
@@ -216,12 +222,12 @@ class Ensemble:
 
     ``values[m, k]`` is path ``m`` at grid time ``k``.  Path ``m`` is a pure
     function of ``(master_seed, m)``, regardless of how many other paths
-    exist or how work is scheduled across threads.  ``simulate_ensemble``
-    draws the ar1, thinned, rm and changepoint paths in blocks of ``B``, block
-    ``m // B`` from the stream ``derive_stream(master_seed, m // B)``, and
-    every other path ``m`` (and these four when ``B == 1``) from
-    ``derive_stream(master_seed, m)``.  ``values`` is held read-only, as in
-    ``SamplePath``: a read-only float64 array is not copied.
+    exist.  ``simulate_ensemble`` draws the ar1, thinned, rm and changepoint
+    paths in blocks of ``B``, block ``m // B`` from the stream
+    ``derive_stream(master_seed, m // B)``, and every other path ``m`` (and
+    these four when ``B == 1``) from ``derive_stream(master_seed, m)``.
+    ``values`` is held read-only, as in ``SamplePath``: a read-only float64
+    array is not copied.
     """
 
     grid: TimeGrid

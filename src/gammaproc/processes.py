@@ -9,7 +9,7 @@ Reproducibility contract
 Each path operation consumes draws from its ``RandomSource`` in a fixed,
 documented order, so a path is a deterministic function of the stream.  In
 ``simulate_ensemble`` path ``m`` is a function of ``(master_seed, m)`` alone,
-independent of thread count and of how many paths are simulated:
+independent of how many paths are simulated:
 
 * ar1, thinned, rm and changepoint (the plans with a ``width`` of raw draws
   per path) draw a block of ``B = max(1, _BLOCK_DRAWS // width)`` paths from
@@ -34,7 +34,7 @@ Paths and ensembles run on one engine, in three steps:
   order, each run of draws of one law in one generator call over its rows
   for every lane (a gamma of shape k and scale s is drawn as
   ``s * standard_gamma(k)``, which is the same number bit for bit).  An
-  ensemble re-keys one Philox stream per worker to each block's key, which
+  ensemble re-keys one Philox stream to each block's key in turn, which
   yields exactly the words of a freshly keyed one.
 * **build**: a block of paths' draws becomes values, vectorized across the
   block; recursions stay fl(rho * x + zeta) element by element.
@@ -59,7 +59,6 @@ from __future__ import annotations
 
 import enum
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -355,12 +354,8 @@ class _Ar1Plan(_Plan):
 
     def draw(self, gen, out):
         gen.standard_gamma(self.alpha, out=out)  # X_0, then the mixing L
-        means = self.odds * out[1:]
-        if means.size > _SCALAR_CALLS:
-            gen.standard_gamma(_poisson_counts(gen, means, _LADDER_MEAN), out=out[1:])
-        elif means.size:
-            counts = [_poisson_counts(gen, m, _LADDER_MEAN) for m in means.ravel().tolist()]
-            out[1:] = np.reshape([gen.standard_gamma(k) for k in counts], means.shape)
+        counts = _poisson_counts(gen, self.odds * out[1:], _LADDER_MEAN)
+        gen.standard_gamma(counts, out=out[1:])
 
     def build(self, draws):
         return _affine_recursion(
@@ -916,7 +911,6 @@ def simulate_ensemble(
     method: CirMethod = CirMethod.EXACT,
     substeps: int = 16,
     cthin: CthinConfig = CthinConfig(),
-    threads: int = 1,
 ) -> Ensemble:
     """Simulate ``n_paths`` independent paths; path m depends on (master_seed, m) alone.
 
@@ -924,31 +918,19 @@ def simulate_ensemble(
     changepoint draw block ``j`` (paths ``j*B .. j*B + B - 1``, all ``B`` of
     them even past ``n_paths``) from the stream (master_seed, j), with
     ``B = max(1, _BLOCK_DRAWS // width)`` for a path of ``width`` draws; the
-    other plans draw path ``m`` from the stream (master_seed, m).  Worker w
-    of ``threads`` takes blocks w, w + threads, ... with one stream of its
-    own that it re-keys to each block (or path).  The output is therefore
-    independent of ``threads`` and of ``n_paths`` itself: a longer run
-    extends a shorter one path for path.
+    other plans draw path ``m`` from the stream (master_seed, m).  One stream
+    is re-keyed to each block (or path) in turn, so the output does not
+    depend on ``n_paths`` itself: a longer run extends a shorter one path for
+    path.
     """
     n_paths = _require_positive_int("n_paths", n_paths)
-    threads = _require_positive_int("threads", threads)
     plan = _plan_for_kind(kind, grid, params, dep, method, substeps, cthin)
     values = np.empty((n_paths, grid.n))
     lanes = max(1, _BLOCK_DRAWS // (plan.width or grid.n))
-    starts = range(0, n_paths, lanes)
-    workers = min(threads, len(starts))
-
-    def work(w):
-        rng = derive_stream(master_seed, starts[w])
-        for start in starts[w::workers]:
-            stop = min(start + lanes, n_paths)
-            values[start:stop] = plan.block(rng, start, stop, lanes)
-
-    if workers == 1:
-        work(0)
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(work, range(workers)))
+    rng = derive_stream(master_seed, 0)
+    for start in range(0, n_paths, lanes):
+        stop = min(start + lanes, n_paths)
+        values[start:stop] = plan.block(rng, start, stop, lanes)
     values.setflags(write=False)  # so Ensemble holds it without a copy
     return Ensemble(grid=grid, kind=kind, values=values, master_seed=int(master_seed))
 
@@ -1042,7 +1024,6 @@ def marginal_sample(
     gap=1.0,
     method: CirMethod = CirMethod.EXACT,
     cthin: CthinConfig = CthinConfig(),
-    cthin_units=0.25,
     euler_burn=12.0,
     substeps=16,
 ):
@@ -1051,7 +1032,7 @@ def marginal_sample(
     Each lane runs the same recursion as the corresponding path operation
     (two ``_lane_step`` gaps of length ``gap`` from a Ga(alpha, beta) start
     for the discrete recursions and exact cir; for the continuously-thinned
-    process ``cthin_units`` time units of lattice steps; for Euler a burn-in
+    process a quarter time unit of lattice steps; for Euler a burn-in
     of ``euler_burn`` autocorrelation times), so a lane value has exactly the
     law of a path value at that time.  ``gap`` must be finite and positive.
     """
@@ -1090,7 +1071,7 @@ def marginal_sample(
         raise ParameterError(f"unknown cir method {method!r}")
     steps, r = 2, rho_g
     if kind is ProcessKind.CONTINUOUSLY_THINNED:
-        steps = int(round(float(cthin_units) * cthin.steps_per_unit))
+        steps = int(round(0.25 * cthin.steps_per_unit))
         r = dep.rho ** (1.0 / cthin.steps_per_unit)
     x = g.gamma(a, 1.0 / b, size=n)
     for _ in range(steps):

@@ -118,12 +118,12 @@ class AcfReport:
         return float(np.max(np.abs(self.estimates - self.target) / self.standard_errors))
 
 
-def empirical_acf(path: SamplePath, dep: Dependence, max_lag, batch_len=None) -> AcfReport:
+def empirical_acf(path: SamplePath, dep: Dependence, max_lag) -> AcfReport:
     """Stationary ACF estimate at lags 1..max_lag with batch-means standard errors.
 
     The estimate at lag k is the mean of y_t = (x_t - m)(x_{t+k} - m)/v over t
     (m, v the global sample mean/variance); its standard error is the batch-
-    means error of that mean.  The default batch length is 50 autocorrelation
+    means error of that mean.  The batch length is 50 autocorrelation
     times, i.e. ceil(50 / (lam * dt)) steps, so neighbouring batches are
     effectively independent.  Targets are the geometric column rho_1^k with
     rho_1 = rho**dt (built by cumulative products, so target[k] = target[k-1] *
@@ -142,9 +142,7 @@ def empirical_acf(path: SamplePath, dep: Dependence, max_lag, batch_len=None) ->
     dt = float(gaps[0])
     if np.any(np.abs(gaps - dt) > 1e-9 * max(dt, 1.0)):
         raise ParameterError("empirical_acf requires a uniform grid")
-    if batch_len is None:
-        batch_len = int(np.ceil(50.0 / (dep.lam * dt)))
-    batch_len = max(int(batch_len), 1)
+    batch_len = max(int(np.ceil(50.0 / (dep.lam * dt))), 1)
     m = float(np.mean(x))
     d = x - m
     v = float(np.mean(d * d))
@@ -305,11 +303,18 @@ class ChfComparison:
         return self.omegas[int(np.argmax(self.z_scores))]
 
 
-def _z_scores(est: ChfEstimate, analytic):
-    diff = est.estimate - analytic
-    z_re = np.abs(diff.real) / est.se_re
-    z_im = np.abs(diff.imag) / est.se_im
-    return np.maximum(z_re, z_im)
+def _chf_z(diff, se_re, se_im):
+    """The larger of |Re diff| / se_re and |Im diff| / se_im at each omega.
+
+    A component with no difference and no standard error scores 0: at
+    omega = 0 both chfs are exactly 1 and every summand is the same.
+    """
+    def z(d, se):
+        d = np.abs(d)
+        with np.errstate(invalid="ignore"):  # 0 / 0 only
+            return np.where((d == 0.0) & (se == 0.0), 0.0, d / se)
+
+    return np.maximum(z(diff.real, se_re), z(diff.imag, se_im))
 
 
 def chf_gof(ensemble: Ensemble, params: GammaParams, dep: Dependence,
@@ -338,7 +343,7 @@ def chf_gof(ensemble: Ensemble, params: GammaParams, dep: Dependence,
     analytic = np.array(
         [pair_chf(ensemble.kind, s, t, params, dep_pair) for s, t in w]
     )
-    z = _z_scores(est, analytic)
+    z = _chf_z(est.estimate - analytic, est.se_re, est.se_im)
     return ChfComparison(
         omegas=w, empirical=est.estimate, se_re=est.se_re, se_im=est.se_im,
         analytic=analytic, z_scores=z, n=est.n,
@@ -373,11 +378,9 @@ def two_sample_chf(a, b, omegas):
     """
     est_a = empirical_chf(a, omegas)
     est_b = empirical_chf(b, omegas)
-    diff = est_a.estimate - est_b.estimate
     se_re = np.sqrt(est_a.se_re**2 + est_b.se_re**2)
     se_im = np.sqrt(est_a.se_im**2 + est_b.se_im**2)
-    z = np.maximum(np.abs(diff.real) / se_re, np.abs(diff.imag) / se_im)
-    return z, est_a, est_b
+    return _chf_z(est_a.estimate - est_b.estimate, se_re, se_im), est_a, est_b
 
 
 def triplet_discrimination(ensemble_a: Ensemble, ensemble_b: Ensemble, omegas) -> TripletReport:

@@ -306,9 +306,9 @@ def test_cthin_gives_the_reference_scan_bytes(monkeypatch, alpha, rho, steps_per
 
     def both():
         path = cthin_path(derive_stream(4, 1), grid, params, dep, config=config)
-        ens = [simulate_ensemble(ProcessKind.CONTINUOUSLY_THINNED, grid, params, dep, 6,
-                                 master_seed=4, cthin=config, threads=t) for t in (1, 3)]
-        return [path.values.tobytes()] + [e.values.tobytes() for e in ens]
+        ens = simulate_ensemble(ProcessKind.CONTINUOUSLY_THINNED, grid, params, dep, 6,
+                                master_seed=4, cthin=config)
+        return [path.values.tobytes(), ens.values.tobytes()]
 
     with monkeypatch.context() as m:
         m.setattr(processes, "_BLOCK_DRAWS", 2 * grid.n)  # blocks of two paths
@@ -329,19 +329,6 @@ def test_ensemble_path_is_pure_function_of_seed_and_index():
         small = simulate_ensemble(kind, grid, P11, DEP5, 3, master_seed=11)
         large = simulate_ensemble(kind, grid, P11, DEP5, 7, master_seed=11)
         assert np.array_equal(small.values, large.values[:3]), kind
-
-
-def test_ensemble_threads_do_not_change_values(monkeypatch):
-    grid = make_uniform_grid(0.0, 1.0, 5)
-    opts = {"cthin": CthinConfig(64)}
-    # blocks of a few paths, so that each of the four workers takes several;
-    # the block size is part of the stream layout, so both runs use it
-    monkeypatch.setattr(processes, "_BLOCK_DRAWS", 16)
-    one = {kind: simulate_ensemble(kind, grid, P11, DEP5, 40, master_seed=3, threads=1,
-                                   **opts) for kind in ProcessKind}
-    for kind in ProcessKind:
-        four = simulate_ensemble(kind, grid, P11, DEP5, 40, master_seed=3, threads=4, **opts)
-        assert one[kind].values.tobytes() == four.values.tobytes(), kind
 
 
 def test_ensemble_values_are_held_once():
@@ -465,7 +452,7 @@ def test_ensemble_blocks_follow_the_block_stream_layout(monkeypatch, sampler, ca
         monkeypatch.setattr(processes, "_BLOCK_DRAWS", lanes * plan.width + plan.width - 1)
     assert lanes > 1
     seed, n_paths = 9, min(2 * lanes + 3, 200)
-    ens = simulate_ensemble(kind, grid, params, dep, n_paths, master_seed=seed, threads=2)
+    ens = simulate_ensemble(kind, grid, params, dep, n_paths, master_seed=seed)
     for block in range(-(-n_paths // lanes)):
         draws = _block_reference(kind, grid, params, dep, seed, block, lanes)
         assert draws.shape == (plan.width, lanes)

@@ -1,7 +1,8 @@
 """Property tests: every parameter point the validators accept gives finite,
 nonnegative batch-sampler values (and path and ensemble values) or a
-ParameterError/NumericalError, and ensembles keep their stream contract: a
-longer ensemble extends a shorter one and threads do not change the bytes."""
+ParameterError/NumericalError, ensembles keep their stream contract (a
+longer ensemble extends a shorter one), and --rho and --lambda give the same
+bytes."""
 
 import math
 
@@ -9,7 +10,7 @@ import numpy as np
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st  # noqa: E402
+from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
 from gammaproc import (  # noqa: E402
     CirMethod,
@@ -61,20 +62,18 @@ def test_batch_samplers_give_finite_nonnegative_values_or_refuse(kind, alpha, rh
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @given(alpha=st.floats(1e-3, 1e3), rho=st.floats(1e-6, 1.0 - 1e-6))
-def test_cthin_paths_and_ensembles_are_finite_nonnegative_and_thread_independent(alpha, rho):
+def test_cthin_paths_and_ensembles_are_finite_and_nonnegative(alpha, rho):
     grid = make_uniform_grid(0.0, 0.5, 5)  # 128 lattice steps at 64 per unit
     params, dep, config = GammaParams(alpha, 1.0), Dependence.from_rho(rho), CthinConfig(64)
     path = cthin_path(derive_stream(3, 0), grid, params, dep, config=config)
     with pytest.MonkeyPatch.context() as m:
         m.setattr(processes, "_BLOCK_DRAWS", 2 * grid.n)  # blocks of two paths
-        one, three = (simulate_ensemble(ProcessKind.CONTINUOUSLY_THINNED, grid, params, dep, 6,
-                                        master_seed=3, cthin=config, threads=t)
-                      for t in (1, 3))
-    for values in (path.values, one.values):
+        ens = simulate_ensemble(ProcessKind.CONTINUOUSLY_THINNED, grid, params, dep, 6,
+                                master_seed=3, cthin=config)
+    for values in (path.values, ens.values):
         assert np.all(np.isfinite(values)), (alpha, rho)
         assert np.all(values >= 0.0), (alpha, rho)
-    assert one.values.tobytes() == three.values.tobytes(), (alpha, rho)
-    assert one.values[0].tobytes() == path.values.tobytes(), (alpha, rho)
+    assert ens.values[0].tobytes() == path.values.tobytes(), (alpha, rho)
 
 
 # The eight samplers: every kind, and cir under each method.
@@ -119,15 +118,13 @@ def _points(draw, sampler):
 @given(data=st.data(), sampler=st.sampled_from(list(SAMPLERS)), grid=_grids(),
        lanes=st.sampled_from([1, 2, 3, 7]), extra=st.integers(0, 1 << 10),
        sizes=st.sampled_from([(-1, 0), (0, 1), (-1, 1), (1, "2B+3"), (-1, "2B+3")]))
-def test_ensembles_extend_and_ignore_threads_across_block_edges(data, sampler, grid, lanes,
-                                                                 extra, sizes):
+def test_ensembles_extend_across_block_edges(data, sampler, grid, lanes, extra, sizes):
     kind, opts = SAMPLERS[sampler]
     alpha, rho = data.draw(_points(sampler))
     params, dep = GammaParams(alpha, 1.0), Dependence.from_rho(rho)
 
-    def ensemble(n_paths, threads):
-        return simulate_ensemble(kind, grid, params, dep, n_paths, master_seed=5,
-                                 threads=threads, **opts)
+    def ensemble(n_paths):
+        return simulate_ensemble(kind, grid, params, dep, n_paths, master_seed=5, **opts)
 
     try:
         plan = processes._plan_for_kind(kind, grid, params, dep, opts.get("method"),
@@ -142,23 +139,29 @@ def test_ensembles_extend_and_ignore_threads_across_block_edges(data, sampler, g
     with pytest.MonkeyPatch.context() as m:
         m.setattr(processes, "_BLOCK_DRAWS", block_draws)
         try:
-            short, long, long3 = ensemble(n_short, 1), ensemble(n_long, 1), ensemble(n_long, 3)
+            short, long = ensemble(n_short), ensemble(n_long)
         except (ParameterError, NumericalError):
             return
     assert long.values[:n_short].tobytes() == short.values.tobytes(), (sampler, lanes)
-    assert long3.values.tobytes() == long.values.tobytes(), (sampler, lanes)
     assert np.all(np.isfinite(long.values)), (sampler, alpha, rho)
     if sampler != "cir-euler":  # Euler's full-truncation state may dip below 0
         assert np.all(long.values >= 0.0), (sampler, alpha, rho)
 
 
 @settings(max_examples=30, deadline=None, derandomize=True, database=None)
-@given(process=st.sampled_from([k.cli_name for k in ProcessKind]),
-       lam=st.floats(0.05, 10.0), n=st.sampled_from([1, 2, 3, 17]))
-def test_simulate_rho_and_lambda_spellings_give_the_same_bytes(process, lam, n):
+@given(process=st.sampled_from([k.cli_name for k in ProcessKind]
+                               + ["cir:euler", "cir:squared-ou"]),
+       lam=st.floats(0.05, 10.0), n=st.sampled_from([1, 2, 3, 17]),
+       fmt=st.sampled_from(["csv", "json"]))
+# -log(exp(-0.1)) is not 0.1: Euler reads lambda, and JSON echoes it
+@example(process="cir:euler", lam=0.1, n=3, fmt="csv")
+@example(process="ar1", lam=0.1, n=2, fmt="json")
+def test_simulate_rho_and_lambda_spellings_give_the_same_bytes(process, lam, n, fmt):
     rho = math.exp(-lam)  # the rho that --lambda lam resolves to
+    process, _, method = process.partition(":")
     base = ["simulate", "--process", process, "--n", str(n), "--dt", "0.5", "--paths", "5",
-            "--seed", "3", "--cthin-steps", "64"]
+            "--seed", "3", "--cthin-steps", "64", "--format", fmt,
+            "--cir-method", method or "exact"]
     outputs = []
     for spelling in (["--rho", repr(rho)], ["--lambda", repr(lam)]):
         with pytest.MonkeyPatch.context() as m:
