@@ -6,6 +6,12 @@ logarithm.  Every factor that appears here either has real part exactly 1
 (``1 - i*w/beta``) or never meets the branch cut while ``(s, t)`` ranges over
 the reals, so the principal branch is the unique continuous continuation from
 the value 1 at the origin.
+
+scipy is imported inside the functions that call it (the Bessel series, the
+diffusion transition density, the cthin generator quadrature and the two
+tails), so importing this module, and ``gammaproc`` with it, loads numpy and
+the standard library only.  ``scipy.integrate``, which also loads
+``scipy.optimize``, is imported by the generator quadrature alone.
 """
 
 from __future__ import annotations
@@ -15,8 +21,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy import integrate
-from scipy.special import exp1, gammaincc, gammaln, logsumexp
 
 from .core import (
     Dependence,
@@ -148,6 +152,8 @@ def rm_joint_chf(omegas, grid: TimeGrid, params: GammaParams, dep: Dependence):
 
 
 def _log_bessel_series(q, x, terms):
+    from scipy.special import gammaln, logsumexp
+
     k = np.arange(terms, dtype=float)
     with np.errstate(divide="ignore"):
         logs = (q + 2.0 * k) * math.log(x / 2.0) - gammaln(k + 1.0) - gammaln(q + k + 1.0)
@@ -218,6 +224,8 @@ def cir_transition_density(y, x, params: GammaParams, dep: Dependence, dt):
     dt = float(dt)
     if not (dt > 0.0) or not math.isfinite(dt):
         raise ParameterError(f"dt must be finite and > 0, got {dt!r}")
+    from scipy.special import gammaln
+
     a = params.alpha
     rho_d = dep.rho**dt
     c = params.beta / (1.0 - rho_d)
@@ -316,6 +324,8 @@ class TestFunction:
 
 
 def _quad(f, lo, hi, what):
+    from scipy import integrate
+
     val, err, info, *rest = integrate.quad(
         f, lo, hi, epsabs=1e-11, epsrel=1e-10, limit=200, full_output=1
     )
@@ -393,6 +403,8 @@ def levy_tail(u, params: GammaParams):
     u = float(u)
     if not (u > 0.0) or not math.isfinite(u):
         raise ParameterError(f"threshold u must be finite and > 0, got {u!r}")
+    from scipy.special import exp1
+
     a, b = params.alpha, params.beta
     return LevyTail(
         exact=float(a * exp1(b * u)),
@@ -405,4 +417,6 @@ def gamma_survival(u, params: GammaParams):
     u = float(u)
     if u < 0.0 or not math.isfinite(u):
         raise ParameterError(f"threshold u must be finite and >= 0, got {u!r}")
+    from scipy.special import gammaincc
+
     return float(gammaincc(params.alpha, params.beta * u))

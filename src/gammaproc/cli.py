@@ -42,6 +42,7 @@ from .core import (
     ProcessKind,
     TimeGrid,
     UnsupportedKindError,
+    _require_seed,
     derive_stream,
     make_uniform_grid,
 )
@@ -205,7 +206,7 @@ def _resolve_config(ns, process_name, n_paths, default_n=100):
         dep=_resolve_dep(ns),
         grid=_resolve_grid(ns, default_n),
         n_paths=int(n_paths),
-        seed=int(ns.seed),
+        seed=_require_seed("--seed", ns.seed),
         cir_method=CirMethod.parse(ns.cir_method),
         euler_substeps=int(ns.euler_substeps),
         cthin_steps=int(ns.cthin_steps),
@@ -477,6 +478,9 @@ def _run_check(name, check):
 
 
 def cmd_verify(cfg: RunConfig, suite, omega_axis=None, force_chf_kind=None) -> int:
+    if (suite in ("chf", "all") and cfg.process is not ProcessKind.CONTINUOUSLY_THINNED
+            and cfg.n_paths < 2):
+        raise ParameterError(f"the chf check needs --paths >= 2, got {cfg.n_paths}")
     if omega_axis is None:
         omegas = None
     else:
@@ -520,6 +524,9 @@ def default_omega_triples(beta):
 def cmd_compare(cfg_a: RunConfig, cfg_b: RunConfig, points) -> int:
     if cfg_a.params != cfg_b.params or cfg_a.dep != cfg_b.dep:
         raise ParameterError("compare requires both processes to share parameters")
+    if cfg_a.n_paths < 2 or cfg_b.n_paths < 2:
+        raise ParameterError(
+            f"compare needs --paths >= 2, got {min(cfg_a.n_paths, cfg_b.n_paths)}")
     ens_a = _simulate(cfg_a)
     ens_b = _simulate(cfg_b)
     if points == 3:
@@ -578,12 +585,13 @@ def main(argv=None) -> int:
                               force_chf_kind=ns.debug_force_chf_kind)
         if ns.command == "compare":
             ns.n = ns.points
-            seed_a = ns.seed_a if ns.seed_a is not None else ns.seed
-            seed_b = ns.seed_b if ns.seed_b is not None else ns.seed + 1
             cfg_a = _resolve_config(ns, ns.process_a, ns.paths)
             cfg_b = _resolve_config(ns, ns.process_b, ns.paths)
-            cfg_a = RunConfig(**{**cfg_a.__dict__, "seed": int(seed_a)})
-            cfg_b = RunConfig(**{**cfg_b.__dict__, "seed": int(seed_b), "out": None})
+            seed_a = ns.seed if ns.seed_a is None else ns.seed_a
+            seed_b = ns.seed + 1 if ns.seed_b is None else ns.seed_b
+            cfg_a = RunConfig(**{**cfg_a.__dict__, "seed": _require_seed("--seed-a", seed_a)})
+            cfg_b = RunConfig(**{**cfg_b.__dict__, "seed": _require_seed("--seed-b", seed_b),
+                                 "out": None})
             return cmd_compare(cfg_a, cfg_b, ns.points)
         raise ParameterError(f"unknown command {ns.command!r}")
     except (ParameterError, UnsupportedKindError) as exc:

@@ -53,6 +53,18 @@ def _require_finite_positive(name, value):
     return v
 
 
+def _require_seed(name, value):
+    """``value`` as an int in [0, 2**64), the range of one Philox key word.
+
+    A seed outside it would alias one inside (``-1`` and ``2**64 - 1`` give
+    the same key) and echo a seed that was not used.
+    """
+    v = int(value)
+    if not 0 <= v < 1 << 64:
+        raise ParameterError(f"{name} must be an integer in [0, 2**64), got {value!r}")
+    return v
+
+
 @dataclass(frozen=True)
 class GammaParams:
     """Marginal gamma parameters, shape/rate convention.
@@ -263,16 +275,17 @@ class RandomSource:
     Backed by the counter-based Philox generator with the two identifiers as
     its 64-bit key words, so equal identifiers give the identical word
     sequence on every platform and under any thread schedule, and distinct
-    identifiers give statistically independent streams.
+    identifiers give statistically independent streams.  A master seed
+    outside [0, 2**64) raises ``ParameterError``.
     """
 
     __slots__ = ("master_seed", "stream_index", "gen", "_key", "_fresh_state")
 
     def __init__(self, master_seed, stream_index=0):
-        self.master_seed = int(master_seed)
+        self.master_seed = _require_seed("master_seed", master_seed)
         self.stream_index = int(stream_index)
         self._key = np.array(
-            [self.master_seed & _U64, self.stream_index & _U64], dtype=np.uint64
+            [self.master_seed, self.stream_index & _U64], dtype=np.uint64
         )
         self.gen = np.random.Generator(np.random.Philox(key=self._key))
         zeros = np.zeros(4, dtype=np.uint64)

@@ -484,3 +484,69 @@ def test_seed_sweep_counts_passes_and_errors(monkeypatch, capsys):
     assert sweep.main(["--k", "1"]) == 1
     captured = capsys.readouterr()
     assert "RuntimeError: boom" in captured.err and "exited 2" in captured.err
+
+
+def test_verify_marginal_passes_at_a_shape_whose_draws_underflow(tmp_path):
+    # about 47% of the Ga(1e-3, 1) draws are 0.0, the atom of the rounded law
+    out = tmp_path / "rep.json"
+    assert run(["verify", "--process", "ar1", "--alpha", "1e-3", "--suite", "marginal",
+                "--out", str(out)]) == 0
+    (check,) = json.loads(out.read_text())["checks"]
+    assert check["status"] == "pass" and check["ks_statistic"] < check["ks_critical_1pct"]
+
+
+def _no_sampler(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a sampler ran before the parameters were refused")
+
+    for name in ("simulate_ensemble", "marginal_sample", "_path_for_kind"):
+        monkeypatch.setattr(cli, name, refuse)
+
+
+@pytest.mark.parametrize("argv", [
+    ["compare", "--process-a", "thinned", "--process-b", "rm", "--points", "2"],
+    ["compare", "--process-a", "thinned", "--process-b", "rm", "--points", "3"],
+    ["verify", "--process", "ar1", "--suite", "all"],
+    ["verify", "--process", "cir", "--suite", "chf"],
+])
+@pytest.mark.parametrize("paths", ["1", "0"])
+def test_fewer_than_two_paths_for_a_chf_comparison_exit_2_before_sampling(
+        tmp_path, capsys, monkeypatch, argv, paths):
+    _no_sampler(monkeypatch)
+    out = tmp_path / "out.json"
+    assert run(argv + ["--paths", paths, "--out", str(out)]) == 2
+    assert "--paths >= 2" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_one_path_is_fine_where_no_chf_check_runs(tmp_path):
+    out = tmp_path / "rep.json"
+    for argv in (["--process", "ar1", "--suite", "tail"],
+                 ["--process", "cthin", "--suite", "chf"]):
+        assert run(["verify", *argv, "--paths", "1", "--out", str(out)]) == 0
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--process", "ar1", "--seed", "-1"],
+    ["simulate", "--process", "ar1", "--seed", str(2**64)],
+    ["simulate", "--process", "ar1", "--seed", str(2**70)],
+    ["verify", "--process", "ar1", "--suite", "marginal", "--seed", "-1"],
+    ["compare", "--process-a", "ar1", "--process-b", "rm", "--seed-a", "-1"],
+    ["compare", "--process-a", "ar1", "--process-b", "rm", "--seed-b", str(2**64)],
+    # the default --seed-b is --seed + 1
+    ["compare", "--process-a", "ar1", "--process-b", "rm", "--seed", str(2**64 - 1)],
+])
+def test_seed_outside_the_64_bit_range_exits_2_before_sampling(
+        tmp_path, capsys, monkeypatch, argv):
+    _no_sampler(monkeypatch)
+    out = tmp_path / "out"
+    assert run(argv + ["--out", str(out)]) == 2
+    assert "[0, 2**64)" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_the_largest_seed_is_accepted(tmp_path):
+    out = tmp_path / "out.json"
+    assert run(["simulate", "--process", "ar1", "--n", "5", "--seed", str(2**64 - 1),
+                "--format", "json", "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["config"]["seed"] == 2**64 - 1

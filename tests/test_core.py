@@ -162,3 +162,11 @@ def test_rekey_gives_the_words_of_a_fresh_stream():
         assert (rng.gen.standard_gamma(0.3, size=4).tobytes()
                 == fresh.gen.standard_gamma(0.3, size=4).tobytes())
         rng.gen.integers(0, 1 << 32, dtype=np.uint32)
+
+
+@pytest.mark.parametrize("seed", [-1, 1 << 64, 1 << 70])
+def test_derive_stream_refuses_a_seed_outside_64_bits(seed):
+    # masking it would alias a seed inside the range: -1 to 2**64 - 1, 2**70 to 0
+    with pytest.raises(ParameterError, match=r"\[0, 2\*\*64\)"):
+        derive_stream(seed, 0)
+    assert derive_stream((1 << 64) - 1, 0).master_seed == (1 << 64) - 1

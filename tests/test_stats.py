@@ -16,6 +16,7 @@ from gammaproc import (
     generator_check,
     ks_statistic,
     make_uniform_grid,
+    marginal_sample,
     reversibility_check,
     tail_check,
     thinned_path,
@@ -134,6 +135,35 @@ def test_ks_statistic_handles_values_below_support():
     x = np.concatenate([derive_stream(7, 0).gen.gamma(1.0, 1.0, size=5000), [-1e-3]])
     rep = ks_statistic(x, P11)
     assert np.isfinite(rep.statistic)
+
+
+def test_ks_statistic_keeps_its_bytes_on_a_sample_without_zeros():
+    from scipy import special
+
+    x = np.sort(derive_stream(8, 0).gen.gamma(0.5, 0.5, size=20000))  # Ga(0.5, 2)
+    assert x[0] > 0.0
+    cdf = special.gammainc(0.5, 2.0 * x)
+    i = np.arange(1, x.size + 1)
+    old = max(np.max(i / x.size - cdf), np.max(cdf - (i - 1) / x.size))
+    assert ks_statistic(x[::-1], GammaParams(0.5, 2.0)).statistic == float(old)
+
+
+TINY = GammaParams(1e-3, 1.0)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+@pytest.mark.parametrize("kind", [ProcessKind.AR1, ProcessKind.RANDOM_MEASURE,
+                                  ProcessKind.CHANGE_POINT, ProcessKind.SQUARED_OU])
+def test_ks_statistic_scores_underflowed_zeros_against_the_rounded_law(kind, seed):
+    x = marginal_sample(kind, 100000, TINY, DEP5, master_seed=seed)
+    # a correctly rounded Ga(1e-3, 1) draw is 0.0 with probability F(2^-1075) = 0.4749
+    zeros = np.flatnonzero(x == 0.0)
+    assert 0.46 < zeros.size / x.size < 0.49
+    rep = ks_statistic(x, TINY)
+    assert rep.passed, rep
+    # power control: 3% of the zeros moved to the smallest double must fail
+    x[zeros[: int(0.03 * zeros.size)]] = 2.0**-1074
+    assert not ks_statistic(x, TINY).passed
 
 
 def test_ks_statistic_needs_enough_data():
