@@ -54,6 +54,7 @@ from .processes import (
     simulate_ensemble,
 )
 from .stats import (
+    _acf_batch_len,
     chf_gof,
     default_omega_axis,
     default_omega_pairs,
@@ -62,7 +63,6 @@ from .stats import (
     generator_check,
     ks_statistic,
     tail_check,
-    triplet_discrimination,
     two_sample_chf,
 )
 
@@ -157,11 +157,6 @@ def build_parser():
     ver.add_argument("--omega-grid", type=str, default=None,
                      help="comma-separated frequency axis replacing the default "
                      "{+-0.25,+-0.5,+-1,+-2}/beta")
-    # Deliberately undocumented: evaluates the named kind's pair-chf formula
-    # against the simulated process, to demonstrate that a mismatched formula
-    # is detected (exit 1).
-    ver.add_argument("--debug-force-chf-kind", type=str, default=None,
-                     help=argparse.SUPPRESS)
 
     cmp_ = sub.add_parser("compare", help="two-sample chf comparison of two processes")
     _add_common(cmp_, with_process=False)
@@ -348,16 +343,22 @@ def _subseed(cfg: RunConfig, salt):
     """Per-check master seed: mixes the user seed with the process and check.
 
     Distinct checks (and distinct processes at the same --seed) get distinct,
-    reproducible streams instead of all reading the head of one stream.
+    reproducible streams instead of all reading the head of one stream.  The
+    result is taken mod 2**64, the range of a seed; 1000003 is odd, so
+    distinct seeds give distinct subseeds for each check.
     """
     kind_index = list(ProcessKind).index(cfg.process)
-    return (cfg.seed * 1000003 + kind_index * 101 + salt) & ((1 << 63) - 1)
+    return (cfg.seed * 1000003 + kind_index * 101 + salt) & ((1 << 64) - 1)
+
+
+def _first_gap(cfg: RunConfig):
+    """The gap the checks use: the grid's first gap, or 1 on a one-point grid."""
+    return float(cfg.grid.gaps[0]) if cfg.grid.n > 1 else 1.0
 
 
 def _check_marginal(cfg: RunConfig):
     x = marginal_sample(
-        cfg.process, 100000, cfg.params, cfg.dep, _subseed(cfg, 1),
-        gap=float(cfg.grid.gaps[0]) if cfg.grid.n > 1 else 1.0,
+        cfg.process, 100000, cfg.params, cfg.dep, _subseed(cfg, 1), gap=_first_gap(cfg),
         method=cfg.cir_method, cthin=CthinConfig(cfg.cthin_steps),
         substeps=cfg.euler_substeps,
     )
@@ -378,14 +379,29 @@ def _check_marginal(cfg: RunConfig):
     }
 
 
+def _acf_grid(cfg: RunConfig):
+    """The acf check's path grid, 1e5 steps of the first gap, and its last lag.
+
+    The path must hold two batches of ``_acf_batch_len`` steps at the last
+    lag, 5, which fails when lambda * dt is below about 1e-3: that is refused
+    here, so ``cmd_verify`` can refuse it before anything is sampled.
+    """
+    n_steps, max_lag, dt = 100000, 5, _first_gap(cfg)
+    batch_len = _acf_batch_len(cfg.dep.lam, dt)
+    if (n_steps - max_lag) // batch_len < 2:
+        raise ParameterError(
+            f"the acf check needs lambda*dt >= about 1e-3, got {cfg.dep.lam * dt:.3g}: its "
+            f"{n_steps}-step path cannot hold two batches of ceil(50/(lambda*dt)) = "
+            f"{batch_len} steps at lag {max_lag}")
+    return make_uniform_grid(0.0, dt, n_steps), max_lag
+
+
 def _check_acf(cfg: RunConfig):
-    n_steps = 100000
-    grid = make_uniform_grid(0.0, float(cfg.grid.gaps[0]) if cfg.grid.n > 1 else 1.0,
-                             n_steps)
+    grid, max_lag = _acf_grid(cfg)
     path = _path_for_kind(cfg.process, derive_stream(_subseed(cfg, 2), 0), grid,
                           cfg.params, cfg.dep, cfg.cir_method, cfg.euler_substeps,
                           CthinConfig(cfg.cthin_steps))
-    rep = empirical_acf(path, cfg.dep, max_lag=5)
+    rep = empirical_acf(path, cfg.dep, max_lag=max_lag)
     z = np.abs(rep.estimates - rep.target) / rep.standard_errors
     ok = bool(np.all(z <= _NSIG))
     return {
@@ -400,32 +416,26 @@ def _check_acf(cfg: RunConfig):
     }
 
 
-def _check_chf(cfg: RunConfig, omegas, force_kind):
+def _check_chf(cfg: RunConfig, omegas):
     if cfg.process is ProcessKind.CONTINUOUSLY_THINNED:
         return {
             "name": "chf",
             "status": "skipped",
             "reason": "no closed-form pair chf for the continuously-thinned process",
         }
-    grid = make_uniform_grid(0.0, float(cfg.grid.gaps[0]) if cfg.grid.n > 1 else 1.0, 2)
+    grid = make_uniform_grid(0.0, _first_gap(cfg), 2)
     cfg2 = RunConfig(**{**cfg.__dict__, "grid": grid, "seed": _subseed(cfg, 3)})
-    ens = _simulate(cfg2)
-    if force_kind is not None:
-        forced = ProcessKind.parse(force_kind)
-        ens = Ensemble(grid=ens.grid, kind=forced, values=ens.values,
-                       master_seed=ens.master_seed)
-    comp = chf_gof(ens, cfg.params, cfg.dep, omegas=omegas, lag=1)
+    comp = chf_gof(_simulate(cfg2), cfg.params, cfg.dep, omegas=omegas, lag=1)
     ok = comp.max_z <= _NSIG
-    out = {
+    return {
         "name": "chf",
         "status": "pass" if ok else "fail",
-        "formula_kind": ens.kind.cli_name,
+        "formula_kind": cfg.process.cli_name,
         "n_pairs": comp.n,
         "n_omegas": int(comp.omegas.shape[0]),
         "max_z": comp.max_z,
         "worst_omega": comp.argmax_omega,
     }
-    return out
 
 
 def _check_generator(cfg: RunConfig):
@@ -477,10 +487,12 @@ def _run_check(name, check):
         return {"name": name, "status": "error", "reason": str(exc)}
 
 
-def cmd_verify(cfg: RunConfig, suite, omega_axis=None, force_chf_kind=None) -> int:
+def cmd_verify(cfg: RunConfig, suite, omega_axis=None) -> int:
     if (suite in ("chf", "all") and cfg.process is not ProcessKind.CONTINUOUSLY_THINNED
             and cfg.n_paths < 2):
         raise ParameterError(f"the chf check needs --paths >= 2, got {cfg.n_paths}")
+    if suite in ("acf", "all"):
+        _acf_grid(cfg)  # refuses a path too short for the acf check's batches
     if omega_axis is None:
         omegas = None
     else:
@@ -490,7 +502,7 @@ def cmd_verify(cfg: RunConfig, suite, omega_axis=None, force_chf_kind=None) -> i
     runs = [
         ("marginal", lambda: _check_marginal(cfg)),
         ("acf", lambda: _check_acf(cfg)),
-        ("chf", lambda: _check_chf(cfg, omegas, force_chf_kind)),
+        ("chf", lambda: _check_chf(cfg, omegas)),
         ("generator", lambda: _check_generator(cfg)),
         ("tail", lambda: _check_tail(cfg)),
     ]
@@ -529,15 +541,8 @@ def cmd_compare(cfg_a: RunConfig, cfg_b: RunConfig, points) -> int:
             f"compare needs --paths >= 2, got {min(cfg_a.n_paths, cfg_b.n_paths)}")
     ens_a = _simulate(cfg_a)
     ens_b = _simulate(cfg_b)
-    if points == 3:
-        omegas = default_omega_triples(cfg_a.params.beta)
-        rep = triplet_discrimination(ens_a, ens_b, omegas)
-        z = rep.z_scores
-        worst = rep.argmax_omega
-    else:
-        omegas = default_omega_pairs(cfg_a.params.beta)
-        z = two_sample_chf(ens_a.values[:, :2], ens_b.values[:, :2], omegas)[0]
-        worst = omegas[int(np.argmax(z))]
+    omegas = (default_omega_triples if points == 3 else default_omega_pairs)(cfg_a.params.beta)
+    z = two_sample_chf(ens_a.values[:, :points], ens_b.values[:, :points], omegas)[0]
     report = {
         "config_a": cfg_a.echo(),
         "config_b": cfg_b.echo(),
@@ -545,7 +550,7 @@ def cmd_compare(cfg_a: RunConfig, cfg_b: RunConfig, points) -> int:
         "omegas": omegas,
         "z_scores": z,
         "max_z": float(np.max(z)),
-        "argmax_omega": worst,
+        "argmax_omega": omegas[int(np.argmax(z))],
     }
     _write_text(cfg_a.out, [_dump_json(report)])
     return 0
@@ -581,8 +586,7 @@ def main(argv=None) -> int:
         if ns.command == "verify":
             cfg = _resolve_config(ns, ns.process, ns.paths, default_n=2)
             axis = None if ns.omega_grid is None else _parse_omega_grid(ns.omega_grid)
-            return cmd_verify(cfg, ns.suite, omega_axis=axis,
-                              force_chf_kind=ns.debug_force_chf_kind)
+            return cmd_verify(cfg, ns.suite, omega_axis=axis)
         if ns.command == "compare":
             ns.n = ns.points
             cfg_a = _resolve_config(ns, ns.process_a, ns.paths)

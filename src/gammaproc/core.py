@@ -234,12 +234,11 @@ class Ensemble:
 
     ``values[m, k]`` is path ``m`` at grid time ``k``.  Path ``m`` is a pure
     function of ``(master_seed, m)``, regardless of how many other paths
-    exist.  ``simulate_ensemble`` draws the ar1, thinned, rm and changepoint
-    paths in blocks of ``B``, block ``m // B`` from the stream
-    ``derive_stream(master_seed, m // B)``, and every other path ``m`` (and
-    these four when ``B == 1``) from ``derive_stream(master_seed, m)``.
-    ``values`` is held read-only, as in ``SamplePath``: a read-only float64
-    array is not copied.
+    exist: ``simulate_ensemble`` draws the paths in blocks of ``B``, path
+    ``m`` from the block at the head of ``derive_stream(master_seed, m // B)``,
+    with a per-kind ``B`` (1 for the kinds that simulate whole paths; see
+    ``processes``).  ``values`` is held read-only, as in ``SamplePath``: a
+    read-only float64 array is not copied.
     """
 
     grid: TimeGrid

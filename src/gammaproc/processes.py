@@ -9,18 +9,20 @@ Reproducibility contract
 Each path operation consumes draws from its ``RandomSource`` in a fixed,
 documented order, so a path is a deterministic function of the stream.  In
 ``simulate_ensemble`` path ``m`` is a function of ``(master_seed, m)`` alone,
-independent of how many paths are simulated:
+independent of how many paths are simulated: paths run in blocks of ``B``,
+and path ``m`` is lane ``m % B`` of the block drawn from the head of
+``derive_stream(master_seed, m // B)``, in the path operation's stream
+layout with every draw taken for all ``B`` lanes at once.  ``B`` depends on
+the kind:
 
-* ar1, thinned, rm and changepoint (the plans with a ``width`` of raw draws
-  per path) draw a block of ``B = max(1, _BLOCK_DRAWS // width)`` paths from
-  one stream, ``derive_stream(master_seed, m // B)``: the path operation's
-  stream layout, with every draw taken for all ``B`` lanes of the block at
-  once, and path ``m`` the block's lane ``m % B``.  When ``B == 1`` (a path
-  of more than ``_BLOCK_DRAWS`` draws, or an rm path too long to plan) path
-  ``m`` is ``<kind>_path(derive_stream(master_seed, m))``, byte for byte.
-* exact cir, Euler, squared-OU and cthin simulate each path whole, and
-  path ``m`` is ``<kind>_path(derive_stream(master_seed, m))``, byte for
-  byte.
+* ``max(1, _BLOCK_DRAWS // width)`` for the plans with a ``width`` of raw
+  draws per path: ar1, thinned, changepoint and rm (up to ``_PLAN_CELLS``
+  cells);
+* 1 for the plans that simulate whole paths: exact cir, Euler, squared-OU,
+  cthin and rm past ``_PLAN_CELLS`` cells.
+
+When ``B == 1`` path ``m`` is ``<kind>_path(derive_stream(master_seed, m))``,
+byte for byte.
 
 Plan, draw, build
 -----------------
@@ -39,20 +41,24 @@ Paths and ensembles run on one engine, in three steps:
 * **build**: a block of paths' draws becomes values, vectorized across the
   block; recursions stay fl(rho * x + zeta) element by element.
 
-A path operation is the one-lane case of the same plan, draw and build.
-Exact cir draws each step from the state, so it has no separate draw step;
-it, Euler, squared-OU and cthin simulate whole paths one at a time inside
-their plans.
+An ensemble re-keys one stream to each block in turn and keeps the block's
+first rows; a path operation is the one-lane block.  Exact cir draws each
+step from the state, so it has no separate draw step; it, Euler, squared-OU
+and cthin simulate their one-lane blocks whole inside their plans.
 
 The ``*_sample`` batch helpers at the bottom draw i.i.d. copies of small
 marginal/pair/triplet configurations from a *single* stream, as a vector of
 lanes.  They exist because statistical verification needs 10^5 - 10^6
 independent replicates, for which per-path stream setup dominates runtime.
-Each gap of ar1, thinned, changepoint, exact cir and each cthin lattice step
-is one call of ``_lane_step``, the only lane copy of those updates (the
-stats generator check calls it too); rm, squared-OU and Euler keep their own
-constructions.  Each helper documents why its construction has exactly the
-law of the corresponding path operation restricted to those times.
+They share one body (``_batch_start`` and ``_batch_rows``): each gap of ar1,
+thinned, changepoint, exact cir and each cthin lattice step is one call of
+``_lane_step``, the only lane dispatch on kind (the stats generator check
+calls it too), and rm sums the cells of a small tent partition.  The exact
+cir transition (``_cir_exact_step``) and cthin's kept fraction
+(``_cthin_kept``) are each written once, for the path plans and the lanes
+alike; squared-OU and Euler keep their own marginal loops.  Each helper
+documents why its construction has exactly the law of the corresponding
+path operation restricted to those times.
 """
 
 from __future__ import annotations
@@ -184,13 +190,13 @@ def _require_positive_int(name, value):
 
 # -- the engine: plan once, draw per block, build across paths ----------------
 
-# Draws (or values, for whole-path plans) held per block of paths: 64 KiB, so
-# block buffers stay below glibc's default mmap threshold.  Freeing larger
-# ones raises that threshold, which moved later arrays onto the heap and kept
-# them resident.  A path whose draws alone exceed it runs as a block of one.
-# Part of the stream layout: a plan with a width draws its block of
-# max(1, _BLOCK_DRAWS // width) paths from one stream, so changing this
-# changes the ensemble values of ar1, thinned, rm and changepoint.
+# Raw draws held per block of paths: 64 KiB, so block buffers stay below
+# glibc's default mmap threshold.  Freeing larger ones raises that threshold,
+# which moved later arrays onto the heap and kept them resident.  Part of the
+# stream layout: a plan with a width draws blocks of
+# B = max(1, _BLOCK_DRAWS // width) paths, each from one stream, so changing
+# this changes the ensemble values of ar1, thinned, rm and changepoint.
+# Whole-path plans have no width and run blocks of one.
 _BLOCK_DRAWS = 1 << 13
 # numpy validates array arguments in Python (about 9 us a call), scalar ones
 # in C (about 1 us): up to this many scalar calls beat one array call.
@@ -273,13 +279,16 @@ def _affine_recursion(a, z, x0):
 class _Plan:
     """Everything a kind's paths share on one (grid, params, dep), computed once.
 
-    A plan with a ``width`` splits a path in two steps: ``draw(gen, out)``
-    takes the ``width`` raw draws of each of ``out.shape[1]`` lanes off
-    ``gen`` into the rows of ``out``, run by run in the documented stream
-    order, and ``build(draws)`` turns a block of rows (one per path) into
-    values, vectorized across the block.  A path operation is the one-lane
-    case.  A plan whose ``width`` is None simulates one whole path at a time
-    in ``values(gen)``.
+    ``block(gen, lanes)`` gives the values of ``lanes`` paths, one row each,
+    from the head of ``gen``: an ensemble draws blocks of
+    ``max(1, _BLOCK_DRAWS // width)`` paths, or of one without a width, and
+    a path operation is the one-lane block.  A plan with a
+    ``width`` splits a block in two steps: ``draw(gen, out)`` takes the
+    ``width`` raw draws of each of ``out.shape[1]`` lanes off ``gen`` into
+    the rows of ``out``, run by run in the documented stream order, and
+    ``build(draws)`` turns the block's rows (one per path) into values,
+    vectorized across the block.  A plan whose ``width`` is None simulates
+    one whole path in ``values(gen)``, and its blocks hold one lane.
     """
 
     width = None
@@ -289,32 +298,15 @@ class _Plan:
         self.kind = kind
         self.n = grid.n
 
-    def values(self, gen):
-        """The values of one path drawn from the head of ``gen``."""
-        draws = np.empty((self.width, 1))
+    def block(self, gen, lanes):
+        if self.width is None:
+            return self.values(gen)[None]
+        draws = np.empty((self.width, lanes))
         self.draw(gen, draws)
-        return self.build(draws.T)[0]
+        return self.build(draws.T)
 
     def path(self, rng: RandomSource) -> SamplePath:
-        return SamplePath(self.grid, self.values(rng.gen), self.kind)
-
-    def block(self, rng: RandomSource, start, stop, lanes):
-        """Values of paths ``start..stop-1``, which begin block ``start // lanes``.
-
-        A plan with a width re-keys ``rng`` to the block and draws all
-        ``lanes`` lanes, however many of them are kept; a whole-path plan
-        re-keys it to each path.
-        """
-        if self.width is None:
-            out = np.empty((stop - start, self.n))
-            for i, m in enumerate(range(start, stop)):
-                rng.rekey(m)
-                out[i] = self.values(rng.gen)
-            return out
-        rng.rekey(start // lanes)
-        draws = np.empty((self.width, lanes))
-        self.draw(rng.gen, draws)
-        return self.build(draws.T[: stop - start])
+        return SamplePath(self.grid, self.block(rng.gen, 1)[0], self.kind)
 
 
 def _ladder_odds(rho_g):
@@ -444,8 +436,7 @@ class _RandomMeasurePlan(_Plan):
         return values
 
     def values(self, gen):
-        if self.width is not None:
-            return super().values(gen)
+        """One path of more than ``_PLAN_CELLS`` cells, drawn and added up a diagonal at a time."""
         values = np.zeros((1, self.n))
         for d, shapes in enumerate(self._diagonal_shapes()):
             self._add_diagonal(values, d, gen.standard_gamma(shapes)[None] * self.inv_beta)
@@ -512,13 +503,19 @@ def _cir_rate(b, r):
 _CIR_MEAN = "exact cir transition: the Poisson mean c * x * rho_g"
 
 
-class _CirExactPlan(_Plan):
-    """Exact CIR transitions gap by gap: K ~ Po(c x rho_d), X' ~ Ga(alpha + K, c).
+def _cir_exact_step(gen, x, a, c, r):
+    """The exact cir transition from x at gap correlation r: Ga(a + Po(c x r), c).
 
-    The one-lane form of ``_lane_step``'s exact transition, with
-    c = beta / (1 - rho_d): each step is one scalar Poisson and one scalar
-    gamma call.
+    c = b / (1 - r) (``_cir_rate``); this is the noncentral-chi-square form
+    of the kernel.  ``x`` is a Python float (one path, one scalar Poisson
+    and one scalar gamma call) or an array of lanes, whose shape the draws
+    take.
     """
+    return gen.gamma(a + _poisson_counts(gen, c * x * r, _CIR_MEAN), 1.0 / c)
+
+
+class _CirExactPlan(_Plan):
+    """Exact CIR transitions gap by gap (``_cir_exact_step`` on Python floats)."""
 
     def __init__(self, grid, params, dep):
         super().__init__(grid, ProcessKind.SQUARED_OU)
@@ -535,7 +532,7 @@ class _CirExactPlan(_Plan):
         out = np.empty(self.n)
         x = out[0] = gen.gamma(a, 1.0 / self.beta)
         for k, (rho_d, c) in enumerate(_as_floats(self.rho_d, self.c), 1):
-            x = out[k] = gen.gamma(a + _poisson_counts(gen, c * x * rho_d, _CIR_MEAN), 1.0 / c)
+            x = out[k] = _cir_exact_step(gen, x, a, c, rho_d)
         return out
 
 
@@ -722,6 +719,22 @@ def _exact_segments(a, z, vals):
         _float_recursion(a[lo:hi], z[lo:hi], float(x[i]), res[lo:hi])
 
 
+def _cthin_kept(g1, s, p, live):
+    """cthin's kept fraction 1 - b, b = g1 / (g1 + s) ~ Be(a p, a q), written into ``g1``.
+
+    ``g1`` and ``s`` hold the beta-stage standard gammas of shapes a p and
+    a q.  Where both underflow to 0 the ratio is 0/0 and the thinning is p,
+    its mean.  ``s`` is left holding g1 + s and ``live`` (a boolean buffer
+    of the same size) the underflow mask.
+    """
+    np.add(g1, s, out=s)
+    np.greater(s, 0.0, out=live)
+    np.divide(g1, s, out=g1, where=live)
+    np.logical_not(live, out=live)
+    np.copyto(g1, p, where=live)
+    return np.subtract(1.0, g1, out=g1)
+
+
 class _CthinPlan(_Plan):
     """Continuously-thinned lattice steps, recorded at the grid times (see ``cthin_path``)."""
 
@@ -754,13 +767,7 @@ class _CthinPlan(_Plan):
             # gamma(shape, scale) is scale * standard_gamma(shape), bit for bit
             gen.standard_gamma(a * p, out=g1)
             gen.standard_gamma(a * q, out=s)
-            np.add(g1, s, out=s)
-            # thin = g1 / s, or p where both gammas underflowed to 0; g1 becomes 1 - thin
-            np.greater(s, 0.0, out=live)
-            np.divide(g1, s, out=g1, where=live)
-            np.logical_not(live, out=live)
-            np.copyto(g1, p, where=live)
-            np.subtract(1.0, g1, out=g1)
+            _cthin_kept(g1, s, p, live)
             gen.standard_gamma(a * p, out=zeta)
             zeta *= 1.0 / b
             out = _affine_scan_blocks(g1, zeta, x, out=buf[:k])
@@ -914,23 +921,24 @@ def simulate_ensemble(
 ) -> Ensemble:
     """Simulate ``n_paths`` independent paths; path m depends on (master_seed, m) alone.
 
-    Paths run in blocks of ``B`` consecutive indices.  ar1, thinned, rm and
-    changepoint draw block ``j`` (paths ``j*B .. j*B + B - 1``, all ``B`` of
-    them even past ``n_paths``) from the stream (master_seed, j), with
-    ``B = max(1, _BLOCK_DRAWS // width)`` for a path of ``width`` draws; the
-    other plans draw path ``m`` from the stream (master_seed, m).  One stream
-    is re-keyed to each block (or path) in turn, so the output does not
-    depend on ``n_paths`` itself: a longer run extends a shorter one path for
-    path.
+    Paths run in blocks of ``B`` consecutive indices: block ``j`` (paths
+    ``j*B .. j*B + B - 1``, all ``B`` of them drawn even past ``n_paths``)
+    comes from the head of the stream (master_seed, j).  ``B`` is
+    ``max(1, _BLOCK_DRAWS // width)`` for a plan with a ``width`` of draws
+    per path (ar1, thinned, changepoint, rm up to ``_PLAN_CELLS`` cells) and
+    1 for a whole-path plan (exact cir, Euler, squared-OU, cthin, longer rm).
+    One stream is re-keyed to each block in turn and the block's first rows
+    are kept, so the output does not depend on ``n_paths`` itself: a longer
+    run extends a shorter one path for path.
     """
     n_paths = _require_positive_int("n_paths", n_paths)
     plan = _plan_for_kind(kind, grid, params, dep, method, substeps, cthin)
     values = np.empty((n_paths, grid.n))
-    lanes = max(1, _BLOCK_DRAWS // (plan.width or grid.n))
+    lanes = max(1, _BLOCK_DRAWS // plan.width) if plan.width else 1
     rng = derive_stream(master_seed, 0)
     for start in range(0, n_paths, lanes):
-        stop = min(start + lanes, n_paths)
-        values[start:stop] = plan.block(rng, start, stop, lanes)
+        rng.rekey(start // lanes)
+        values[start : start + lanes] = plan.block(rng.gen, lanes)[: n_paths - start]
     values.setflags(write=False)  # so Ensemble holds it without a copy
     return Ensemble(grid=grid, kind=kind, values=values, master_seed=int(master_seed))
 
@@ -962,10 +970,9 @@ def _lane_step(kind, g, x, a, b, r):
     * thinned: X' = B X + Ga(a (1-r), b) with B ~ Be(a r, a (1-r)), the beta
       drawn as the gamma ratio g1 / (g1 + g2);
     * changepoint: keep X with probability r, else a fresh Ga(a, b);
-    * cir (exact transition): with c = b / (1-r), K ~ Po(c X r) and
-      X' ~ Ga(a + K, c), the noncentral-chi-square form of the kernel;
-    * cthin: X' = (1 - b_k) X + Ga(a p, b), b_k ~ Be(a p, a r), p = 1 - r; the
-      thinning is p where both beta-stage gammas underflow to 0.
+    * cir: the exact transition ``_cir_exact_step``;
+    * cthin: X' = (1 - b_k) X + Ga(a p, b), b_k ~ Be(a p, a r), p = 1 - r,
+      with the kept fraction 1 - b_k from ``_cthin_kept``.
     """
     n = x.size
     if kind is ProcessKind.AR1:
@@ -979,16 +986,13 @@ def _lane_step(kind, g, x, a, b, r):
         fresh = g.gamma(a, 1.0 / b, size=n)
         return np.where(keep, x, fresh)
     if kind is ProcessKind.SQUARED_OU:
-        c = _cir_rate(b, r)
-        k = _poisson_counts(g, c * x * r, _CIR_MEAN)
-        return g.gamma(a + k, 1.0 / c, size=n)
+        return _cir_exact_step(g, x, a, _cir_rate(b, r), r)
     if kind is ProcessKind.CONTINUOUSLY_THINNED:
         p = 1.0 - r
         g1 = g.gamma(a * p, 1.0, size=n)
         g2 = g.gamma(a * r, 1.0, size=n)
-        s = g1 + g2
-        thin = np.where(s > 0.0, g1 / np.where(s > 0.0, s, 1.0), p)
-        return (1.0 - thin) * x + g.gamma(a * p, 1.0 / b, size=n)
+        kept = _cthin_kept(g1, g2, p, np.empty(n, dtype=bool))
+        return kept * x + g.gamma(a * p, 1.0 / b, size=n)
     raise UnsupportedKindError(f"no lane update for kind {kind!r}")
 
 
@@ -1002,17 +1006,56 @@ def walker_sample(n, params: GammaParams, rho_step, master_seed):
     return _ar1_innovations(g, params.alpha, params.beta, rho, n)
 
 
-def _rm_triplet_shapes(rho_g):
-    """Partition shapes for the three-point uniform grid [0, d, 2d]."""
-    r = rho_g
+def _rm_cells(r, rows):
+    """rm's batch layout for the returned ``rows``: ((i, j), mass) cells in draw order.
+
+    The tent partition of [0, gap] (rows 0 and 1) or of [0, gap, 2 gap]
+    (rows 0, 1 and 2) at gap correlation r; a marginal (row 2) draws only
+    the three-point cells that cover 2 gap.  Cell (i, j) is one
+    Ga(alpha mass, beta) variable in every row from i to j.
+    """
     return {
-        (0, 0): 1.0 - r,
-        (1, 1): (1.0 - r) ** 2,
-        (2, 2): 1.0 - r,
-        (0, 1): r - r * r,
-        (1, 2): r - r * r,
-        (0, 2): r * r,
-    }
+        (2,): (((2, 2), 1.0 - r), ((1, 2), r - r * r), ((0, 2), r * r)),
+        (0, 1): (((0, 1), r), ((0, 0), 1.0 - r), ((1, 1), 1.0 - r)),
+        (0, 1, 2): (((0, 0), 1.0 - r), ((1, 1), (1.0 - r) ** 2), ((2, 2), 1.0 - r),
+                    ((0, 1), r - r * r), ((1, 2), r - r * r), ((0, 2), r * r)),
+    }[rows]
+
+
+def _batch_start(n, params, dep, master_seed, gap):
+    """The batch samplers' shared start: (n, gap, generator, alpha, beta, rho**gap).
+
+    ``n`` must be a positive integer and ``gap`` finite and positive; every
+    sampler draws from the head of the stream (master_seed, 0).
+    """
+    n = _require_positive_int("n", n)
+    gap = _require_finite_positive("gap", gap)
+    g = derive_stream(master_seed, 0).gen
+    return n, gap, g, params.alpha, params.beta, dep.rho**gap
+
+
+def _batch_rows(kind, g, a, b, r, n, rows):
+    """The rows ``rows`` of X_0, X_1, ... for n i.i.d. lanes, one gap (correlation r) apart.
+
+    rm adds up the cells of ``_rm_cells``, each row its cells in draw
+    order.  Every other kind starts from X_0 ~ Ga(a, b) and takes one
+    ``_lane_step`` per gap, up to row ``rows[-1]``.
+    """
+    if kind is ProcessKind.RANDOM_MEASURE:
+        out = np.zeros((len(rows), n))
+        for (i, j), mass in _rm_cells(r, rows):
+            cell = g.gamma(a * mass, 1.0 / b, size=n)
+            for row, k in zip(out, rows):
+                if i <= k <= j:
+                    row += cell
+        return list(out)
+    x, out = g.gamma(a, 1.0 / b, size=n), []
+    for k in range(rows[-1] + 1):
+        if k:
+            x = _lane_step(kind, g, x, a, b, r)
+        if k in rows:
+            out.append(x)
+    return out
 
 
 def marginal_sample(
@@ -1036,17 +1079,7 @@ def marginal_sample(
     of ``euler_burn`` autocorrelation times), so a lane value has exactly the
     law of a path value at that time.  ``gap`` must be finite and positive.
     """
-    n = _require_positive_int("n", n)
-    gap = _require_finite_positive("gap", gap)
-    g = derive_stream(master_seed, 0).gen
-    a, b = params.alpha, params.beta
-    rho_g = dep.rho**gap
-    if kind is ProcessKind.RANDOM_MEASURE:
-        shapes = _rm_triplet_shapes(rho_g)
-        x = np.zeros(n)
-        for block in [(2, 2), (1, 2), (0, 2)]:  # blocks containing the last time
-            x += g.gamma(a * shapes[block], 1.0 / b, size=n)
-        return x
+    n, gap, g, a, b, rho_g = _batch_start(n, params, dep, master_seed, gap)
     if kind is ProcessKind.SQUARED_OU and method is not CirMethod.EXACT:
         if method is CirMethod.SQUARED_OU:
             j = _squared_ou_coordinates(a)
@@ -1073,10 +1106,7 @@ def marginal_sample(
     if kind is ProcessKind.CONTINUOUSLY_THINNED:
         steps = int(round(0.25 * cthin.steps_per_unit))
         r = dep.rho ** (1.0 / cthin.steps_per_unit)
-    x = g.gamma(a, 1.0 / b, size=n)
-    for _ in range(steps):
-        x = _lane_step(kind, g, x, a, b, r)
-    return x
+    return _batch_rows(kind, g, a, b, r, n, (steps,))[0]
 
 
 def pair_sample(kind: ProcessKind, n, params: GammaParams, dep: Dependence, master_seed, gap=1.0):
@@ -1087,22 +1117,12 @@ def pair_sample(kind: ProcessKind, n, params: GammaParams, dep: Dependence, mast
     pair is assembled from its 3-block two-point partition (shared block
     Ga(alpha rho_g, beta) plus two private Ga(alpha (1-rho_g), beta) blocks).
     """
-    n = _require_positive_int("n", n)
-    gap = _require_finite_positive("gap", gap)
-    g = derive_stream(master_seed, 0).gen
-    a, b = params.alpha, params.beta
-    rho_g = dep.rho**gap
-    if kind is ProcessKind.RANDOM_MEASURE:
-        shared = g.gamma(a * rho_g, 1.0 / b, size=n)
-        own0 = g.gamma(a * (1.0 - rho_g), 1.0 / b, size=n)
-        own1 = g.gamma(a * (1.0 - rho_g), 1.0 / b, size=n)
-        return shared + own0, shared + own1
+    n, _, g, a, b, rho_g = _batch_start(n, params, dep, master_seed, gap)
     if kind is ProcessKind.CONTINUOUSLY_THINNED:
         raise UnsupportedKindError(
             f"no closed-form pair comparison (and no pair sampler) for kind {kind!r}"
         )
-    x0 = g.gamma(a, 1.0 / b, size=n)
-    return x0, _lane_step(kind, g, x0, a, b, rho_g)
+    return tuple(_batch_rows(kind, g, a, b, rho_g, n, (0, 1)))
 
 
 def triplet_sample(kind: ProcessKind, n, params: GammaParams, dep: Dependence, master_seed, gap=1.0):
@@ -1111,26 +1131,9 @@ def triplet_sample(kind: ProcessKind, n, params: GammaParams, dep: Dependence, m
     These two kinds share all pair laws; their joint laws first differ at
     three points, which is what this sampler exists to expose.
     """
-    n = _require_positive_int("n", n)
-    gap = _require_finite_positive("gap", gap)
-    g = derive_stream(master_seed, 0).gen
-    a, b = params.alpha, params.beta
-    rho_g = dep.rho**gap
-    out = np.empty((3, n))
-    if kind is ProcessKind.THINNED:
-        out[0] = g.gamma(a, 1.0 / b, size=n)
-        for step in (1, 2):
-            out[step] = _lane_step(kind, g, out[step - 1], a, b, rho_g)
-        return out
-    if kind is ProcessKind.RANDOM_MEASURE:
-        shapes = _rm_triplet_shapes(rho_g)
-        cells = {
-            block: g.gamma(a * shape, 1.0 / b, size=n) for block, shape in shapes.items()
-        }
-        out[0] = cells[(0, 0)] + cells[(0, 1)] + cells[(0, 2)]
-        out[1] = cells[(1, 1)] + cells[(0, 1)] + cells[(1, 2)] + cells[(0, 2)]
-        out[2] = cells[(2, 2)] + cells[(1, 2)] + cells[(0, 2)]
-        return out
-    raise UnsupportedKindError(
-        f"triplet comparison is defined for the thinned/random-measure pair, not {kind!r}"
-    )
+    n, _, g, a, b, rho_g = _batch_start(n, params, dep, master_seed, gap)
+    if kind not in (ProcessKind.THINNED, ProcessKind.RANDOM_MEASURE):
+        raise UnsupportedKindError(
+            f"triplet comparison is defined for the thinned/random-measure pair, not {kind!r}"
+        )
+    return np.array(_batch_rows(kind, g, a, b, rho_g, n, (0, 1, 2)))

@@ -122,6 +122,11 @@ class AcfReport:
         return float(np.max(np.abs(self.estimates - self.target) / self.standard_errors))
 
 
+def _acf_batch_len(lam, dt):
+    """``empirical_acf``'s batch length on a grid of step dt: ceil(50 / (lam dt)), at least 1."""
+    return max(int(np.ceil(50.0 / (lam * dt))), 1)
+
+
 def empirical_acf(path: SamplePath, dep: Dependence, max_lag) -> AcfReport:
     """Stationary ACF estimate at lags 1..max_lag with batch-means standard errors.
 
@@ -146,7 +151,7 @@ def empirical_acf(path: SamplePath, dep: Dependence, max_lag) -> AcfReport:
     dt = float(gaps[0])
     if np.any(np.abs(gaps - dt) > 1e-9 * max(dt, 1.0)):
         raise ParameterError("empirical_acf requires a uniform grid")
-    batch_len = max(int(np.ceil(50.0 / (dep.lam * dt))), 1)
+    batch_len = _acf_batch_len(dep.lam, dt)
     m = float(np.mean(x))
     d = x - m
     v = float(np.mean(d * d))

@@ -12,6 +12,7 @@ the laws themselves are exercised against independent analytic or
 extended-precision oracles throughout.
 """
 
+import functools
 import json
 
 import mpmath as mp
@@ -176,15 +177,23 @@ def test_criterion_03_innovation_chf(capsys):
 # -- criterion 4: pair-chf agreement --------------------------------------------------
 
 
+@functools.cache
+def _criterion_04_pairs():
+    """Criterion 4's samples: N = 1e5 pairs of each closed-form kind, seed MASTER + index."""
+    return {kind: np.column_stack(pair_sample(kind, 100000, P11, DEP5, master_seed=MASTER + ki))
+            for ki, kind in enumerate(FIVE_CLOSED_FORM_KINDS)}
+
+
+def _criterion_04_oracle(kind):
+    return np.array([pair_chf(kind, s, t, P11, DEP5) for s, t in PAIR_OMEGAS])
+
+
 def test_criterion_04_pair_chf(capsys):
     n = 100000
     worst = 0.0
     worst_kind = None
-    for ki, kind in enumerate(FIVE_CLOSED_FORM_KINDS):
-        x0, x1 = pair_sample(kind, n, P11, DEP5, master_seed=MASTER + ki)
-        samples = np.column_stack((x0, x1))
-        analytic = np.array([pair_chf(kind, s, t, P11, DEP5) for s, t in PAIR_OMEGAS])
-        z = float(np.max(_pair_z(samples, PAIR_OMEGAS, analytic)))
+    for kind, samples in _criterion_04_pairs().items():
+        z = float(np.max(_pair_z(samples, PAIR_OMEGAS, _criterion_04_oracle(kind))))
         if z > worst:
             worst, worst_kind = z, kind.cli_name
     # thinned and random-measure closed forms are one law: machine-level identity
@@ -200,6 +209,30 @@ def test_criterion_04_pair_chf(capsys):
             f"pair chf at 20 frequency pairs, N={n} pairs: worst z {worst:.2f} "
             f"({worst_kind}, <= 4); thinned==rm identity max |diff| {ident:.2e} at "
             f"1000 random arguments")
+
+
+def test_criterion_04_power_control(capsys):
+    # Each closed-form oracle scores every kind's criterion-4 pairs.  The kinds share
+    # the marginal and the autocorrelation, so a wrong oracle differs only in the
+    # joint law: each of the 18 ordered pairs of distinct laws must score z > 5, and
+    # thinned and rm, which share every two-point law, must still pass (z <= 4).
+    same_law = {ProcessKind.THINNED, ProcessKind.RANDOM_MEASURE}
+    oracles = {kind: _criterion_04_oracle(kind) for kind in FIVE_CLOSED_FORM_KINDS}
+    distinct, shared = {}, {}
+    for data_kind, samples in _criterion_04_pairs().items():
+        for oracle_kind, analytic in oracles.items():
+            if oracle_kind is data_kind:
+                continue
+            z = float(np.max(_pair_z(samples, PAIR_OMEGAS, analytic)))
+            pair = f"{oracle_kind.cli_name} oracle on {data_kind.cli_name}"
+            (shared if {oracle_kind, data_kind} == same_law else distinct)[pair] = z
+    weakest = min(distinct, key=distinct.get)
+    ok = (len(distinct) == 18 and distinct[weakest] > 5.0 and len(shared) == 2
+          and max(shared.values()) <= 4.0)
+    _report(capsys, "criterion 4 power", ok,
+            f"18 mismatched oracles, N=100000 pairs: smallest z {distinct[weakest]:.1f} "
+            f"({weakest}, > 5); thinned/rm oracles on each other's pairs: max z "
+            f"{max(shared.values()):.2f} (<= 4)")
 
 
 # -- criterion 5: triplet separation ---------------------------------------------------

@@ -15,6 +15,7 @@ from gammaproc.cli import (
     default_omega_triples,
     main,
 )
+from gammaproc.stats import default_omega_pairs, triplet_discrimination, two_sample_chf
 
 
 def run(args):
@@ -53,6 +54,12 @@ def test_simulate_csv_deterministic(tmp_path):
 def test_threads_option_is_a_usage_error(capsys, command):
     assert run([command, "--process", "ar1", "--threads", "2"]) == 2
     assert "unrecognized arguments: --threads 2" in capsys.readouterr().err
+
+
+def test_the_forced_chf_kind_option_is_gone(capsys):
+    # a mismatched chf oracle is exercised by criterion 4's power control instead
+    assert run(["verify", "--process", "ar1", "--debug-force-chf-kind", "thinned"]) == 2
+    assert "unrecognized arguments: --debug-force-chf-kind" in capsys.readouterr().err
 
 
 def test_simulate_lambda_equals_rho_spelling(tmp_path):
@@ -147,19 +154,6 @@ def test_verify_generator_suite_skips_non_diffusion_kinds(tmp_path):
     assert payload["checks"][0]["status"] == "skipped"
 
 
-def test_verify_forced_chf_mismatch_fails(tmp_path):
-    # evaluating the thinned pair-chf formula against ar1 data must exit 1
-    out = tmp_path / "forced.json"
-    code = run(["verify", "--process", "ar1", "--suite", "chf", "--paths", "5000",
-                "--seed", "0", "--debug-force-chf-kind", "thinned",
-                "--out", str(out)])
-    assert code == 1
-    payload = json.loads(out.read_text())
-    check = payload["checks"][0]
-    assert check["status"] == "fail"
-    assert check["max_z"] > 4.0
-
-
 def test_verify_chf_suite_passes_with_matching_kind(tmp_path):
     out = tmp_path / "chf.json"
     assert run(["verify", "--process", "thinned", "--suite", "chf",
@@ -176,6 +170,29 @@ def test_compare_two_point_smoke(tmp_path):
     payload = json.loads(out.read_text())
     assert payload["points"] == 2
     assert payload["max_z"] >= 0.0
+
+
+@pytest.mark.parametrize("points", [2, 3])
+def test_compare_scores_the_first_points_of_both_ensembles(tmp_path, points):
+    out = tmp_path / "cmp.json"
+    argv = ["compare", "--process-a", "thinned", "--process-b", "rm", "--points", str(points),
+            "--paths", "3000", "--seed", "5"]
+    assert run(argv + ["--out", str(out)]) == 0
+    ns = build_parser().parse_args(argv)
+    ns.n = points
+    ens_a = _simulate(_resolve_config(ns, "thinned", ns.paths))
+    ens_b = _simulate(RunConfig(**{**_resolve_config(ns, "rm", ns.paths).__dict__, "seed": 6}))
+    if points == 3:
+        omegas = default_omega_triples(1.0)
+        rep = triplet_discrimination(ens_a, ens_b, omegas)
+        z, worst = rep.z_scores, rep.argmax_omega
+    else:
+        omegas = default_omega_pairs(1.0)
+        z = two_sample_chf(ens_a.values, ens_b.values, omegas)[0]
+        worst = omegas[int(np.argmax(z))]
+    payload = json.loads(out.read_text())
+    assert payload["z_scores"] == z.tolist()
+    assert payload["argmax_omega"] == worst.tolist()
 
 
 def test_compare_requires_shared_parameters():
@@ -550,3 +567,49 @@ def test_the_largest_seed_is_accepted(tmp_path):
     assert run(["simulate", "--process", "ar1", "--n", "5", "--seed", str(2**64 - 1),
                 "--format", "json", "--out", str(out)]) == 0
     assert json.loads(out.read_text())["config"]["seed"] == 2**64 - 1
+
+
+def test_verify_seeds_2_to_the_63_apart_run_different_checks(tmp_path):
+    # the check subseeds are taken mod 2**64, so seed -> subseed is one to one; seeds
+    # below 2**63 / 1000003 keep their subseeds and bytes
+    ks = []
+    for seed in (0, 2**63):
+        out = tmp_path / f"{seed}.json"
+        assert run(["verify", "--process", "ar1", "--suite", "marginal", "--seed", str(seed),
+                    "--out", str(out)]) == 0
+        ks.append(json.loads(out.read_text())["checks"][0]["ks_statistic"])
+    assert ks[0] == 0.0027178756636592194
+    assert ks[1] != ks[0]
+    ns = build_parser().parse_args(["verify", "--process", "ar1"])
+    cfgs = [RunConfig(**{**_resolve_config(ns, "ar1", 1).__dict__, "seed": seed})
+            for seed in (0, 2**63, 2**64 - 1)]
+    subseeds = [cli._subseed(cfg, 1) for cfg in cfgs]
+    assert len(set(subseeds)) == 3 and all(0 <= s < 2**64 for s in subseeds)
+
+
+@pytest.mark.parametrize("argv", [
+    ["--process", "cthin", "--rho", "0.9999", "--suite", "all"],
+    ["--process", "ar1", "--rho", "0.9999", "--suite", "acf"],
+    # lambda * dt = 9.9e-4: batches of 50506 steps, one fits in 1e5 - 5
+    ["--process", "ar1", "--lambda", "0.0099", "--dt", "0.1", "--n", "3", "--suite", "all"],
+])
+def test_verify_refuses_an_acf_check_that_cannot_run_before_sampling(
+        tmp_path, capsys, monkeypatch, argv):
+    _no_sampler(monkeypatch)
+    out = tmp_path / "rep.json"
+    assert run(["verify", *argv, "--out", str(out)]) == 2
+    assert "acf check needs lambda*dt >= about 1e-3" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_verify_runs_what_the_acf_refusal_leaves(tmp_path):
+    out = tmp_path / "rep.json"
+    # the marginal check does not need the long path
+    assert run(["verify", "--process", "ar1", "--rho", "0.9999", "--suite", "marginal",
+                "--out", str(out)]) == 0
+    # lambda * dt = 1.01e-3: batches of 49505 steps, two fit at lag 5
+    code = run(["verify", "--process", "ar1", "--lambda", "0.0101", "--dt", "0.1", "--n", "3",
+                "--suite", "acf", "--out", str(out)])
+    assert code in (0, 1)
+    (check,) = json.loads(out.read_text())["checks"]
+    assert check["batch_len"] == 49505
