@@ -248,18 +248,58 @@ def _as_omega_matrix(omegas, d=None):
     return w
 
 
-_CHF_BLOCK = 1 << 17
+# samples per block of ``empirical_chf``: each phasor buffer holds this many
+_CHF_BLOCK = 1 << 12
+# squarings allowed from a directly evaluated phasor; each one doubles its error
+_CHF_SQUARINGS = 3
+
+
+def _phasor_plan(col):
+    """The phasors one coordinate needs for the frequencies ``col``.
+
+    Returns ``(mags, src, inv)``: the distinct |omega| in ascending order,
+    for each the index of the phasor it squares (-1: evaluate cos and sin
+    directly; -2: omega = 0, no phasor), and each row's index into ``mags``.
+    """
+    mags, inv = np.unique(np.abs(col), return_inverse=True)
+    src = np.full(mags.size, -1)
+    depth = np.zeros(mags.size, dtype=int)
+    for k, a in enumerate(mags):
+        if a == 0.0:
+            src[k] = -2
+            continue
+        h = a * 0.5
+        if h + h != a or not h < a:  # inexact below the normal range; inf; nan
+            continue
+        i = int(np.searchsorted(mags, h))
+        if i < k and mags[i] == h and depth[i] < _CHF_SQUARINGS:
+            src[k], depth[k] = i, depth[i] + 1
+    return mags, src, inv
 
 
 def empirical_chf(samples, omegas) -> ChfEstimate:
     """Empirical joint chf of an (N, d) sample at each row of ``omegas`` (M, d).
 
     Standard errors are the standard deviations of cos/sin summands over
-    sqrt(N), hence bounded by 1/sqrt(N).  Accumulation is blocked (pairwise
-    sums within a block, exact compensated combination of the block totals),
-    so million-replicate estimates neither blow memory nor lose digits.  The
-    estimator is exactly conjugate-symmetric: evaluating at -omega conjugates
-    the estimate bit for bit.
+    sqrt(N), hence bounded by 1/sqrt(N).
+
+    The summands are products of per-coordinate phasors, not cos and sin of
+    the N x M phase matrix.  For each coordinate j and each distinct
+    |omega_j| > 0 the block holds one phasor exp(i |omega_j| x_j): one cos
+    and one sin, or, when |omega_j| / 2 has a phasor and halving is exact,
+    that phasor squared.  At most ``_CHF_SQUARINGS`` squarings follow one
+    direct evaluation, because each doubles the phase error, so the default
+    axis {0.25, 0.5, 1, 2}/beta costs one cos and one sin per coordinate.
+    A negative omega_j takes the conjugate and omega_j = 0 the factor 1, so
+    a row of zeros gives exactly 1 with standard error 0.  The estimator is
+    exactly conjugate-symmetric: the rows omega and -omega form the same
+    products up to the sign of the imaginary part, so their estimates are
+    conjugate bit for bit.
+
+    Accumulation is blocked: pairwise sums over ``_CHF_BLOCK`` samples in
+    buffers allocated once per call, then an exact compensated combination of
+    the block totals.  Memory is one block of phasors and of their products
+    whatever N, and million-replicate estimates do not lose digits.
     """
     x = np.asarray(samples, dtype=float)
     if x.ndim == 1:
@@ -272,17 +312,57 @@ def empirical_chf(samples, omegas) -> ChfEstimate:
             f"omega dimension {w.shape[1]} does not match sample dimension {x.shape[1]}"
         )
     n, m = x.shape[0], w.shape[0]
-    wt = w.T
-    sums = [[[] for _ in range(m)] for _ in range(4)]  # re, im, re^2, im^2
-    for s in range(0, n, _CHF_BLOCK):
-        phase = x[s : s + _CHF_BLOCK] @ wt
-        re = np.cos(phase)
-        im = np.sin(phase)
-        for acc, block in zip(sums, (re, im, re * re, im * im)):
-            col = np.sum(block, axis=0)
-            for j in range(m):
-                acc[j].append(col[j])
-    tot = np.array([[math.fsum(acc_j) for acc_j in acc] for acc in sums])
+    plans = [_phasor_plan(w[:, j]) for j in range(w.shape[1])]
+    # A row's summand is (re, +-im): im is formed without the sign of the
+    # row's first nonzero factor, and each later factor is conjugated or not
+    # relative to that first one.  Rows equal up to that sign share one
+    # product; omega and -omega are such a pair.
+    products = {}
+    row_product, row_flip = np.full(m, -1), np.zeros(m, dtype=bool)
+    for r in range(m):
+        terms = [(j, int(inv[r]), bool(w[r, j] < 0.0))
+                 for j, (_, src, inv) in enumerate(plans) if src[inv[r]] != -2]
+        if terms:
+            row_flip[r] = flip = terms[0][2]
+            key = tuple((j, k, conj != flip) for j, k, conj in terms)
+            row_product[r] = products.setdefault(key, len(products))
+    width = min(n, _CHF_BLOCK)
+    # phasor[j][k, 0] = exp(i mags[k] x_j) and phasor[j][k, 1] its conjugate
+    phasor = [np.empty((mags.size, 2, width), dtype=complex) for mags, _, _ in plans]
+    z = np.empty((len(products), width), dtype=complex)
+    arg = np.empty(width)
+    blocks = range(0, n, _CHF_BLOCK)
+    sums = np.empty((len(blocks), 4, len(products)))  # re, im, re^2, im^2
+    for b, s in enumerate(blocks):
+        nb = min(n - s, _CHF_BLOCK)
+        for j, (mags, src, _) in enumerate(plans):
+            p = phasor[j][:, :, :nb]
+            for k, a in enumerate(mags):
+                if src[k] == -2:
+                    continue
+                if src[k] == -1:
+                    np.multiply(x[s : s + nb, j], a, out=arg[:nb])
+                    np.cos(arg[:nb], out=p[k, 0].real)
+                    np.sin(arg[:nb], out=p[k, 0].imag)
+                else:  # exp(2i h x) = exp(i h x)^2
+                    np.square(p[src[k], 0], out=p[k, 0])
+                np.conjugate(p[k, 0], out=p[k, 1])
+        zb = z[:, :nb]
+        for u, ((j, k, _), *rest) in enumerate(products):
+            acc = phasor[j][k, 0, :nb]
+            if not rest:
+                np.copyto(zb[u], acc)
+            for j, k, conj in rest:
+                acc = np.multiply(acc, phasor[j][k, int(conj), :nb], out=zb[u])
+        tot_z = np.sum(zb, axis=1)
+        np.square(zb.real, out=zb.real)
+        np.square(zb.imag, out=zb.imag)
+        tot_sq = np.sum(zb, axis=1)
+        sums[b] = (tot_z.real, tot_z.imag, tot_sq.real, tot_sq.imag)
+    # one column per product, then the summand 1 of an all-zero row (index -1)
+    tot = np.array([[math.fsum(sums[:, i, u]) for u in range(len(products))] + [one]
+                    for i, one in enumerate((n, 0.0, n, 0.0))])[:, row_product]
+    tot[1, row_flip] = -tot[1, row_flip]
     mean_re, mean_im = tot[0] / n, tot[1] / n
     var_re = np.maximum(tot[2] - n * mean_re**2, 0.0) / (n - 1)
     var_im = np.maximum(tot[3] - n * mean_im**2, 0.0) / (n - 1)
@@ -476,6 +556,11 @@ class GeneratorCheck:
         return abs(self.fd_estimate - self.analytic) / self.se
 
 
+# replicates per ``_lane_step`` call of ``generator_check``: part of its
+# stream layout, so changing it changes every estimate it reports
+_GENERATOR_BLOCK = 1 << 17
+
+
 def generator_check(
     kind: ProcessKind,
     phi: TestFunction,
@@ -512,7 +597,7 @@ def generator_check(
     sum_blocks, sq_blocks = [], []
     done = 0
     while done < n_mc:
-        nb = min(n_mc - done, _CHF_BLOCK)
+        nb = min(n_mc - done, _GENERATOR_BLOCK)
         y = _lane_step(kind, g, np.full(nb, x0), params.alpha, params.beta, r)
         d = (phi.phi(y) - phi_x0) / eps
         sum_blocks.append(np.sum(d))

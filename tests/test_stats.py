@@ -87,11 +87,118 @@ def test_empirical_chf_chunking_invariance():
     from gammaproc import stats as st
 
     g = derive_stream(5, 0).gen
-    x = g.gamma(1.0, 1.0, size=st._CHF_BLOCK + 17).reshape(-1, 1)
+    x = g.gamma(1.0, 1.0, size=2 * st._CHF_BLOCK + 17).reshape(-1, 1)
     w = np.array([[1.0]])
     est = empirical_chf(x, w)
     direct = np.mean(np.exp(1j * x[:, 0]))
-    assert est.estimate[0] == pytest.approx(direct, rel=1e-12)
+    assert est.estimate[0] == pytest.approx(direct, rel=1e-12, abs=0.0)
+
+
+def _direct_chf(x, w):
+    """The direct route: exp(i x w^T) over the whole (N, M) phase matrix."""
+    z = np.exp(1j * (x @ w.T))
+    root_n = np.sqrt(len(x))
+    return z.mean(0), z.real.std(0, ddof=1) / root_n, z.imag.std(0, ddof=1) / root_n
+
+
+_TINY = 2.0**-1074
+
+_DIRECT_CASES = {
+    "d1": (1, [[0.0], [0.7], [-0.7], [2.2], [1.4], [-3.3], [0.1], [1.0 / 3.0]]),
+    "d2_zeros_negatives_duplicates": (2, [
+        [0.0, 1.3], [0.5, 0.0], [-0.5, 1.0], [0.5, 1.0], [0.5, 1.0], [1.0 / 3.0, -2.0 / 3.0],
+        [-1.0, -1.0], [0.0, 0.0], [-0.0, 0.7], [0.0, -1.3], [0.25, 0.5], [2.0, -4.0], [-0.1, 0.2],
+    ]),
+    "d3_zeros_negatives_duplicates": (3, [
+        [0.25, 0.25, 0.25], [1.0, -1.0, 2.0], [1.0, -1.0, 2.0], [0.0, 0.0, 1.0],
+        [0.3, 0.0, -0.7], [-0.3, 0.0, 0.7], [2.0, 1.0, -2.0], [-1.0, -0.5, -0.25],
+        [0.1, 0.2, 0.4], [0.0, 0.0, 0.0], [1.0 / 3.0, -1.0, 0.5],
+    ]),
+    "dyadic_chain": (2, [[2.0**k, 2.0**-k] for k in range(-6, 7)]
+                     + [[-(2.0**k), 2.0**k] for k in range(-6, 7)]),
+    "subnormal": (1, [[3 * _TINY], [2 * _TINY], [-3 * _TINY]]),
+}
+
+
+@pytest.mark.parametrize("case", list(_DIRECT_CASES))
+def test_empirical_chf_matches_the_direct_route(case):
+    d, rows = _DIRECT_CASES[case]
+    w = np.array(rows)
+    x = derive_stream(31, 0).gen.gamma(1.5, 1.0, size=(3000, d))
+    x[7] = x[3]  # duplicate sample rows
+    est = empirical_chf(x, w)
+    want, se_re, se_im = _direct_chf(x, w)
+    for i in range(len(w)):
+        assert est.estimate[i] == pytest.approx(want[i], rel=1e-12, abs=0.0)
+        assert est.se_re[i] == pytest.approx(se_re[i], rel=1e-10, abs=0.0)
+        assert est.se_im[i] == pytest.approx(se_im[i], rel=1e-10, abs=0.0)
+    if case == "subnormal":
+        # the imaginary parts are a few multiples of 2^-1074: squaring the
+        # phasor of 2 * 2^-1074 would give 3 * 2^-1074 half as much again
+        assert est.estimate.imag == pytest.approx(want.imag, rel=1e-12, abs=0.0)
+        assert est.estimate.imag[0] != 0.0
+
+
+@pytest.mark.parametrize("offset", [-1, 1, 17])
+def test_empirical_chf_matches_the_direct_route_across_block_edges(offset):
+    from gammaproc import stats as st
+
+    n = st._CHF_BLOCK + offset
+    x = derive_stream(32, 0).gen.gamma(1.0, 1.0, size=(n, 3))
+    w = np.array([[0.25, 0.5, 1.0], [1.0, -2.0, 0.0], [-0.7, 0.3, 1.1], [0.0, 0.0, 0.0]])
+    est = empirical_chf(x, w)
+    want, se_re, se_im = _direct_chf(x, w)
+    assert est.estimate == pytest.approx(want, rel=1e-12, abs=0.0)
+    assert est.se_re[:3] == pytest.approx(se_re[:3], rel=1e-10, abs=0.0)
+    assert est.se_im[:3] == pytest.approx(se_im[:3], rel=1e-10, abs=0.0)
+    assert (est.estimate[3], est.se_re[3], est.se_im[3]) == (1.0, 0.0, 0.0)
+
+
+def test_phasor_plan_squares_only_exact_halvings_and_at_most_three_times():
+    from gammaproc.stats import _phasor_plan
+
+    # 2^-6 .. 2^6: one direct evaluation, then three squarings, then again
+    mags, src, _ = _phasor_plan(2.0 ** np.arange(-6, 7))
+    assert src.tolist() == [-1, 0, 1, 2, -1, 4, 5, 6, -1, 8, 9, 10, -1]
+    # 3 * 2^-1074 halves to 1.5 * 2^-1074, which rounds to 2 * 2^-1074
+    mags, src, _ = _phasor_plan(np.array([3 * _TINY, 2 * _TINY]))
+    assert src.tolist() == [-1, -1]
+    mags, src, inv = _phasor_plan(np.array([0.0, -1.0, 0.5, -0.0, 1.0]))
+    assert mags.tolist() == [0.0, 0.5, 1.0]
+    assert src.tolist() == [-2, -1, 1]
+    assert inv.tolist() == [0, 2, 1, 0, 2]
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_empirical_chf_conjugate_symmetry_is_bitwise_on_several_coordinates(d):
+    from gammaproc.cli import default_omega_triples
+    from gammaproc.stats import default_omega_pairs
+
+    x = derive_stream(33, 0).gen.gamma(2.0, 1.0, size=(5000, d))
+    w = default_omega_pairs(1.0) if d == 2 else default_omega_triples(1.0)
+    w = np.vstack((w, [[0.3] * d, [1.0 / 3.0] + [0.0] * (d - 1)]))
+    est = empirical_chf(x, np.vstack((w, -w)))
+    m = len(w)
+    assert np.array_equal(est.estimate[:m], np.conj(est.estimate[m:]))
+    assert np.array_equal(est.se_re[:m], est.se_re[m:])
+    assert np.array_equal(est.se_im[:m], est.se_im[m:])
+
+
+def test_empirical_chf_memory_is_one_block():
+    import tracemalloc
+
+    from gammaproc.cli import default_omega_triples
+
+    x = derive_stream(34, 0).gen.gamma(1.0, 1.0, size=(100_000, 3))
+    w = default_omega_triples(1.0)
+    tracemalloc.start()
+    try:
+        empirical_chf(x, w)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the N x M phase matrix alone is 15 MiB here
+    assert peak < 8 * 2**20
 
 
 def test_empirical_chf_validates_shapes():
@@ -250,6 +357,18 @@ def test_generator_check_identity_quick():
                           DEP5, n_mc=200000, master_seed=13)
     assert rep.analytic == pytest.approx(-DEP5.lam * (2.0 - 1.0), rel=1e-12)
     assert rep.z < 4.0
+
+
+def test_generator_check_blocks_do_not_follow_the_chf_block(monkeypatch):
+    # the replicate block is part of generator_check's stream layout
+    from gammaproc import stats as st
+
+    assert st._GENERATOR_BLOCK == 1 << 17
+    args = (ProcessKind.CONTINUOUSLY_THINNED, TestFunction.identity(), 2.0, P11, DEP5)
+    before = generator_check(*args, n_mc=(1 << 17) + 5, master_seed=14)
+    monkeypatch.setattr(st, "_CHF_BLOCK", 1 << 10)
+    after = generator_check(*args, n_mc=(1 << 17) + 5, master_seed=14)
+    assert (after.fd_estimate, after.se) == (before.fd_estimate, before.se)
 
 
 # -- tail table ---------------------------------------------------------------------
