@@ -7,11 +7,11 @@ logarithm.  Every factor that appears here either has real part exactly 1
 the reals, so the principal branch is the unique continuous continuation from
 the value 1 at the origin.
 
-scipy is imported inside the functions that call it (the Bessel series, the
-diffusion transition density, the cthin generator quadrature and the two
-tails), so importing this module, and ``gammaproc`` with it, loads numpy and
-the standard library only.  ``scipy.integrate``, which also loads
-``scipy.optimize``, is imported by the generator quadrature alone.
+``scipy.special`` is imported inside the functions that call it (the Bessel
+series, the diffusion transition density and the two tails), so importing
+this module, and ``gammaproc`` with it, loads numpy and the standard library
+only.  The generators are closed forms in ``math`` alone, with no
+quadrature.
 """
 
 from __future__ import annotations
@@ -258,12 +258,7 @@ def cir_transition_density(y, x, params: GammaParams, dep: Dependence, dt):
 
 @dataclass(frozen=True)
 class TestFunction:
-    """Test functions for generator checks: identity, square, or exp(theta x).
-
-    ``remainder_up(x, u)`` is f(x+u) - f(x) - u f'(x) and ``remainder_down``
-    is f(x-u) - f(x) + u f'(x); they are provided in cancellation-free form
-    because the generator quadratures integrate them against u^{-1} weights.
-    """
+    """Test functions for generator checks: identity, square, or exp(theta x)."""
 
     __test__ = False  # not a test case despite the name
 
@@ -308,33 +303,42 @@ class TestFunction:
             return 2.0 * np.ones_like(np.asarray(x, dtype=float))
         return self.theta**2 * np.exp(self.theta * np.asarray(x, dtype=float))
 
-    def remainder_up(self, x, u):
-        if self.name == "identity":
-            return 0.0
-        if self.name == "square":
-            return u * u
-        return math.exp(self.theta * x) * (math.expm1(self.theta * u) - self.theta * u)
 
-    def remainder_down(self, x, u):
-        if self.name == "identity":
-            return 0.0
-        if self.name == "square":
-            return u * u
-        return math.exp(self.theta * x) * (math.expm1(-self.theta * u) + self.theta * u)
+# terms the log-space series may sum (about a second): more are needed only
+# when alpha > z/4 and z - alpha is above about 1e6
+_SERIES_TERMS = 1 << 20
 
 
-def _quad(f, lo, hi, what):
-    from scipy import integrate
+def _thinning_series(z, a):
+    """e^{-z} sum_{k>=1} z^k / (k (a)_k) for z >= 0, (a)_k the rising factorial.
 
-    val, err, info, *rest = integrate.quad(
-        f, lo, hi, epsabs=1e-11, epsrel=1e-10, limit=200, full_output=1
-    )
-    if rest:
-        raise NumericalError(
-            f"quadrature for {what} did not converge: {rest[0]} "
-            f"(estimate {val!r}, error {err!r})"
-        )
-    return val
+    Summed in log space with ``math.lgamma``, so that e^{-z} cannot underflow
+    it, and stopped past the largest term once a term is below 1e-17 of the
+    total.  Past z = 1000 with 4 a <= z, Watson's lemma on the integral
+    int_0^1 (e^{-zw} - e^{-z}) w^{a-1} / (1 - w) dw gives Gamma(a) z^{-a}
+    sum_n (a)_n z^{-n} instead, with a remainder below z e^{-z/14} of it.
+    """
+    if z == 0.0:
+        return 0.0
+    log_z = math.log(z)
+    if z > 1000.0 and 4.0 * a <= z:
+        term = total = 1.0
+        n = 0
+        while term > 1e-17 * total:
+            term *= (a + n) / z
+            total += term
+            n += 1
+        return math.exp(math.lgamma(a) - a * log_z) * total
+    base = math.lgamma(a) - z
+    total = 0.0
+    for k in range(1, _SERIES_TERMS):
+        term = math.exp(base + k * log_z - math.log(k) - math.lgamma(a + k))
+        total += term
+        # the next term is smaller once z k < (k + 1)(a + k)
+        if z * k < (k + 1) * (a + k) and term <= 1e-17 * total:
+            return total
+    raise NumericalError(f"the downward-jump series at z = {z!r}, alpha = {a!r} "
+                         f"needs more than {_SERIES_TERMS} terms")
 
 
 def generator_apply(kind: ProcessKind, f: TestFunction, x, params: GammaParams, dep: Dependence):
@@ -345,41 +349,35 @@ def generator_apply(kind: ProcessKind, f: TestFunction, x, params: GammaParams, 
     ContinuouslyThinned (jump process):
 
         int_0^inf [f(x+u) - f(x)] alpha lam u^{-1} e^{-beta u} du
-      + int_0^x   [f(x-u) - f(x)] alpha lam u^{-1} (1 - u/x)^{alpha-1} du.
+      + int_0^x   [f(x-u) - f(x)] alpha lam u^{-1} (1 - u/x)^{alpha-1} du,
 
-    Both integrands are O(1) in value but 0/0 at u = 0; the linear part is
-    integrated in closed form (the u * f'(x) term against either weight) and
-    only the O(u) remainder is handed to adaptive quadrature.
+    in closed form for every test function.  With a = alpha, b = beta,
+    u = x v in the downward integral, and B(k, a) = int_0^1 v^{k-1}
+    (1-v)^{a-1} dv = (k-1)! / (a)_k:
+
+        identity     a lam / b - lam x
+        square       2 a lam x / b + a lam / b^2 - 2 lam x^2 + lam x^2 / (a+1)
+        exp(theta x) a lam e^{-z} [-log1p(-theta/b) + sum_{k>=1} z^k / (k (a)_k)]
+
+    where z = -theta x >= 0.  The upward exponential integral is Frullani's,
+    int_0^inf (e^{theta u} - 1) e^{-b u} u^{-1} du = log(b / (b - theta)); the
+    downward one expands e^{z v} - 1 in powers of z v and integrates each
+    power against v^{-1} (1-v)^{a-1} as a Beta integral.
     """
     x = float(x)
     if x < 0.0 or not math.isfinite(x):
         raise ParameterError(f"state x must be finite and >= 0, got {x!r}")
     a, b, lam = params.alpha, params.beta, dep.lam
     if kind is ProcessKind.SQUARED_OU:
-        return float(
-            -lam * (x - a / b) * f.dphi(x) + (lam / b) * x * f.d2phi(x)
-        )
+        return float(-lam * (x - a / b) * f.dphi(x) + (lam / b) * x * f.d2phi(x))
     if kind is ProcessKind.CONTINUOUSLY_THINNED:
-        fp = float(f.dphi(x))
-        up = a * lam * fp / b
-        if f.name != "identity":
-            up += a * lam * _quad(
-                lambda u: f.remainder_up(x, u) / u * math.exp(-b * u),
-                0.0,
-                np.inf,
-                "the upward-jump integral",
-            )
-        down = 0.0
-        if x > 0.0:
-            down = -lam * x * fp
-            if f.name != "identity":
-                down += a * lam * _quad(
-                    lambda u: f.remainder_down(x, u) / u * (1.0 - u / x) ** (a - 1.0),
-                    0.0,
-                    x,
-                    "the downward-jump integral",
-                )
-        return float(up + down)
+        if f.name == "identity":
+            return a * lam / b - lam * x
+        if f.name == "square":
+            return (2.0 * a * lam * x / b + a * lam / b**2
+                    - 2.0 * lam * x * x + lam * x * x / (a + 1.0))
+        z = -f.theta * x
+        return a * lam * (-math.exp(-z) * math.log1p(-f.theta / b) + _thinning_series(z, a))
     raise UnsupportedKindError(
         f"generator_apply supports the SquaredOU and ContinuouslyThinned kinds, not {kind!r}"
     )

@@ -12,8 +12,8 @@ standard errors that survive serial dependence.
 
 Importing this module loads numpy and the standard library only.
 ``ks_statistic`` imports ``scipy.special`` when it is called, and
-``tail_check`` and ``generator_check`` reach scipy through the ``analytic``
-oracles, which import it in the same way.
+``tail_check`` reaches it through the ``analytic`` tails; ``generator_check``
+needs no scipy, as both analytic generators are closed forms.
 """
 
 from __future__ import annotations

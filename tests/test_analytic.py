@@ -7,6 +7,7 @@ import pytest
 from gammaproc import (
     Dependence,
     GammaParams,
+    NumericalError,
     ParameterError,
     ProcessKind,
     TestFunction,
@@ -152,15 +153,6 @@ def test_cir_transition_density_poisson_mixture_identity():
     assert got == pytest.approx(float(total), rel=1e-11)
 
 
-def test_test_function_remainders_match_definition():
-    x, u = 1.7, 0.4
-    for f in (TestFunction.identity(), TestFunction.square(), TestFunction.exponential(-0.8)):
-        up = f.phi(x + u) - f.phi(x) - u * f.dphi(x)
-        down = f.phi(x - u) - f.phi(x) + u * f.dphi(x)
-        assert f.remainder_up(x, u) == pytest.approx(up, rel=1e-9, abs=1e-12)
-        assert f.remainder_down(x, u) == pytest.approx(down, rel=1e-9, abs=1e-12)
-
-
 def test_test_function_exponential_requires_nonpositive_theta():
     with pytest.raises(ParameterError):
         TestFunction.exponential(0.5)
@@ -188,6 +180,103 @@ def test_generator_square_closed_forms():
     #   - lam x^2 (2 - 1/(alpha+1)) ... = -lam for alpha=beta=1, x=2
     got = generator_apply(ProcessKind.CONTINUOUSLY_THINNED, f, 2.0, P11, DEP5)
     assert got == pytest.approx(-DEP5.lam, rel=1e-10)
+
+
+CTHIN_FUNCTIONS = (TestFunction.identity(), TestFunction.square(), TestFunction.exponential(0.0),
+                   TestFunction.exponential(-0.8), TestFunction.exponential(-3.0))
+
+
+def _cthin_generator_mp(f, x, alpha, beta, lam):
+    """Both jump integrals of the cthin generator by mpmath quadrature.
+
+    The downward integral is taken in w = (1 - u/x)^alpha, where
+    alpha u^{-1} (1 - u/x)^{alpha-1} du = dw / (1 - w^{1/alpha}) and
+    f(x - u) = f(x w^{1/alpha}); in u, plain quadrature misses the
+    (1 - u/x)^{alpha-1} endpoint singularity by up to 11% at alpha = 0.05.
+    An exponential with z = -theta x > 1 lives below w = z^{-alpha}, which
+    is made a breakpoint.
+    """
+    x, a, b = mp.mpf(x), mp.mpf(alpha), mp.mpf(beta)
+    if f.name == "identity":
+        g = lambda y: y
+    elif f.name == "square":
+        g = lambda y: y * y
+    else:
+        g = lambda y: mp.exp(f.theta * y)
+    up = a * mp.quad(lambda u: (g(x + u) - g(x)) / u * mp.exp(-b * u), [0, 1 / b, mp.inf])
+    down = 0
+    if x > 0:
+        z = -f.theta * x
+        cuts = [0, (1 / mp.mpf(z)) ** a, 1] if z > 1 else [0, 1]
+        down = mp.quad(lambda w: (g(x * w ** (1 / a)) - g(x)) / (1 - w ** (1 / a)), cuts)
+    return float(lam * (up + down))
+
+
+def _assert_matches_oracle(f, x, p, dep):
+    ref = _cthin_generator_mp(f, x, p.alpha, p.beta, dep.lam)
+    got = generator_apply(ProcessKind.CONTINUOUSLY_THINNED, f, x, p, dep)
+    # exp(0 x) is constant, so its reference is exactly 0
+    assert got == pytest.approx(ref, rel=1e-10, abs=0.0 if ref else 1e-15), (f, x, p)
+
+
+@pytest.mark.parametrize("alpha", [1e-3, 0.01, 0.05, 0.5, 2.0, 7.3])
+def test_cthin_generator_closed_forms_against_mpmath(alpha):
+    mp.mp.dps = 30
+    dep = Dependence(0.7)
+    for beta in (0.3, 1.0, 3.0):
+        p = GammaParams(alpha, beta)
+        for x in (0.0, 0.01, 0.5, 2.0, 10.0):
+            for f in CTHIN_FUNCTIONS:
+                _assert_matches_oracle(f, x, p, dep)
+
+
+@pytest.mark.parametrize("x", [300.0, 1000.0])
+def test_cthin_generator_exponential_at_large_z_against_mpmath(x):
+    # z = -theta x = 900 and 3000: e^{-z} underflows, the series it multiplies
+    # does not; the larger z is summed by its asymptotic expansion
+    mp.mp.dps = 30
+    for alpha in (1e-3, 0.5, 2.0, 7.3):
+        _assert_matches_oracle(TestFunction.exponential(-3.0), x,
+                               GammaParams(alpha, 1.0), Dependence(0.7))
+
+
+def test_cthin_generator_exponential_at_huge_z_is_its_leading_asymptotics():
+    # at z = 1e9 the next term past a lam Gamma(a) z^{-a} (1 + a/z) is below 1e-16 of it
+    dep = Dependence(0.7)
+    for alpha in (1e-3, 2.0, 7.3):
+        got = generator_apply(ProcessKind.CONTINUOUSLY_THINNED, TestFunction.exponential(-1.0),
+                              1e9, GammaParams(alpha, 1.0), dep)
+        expected = dep.lam * math.gamma(alpha + 1.0) * 1e9 ** -alpha * (1.0 + alpha / 1e9)
+        assert got == pytest.approx(expected, rel=1e-12)
+
+
+def test_cthin_generator_series_past_its_term_budget_is_a_numerical_error(monkeypatch):
+    from gammaproc import analytic
+
+    monkeypatch.setattr(analytic, "_SERIES_TERMS", 100)
+    with pytest.raises(NumericalError):
+        generator_apply(ProcessKind.CONTINUOUSLY_THINNED, TestFunction.exponential(-3.0),
+                        300.0, GammaParams(2.0, 1.0), DEP5)
+
+
+@pytest.mark.parametrize("alpha", [1e-3, 0.05, 2.0, 7.3])
+def test_cthin_generator_is_stationary_under_the_gamma_law(alpha):
+    # E[A f(X)] = 0 for X ~ Ga(alpha, beta); in s = (beta x)^alpha the law is
+    # e^{-beta x} ds / Gamma(alpha + 1), smooth at s = 0 for every shape
+    mp.mp.dps = 20
+    dep = Dependence(0.7)
+    hi = alpha + 10.0 * math.sqrt(alpha) + 10.0
+    cuts = [0.0, alpha**alpha, hi**alpha, (hi + 100.0) ** alpha]
+    for beta in (0.3, 3.0):
+        p = GammaParams(alpha, beta)
+        for f in CTHIN_FUNCTIONS[1:]:
+            def weighted(s):
+                x = float(s ** (1.0 / alpha)) / beta
+                return generator_apply(ProcessKind.CONTINUOUSLY_THINNED, f, x, p, dep) \
+                    * math.exp(-beta * x)
+            mean = mp.quad(weighted, cuts)
+            scale = mp.quad(lambda s: abs(weighted(s)), cuts)
+            assert abs(mean) <= 1e-12 * scale, (f, p)
 
 
 def test_generator_unsupported_kind():

@@ -1,6 +1,7 @@
 """Which modules a fresh interpreter loads: ``simulate`` and ``compare`` need
 numpy only; ``verify`` imports ``scipy.special`` at its first KS or tail check
-and ``scipy.integrate`` only for the cthin generator quadrature."""
+and nothing else from scipy: the cthin generator oracle is a closed form, so
+no command loads ``scipy.integrate`` or the ``scipy.optimize`` it brings."""
 
 import json
 import os
@@ -54,6 +55,16 @@ def test_import_simulate_and_compare_load_no_scipy():
 
 def test_verify_marginal_loads_scipy_special_but_not_integrate():
     (imported, verified) = _probe([["verify", "--process", "ar1", "--suite", "marginal"]])
+    assert imported["scipy"] == []
+    assert verified["code"] == 0
+    assert "scipy.special" in verified["scipy"]
+    assert "scipy.integrate" not in verified["scipy"]
+    assert "scipy.optimize" not in verified["scipy"]
+
+
+def test_verify_cthin_all_loads_scipy_special_but_not_integrate_or_optimize():
+    (imported, verified) = _probe([["verify", "--process", "cthin", "--suite", "all",
+                                    "--paths", "2000", "--cthin-steps", "16"]])
     assert imported["scipy"] == []
     assert verified["code"] == 0
     assert "scipy.special" in verified["scipy"]
