@@ -2,11 +2,15 @@
 
 Runs, for each seed s = first, first + 1, ..., first + K - 1:
 
-* ``verify --suite chf --seed s`` for ar1, thinned, rm and changepoint
-  (pass: the report's chf check has status ``pass``);
+* ``verify --suite chf --seed s`` for every kind with a closed-form pair
+  chf: ar1, thinned, rm, changepoint and cir (pass: the report's chf check
+  has status ``pass``);
 * ``compare --points 2 --process-a thinned --process-b rm --seed s``, whose
   two processes share every two-point law, so ``max_z < 4`` is the null
-  (pass: the report's ``max_z`` is below 4).
+  (pass: the report's ``max_z`` is below 4);
+* ``compare --points 3`` of thinned against thinned and of rm against rm,
+  the same-kind nulls of the triplet separation (seeds s and s + 1; pass:
+  ``max_z`` below 4).
 
 Each command runs at its own default number of paths.
 
@@ -32,9 +36,9 @@ import sys
 import tempfile
 import traceback
 
+from gammaproc.analytic import PAIR_CHF_KINDS
 from gammaproc.cli import main as gammaproc_main
 
-CHF_KINDS = ("ar1", "thinned", "rm", "changepoint")
 COMPARE_NULL_Z = 4.0
 
 
@@ -43,13 +47,17 @@ def _checks():
     def chf_passed(report):
         return all(c["status"] == "pass" for c in report["checks"])
 
-    for kind in CHF_KINDS:
-        yield (f"verify chf {kind}",
-               ["verify", "--process", kind, "--suite", "chf"],
+    def null_passed(report):
+        return report["max_z"] < COMPARE_NULL_Z
+
+    for kind in PAIR_CHF_KINDS:
+        yield (f"verify chf {kind.cli_name}",
+               ["verify", "--process", kind.cli_name, "--suite", "chf"],
                chf_passed)
-    yield ("compare thinned/rm 2-point",
-           ["compare", "--process-a", "thinned", "--process-b", "rm", "--points", "2"],
-           lambda report: report["max_z"] < COMPARE_NULL_Z)
+    for a, b, points in (("thinned", "rm", "2"), ("thinned", "thinned", "3"), ("rm", "rm", "3")):
+        yield (f"compare {a}/{b} {points}-point",
+               ["compare", "--process-a", a, "--process-b", b, "--points", points],
+               null_passed)
 
 
 def _run(argv, out):
@@ -98,9 +106,9 @@ def main(argv=None):
         p.error("--k must be positive")
     counts = sweep(ns.k, ns.first_seed)
     print(f"seeds {ns.first_seed}..{ns.first_seed + ns.k - 1}")
-    print(f"{'check':30s} {'passed':>8s} {'rate':>6s} {'errors':>6s}")
+    print(f"{'check':32s} {'passed':>8s} {'rate':>6s} {'errors':>6s}")
     for label, (passes, runs, errors) in counts.items():
-        print(f"{label:30s} {passes:>4d}/{runs:<3d} {passes / runs:6.2f} {errors:>6d}")
+        print(f"{label:32s} {passes:>4d}/{runs:<3d} {passes / runs:6.2f} {errors:>6d}")
     return 1 if any(errors for _, _, errors in counts.values()) else 0
 
 

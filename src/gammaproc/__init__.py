@@ -41,7 +41,6 @@ from .processes import (
     cir_path,
     cthin_path,
     marginal_sample,
-    pair_sample,
     random_measure_path,
     simulate_ensemble,
     tent_partition,
@@ -58,7 +57,6 @@ from .stats import (
     MomentReport,
     ReversibilityReport,
     TailTable,
-    TripletReport,
     chf_gof,
     default_omega_axis,
     default_omega_pairs,
@@ -69,7 +67,6 @@ from .stats import (
     ks_statistic,
     reversibility_check,
     tail_check,
-    triplet_discrimination,
     two_sample_chf,
 )
 
@@ -87,12 +84,11 @@ __all__ = [
     "TentPartition", "tent_partition", "ar1_path", "thinned_path",
     "random_measure_path", "changepoint_path", "CirMethod", "cir_path",
     "CthinConfig", "cthin_path", "simulate_ensemble",
-    "walker_sample", "marginal_sample", "pair_sample", "triplet_sample",
+    "walker_sample", "marginal_sample", "triplet_sample",
     # stats
     "MomentReport", "empirical_moments", "AcfReport", "empirical_acf",
     "KsReport", "ks_statistic", "ChfEstimate", "empirical_chf",
-    "ChfComparison", "chf_gof", "two_sample_chf", "TripletReport",
-    "triplet_discrimination",
+    "ChfComparison", "chf_gof", "two_sample_chf",
     "ReversibilityReport", "reversibility_check",
     "GeneratorCheck", "generator_check", "TailTable", "tail_check",
     "default_omega_axis", "default_omega_pairs",

@@ -33,6 +33,8 @@ from .core import (
 )
 
 __all__ = [
+    "PAIR_CHF_KINDS",
+    "GENERATOR_KINDS",
     "gamma_chf",
     "innovation_chf",
     "pair_chf",
@@ -45,6 +47,12 @@ __all__ = [
     "levy_tail",
     "gamma_survival",
 ]
+
+# The kinds with a closed-form pair chf (``pair_chf``): all but the
+# continuously-thinned process.
+PAIR_CHF_KINDS = tuple(k for k in ProcessKind if k is not ProcessKind.CONTINUOUSLY_THINNED)
+# The kinds with a closed-form generator (``generator_apply``).
+GENERATOR_KINDS = (ProcessKind.SQUARED_OU, ProcessKind.CONTINUOUSLY_THINNED)
 
 
 def _as_float_array(omega):
@@ -80,7 +88,7 @@ def innovation_chf(omega, params: GammaParams, rho_step):
 def pair_chf(kind: ProcessKind, s, t, params: GammaParams, dep: Dependence):
     """Joint chf E exp(i s X_0 + i t X_1) at unit lag for the given kind.
 
-    The five kinds with closed forms are supported; the continuously-thinned
+    The kinds of ``PAIR_CHF_KINDS`` are supported; the continuously-thinned
     process has no closed pair chf (its bivariate law is not the thinned one:
     only marginals and covariance agree) and raises UnsupportedKindError.
     """
@@ -367,20 +375,20 @@ def generator_apply(kind: ProcessKind, f: TestFunction, x, params: GammaParams, 
     x = float(x)
     if x < 0.0 or not math.isfinite(x):
         raise ParameterError(f"state x must be finite and >= 0, got {x!r}")
+    if kind not in GENERATOR_KINDS:
+        raise UnsupportedKindError(
+            f"generator_apply supports the SquaredOU and ContinuouslyThinned kinds, not {kind!r}"
+        )
     a, b, lam = params.alpha, params.beta, dep.lam
     if kind is ProcessKind.SQUARED_OU:
         return float(-lam * (x - a / b) * f.dphi(x) + (lam / b) * x * f.d2phi(x))
-    if kind is ProcessKind.CONTINUOUSLY_THINNED:
-        if f.name == "identity":
-            return a * lam / b - lam * x
-        if f.name == "square":
-            return (2.0 * a * lam * x / b + a * lam / b**2
-                    - 2.0 * lam * x * x + lam * x * x / (a + 1.0))
-        z = -f.theta * x
-        return a * lam * (-math.exp(-z) * math.log1p(-f.theta / b) + _thinning_series(z, a))
-    raise UnsupportedKindError(
-        f"generator_apply supports the SquaredOU and ContinuouslyThinned kinds, not {kind!r}"
-    )
+    if f.name == "identity":
+        return a * lam / b - lam * x
+    if f.name == "square":
+        return (2.0 * a * lam * x / b + a * lam / b**2
+                - 2.0 * lam * x * x + lam * x * x / (a + 1.0))
+    z = -f.theta * x
+    return a * lam * (-math.exp(-z) * math.log1p(-f.theta / b) + _thinning_series(z, a))
 
 
 # -- tails ---------------------------------------------------------------------

@@ -32,7 +32,7 @@ from json.encoder import encode_basestring_ascii
 import numpy as np
 
 from . import __version__
-from .analytic import TestFunction
+from .analytic import GENERATOR_KINDS, PAIR_CHF_KINDS, TestFunction
 from .core import (
     Dependence,
     Ensemble,
@@ -417,7 +417,7 @@ def _check_acf(cfg: RunConfig):
 
 
 def _check_chf(cfg: RunConfig, omegas):
-    if cfg.process is ProcessKind.CONTINUOUSLY_THINNED:
+    if cfg.process not in PAIR_CHF_KINDS:
         return {
             "name": "chf",
             "status": "skipped",
@@ -425,7 +425,7 @@ def _check_chf(cfg: RunConfig, omegas):
         }
     grid = make_uniform_grid(0.0, _first_gap(cfg), 2)
     cfg2 = RunConfig(**{**cfg.__dict__, "grid": grid, "seed": _subseed(cfg, 3)})
-    comp = chf_gof(_simulate(cfg2), cfg.params, cfg.dep, omegas=omegas, lag=1)
+    comp = chf_gof(_simulate(cfg2), cfg.params, cfg.dep, omegas=omegas)
     ok = comp.max_z <= _NSIG
     return {
         "name": "chf",
@@ -439,7 +439,7 @@ def _check_chf(cfg: RunConfig, omegas):
 
 
 def _check_generator(cfg: RunConfig):
-    if cfg.process not in (ProcessKind.SQUARED_OU, ProcessKind.CONTINUOUSLY_THINNED):
+    if cfg.process not in GENERATOR_KINDS:
         return {
             "name": "generator",
             "status": "skipped",
@@ -488,8 +488,7 @@ def _run_check(name, check):
 
 
 def cmd_verify(cfg: RunConfig, suite, omega_axis=None) -> int:
-    if (suite in ("chf", "all") and cfg.process is not ProcessKind.CONTINUOUSLY_THINNED
-            and cfg.n_paths < 2):
+    if suite in ("chf", "all") and cfg.process in PAIR_CHF_KINDS and cfg.n_paths < 2:
         raise ParameterError(f"the chf check needs --paths >= 2, got {cfg.n_paths}")
     if suite in ("acf", "all"):
         _acf_grid(cfg)  # refuses a path too short for the acf check's batches

@@ -46,19 +46,20 @@ first rows; a path operation is the one-lane block.  Exact cir draws each
 step from the state, so it has no separate draw step; it, Euler, squared-OU
 and cthin simulate their one-lane blocks whole inside their plans.
 
-The ``*_sample`` batch helpers at the bottom draw i.i.d. copies of small
-marginal/pair/triplet configurations from a *single* stream, as a vector of
+The ``*_sample`` batch helpers at the bottom draw i.i.d. copies of a
+marginal or of a thinned/rm triplet from a *single* stream, as a vector of
 lanes.  They exist because statistical verification needs 10^5 - 10^6
 independent replicates, for which per-path stream setup dominates runtime.
-They share one body (``_batch_start`` and ``_batch_rows``): each gap of ar1,
-thinned, changepoint, exact cir and each cthin lattice step is one call of
-``_lane_step``, the only lane dispatch on kind (the stats generator check
-calls it too), and rm sums the cells of a small tent partition.  The exact
-cir transition (``_cir_exact_step``) and cthin's kept fraction
-(``_cthin_kept``) are each written once, for the path plans and the lanes
-alike; squared-OU and Euler keep their own marginal loops.  Each helper
-documents why its construction has exactly the law of the corresponding
-path operation restricted to those times.
+Pairs need no helper: a 2-point ``simulate_ensemble`` is one pair per path.
+The marginal and triplet helpers share one body (``_batch_start`` and
+``_batch_rows``): each gap of ar1, thinned, changepoint, exact cir and each
+cthin lattice step is one call of ``_lane_step``, the only lane dispatch on
+kind (the stats generator check calls it too), and rm sums the cells of a
+small tent partition.  The exact cir transition (``_cir_exact_step``) and
+cthin's kept fraction (``_cthin_kept``) are each written once, for the path
+plans and the lanes alike; squared-OU and Euler keep their own marginal
+loops.  Each helper documents why its construction has exactly the law of
+the corresponding path operation restricted to those times.
 """
 
 from __future__ import annotations
@@ -98,7 +99,6 @@ __all__ = [
     "simulate_ensemble",
     "walker_sample",
     "marginal_sample",
-    "pair_sample",
     "triplet_sample",
 ]
 
@@ -1009,14 +1009,13 @@ def walker_sample(n, params: GammaParams, rho_step, master_seed):
 def _rm_cells(r, rows):
     """rm's batch layout for the returned ``rows``: ((i, j), mass) cells in draw order.
 
-    The tent partition of [0, gap] (rows 0 and 1) or of [0, gap, 2 gap]
-    (rows 0, 1 and 2) at gap correlation r; a marginal (row 2) draws only
-    the three-point cells that cover 2 gap.  Cell (i, j) is one
-    Ga(alpha mass, beta) variable in every row from i to j.
+    The tent partition of [0, gap, 2 gap] (rows 0, 1 and 2) at gap
+    correlation r; a marginal (row 2) draws only the cells that cover
+    2 gap.  Cell (i, j) is one Ga(alpha mass, beta) variable in every row
+    from i to j.
     """
     return {
         (2,): (((2, 2), 1.0 - r), ((1, 2), r - r * r), ((0, 2), r * r)),
-        (0, 1): (((0, 1), r), ((0, 0), 1.0 - r), ((1, 1), 1.0 - r)),
         (0, 1, 2): (((0, 0), 1.0 - r), ((1, 1), (1.0 - r) ** 2), ((2, 2), 1.0 - r),
                     ((0, 1), r - r * r), ((1, 2), r - r * r), ((0, 2), r * r)),
     }[rows]
@@ -1075,9 +1074,10 @@ def marginal_sample(
     Each lane runs the same recursion as the corresponding path operation
     (two ``_lane_step`` gaps of length ``gap`` from a Ga(alpha, beta) start
     for the discrete recursions and exact cir; for the continuously-thinned
-    process a quarter time unit of lattice steps; for Euler a burn-in
-    of ``euler_burn`` autocorrelation times), so a lane value has exactly the
-    law of a path value at that time.  ``gap`` must be finite and positive.
+    process a quarter time unit of lattice steps, and at least one; for
+    Euler a burn-in of ``euler_burn`` autocorrelation times), so a lane
+    value has exactly the law of a path value at that time.  ``gap`` must be
+    finite and positive.
     """
     n, gap, g, a, b, rho_g = _batch_start(n, params, dep, master_seed, gap)
     if kind is ProcessKind.SQUARED_OU and method is not CirMethod.EXACT:
@@ -1104,25 +1104,9 @@ def marginal_sample(
         raise ParameterError(f"unknown cir method {method!r}")
     steps, r = 2, rho_g
     if kind is ProcessKind.CONTINUOUSLY_THINNED:
-        steps = int(round(0.25 * cthin.steps_per_unit))
+        steps = max(1, int(round(0.25 * cthin.steps_per_unit)))
         r = dep.rho ** (1.0 / cthin.steps_per_unit)
     return _batch_rows(kind, g, a, b, r, n, (steps,))[0]
-
-
-def pair_sample(kind: ProcessKind, n, params: GammaParams, dep: Dependence, master_seed, gap=1.0):
-    """n i.i.d. copies of the consecutive pair (X_0, X_gap); exact-law constructions.
-
-    AR1/Thinned/ChangePoint apply one recursion step to a stationary start
-    and SquaredOU one exact transition (``_lane_step``); the random-measure
-    pair is assembled from its 3-block two-point partition (shared block
-    Ga(alpha rho_g, beta) plus two private Ga(alpha (1-rho_g), beta) blocks).
-    """
-    n, _, g, a, b, rho_g = _batch_start(n, params, dep, master_seed, gap)
-    if kind is ProcessKind.CONTINUOUSLY_THINNED:
-        raise UnsupportedKindError(
-            f"no closed-form pair comparison (and no pair sampler) for kind {kind!r}"
-        )
-    return tuple(_batch_rows(kind, g, a, b, rho_g, n, (0, 1)))
 
 
 def triplet_sample(kind: ProcessKind, n, params: GammaParams, dep: Dependence, master_seed, gap=1.0):

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analytic import generator_apply, levy_tail, pair_chf, TestFunction
+from .analytic import GENERATOR_KINDS, generator_apply, levy_tail, pair_chf, TestFunction
 from .core import (
     Dependence,
     Ensemble,
@@ -48,8 +48,6 @@ __all__ = [
     "ChfComparison",
     "chf_gof",
     "two_sample_chf",
-    "TripletReport",
-    "triplet_discrimination",
     "ReversibilityReport",
     "reversibility_check",
     "GeneratorCheck",
@@ -422,28 +420,23 @@ def _chf_z(diff, se_re, se_im):
 
 
 def chf_gof(ensemble: Ensemble, params: GammaParams, dep: Dependence,
-            omegas=None, lag=1) -> ChfComparison:
-    """Empirical pair chf of (X_{t_0}, X_{t_lag}) across paths vs the closed form.
+            omegas=None) -> ChfComparison:
+    """Empirical pair chf of (X_{t_0}, X_{t_1}) across paths vs the closed form.
 
     One pair per path keeps the replicates i.i.d., so the componentwise
     standard errors are honest.  The analytic side is ``pair_chf`` at the
-    pair correlation rho**(t_lag - t_0).
+    pair correlation rho**(t_1 - t_0).
     """
-    lag = int(lag)
-    if lag < 1 or lag >= ensemble.grid.n:
-        raise ParameterError(f"lag must be in [1, {ensemble.grid.n - 1}], got {lag}")
-    gaps = ensemble.grid.gaps
-    if np.any(np.abs(gaps - gaps[0]) > 1e-9 * max(float(gaps[0]), 1.0)):
-        raise ParameterError("chf_gof requires a uniform grid")
+    if ensemble.grid.n < 2:
+        raise ParameterError("chf_gof needs a grid with at least 2 points")
     if omegas is None:
         omegas = default_omega_pairs(params.beta)
     w = _as_omega_matrix(omegas)
     if w.shape[1] != 2:
         raise ParameterError("chf_gof omegas must be (s, t) pairs")
-    span = float(ensemble.grid.times[lag] - ensemble.grid.times[0])
+    span = float(ensemble.grid.times[1] - ensemble.grid.times[0])
     dep_pair = Dependence.from_rho(dep.gap_corr(span))
-    samples = ensemble.values[:, [0, lag]]
-    est = empirical_chf(samples, w)
+    est = empirical_chf(ensemble.values[:, :2], w)
     analytic = np.array(
         [pair_chf(ensemble.kind, s, t, params, dep_pair) for s, t in w]
     )
@@ -452,24 +445,6 @@ def chf_gof(ensemble: Ensemble, params: GammaParams, dep: Dependence,
         omegas=w, empirical=est.estimate, se_re=est.se_re, se_im=est.se_im,
         analytic=analytic, z_scores=z, n=est.n,
     )
-
-
-@dataclass(frozen=True)
-class TripletReport:
-    omegas: np.ndarray
-    z_scores: np.ndarray
-    estimate_a: np.ndarray
-    estimate_b: np.ndarray
-    n_a: int
-    n_b: int
-
-    @property
-    def max_z(self):
-        return float(np.max(self.z_scores))
-
-    @property
-    def argmax_omega(self):
-        return self.omegas[int(np.argmax(self.z_scores))]
 
 
 def two_sample_chf(a, b, omegas):
@@ -485,23 +460,6 @@ def two_sample_chf(a, b, omegas):
     se_re = np.sqrt(est_a.se_re**2 + est_b.se_re**2)
     se_im = np.sqrt(est_a.se_im**2 + est_b.se_im**2)
     return _chf_z(est_a.estimate - est_b.estimate, se_re, se_im), est_a, est_b
-
-
-def triplet_discrimination(ensemble_a: Ensemble, ensemble_b: Ensemble, omegas) -> TripletReport:
-    """Two-sample comparison (``two_sample_chf``) of trivariate chfs over the first three times."""
-    ga, gb = ensemble_a.grid, ensemble_b.grid
-    if ga.n < 3 or gb.n < 3:
-        raise ParameterError("triplet_discrimination needs grids with at least 3 points")
-    if ga.n != gb.n or not np.array_equal(ga.times, gb.times):
-        raise ParameterError("ensembles must share the same grid")
-    w = _as_omega_matrix(omegas)
-    if w.shape[1] != 3:
-        raise ParameterError("triplet omegas must be (w1, w2, w3) rows")
-    z, est_a, est_b = two_sample_chf(ensemble_a.values[:, :3], ensemble_b.values[:, :3], w)
-    return TripletReport(
-        omegas=w, z_scores=z, estimate_a=est_a.estimate, estimate_b=est_b.estimate,
-        n_a=est_a.n, n_b=est_b.n,
-    )
 
 
 # -- pathwise time-reversal asymmetry ------------------------------------------
@@ -588,7 +546,7 @@ def generator_check(
         raise ParameterError("n_mc must be at least 2")
     eps = _require_finite_positive("epsilon", 1e-3 / dep.lam if epsilon is None else epsilon)
     g = derive_stream(master_seed, 0).gen
-    if kind not in (ProcessKind.SQUARED_OU, ProcessKind.CONTINUOUSLY_THINNED):
+    if kind not in GENERATOR_KINDS:
         raise ParameterError(
             f"generator_check supports the squared-OU and continuously-thinned kinds, not {kind!r}"
         )

@@ -24,7 +24,6 @@ from gammaproc import (
     CirMethod,
     CthinConfig,
     Dependence,
-    Ensemble,
     GammaParams,
     ProcessKind,
     TestFunction,
@@ -46,11 +45,10 @@ from gammaproc import (
     make_uniform_grid,
     marginal_sample,
     pair_chf,
-    pair_sample,
     rm_joint_chf,
+    simulate_ensemble,
     tail_check,
     tent_partition,
-    triplet_discrimination,
     triplet_sample,
     two_sample_chf,
     walker_sample,
@@ -177,10 +175,15 @@ def test_criterion_03_innovation_chf(capsys):
 # -- criterion 4: pair-chf agreement --------------------------------------------------
 
 
+def _pairs(kind, n, seed):
+    """n pairs (X_0, X_1) of ``kind``: the rows of a 2-point ensemble."""
+    return simulate_ensemble(kind, make_uniform_grid(0.0, 1.0, 2), P11, DEP5, n, seed).values
+
+
 @functools.cache
 def _criterion_04_pairs():
     """Criterion 4's samples: N = 1e5 pairs of each closed-form kind, seed MASTER + index."""
-    return {kind: np.column_stack(pair_sample(kind, 100000, P11, DEP5, master_seed=MASTER + ki))
+    return {kind: _pairs(kind, 100000, MASTER + ki)
             for ki, kind in enumerate(FIVE_CLOSED_FORM_KINDS)}
 
 
@@ -273,32 +276,33 @@ def test_criterion_05_triplet_separation(capsys):
     grid3 = make_uniform_grid(0.0, 1.0, 3)
     omegas = default_omega_triples(P11.beta)
 
-    def ens(kind, seed):
-        vals = triplet_sample(kind, n, P11, DEP5, master_seed=seed).T
-        return Ensemble(grid3, kind, vals, master_seed=seed)
+    def triplets(kind, seed):
+        return triplet_sample(kind, n, P11, DEP5, master_seed=seed).T
 
-    ens_t = ens(ProcessKind.THINNED, MASTER)
-    ens_r = ens(ProcessKind.RANDOM_MEASURE, MASTER + 1)
-    rep = triplet_discrimination(ens_t, ens_r, omegas)
-    sep_z = rep.max_z
-    top = rep.argmax_omega
+    def max_z(a, b):
+        return float(np.max(two_sample_chf(a, b, omegas)[0]))
+
+    trip_t = triplets(ProcessKind.THINNED, MASTER)
+    trip_r = triplets(ProcessKind.RANDOM_MEASURE, MASTER + 1)
+    z = two_sample_chf(trip_t, trip_r, omegas)[0]
+    sep_z = float(np.max(z))
+    top = omegas[int(np.argmax(z))]
 
     # dual route: each empirical triplet chf must match its own analytic oracle
     oracle_t = _thinned_triplet_chf_quad(top, P11, DEP5)
     oracle_r = rm_joint_chf(top, grid3, P11, DEP5)
-    z_t = float(np.max(_pair_z(ens_t.values, top.reshape(1, 3), np.array([oracle_t]))))
-    z_r = float(np.max(_pair_z(ens_r.values, top.reshape(1, 3), np.array([oracle_r]))))
+    z_t = float(np.max(_pair_z(trip_t, top.reshape(1, 3), np.array([oracle_t]))))
+    z_r = float(np.max(_pair_z(trip_r, top.reshape(1, 3), np.array([oracle_r]))))
     analytic_gap = abs(oracle_t - oracle_r)
 
     # two-point laws coincide: two-sample pair z must stay below 4
-    x0t, x1t = pair_sample(ProcessKind.THINNED, n, P11, DEP5, master_seed=MASTER + 6)
-    x0r, x1r = pair_sample(ProcessKind.RANDOM_MEASURE, n, P11, DEP5, master_seed=MASTER + 7)
     pair_z = float(np.max(two_sample_chf(
-        np.column_stack((x0t, x1t)), np.column_stack((x0r, x1r)), PAIR_OMEGAS)[0]))
+        _pairs(ProcessKind.THINNED, n, MASTER + 6),
+        _pairs(ProcessKind.RANDOM_MEASURE, n, MASTER + 7), PAIR_OMEGAS)[0]))
 
     # null calibration: same kind, different seeds
-    null_t = triplet_discrimination(ens_t, ens(ProcessKind.THINNED, MASTER + 2), omegas).max_z
-    null_r = triplet_discrimination(ens_r, ens(ProcessKind.RANDOM_MEASURE, MASTER + 3), omegas).max_z
+    null_t = max_z(trip_t, triplets(ProcessKind.THINNED, MASTER + 2))
+    null_r = max_z(trip_r, triplets(ProcessKind.RANDOM_MEASURE, MASTER + 3))
     null_z = max(null_t, null_r)
 
     ok = (sep_z > 5.0 and pair_z < 4.0 and null_z < 4.0

@@ -15,7 +15,7 @@ from gammaproc.cli import (
     default_omega_triples,
     main,
 )
-from gammaproc.stats import default_omega_pairs, triplet_discrimination, two_sample_chf
+from gammaproc.stats import default_omega_pairs, two_sample_chf
 
 
 def run(args):
@@ -182,17 +182,11 @@ def test_compare_scores_the_first_points_of_both_ensembles(tmp_path, points):
     ns.n = points
     ens_a = _simulate(_resolve_config(ns, "thinned", ns.paths))
     ens_b = _simulate(RunConfig(**{**_resolve_config(ns, "rm", ns.paths).__dict__, "seed": 6}))
-    if points == 3:
-        omegas = default_omega_triples(1.0)
-        rep = triplet_discrimination(ens_a, ens_b, omegas)
-        z, worst = rep.z_scores, rep.argmax_omega
-    else:
-        omegas = default_omega_pairs(1.0)
-        z = two_sample_chf(ens_a.values, ens_b.values, omegas)[0]
-        worst = omegas[int(np.argmax(z))]
+    omegas = (default_omega_triples if points == 3 else default_omega_pairs)(1.0)
+    z = two_sample_chf(ens_a.values, ens_b.values, omegas)[0]
     payload = json.loads(out.read_text())
     assert payload["z_scores"] == z.tolist()
-    assert payload["argmax_omega"] == worst.tolist()
+    assert payload["argmax_omega"] == omegas[int(np.argmax(z))].tolist()
 
 
 def test_compare_requires_shared_parameters():
@@ -502,7 +496,9 @@ def test_seed_sweep_counts_passes_and_errors(monkeypatch, capsys):
     sweep = _seed_sweep()
     counts = sweep.sweep(2, 1, 500)
     assert list(counts) == ["verify chf ar1", "verify chf thinned", "verify chf rm",
-                            "verify chf changepoint", "compare thinned/rm 2-point"]
+                            "verify chf changepoint", "verify chf cir",
+                            "compare thinned/rm 2-point", "compare thinned/thinned 3-point",
+                            "compare rm/rm 3-point"]
     assert all(runs == 2 and errors == 0 and 0 <= passes <= 2
                for passes, runs, errors in counts.values())
     # a run that raises or exits 2 is an error; the script then exits 1

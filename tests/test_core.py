@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+import gammaproc
+from gammaproc import analytic, core, processes, stats
 from gammaproc import (
     Dependence,
     Ensemble,
@@ -170,3 +172,9 @@ def test_derive_stream_refuses_a_seed_outside_64_bits(seed):
     with pytest.raises(ParameterError, match=r"\[0, 2\*\*64\)"):
         derive_stream(seed, 0)
     assert derive_stream((1 << 64) - 1, 0).master_seed == (1 << 64) - 1
+
+
+@pytest.mark.parametrize("module", [gammaproc, core, analytic, processes, stats],
+                         ids=lambda m: m.__name__)
+def test_every_exported_name_resolves(module):
+    assert [name for name in module.__all__ if not hasattr(module, name)] == []

@@ -24,7 +24,6 @@ from gammaproc import (
     generator_check,
     make_uniform_grid,
     marginal_sample,
-    pair_sample,
     random_measure_path,
     simulate_ensemble,
     tent_partition,
@@ -517,21 +516,32 @@ def test_marginal_sample_mean_variance(kind):
     assert abs(np.mean(x) - p.mean) < 4 * se_mean
 
 
+@pytest.mark.parametrize("steps_per_unit", [1, 2])
+def test_cthin_marginal_sample_takes_a_lattice_step_at_coarse_lattices(steps_per_unit):
+    # a quarter time unit rounds to 0 lattice steps here; the sample must still
+    # run the kernel once, not return its Ga(alpha, beta) start draws
+    n, params = 1000, GammaParams(2.0, 1.0)
+    x = marginal_sample(ProcessKind.CONTINUOUSLY_THINNED, n, params, DEP5, master_seed=5,
+                        cthin=CthinConfig(steps_per_unit))
+    g = derive_stream(5, 0).gen
+    start = g.gamma(params.alpha, 1.0 / params.beta, size=n)
+    q = DEP5.rho ** (1.0 / steps_per_unit)
+    step = processes._lane_step(ProcessKind.CONTINUOUSLY_THINNED, g, start, params.alpha,
+                                params.beta, q)
+    assert x.tobytes() != start.tobytes()
+    assert x.tobytes() == step.tobytes()
+
+
 @pytest.mark.parametrize("kind", [k for k in ProcessKind
                                   if k is not ProcessKind.CONTINUOUSLY_THINNED])
-def test_pair_sample_correlation(kind):
+def test_two_point_ensemble_correlation(kind):
     n = 200000
-    x0, x1 = pair_sample(kind, n, P11, DEP5, master_seed=10)
-    r = np.corrcoef(x0, x1)[0, 1]
+    pairs = simulate_ensemble(kind, make_uniform_grid(0.0, 1.0, 2), P11, DEP5, n, 10).values
+    r = np.corrcoef(pairs.T)[0, 1]
     # correlation of a gamma pair estimated at n=2e5 is good to ~3/sqrt(n)
     assert abs(r - DEP5.rho) < 0.02
     m = marginal_sample(kind, 1000, P11, DEP5, master_seed=10)
     assert np.all(m >= 0.0)
-
-
-def test_pair_sample_rejects_cthin():
-    with pytest.raises(UnsupportedKindError):
-        pair_sample(ProcessKind.CONTINUOUSLY_THINNED, 10, P11, DEP5, master_seed=0)
 
 
 def test_triplet_sample_shapes_and_kinds():
@@ -629,38 +639,6 @@ def _ref_marginal(kind, n, params, dep, master_seed, gap, method, cthin, euler_b
     return x
 
 
-def _ref_pair(kind, n, params, dep, master_seed, gap):
-    g = derive_stream(master_seed, 0).gen
-    a, b = params.alpha, params.beta
-    rho_g = dep.rho ** float(gap)
-    if kind is ProcessKind.AR1:
-        x0 = g.gamma(a, 1.0 / b, size=n)
-        mixing = g.gamma(a, 1.0, size=n)
-        counts = g.poisson((1.0 - rho_g) / rho_g * mixing)
-        return x0, rho_g * x0 + g.gamma(counts, rho_g / b)
-    if kind is ProcessKind.THINNED:
-        x0 = g.gamma(a, 1.0 / b, size=n)
-        g1 = g.gamma(a * rho_g, 1.0, size=n)
-        g2 = g.gamma(a * (1.0 - rho_g), 1.0, size=n)
-        return x0, g1 / (g1 + g2) * x0 + g.gamma(a * (1.0 - rho_g), 1.0 / b, size=n)
-    if kind is ProcessKind.RANDOM_MEASURE:
-        shared = g.gamma(a * rho_g, 1.0 / b, size=n)
-        own0 = g.gamma(a * (1.0 - rho_g), 1.0 / b, size=n)
-        own1 = g.gamma(a * (1.0 - rho_g), 1.0 / b, size=n)
-        return shared + own0, shared + own1
-    if kind is ProcessKind.CHANGE_POINT:
-        x0 = g.gamma(a, 1.0 / b, size=n)
-        keep = g.random(n) < rho_g
-        fresh = g.gamma(a, 1.0 / b, size=n)
-        return x0, np.where(keep, x0, fresh)
-    if kind is ProcessKind.SQUARED_OU:
-        x0 = g.gamma(a, 1.0 / b, size=n)
-        c = b / (1.0 - rho_g)
-        k = g.poisson(c * x0 * rho_g)
-        return x0, g.gamma(a + k, 1.0 / c, size=n)
-    raise UnsupportedKindError(kind)
-
-
 def _ref_triplet(kind, n, params, dep, master_seed, gap):
     g = derive_stream(master_seed, 0).gen
     a, b = params.alpha, params.beta
@@ -728,7 +706,7 @@ def _outcome(fn, *args, **kwargs):
             out = fn(*args, **kwargs)
     except (ParameterError, NumericalError) as exc:
         return type(exc)
-    return np.stack(out).tobytes() if isinstance(out, tuple) else out.tobytes()
+    return out.tobytes()
 
 
 KERNEL_POINTS = {
@@ -753,14 +731,13 @@ def test_batch_samplers_equal_their_earlier_bodies(kind, method, point, gap):
     got = _outcome(marginal_sample, kind, n, params, dep, 21, gap=gap, **opts)
     assert got == _outcome(_ref_marginal, kind, n, params, dep, 21, gap, **opts)
     if method is CirMethod.EXACT:
-        for new, ref in ((pair_sample, _ref_pair), (triplet_sample, _ref_triplet)):
-            try:
-                want = _outcome(ref, kind, n, params, dep, 22, gap)
-            except UnsupportedKindError:
-                with pytest.raises(UnsupportedKindError):
-                    new(kind, n, params, dep, 22, gap=gap)
-                continue
-            assert _outcome(new, kind, n, params, dep, 22, gap=gap) == want
+        try:
+            want = _outcome(_ref_triplet, kind, n, params, dep, 22, gap)
+        except UnsupportedKindError:
+            with pytest.raises(UnsupportedKindError):
+                triplet_sample(kind, n, params, dep, 22, gap=gap)
+        else:
+            assert _outcome(triplet_sample, kind, n, params, dep, 22, gap=gap) == want
     rho = dep.rho**gap
     assert (walker_sample(n, params, rho, 23).tobytes()
             == _ref_walker(n, params, rho, 23).tobytes())
@@ -783,7 +760,7 @@ def test_generator_check_equals_its_earlier_step(kind, point, n_mc):
 
 
 @pytest.mark.parametrize("gap", [0.0, -1.0, float("nan"), float("inf")])
-@pytest.mark.parametrize("sampler", [marginal_sample, pair_sample, triplet_sample])
+@pytest.mark.parametrize("sampler", [marginal_sample, triplet_sample])
 def test_batch_samplers_reject_a_gap_that_is_not_finite_and_positive(sampler, gap):
     for kind in ProcessKind:
         with pytest.raises(ParameterError, match="gap"):
@@ -799,8 +776,6 @@ def test_ar1_ladder_past_numpy_poisson_limit_is_a_numerical_error(dep):
     with pytest.raises(NumericalError):
         marginal_sample(ProcessKind.AR1, 100, P11, dep, master_seed=0)
     with pytest.raises(NumericalError):
-        pair_sample(ProcessKind.AR1, 100, P11, dep, master_seed=0)
-    with pytest.raises(NumericalError):
         ar1_path(derive_stream(0, 0), grid, P11, dep)
     with pytest.raises(NumericalError):
         simulate_ensemble(ProcessKind.AR1, grid, P11, dep, 40, master_seed=0)
@@ -814,8 +789,6 @@ def test_exact_cir_gap_correlation_of_one_is_a_numerical_error():
     dep = Dependence(1e-300)
     with pytest.raises(NumericalError):
         marginal_sample(ProcessKind.SQUARED_OU, 100, P11, DEP5, master_seed=0, gap=1e-300)
-    with pytest.raises(NumericalError):
-        pair_sample(ProcessKind.SQUARED_OU, 100, P11, DEP5, master_seed=0, gap=1e-300)
     with pytest.raises(NumericalError):
         cir_path(derive_stream(0, 0), TimeGrid(np.array([0.0, 1e-300])), P11, DEP5)
     with pytest.raises(NumericalError):

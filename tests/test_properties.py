@@ -26,7 +26,6 @@ from gammaproc import (  # noqa: E402
     derive_stream,
     make_uniform_grid,
     marginal_sample,
-    pair_sample,
     processes,
     simulate_ensemble,
 )
@@ -41,9 +40,14 @@ def _finite_nonnegative_or_refused(sampler, kind, params, dep, gap):
         out = sampler(kind, 64, params, dep, master_seed=1, gap=gap)
     except (ParameterError, NumericalError):
         return
-    values = np.stack(out) if isinstance(out, tuple) else out
-    assert np.all(np.isfinite(values)), (kind, params, dep, gap)
-    assert np.all(values >= 0.0), (kind, params, dep, gap)
+    assert np.all(np.isfinite(out)), (kind, params, dep, gap)
+    assert np.all(out >= 0.0), (kind, params, dep, gap)
+
+
+def _pairs(kind, n, params, dep, master_seed, gap):
+    """n pairs (X_0, X_gap) of ``kind``: the rows of a 2-point ensemble."""
+    grid = make_uniform_grid(0.0, gap, 2)
+    return simulate_ensemble(kind, grid, params, dep, n, master_seed).values
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -56,8 +60,8 @@ def _finite_nonnegative_or_refused(sampler, kind, params, dep, gap):
 def test_batch_samplers_give_finite_nonnegative_values_or_refuse(kind, alpha, rho, gap):
     params, dep = GammaParams(alpha, 1.0), Dependence.from_rho(rho)
     _finite_nonnegative_or_refused(marginal_sample, kind, params, dep, gap)
-    # cthin has no pair sampler: that refusal is an UnsupportedKindError, a ParameterError
-    _finite_nonnegative_or_refused(pair_sample, kind, params, dep, gap)
+    # cthin refuses a gap off its lattice with a ParameterError
+    _finite_nonnegative_or_refused(_pairs, kind, params, dep, gap)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -178,4 +182,4 @@ def test_simulate_rho_and_lambda_spellings_give_the_same_bytes(process, lam, n, 
 def test_thinned_small_shape_values_are_finite():
     params, dep = GammaParams(0.01, 1.0), Dependence.from_rho(0.001)
     assert np.all(np.isfinite(marginal_sample(ProcessKind.THINNED, 20000, params, dep, 1)))
-    assert np.all(np.isfinite(pair_sample(ProcessKind.THINNED, 20000, params, dep, 1)))
+    assert np.all(np.isfinite(_pairs(ProcessKind.THINNED, 20000, params, dep, 1, 1.0)))
