@@ -26,7 +26,7 @@ import argparse
 import itertools
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from json.encoder import encode_basestring_ascii
 
 import numpy as np
@@ -43,20 +43,12 @@ from .core import (
     TimeGrid,
     UnsupportedKindError,
     _require_seed,
-    derive_stream,
     make_uniform_grid,
 )
-from .processes import (
-    CirMethod,
-    CthinConfig,
-    _path_for_kind,
-    marginal_sample,
-    simulate_ensemble,
-)
+from .processes import CirMethod, CthinConfig, marginal_sample, simulate_ensemble
 from .stats import (
     _acf_batch_len,
     chf_gof,
-    default_omega_axis,
     default_omega_pairs,
     empirical_acf,
     empirical_moments,
@@ -398,9 +390,9 @@ def _acf_grid(cfg: RunConfig):
 
 def _check_acf(cfg: RunConfig):
     grid, max_lag = _acf_grid(cfg)
-    path = _path_for_kind(cfg.process, derive_stream(_subseed(cfg, 2), 0), grid,
-                          cfg.params, cfg.dep, cfg.cir_method, cfg.euler_substeps,
-                          CthinConfig(cfg.cthin_steps))
+    # a path of 1e5 points takes more than processes._BLOCK_DRAWS draws, so it is
+    # a block of one path drawn from the stream (subseed, 0)
+    path = _simulate(replace(cfg, grid=grid, n_paths=1, seed=_subseed(cfg, 2))).path(0)
     rep = empirical_acf(path, cfg.dep, max_lag=max_lag)
     z = np.abs(rep.estimates - rep.target) / rep.standard_errors
     ok = bool(np.all(z <= _NSIG))
@@ -424,8 +416,8 @@ def _check_chf(cfg: RunConfig, omegas):
             "reason": "no closed-form pair chf for the continuously-thinned process",
         }
     grid = make_uniform_grid(0.0, _first_gap(cfg), 2)
-    cfg2 = RunConfig(**{**cfg.__dict__, "grid": grid, "seed": _subseed(cfg, 3)})
-    comp = chf_gof(_simulate(cfg2), cfg.params, cfg.dep, omegas=omegas)
+    comp = chf_gof(_simulate(replace(cfg, grid=grid, seed=_subseed(cfg, 3))), cfg.params,
+                   cfg.dep, omegas=omegas)
     ok = comp.max_z <= _NSIG
     return {
         "name": "chf",
@@ -538,6 +530,9 @@ def cmd_compare(cfg_a: RunConfig, cfg_b: RunConfig, points) -> int:
     if cfg_a.n_paths < 2 or cfg_b.n_paths < 2:
         raise ParameterError(
             f"compare needs --paths >= 2, got {min(cfg_a.n_paths, cfg_b.n_paths)}")
+    if cfg_a.grid.n < points:
+        raise ParameterError(f"compare --points {points} needs a grid of at least {points} "
+                             f"times, got {cfg_a.grid.n}")
     ens_a = _simulate(cfg_a)
     ens_b = _simulate(cfg_b)
     omegas = (default_omega_triples if points == 3 else default_omega_pairs)(cfg_a.params.beta)
@@ -592,9 +587,8 @@ def main(argv=None) -> int:
             cfg_b = _resolve_config(ns, ns.process_b, ns.paths)
             seed_a = ns.seed if ns.seed_a is None else ns.seed_a
             seed_b = ns.seed + 1 if ns.seed_b is None else ns.seed_b
-            cfg_a = RunConfig(**{**cfg_a.__dict__, "seed": _require_seed("--seed-a", seed_a)})
-            cfg_b = RunConfig(**{**cfg_b.__dict__, "seed": _require_seed("--seed-b", seed_b),
-                                 "out": None})
+            cfg_a = replace(cfg_a, seed=_require_seed("--seed-a", seed_a))
+            cfg_b = replace(cfg_b, seed=_require_seed("--seed-b", seed_b), out=None)
             return cmd_compare(cfg_a, cfg_b, ns.points)
         raise ParameterError(f"unknown command {ns.command!r}")
     except (ParameterError, UnsupportedKindError) as exc:

@@ -53,13 +53,31 @@ def _require_finite_positive(name, value):
     return v
 
 
+def _require_integer(name, value):
+    """``value`` as an int: an integral float (``1e5``) or a numpy integer passes,
+    and a fractional or non-finite value is a ParameterError, not truncated."""
+    if isinstance(value, (int, np.integer)):
+        return int(value)
+    v = float(value)
+    if not v.is_integer():
+        raise ParameterError(f"{name} must be an integer, got {value!r}")
+    return int(v)
+
+
+def _require_positive_int(name, value):
+    v = _require_integer(name, value)
+    if v < 1:
+        raise ParameterError(f"{name} must be a positive integer, got {value!r}")
+    return v
+
+
 def _require_seed(name, value):
     """``value`` as an int in [0, 2**64), the range of one Philox key word.
 
     A seed outside it would alias one inside (``-1`` and ``2**64 - 1`` give
     the same key) and echo a seed that was not used.
     """
-    v = int(value)
+    v = _require_integer(name, value)
     if not 0 <= v < 1 << 64:
         raise ParameterError(f"{name} must be an integer in [0, 2**64), got {value!r}")
     return v
@@ -173,10 +191,7 @@ def make_uniform_grid(t0, dt, n):
     if not math.isfinite(float(t0)):
         raise ParameterError(f"t0 must be finite, got {t0!r}")
     dt = _require_finite_positive("dt", dt)
-    n = int(n)
-    if n < 1:
-        raise ParameterError(f"n must be >= 1, got {n}")
-    return TimeGrid(float(t0) + dt * np.arange(n))
+    return TimeGrid(float(t0) + dt * np.arange(_require_positive_int("n", n)))
 
 
 class ProcessKind(enum.Enum):
@@ -234,11 +249,9 @@ class Ensemble:
 
     ``values[m, k]`` is path ``m`` at grid time ``k``.  Path ``m`` is a pure
     function of ``(master_seed, m)``, regardless of how many other paths
-    exist: ``simulate_ensemble`` draws the paths in blocks of ``B``, path
-    ``m`` from the block at the head of ``derive_stream(master_seed, m // B)``,
-    with a per-kind ``B`` (1 for the kinds that simulate whole paths; see
-    ``processes``).  ``values`` is held read-only, as in ``SamplePath``: a
-    read-only float64 array is not copied.
+    exist; the ``processes`` module docstring gives the block-stream rule.
+    ``values`` is held read-only, as in ``SamplePath``: a read-only float64
+    array is not copied.
     """
 
     grid: TimeGrid

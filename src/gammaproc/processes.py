@@ -55,11 +55,39 @@ The marginal and triplet helpers share one body (``_batch_start`` and
 ``_batch_rows``): each gap of ar1, thinned, changepoint, exact cir and each
 cthin lattice step is one call of ``_lane_step``, the only lane dispatch on
 kind (the stats generator check calls it too), and rm sums the cells of a
-small tent partition.  The exact cir transition (``_cir_exact_step``) and
-cthin's kept fraction (``_cthin_kept``) are each written once, for the path
-plans and the lanes alike; squared-OU and Euler keep their own marginal
-loops.  Each helper documents why its construction has exactly the law of
-the corresponding path operation restricted to those times.
+small tent partition.  Each helper documents why its construction has
+exactly the law of the corresponding path operation restricted to those
+times.
+
+Shared and duplicated update rules
+----------------------------------
+Written once, for the path plans and the lanes alike:
+
+* the AR(1) gamma-Poisson-gamma ladder (``_ar1_ladder``): the ar1 plan, the
+  ar1 lane step and ``walker_sample``;
+* the exact cir transition (``_cir_exact_step``): the exact cir plan and
+  lane step;
+* the exact OU walk (``_ou_walk``): the squared-OU plan and
+  ``marginal_sample``;
+* the cthin lattice draw, kept fraction plus top-up (``_cthin_draw``): the
+  cthin plan's chunks and the cthin lane step;
+* a plan's run-by-run standard gammas (``_GammaRunsPlan.draw``): thinned
+  and rm.
+
+Still written twice, each for a reason:
+
+* thinned, changepoint and rm draw gap by gap in their batch layouts
+  (``_lane_step``, ``_rm_cells``) but run by run in their plans.  Acceptance
+  criteria 1 and 5 read the batch samplers' bytes at frozen seeds with
+  per-cell bounds, so those layouts stay until the criteria have
+  family-wise bounds.
+* cthin paths draw in chunks and scan the lattice (``_affine_scan_blocks``)
+  where the lane step multiplies step by step: acceptance criterion 2
+  reads cthin path bytes, so they stay as they are for the same reason.
+* Euler steps a path on Python floats and ``marginal_sample``'s lanes in
+  numpy.  One substep costs about 1.2 us on Python floats and about 12 us
+  as a one-lane numpy step (Xeon, 2 vCPUs, numpy 2.4), so a path would run
+  ten times slower on the lane loop.
 """
 
 from __future__ import annotations
@@ -82,6 +110,7 @@ from .core import (
     TimeGrid,
     UnsupportedKindError,
     _require_finite_positive,
+    _require_positive_int,
     derive_stream,
 )
 
@@ -181,13 +210,6 @@ def tent_partition(grid: TimeGrid, dep: Dependence) -> TentPartition:
     return TentPartition(grid=grid, dep=dep, masses=out)
 
 
-def _require_positive_int(name, value):
-    v = int(value)
-    if v < 1:
-        raise ParameterError(f"{name} must be a positive integer, got {value!r}")
-    return v
-
-
 # -- the engine: plan once, draw per block, build across paths ----------------
 
 # Raw draws held per block of paths: 64 KiB, so block buffers stay below
@@ -223,12 +245,6 @@ def _gamma_runs(shapes):
         return [(shapes[:, None], 0, shapes.size)]
     bounds = [0, *edges.tolist(), shapes.size]
     return [(float(shapes[a]), a, b) for a, b in zip(bounds[:-1], bounds[1:])]
-
-
-def _draw_runs(gen, runs, out):
-    """Standard gammas of ``runs``' shapes into the rows of ``out``, every lane of a row in turn."""
-    for shape, a, b in runs:
-        gen.standard_gamma(shape, out=out[a:b])
 
 
 def _as_floats(*arrays):
@@ -280,9 +296,9 @@ class _Plan:
     """Everything a kind's paths share on one (grid, params, dep), computed once.
 
     ``block(gen, lanes)`` gives the values of ``lanes`` paths, one row each,
-    from the head of ``gen``: an ensemble draws blocks of
-    ``max(1, _BLOCK_DRAWS // width)`` paths, or of one without a width, and
-    a path operation is the one-lane block.  A plan with a
+    from the head of ``gen``; an ensemble's block sizes keep path m a
+    function of (master_seed, m) alone (the module docstring has the rule),
+    and a path operation is the one-lane block.  A plan with a
     ``width`` splits a block in two steps: ``draw(gen, out)`` takes the
     ``width`` raw draws of each of ``out.shape[1]`` lanes off ``gen`` into
     the rows of ``out``, run by run in the documented stream order, and
@@ -329,11 +345,22 @@ _LADDER_MEAN = ("AR(1) innovation ladder: the Poisson mean (1 - rho_g)/rho_g * L
                 "(gap correlation rho_g too small)")
 
 
-class _Ar1Plan(_Plan):
-    """Draws: X_0 and the n - 1 innovation values, as standard gammas.
+def _ar1_ladder(gen, alpha, odds, out):
+    """AR(1) innovations at gap correlation r, divided by r / beta, into ``out``.
 
-    X_0 and the mixing L go in one call, then all counts N, then all values.
+    The gamma-Poisson-gamma ladder: the mixing L ~ Ga(alpha, 1) for every
+    element, then every count N ~ Po(odds L) (``odds`` = (1 - r)/r, from
+    ``_ladder_odds``), then every Ga(N, 1).  Scaled by r / beta this is the
+    innovation zeta ~ Ga(N, beta / r), whose characteristic function
+    ((beta - i w) / (beta - i r w))^(-alpha) is exactly what X' = r X + zeta
+    needs to keep the Ga(alpha, beta) marginal; P(zeta = 0) = r^alpha.
     """
+    gen.standard_gamma(alpha, out=out)
+    return gen.standard_gamma(_poisson_counts(gen, odds * out, _LADDER_MEAN), out=out)
+
+
+class _Ar1Plan(_Plan):
+    """Draws: X_0, then the n - 1 innovations' ladder (``_ar1_ladder``) as standard gammas."""
 
     def __init__(self, grid, params, dep):
         super().__init__(grid, ProcessKind.AR1)
@@ -345,9 +372,8 @@ class _Ar1Plan(_Plan):
         self.width = self.n
 
     def draw(self, gen, out):
-        gen.standard_gamma(self.alpha, out=out)  # X_0, then the mixing L
-        counts = _poisson_counts(gen, self.odds * out[1:], _LADDER_MEAN)
-        gen.standard_gamma(counts, out=out[1:])
+        gen.standard_gamma(self.alpha, out=out[0])
+        _ar1_ladder(gen, self.alpha, self.odds, out[1:])
 
     def build(self, draws):
         return _affine_recursion(
@@ -355,7 +381,15 @@ class _Ar1Plan(_Plan):
         )
 
 
-class _ThinnedPlan(_Plan):
+class _GammaRunsPlan(_Plan):
+    """A plan whose draws are all standard gammas, one call per run of ``self.runs``."""
+
+    def draw(self, gen, out):
+        for shape, a, b in self.runs:
+            gen.standard_gamma(shape, out=out[a:b])
+
+
+class _ThinnedPlan(_GammaRunsPlan):
     """Draws: X_0, the beta numerators, the denominators, the top-ups.
 
     All are gammas, so a path is one vector of standard-gamma shapes.
@@ -370,9 +404,6 @@ class _ThinnedPlan(_Plan):
         self.inv_beta = 1.0 / params.beta
         self.width = 3 * self.n - 2
 
-    def draw(self, gen, out):
-        _draw_runs(gen, self.runs, out)
-
     def build(self, draws):
         s = self.n - 1
         g1 = draws[:, 1 : 1 + s]
@@ -382,7 +413,7 @@ class _ThinnedPlan(_Plan):
         )
 
 
-class _RandomMeasurePlan(_Plan):
+class _RandomMeasurePlan(_GammaRunsPlan):
     """Draws: the cells of diagonal d = 0, 1, ... in turn, as standard gammas.
 
     When a path has at most ``_PLAN_CELLS`` cells the plan keeps every cell
@@ -422,9 +453,6 @@ class _RandomMeasurePlan(_Plan):
         hi = np.minimum(self.k, n - 1 - d) + 1
         lo = np.maximum(0, self.k - d)
         values += csum[:, hi] - csum[:, lo]
-
-    def draw(self, gen, out):
-        _draw_runs(gen, self.runs, out)
 
     def build(self, draws):
         cells = draws * self.inv_beta
@@ -575,8 +603,24 @@ def _squared_ou_coordinates(a):
     return j
 
 
+def _ou_walk(gen, half, shape):
+    """Exact OU coordinates of ``shape`` (``(..., J)``), at the start and after each gap.
+
+    The coordinates are unit-variance and ``half[k]`` is gap k's OU
+    correlation rho**(gap/2).  Stream order: the start's standard normals,
+    then every gap's noise in one call.  Each gap is Z' = a Z + sqrt(1 - a^2) E,
+    the exact OU transition.
+    """
+    z = gen.standard_normal(shape)
+    noise = gen.standard_normal((len(half), *shape))
+    yield z
+    for ak, e in zip(half, noise):
+        z = ak * z + math.sqrt(1.0 - ak * ak) * e
+        yield z
+
+
 class _SquaredOuPlan(_Plan):
-    """J = 2 alpha independent exact OU coordinates, X = sum Z_j^2 / (2 beta)."""
+    """J = 2 alpha independent exact OU coordinates (``_ou_walk``), X = sum Z_j^2 / (2 beta)."""
 
     def __init__(self, grid, params, dep):
         super().__init__(grid, ProcessKind.SQUARED_OU)
@@ -585,16 +629,8 @@ class _SquaredOuPlan(_Plan):
         self.half = dep.rho ** (grid.gaps / 2.0)
 
     def values(self, gen):
-        values = np.empty(self.n)
-        z = gen.standard_normal(self.j)
-        values[0] = np.sum(z * z) / self.two_beta
-        if self.n > 1:
-            noise = gen.standard_normal((self.n - 1, self.j))
-            for k in range(1, self.n):
-                ak = self.half[k - 1]
-                z = ak * z + math.sqrt(1.0 - ak * ak) * noise[k - 1]
-                values[k] = np.sum(z * z) / self.two_beta
-        return values
+        walk = _ou_walk(gen, self.half, (self.j,))
+        return np.fromiter(((z * z).sum() for z in walk), float, count=self.n) / self.two_beta
 
 
 @dataclass(frozen=True)
@@ -719,20 +755,35 @@ def _exact_segments(a, z, vals):
         _float_recursion(a[lo:hi], z[lo:hi], float(x[i]), res[lo:hi])
 
 
-def _cthin_kept(g1, s, p, live):
-    """cthin's kept fraction 1 - b, b = g1 / (g1 + s) ~ Be(a p, a q), written into ``g1``.
+def _cthin_buffers(size):
+    """Scratch for ``_cthin_draw`` on ``size`` steps or lanes: three float vectors and a mask."""
+    return np.empty(size), np.empty(size), np.empty(size), np.empty(size, dtype=bool)
 
-    ``g1`` and ``s`` hold the beta-stage standard gammas of shapes a p and
-    a q.  Where both underflow to 0 the ratio is 0/0 and the thinning is p,
-    its mean.  ``s`` is left holding g1 + s and ``live`` (a boolean buffer
-    of the same size) the underflow mask.
+
+def _cthin_draw(gen, a, b, q, buffers):
+    """One cthin lattice step for each element of ``buffers``: (kept fraction, top-up).
+
+    With p = 1 - q, the kept fraction is 1 - b_k, b_k = g1 / (g1 + g2) ~
+    Be(a p, a q), and the top-up is Ga(a p, b).  Stream order: the beta
+    stage's standard gammas g1 (shape a p), then g2 (shape a q), then the
+    top-up's.  Where g1 and g2 both underflow to 0 the ratio is 0/0 and the
+    thinning is p, its mean.  ``buffers`` is ``_cthin_buffers``' tuple (or
+    equal slices of it); the kept fraction and top-up are its first and
+    third vectors.
     """
-    np.add(g1, s, out=s)
+    kept, s, zeta, live = buffers
+    p = 1.0 - q
+    gen.standard_gamma(a * p, out=kept)
+    gen.standard_gamma(a * q, out=s)
+    np.add(kept, s, out=s)
     np.greater(s, 0.0, out=live)
-    np.divide(g1, s, out=g1, where=live)
+    np.divide(kept, s, out=kept, where=live)
     np.logical_not(live, out=live)
-    np.copyto(g1, p, where=live)
-    return np.subtract(1.0, g1, out=g1)
+    np.copyto(kept, p, where=live)
+    np.subtract(1.0, kept, out=kept)
+    gen.standard_gamma(a * p, out=zeta)
+    zeta *= 1.0 / b  # gamma(shape, scale) is scale * standard_gamma(shape), bit for bit
+    return kept, zeta
 
 
 class _CthinPlan(_Plan):
@@ -745,11 +796,10 @@ class _CthinPlan(_Plan):
         self.n_steps = int(self.idx[-1])
         self.params = params
         self.q = dep.rho**eps
-        self.p = 1.0 - self.q
 
     def values(self, gen):
         a, b = self.params.alpha, self.params.beta
-        idx, n_steps, p, q = self.idx, self.n_steps, self.p, self.q
+        idx, n_steps = self.idx, self.n_steps
         x = gen.gamma(a, 1.0 / b)
         values = np.empty(self.n)
         pos = 0
@@ -759,18 +809,11 @@ class _CthinPlan(_Plan):
         chunk = 1 << 18
         done = 0
         size = min(chunk, max(n_steps, 1))
-        g1_buf, s_buf, zeta_buf, buf = (np.empty(size) for _ in range(4))
-        live_buf = np.empty(size, dtype=bool)
+        buffers, buf = _cthin_buffers(size), np.empty(size)
         while done < n_steps:
             k = min(chunk, n_steps - done)
-            g1, s, zeta, live = g1_buf[:k], s_buf[:k], zeta_buf[:k], live_buf[:k]
-            # gamma(shape, scale) is scale * standard_gamma(shape), bit for bit
-            gen.standard_gamma(a * p, out=g1)
-            gen.standard_gamma(a * q, out=s)
-            _cthin_kept(g1, s, p, live)
-            gen.standard_gamma(a * p, out=zeta)
-            zeta *= 1.0 / b
-            out = _affine_scan_blocks(g1, zeta, x, out=buf[:k])
+            kept, zeta = _cthin_draw(gen, a, b, self.q, [v[:k] for v in buffers])
+            out = _affine_scan_blocks(kept, zeta, x, out=buf[:k])
             while pos < self.n and idx[pos] <= done + k:
                 values[pos] = out[idx[pos] - done - 1]
                 pos += 1
@@ -809,7 +852,7 @@ def ar1_path(rng: RandomSource, grid: TimeGrid, params: GammaParams, dep: Depend
     """Gamma AR(1): X_{t_k} = rho_k X_{t_{k-1}} + zeta_k.
 
     The innovation for a gap with correlation rho_k is the gamma-Poisson-gamma
-    ladder of ``_ar1_innovations`` (mixing L ~ Ga(alpha, 1), count
+    ladder of ``_ar1_ladder`` (mixing L ~ Ga(alpha, 1), count
     N ~ Po(((1-rho_k)/rho_k) L), value ~ Ga(N, beta/rho_k)); here the three
     stages are drawn vectorized over steps (stream order: X_0, all L, all N,
     all values), then the recursion runs sequentially so that each step is
@@ -873,7 +916,7 @@ def cir_path(
     sum Z_j^2 / (2 beta); no substeps are needed because the OU update is
     exact over any gap.
     """
-    return _path_for_kind(ProcessKind.SQUARED_OU, rng, grid, params, dep, method, substeps, None)
+    return _plan_for_kind(ProcessKind.SQUARED_OU, grid, params, dep, method, substeps, None).path(rng)
 
 
 def cthin_path(
@@ -904,10 +947,6 @@ def cthin_path(
 # -- ensembles ---------------------------------------------------------------
 
 
-def _path_for_kind(kind, rng, grid, params, dep, method, substeps, cthin):
-    return _plan_for_kind(kind, grid, params, dep, method, substeps, cthin).path(rng)
-
-
 def simulate_ensemble(
     kind: ProcessKind,
     grid: TimeGrid,
@@ -921,15 +960,9 @@ def simulate_ensemble(
 ) -> Ensemble:
     """Simulate ``n_paths`` independent paths; path m depends on (master_seed, m) alone.
 
-    Paths run in blocks of ``B`` consecutive indices: block ``j`` (paths
-    ``j*B .. j*B + B - 1``, all ``B`` of them drawn even past ``n_paths``)
-    comes from the head of the stream (master_seed, j).  ``B`` is
-    ``max(1, _BLOCK_DRAWS // width)`` for a plan with a ``width`` of draws
-    per path (ar1, thinned, changepoint, rm up to ``_PLAN_CELLS`` cells) and
-    1 for a whole-path plan (exact cir, Euler, squared-OU, cthin, longer rm).
-    One stream is re-keyed to each block in turn and the block's first rows
-    are kept, so the output does not depend on ``n_paths`` itself: a longer
-    run extends a shorter one path for path.
+    So the output does not depend on ``n_paths`` itself: a longer run
+    extends a shorter one path for path.  The module docstring gives the
+    block-stream rule that makes it so.
     """
     n_paths = _require_positive_int("n_paths", n_paths)
     plan = _plan_for_kind(kind, grid, params, dep, method, substeps, cthin)
@@ -940,23 +973,10 @@ def simulate_ensemble(
         rng.rekey(start // lanes)
         values[start : start + lanes] = plan.block(rng.gen, lanes)[: n_paths - start]
     values.setflags(write=False)  # so Ensemble holds it without a copy
-    return Ensemble(grid=grid, kind=kind, values=values, master_seed=int(master_seed))
+    return Ensemble(grid=grid, kind=kind, values=values, master_seed=rng.master_seed)
 
 
 # -- vectorized i.i.d. batch samplers (verification workhorses) ---------------
-
-
-def _ar1_innovations(g, a, b, r, n):
-    """n i.i.d. AR(1) innovations at gap correlation r: the gamma-Poisson-gamma ladder.
-
-    With L ~ Ga(a, 1), N | L ~ Po(((1-r)/r) L) and zeta | N ~ Ga(N, b/r), the
-    innovation zeta has characteristic function ((b - i w) / (b - i r w))^(-a),
-    which is exactly what X' = r X + zeta needs to keep the Ga(a, b) marginal.
-    P(zeta = 0) = P(N = 0) = r^a.
-    """
-    mixing = g.gamma(a, 1.0, size=n)
-    counts = _poisson_counts(g, _ladder_odds(r) * mixing, _LADDER_MEAN)
-    return g.gamma(counts, r / b)
 
 
 def _lane_step(kind, g, x, a, b, r):
@@ -966,17 +986,17 @@ def _lane_step(kind, g, x, a, b, r):
     gap correlation; for cthin the step is one lattice step at r = q = rho**eps.
     This is the only lane copy of each update:
 
-    * ar1: X' = r X + zeta, zeta from the innovation ladder;
+    * ar1: X' = r X + zeta, zeta from the innovation ladder ``_ar1_ladder``;
     * thinned: X' = B X + Ga(a (1-r), b) with B ~ Be(a r, a (1-r)), the beta
       drawn as the gamma ratio g1 / (g1 + g2);
     * changepoint: keep X with probability r, else a fresh Ga(a, b);
     * cir: the exact transition ``_cir_exact_step``;
     * cthin: X' = (1 - b_k) X + Ga(a p, b), b_k ~ Be(a p, a r), p = 1 - r,
-      with the kept fraction 1 - b_k from ``_cthin_kept``.
+      drawn by ``_cthin_draw``.
     """
     n = x.size
     if kind is ProcessKind.AR1:
-        return r * x + _ar1_innovations(g, a, b, r, n)
+        return r * x + _ar1_ladder(g, a, _ladder_odds(r), np.empty(n)) * (r / b)
     if kind is ProcessKind.THINNED:
         g1 = g.gamma(a * r, 1.0, size=n)
         g2 = g.gamma(a * (1.0 - r), 1.0, size=n)
@@ -988,22 +1008,19 @@ def _lane_step(kind, g, x, a, b, r):
     if kind is ProcessKind.SQUARED_OU:
         return _cir_exact_step(g, x, a, _cir_rate(b, r), r)
     if kind is ProcessKind.CONTINUOUSLY_THINNED:
-        p = 1.0 - r
-        g1 = g.gamma(a * p, 1.0, size=n)
-        g2 = g.gamma(a * r, 1.0, size=n)
-        kept = _cthin_kept(g1, g2, p, np.empty(n, dtype=bool))
-        return kept * x + g.gamma(a * p, 1.0 / b, size=n)
+        kept, zeta = _cthin_draw(g, a, b, r, _cthin_buffers(n))
+        return kept * x + zeta
     raise UnsupportedKindError(f"no lane update for kind {kind!r}")
 
 
 def walker_sample(n, params: GammaParams, rho_step, master_seed):
-    """n i.i.d. AR(1) innovations at per-step rho (``_ar1_innovations``)."""
+    """n i.i.d. AR(1) innovations at per-step rho (``_ar1_ladder``)."""
     rho = float(rho_step)
     if not (0.0 < rho < 1.0):
         raise ParameterError(f"rho_step must lie strictly in (0, 1), got {rho_step!r}")
     g = derive_stream(master_seed, 0).gen
-    n = _require_positive_int("n", n)
-    return _ar1_innovations(g, params.alpha, params.beta, rho, n)
+    out = np.empty(_require_positive_int("n", n))
+    return _ar1_ladder(g, params.alpha, _ladder_odds(rho), out) * (rho / params.beta)
 
 
 def _rm_cells(r, rows):
@@ -1082,11 +1099,8 @@ def marginal_sample(
     n, gap, g, a, b, rho_g = _batch_start(n, params, dep, master_seed, gap)
     if kind is ProcessKind.SQUARED_OU and method is not CirMethod.EXACT:
         if method is CirMethod.SQUARED_OU:
-            j = _squared_ou_coordinates(a)
-            z = g.standard_normal((n, j))
-            half = dep.rho ** (gap / 2.0)
-            for _ in range(2):
-                z = half * z + math.sqrt(1.0 - half * half) * g.standard_normal((n, j))
+            half = np.full(2, dep.rho ** (gap / 2.0))
+            *_, z = _ou_walk(g, half, (n, _squared_ou_coordinates(a)))
             return np.sum(z * z, axis=1) / (2.0 * b)
         if method is CirMethod.EULER:
             m = _require_positive_int("substeps", substeps)

@@ -32,6 +32,7 @@ from .core import (
     ProcessKind,
     SamplePath,
     _require_finite_positive,
+    _require_integer,
     derive_stream,
 )
 from .processes import _lane_step
@@ -541,7 +542,7 @@ def generator_check(
     x0 = float(x0)
     if not (math.isfinite(x0) and x0 >= 0.0):
         raise ParameterError(f"x0 must be finite and nonnegative, got {x0}")
-    n_mc = int(n_mc)
+    n_mc = _require_integer("n_mc", n_mc)
     if n_mc < 2:
         raise ParameterError("n_mc must be at least 2")
     eps = _require_finite_positive("epsilon", 1e-3 / dep.lam if epsilon is None else epsilon)

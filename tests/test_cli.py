@@ -529,7 +529,7 @@ def _no_sampler(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("a sampler ran before the parameters were refused")
 
-    for name in ("simulate_ensemble", "marginal_sample", "_path_for_kind"):
+    for name in ("simulate_ensemble", "marginal_sample"):
         monkeypatch.setattr(cli, name, refuse)
 
 
@@ -546,6 +546,18 @@ def test_fewer_than_two_paths_for_a_chf_comparison_exit_2_before_sampling(
     out = tmp_path / "out.json"
     assert run(argv + ["--paths", paths, "--out", str(out)]) == 2
     assert "--paths >= 2" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_compare_refuses_more_points_than_its_times_grid_before_sampling(
+        tmp_path, capsys, monkeypatch):
+    _no_sampler(monkeypatch)
+    times, out = tmp_path / "times.txt", tmp_path / "out.json"
+    times.write_text("0\n1\n")
+    assert run(["compare", "--process-a", "thinned", "--process-b", "rm", "--points", "3",
+                "--times", str(times), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "--points 3" in err and "got 2" in err
     assert not out.exists()
 
 

@@ -759,6 +759,41 @@ def test_generator_check_equals_its_earlier_step(kind, point, n_mc):
 # -- batch-sampler arguments and the AR(1) ladder's limits ---------------------------
 
 
+GRID3 = make_uniform_grid(0.0, 1.0, 3)
+NON_INTEGRAL = {
+    "ensemble-n_paths": lambda: simulate_ensemble(ProcessKind.AR1, GRID3, P11, DEP5, 2.9, 1),
+    "ensemble-seed": lambda: simulate_ensemble(ProcessKind.AR1, GRID3, P11, DEP5, 2, 1.7),
+    "cthin-steps": lambda: CthinConfig(2.5),
+    "euler-substeps": lambda: cir_path(derive_stream(0, 0), GRID3, P11, DEP5,
+                                       method=CirMethod.EULER, substeps=2.5),
+    "marginal-n": lambda: marginal_sample(ProcessKind.AR1, 100.9, P11, DEP5, master_seed=0),
+    "triplet-n": lambda: triplet_sample(ProcessKind.THINNED, 10.5, P11, DEP5, master_seed=0),
+    "walker-n": lambda: walker_sample(10.5, P11, 0.5, master_seed=0),
+    "generator-n_mc": lambda: generator_check(ProcessKind.SQUARED_OU, TestFunction.identity(),
+                                              1.0, P11, DEP5, n_mc=100.5),
+    "grid-n": lambda: make_uniform_grid(0.0, 1.0, 2.5),
+    "stream-seed": lambda: derive_stream(float("nan"), 0),
+}
+
+
+@pytest.mark.parametrize("call", list(NON_INTEGRAL.values()), ids=list(NON_INTEGRAL))
+def test_a_non_integral_count_or_seed_is_refused_not_truncated(call):
+    with pytest.raises(ParameterError, match="must be an integer"):
+        call()
+
+
+def test_integral_floats_and_numpy_integers_count_as_their_ints():
+    ens = simulate_ensemble(ProcessKind.AR1, GRID3, P11, DEP5, 3.0, np.uint64(1))
+    assert ens.master_seed == 1 and type(ens.master_seed) is int
+    assert ens.values.tobytes() == simulate_ensemble(ProcessKind.AR1, GRID3, P11, DEP5, 3,
+                                                     1).values.tobytes()
+    assert CthinConfig(np.int64(4)).steps_per_unit == 4
+    assert (marginal_sample(ProcessKind.AR1, 1e2, P11, DEP5, master_seed=0).tobytes()
+            == marginal_sample(ProcessKind.AR1, 100, P11, DEP5, master_seed=0).tobytes())
+    assert generator_check(ProcessKind.SQUARED_OU, TestFunction.identity(), 1.0, P11, DEP5,
+                           n_mc=1e3).n_mc == 1000
+
+
 @pytest.mark.parametrize("gap", [0.0, -1.0, float("nan"), float("inf")])
 @pytest.mark.parametrize("sampler", [marginal_sample, triplet_sample])
 def test_batch_samplers_reject_a_gap_that_is_not_finite_and_positive(sampler, gap):
