@@ -23,11 +23,10 @@ config and seed.
 from __future__ import annotations
 
 import argparse
-import itertools
+import json
 import math
 import sys
 from dataclasses import dataclass, replace
-from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -42,6 +41,7 @@ from .core import (
     ProcessKind,
     TimeGrid,
     UnsupportedKindError,
+    _require_positive_int,
     _require_seed,
     make_uniform_grid,
 )
@@ -178,7 +178,12 @@ def _resolve_grid(ns, default_n):
     if ns.times is not None:
         with open(ns.times) as fh:
             raw = fh.read()
-        vals = [float(tok) for tok in raw.replace(",", " ").split()]
+        vals = []
+        for tok in raw.replace(",", " ").split():
+            try:
+                vals.append(float(tok))
+            except ValueError:
+                raise ParameterError(f"--times entries must be numbers, got {tok!r}") from None
         return TimeGrid(vals)
     n = ns.n if ns.n is not None else default_n
     if ns.dt is None or ns.dt <= 0.0:
@@ -195,8 +200,8 @@ def _resolve_config(ns, process_name, n_paths, default_n=100):
         n_paths=int(n_paths),
         seed=_require_seed("--seed", ns.seed),
         cir_method=CirMethod.parse(ns.cir_method),
-        euler_substeps=int(ns.euler_substeps),
-        cthin_steps=int(ns.cthin_steps),
+        euler_substeps=_require_positive_int("--euler-substeps", ns.euler_substeps),
+        cthin_steps=_require_positive_int("--cthin-steps", ns.cthin_steps),
         out=ns.out,
         fmt=getattr(ns, "format", "json"),
     )
@@ -224,77 +229,43 @@ def _non_finite():
 
 
 def _json_float_row(row, pad):
-    """A 1-D float array as a JSON list whose items sit on lines indented ``pad + '  '``."""
-    if row.size == 0:
-        return "[]"
-    if not np.isfinite(row).all():
-        raise _non_finite()
+    """A non-empty, finite 1-D float array as a JSON list whose items sit on lines
+    indented ``pad + '  '``: the text ``json.dumps`` writes for it, in about 60% of
+    its time on a 2000 x 200 ensemble."""
     inner = "\n" + pad + "  "
     return "[" + inner + ("," + inner).join(map(float.__repr__, row.tolist())) + "\n" + pad + "]"
 
 
-def _json_scalar(obj):
-    if isinstance(obj, str):
-        return encode_basestring_ascii(obj)
-    if obj is None:
-        return "null"
-    if obj is True:
-        return "true"
-    if obj is False:
-        return "false"
-    if isinstance(obj, int):
-        return int.__repr__(obj)
-    if isinstance(obj, float):
-        if not math.isfinite(obj):
-            raise _non_finite()
-        return float.__repr__(obj)
+def _tolist(obj):
+    if isinstance(obj, (np.ndarray, np.generic)):
+        return obj.tolist()
     raise TypeError(f"object of type {type(obj).__name__} is not JSON serializable")
 
 
-def _json_chunks(obj, pad=""):
-    """Yield the text of ``json.dumps(obj, indent=2, sort_keys=True)`` in pieces.
-
-    ``pad`` is the indentation of the line on which ``obj`` starts.  Numpy
-    arrays are written as nested lists and numpy scalars as their Python
-    values.  Each 1-D float array is formatted in one piece from one
-    ``tolist()``, with ``float.__repr__``, the formatting ``json`` itself
-    applies to a finite float.  A NaN or infinity raises ``NumericalError``:
-    an artifact is always strict JSON.
-    """
-    if isinstance(obj, np.ndarray):
-        if obj.dtype.kind == "f" and obj.ndim == 1:
-            yield _json_float_row(obj, pad)
-            return
-        obj = list(obj) if obj.dtype.kind == "f" and obj.ndim > 1 else obj.tolist()
-    elif isinstance(obj, np.generic):
-        obj = obj.item()
-    if isinstance(obj, dict):
-        items = sorted(obj.items())
-        open_, close = "{", "}"
-    elif isinstance(obj, (list, tuple)):
-        items = obj
-        open_, close = "[", "]"
-    else:
-        yield _json_scalar(obj)
-        return
-    if not items:
-        yield open_ + close
-        return
-    inner = pad + "  "
-    sep = open_ + "\n" + inner
-    for item in items:
-        if open_ == "{":
-            key, item = item
-            sep += encode_basestring_ascii(key) + ": "
-        yield sep
-        yield from _json_chunks(item, inner)
-        sep = ",\n" + inner
-    yield "\n" + pad + close
-
-
 def _dump_json(payload):
-    """The whole JSON text of a small payload (a report): it is built before any output opens."""
-    return "".join(_json_chunks(payload)) + "\n"
+    """``payload`` as strict JSON, indented 2 with sorted keys; numpy arrays and
+    scalars are written as their Python lists and values.  A NaN or infinity
+    raises ``NumericalError``: an artifact is always strict JSON."""
+    try:
+        return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False,
+                          default=_tolist) + "\n"
+    except ValueError:
+        raise _non_finite() from None
+
+
+def _simulate_json_chunks(cfg: RunConfig, values):
+    """The ``simulate --format json`` document, one chunk per path.
+
+    Keys sort as config < grid < paths, so the float rows are spliced after
+    the config object that ``_dump_json`` writes.
+    """
+    yield (_dump_json({"config": cfg.echo()})[:-3] + ',\n  "grid": '
+           + _json_float_row(cfg.grid.times, "  ") + ',\n  "paths": [')
+    sep = "\n    "
+    for row in values:
+        yield sep + _json_float_row(row, "    ")
+        sep = ",\n    "
+    yield "\n  ]\n}\n"
 
 
 def _csv_chunks(times, values):
@@ -321,8 +292,7 @@ def cmd_simulate(cfg: RunConfig) -> int:
     if cfg.fmt == "csv":
         _write_text(cfg.out, _csv_chunks(cfg.grid.times, ens.values))
     else:
-        payload = {"config": cfg.echo(), "grid": cfg.grid.times, "paths": ens.values}
-        _write_text(cfg.out, itertools.chain(_json_chunks(payload), "\n"))
+        _write_text(cfg.out, _simulate_json_chunks(cfg, ens.values))
     return 0
 
 
@@ -472,7 +442,7 @@ def _run_check(name, check):
     entry, fails this check alone, as status "error"."""
     try:
         entry = check()
-        "".join(_json_chunks(entry))  # raises NumericalError on a NaN or infinity
+        _dump_json(entry)  # raises NumericalError on a NaN or infinity
         return entry
     except NumericalError as exc:
         print(f"gammaproc: numerical failure in the {name} check: {exc}", file=sys.stderr)

@@ -260,7 +260,7 @@ def irregular_times(tmp_path):
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
-@pytest.mark.parametrize("case", ["one-value", "irregular", "ar1-2000x200"])
+@pytest.mark.parametrize("case", ["one-value", "irregular", "ar1-2000x200", "cir-1x5000"])
 def test_simulate_output_equals_reference_writer(tmp_path, irregular_times, fmt, case):
     args = {
         "one-value": ["--process", "cir", "--n", "1", "--paths", "1", "--seed", "3"],
@@ -268,6 +268,7 @@ def test_simulate_output_equals_reference_writer(tmp_path, irregular_times, fmt,
                       "--seed", "8"],
         "ar1-2000x200": ["--process", "ar1", "--alpha", "0.5", "--n", "200",
                          "--paths", "2000", "--seed", "12"],
+        "cir-1x5000": ["--process", "cir", "--n", "5000", "--paths", "1", "--seed", "5"],
     }[case]
     args = ["simulate", *args, "--format", fmt]
     out = tmp_path / f"out.{fmt}"
@@ -299,7 +300,7 @@ def test_report_equals_reference_writer(tmp_path, monkeypatch, argv):
     monkeypatch.setattr(cli, "_dump_json", spy)
     out = tmp_path / "report.json"
     assert run(argv + ["--out", str(out)]) in (0, 1)
-    (report,) = reports
+    report = reports[-1]  # each check's entry is probed for a NaN first; the report is last
     assert out.read_bytes() == _reference_json(report).encode()
 
 
@@ -558,6 +559,33 @@ def test_compare_refuses_more_points_than_its_times_grid_before_sampling(
                 "--times", str(times), "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert "--points 3" in err and "got 2" in err
+    assert not out.exists()
+
+
+def test_a_times_entry_that_is_not_a_number_exits_2(tmp_path, capsys, monkeypatch):
+    _no_sampler(monkeypatch)
+    times, out = tmp_path / "times.txt", tmp_path / "out.csv"
+    times.write_text("0 abc 2\n")
+    assert run(["simulate", "--process", "ar1", "--times", str(times), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "--times" in err and "'abc'" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--process", "ar1", "--format", "json", "--euler-substeps", "-3"],
+    ["simulate", "--process", "ar1", "--cthin-steps", "0"],
+    ["verify", "--process", "ar1", "--suite", "tail", "--cthin-steps", "0"],
+    ["verify", "--process", "cir", "--suite", "marginal", "--euler-substeps", "0"],
+    ["compare", "--process-a", "thinned", "--process-b", "rm", "--euler-substeps", "0"],
+    ["compare", "--process-a", "cthin", "--process-b", "rm", "--cthin-steps", "-3"],
+])
+def test_a_non_positive_step_count_exits_2_before_sampling(tmp_path, capsys, monkeypatch, argv):
+    _no_sampler(monkeypatch)
+    out = tmp_path / "out"
+    option = argv[-2]
+    assert run(argv + ["--out", str(out)]) == 2
+    assert f"{option} must be a positive integer" in capsys.readouterr().err
     assert not out.exists()
 
 
