@@ -7,16 +7,19 @@ logarithm.  Every factor that appears here either has real part exactly 1
 the reals, so the principal branch is the unique continuous continuation from
 the value 1 at the origin.
 
-``scipy.special`` is imported inside the functions that call it (the Bessel
-series, the diffusion transition density and the two tails), so importing
-this module, and ``gammaproc`` with it, loads numpy and the standard library
-only.  The generators are closed forms in ``math`` alone, with no
-quadrature.
+``scipy.special`` is imported inside the functions that call it, so
+importing this module, and ``gammaproc`` with it, loads numpy and the
+standard library only.  Its uses: ``ive`` in ``log_bessel_i``, with
+``gammaln`` and ``logsumexp`` in that function's power-series fallback;
+``gammaln`` in the diffusion transition density; ``exp1`` and ``gammaincc``
+in the two tails.  The generators are closed forms in ``math`` alone, with
+no quadrature.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -159,42 +162,24 @@ def rm_joint_chf(omegas, grid: TimeGrid, params: GammaParams, dep: Dependence):
 # -- modified Bessel function of the first kind, log scale --------------------
 
 
-def _log_bessel_series(q, x, terms):
+def _log_bessel_series(q, x):
+    """log I_q(x) from its power series, summed in log space: every term is
+    positive, so the log-sum-exp is stable for any argument."""
     from scipy.special import gammaln, logsumexp
 
-    k = np.arange(terms, dtype=float)
+    k = np.arange(int(x / 2.0 + 12.0 * math.sqrt(x) + abs(q) + 80.0), dtype=float)
     with np.errstate(divide="ignore"):
         logs = (q + 2.0 * k) * math.log(x / 2.0) - gammaln(k + 1.0) - gammaln(q + k + 1.0)
     return float(logsumexp(logs))
 
-def _log_bessel_asymptotic(q, x):
-    # I_q(x) ~ e^x / sqrt(2 pi x) * sum_k (-1)^k a_k(q) / x^k with
-    # a_k = prod_{j<=k} (4q^2 - (2j-1)^2) / (k! 8^k).  The series is asymptotic:
-    # sum to the smallest term; give up (return None) if it cannot reach ~1e-12.
-    mu = 4.0 * q * q
-    term = 1.0
-    total = 1.0
-    smallest = 1.0
-    for k in range(1, 60):
-        term *= -(mu - (2.0 * k - 1.0) ** 2) / (8.0 * k * x)
-        if abs(term) >= smallest:
-            break
-        smallest = abs(term)
-        total += term
-        if smallest < 1e-17:
-            break
-    if smallest > 1e-12 or total <= 0.0:
-        return None
-    return x + math.log(total) - 0.5 * math.log(2.0 * math.pi * x)
-
 
 def log_bessel_i(q, x):
-    """log I_q(x) for q >= -1, x >= 0, without overflow for x up to ~700.
+    """log I_q(x) for q >= -1, x >= 0, without overflow at any finite x.
 
-    Power series in log space below x = 30 (all terms are positive, so the
-    log-sum-exp is stable for any argument); the large-argument asymptotic
-    expansion above, falling back to the (always convergent) series whenever
-    the asymptotic series cannot reach tolerance for the given order.
+    ``log(ive(q, x)) + x`` from scipy's exponentially scaled Bessel function
+    while ``ive(q, x)`` is a normal double, and the power series
+    (``_log_bessel_series``) where it is not: where it underflows, at an
+    order far above the argument, or at a subnormal x, where scipy returns NaN.
     """
     q = float(q)
     x = float(x)
@@ -206,13 +191,12 @@ def log_bessel_i(q, x):
         if q == 0.0:
             return 0.0
         return -math.inf if q > 0.0 else math.inf
-    if x <= 30.0:
-        return _log_bessel_series(q, x, 140)
-    val = _log_bessel_asymptotic(q, x)
-    if val is not None:
-        return val
-    n_terms = int(x / 2.0 + 12.0 * math.sqrt(x) + abs(q) + 80.0)
-    return _log_bessel_series(q, x, n_terms)
+    from scipy.special import ive
+
+    scaled = float(ive(q, x))
+    if sys.float_info.min <= scaled < math.inf:
+        return math.log(scaled) + x
+    return _log_bessel_series(q, x)
 
 
 def cir_transition_density(y, x, params: GammaParams, dep: Dependence, dt):

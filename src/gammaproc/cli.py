@@ -45,9 +45,11 @@ from .core import (
     _require_seed,
     make_uniform_grid,
 )
-from .processes import CirMethod, CthinConfig, marginal_sample, simulate_ensemble
+from .processes import (CirMethod, CthinConfig, _cthin_lattice_indices, marginal_sample,
+                         simulate_ensemble)
 from .stats import (
     _acf_batch_len,
+    _omega_pairs,
     chf_gof,
     default_omega_pairs,
     empirical_acf,
@@ -345,8 +347,9 @@ def _acf_grid(cfg: RunConfig):
     """The acf check's path grid, 1e5 steps of the first gap, and its last lag.
 
     The path must hold two batches of ``_acf_batch_len`` steps at the last
-    lag, 5, which fails when lambda * dt is below about 1e-3: that is refused
-    here, so ``cmd_verify`` can refuse it before anything is sampled.
+    lag, 5, which fails when lambda * dt is below about 1e-3, and a cthin
+    path must lie on its ``--cthin-steps`` lattice.  Both are refused here,
+    so ``cmd_verify`` can refuse them before anything is sampled.
     """
     n_steps, max_lag, dt = 100000, 5, _first_gap(cfg)
     batch_len = _acf_batch_len(cfg.dep.lam, dt)
@@ -355,7 +358,10 @@ def _acf_grid(cfg: RunConfig):
             f"the acf check needs lambda*dt >= about 1e-3, got {cfg.dep.lam * dt:.3g}: its "
             f"{n_steps}-step path cannot hold two batches of ceil(50/(lambda*dt)) = "
             f"{batch_len} steps at lag {max_lag}")
-    return make_uniform_grid(0.0, dt, n_steps), max_lag
+    grid = make_uniform_grid(0.0, dt, n_steps)
+    if cfg.process is ProcessKind.CONTINUOUSLY_THINNED:
+        _cthin_lattice_indices(grid, 1.0 / cfg.cthin_steps)
+    return grid, max_lag
 
 
 def _check_acf(cfg: RunConfig):
@@ -364,16 +370,14 @@ def _check_acf(cfg: RunConfig):
     # a block of one path drawn from the stream (subseed, 0)
     path = _simulate(replace(cfg, grid=grid, n_paths=1, seed=_subseed(cfg, 2))).path(0)
     rep = empirical_acf(path, cfg.dep, max_lag=max_lag)
-    z = np.abs(rep.estimates - rep.target) / rep.standard_errors
-    ok = bool(np.all(z <= _NSIG))
     return {
         "name": "acf",
-        "status": "pass" if ok else "fail",
+        "status": "pass" if rep.max_z <= _NSIG else "fail",
         "lags": rep.lags,
         "estimates": rep.estimates,
         "targets": rep.target,
         "standard_errors": rep.standard_errors,
-        "max_z": float(np.max(z)),
+        "max_z": rep.max_z,
         "batch_len": rep.batch_len,
     }
 
@@ -453,13 +457,8 @@ def cmd_verify(cfg: RunConfig, suite, omega_axis=None) -> int:
     if suite in ("chf", "all") and cfg.process in PAIR_CHF_KINDS and cfg.n_paths < 2:
         raise ParameterError(f"the chf check needs --paths >= 2, got {cfg.n_paths}")
     if suite in ("acf", "all"):
-        _acf_grid(cfg)  # refuses a path too short for the acf check's batches
-    if omega_axis is None:
-        omegas = None
-    else:
-        ax = np.asarray(omega_axis, dtype=float)
-        s, t = np.meshgrid(ax, ax, indexing="ij")
-        omegas = np.column_stack((s.ravel(), t.ravel()))
+        _acf_grid(cfg)  # refuses a path the acf check cannot simulate or batch
+    omegas = None if omega_axis is None else _omega_pairs(omega_axis)
     runs = [
         ("marginal", lambda: _check_marginal(cfg)),
         ("acf", lambda: _check_acf(cfg)),

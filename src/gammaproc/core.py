@@ -194,6 +194,16 @@ def make_uniform_grid(t0, dt, n):
     return TimeGrid(float(t0) + dt * np.arange(_require_positive_int("n", n)))
 
 
+def _parse_enum(cls, name, what):
+    """The member of enum ``cls`` whose value is ``name``; anything else is a ParameterError."""
+    for member in cls:
+        if member.value == name:
+            return member
+    raise ParameterError(
+        f"unknown {what} {name!r}; expected one of " + ", ".join(m.value for m in cls)
+    )
+
+
 class ProcessKind(enum.Enum):
     """The six stationary gamma constructions distinguished by this package."""
 
@@ -210,36 +220,33 @@ class ProcessKind(enum.Enum):
 
     @classmethod
     def parse(cls, name):
-        for kind in cls:
-            if kind.value == name:
-                return kind
-        raise ParameterError(
-            f"unknown process {name!r}; expected one of "
-            + ", ".join(k.value for k in cls)
-        )
+        return _parse_enum(cls, name, "process")
+
+
+def _read_only(values):
+    """``values`` as a read-only float64 array: one already read-only is kept as
+    it is, anything else is copied into a new frozen array."""
+    v = np.asarray(values, dtype=float)
+    if v.flags.writeable:
+        v = v.copy()
+        v.setflags(write=False)
+    return v
 
 
 @dataclass(frozen=True)
 class SamplePath:
-    """One realization observed on a grid.
-
-    ``values`` is held read-only: a read-only float64 array is kept as it is
-    and anything else is copied into a new frozen array.
-    """
+    """One realization observed on a grid; ``values`` is held read-only (``_read_only``)."""
 
     grid: TimeGrid
     values: np.ndarray
     kind: ProcessKind
 
     def __post_init__(self):
-        v = np.asarray(self.values, dtype=float)
+        v = _read_only(self.values)
         if v.shape != (self.grid.n,):
             raise ParameterError(
                 f"values shape {v.shape} does not match grid length {self.grid.n}"
             )
-        if v.flags.writeable:
-            v = v.copy()
-            v.setflags(write=False)
         object.__setattr__(self, "values", v)
 
 
@@ -250,8 +257,7 @@ class Ensemble:
     ``values[m, k]`` is path ``m`` at grid time ``k``.  Path ``m`` is a pure
     function of ``(master_seed, m)``, regardless of how many other paths
     exist; the ``processes`` module docstring gives the block-stream rule.
-    ``values`` is held read-only, as in ``SamplePath``: a read-only float64
-    array is not copied.
+    ``values`` is held read-only, as in ``SamplePath``.
     """
 
     grid: TimeGrid
@@ -260,14 +266,11 @@ class Ensemble:
     master_seed: int
 
     def __post_init__(self):
-        v = np.asarray(self.values, dtype=float)
+        v = _read_only(self.values)
         if v.ndim != 2 or v.shape[1] != self.grid.n:
             raise ParameterError(
                 f"values must have shape (n_paths, {self.grid.n}), got {v.shape}"
             )
-        if v.flags.writeable:
-            v = v.copy()
-            v.setflags(write=False)
         object.__setattr__(self, "values", v)
 
     @property

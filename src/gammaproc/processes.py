@@ -72,7 +72,9 @@ Written once, for the path plans and the lanes alike:
 * the cthin lattice draw, kept fraction plus top-up (``_cthin_draw``): the
   cthin plan's chunks and the cthin lane step;
 * a plan's run-by-run standard gammas (``_GammaRunsPlan.draw``): thinned
-  and rm.
+  and rm;
+* the tent partition's band masses, with their negative-mass guard and
+  clamp (``_band_masses``): ``tent_partition`` and the rm plan.
 
 Still written twice, each for a reason:
 
@@ -109,6 +111,7 @@ from .core import (
     SamplePath,
     TimeGrid,
     UnsupportedKindError,
+    _parse_enum,
     _require_finite_positive,
     _require_positive_int,
     derive_stream,
@@ -146,7 +149,10 @@ def _band_masses(times, rho, d):
 
         m(i, j) = A(i, j) - A(i-1, j) - A(i, j+1) + A(i-1, j+1),
 
-    where out-of-range terms are dropped.
+    where out-of-range terms are dropped.  Interior blocks factor as
+    m(i, j) = rho**(t_j - t_i) (1 - rho**(t_i - t_{i-1})) (1 - rho**(t_{j+1} - t_j)),
+    so every mass is nonnegative: rounding residues down to -1e-9 are clamped
+    to zero, and a mass below that is a NumericalError.
     """
     n = len(times)
     a_d = rho ** (times[d:] - times[: n - d])
@@ -158,7 +164,10 @@ def _band_masses(times, rho, d):
     if d + 2 <= n - 1:
         a_d2 = rho ** (times[d + 2 :] - times[: n - d - 2])
         m[1 : n - d - 1] += a_d2  # A(i-1, j+1), i = 1..n-2-d
-    return m
+    lo = float(np.min(m))
+    if lo < -1e-9:
+        raise NumericalError(f"tent partition produced mass {lo} < 0 on diagonal {d}")
+    return np.maximum(m, 0.0)
 
 
 @dataclass(frozen=True)
@@ -186,28 +195,14 @@ class TentPartition:
 
 
 def tent_partition(grid: TimeGrid, dep: Dependence) -> TentPartition:
-    """The exact tent-set partition of the grid (all n(n+1)/2 blocks).
-
-    Interior blocks factor as
-    m(i, j) = rho**(t_j - t_i) (1 - rho**(t_i - t_{i-1})) (1 - rho**(t_{j+1} - t_j)),
-    so all masses are nonnegative; tiny negative rounding residues from the
-    inclusion-exclusion are clamped to zero.
-    """
-    times = grid.times
+    """The exact tent-set partition of the grid (all n(n+1)/2 blocks, ``_band_masses``)."""
     n = grid.n
     masses = np.zeros((n, n))
     for d in range(n):
-        m = _band_masses(times, dep.rho, d)
-        lo = float(np.min(m)) if m.size else 0.0
-        if lo < -1e-9:
-            raise NumericalError(
-                f"tent partition produced mass {lo} < 0 on diagonal {d}"
-            )
         idx = np.arange(n - d)
-        masses[idx, idx + d] = np.maximum(m, 0.0)
-    out = masses
-    out.setflags(write=False)
-    return TentPartition(grid=grid, dep=dep, masses=out)
+        masses[idx, idx + d] = _band_masses(grid.times, dep.rho, d)
+    masses.setflags(write=False)
+    return TentPartition(grid=grid, dep=dep, masses=masses)
 
 
 # -- the engine: plan once, draw per block, build across paths ----------------
@@ -443,7 +438,7 @@ class _RandomMeasurePlan(_GammaRunsPlan):
             a_d = self.rho ** (times[d:] - times[: n - d])
             if not np.any(a_d >= _BAND_CUTOFF):
                 return
-            yield self.alpha * np.maximum(_band_masses(times, self.rho, d), 0.0)
+            yield self.alpha * _band_masses(times, self.rho, d)
 
     def _add_diagonal(self, values, d, cells):
         """Add each lane's diagonal-d cells (scaled) to the times they cover."""
@@ -484,9 +479,8 @@ class _ChangepointPlan(_Plan):
     def draw(self, gen, out):
         n = self.n
         gen.standard_gamma(self.alpha, out=out[0])
-        if n > 1:
-            gen.random(out=out[1:n])
-            gen.standard_gamma(self.alpha, out=out[n:])
+        gen.random(out=out[1:n])
+        gen.standard_gamma(self.alpha, out=out[n:])
 
     def build(self, draws):
         n = self.n
@@ -505,13 +499,7 @@ class CirMethod(enum.Enum):
 
     @classmethod
     def parse(cls, name):
-        for m in cls:
-            if m.value == name:
-                return m
-        raise ParameterError(
-            f"unknown cir method {name!r}; expected one of "
-            + ", ".join(m.value for m in cls)
-        )
+        return _parse_enum(cls, name, "cir method")
 
 
 def _cir_rate(b, r):
@@ -580,16 +568,15 @@ class _CirEulerPlan(_Plan):
         values[0] = x
         mean = a / b
         sig2 = 2.0 * lam / b
-        if self.n > 1:
-            z = gen.standard_normal((self.n - 1) * m)
-            pos = 0
-            for k in range(1, self.n):
-                h = (grid.times[k] - grid.times[k - 1]) / m
-                sqh = math.sqrt(h)
-                for _ in range(m):
-                    x = x - lam * (x - mean) * h + math.sqrt(sig2 * max(x, 0.0)) * sqh * z[pos]
-                    pos += 1
-                values[k] = x
+        z = gen.standard_normal((self.n - 1) * m)
+        pos = 0
+        for k in range(1, self.n):
+            h = (grid.times[k] - grid.times[k - 1]) / m
+            sqh = math.sqrt(h)
+            for _ in range(m):
+                x = x - lam * (x - mean) * h + math.sqrt(sig2 * max(x, 0.0)) * sqh * z[pos]
+                pos += 1
+            values[k] = x
         return values
 
 
@@ -800,12 +787,9 @@ class _CthinPlan(_Plan):
     def values(self, gen):
         a, b = self.params.alpha, self.params.beta
         idx, n_steps = self.idx, self.n_steps
-        x = gen.gamma(a, 1.0 / b)
         values = np.empty(self.n)
-        pos = 0
-        if idx[0] == 0:
-            values[0] = x
-            pos = 1
+        x = values[0] = gen.gamma(a, 1.0 / b)  # the first time is lattice index 0
+        pos = 1
         chunk = 1 << 18
         done = 0
         size = min(chunk, max(n_steps, 1))

@@ -380,11 +380,16 @@ def default_omega_axis(beta):
     return np.concatenate((base, -base)) / beta
 
 
-def default_omega_pairs(beta):
-    """All 64 (s, t) pairs from the default axis."""
-    ax = default_omega_axis(beta)
+def _omega_pairs(axis):
+    """All (s, t) pairs from a frequency axis, s-major: len(axis)**2 rows."""
+    ax = np.asarray(axis, dtype=float)
     s, t = np.meshgrid(ax, ax, indexing="ij")
     return np.column_stack((s.ravel(), t.ravel()))
+
+
+def default_omega_pairs(beta):
+    """All 64 (s, t) pairs from the default axis."""
+    return _omega_pairs(default_omega_axis(beta))
 
 
 @dataclass(frozen=True)

@@ -113,13 +113,21 @@ def test_rm_joint_chf_factorizes_at_large_separation():
     assert val == pytest.approx(indep, abs=1e-12)
 
 
-@pytest.mark.parametrize("q", [-0.5, 0.0, 0.5, 1.0, 2.5, 4.0])
+@pytest.mark.parametrize("q", [-1.0, -0.5, 0.0, 0.5, 1.0, 2.5, 4.0])
 @pytest.mark.parametrize("x", [1e-3, 0.1, 1.0, 10.0, 40.0, 200.0, 700.0])
 def test_log_bessel_i_against_mpmath(q, x):
     mp.mp.dps = 40
     ref = float(mp.log(mp.besseli(q, x)))
     got = log_bessel_i(q, x)
     assert got == pytest.approx(ref, rel=1e-12, abs=1e-12)
+
+
+@pytest.mark.parametrize("q", [37.0, 150.0, 1000.0])
+@pytest.mark.parametrize("x", [1e-3, 31.0, 40.0])
+def test_log_bessel_i_far_above_the_argument_against_mpmath(q, x):
+    # at q = 150, x = 1e-3 and at q = 1000 scipy's ive underflows to 0, and
+    # log_bessel_i answers from its log-space power series
+    test_log_bessel_i_against_mpmath(q, x)
 
 
 def test_cir_transition_density_from_zero_state():

@@ -655,6 +655,25 @@ def test_verify_refuses_an_acf_check_that_cannot_run_before_sampling(
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["--dt", "0.3", "--suite", "all"],
+    ["--dt", "0.5", "--cthin-steps", "3", "--suite", "acf"],
+])
+def test_verify_refuses_a_cthin_acf_path_off_its_lattice_before_sampling(
+        tmp_path, capsys, monkeypatch, argv):
+    _no_sampler(monkeypatch)
+    out = tmp_path / "rep.json"
+    assert run(["verify", "--process", "cthin", *argv, "--out", str(out)]) == 2
+    assert "must lie on the continuously-thinned lattice" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_verify_cthin_off_its_lattice_runs_the_checks_that_need_no_path(tmp_path):
+    out = tmp_path / "rep.json"
+    assert run(["verify", "--process", "cthin", "--dt", "0.3", "--suite", "marginal",
+                "--out", str(out)]) == 0
+
+
 def test_verify_runs_what_the_acf_refusal_leaves(tmp_path):
     out = tmp_path / "rep.json"
     # the marginal check does not need the long path
