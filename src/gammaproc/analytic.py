@@ -94,9 +94,9 @@ def pair_chf(kind: ProcessKind, s, t, params: GammaParams, dep: Dependence):
     The kinds of ``PAIR_CHF_KINDS`` are supported; the continuously-thinned
     process has no closed pair chf (its bivariate law is not the thinned one:
     only marginals and covariance agree) and raises UnsupportedKindError.
+    Non-finite frequencies are a ParameterError.
     """
-    s = float(s)
-    t = float(t)
+    s, t = _as_float_array((float(s), float(t))).tolist()
     a, b, rho = params.alpha, params.beta, dep.rho
     if kind is ProcessKind.AR1:
         log_val = (

@@ -52,6 +52,7 @@ from .stats import (
     _omega_pairs,
     chf_gof,
     default_omega_pairs,
+    default_omega_triples,
     empirical_acf,
     empirical_moments,
     generator_check,
@@ -479,18 +480,6 @@ def cmd_verify(cfg: RunConfig, suite, omega_axis=None) -> int:
 
 
 # -- compare ------------------------------------------------------------------
-
-
-def default_omega_triples(beta):
-    """20 fixed frequency triples used by ``compare --points 3``."""
-    rows = [
-        (0.25, 0.25, 0.25), (0.5, 0.5, 0.5), (1, 1, 1), (2, 2, 2),
-        (0.5, -0.5, 0.5), (1, -1, 1), (2, -2, 2), (0.25, -0.25, 0.25),
-        (1, -0.5, 1), (2, -1, 2), (1, -2, 1), (0.5, -1, 0.5),
-        (1, 2, -1), (2, 1, -2), (0.5, 1, -0.5), (1, 0.5, -1),
-        (1, -1, 2), (2, -2, 1), (2, -0.5, 2), (0.5, -2, 0.5),
-    ]
-    return np.asarray(rows, dtype=float) / beta
 
 
 def cmd_compare(cfg_a: RunConfig, cfg_b: RunConfig, points) -> int:

@@ -257,6 +257,8 @@ class Ensemble:
     ``values[m, k]`` is path ``m`` at grid time ``k``.  Path ``m`` is a pure
     function of ``(master_seed, m)``, regardless of how many other paths
     exist; the ``processes`` module docstring gives the block-stream rule.
+    Where a kind's blocks hold one path, path ``m`` is
+    ``sample_path(kind, derive_stream(master_seed, m), ...)``.
     ``values`` is held read-only, as in ``SamplePath``.
     """
 

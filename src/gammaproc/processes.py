@@ -6,14 +6,14 @@ their joint laws beyond second order, which is the whole point of the package.
 
 Reproducibility contract
 ------------------------
-Each path operation consumes draws from its ``RandomSource`` in a fixed,
-documented order, so a path is a deterministic function of the stream.  In
-``simulate_ensemble`` path ``m`` is a function of ``(master_seed, m)`` alone,
-independent of how many paths are simulated: paths run in blocks of ``B``,
-and path ``m`` is lane ``m % B`` of the block drawn from the head of
-``derive_stream(master_seed, m // B)``, in the path operation's stream
-layout with every draw taken for all ``B`` lanes at once.  ``B`` depends on
-the kind:
+``sample_path`` draws one path of a kind from a ``RandomSource`` in a fixed
+order, documented on the kind's plan class, so a path is a deterministic
+function of the stream.  In ``simulate_ensemble`` path ``m`` is a function
+of ``(master_seed, m)`` alone, independent of how many paths are simulated:
+paths run in blocks of ``B``, and path ``m`` is lane ``m % B`` of the block
+drawn from the head of ``derive_stream(master_seed, m // B)``, in
+``sample_path``'s stream layout with every draw taken for all ``B`` lanes at
+once.  ``B`` depends on the kind:
 
 * ``max(1, _BLOCK_DRAWS // width)`` for the plans with a ``width`` of raw
   draws per path: ar1, thinned, changepoint and rm (up to ``_PLAN_CELLS``
@@ -21,8 +21,8 @@ the kind:
 * 1 for the plans that simulate whole paths: exact cir, Euler, squared-OU,
   cthin and rm past ``_PLAN_CELLS`` cells.
 
-When ``B == 1`` path ``m`` is ``<kind>_path(derive_stream(master_seed, m))``,
-byte for byte.
+When ``B == 1`` path ``m`` is ``sample_path`` of the same kind and options
+on ``derive_stream(master_seed, m)``, byte for byte.
 
 Plan, draw, build
 -----------------
@@ -30,8 +30,8 @@ Paths and ensembles run on one engine, in three steps:
 
 * **plan**: everything that depends only on (grid, params, dep) - gap
   correlations, gamma shapes, rm band masses, cir per-gap constants - is
-  computed once per path operation or ensemble (``_plan_for_kind``, the one
-  dispatch on kind).
+  computed once per ``sample_path`` call or ensemble (``_plan_for_kind``,
+  the one dispatch on kind).
 * **draw**: a block's raw draws are taken off its stream in the documented
   order, each run of draws of one law in one generator call over its rows
   for every lane (a gamma of shape k and scale s is drawn as
@@ -42,7 +42,7 @@ Paths and ensembles run on one engine, in three steps:
   block; recursions stay fl(rho * x + zeta) element by element.
 
 An ensemble re-keys one stream to each block in turn and keeps the block's
-first rows; a path operation is the one-lane block.  Exact cir draws each
+first rows; ``sample_path`` draws the one-lane block.  Exact cir draws each
 step from the state, so it has no separate draw step; it, Euler, squared-OU
 and cthin simulate their one-lane blocks whole inside their plans.
 
@@ -56,8 +56,7 @@ The marginal and triplet helpers share one body (``_batch_start`` and
 cthin lattice step is one call of ``_lane_step``, the only lane dispatch on
 kind (the stats generator check calls it too), and rm sums the cells of a
 small tent partition.  Each helper documents why its construction has
-exactly the law of the corresponding path operation restricted to those
-times.
+exactly the law of the kind's paths restricted to those times.
 
 Shared and duplicated update rules
 ----------------------------------
@@ -120,14 +119,9 @@ from .core import (
 __all__ = [
     "TentPartition",
     "tent_partition",
-    "ar1_path",
-    "thinned_path",
-    "random_measure_path",
-    "changepoint_path",
     "CirMethod",
-    "cir_path",
     "CthinConfig",
-    "cthin_path",
+    "sample_path",
     "simulate_ensemble",
     "walker_sample",
     "marginal_sample",
@@ -293,8 +287,8 @@ class _Plan:
     ``block(gen, lanes)`` gives the values of ``lanes`` paths, one row each,
     from the head of ``gen``; an ensemble's block sizes keep path m a
     function of (master_seed, m) alone (the module docstring has the rule),
-    and a path operation is the one-lane block.  A plan with a
-    ``width`` splits a block in two steps: ``draw(gen, out)`` takes the
+    and ``sample_path`` draws the one-lane block.  A plan with a ``width``
+    splits a block in two steps: ``draw(gen, out)`` takes the
     ``width`` raw draws of each of ``out.shape[1]`` lanes off ``gen`` into
     the rows of ``out``, run by run in the documented stream order, and
     ``build(draws)`` turns the block's rows (one per path) into values,
@@ -304,9 +298,8 @@ class _Plan:
 
     width = None
 
-    def __init__(self, grid: TimeGrid, kind: ProcessKind):
+    def __init__(self, grid: TimeGrid):
         self.grid = grid
-        self.kind = kind
         self.n = grid.n
 
     def block(self, gen, lanes):
@@ -315,9 +308,6 @@ class _Plan:
         draws = np.empty((self.width, lanes))
         self.draw(gen, draws)
         return self.build(draws.T)
-
-    def path(self, rng: RandomSource) -> SamplePath:
-        return SamplePath(self.grid, self.block(rng.gen, 1)[0], self.kind)
 
 
 def _ladder_odds(rho_g):
@@ -355,10 +345,18 @@ def _ar1_ladder(gen, alpha, odds, out):
 
 
 class _Ar1Plan(_Plan):
-    """Draws: X_0, then the n - 1 innovations' ladder (``_ar1_ladder``) as standard gammas."""
+    """Gamma AR(1): X_{t_k} = rho_k X_{t_{k-1}} + zeta_k.
+
+    The innovation for a gap with correlation rho_k is the gamma-Poisson-gamma
+    ladder of ``_ar1_ladder`` (mixing L ~ Ga(alpha, 1), count
+    N ~ Po(((1-rho_k)/rho_k) L), value ~ Ga(N, beta/rho_k)), its three stages
+    drawn vectorized over steps as standard gammas.  Stream order: X_0, all L,
+    all N, all values.  The recursion then runs step by step, so that each
+    step is literally fl(rho_k * x + zeta_k).
+    """
 
     def __init__(self, grid, params, dep):
-        super().__init__(grid, ProcessKind.AR1)
+        super().__init__(grid)
         self.alpha = params.alpha
         self.inv_beta = 1.0 / params.beta
         self.rho_g = dep.rho ** grid.gaps
@@ -385,13 +383,18 @@ class _GammaRunsPlan(_Plan):
 
 
 class _ThinnedPlan(_GammaRunsPlan):
-    """Draws: X_0, the beta numerators, the denominators, the top-ups.
+    """Thinned recursion: X_{t_k} = B_k X_{t_{k-1}} + zeta_k.
 
-    All are gammas, so a path is one vector of standard-gamma shapes.
+    B_k ~ Be(alpha rho_k, alpha (1 - rho_k)) thins the previous value
+    (beta-gamma decomposition: B X ~ Ga(alpha rho_k, beta) when
+    X ~ Ga(alpha, beta)) and zeta_k ~ Ga(alpha (1 - rho_k), beta) replaces the
+    removed mass.  Stream order: X_0, the numerator gammas of all B_k, the
+    denominator gammas, all zeta_k.  All are gammas, so a path is one vector
+    of standard-gamma shapes.
     """
 
     def __init__(self, grid, params, dep):
-        super().__init__(grid, ProcessKind.THINNED)
+        super().__init__(grid)
         rho_g = dep.rho ** grid.gaps
         kept = params.alpha * rho_g
         fresh = params.alpha * (1.0 - rho_g)
@@ -409,7 +412,14 @@ class _ThinnedPlan(_GammaRunsPlan):
 
 
 class _RandomMeasurePlan(_GammaRunsPlan):
-    """Draws: the cells of diagonal d = 0, 1, ... in turn, as standard gammas.
+    """Exact grid observation of the random-measure process.
+
+    One independent cell variable zeta(i, j) ~ Ga(alpha m(i, j), beta) per
+    partition block, X_{t_k} = sum of the cells whose interval contains k.
+    Blocks with pair correlation below 1e-18 are dropped (their draws are 0.0
+    in double precision); this keeps the cost O(n * horizon) instead of
+    O(n^2).  Stream order: the cells of diagonal d = 0, 1, ... in turn, as
+    standard gammas.
 
     When a path has at most ``_PLAN_CELLS`` cells the plan keeps every cell
     shape and a path is one row of draws; a longer path is drawn and added
@@ -417,7 +427,7 @@ class _RandomMeasurePlan(_GammaRunsPlan):
     """
 
     def __init__(self, grid, params, dep):
-        super().__init__(grid, ProcessKind.RANDOM_MEASURE)
+        super().__init__(grid)
         self.alpha = params.alpha
         self.rho = dep.rho
         self.inv_beta = 1.0 / params.beta
@@ -467,10 +477,18 @@ class _RandomMeasurePlan(_GammaRunsPlan):
 
 
 class _ChangepointPlan(_Plan):
-    """Draws: X_0 (standard gamma), the keep-uniforms, the fresh standard gammas."""
+    """Markov change-point process: piecewise constant, renewed by a Poisson clock.
+
+    Over a gap with correlation rho_k the value is kept with probability
+    rho_k (no clock event) and otherwise replaced by a fresh Ga(alpha, beta)
+    variate (the value after the last event in the gap, which is independent
+    of everything earlier).  Stream order: X_0 (standard gamma), all
+    keep-uniforms, all fresh standard gammas (fresh values are drawn
+    unconditionally to keep the stream layout branch-free).
+    """
 
     def __init__(self, grid, params, dep):
-        super().__init__(grid, ProcessKind.CHANGE_POINT)
+        super().__init__(grid)
         self.alpha = params.alpha
         self.inv_beta = 1.0 / params.beta
         self.rho_g = dep.rho ** grid.gaps
@@ -531,10 +549,15 @@ def _cir_exact_step(gen, x, a, c, r):
 
 
 class _CirExactPlan(_Plan):
-    """Exact CIR transitions gap by gap (``_cir_exact_step`` on Python floats)."""
+    """Squared OU / CIR-type diffusion dX = -lam (X - alpha/beta) dt + sqrt(2 lam X / beta) dW.
+
+    Method EXACT samples the transition kernel exactly (Poisson mixture of
+    gammas, ``_cir_exact_step`` on Python floats) gap by gap.  Stream order:
+    X_0, then each gap's Poisson count and gamma in turn.
+    """
 
     def __init__(self, grid, params, dep):
-        super().__init__(grid, ProcessKind.SQUARED_OU)
+        super().__init__(grid)
         self.alpha = params.alpha
         self.beta = params.beta
         # Python's float power rho**dt, gap by gap
@@ -553,10 +576,15 @@ class _CirExactPlan(_Plan):
 
 
 class _CirEulerPlan(_Plan):
-    """``substeps`` full-truncation Euler steps per gap."""
+    """The cir diffusion by ``substeps`` full-truncation Euler steps per gap.
+
+    The diffusion coefficient reads max(X, 0); the state may make small
+    negative excursions.  Stream order: X_0, then every substep's standard
+    normal in one call.
+    """
 
     def __init__(self, grid, params, dep, substeps):
-        super().__init__(grid, ProcessKind.SQUARED_OU)
+        super().__init__(grid)
         self.substeps = _require_positive_int("substeps", substeps)
         self.params, self.dep = params, dep
 
@@ -607,10 +635,15 @@ def _ou_walk(gen, half, shape):
 
 
 class _SquaredOuPlan(_Plan):
-    """J = 2 alpha independent exact OU coordinates (``_ou_walk``), X = sum Z_j^2 / (2 beta)."""
+    """The cir diffusion as J = 2 alpha exact OU coordinates (``_ou_walk``).
+
+    X = sum Z_j^2 / (2 beta); 2 alpha must be a positive integer.  No
+    substeps are needed because the OU update is exact over any gap; the
+    stream order is ``_ou_walk``'s.
+    """
 
     def __init__(self, grid, params, dep):
-        super().__init__(grid, ProcessKind.SQUARED_OU)
+        super().__init__(grid)
         self.j = _squared_ou_coordinates(params.alpha)
         self.two_beta = 2.0 * params.beta
         self.half = dep.rho ** (grid.gaps / 2.0)
@@ -774,10 +807,24 @@ def _cthin_draw(gen, a, b, q, buffers):
 
 
 class _CthinPlan(_Plan):
-    """Continuously-thinned lattice steps, recorded at the grid times (see ``cthin_path``)."""
+    """Continuously-thinned process on its eps-lattice, recorded at the grid times.
+
+    With eps = 1/steps_per_unit, q = rho**eps and p = 1 - q, each lattice step
+    applies an independent thinning b ~ Be(alpha p, alpha q) and top-up
+    zeta ~ Ga(alpha p, beta) (``_cthin_draw``):
+
+        X_{k eps} = (1 - b_k) X_{(k-1) eps} + zeta_k.
+
+    Every lattice point is exactly Ga(alpha, beta) ((1-b) X ~ Ga(alpha q, beta)
+    by the beta-gamma decomposition) and the lattice autocorrelation is exactly
+    q per step; the discretization only approximates the limiting process in
+    its higher-order joint laws.  Grid times must be lattice-aligned.  Stream
+    order: X_0, then per simulation chunk the two beta-stage gamma vectors
+    followed by the top-up gamma vector.
+    """
 
     def __init__(self, grid, params, dep, config):
-        super().__init__(grid, ProcessKind.CONTINUOUSLY_THINNED)
+        super().__init__(grid)
         eps = 1.0 / config.steps_per_unit
         self.idx = _cthin_lattice_indices(grid, eps)
         self.n_steps = int(self.idx[-1])
@@ -829,106 +876,37 @@ def _plan_for_kind(kind, grid, params, dep, method, substeps, cthin):
     raise UnsupportedKindError(f"cannot simulate kind {kind!r}")
 
 
-# -- the six path samplers: one path, the one-lane case of the engine ---------
+# -- paths and ensembles -------------------------------------------------------
 
 
-def ar1_path(rng: RandomSource, grid: TimeGrid, params: GammaParams, dep: Dependence) -> SamplePath:
-    """Gamma AR(1): X_{t_k} = rho_k X_{t_{k-1}} + zeta_k.
-
-    The innovation for a gap with correlation rho_k is the gamma-Poisson-gamma
-    ladder of ``_ar1_ladder`` (mixing L ~ Ga(alpha, 1), count
-    N ~ Po(((1-rho_k)/rho_k) L), value ~ Ga(N, beta/rho_k)); here the three
-    stages are drawn vectorized over steps (stream order: X_0, all L, all N,
-    all values), then the recursion runs sequentially so that each step is
-    literally fl(rho_k * x + zeta_k).
-    """
-    return _Ar1Plan(grid, params, dep).path(rng)
-
-
-def thinned_path(rng: RandomSource, grid: TimeGrid, params: GammaParams, dep: Dependence) -> SamplePath:
-    """Thinned recursion: X_{t_k} = B_k X_{t_{k-1}} + zeta_k.
-
-    B_k ~ Be(alpha rho_k, alpha (1 - rho_k)) thins the previous value
-    (beta-gamma decomposition: B X ~ Ga(alpha rho_k, beta) when
-    X ~ Ga(alpha, beta)) and zeta_k ~ Ga(alpha (1 - rho_k), beta) replaces the
-    removed mass.  Stream order: X_0, the numerator gammas of all B_k, the
-    denominator gammas, all zeta_k.
-    """
-    return _ThinnedPlan(grid, params, dep).path(rng)
-
-
-def random_measure_path(rng: RandomSource, grid: TimeGrid, params: GammaParams, dep: Dependence) -> SamplePath:
-    """Exact grid observation of the random-measure process.
-
-    One independent cell variable zeta(i, j) ~ Ga(alpha m(i, j), beta) per
-    partition block, X_{t_k} = sum of the cells whose interval contains k.
-    Blocks with pair correlation below 1e-18 are dropped (their draws are 0.0
-    in double precision); this keeps the cost O(n * horizon) instead of
-    O(n^2).  Stream order: the cells of diagonal d = 0, 1, ... in turn.
-    """
-    return _RandomMeasurePlan(grid, params, dep).path(rng)
-
-
-def changepoint_path(rng: RandomSource, grid: TimeGrid, params: GammaParams, dep: Dependence) -> SamplePath:
-    """Markov change-point process: piecewise constant, renewed by a Poisson clock.
-
-    Over a gap with correlation rho_k the value is kept with probability
-    rho_k (no clock event) and otherwise replaced by a fresh Ga(alpha, beta)
-    variate (the value after the last event in the gap, which is independent
-    of everything earlier).  Stream order: X_0, all keep-uniforms, all fresh
-    values (fresh values are drawn unconditionally to keep the stream layout
-    branch-free).
-    """
-    return _ChangepointPlan(grid, params, dep).path(rng)
-
-
-def cir_path(
+def sample_path(
+    kind: ProcessKind,
     rng: RandomSource,
     grid: TimeGrid,
     params: GammaParams,
     dep: Dependence,
     method: CirMethod = CirMethod.EXACT,
     substeps: int = 16,
+    cthin: CthinConfig = CthinConfig(),
 ) -> SamplePath:
-    """Squared OU / CIR-type diffusion dX = -lam (X - alpha/beta) dt + sqrt(2 lam X / beta) dW.
+    """One path of ``kind`` on ``grid``, drawn from the head of ``rng``.
 
-    method=EXACT samples the transition kernel exactly (Poisson mixture of
-    gammas) gap by gap.  method=EULER uses ``substeps`` full-truncation Euler
-    steps per gap (the diffusion coefficient reads max(X, 0); the state may
-    make small negative excursions).  method=SQUARED_OU requires 2*alpha to be
-    an integer J and evolves J independent OU coordinates exactly, returning
-    sum Z_j^2 / (2 beta); no substeps are needed because the OU update is
-    exact over any gap.
+    The options are ``simulate_ensemble``'s: ``method`` and ``substeps``
+    choose the cir scheme, ``cthin`` the continuously-thinned lattice.  Each
+    kind's plan class documents its construction and stream order.  Where a
+    kind's ensemble blocks hold one path, ensemble path m is this path on
+    ``derive_stream(master_seed, m)``, byte for byte:
+
+    >>> from gammaproc import Dependence, GammaParams, make_uniform_grid
+    >>> grid = make_uniform_grid(0.0, 0.5, 6)
+    >>> params, dep = GammaParams(2.0, 1.0), Dependence.from_rho(0.5)
+    >>> ens = simulate_ensemble(ProcessKind.SQUARED_OU, grid, params, dep, 3, master_seed=7)
+    >>> path = sample_path(ProcessKind.SQUARED_OU, derive_stream(7, 2), grid, params, dep)
+    >>> path.values.tobytes() == ens.values[2].tobytes()
+    True
     """
-    return _plan_for_kind(ProcessKind.SQUARED_OU, grid, params, dep, method, substeps, None).path(rng)
-
-
-def cthin_path(
-    rng: RandomSource,
-    grid: TimeGrid,
-    params: GammaParams,
-    dep: Dependence,
-    config: CthinConfig = CthinConfig(),
-) -> SamplePath:
-    """Continuously-thinned process on its eps-lattice, recorded at the grid times.
-
-    With eps = 1/steps_per_unit, q = rho**eps and p = 1 - q, each lattice step
-    applies an independent thinning b ~ Be(alpha p, alpha q) and top-up
-    zeta ~ Ga(alpha p, beta):
-
-        X_{k eps} = (1 - b_k) X_{(k-1) eps} + zeta_k.
-
-    Every lattice point is exactly Ga(alpha, beta) ((1-b) X ~ Ga(alpha q, beta)
-    by the beta-gamma decomposition) and the lattice autocorrelation is exactly
-    q per step; the discretization only approximates the limiting process in
-    its higher-order joint laws.  Grid times must be lattice-aligned.  Stream
-    order: X_0, then per simulation chunk the two beta-stage gamma vectors
-    followed by the top-up gamma vector.
-    """
-    return _CthinPlan(grid, params, dep, config).path(rng)
-
-
-# -- ensembles ---------------------------------------------------------------
+    plan = _plan_for_kind(kind, grid, params, dep, method, substeps, cthin)
+    return SamplePath(grid, plan.block(rng.gen, 1)[0], kind)
 
 
 def simulate_ensemble(
@@ -1072,13 +1050,13 @@ def marginal_sample(
 ):
     """n i.i.d. copies of X at a fixed time, after the kind's own update mechanism.
 
-    Each lane runs the same recursion as the corresponding path operation
-    (two ``_lane_step`` gaps of length ``gap`` from a Ga(alpha, beta) start
-    for the discrete recursions and exact cir; for the continuously-thinned
-    process a quarter time unit of lattice steps, and at least one; for
-    Euler a burn-in of ``euler_burn`` autocorrelation times), so a lane
-    value has exactly the law of a path value at that time.  ``gap`` must be
-    finite and positive.
+    Each lane runs the same recursion as ``sample_path`` (two ``_lane_step``
+    gaps of length ``gap`` from a Ga(alpha, beta) start for the discrete
+    recursions and exact cir; for the continuously-thinned process a quarter
+    time unit of lattice steps, and at least one; for Euler a burn-in of
+    ``euler_burn`` autocorrelation times), so a lane
+    value has exactly the law of a path value at that time.  ``gap`` and
+    ``euler_burn`` must be finite and positive.
     """
     n, gap, g, a, b, rho_g = _batch_start(n, params, dep, master_seed, gap)
     if kind is ProcessKind.SQUARED_OU and method is not CirMethod.EXACT:
@@ -1089,7 +1067,8 @@ def marginal_sample(
         if method is CirMethod.EULER:
             m = _require_positive_int("substeps", substeps)
             h = gap / m
-            n_steps = int(math.ceil(float(euler_burn) / dep.lam / h))
+            burn = _require_finite_positive("euler_burn", euler_burn)
+            n_steps = int(math.ceil(burn / dep.lam / h))
             x = g.gamma(a, 1.0 / b, size=n)
             mean = a / b
             sig = math.sqrt(2.0 * dep.lam / b)

@@ -23,7 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analytic import GENERATOR_KINDS, generator_apply, levy_tail, pair_chf, TestFunction
+from .analytic import (GENERATOR_KINDS, TestFunction, _as_float_array, generator_apply, levy_tail,
+                       pair_chf)
 from .core import (
     Dependence,
     Ensemble,
@@ -33,6 +34,7 @@ from .core import (
     SamplePath,
     _require_finite_positive,
     _require_integer,
+    _require_positive_int,
     derive_stream,
 )
 from .processes import _lane_step
@@ -57,6 +59,7 @@ __all__ = [
     "tail_check",
     "default_omega_axis",
     "default_omega_pairs",
+    "default_omega_triples",
 ]
 
 
@@ -137,9 +140,7 @@ def empirical_acf(path: SamplePath, dep: Dependence, max_lag) -> AcfReport:
     rho_1 = rho**dt (built by cumulative products, so target[k] = target[k-1] *
     rho_1 exactly).
     """
-    max_lag = int(max_lag)
-    if max_lag < 1:
-        raise ParameterError("max_lag must be >= 1")
+    max_lag = _require_positive_int("max_lag", max_lag)
     x = path.values
     n = x.size
     if n < 10 * max_lag:
@@ -239,7 +240,7 @@ class ChfEstimate:
 
 
 def _as_omega_matrix(omegas, d=None):
-    w = np.asarray(omegas, dtype=float)
+    w = _as_float_array(omegas)
     if w.ndim == 1:
         w = w[:, None] if d in (None, 1) else w[None, :]
     if w.ndim != 2:
@@ -390,6 +391,18 @@ def _omega_pairs(axis):
 def default_omega_pairs(beta):
     """All 64 (s, t) pairs from the default axis."""
     return _omega_pairs(default_omega_axis(beta))
+
+
+def default_omega_triples(beta):
+    """20 fixed frequency triples used by ``compare --points 3``."""
+    rows = [
+        (0.25, 0.25, 0.25), (0.5, 0.5, 0.5), (1, 1, 1), (2, 2, 2),
+        (0.5, -0.5, 0.5), (1, -1, 1), (2, -2, 2), (0.25, -0.25, 0.25),
+        (1, -0.5, 1), (2, -1, 2), (1, -2, 1), (0.5, -1, 0.5),
+        (1, 2, -1), (2, 1, -2), (0.5, 1, -0.5), (1, 0.5, -1),
+        (1, -1, 2), (2, -2, 1), (2, -0.5, 2), (0.5, -2, 0.5),
+    ]
+    return np.asarray(rows, dtype=float) / beta
 
 
 @dataclass(frozen=True)

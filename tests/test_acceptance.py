@@ -28,10 +28,8 @@ from gammaproc import (
     ProcessKind,
     TestFunction,
     TimeGrid,
-    ar1_path,
-    cir_path,
     cir_transition_density,
-    cthin_path,
+    default_omega_triples,
     derive_stream,
     empirical_acf,
     empirical_chf,
@@ -46,6 +44,7 @@ from gammaproc import (
     marginal_sample,
     pair_chf,
     rm_joint_chf,
+    sample_path,
     simulate_ensemble,
     tail_check,
     tent_partition,
@@ -53,7 +52,7 @@ from gammaproc import (
     two_sample_chf,
     walker_sample,
 )
-from gammaproc.cli import default_omega_triples, main as cli_main
+from gammaproc.cli import main as cli_main
 
 MASTER = 20260817
 P11 = GammaParams(1.0, 1.0)
@@ -121,30 +120,20 @@ def test_criterion_01_marginal_ks_grid(capsys):
 
 
 def test_criterion_02_autocorrelation(capsys):
-    from gammaproc import changepoint_path, random_measure_path, thinned_path
-
     grid = make_uniform_grid(0.0, 1.0, 100000)
-    builders = {
-        ProcessKind.AR1: lambda r: ar1_path(r, grid, P11, DEP5),
-        ProcessKind.THINNED: lambda r: thinned_path(r, grid, P11, DEP5),
-        ProcessKind.RANDOM_MEASURE: lambda r: random_measure_path(r, grid, P11, DEP5),
-        ProcessKind.CHANGE_POINT: lambda r: changepoint_path(r, grid, P11, DEP5),
-        ProcessKind.SQUARED_OU: lambda r: cir_path(r, grid, P11, DEP5),
-        ProcessKind.CONTINUOUSLY_THINNED: lambda r: cthin_path(
-            r, grid, P11, DEP5, config=CthinConfig(256)),
-    }
     max_z = {}
     disc_256 = None
-    for kind, build in builders.items():
-        path = build(derive_stream(MASTER, 0))
+    for kind in ProcessKind:
+        # the cthin option is read by the cthin kind only
+        path = sample_path(kind, derive_stream(MASTER, 0), grid, P11, DEP5, cthin=CthinConfig(256))
         rep = empirical_acf(path, DEP5, max_lag=5)
         max_z[kind.cli_name] = rep.max_z
         if kind is ProcessKind.CONTINUOUSLY_THINNED:
             disc_256 = np.max(np.abs(rep.estimates - rep.target))
     worst = max(max_z.values())
     # doubling the cthin lattice resolution must not increase the discrepancy
-    path_512 = cthin_path(derive_stream(MASTER, 1), grid, P11, DEP5,
-                          config=CthinConfig(512))
+    path_512 = sample_path(ProcessKind.CONTINUOUSLY_THINNED, derive_stream(MASTER, 1), grid,
+                           P11, DEP5, cthin=CthinConfig(512))
     rep_512 = empirical_acf(path_512, DEP5, max_lag=5)
     disc_512 = np.max(np.abs(rep_512.estimates - rep_512.target))
     ok = worst <= 4.0 and rep_512.max_z <= 4.0 and disc_512 <= disc_256
@@ -369,9 +358,10 @@ def test_criterion_06c_euler_marginal(capsys):
 
 def test_criterion_06d_squared_ou_matches_exact_acf(capsys):
     grid = make_uniform_grid(0.0, 1.0, 100000)
-    exact = cir_path(derive_stream(MASTER, 0), grid, P11, DEP5, method=CirMethod.EXACT)
-    sou = cir_path(derive_stream(MASTER, 1), grid, P11, DEP5,
-                   method=CirMethod.SQUARED_OU)
+    exact = sample_path(ProcessKind.SQUARED_OU, derive_stream(MASTER, 0), grid, P11, DEP5,
+                        method=CirMethod.EXACT)
+    sou = sample_path(ProcessKind.SQUARED_OU, derive_stream(MASTER, 1), grid, P11, DEP5,
+                      method=CirMethod.SQUARED_OU)
     rep_e = empirical_acf(exact, DEP5, max_lag=1)
     rep_s = empirical_acf(sou, DEP5, max_lag=1)
     z = abs(rep_e.estimates[0] - rep_s.estimates[0]) / np.hypot(
@@ -413,8 +403,8 @@ def test_criterion_06e_transition_density(capsys):
 def test_criterion_06f_positive_paths(capsys):
     grid = make_uniform_grid(0.0, 1.0, 100000)
     params = GammaParams(1.5, 1.0)
-    path = cir_path(derive_stream(MASTER, 0), grid, params, DEP5,
-                    method=CirMethod.EXACT)
+    path = sample_path(ProcessKind.SQUARED_OU, derive_stream(MASTER, 0), grid, params, DEP5,
+                       method=CirMethod.EXACT)
     lo = float(np.min(path.values))
     ok = lo > 0.0
     _report(capsys, "criterion 6f", ok,
@@ -465,7 +455,7 @@ def test_criterion_08_reversibility(capsys):
     from gammaproc import reversibility_check
 
     grid = make_uniform_grid(0.0, 1.0, 100000)
-    path = ar1_path(derive_stream(MASTER, 0), grid, P11, DEP5)
+    path = sample_path(ProcessKind.AR1, derive_stream(MASTER, 0), grid, P11, DEP5)
     rep = reversibility_check(path, DEP5)
 
     sym = 0.0

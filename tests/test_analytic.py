@@ -8,6 +8,7 @@ from gammaproc import (
     Dependence,
     GammaParams,
     NumericalError,
+    PAIR_CHF_KINDS,
     ParameterError,
     ProcessKind,
     TestFunction,
@@ -96,6 +97,15 @@ def test_pair_chf_squared_ou_quadratic_form():
 def test_pair_chf_cthin_unsupported():
     with pytest.raises(UnsupportedKindError):
         pair_chf(ProcessKind.CONTINUOUSLY_THINNED, 1.0, 1.0, P11, DEP5)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+@pytest.mark.parametrize("kind", PAIR_CHF_KINDS, ids=lambda k: k.cli_name)
+def test_pair_chf_refuses_a_frequency_that_is_not_finite(kind, bad):
+    # ar1, thinned, changepoint and cir returned nan+nanj here
+    for s, t in ((bad, 1.0), (1.0, bad)):
+        with pytest.raises(ParameterError, match="finite"):
+            pair_chf(kind, s, t, P11, DEP5)
 
 
 def test_rm_joint_chf_singleton_is_gamma_chf():

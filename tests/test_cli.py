@@ -12,10 +12,9 @@ from gammaproc.cli import (
     _simulate,
     build_parser,
     cmd_compare,
-    default_omega_triples,
     main,
 )
-from gammaproc.stats import default_omega_pairs, two_sample_chf
+from gammaproc.stats import default_omega_pairs, default_omega_triples, two_sample_chf
 
 
 def run(args):

@@ -16,18 +16,13 @@ from gammaproc import (
     TestFunction,
     TimeGrid,
     UnsupportedKindError,
-    ar1_path,
-    changepoint_path,
-    cir_path,
-    cthin_path,
     derive_stream,
     generator_check,
     make_uniform_grid,
     marginal_sample,
-    random_measure_path,
+    sample_path,
     simulate_ensemble,
     tent_partition,
-    thinned_path,
     triplet_sample,
     walker_sample,
 )
@@ -75,7 +70,7 @@ def test_tent_partition_masses_read_only():
 
 def test_ar1_path_respects_decay_floor():
     grid = make_uniform_grid(0.0, 0.5, 4000)
-    path = ar1_path(derive_stream(1, 0), grid, P11, DEP5)
+    path = sample_path(ProcessKind.AR1, derive_stream(1, 0), grid, P11, DEP5)
     rho_g = DEP5.rho**grid.gaps
     assert np.all(path.values[1:] >= rho_g * path.values[:-1])
     assert np.all(path.values > 0.0)
@@ -83,7 +78,7 @@ def test_ar1_path_respects_decay_floor():
 
 def test_changepoint_path_keeps_or_refreshes():
     grid = make_uniform_grid(0.0, 1.0, 4000)
-    path = changepoint_path(derive_stream(2, 0), grid, P11, DEP5)
+    path = sample_path(ProcessKind.CHANGE_POINT, derive_stream(2, 0), grid, P11, DEP5)
     same = path.values[1:] == path.values[:-1]
     # kept steps are bit-identical; refresh probability 1 - rho = 0.5
     frac = np.mean(same)
@@ -92,33 +87,35 @@ def test_changepoint_path_keeps_or_refreshes():
 
 def test_thinned_path_positive():
     grid = make_uniform_grid(0.0, 1.0, 2000)
-    path = thinned_path(derive_stream(3, 0), grid, P11, DEP5)
+    path = sample_path(ProcessKind.THINNED, derive_stream(3, 0), grid, P11, DEP5)
     assert np.all(path.values > 0.0)
 
 
 def test_random_measure_path_positive_and_stationary_mean():
     grid = make_uniform_grid(0.0, 1.0, 20000)
-    path = random_measure_path(derive_stream(4, 0), grid, P11, DEP5)
+    path = sample_path(ProcessKind.RANDOM_MEASURE, derive_stream(4, 0), grid, P11, DEP5)
     assert np.all(path.values > 0.0)
     assert abs(np.mean(path.values) - P11.mean) < 0.1
 
 
 def test_cir_path_methods():
     grid = make_uniform_grid(0.0, 1.0, 500)
-    exact = cir_path(derive_stream(5, 0), grid, P11, DEP5, method=CirMethod.EXACT)
+    exact = sample_path(ProcessKind.SQUARED_OU, derive_stream(5, 0), grid, P11, DEP5,
+                        method=CirMethod.EXACT)
     assert np.all(exact.values >= 0.0)
-    euler = cir_path(derive_stream(5, 0), grid, P11, DEP5, method=CirMethod.EULER,
-                     substeps=16)
+    euler = sample_path(ProcessKind.SQUARED_OU, derive_stream(5, 0), grid, P11, DEP5,
+                        method=CirMethod.EULER, substeps=16)
     assert euler.values.shape == (500,)
-    sou = cir_path(derive_stream(5, 0), grid, P11, DEP5, method=CirMethod.SQUARED_OU)
+    sou = sample_path(ProcessKind.SQUARED_OU, derive_stream(5, 0), grid, P11, DEP5,
+                      method=CirMethod.SQUARED_OU)
     assert np.all(sou.values >= 0.0)
 
 
 def test_cir_squared_ou_requires_half_integer_alpha():
     grid = make_uniform_grid(0.0, 1.0, 10)
     with pytest.raises(ParameterError):
-        cir_path(derive_stream(0, 0), grid, GammaParams(1.3, 1.0), DEP5,
-                 method=CirMethod.SQUARED_OU)
+        sample_path(ProcessKind.SQUARED_OU, derive_stream(0, 0), grid, GammaParams(1.3, 1.0),
+                    DEP5, method=CirMethod.SQUARED_OU)
 
 
 def test_cir_method_parse():
@@ -131,12 +128,14 @@ def test_cir_method_parse():
 def test_cthin_path_requires_lattice_aligned_grid():
     grid = TimeGrid(np.array([0.0, 0.3701]))
     with pytest.raises(ParameterError):
-        cthin_path(derive_stream(0, 0), grid, P11, DEP5, config=CthinConfig(256))
+        sample_path(ProcessKind.CONTINUOUSLY_THINNED, derive_stream(0, 0), grid, P11, DEP5,
+                    cthin=CthinConfig(256))
 
 
 def test_cthin_path_runs_and_is_positive():
     grid = make_uniform_grid(0.0, 0.25, 64)
-    path = cthin_path(derive_stream(6, 0), grid, P11, DEP5, config=CthinConfig(64))
+    path = sample_path(ProcessKind.CONTINUOUSLY_THINNED, derive_stream(6, 0), grid, P11, DEP5,
+                       cthin=CthinConfig(64))
     assert np.all(path.values > 0.0)
     assert path.values.shape == (64,)
 
@@ -281,7 +280,8 @@ def _cthin_allocating_reference(grid, params, dep, steps_per_unit, rng):
 def test_cthin_reused_buffers_give_the_allocating_loop_bytes(params, rho):
     grid = make_uniform_grid(0.0, 0.5, 30)
     dep = Dependence.from_rho(rho)
-    path = cthin_path(derive_stream(9, 2), grid, params, dep, config=CthinConfig(64))
+    path = sample_path(ProcessKind.CONTINUOUSLY_THINNED, derive_stream(9, 2), grid, params, dep,
+                       cthin=CthinConfig(64))
     ref, underflows = _cthin_allocating_reference(grid, params, dep, 64,
                                                   derive_stream(9, 2))
     assert path.values.tobytes() == ref.tobytes()
@@ -304,7 +304,8 @@ def test_cthin_gives_the_reference_scan_bytes(monkeypatch, alpha, rho, steps_per
                         lambda *args: exact_runs.append(1) or run(*args))
 
     def both():
-        path = cthin_path(derive_stream(4, 1), grid, params, dep, config=config)
+        path = sample_path(ProcessKind.CONTINUOUSLY_THINNED, derive_stream(4, 1), grid, params,
+                           dep, cthin=config)
         ens = simulate_ensemble(ProcessKind.CONTINUOUSLY_THINNED, grid, params, dep, 6,
                                 master_seed=4, cthin=config)
         return [path.values.tobytes(), ens.values.tobytes()]
@@ -360,16 +361,14 @@ STREAM_CASES = {
                     Dependence.from_rho(0.001)),
 }
 STREAM_SAMPLERS = {
-    "ar1": (ProcessKind.AR1, {}, ar1_path),
-    "thinned": (ProcessKind.THINNED, {}, thinned_path),
-    "rm": (ProcessKind.RANDOM_MEASURE, {}, random_measure_path),
-    "changepoint": (ProcessKind.CHANGE_POINT, {}, changepoint_path),
-    "cir-exact": (ProcessKind.SQUARED_OU, {"method": CirMethod.EXACT}, cir_path),
-    "cir-euler": (ProcessKind.SQUARED_OU, {"method": CirMethod.EULER, "substeps": 4},
-                  cir_path),
-    "cir-squared-ou": (ProcessKind.SQUARED_OU, {"method": CirMethod.SQUARED_OU},
-                       cir_path),
-    "cthin": (ProcessKind.CONTINUOUSLY_THINNED, {"cthin": CthinConfig(64)}, cthin_path),
+    "ar1": (ProcessKind.AR1, {}),
+    "thinned": (ProcessKind.THINNED, {}),
+    "rm": (ProcessKind.RANDOM_MEASURE, {}),
+    "changepoint": (ProcessKind.CHANGE_POINT, {}),
+    "cir-exact": (ProcessKind.SQUARED_OU, {"method": CirMethod.EXACT}),
+    "cir-euler": (ProcessKind.SQUARED_OU, {"method": CirMethod.EULER, "substeps": 4}),
+    "cir-squared-ou": (ProcessKind.SQUARED_OU, {"method": CirMethod.SQUARED_OU}),
+    "cthin": (ProcessKind.CONTINUOUSLY_THINNED, {"cthin": CthinConfig(64)}),
 }
 WIDTH_SAMPLERS = ("ar1", "thinned", "rm", "changepoint")
 
@@ -378,9 +377,8 @@ WIDTH_SAMPLERS = ("ar1", "thinned", "rm", "changepoint")
 @pytest.mark.parametrize("case", list(STREAM_CASES))
 @pytest.mark.parametrize("sampler", list(STREAM_SAMPLERS))
 def test_ensemble_paths_match_path_operations_byte_for_byte(monkeypatch, sampler, case):
-    kind, opts, path_fn = STREAM_SAMPLERS[sampler]
+    kind, opts = STREAM_SAMPLERS[sampler]
     grid, params, dep = STREAM_CASES[case]
-    path_opts = {"config": opts["cthin"]} if "cthin" in opts else opts
     seed, n_paths = 7, 20  # 20 lanes: a block builds as numpy columns, a path alone as floats
     if sampler in WIDTH_SAMPLERS:
         monkeypatch.setattr(processes, "_BLOCK_DRAWS", 1)  # B == 1: a stream per path
@@ -389,11 +387,11 @@ def test_ensemble_paths_match_path_operations_byte_for_byte(monkeypatch, sampler
         with pytest.raises(ParameterError, match="2\\*alpha"):
             simulate_ensemble(kind, grid, params, dep, n_paths, master_seed=seed, **opts)
         with pytest.raises(ParameterError, match="2\\*alpha"):
-            path_fn(derive_stream(seed, 0), grid, params, dep, **path_opts)
+            sample_path(kind, derive_stream(seed, 0), grid, params, dep, **opts)
         return
     ens = simulate_ensemble(kind, grid, params, dep, n_paths, master_seed=seed, **opts)
     for m in range(n_paths):
-        path = path_fn(derive_stream(seed, m), grid, params, dep, **path_opts)
+        path = sample_path(kind, derive_stream(seed, m), grid, params, dep, **opts)
         assert ens.values[m].tobytes() == path.values.tobytes(), (sampler, case, m)
 
 
@@ -764,8 +762,8 @@ NON_INTEGRAL = {
     "ensemble-n_paths": lambda: simulate_ensemble(ProcessKind.AR1, GRID3, P11, DEP5, 2.9, 1),
     "ensemble-seed": lambda: simulate_ensemble(ProcessKind.AR1, GRID3, P11, DEP5, 2, 1.7),
     "cthin-steps": lambda: CthinConfig(2.5),
-    "euler-substeps": lambda: cir_path(derive_stream(0, 0), GRID3, P11, DEP5,
-                                       method=CirMethod.EULER, substeps=2.5),
+    "euler-substeps": lambda: sample_path(ProcessKind.SQUARED_OU, derive_stream(0, 0), GRID3,
+                                          P11, DEP5, method=CirMethod.EULER, substeps=2.5),
     "marginal-n": lambda: marginal_sample(ProcessKind.AR1, 100.9, P11, DEP5, master_seed=0),
     "triplet-n": lambda: triplet_sample(ProcessKind.THINNED, 10.5, P11, DEP5, master_seed=0),
     "walker-n": lambda: walker_sample(10.5, P11, 0.5, master_seed=0),
@@ -794,6 +792,15 @@ def test_integral_floats_and_numpy_integers_count_as_their_ints():
                            n_mc=1e3).n_mc == 1000
 
 
+@pytest.mark.parametrize("euler_burn", [0.0, -1.0, float("nan"), float("inf")])
+def test_marginal_sample_rejects_an_euler_burn_that_is_not_finite_and_positive(euler_burn):
+    # nan and inf raised ValueError and OverflowError, and a burn-in <= 0 returned the
+    # unstepped Ga(alpha, beta) start draws
+    with pytest.raises(ParameterError, match="euler_burn"):
+        marginal_sample(ProcessKind.SQUARED_OU, 10, P11, DEP5, master_seed=0,
+                        method=CirMethod.EULER, euler_burn=euler_burn)
+
+
 @pytest.mark.parametrize("gap", [0.0, -1.0, float("nan"), float("inf")])
 @pytest.mark.parametrize("sampler", [marginal_sample, triplet_sample])
 def test_batch_samplers_reject_a_gap_that_is_not_finite_and_positive(sampler, gap):
@@ -811,7 +818,7 @@ def test_ar1_ladder_past_numpy_poisson_limit_is_a_numerical_error(dep):
     with pytest.raises(NumericalError):
         marginal_sample(ProcessKind.AR1, 100, P11, dep, master_seed=0)
     with pytest.raises(NumericalError):
-        ar1_path(derive_stream(0, 0), grid, P11, dep)
+        sample_path(ProcessKind.AR1, derive_stream(0, 0), grid, P11, dep)
     with pytest.raises(NumericalError):
         simulate_ensemble(ProcessKind.AR1, grid, P11, dep, 40, master_seed=0)
     if dep.rho > 0.0:
@@ -825,7 +832,8 @@ def test_exact_cir_gap_correlation_of_one_is_a_numerical_error():
     with pytest.raises(NumericalError):
         marginal_sample(ProcessKind.SQUARED_OU, 100, P11, DEP5, master_seed=0, gap=1e-300)
     with pytest.raises(NumericalError):
-        cir_path(derive_stream(0, 0), TimeGrid(np.array([0.0, 1e-300])), P11, DEP5)
+        sample_path(ProcessKind.SQUARED_OU, derive_stream(0, 0),
+                    TimeGrid(np.array([0.0, 1e-300])), P11, DEP5)
     with pytest.raises(NumericalError):
         simulate_ensemble(ProcessKind.SQUARED_OU, make_uniform_grid(0.0, 1.0, 3), P11, dep,
                           4, master_seed=0)
@@ -840,4 +848,5 @@ def test_exact_cir_poisson_mean_past_numpy_limit_is_a_numerical_error():
     with pytest.raises(NumericalError):
         marginal_sample(ProcessKind.SQUARED_OU, 100, params, DEP5, master_seed=0, gap=1e-16)
     with pytest.raises(NumericalError):
-        cir_path(derive_stream(0, 0), make_uniform_grid(0.0, 1e-16, 3), params, DEP5)
+        sample_path(ProcessKind.SQUARED_OU, derive_stream(0, 0),
+                    make_uniform_grid(0.0, 1e-16, 3), params, DEP5)

@@ -22,11 +22,11 @@ from gammaproc import (  # noqa: E402
     ProcessKind,
     TimeGrid,
     cli,
-    cthin_path,
     derive_stream,
     make_uniform_grid,
     marginal_sample,
     processes,
+    sample_path,
     simulate_ensemble,
 )
 
@@ -69,7 +69,8 @@ def test_batch_samplers_give_finite_nonnegative_values_or_refuse(kind, alpha, rh
 def test_cthin_paths_and_ensembles_are_finite_and_nonnegative(alpha, rho):
     grid = make_uniform_grid(0.0, 0.5, 5)  # 128 lattice steps at 64 per unit
     params, dep, config = GammaParams(alpha, 1.0), Dependence.from_rho(rho), CthinConfig(64)
-    path = cthin_path(derive_stream(3, 0), grid, params, dep, config=config)
+    path = sample_path(ProcessKind.CONTINUOUSLY_THINNED, derive_stream(3, 0), grid, params, dep,
+                       cthin=config)
     with pytest.MonkeyPatch.context() as m:
         m.setattr(processes, "_BLOCK_DRAWS", 2 * grid.n)  # blocks of two paths
         ens = simulate_ensemble(ProcessKind.CONTINUOUSLY_THINNED, grid, params, dep, 6,

@@ -8,7 +8,9 @@ from gammaproc import (
     ProcessKind,
     SamplePath,
     TestFunction,
-    ar1_path,
+    chf_gof,
+    default_omega_pairs,
+    default_omega_triples,
     derive_stream,
     empirical_acf,
     empirical_chf,
@@ -18,8 +20,9 @@ from gammaproc import (
     make_uniform_grid,
     marginal_sample,
     reversibility_check,
+    sample_path,
+    simulate_ensemble,
     tail_check,
-    thinned_path,
     two_sample_chf,
 )
 
@@ -171,9 +174,6 @@ def test_phasor_plan_squares_only_exact_halvings_and_at_most_three_times():
 
 @pytest.mark.parametrize("d", [2, 3])
 def test_empirical_chf_conjugate_symmetry_is_bitwise_on_several_coordinates(d):
-    from gammaproc.cli import default_omega_triples
-    from gammaproc.stats import default_omega_pairs
-
     x = derive_stream(33, 0).gen.gamma(2.0, 1.0, size=(5000, d))
     w = default_omega_pairs(1.0) if d == 2 else default_omega_triples(1.0)
     w = np.vstack((w, [[0.3] * d, [1.0 / 3.0] + [0.0] * (d - 1)]))
@@ -186,8 +186,6 @@ def test_empirical_chf_conjugate_symmetry_is_bitwise_on_several_coordinates(d):
 
 def test_empirical_chf_memory_is_one_block():
     import tracemalloc
-
-    from gammaproc.cli import default_omega_triples
 
     x = derive_stream(34, 0).gen.gamma(1.0, 1.0, size=(100_000, 3))
     w = default_omega_triples(1.0)
@@ -206,6 +204,24 @@ def test_empirical_chf_validates_shapes():
         empirical_chf(np.zeros((10, 2)), np.array([[1.0, 2.0, 3.0]]))
     with pytest.raises(ParameterError):
         empirical_chf(np.zeros((1, 1)), np.array([[1.0]]))
+
+
+CHF_ENTRY_POINTS = {
+    "empirical_chf": lambda x, ens, w: empirical_chf(x, w),
+    "two_sample_chf": lambda x, ens, w: two_sample_chf(x, x, w),
+    "chf_gof": lambda x, ens, w: chf_gof(ens, P11, DEP5, omegas=w),
+}
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+@pytest.mark.parametrize("entry", list(CHF_ENTRY_POINTS))
+def test_chf_entry_points_refuse_a_frequency_that_is_not_finite(entry, bad):
+    x = derive_stream(2, 0).gen.gamma(1.0, 1.0, size=(100, 2))
+    ens = simulate_ensemble(ProcessKind.AR1, make_uniform_grid(0.0, 1.0, 2), P11, DEP5, 100,
+                            master_seed=2)
+    for w in ([[0.5, bad]], [[bad, 0.5], [1.0, 1.0]]):
+        with pytest.raises(ParameterError, match="finite"):
+            CHF_ENTRY_POINTS[entry](x, ens, np.array(w))
 
 
 # -- KS -----------------------------------------------------------------------
@@ -283,7 +299,7 @@ def test_ks_statistic_needs_enough_data():
 
 def test_empirical_acf_tracks_geometric_decay():
     grid = make_uniform_grid(0.0, 1.0, 100000)
-    path = ar1_path(derive_stream(8, 0), grid, P11, DEP5)
+    path = sample_path(ProcessKind.AR1, derive_stream(8, 0), grid, P11, DEP5)
     rep = empirical_acf(path, DEP5, max_lag=3)
     assert np.array_equal(rep.target, np.array([0.5, 0.25, 0.125]))
     assert rep.max_z < 4.0
@@ -291,23 +307,33 @@ def test_empirical_acf_tracks_geometric_decay():
 
 def test_empirical_acf_detects_wrong_dependence():
     grid = make_uniform_grid(0.0, 1.0, 100000)
-    path = ar1_path(derive_stream(8, 0), grid, P11, DEP5)
+    path = sample_path(ProcessKind.AR1, derive_stream(8, 0), grid, P11, DEP5)
     wrong = empirical_acf(path, Dependence.from_rho(0.9), max_lag=3)
     assert wrong.max_z > 10.0
 
 
 def test_empirical_acf_default_batch_length():
     grid = make_uniform_grid(0.0, 0.5, 50000)
-    path = ar1_path(derive_stream(9, 0), grid, P11, DEP5)
+    path = sample_path(ProcessKind.AR1, derive_stream(9, 0), grid, P11, DEP5)
     rep = empirical_acf(path, DEP5, max_lag=2)
     assert rep.batch_len == int(np.ceil(50.0 / (DEP5.lam * 0.5)))
 
 
 def test_empirical_acf_validates_length():
     grid = make_uniform_grid(0.0, 1.0, 30)
-    path = ar1_path(derive_stream(0, 0), grid, P11, DEP5)
+    path = sample_path(ProcessKind.AR1, derive_stream(0, 0), grid, P11, DEP5)
     with pytest.raises(ParameterError):
         empirical_acf(path, DEP5, max_lag=5)
+
+
+@pytest.mark.parametrize("max_lag", [2.5, 0, -1, float("nan")])
+def test_empirical_acf_refuses_a_max_lag_that_is_not_a_positive_integer(max_lag):
+    # a fractional lag count was truncated: 2.5 gave lags [1 2]
+    grid = make_uniform_grid(0.0, 1.0, 2000)
+    path = sample_path(ProcessKind.AR1, derive_stream(0, 0), grid, P11, DEP5)
+    with pytest.raises(ParameterError, match="max_lag"):
+        empirical_acf(path, DEP5, max_lag=max_lag)
+    assert empirical_acf(path, DEP5, max_lag=3.0).lags.tolist() == [1, 2, 3]
 
 
 # -- reversibility -----------------------------------------------------------------
@@ -326,7 +352,7 @@ def test_reversibility_counts_on_handmade_path():
 
 def test_reversibility_thinned_violates_both_directions():
     grid = make_uniform_grid(0.0, 1.0, 20000)
-    path = thinned_path(derive_stream(10, 0), grid, P11, DEP5)
+    path = sample_path(ProcessKind.THINNED, derive_stream(10, 0), grid, P11, DEP5)
     rep = reversibility_check(path, DEP5)
     assert rep.forward_violations > 0
     assert rep.backward_violations > 0
