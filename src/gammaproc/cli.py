@@ -350,7 +350,8 @@ def _acf_grid(cfg: RunConfig):
     The path must hold two batches of ``_acf_batch_len`` steps at the last
     lag, 5, which fails when lambda * dt is below about 1e-3, and a cthin
     path must lie on its ``--cthin-steps`` lattice.  Both are refused here,
-    so ``cmd_verify`` can refuse them before anything is sampled.
+    so ``cmd_verify`` can refuse them before anything is sampled, and hands
+    the grid to ``_check_acf``.
     """
     n_steps, max_lag, dt = 100000, 5, _first_gap(cfg)
     batch_len = _acf_batch_len(cfg.dep.lam, dt)
@@ -365,8 +366,7 @@ def _acf_grid(cfg: RunConfig):
     return grid, max_lag
 
 
-def _check_acf(cfg: RunConfig):
-    grid, max_lag = _acf_grid(cfg)
+def _check_acf(cfg: RunConfig, grid, max_lag):
     # a path of 1e5 points takes more than processes._BLOCK_DRAWS draws, so it is
     # a block of one path drawn from the stream (subseed, 0)
     path = _simulate(replace(cfg, grid=grid, n_paths=1, seed=_subseed(cfg, 2))).path(0)
@@ -457,12 +457,12 @@ def _run_check(name, check):
 def cmd_verify(cfg: RunConfig, suite, omega_axis=None) -> int:
     if suite in ("chf", "all") and cfg.process in PAIR_CHF_KINDS and cfg.n_paths < 2:
         raise ParameterError(f"the chf check needs --paths >= 2, got {cfg.n_paths}")
-    if suite in ("acf", "all"):
-        _acf_grid(cfg)  # refuses a path the acf check cannot simulate or batch
+    # refuses a path the acf check cannot simulate or batch
+    acf_grid = _acf_grid(cfg) if suite in ("acf", "all") else None
     omegas = None if omega_axis is None else _omega_pairs(omega_axis)
     runs = [
         ("marginal", lambda: _check_marginal(cfg)),
-        ("acf", lambda: _check_acf(cfg)),
+        ("acf", lambda: _check_acf(cfg, *acf_grid)),
         ("chf", lambda: _check_chf(cfg, omegas)),
         ("generator", lambda: _check_generator(cfg)),
         ("tail", lambda: _check_tail(cfg)),

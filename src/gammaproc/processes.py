@@ -73,7 +73,8 @@ Written once, for the path plans and the lanes alike:
 * a plan's run-by-run standard gammas (``_GammaRunsPlan.draw``): thinned
   and rm;
 * the tent partition's band masses, with their negative-mass guard and
-  clamp (``_band_masses``): ``tent_partition`` and the rm plan.
+  clamp, diagonal by diagonal from a rolling window of power rows, each row
+  computed once (``_tent_diagonals``): ``tent_partition`` and the rm plan.
 
 Still written twice, each for a reason:
 
@@ -85,6 +86,9 @@ Still written twice, each for a reason:
 * cthin paths draw in chunks and scan the lattice (``_affine_scan_blocks``)
   where the lane step multiplies step by step: acceptance criterion 2
   reads cthin path bytes, so they stay as they are for the same reason.
+  The scan's 1024-step blocks and its 1e-280 test, which sends a block down
+  the prefix formula or the exact recursion, are part of those bytes; the
+  16-block groups in which it runs its numpy passes are not.
 * Euler steps a path on Python floats and ``marginal_sample``'s lanes in
   numpy.  One substep costs about 1.2 us on Python floats and about 12 us
   as a one-lane numpy step (Xeon, 2 vCPUs, numpy 2.4), so a path would run
@@ -135,7 +139,7 @@ __all__ = [
 _BAND_CUTOFF = 1e-18
 
 
-def _band_masses(times, rho, d):
+def _band_masses(powers, d):
     """Masses m(i, i+d) of the tent partition along diagonal offset d.
 
     With A(i, j) = rho**(t_j - t_i) (the overlap area of the unit-area tent
@@ -143,25 +147,42 @@ def _band_masses(times, rho, d):
 
         m(i, j) = A(i, j) - A(i-1, j) - A(i, j+1) + A(i-1, j+1),
 
-    where out-of-range terms are dropped.  Interior blocks factor as
+    where out-of-range terms are dropped.  ``powers`` holds the power rows
+    ``rho**(t[d+e:] - t[:n-d-e])`` for e = 0, 1, 2, as far as they exist.
+    Interior blocks factor as
     m(i, j) = rho**(t_j - t_i) (1 - rho**(t_i - t_{i-1})) (1 - rho**(t_{j+1} - t_j)),
     so every mass is nonnegative: rounding residues down to -1e-9 are clamped
     to zero, and a mass below that is a NumericalError.
     """
-    n = len(times)
-    a_d = rho ** (times[d:] - times[: n - d])
-    m = a_d.copy()
-    if d + 1 <= n - 1:
-        a_d1 = rho ** (times[d + 1 :] - times[: n - d - 1])
-        m[1:] -= a_d1  # A(i-1, j), i = 1..n-1-d
-        m[: n - d - 1] -= a_d1  # A(i, j+1), i = 0..n-2-d
-    if d + 2 <= n - 1:
-        a_d2 = rho ** (times[d + 2 :] - times[: n - d - 2])
-        m[1 : n - d - 1] += a_d2  # A(i-1, j+1), i = 1..n-2-d
+    m = powers[0].copy()
+    if len(powers) > 1:
+        m[1:] -= powers[1]  # A(i-1, j), i = 1..n-1-d
+        m[:-1] -= powers[1]  # A(i, j+1), i = 0..n-2-d
+    if len(powers) > 2:
+        m[1:-1] += powers[2]  # A(i-1, j+1), i = 1..n-2-d
     lo = float(np.min(m))
     if lo < -1e-9:
         raise NumericalError(f"tent partition produced mass {lo} < 0 on diagonal {d}")
     return np.maximum(m, 0.0)
+
+
+def _tent_diagonals(times, rho, cutoff=0.0):
+    """The band masses of diagonals d = 0, 1, ... of the tent partition, in turn.
+
+    Diagonal d needs the power rows ``rho**(t[d+e:] - t[:n-d-e])`` for
+    e = 0, 1, 2; a rolling window of three computes each row once.  The
+    diagonals stop before the first one whose pair correlations
+    rho**(t_{i+d} - t_i) all lie below ``cutoff``.
+    """
+    n = len(times)
+    window = [rho ** (times[e:] - times[: n - e]) for e in range(min(3, n))]
+    for d in range(n):
+        if not np.any(window[0] >= cutoff):
+            return
+        yield _band_masses(window, d)
+        del window[0]
+        if d + 3 < n:
+            window.append(rho ** (times[d + 3 :] - times[: n - d - 3]))
 
 
 @dataclass(frozen=True)
@@ -189,12 +210,12 @@ class TentPartition:
 
 
 def tent_partition(grid: TimeGrid, dep: Dependence) -> TentPartition:
-    """The exact tent-set partition of the grid (all n(n+1)/2 blocks, ``_band_masses``)."""
+    """The exact tent-set partition of the grid (all n(n+1)/2 blocks, ``_tent_diagonals``)."""
     n = grid.n
     masses = np.zeros((n, n))
-    for d in range(n):
+    for d, band in enumerate(_tent_diagonals(grid.times, dep.rho)):
         idx = np.arange(n - d)
-        masses[idx, idx + d] = _band_masses(grid.times, dep.rho, d)
+        masses[idx, idx + d] = band
     masses.setflags(write=False)
     return TentPartition(grid=grid, dep=dep, masses=masses)
 
@@ -431,7 +452,6 @@ class _RandomMeasurePlan(_GammaRunsPlan):
         self.alpha = params.alpha
         self.rho = dep.rho
         self.inv_beta = 1.0 / params.beta
-        self.k = np.arange(self.n)
         shapes, cells = [], 0
         for shape in self._diagonal_shapes():
             cells += shape.size
@@ -443,21 +463,24 @@ class _RandomMeasurePlan(_GammaRunsPlan):
         self.width = cells
 
     def _diagonal_shapes(self):
-        times, n = self.grid.times, self.n
-        for d in range(n):
-            a_d = self.rho ** (times[d:] - times[: n - d])
-            if not np.any(a_d >= _BAND_CUTOFF):
-                return
-            yield self.alpha * _band_masses(times, self.rho, d)
+        for band in _tent_diagonals(self.grid.times, self.rho, _BAND_CUTOFF):
+            yield self.alpha * band
 
     def _add_diagonal(self, values, d, cells):
-        """Add each lane's diagonal-d cells (scaled) to the times they cover."""
+        """Add each lane's diagonal-d cells (scaled) to the times they cover.
+
+        Time k gets csum[min(k + 1, n - d)] - csum[max(0, k - d)] from the
+        cells' running sums csum (csum[0] = 0).  Padded with d zeros in front
+        and d copies of the last sum behind, both terms are slices.  The pad
+        is column-major, as a block's cells are, so each of its columns is
+        one contiguous run over the lanes.
+        """
         n = self.n
-        csum = np.zeros((cells.shape[0], n - d + 1))
-        np.cumsum(cells, axis=1, out=csum[:, 1:])
-        hi = np.minimum(self.k, n - 1 - d) + 1
-        lo = np.maximum(0, self.k - d)
-        values += csum[:, hi] - csum[:, lo]
+        pad = np.empty((cells.shape[0], n + d + 1), order="F")
+        pad[:, : d + 1] = 0.0
+        np.cumsum(cells, axis=1, out=pad[:, d + 1 : n + 1])
+        pad[:, n + 1 :] = pad[:, n : n + 1]
+        values += pad[:, d + 1 :] - pad[:, :n]
 
     def build(self, draws):
         cells = draws * self.inv_beta
@@ -676,14 +699,21 @@ def _cthin_lattice_indices(grid: TimeGrid, eps):
     return idx
 
 
+# The cthin lattice scan's blocks of steps, and how many go in one numpy pass.
+# The block length and the 1e-280 route test fix a path's bytes; the group
+# size only sets how many blocks share a call, so it leaves them unchanged.
+_SCAN_BLOCK = 1024
+_SCAN_GROUP = 16
+
+
 def _affine_scan_blocks(a, z, x0, out=None):
     """Sequential-in-law evaluation of x_k = a_k x_{k-1} + z_k, vectorized in blocks.
 
     Preconditions (the cthin lattice meets them): every factor a_k is in
     [0, 1], every top-up z_k is >= 0, and the carry x0 is finite and >= 0.
 
-    The steps go in blocks of 1024, each taking one of two routes by its
-    prefix product P = cumprod(a):
+    The steps go in blocks of ``_SCAN_BLOCK`` (1024), each taking one of two
+    routes by its prefix product P = cumprod(a):
 
     * ``P[-1] > 1e-280``: the prefix formula
       x_k = P_k (x_prev + sum_{i<=k} z_i / P_i); since every a_i lies in
@@ -692,24 +722,48 @@ def _affine_scan_blocks(a, z, x0, out=None):
       recursion fl(a_k * x + z_k), one rounded multiply and one rounded add
       per step.  Each maximal run of such blocks goes in one call of
       ``_exact_affine_run`` from the carry.
+
+    The full blocks go as the rows of groups of ``_SCAN_GROUP`` (16), and a
+    short last block as a group of its own.  A group takes its rows' prefix
+    products in one ``cumprod``; each maximal run of formula rows in it takes
+    one ``cumsum`` and one combine, with the carries from row to row chained
+    on Python floats, and exact rows join the pending exact run, which may
+    span groups.  Each element is the number a block-by-block scan gives.
+    A given ``out`` must be a contiguous vector: the rows are written through
+    a reshaped view of it.
     """
     n = a.size
     if out is None:
         out = np.empty(n)
+    full = n - n % _SCAN_BLOCK
+    groups = [(s, min(s + _SCAN_GROUP * _SCAN_BLOCK, full), _SCAN_BLOCK)
+              for s in range(0, full, _SCAN_GROUP * _SCAN_BLOCK)]
+    if full < n:
+        groups.append((full, n, n - full))
     x = x0
     run = None  # start of the pending run of exact blocks
-    for s in range(0, n, 1024):
-        e = min(s + 1024, n)
-        p = np.cumprod(a[s:e])
-        if p[-1] > 1e-280:
+    for s, e, width in groups:
+        p = np.cumprod(a[s:e].reshape(-1, width), axis=1)
+        formula = p[:, -1] > 1e-280
+        edges = np.flatnonzero(formula[1:] != formula[:-1]) + 1
+        bounds = [0, *edges.tolist(), p.shape[0]]
+        for r0, r1 in zip(bounds[:-1], bounds[1:]):
+            lo, hi = s + r0 * width, s + r1 * width
+            if not formula[r0]:
+                if run is None:
+                    run = lo
+                continue
             if run is not None:
-                x = _exact_affine_run(a[run:s], z[run:s], x, out[run:s])
+                x = _exact_affine_run(a[run:lo], z[run:lo], x, out[run:lo])
                 run = None
-            c = np.cumsum(z[s:e] / p)
-            out[s:e] = p * (x + c)
-            x = out[e - 1]
-        elif run is None:
-            run = s
+            pr = p[r0:r1]
+            c = np.cumsum(z[lo:hi].reshape(-1, width) / pr, axis=1)
+            carries = []
+            for p_last, c_last in zip(pr[:, -1].tolist(), c[:, -1].tolist()):
+                carries.append(x)
+                x = p_last * (x + c_last)
+            c += np.array(carries)[:, None]
+            np.multiply(pr, c, out=out[lo:hi].reshape(-1, width))
     if run is not None:
         _exact_affine_run(a[run:], z[run:], x, out[run:])
     return out
@@ -845,9 +899,9 @@ class _CthinPlan(_Plan):
             k = min(chunk, n_steps - done)
             kept, zeta = _cthin_draw(gen, a, b, self.q, [v[:k] for v in buffers])
             out = _affine_scan_blocks(kept, zeta, x, out=buf[:k])
-            while pos < self.n and idx[pos] <= done + k:
-                values[pos] = out[idx[pos] - done - 1]
-                pos += 1
+            end = int(np.searchsorted(idx, done + k, side="right"))
+            values[pos:end] = out[idx[pos:end] - done - 1]
+            pos = end
             x = out[-1]
             done += k
         return values

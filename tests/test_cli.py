@@ -414,7 +414,7 @@ def test_verify_cthin_generator_reports_the_closed_form_at_small_shapes(tmp_path
 
 
 def test_verify_all_keeps_the_other_checks_when_one_errors(tmp_path, capsys, monkeypatch):
-    def raising(cfg):
+    def raising(*args):
         raise NumericalError("oracle did not converge")
 
     monkeypatch.setattr(cli, "_check_acf", raising)
@@ -671,6 +671,18 @@ def test_verify_cthin_off_its_lattice_runs_the_checks_that_need_no_path(tmp_path
     out = tmp_path / "rep.json"
     assert run(["verify", "--process", "cthin", "--dt", "0.3", "--suite", "marginal",
                 "--out", str(out)]) == 0
+
+
+def test_verify_builds_the_acf_grid_and_checks_its_lattice_once(tmp_path, monkeypatch):
+    calls = []
+    for name in ("_acf_grid", "_cthin_lattice_indices"):
+        monkeypatch.setattr(cli, name, lambda *args, f=getattr(cli, name), name=name:
+                            calls.append(name) or f(*args))
+    out = tmp_path / "rep.json"
+    assert run(["verify", "--process", "cthin", "--suite", "acf", "--out", str(out)]) in (0, 1)
+    assert calls == ["_acf_grid", "_cthin_lattice_indices"]
+    (check,) = json.loads(out.read_text())["checks"]
+    assert check["name"] == "acf" and check["status"] in ("pass", "fail")
 
 
 def test_verify_runs_what_the_acf_refusal_leaves(tmp_path):

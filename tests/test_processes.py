@@ -65,6 +65,73 @@ def test_tent_partition_masses_read_only():
         part.masses[0, 0] = 2.0
 
 
+def _reference_band_masses(times, rho, d):
+    # _band_masses as it was before a diagonal's power rows were shared, verbatim
+    n = len(times)
+    a_d = rho ** (times[d:] - times[: n - d])
+    m = a_d.copy()
+    if d + 1 <= n - 1:
+        a_d1 = rho ** (times[d + 1 :] - times[: n - d - 1])
+        m[1:] -= a_d1  # A(i-1, j), i = 1..n-1-d
+        m[: n - d - 1] -= a_d1  # A(i, j+1), i = 0..n-2-d
+    if d + 2 <= n - 1:
+        a_d2 = rho ** (times[d + 2 :] - times[: n - d - 2])
+        m[1 : n - d - 1] += a_d2  # A(i-1, j+1), i = 1..n-2-d
+    lo = float(np.min(m))
+    if lo < -1e-9:
+        raise NumericalError(f"tent partition produced mass {lo} < 0 on diagonal {d}")
+    return np.maximum(m, 0.0)
+
+
+def _irregular_times(n, seed):
+    return np.cumsum(np.random.default_rng(seed).uniform(0.01, 1.5, n))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 40])
+@pytest.mark.parametrize("rho", [0.001, 0.5, 0.999])
+def test_tent_partition_gives_the_reference_band_mass_bytes(n, rho):
+    times, dep = _irregular_times(n, seed=n), Dependence.from_rho(rho)
+    ref = np.zeros((n, n))
+    for d in range(n):
+        idx = np.arange(n - d)
+        ref[idx, idx + d] = _reference_band_masses(times, dep.rho, d)
+    assert tent_partition(TimeGrid(times), dep).masses.tobytes() == ref.tobytes()
+
+
+def _reference_add_diagonal(self, values, d, cells):
+    # _RandomMeasurePlan._add_diagonal as it was with index gathers, verbatim
+    n = self.n
+    k = np.arange(n)
+    csum = np.zeros((cells.shape[0], n - d + 1))
+    np.cumsum(cells, axis=1, out=csum[:, 1:])
+    hi = np.minimum(k, n - 1 - d) + 1
+    lo = np.maximum(0, k - d)
+    values += csum[:, hi] - csum[:, lo]
+
+
+@pytest.mark.parametrize("alpha,rho", [(2.0, 0.5), (0.01, 0.001), (0.7, 0.9)])
+def test_rm_diagonal_by_diagonal_route_gives_the_planned_route_bytes(monkeypatch, alpha, rho):
+    grid = TimeGrid(_irregular_times(60, seed=7))
+    params, dep = GammaParams(alpha, 1.3), Dependence.from_rho(rho)
+
+    def path():
+        return sample_path(ProcessKind.RANDOM_MEASURE, derive_stream(8, 3), grid, params,
+                           dep).values.tobytes()
+
+    def ensemble():
+        return simulate_ensemble(ProcessKind.RANDOM_MEASURE, grid, params, dep, 5,
+                                 master_seed=8).values.tobytes()
+
+    assert processes._RandomMeasurePlan(grid, params, dep).width is not None
+    planned = [path(), ensemble()]
+    with monkeypatch.context() as m:
+        m.setattr(processes._RandomMeasurePlan, "_add_diagonal", _reference_add_diagonal)
+        assert [path(), ensemble()] == planned
+    monkeypatch.setattr(processes, "_PLAN_CELLS", 10)
+    assert processes._RandomMeasurePlan(grid, params, dep).width is None
+    assert path() == planned[0]
+
+
 # -- path samplers: structural invariants ---------------------------------------
 
 
@@ -228,17 +295,29 @@ def _assert_scan_matches_reference(a, z, x0):
     assert out.tobytes() == ref.tobytes()
 
 
-@pytest.mark.parametrize("kinds", [
-    ["mixed"],                                      # one run from index 0 to n
-    ["mixed", "formula", "formula"],                # a run at 0, then formula blocks
-    ["formula", "formula", "zero-rich"],            # a run that ends at n
-    ["formula", "mixed", "tiny", "zero-rich", "formula"],  # a run over several blocks
-    ["mixed", "formula"],                           # runs alternating with formula blocks
-    ["tiny"],                                       # no zero factor: one segment, one tail
-    ["zero-rich"],                                  # many segments in lockstep
-])
-def test_exact_scan_runs_give_the_reference_bytes(kinds):
-    a, z = _scan_case(5 * 1024 + 17, kinds, seed=len(kinds))
+# past one group of 16 full blocks, with a short last block
+GROUPS_N = 33 * 1024 + 17
+SCAN_CASES = [
+    (5 * 1024 + 17, ["mixed"]),                     # one run from index 0 to n
+    (5 * 1024 + 17, ["mixed", "formula", "formula"]),  # a run at 0, then formula blocks
+    (5 * 1024 + 17, ["formula", "formula", "zero-rich"]),  # a run that ends at n
+    (5 * 1024 + 17, ["formula", "mixed", "tiny", "zero-rich", "formula"]),  # a run over blocks
+    (5 * 1024 + 17, ["mixed", "formula"]),          # runs alternating with formula blocks
+    (5 * 1024 + 17, ["tiny"]),                      # no zero factor: one segment, one tail
+    (5 * 1024 + 17, ["zero-rich"]),                 # many segments in lockstep
+    (GROUPS_N, ["formula"]),                        # formula carries chained across groups
+    # groups holding both routes; runs over blocks 14-16 and 31-33 cross group
+    # edges, the second into the short last block
+    (GROUPS_N, ["formula"] * 14 + ["mixed", "zero-rich", "tiny"]),
+    (GROUPS_N, ["mixed", "formula"]),               # alternating, a formula last block
+    (GROUPS_N, ["tiny", "formula", "formula", "zero-rich"]),  # runs over blocks 15-16, 31-32
+]
+
+
+@pytest.mark.parametrize("n,kinds", SCAN_CASES,
+                         ids=[f"kinds{i}" for i in range(len(SCAN_CASES))])
+def test_exact_scan_runs_give_the_reference_bytes(n, kinds):
+    a, z = _scan_case(n, kinds, seed=len(kinds))
     # each kind of block takes the route it is named for
     routes = [np.cumprod(a[s:s + 1024])[-1] > 1e-280 for s in range(0, a.size, 1024)]
     assert routes == [kinds[i % len(kinds)] == "formula" for i in range(len(routes))]
@@ -247,7 +326,7 @@ def test_exact_scan_runs_give_the_reference_bytes(kinds):
 
 
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
-@given(n=st.integers(1, 5000),
+@given(n=st.integers(1, 5000) | st.integers(16 * 1024 + 1, 18 * 1024 + 17),
        kinds=st.lists(st.sampled_from(BLOCK_KINDS), min_size=1, max_size=5),
        seed=st.integers(0, 2**32 - 1),
        x0=st.sampled_from([0.0, 1e-300, 0.4, 1.7, 3e5]))
@@ -292,10 +371,11 @@ def test_cthin_reused_buffers_give_the_allocating_loop_bytes(params, rho):
 CTHIN_POINTS = [(0.01, 0.001), (0.001, 0.5), (0.05, 0.5), (2.0, 0.5)]
 
 
-@pytest.mark.parametrize("steps_per_unit", [64, 256])
+@pytest.mark.parametrize("steps_per_unit", [64, 256, 4096])
 @pytest.mark.parametrize("alpha,rho", CTHIN_POINTS)
 def test_cthin_gives_the_reference_scan_bytes(monkeypatch, alpha, rho, steps_per_unit):
-    grid = make_uniform_grid(0.0, 1.0, 9)  # 8 time units: several scan blocks
+    # 8 time units: several scan blocks, and two groups of them at 4096 steps
+    grid = make_uniform_grid(0.0, 1.0, 9)
     params, dep, config = GammaParams(alpha, 1.0), Dependence.from_rho(rho), CthinConfig(
         steps_per_unit)
     exact_runs = []
