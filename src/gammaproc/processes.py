@@ -74,7 +74,7 @@ Written once, for the path plans and the lanes alike:
   and rm;
 * the tent partition's band masses, with their negative-mass guard and
   clamp, diagonal by diagonal from a rolling window of power rows, each row
-  computed once (``_tent_diagonals``): ``tent_partition`` and the rm plan.
+  computed once (``_tent_windows``): ``tent_partition`` and the rm plan.
 
 Still written twice, each for a reason:
 
@@ -98,6 +98,7 @@ Still written twice, each for a reason:
 from __future__ import annotations
 
 import enum
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -166,20 +167,24 @@ def _band_masses(powers, d):
     return np.maximum(m, 0.0)
 
 
-def _tent_diagonals(times, rho, cutoff=0.0):
-    """The band masses of diagonals d = 0, 1, ... of the tent partition, in turn.
+def _tent_windows(times, rho, cutoff=0.0, start=None):
+    """The power rows of diagonals d = 0, 1, ... of the tent partition, in turn.
 
-    Diagonal d needs the power rows ``rho**(t[d+e:] - t[:n-d-e])`` for
-    e = 0, 1, 2; a rolling window of three computes each row once.  The
-    diagonals stop before the first one whose pair correlations
-    rho**(t_{i+d} - t_i) all lie below ``cutoff``.
+    Diagonal d's band masses are ``_band_masses(window, d)``, from the power
+    rows ``rho**(t[d+e:] - t[:n-d-e])`` for e = 0, 1, 2; a rolling window
+    computes each row once.  The walk yields ``(d, window)``, and stops
+    before the first diagonal whose pair correlations rho**(t_{i+d} - t_i)
+    all lie below ``cutoff``.  ``start``, a pair ``(d, list(window))`` kept
+    from an earlier walk, resumes that walk at diagonal d.
     """
     n = len(times)
-    window = [rho ** (times[e:] - times[: n - e]) for e in range(min(3, n))]
-    for d in range(n):
+    if start is None:
+        start = (0, [rho ** (times[e:] - times[: n - e]) for e in range(min(3, n))])
+    first, window = start[0], list(start[1])
+    for d in range(first, n):
         if not np.any(window[0] >= cutoff):
             return
-        yield _band_masses(window, d)
+        yield d, window
         del window[0]
         if d + 3 < n:
             window.append(rho ** (times[d + 3 :] - times[: n - d - 3]))
@@ -210,12 +215,12 @@ class TentPartition:
 
 
 def tent_partition(grid: TimeGrid, dep: Dependence) -> TentPartition:
-    """The exact tent-set partition of the grid (all n(n+1)/2 blocks, ``_tent_diagonals``)."""
+    """The exact tent-set partition of the grid (all n(n+1)/2 blocks, ``_tent_windows``)."""
     n = grid.n
     masses = np.zeros((n, n))
-    for d, band in enumerate(_tent_diagonals(grid.times, dep.rho)):
+    for d, window in _tent_windows(grid.times, dep.rho):
         idx = np.arange(n - d)
-        masses[idx, idx + d] = band
+        masses[idx, idx + d] = _band_masses(window, d)
     masses.setflags(write=False)
     return TentPartition(grid=grid, dep=dep, masses=masses)
 
@@ -443,8 +448,10 @@ class _RandomMeasurePlan(_GammaRunsPlan):
     standard gammas.
 
     When a path has at most ``_PLAN_CELLS`` cells the plan keeps every cell
-    shape and a path is one row of draws; a longer path is drawn and added
-    up one diagonal at a time, so no more than one diagonal is held.
+    shape and a path is one row of draws.  A longer path is drawn and added
+    up one diagonal at a time: the plan keeps the shapes of the diagonals
+    whose cells fit in ``_PLAN_CELLS`` and the walk's window where they end,
+    and each path resumes the walk there, so no diagonal is computed twice.
     """
 
     def __init__(self, grid, params, dep):
@@ -453,18 +460,15 @@ class _RandomMeasurePlan(_GammaRunsPlan):
         self.rho = dep.rho
         self.inv_beta = 1.0 / params.beta
         shapes, cells = [], 0
-        for shape in self._diagonal_shapes():
-            cells += shape.size
+        for d, window in _tent_windows(grid.times, self.rho, _BAND_CUTOFF):
+            cells += self.n - d
             if cells > _PLAN_CELLS:
+                self.head, self.resume = shapes, (d, list(window))
                 return
-            shapes.append(shape)
+            shapes.append(self.alpha * _band_masses(window, d))
         self.diagonals = len(shapes)
         self.runs = _gamma_runs(np.concatenate(shapes))
         self.width = cells
-
-    def _diagonal_shapes(self):
-        for band in _tent_diagonals(self.grid.times, self.rho, _BAND_CUTOFF):
-            yield self.alpha * band
 
     def _add_diagonal(self, values, d, cells):
         """Add each lane's diagonal-d cells (scaled) to the times they cover.
@@ -494,7 +498,9 @@ class _RandomMeasurePlan(_GammaRunsPlan):
     def values(self, gen):
         """One path of more than ``_PLAN_CELLS`` cells, drawn and added up a diagonal at a time."""
         values = np.zeros((1, self.n))
-        for d, shapes in enumerate(self._diagonal_shapes()):
+        rest = (self.alpha * _band_masses(window, d) for d, window
+                in _tent_windows(self.grid.times, self.rho, _BAND_CUTOFF, self.resume))
+        for d, shapes in enumerate(itertools.chain(self.head, rest)):
             self._add_diagonal(values, d, gen.standard_gamma(shapes)[None] * self.inv_beta)
         return values[0]
 

@@ -277,6 +277,67 @@ def _phasor_plan(col):
     return mags, src, inv
 
 
+def _chf_plan(w, d):
+    """Everything ``empirical_chf`` computes from the (M, d) frequencies ``w`` alone.
+
+    Returns ``(steps, rows, products, row_product, row_flip)``.  ``steps``
+    fills the ``rows`` phasor rows of a block in order, each
+    ``(dst, op, src, a)``: ``"cis"`` writes cos and sin of ``a x_src`` into
+    row ``dst``, ``"square"`` the square of row ``src`` and ``"conj"`` its
+    conjugate.  ``products`` lists the rows each distinct product
+    multiplies, first factor first.  Row r of ``w`` reads product
+    ``row_product[r]`` (-1: the all-zero row), with its imaginary part
+    negated where ``row_flip[r]``.
+
+    A row's summand is (re, +-im): im is formed without the sign of the
+    row's first nonzero factor, and each later factor is conjugated or not
+    relative to that first one.  Rows equal up to that sign share one
+    product; omega and -omega are such a pair.  A phasor gets a conjugate
+    row only when some product reads it conjugated, so the first factor
+    never needs one.
+    """
+    coords = [_phasor_plan(w[:, j]) for j in range(d)]
+    m = w.shape[0]
+    products = {}
+    row_product, row_flip = np.full(m, -1), np.zeros(m, dtype=bool)
+    for r in range(m):
+        terms = [(j, int(inv[r]), bool(w[r, j] < 0.0))
+                 for j, (_, src, inv) in enumerate(coords) if src[inv[r]] != -2]
+        if terms:
+            row_flip[r] = flip = terms[0][2]
+            key = tuple((j, k, conj != flip) for j, k, conj in terms)
+            row_product[r] = products.setdefault(key, len(products))
+    conjugated = {(j, k) for key in products for j, k, conj in key if conj}
+    slot, steps = {}, []
+    for j, (mags, src, _) in enumerate(coords):
+        for k, a in enumerate(mags):
+            if src[k] == -2:
+                continue
+            slot[j, k, False] = dst = len(slot)
+            # exp(2i h x) = exp(i h x)^2
+            steps.append((dst, "cis", j, a) if src[k] == -1
+                         else (dst, "square", slot[j, src[k], False], None))
+            if (j, k) in conjugated:
+                slot[j, k, True] = len(slot)
+                steps.append((len(slot) - 1, "conj", dst, None))
+    return steps, len(slot), [[slot[f] for f in key] for key in products], row_product, row_flip
+
+
+def _chf_args(samples, omegas):
+    """``samples`` as an (N, d) array with N >= 2 and ``omegas`` as an (M, d) matrix."""
+    x = np.asarray(samples, dtype=float)
+    if x.ndim == 1:
+        x = x[:, None]
+    if x.ndim != 2 or x.shape[0] < 2:
+        raise ParameterError("samples must be an (N, d) array with N >= 2")
+    w = _as_omega_matrix(omegas, d=x.shape[1])
+    if w.shape[1] != x.shape[1]:
+        raise ParameterError(
+            f"omega dimension {w.shape[1]} does not match sample dimension {x.shape[1]}"
+        )
+    return x, w
+
+
 def empirical_chf(samples, omegas) -> ChfEstimate:
     """Empirical joint chf of an (N, d) sample at each row of ``omegas`` (M, d).
 
@@ -296,72 +357,59 @@ def empirical_chf(samples, omegas) -> ChfEstimate:
     products up to the sign of the imaginary part, so their estimates are
     conjugate bit for bit.
 
+    Per block the passes are: the phasors, a conjugate only of a phasor
+    that some product reads conjugated (7 of 12 for the default triples),
+    the products, their sum, and one contiguous pass that squares the real
+    and imaginary parts together before a second sum.  The plan of phasors
+    and products depends on ``omegas`` alone (``_chf_plan``), so
+    ``two_sample_chf`` makes it once for both samples.
+
     Accumulation is blocked: pairwise sums over ``_CHF_BLOCK`` samples in
     buffers allocated once per call, then an exact compensated combination of
     the block totals.  Memory is one block of phasors and of their products
     whatever N, and million-replicate estimates do not lose digits.
     """
-    x = np.asarray(samples, dtype=float)
-    if x.ndim == 1:
-        x = x[:, None]
-    if x.ndim != 2 or x.shape[0] < 2:
-        raise ParameterError("samples must be an (N, d) array with N >= 2")
-    w = _as_omega_matrix(omegas, d=x.shape[1])
-    if w.shape[1] != x.shape[1]:
-        raise ParameterError(
-            f"omega dimension {w.shape[1]} does not match sample dimension {x.shape[1]}"
-        )
-    n, m = x.shape[0], w.shape[0]
-    plans = [_phasor_plan(w[:, j]) for j in range(w.shape[1])]
-    # A row's summand is (re, +-im): im is formed without the sign of the
-    # row's first nonzero factor, and each later factor is conjugated or not
-    # relative to that first one.  Rows equal up to that sign share one
-    # product; omega and -omega are such a pair.
-    products = {}
-    row_product, row_flip = np.full(m, -1), np.zeros(m, dtype=bool)
-    for r in range(m):
-        terms = [(j, int(inv[r]), bool(w[r, j] < 0.0))
-                 for j, (_, src, inv) in enumerate(plans) if src[inv[r]] != -2]
-        if terms:
-            row_flip[r] = flip = terms[0][2]
-            key = tuple((j, k, conj != flip) for j, k, conj in terms)
-            row_product[r] = products.setdefault(key, len(products))
+    x, w = _chf_args(samples, omegas)
+    return _chf_estimate(x, w, _chf_plan(w, x.shape[1]))
+
+
+def _chf_estimate(x, w, plan):
+    """``empirical_chf`` of the checked sample ``x`` at ``w``, from ``_chf_plan(w, d)``."""
+    steps, rows, products, row_product, row_flip = plan
+    n = x.shape[0]
     width = min(n, _CHF_BLOCK)
-    # phasor[j][k, 0] = exp(i mags[k] x_j) and phasor[j][k, 1] its conjugate
-    phasor = [np.empty((mags.size, 2, width), dtype=complex) for mags, _, _ in plans]
+    phasor = np.empty((rows, width), dtype=complex)
     z = np.empty((len(products), width), dtype=complex)
     arg = np.empty(width)
     blocks = range(0, n, _CHF_BLOCK)
     sums = np.empty((len(blocks), 4, len(products)))  # re, im, re^2, im^2
     for b, s in enumerate(blocks):
         nb = min(n - s, _CHF_BLOCK)
-        for j, (mags, src, _) in enumerate(plans):
-            p = phasor[j][:, :, :nb]
-            for k, a in enumerate(mags):
-                if src[k] == -2:
-                    continue
-                if src[k] == -1:
-                    np.multiply(x[s : s + nb, j], a, out=arg[:nb])
-                    np.cos(arg[:nb], out=p[k, 0].real)
-                    np.sin(arg[:nb], out=p[k, 0].imag)
-                else:  # exp(2i h x) = exp(i h x)^2
-                    np.square(p[src[k], 0], out=p[k, 0])
-                np.conjugate(p[k, 0], out=p[k, 1])
-        zb = z[:, :nb]
-        for u, ((j, k, _), *rest) in enumerate(products):
-            acc = phasor[j][k, 0, :nb]
+        ph, zb, t = list(phasor[:, :nb]), z[:, :nb], arg[:nb]
+        for dst, op, src, a in steps:
+            if op == "cis":
+                np.multiply(x[s : s + nb, src], a, out=t)
+                np.cos(t, out=ph[dst].real)
+                np.sin(t, out=ph[dst].imag)
+            elif op == "square":
+                np.square(ph[src], out=ph[dst])
+            else:
+                np.conjugate(ph[src], out=ph[dst])
+        for out, (first, *rest) in zip(zb, products):
+            acc = ph[first]
             if not rest:
-                np.copyto(zb[u], acc)
-            for j, k, conj in rest:
-                acc = np.multiply(acc, phasor[j][k, int(conj), :nb], out=zb[u])
+                np.copyto(out, acc)
+            for f in rest:
+                acc = np.multiply(acc, ph[f], out=out)
         tot_z = np.sum(zb, axis=1)
-        np.square(zb.real, out=zb.real)
-        np.square(zb.imag, out=zb.imag)
+        sq = zb.view(float)
+        np.square(sq, out=sq)
         tot_sq = np.sum(zb, axis=1)
         sums[b] = (tot_z.real, tot_z.imag, tot_sq.real, tot_sq.imag)
     # one column per product, then the summand 1 of an all-zero row (index -1)
-    tot = np.array([[math.fsum(sums[:, i, u]) for u in range(len(products))] + [one]
-                    for i, one in enumerate((n, 0.0, n, 0.0))])[:, row_product]
+    tot = np.array([[*map(math.fsum, per), one]
+                    for per, one in zip(sums.transpose(1, 2, 0).tolist(), (n, 0.0, n, 0.0))])
+    tot = tot[:, row_product]
     tot[1, row_flip] = -tot[1, row_flip]
     mean_re, mean_im = tot[0] / n, tot[1] / n
     var_re = np.maximum(tot[2] - n * mean_re**2, 0.0) / (n - 1)
@@ -472,10 +520,17 @@ def two_sample_chf(a, b, omegas):
     ``a`` and ``b`` are (N, d) samples and ``omegas`` an (M, d) matrix.  z at
     each omega row is the larger of |Re diff| and |Im diff| divided by the
     pooled standard error sqrt(se_a^2 + se_b^2); the statistic is exactly
-    symmetric in the two samples.  Returns ``(z, est_a, est_b)``.
+    symmetric in the two samples.  Returns ``(z, est_a, est_b)``.  Both
+    samples must have the same dimension d; the chf plan is made once.
     """
-    est_a = empirical_chf(a, omegas)
-    est_b = empirical_chf(b, omegas)
+    x_a, w = _chf_args(a, omegas)
+    x_b, _ = _chf_args(b, omegas)
+    if x_b.shape[1] != x_a.shape[1]:
+        raise ParameterError(
+            f"samples a and b must have one dimension, got {x_a.shape[1]} and {x_b.shape[1]}")
+    plan = _chf_plan(w, x_a.shape[1])
+    est_a = _chf_estimate(x_a, w, plan)
+    est_b = _chf_estimate(x_b, w, plan)
     se_re = np.sqrt(est_a.se_re**2 + est_b.se_re**2)
     se_im = np.sqrt(est_a.se_im**2 + est_b.se_im**2)
     return _chf_z(est_a.estimate - est_b.estimate, se_re, se_im), est_a, est_b

@@ -34,6 +34,65 @@ def test_help_and_version_exit_zero(capsys):
     capsys.readouterr()
 
 
+def test_main_builds_its_parser_once_per_process(monkeypatch, capsys, tmp_path):
+    calls = []
+
+    def counted():
+        calls.append(1)
+        return build_parser()
+
+    monkeypatch.setattr(cli, "build_parser", counted)
+    cli._parser.cache_clear()
+    try:
+        out = ["--out", str(tmp_path / "o")]
+        assert run(["--version"]) == 0
+        assert run(["simulate", "--process", "ar1", "--n", "3", *out]) == 0
+        assert run(["simulate", "--process", "nope"]) == 2
+        assert run(["verify", "--process", "ar1", "--suite", "tail", *out]) == 0
+    finally:
+        cli._parser.cache_clear()
+    capsys.readouterr()
+    assert len(calls) == 1
+
+
+_PARSER_REUSE_RUNS = [
+    ["simulate", "--process", "ar1", "--n", "5", "--paths", "3", "--seed", "3"],
+    ["simulate", "--process", "nope"],
+    ["simulate", "--process", "changepoint", "--n", "4", "--paths", "2", "--format", "json"],
+    ["--version"],
+    ["verify", "--process", "cir", "--suite", "tail"],
+    ["compare", "--process-a", "thinned", "--process-b", "rm", "--points", "2",
+     "--paths", "300", "--seed", "5"],
+    ["compare", "--process-a", "thinned", "--process-b", "rm", "--points", "2",
+     "--paths", "300", "--seed", "5", "--rho", "0.6"],
+    ["compare", "--process-a", "thinned", "--process-b", "rm", "--points", "2",
+     "--paths", "300", "--seed", "5", "--lambda", "0.51"],
+]
+
+
+def _parser_reuse_outputs(capsys, tmp_path):
+    tmp_path.mkdir()
+    outputs = []
+    for i, args in enumerate(_PARSER_REUSE_RUNS):
+        out = tmp_path / f"run{i}"
+        code = run(args + (["--out", str(out)] if args[0] != "--version" else []))
+        outputs.append((code, out.read_bytes() if out.exists() else None,
+                        *capsys.readouterr()))
+    return outputs
+
+
+def test_a_reused_parser_gives_the_bytes_of_a_fresh_one(monkeypatch, capsys, tmp_path):
+    cli._parser.cache_clear()
+    try:
+        reused = _parser_reuse_outputs(capsys, tmp_path / "reused")
+    finally:
+        cli._parser.cache_clear()
+    monkeypatch.setattr(cli, "_parser", build_parser)
+    fresh = _parser_reuse_outputs(capsys, tmp_path / "fresh")
+    assert [r[0] for r in reused] == [0, 2, 0, 0, 0, 0, 0, 0]
+    assert reused == fresh
+
+
 def test_missing_subcommand_is_usage_error(capsys):
     assert run([]) == 2
     capsys.readouterr()
@@ -481,19 +540,19 @@ def test_verify_refuses_a_bad_omega_grid_before_simulating(capsys, monkeypatch, 
     assert "Warning" not in captured.err and captured.out == ""
 
 
-def _seed_sweep():
+def _load_script(name):
     import importlib.util
     from pathlib import Path
 
-    path = Path(__file__).resolve().parents[1] / "scripts" / "seed_sweep.py"
-    spec = importlib.util.spec_from_file_location("seed_sweep", path)
+    path = Path(__file__).resolve().parents[1] / "scripts" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(name, path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
 
 
 def test_seed_sweep_counts_passes_and_errors(monkeypatch, capsys):
-    sweep = _seed_sweep()
+    sweep = _load_script("seed_sweep")
     counts = sweep.sweep(2, 1, 500)
     assert list(counts) == ["verify chf ar1", "verify chf thinned", "verify chf rm",
                             "verify chf changepoint", "verify chf cir",
@@ -514,6 +573,37 @@ def test_seed_sweep_counts_passes_and_errors(monkeypatch, capsys):
     assert sweep.main(["--k", "1"]) == 1
     captured = capsys.readouterr()
     assert "RuntimeError: boom" in captured.err and "exited 2" in captured.err
+
+
+def _bench_stdout(wall, raw, correct=True):
+    details = {"workload": "w", "commands": {"cmd": {"median_s": raw,
+                                                     "median_adjusted_s": wall}}}
+    result = {"correct": correct, "attempted": 3, "failed": 0, "metrics": {
+        "wall_s": {"value": wall, "unit": "s"},
+        "values_per_s": {"value": 100.0 / wall, "unit": "values/s"}}}
+    return "machine noise\n" + json.dumps(details) + "\n" + json.dumps(result) + "\n"
+
+
+def test_ab_bench_summary_reads_quartiles_wins_and_command_medians():
+    ab = _load_script("ab_bench")
+    assert ab.parse_seeds("601-604") == [601, 602, 603, 604]
+    assert ab.parse_seeds("7") == [7]
+    end_to_end = [{"name": "wall_s", "unit": "s", "better": "lower"},
+                  {"name": "values_per_s", "unit": "values/s", "better": "higher"}]
+    # (base wall, change wall): the change wins twice, ties once and loses once
+    walls = [(4.0, 2.0), (2.0, 1.0), (1.0, 1.0), (3.0, 5.0)]
+    pairs = [(_bench_stdout(b, 2 * b), _bench_stdout(c, 2 * c, correct=c != 5.0))
+             for b, c in walls]
+    lines = ab.summarize(pairs, end_to_end)
+    assert lines == [
+        "4 pairs; each side's median [q1, q3]; change better in k of 4 pairs",
+        "wall_s (s, lower is better): base 2.5 [1.75, 3.25], change 1.5 [1, 2.75], -40.0%, "
+        "better in 2/4",
+        "values_per_s (values/s, higher is better): base 41.67 [31.25, 62.5], "
+        "change 75 [42.5, 100], +80.0%, better in 2/4",
+        "command cmd: raw 5 -> 3 s, adjusted 2.5 -> 1.5 s",
+        "correct runs: base 4/4, change 3/4",
+    ]
 
 
 def test_verify_marginal_passes_at_a_shape_whose_draws_underflow(tmp_path):

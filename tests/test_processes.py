@@ -132,6 +132,33 @@ def test_rm_diagonal_by_diagonal_route_gives_the_planned_route_bytes(monkeypatch
     assert path() == planned[0]
 
 
+@pytest.mark.parametrize("plan_cells", [10, 100, 200])
+def test_rm_diagonal_by_diagonal_route_computes_each_diagonal_once(monkeypatch, plan_cells):
+    # the plan keeps the diagonals that fit and each path resumes the walk after them
+    grid = TimeGrid(_irregular_times(60, seed=7))
+    params, dep = GammaParams(2.0, 1.3), Dependence.from_rho(0.5)
+    seen = []
+
+    def counted(powers, d):
+        seen.append(d)
+        return band_masses(powers, d)
+
+    band_masses = processes._band_masses
+    monkeypatch.setattr(processes, "_PLAN_CELLS", plan_cells)
+    monkeypatch.setattr(processes, "_band_masses", counted)
+    plan = processes._RandomMeasurePlan(grid, params, dep)
+    assert plan.width is None
+    head = list(seen)
+    assert head == list(range(len(plan.head)))
+    seen.clear()
+    plan.values(derive_stream(8, 3).gen)
+    diagonals = seen[-1] + 1
+    assert seen == list(range(len(head), diagonals))
+    seen.clear()
+    plan.values(derive_stream(8, 4).gen)
+    assert seen == list(range(len(head), diagonals))
+
+
 # -- path samplers: structural invariants ---------------------------------------
 
 
