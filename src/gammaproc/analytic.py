@@ -33,6 +33,9 @@ from .core import (
     ProcessKind,
     TimeGrid,
     UnsupportedKindError,
+    _require_finite_nonnegative,
+    _require_finite_positive,
+    _require_open_unit,
 )
 
 __all__ = [
@@ -77,9 +80,7 @@ def innovation_chf(omega, params: GammaParams, rho_step):
 
     Equals gamma_chf(w)/gamma_chf(rho*w) = ((beta - i w)/(beta - i rho w))^(-alpha).
     """
-    rho = float(rho_step)
-    if not (0.0 < rho < 1.0):
-        raise ParameterError(f"rho_step must lie strictly in (0, 1), got {rho_step!r}")
+    rho = _require_open_unit("rho_step", rho_step)
     w = _as_float_array(omega)
     b = params.beta
     out = np.exp(
@@ -182,15 +183,14 @@ def log_bessel_i(q, x):
     order far above the argument, or at a subnormal x, where scipy returns NaN.
     """
     q = float(q)
-    x = float(x)
     if q < -1.0 or not math.isfinite(q):
         raise ParameterError(f"order q must be finite and >= -1, got {q!r}")
-    if x < 0.0 or not math.isfinite(x):
-        raise ParameterError(f"argument x must be finite and >= 0, got {x!r}")
+    x = _require_finite_nonnegative("x", x)
     if x == 0.0:
         if q == 0.0:
             return 0.0
-        return -math.inf if q > 0.0 else math.inf
+        # I_q(0) is 0 for q > 0 and for q = -1 (I_{-1} = I_1), infinite for -1 < q < 0
+        return -math.inf if q > 0.0 or q == -1.0 else math.inf
     from scipy.special import ive
 
     scaled = float(ive(q, x))
@@ -209,13 +209,9 @@ def cir_transition_density(y, x, params: GammaParams, dep: Dependence, dt):
     Satisfies detailed balance against Ga(alpha, beta) and reduces to the
     stationary density as dt -> infinity (u -> 0).
     """
-    y = float(y)
-    x = float(x)
-    if y < 0.0 or x < 0.0 or not (math.isfinite(x) and math.isfinite(y)):
-        raise ParameterError("states must be finite and >= 0")
-    dt = float(dt)
-    if not (dt > 0.0) or not math.isfinite(dt):
-        raise ParameterError(f"dt must be finite and > 0, got {dt!r}")
+    y = _require_finite_nonnegative("y", y)
+    x = _require_finite_nonnegative("x", x)
+    dt = _require_finite_positive("dt", dt)
     from scipy.special import gammaln
 
     a = params.alpha
@@ -356,9 +352,7 @@ def generator_apply(kind: ProcessKind, f: TestFunction, x, params: GammaParams, 
     downward one expands e^{z v} - 1 in powers of z v and integrates each
     power against v^{-1} (1-v)^{a-1} as a Beta integral.
     """
-    x = float(x)
-    if x < 0.0 or not math.isfinite(x):
-        raise ParameterError(f"state x must be finite and >= 0, got {x!r}")
+    x = _require_finite_nonnegative("x", x)
     if kind not in GENERATOR_KINDS:
         raise UnsupportedKindError(
             f"generator_apply supports the SquaredOU and ContinuouslyThinned kinds, not {kind!r}"
@@ -390,9 +384,7 @@ def levy_tail(u, params: GammaParams):
     alpha * E1(beta u); the closed approximant alpha/(beta u) e^{-beta u} is
     the first term of the asymptotic expansion of E1.
     """
-    u = float(u)
-    if not (u > 0.0) or not math.isfinite(u):
-        raise ParameterError(f"threshold u must be finite and > 0, got {u!r}")
+    u = _require_finite_positive("u", u)
     from scipy.special import exp1
 
     a, b = params.alpha, params.beta
@@ -404,9 +396,7 @@ def levy_tail(u, params: GammaParams):
 
 def gamma_survival(u, params: GammaParams):
     """P(X > u) for X ~ Ga(alpha, beta) (regularized upper incomplete gamma)."""
-    u = float(u)
-    if u < 0.0 or not math.isfinite(u):
-        raise ParameterError(f"threshold u must be finite and >= 0, got {u!r}")
+    u = _require_finite_nonnegative("u", u)
     from scipy.special import gammaincc
 
     return float(gammaincc(params.alpha, params.beta * u))

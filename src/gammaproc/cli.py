@@ -41,7 +41,6 @@ from .core import (
     ParameterError,
     ProcessKind,
     TimeGrid,
-    UnsupportedKindError,
     _require_positive_int,
     _require_seed,
     make_uniform_grid,
@@ -201,10 +200,7 @@ def _resolve_grid(ns, default_n):
             except ValueError:
                 raise ParameterError(f"--times entries must be numbers, got {tok!r}") from None
         return TimeGrid(vals)
-    n = ns.n if ns.n is not None else default_n
-    if ns.dt is None or ns.dt <= 0.0:
-        raise ParameterError(f"--dt must be positive, got {ns.dt!r}")
-    return make_uniform_grid(ns.t0, ns.dt, n)
+    return make_uniform_grid(ns.t0, ns.dt, default_n if ns.n is None else ns.n)
 
 
 def _resolve_config(ns, process_name, n_paths, default_n=100):
@@ -551,17 +547,16 @@ def main(argv=None) -> int:
             cfg = _resolve_config(ns, ns.process, ns.paths, default_n=2)
             axis = None if ns.omega_grid is None else _parse_omega_grid(ns.omega_grid)
             return cmd_verify(cfg, ns.suite, omega_axis=axis)
-        if ns.command == "compare":
-            ns.n = ns.points
-            cfg_a = _resolve_config(ns, ns.process_a, ns.paths)
-            cfg_b = _resolve_config(ns, ns.process_b, ns.paths)
-            seed_a = ns.seed if ns.seed_a is None else ns.seed_a
-            seed_b = ns.seed + 1 if ns.seed_b is None else ns.seed_b
-            cfg_a = replace(cfg_a, seed=_require_seed("--seed-a", seed_a))
-            cfg_b = replace(cfg_b, seed=_require_seed("--seed-b", seed_b), out=None)
-            return cmd_compare(cfg_a, cfg_b, ns.points)
-        raise ParameterError(f"unknown command {ns.command!r}")
-    except (ParameterError, UnsupportedKindError) as exc:
+        # compare: argparse admits no other command
+        ns.n = ns.points
+        cfg = _resolve_config(ns, ns.process_a, ns.paths)
+        seed_a = ns.seed if ns.seed_a is None else ns.seed_a
+        seed_b = ns.seed + 1 if ns.seed_b is None else ns.seed_b
+        cfg_a = replace(cfg, seed=_require_seed("--seed-a", seed_a))
+        cfg_b = replace(cfg, process=ProcessKind.parse(ns.process_b),
+                        seed=_require_seed("--seed-b", seed_b))
+        return cmd_compare(cfg_a, cfg_b, ns.points)
+    except ParameterError as exc:
         print(f"gammaproc: error: {exc}", file=sys.stderr)
         return 2
     except NumericalError as exc:

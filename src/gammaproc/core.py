@@ -47,9 +47,28 @@ class UnsupportedKindError(ParameterError):
 
 
 def _require_finite_positive(name, value):
+    """``value`` as a float that is finite and > 0; anything else is a ParameterError."""
     v = float(value)
     if not math.isfinite(v) or v <= 0.0:
         raise ParameterError(f"{name} must be finite and > 0, got {value!r}")
+    return v
+
+
+def _require_finite_nonnegative(name, value):
+    """``value`` as a float that is finite and >= 0 (a state, a threshold);
+    anything else, NaN included, is a ParameterError."""
+    v = float(value)
+    if not math.isfinite(v) or v < 0.0:
+        raise ParameterError(f"{name} must be finite and >= 0, got {value!r}")
+    return v
+
+
+def _require_open_unit(name, value):
+    """``value`` as a float strictly inside (0, 1) (a correlation); anything
+    else, NaN included, is a ParameterError."""
+    v = float(value)
+    if not 0.0 < v < 1.0:
+        raise ParameterError(f"{name} must lie strictly in (0, 1), got {value!r}")
     return v
 
 
@@ -139,9 +158,7 @@ class Dependence:
 
     @classmethod
     def from_rho(cls, rho):
-        r = float(rho)
-        if not (0.0 < r < 1.0) or not math.isfinite(r):
-            raise ParameterError(f"rho must lie strictly in (0, 1), got {rho!r}")
+        r = _require_open_unit("rho", rho)
         dep = cls(-math.log(r))
         dep._set_rho(r, dep.lam)
         return dep

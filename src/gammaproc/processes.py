@@ -117,6 +117,7 @@ from .core import (
     UnsupportedKindError,
     _parse_enum,
     _require_finite_positive,
+    _require_open_unit,
     _require_positive_int,
     derive_stream,
 )
@@ -1037,9 +1038,7 @@ def _lane_step(kind, g, x, a, b, r):
 
 def walker_sample(n, params: GammaParams, rho_step, master_seed):
     """n i.i.d. AR(1) innovations at per-step rho (``_ar1_ladder``)."""
-    rho = float(rho_step)
-    if not (0.0 < rho < 1.0):
-        raise ParameterError(f"rho_step must lie strictly in (0, 1), got {rho_step!r}")
+    rho = _require_open_unit("rho_step", rho_step)
     g = derive_stream(master_seed, 0).gen
     out = np.empty(_require_positive_int("n", n))
     return _ar1_ladder(g, params.alpha, _ladder_odds(rho), out) * (rho / params.beta)

@@ -141,15 +141,53 @@ def test_log_bessel_i_far_above_the_argument_against_mpmath(q, x):
 
 
 def test_cir_transition_density_from_zero_state():
-    # from x=0 the transition is a pure gamma: c^alpha y^(alpha-1) e^(-c y)/Gamma(alpha)
-    p = GammaParams(1.5, 2.0)
-    dep = Dependence.from_rho(0.5)
-    dt = 0.7
-    rho_d = dep.gap_corr(dt)
-    c = p.beta / (1.0 - rho_d)
-    y = 0.8
-    expected = c**p.alpha * y ** (p.alpha - 1.0) * math.exp(-c * y) / math.gamma(p.alpha)
-    assert cir_transition_density(y, 0.0, p, dep, dt) == pytest.approx(expected, rel=1e-12)
+    # from x = 0 (u = 0) the transition is Ga(alpha, c) with c = beta / (1 - rho**dt):
+    # c^alpha y^(alpha-1) e^(-c y) / Gamma(alpha), and at y = 0 inf, c or 0 as
+    # alpha is below, at or above 1
+    dep, dt = Dependence.from_rho(0.5), 0.7
+    mp.mp.dps = 30
+    c = mp.mpf(2.0) / (1 - mp.mpf(dep.rho) ** mp.mpf(dt))
+    for alpha, at_zero in ((0.3, math.inf), (1.0, float(c)), (1.5, 0.0), (7.0, 0.0)):
+        p = GammaParams(alpha, 2.0)
+        assert cir_transition_density(0.0, 0.0, p, dep, dt) == pytest.approx(at_zero, rel=1e-14)
+        for y in (1e-3, 0.8, 5.0):
+            expected = c**alpha * mp.mpf(y) ** (alpha - 1) * mp.exp(-c * y) / mp.gamma(alpha)
+            assert cir_transition_density(y, 0.0, p, dep, dt) == pytest.approx(float(expected),
+                                                                               rel=1e-12)
+
+
+@pytest.mark.parametrize("alpha", [0.3, 1.0, 1.5])
+def test_cir_transition_density_at_zero_target_state(alpha):
+    # v = 0 from x > 0: inf below alpha = 1, c e^(-u) at it, 0 above
+    p, dep, dt, x = GammaParams(alpha, 2.0), Dependence.from_rho(0.5), 0.7, 1.3
+    mp.mp.dps = 30
+    rho_d = mp.mpf(dep.rho) ** mp.mpf(dt)
+    c = mp.mpf(p.beta) / (1 - rho_d)
+    expected = {0.3: math.inf, 1.0: float(c * mp.exp(-c * x * rho_d)), 1.5: 0.0}[alpha]
+    assert cir_transition_density(0.0, x, p, dep, dt) == pytest.approx(expected, rel=1e-12)
+
+
+@pytest.mark.parametrize("args,name", [
+    ((-1.0, 1.0, 1.0), "y"), ((float("nan"), 1.0, 1.0), "y"),
+    ((1.0, -1e-300, 1.0), "x"), ((1.0, float("inf"), 1.0), "x"),
+    ((1.0, 1.0, 0.0), "dt"), ((1.0, 1.0, float("nan")), "dt"),
+])
+def test_cir_transition_density_names_the_refused_argument(args, name):
+    y, x, dt = args
+    with pytest.raises(ParameterError, match=rf"^{name} must be finite and >"):
+        cir_transition_density(y, x, P11, DEP5, dt)
+
+
+@pytest.mark.parametrize("q", [-1.0, -0.5, 0.0, 0.5, 2.0])
+def test_log_bessel_i_at_zero_argument_against_mpmath(q):
+    # I_q(0): 1 at q = 0, 0 for q > 0 and at q = -1 (I_{-1} = I_1), inf for -1 < q < 0
+    assert log_bessel_i(q, 0.0) == float(mp.log(mp.besseli(q, 0)))
+
+
+@pytest.mark.parametrize("x", [-1.0, float("nan"), float("inf")])
+def test_log_bessel_i_refuses_an_argument_that_is_not_finite_and_nonnegative(x):
+    with pytest.raises(ParameterError, match="^x must be finite and >= 0"):
+        log_bessel_i(1.0, x)
 
 
 def test_cir_transition_density_poisson_mixture_identity():
@@ -174,6 +212,29 @@ def test_cir_transition_density_poisson_mixture_identity():
 def test_test_function_exponential_requires_nonpositive_theta():
     with pytest.raises(ParameterError):
         TestFunction.exponential(0.5)
+
+
+def test_exponential_test_function_and_its_squared_ou_generator_against_mpmath():
+    mp.mp.dps = 30
+    theta = -0.7
+    f = TestFunction.exponential(theta)
+    p = GammaParams(1.5, 2.0)
+    lam = mp.mpf(DEP5.lam)
+    for x in (0.0, 0.4, 3.0):
+        e = mp.exp(theta * mp.mpf(x))
+        assert f.phi(x) == pytest.approx(float(e), rel=1e-15)
+        assert f.dphi(x) == pytest.approx(float(theta * e), rel=1e-15)
+        assert f.d2phi(x) == pytest.approx(float(theta**2 * e), rel=1e-15)
+        # theta e^(theta x) (-lam (x - alpha/beta) + (lam/beta) x theta)
+        expected = theta * e * (-lam * (x - mp.mpf(p.alpha) / p.beta) + lam / p.beta * x * theta)
+        got = generator_apply(ProcessKind.SQUARED_OU, f, x, p, DEP5)
+        assert got == pytest.approx(float(expected), rel=1e-13)
+
+
+@pytest.mark.parametrize("x", [-1.0, float("nan"), float("inf")])
+def test_generator_apply_refuses_a_state_that_is_not_finite_and_nonnegative(x):
+    with pytest.raises(ParameterError, match="^x must be finite and >= 0"):
+        generator_apply(ProcessKind.SQUARED_OU, TestFunction.identity(), x, P11, DEP5)
 
 
 def test_generator_identity_closed_form_both_kinds():
@@ -298,7 +359,7 @@ def test_cthin_generator_is_stationary_under_the_gamma_law(alpha):
 
 
 def test_generator_unsupported_kind():
-    with pytest.raises(ParameterError):
+    with pytest.raises(UnsupportedKindError):
         generator_apply(ProcessKind.AR1, TestFunction.identity(), 1.0, P11, DEP5)
 
 
@@ -318,7 +379,15 @@ def test_levy_tail_and_survival_against_mpmath():
 
 def test_tail_argument_validation():
     assert gamma_survival(0.0, P11) == 1.0
-    with pytest.raises(ParameterError):
-        gamma_survival(-1.0, P11)
-    with pytest.raises(ParameterError):
-        levy_tail(0.0, P11)
+    for u in (-1.0, float("nan"), float("inf")):
+        with pytest.raises(ParameterError, match="^u must be finite and >= 0"):
+            gamma_survival(u, P11)
+    for u in (0.0, -1.0, float("nan"), float("inf")):
+        with pytest.raises(ParameterError, match="^u must be finite and > 0"):
+            levy_tail(u, P11)
+
+
+@pytest.mark.parametrize("rho", [0.0, 1.0, -0.5, float("nan"), float("inf")])
+def test_innovation_chf_refuses_a_rho_step_outside_the_open_unit_interval(rho):
+    with pytest.raises(ParameterError, match=r"^rho_step must lie strictly in \(0, 1\)"):
+        innovation_chf(1.0, P11, rho)

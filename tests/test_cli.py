@@ -786,3 +786,50 @@ def test_verify_runs_what_the_acf_refusal_leaves(tmp_path):
     assert code in (0, 1)
     (check,) = json.loads(out.read_text())["checks"]
     assert check["batch_len"] == 49505
+
+
+@pytest.mark.parametrize("command", [
+    ["simulate", "--process", "ar1"],
+    ["verify", "--process", "ar1", "--suite", "marginal"],
+    ["compare", "--process-a", "thinned", "--process-b", "rm"],
+])
+@pytest.mark.parametrize("dt", ["0", "-1", "nan", "inf"])
+def test_a_dt_that_is_not_finite_and_positive_exits_2_before_sampling(
+        tmp_path, capsys, monkeypatch, command, dt):
+    # make_uniform_grid refuses it, before anything is sampled
+    _no_sampler(monkeypatch)
+    out = tmp_path / "out"
+    assert run([*command, "--dt", dt, "--out", str(out)]) == 2
+    assert "dt must be finite and > 0" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_compare_resolves_its_configuration_once(tmp_path, monkeypatch):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[1])
+        return _resolve_config(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "_resolve_config", counted)
+    times, out = tmp_path / "times.txt", tmp_path / "out.json"
+    times.write_text("0\n0.5\n2\n")
+    assert run(["compare", "--process-a", "thinned", "--process-b", "rm", "--paths", "50",
+                "--seed", "4", "--times", str(times), "--out", str(out)]) == 0
+    assert calls == ["thinned"]
+    report = json.loads(out.read_text())
+    a, b = report["config_a"], report["config_b"]
+    assert (a["process"], a["seed"], b["process"], b["seed"]) == ("thinned", 4, "rm", 5)
+    assert a["times"] == b["times"] == [0.0, 0.5, 2.0]
+    assert {k: v for k, v in a.items() if k not in ("process", "seed")} == \
+        {k: v for k, v in b.items() if k not in ("process", "seed")}
+
+
+@pytest.mark.parametrize("alpha", ["0.1", "2.6", "3", "8", "28.1", "60"])
+@pytest.mark.parametrize("beta", ["1", "3"])
+def test_verify_tail_passes_at_shapes_far_from_2(tmp_path, alpha, beta):
+    # shapes at which the Levy column's -log(value)/(beta u) crosses 1 inside the grid
+    out = tmp_path / "tail.json"
+    assert run(["verify", "--process", "ar1", "--suite", "tail", "--alpha", alpha,
+                "--beta", beta, "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["checks"][0]["status"] == "pass"

@@ -47,9 +47,9 @@ def test_dependence_gap_corr_is_power():
     assert np.array_equal(arr, 0.7 ** np.array([1.0, 3.0]))
 
 
-@pytest.mark.parametrize("rho", [0.0, 1.0, -0.1, 1.5])
+@pytest.mark.parametrize("rho", [0.0, 1.0, -0.1, 1.5, np.nan, np.inf])
 def test_dependence_rejects_degenerate_rho(rho):
-    with pytest.raises(ParameterError):
+    with pytest.raises(ParameterError, match=r"^rho must lie strictly in \(0, 1\), got "):
         Dependence.from_rho(rho)
 
 
@@ -87,6 +87,35 @@ def test_make_uniform_grid():
         make_uniform_grid(0.0, 0.0, 4)
     with pytest.raises(ParameterError):
         make_uniform_grid(0.0, 1.0, 0)
+    for t0 in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ParameterError, match="^t0 must be finite"):
+            make_uniform_grid(t0, 1.0, 3)
+
+
+@pytest.mark.parametrize("times", [np.zeros((2, 2)), np.array([]), np.array([0.0, np.nan]),
+                                   np.array([0.0, np.inf])])
+def test_time_grid_refuses_a_grid_that_is_not_1d_non_empty_and_finite(times):
+    with pytest.raises(ParameterError, match="^grid"):
+        TimeGrid(times)
+
+
+@pytest.mark.parametrize("value", [0.0, -0.0, 1e-300, 2.5, 7])
+def test_require_finite_nonnegative_returns_the_float(value):
+    v = core._require_finite_nonnegative("u", value)
+    assert type(v) is float and v == value
+
+
+@pytest.mark.parametrize("value", [-1e-300, -1.0, np.nan, np.inf, -np.inf])
+def test_require_finite_nonnegative_refuses(value):
+    with pytest.raises(ParameterError, match=r"^u must be finite and >= 0, got "):
+        core._require_finite_nonnegative("u", value)
+
+
+def test_require_open_unit_returns_the_float():
+    # the refusals are pinned through Dependence.from_rho above
+    for value in (5e-324, 0.5, np.float64(0.25), 1.0 - 2.0**-53):
+        v = core._require_open_unit("rho", value)
+        assert type(v) is float and v == value
 
 
 def test_process_kind_parse_round_trip():

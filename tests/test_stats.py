@@ -3,11 +3,15 @@ import pytest
 
 from gammaproc import (
     Dependence,
+    Ensemble,
     GammaParams,
     ParameterError,
     ProcessKind,
     SamplePath,
     TestFunction,
+    TimeGrid,
+    UnsupportedKindError,
+    analytic,
     chf_gof,
     default_omega_pairs,
     default_omega_triples,
@@ -326,6 +330,17 @@ def test_empirical_acf_validates_length():
         empirical_acf(path, DEP5, max_lag=5)
 
 
+def test_empirical_acf_refuses_a_non_uniform_grid_and_a_constant_path():
+    times = np.arange(200.0)
+    times[-1] += 0.5
+    path = SamplePath(TimeGrid(times), np.arange(200.0), ProcessKind.AR1)
+    with pytest.raises(ParameterError, match="uniform grid"):
+        empirical_acf(path, DEP5, max_lag=3)
+    flat = SamplePath(make_uniform_grid(0.0, 1.0, 200), np.ones(200), ProcessKind.AR1)
+    with pytest.raises(ParameterError, match="^path has zero variance"):
+        empirical_acf(flat, DEP5, max_lag=3)
+
+
 @pytest.mark.parametrize("max_lag", [2.5, 0, -1, float("nan")])
 def test_empirical_acf_refuses_a_max_lag_that_is_not_a_positive_integer(max_lag):
     # a fractional lag count was truncated: 2.5 gave lags [1 2]
@@ -334,6 +349,16 @@ def test_empirical_acf_refuses_a_max_lag_that_is_not_a_positive_integer(max_lag)
     with pytest.raises(ParameterError, match="max_lag"):
         empirical_acf(path, DEP5, max_lag=max_lag)
     assert empirical_acf(path, DEP5, max_lag=3.0).lags.tolist() == [1, 2, 3]
+
+
+def test_chf_gof_refuses_a_one_point_grid_and_omegas_that_are_not_pairs():
+    one = Ensemble(make_uniform_grid(0.0, 1.0, 1), ProcessKind.AR1, np.ones((5, 1)), 0)
+    with pytest.raises(ParameterError, match="grid with at least 2 points"):
+        chf_gof(one, P11, DEP5)
+    two = Ensemble(make_uniform_grid(0.0, 1.0, 2), ProcessKind.AR1,
+                   np.arange(10.0).reshape(5, 2), 0)
+    with pytest.raises(ParameterError, match=r"omegas must be \(s, t\) pairs"):
+        chf_gof(two, P11, DEP5, omegas=default_omega_triples(1.0))
 
 
 # -- reversibility -----------------------------------------------------------------
@@ -358,17 +383,37 @@ def test_reversibility_thinned_violates_both_directions():
     assert rep.backward_violations > 0
 
 
+def test_reversibility_check_refuses_a_single_point():
+    path = SamplePath(make_uniform_grid(0.0, 1.0, 1), np.ones(1), ProcessKind.AR1)
+    with pytest.raises(ParameterError, match="^path must hold at least 2 observations, got 1"):
+        reversibility_check(path, DEP5)
+
+
 # -- generator check ----------------------------------------------------------------
 
 
 def test_generator_check_validation():
-    with pytest.raises(ParameterError):
-        generator_check(ProcessKind.AR1, TestFunction.identity(), 1.0, P11, DEP5,
-                        n_mc=100)
     for x0 in (-1.0, float("nan"), float("inf")):
-        with pytest.raises(ParameterError, match="x0"):
+        with pytest.raises(ParameterError, match="^x0 must be finite and >= 0"):
             generator_check(ProcessKind.SQUARED_OU, TestFunction.identity(), x0, P11,
                             DEP5, n_mc=100)
+    with pytest.raises(ParameterError, match="^n_mc must be at least 2"):
+        generator_check(ProcessKind.SQUARED_OU, TestFunction.identity(), 1.0, P11, DEP5,
+                        n_mc=1)
+
+
+@pytest.mark.parametrize("kind", [k for k in ProcessKind if k not in analytic.GENERATOR_KINDS],
+                         ids=lambda k: k.cli_name)
+def test_generator_check_refuses_a_kind_without_a_generator_before_drawing(kind, monkeypatch):
+    from gammaproc import stats as st
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("generator_check drew before refusing the kind")
+
+    monkeypatch.setattr(st, "derive_stream", refuse)
+    monkeypatch.setattr(st, "_lane_step", refuse)
+    with pytest.raises(UnsupportedKindError, match="generator_apply supports"):
+        generator_check(kind, TestFunction.identity(), 1.0, P11, DEP5, n_mc=100)
 
 
 @pytest.mark.parametrize("epsilon", [0.0, -1.0, float("nan"), float("inf")])
@@ -420,3 +465,41 @@ def test_tail_check_validates_grid():
         tail_check(P11, np.array([2.0, 1.0]))
     with pytest.raises(ParameterError):
         tail_check(P11, np.array([-1.0, 1.0]))
+
+
+# the u grid of the CLI's tail check, in units of 1/beta
+_CLI_TAIL_GRID = np.array([5.0, 10.0, 15.0, 20.0, 25.0, 30.0])
+
+
+@pytest.mark.parametrize("beta", [1.0, 3.0])
+def test_tail_check_passes_the_exact_columns_at_every_alpha(beta):
+    # the Levy column's -log(value)/(beta u) crosses 1 near beta u = alpha, so
+    # |column - 1| is not monotone there; the ratios to the leading terms are
+    bad = [a for a in np.round(np.arange(0.1, 60.05, 0.1), 10)
+           if not tail_check(GammaParams(a, beta), _CLI_TAIL_GRID / beta).tail_ok]
+    assert bad == []
+
+
+@pytest.mark.parametrize("beta", [1.0, 3.0])
+def test_tail_check_fails_a_survival_column_of_the_wrong_law(beta, monkeypatch):
+    # Ga(2 alpha, beta) in place of Ga(alpha, beta); the grid ends at beta u = 30,
+    # so the check can tell the two laws apart only for alpha below about 28
+    right = analytic.gamma_survival
+    monkeypatch.setattr(analytic, "gamma_survival",
+                        lambda u, p: right(u, GammaParams(2.0 * p.alpha, p.beta)))
+    passed = [a for a in np.round(np.arange(0.1, 28.05, 0.1), 10)
+              if tail_check(GammaParams(a, beta), _CLI_TAIL_GRID / beta).tail_ok]
+    assert passed == []
+
+
+@pytest.mark.parametrize("alpha", [0.5, 2.0, 10.0, 60.0])
+def test_tail_check_fails_a_levy_column_of_the_wrong_law(alpha, monkeypatch):
+    # the exact tail of Ga(alpha, beta / 2) against the approximant of Ga(alpha, beta)
+    from gammaproc import stats as st
+
+    def wrong(u, p):
+        t = analytic.levy_tail(u, p)
+        return t._replace(exact=analytic.levy_tail(u / 2.0, p).exact)
+
+    monkeypatch.setattr(st, "levy_tail", wrong)
+    assert not tail_check(GammaParams(alpha, 1.0), _CLI_TAIL_GRID).tail_ok
