@@ -421,23 +421,31 @@ def _check_generator(cfg: RunConfig):
             "status": "skipped",
             "reason": "generator defined for the cir and cthin kinds only",
         }
-    rows = []
-    ok = True
-    for phi in (TestFunction.identity(), TestFunction.square()):
-        for x0 in (0.5, 2.0):
-            chk = generator_check(cfg.process, phi, x0, cfg.params, cfg.dep,
-                                  n_mc=200000, master_seed=_subseed(cfg, 4))
-            rows.append({
-                "phi": phi.name, "x0": x0, "fd_estimate": chk.fd_estimate,
-                "analytic": chk.analytic, "se": chk.se, "z": chk.z,
-            })
-            ok = ok and chk.z <= _NSIG
+    # one call per x0 scores both functions on the same steps; rows go by function, then x0
+    by_x0 = [generator_check(cfg.process, (TestFunction.identity(), TestFunction.square()), x0,
+                             cfg.params, cfg.dep, n_mc=200000, master_seed=_subseed(cfg, 4))
+             for x0 in (0.5, 2.0)]
+    checks = [chk for per_phi in zip(*by_x0) for chk in per_phi]
+    rows = [{"phi": chk.phi.name, "x0": chk.x0, "fd_estimate": chk.fd_estimate,
+             "analytic": chk.analytic, "se": chk.se, "z": chk.z} for chk in checks]
+    ok = all(chk.z <= _NSIG for chk in checks)
     return {"name": "generator", "status": "pass" if ok else "fail", "rows": rows}
 
 
+def _tail_grid(params):
+    """The tail check's u grid: beta u in six even steps up to max(30, 2 alpha).
+
+    It reaches past beta u = alpha, where the Levy column crosses 1, so a
+    survival column of the wrong law, such as that of Ga(2 alpha, beta),
+    fails; it stops at 600, before the Levy column underflows to 0.  At
+    alpha <= 15 it is 5, 10, ..., 30 over beta.
+    """
+    top = min(max(30.0, 2.0 * params.alpha), 600.0)
+    return np.linspace(top / 6.0, top, 6) / params.beta
+
+
 def _check_tail(cfg: RunConfig):
-    b = cfg.params.beta
-    table = tail_check(cfg.params, np.array([5.0, 10.0, 15.0, 20.0, 25.0, 30.0]) / b)
+    table = tail_check(cfg.params, _tail_grid(cfg.params))
     return {
         "name": "tail",
         "status": "pass" if table.tail_ok else "fail",

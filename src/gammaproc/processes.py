@@ -696,11 +696,14 @@ class CthinConfig:
 
 
 def _cthin_lattice_indices(grid: TimeGrid, eps):
+    """Each grid time's lattice index; times off the lattice, or two times on
+    one lattice point (closer than the alignment tolerance), are refused."""
     rel = grid.times - grid.times[0]
     idx = np.rint(rel / eps).astype(np.int64)
-    if not np.all(np.abs(rel - idx * eps) <= 1e-9 * np.maximum(1.0, np.abs(rel))):
+    if not (np.all(np.abs(rel - idx * eps) <= 1e-9 * np.maximum(1.0, np.abs(rel)))
+            and np.all(np.diff(idx) > 0)):
         raise ParameterError(
-            "grid times must lie on the continuously-thinned lattice "
+            "grid times must lie on the continuously-thinned lattice at distinct points "
             f"(multiples of 1/{round(1.0 / eps)} from the first time)"
         )
     return idx
@@ -879,9 +882,9 @@ class _CthinPlan(_Plan):
     Every lattice point is exactly Ga(alpha, beta) ((1-b) X ~ Ga(alpha q, beta)
     by the beta-gamma decomposition) and the lattice autocorrelation is exactly
     q per step; the discretization only approximates the limiting process in
-    its higher-order joint laws.  Grid times must be lattice-aligned.  Stream
-    order: X_0, then per simulation chunk the two beta-stage gamma vectors
-    followed by the top-up gamma vector.
+    its higher-order joint laws.  Grid times must sit on distinct lattice
+    points.  Stream order: X_0, then per simulation chunk the two beta-stage
+    gamma vectors followed by the top-up gamma vector.
     """
 
     def __init__(self, grid, params, dep, config):

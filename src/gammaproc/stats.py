@@ -595,50 +595,56 @@ _GENERATOR_BLOCK = 1 << 17
 
 def generator_check(
     kind: ProcessKind,
-    phi: TestFunction,
+    phis,
     x0,
     params: GammaParams,
     dep: Dependence,
     epsilon=None,
     n_mc=1_000_000,
     master_seed=0,
-) -> GeneratorCheck:
-    """Finite-difference generator estimate (E[phi(X_eps) | X_0 = x0] - phi(x0))/eps.
+) -> tuple[GeneratorCheck, ...]:
+    """Finite-difference generator estimates (E[phi(X_eps) | X_0 = x0] - phi(x0))/eps.
 
     Every replicate starts exactly at x0 and makes one conditional step of
     length eps (``processes._lane_step`` at the gap correlation rho**eps): the
     exact Poisson-gamma transition for the squared OU kind, one
     thinning/top-up lattice step for the continuously-thinned kind.  The
-    default eps = 1e-3/lam keeps the O(eps) finite-difference bias far below
-    the Monte Carlo standard error at n_mc ~ 1e6.  The analytic side comes
-    first, so ``generator_apply`` refuses a kind outside ``GENERATOR_KINDS``
-    (``UnsupportedKindError``) before anything is drawn.
+    n_mc steps are drawn once and every test function of ``phis`` is scored
+    on them, so the call returns one ``GeneratorCheck`` per function, in
+    order, each with the bytes a call on that function alone would give.
+    The rows of one call share their transitions and are not independent
+    (a cthin step does not depend on x0 at all, so neither are calls at
+    different x0 with one seed).  The default eps = 1e-3/lam keeps the
+    O(eps) finite-difference bias far below the Monte Carlo standard error
+    at n_mc ~ 1e6.  The analytic side comes first, so ``generator_apply``
+    refuses a kind outside ``GENERATOR_KINDS`` (``UnsupportedKindError``)
+    before anything is drawn.
     """
+    phis = tuple(phis)
+    if not phis:
+        raise ParameterError("phis must hold at least one test function")
     x0 = _require_finite_nonnegative("x0", x0)
     n_mc = _require_integer("n_mc", n_mc)
     if n_mc < 2:
         raise ParameterError("n_mc must be at least 2")
     eps = _require_finite_positive("epsilon", 1e-3 / dep.lam if epsilon is None else epsilon)
-    analytic = generator_apply(kind, phi, x0, params, dep)
+    analytic = [generator_apply(kind, phi, x0, params, dep) for phi in phis]
     g = derive_stream(master_seed, 0).gen
     r = dep.rho**eps
-    phi_x0 = float(phi.phi(x0))
-    sum_blocks, sq_blocks = [], []
-    done = 0
-    while done < n_mc:
-        nb = min(n_mc - done, _GENERATOR_BLOCK)
-        y = _lane_step(kind, g, np.full(nb, x0), params.alpha, params.beta, r)
-        d = (phi.phi(y) - phi_x0) / eps
-        sum_blocks.append(np.sum(d))
-        sq_blocks.append(np.sum(d * d))
-        done += nb
-    fd = math.fsum(sum_blocks) / n_mc
-    var = max(math.fsum(sq_blocks) - n_mc * fd * fd, 0.0) / (n_mc - 1)
-    se = float(np.sqrt(var / n_mc))
-    return GeneratorCheck(
-        kind=kind, phi=phi, x0=x0, epsilon=eps, n_mc=n_mc,
-        fd_estimate=fd, se=se, analytic=analytic,
-    )
+    blocks = []  # per block of steps: (sum of d, sum of d * d) for each function
+    for done in range(0, n_mc, _GENERATOR_BLOCK):
+        y = _lane_step(kind, g, np.full(min(n_mc - done, _GENERATOR_BLOCK), x0), params.alpha,
+                       params.beta, r)
+        ds = [(phi.phi(y) - float(phi.phi(x0))) / eps for phi in phis]
+        blocks.append([(np.sum(d), np.sum(d * d)) for d in ds])
+    checks = []
+    for phi, an, per_block in zip(phis, analytic, zip(*blocks)):
+        fd = math.fsum(s for s, _ in per_block) / n_mc
+        var = max(math.fsum(q for _, q in per_block) - n_mc * fd * fd, 0.0) / (n_mc - 1)
+        checks.append(GeneratorCheck(kind=kind, phi=phi, x0=x0, epsilon=eps, n_mc=n_mc,
+                                     fd_estimate=fd, se=float(np.sqrt(var / n_mc)),
+                                     analytic=an))
+    return tuple(checks)
 
 
 # -- tail table ----------------------------------------------------------------
@@ -657,7 +663,10 @@ class TailTable:
     the Levy ratio r = approximant / exact.  A column that underflows to 0
     fails.  Against a survival column of the wrong law, such as that of
     Ga(2 alpha, beta), the check has power only where the grid reaches past
-    beta u = alpha.
+    beta u = alpha.  The CLI's grid runs in six even steps to
+    beta u = min(max(30, 2 alpha), 600), so it fails that column at every
+    alpha up to 545 and passes correct columns up to alpha 1e5; the cap at
+    600 keeps the Levy column from underflowing to 0.
     """
 
     u: np.ndarray

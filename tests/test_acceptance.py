@@ -325,9 +325,9 @@ def test_criterion_06b_conditional_mean(capsys):
     rho_d = DEP5.gap_corr(dt)
     worst = 0.0
     for i, x0 in enumerate((0.1, 1.0, 5.0)):
-        rep = generator_check(ProcessKind.SQUARED_OU, TestFunction.identity(), x0,
-                              P11, DEP5, epsilon=dt, n_mc=200000,
-                              master_seed=MASTER + i)
+        (rep,) = generator_check(ProcessKind.SQUARED_OU, (TestFunction.identity(),), x0,
+                                 P11, DEP5, epsilon=dt, n_mc=200000,
+                                 master_seed=MASTER + i)
         target_rate = (x0 * rho_d + P11.mean * (1.0 - rho_d) - x0) / dt
         z = abs(rep.fd_estimate - target_rate) / rep.se
         worst = max(worst, z)
@@ -421,8 +421,8 @@ def test_criterion_07_generator_checks(capsys):
     for i, kind in enumerate(kinds):
         for j, phi in enumerate(functions):
             for k, x0 in enumerate((0.5, 2.0)):
-                rep = generator_check(kind, phi, x0, P11, DEP5, n_mc=1_000_000,
-                                      master_seed=MASTER + 10 * i + 4 * j + k)
+                (rep,) = generator_check(kind, (phi,), x0, P11, DEP5, n_mc=1_000_000,
+                                         master_seed=MASTER + 10 * i + 4 * j + k)
                 worst = max(worst, rep.z)
 
     # identity generators agree...
@@ -433,10 +433,10 @@ def test_criterion_07_generator_checks(capsys):
         for x0 in (0.5, 2.0)
     )
     # ...while the square generators separate by more than 8 pooled se at x0=2
-    sq_ou = generator_check(ProcessKind.SQUARED_OU, TestFunction.square(), 2.0, P11,
-                            DEP5, n_mc=10_000_000, master_seed=MASTER)
-    sq_ct = generator_check(ProcessKind.CONTINUOUSLY_THINNED, TestFunction.square(),
-                            2.0, P11, DEP5, n_mc=10_000_000, master_seed=MASTER + 1)
+    (sq_ou,) = generator_check(ProcessKind.SQUARED_OU, (TestFunction.square(),), 2.0, P11,
+                               DEP5, n_mc=10_000_000, master_seed=MASTER)
+    (sq_ct,) = generator_check(ProcessKind.CONTINUOUSLY_THINNED, (TestFunction.square(),),
+                               2.0, P11, DEP5, n_mc=10_000_000, master_seed=MASTER + 1)
     gap = abs(sq_ou.analytic - sq_ct.analytic)
     pooled = float(np.hypot(sq_ou.se, sq_ct.se))
     ratio = gap / pooled

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from gammaproc import GammaParams, NumericalError, ParameterError, cli
+from gammaproc import GammaParams, NumericalError, ParameterError, TestFunction, cli
 from gammaproc.cli import (
     RunConfig,
     _dump_json,
@@ -14,7 +14,8 @@ from gammaproc.cli import (
     cmd_compare,
     main,
 )
-from gammaproc.stats import default_omega_pairs, default_omega_triples, two_sample_chf
+from gammaproc.stats import (default_omega_pairs, default_omega_triples, generator_check,
+                              two_sample_chf)
 
 
 def run(args):
@@ -178,10 +179,15 @@ def test_unknown_process_is_usage_error(capsys):
     capsys.readouterr()
 
 
-def test_cthin_misaligned_dt_exits_2(capsys):
-    code = run(["simulate", "--process", "cthin", "--dt", "0.3701", "--n", "4"])
-    capsys.readouterr()
-    assert code == 2
+@pytest.mark.parametrize("dt", ["0.3701", "1e-10", "1e-300"])
+def test_cthin_misaligned_dt_exits_2(tmp_path, capsys, dt):
+    # at 1e-10 and 1e-300 every time rounds to lattice point 0: the file held the
+    # first value and uninitialised memory at every later time, with exit code 0
+    out = tmp_path / "x.csv"
+    assert run(["simulate", "--process", "cthin", "--dt", dt, "--n", "4", "--paths", "2",
+                "--out", str(out)]) == 2
+    assert "must lie on the continuously-thinned lattice" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_verify_tail_suite(tmp_path):
@@ -210,6 +216,55 @@ def test_verify_generator_suite_skips_non_diffusion_kinds(tmp_path):
                 "--out", str(out)]) == 0
     payload = json.loads(out.read_text())
     assert payload["checks"][0]["status"] == "skipped"
+
+
+def _four_call_check_generator(cfg):
+    # the generator check as it was when it made one generator_check call per
+    # function and start point, all on one subseed (calls adapted to the 1-tuple form)
+    rows = []
+    ok = True
+    for phi in (TestFunction.identity(), TestFunction.square()):
+        for x0 in (0.5, 2.0):
+            (chk,) = generator_check(cfg.process, (phi,), x0, cfg.params, cfg.dep,
+                                     n_mc=200000, master_seed=cli._subseed(cfg, 4))
+            rows.append({
+                "phi": phi.name, "x0": x0, "fd_estimate": chk.fd_estimate,
+                "analytic": chk.analytic, "se": chk.se, "z": chk.z,
+            })
+            ok = ok and chk.z <= cli._NSIG
+    return {"name": "generator", "status": "pass" if ok else "fail", "rows": rows}
+
+
+@pytest.mark.parametrize("seed", ["1", "7"])
+@pytest.mark.parametrize("process", ["cir", "cthin"])
+def test_verify_generator_report_has_the_bytes_of_four_single_function_calls(
+        tmp_path, process, seed):
+    argv = ["verify", "--process", process, "--suite", "generator", "--seed", seed]
+    out = tmp_path / "gen.json"
+    assert run([*argv, "--out", str(out)]) == 0
+    ns = build_parser().parse_args(argv)
+    cfg = _resolve_config(ns, ns.process, ns.paths, default_n=2)
+    entry = _four_call_check_generator(cfg)
+    assert out.read_text() == _dump_json({"config": cfg.echo(), "suite": "generator",
+                                          "checks": [entry], "passed": True})
+
+
+def test_verify_generator_draws_one_transition_sample_per_start_point(tmp_path, monkeypatch):
+    from gammaproc import stats
+
+    checks, steps = [], []
+    monkeypatch.setattr(cli, "generator_check", lambda *a, f=cli.generator_check, **k:
+                        checks.append(a[2]) or f(*a, **k))
+    monkeypatch.setattr(stats, "_lane_step", lambda *a, f=stats._lane_step:
+                        steps.append(a[2].size) or f(*a))
+    for process in ("cir", "cthin"):
+        checks.clear()
+        steps.clear()
+        assert run(["verify", "--process", process, "--suite", "generator",
+                    "--out", str(tmp_path / f"{process}.json")]) == 0
+        # 200000 steps per start point, in blocks of 2^17
+        assert checks == [0.5, 2.0]
+        assert steps == [1 << 17, 200000 - (1 << 17)] * 2
 
 
 def test_verify_chf_suite_passes_with_matching_kind(tmp_path):
@@ -825,7 +880,7 @@ def test_compare_resolves_its_configuration_once(tmp_path, monkeypatch):
         {k: v for k, v in b.items() if k not in ("process", "seed")}
 
 
-@pytest.mark.parametrize("alpha", ["0.1", "2.6", "3", "8", "28.1", "60"])
+@pytest.mark.parametrize("alpha", ["0.1", "2.6", "3", "8", "28.1", "60", "300", "2000", "1e5"])
 @pytest.mark.parametrize("beta", ["1", "3"])
 def test_verify_tail_passes_at_shapes_far_from_2(tmp_path, alpha, beta):
     # shapes at which the Levy column's -log(value)/(beta u) crosses 1 inside the grid

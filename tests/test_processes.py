@@ -219,11 +219,20 @@ def test_cir_method_parse():
         CirMethod.parse("heun")
 
 
-def test_cthin_path_requires_lattice_aligned_grid():
-    grid = TimeGrid(np.array([0.0, 0.3701]))
-    with pytest.raises(ParameterError):
+@pytest.mark.parametrize("grid", [TimeGrid(np.array([0.0, 0.3701])),
+                                  TimeGrid(np.array([0.0, 1e-10, 2e-10, 1.0])),
+                                  make_uniform_grid(0.0, 1e-10, 4),
+                                  make_uniform_grid(0.0, 1e-300, 4)],
+                         ids=["off-lattice", "near-start", "dt-1e-10", "dt-1e-300"])
+def test_cthin_path_requires_lattice_aligned_grid(grid):
+    # the last three put several times within the alignment tolerance of lattice
+    # point 0, where a path read the chunk's last value, or memory no step wrote
+    with pytest.raises(ParameterError, match="must lie on the continuously-thinned lattice"):
         sample_path(ProcessKind.CONTINUOUSLY_THINNED, derive_stream(0, 0), grid, P11, DEP5,
                     cthin=CthinConfig(256))
+    with pytest.raises(ParameterError, match="must lie on the continuously-thinned lattice"):
+        simulate_ensemble(ProcessKind.CONTINUOUSLY_THINNED, grid, P11, DEP5, 2, master_seed=3,
+                          cthin=CthinConfig(256))
 
 
 def test_cthin_path_runs_and_is_positive():
@@ -856,9 +865,23 @@ def test_generator_check_equals_its_earlier_step(kind, point, n_mc):
     phi = TestFunction.identity()
     eps = 1e-3 / dep.lam
     for x0 in (0.0, 2.0):
-        chk = generator_check(kind, phi, x0, params, dep, n_mc=n_mc, master_seed=24)
+        (chk,) = generator_check(kind, (phi,), x0, params, dep, n_mc=n_mc, master_seed=24)
         fd, se = _ref_generator_fd(kind, phi, x0, params, dep, eps, n_mc, 24)
         assert (chk.fd_estimate, chk.se) == (fd, se)
+
+
+@pytest.mark.parametrize("n_mc", [3000, (1 << 17) + 5])
+@pytest.mark.parametrize("point", list(KERNEL_POINTS))
+@pytest.mark.parametrize("kind", [ProcessKind.SQUARED_OU, ProcessKind.CONTINUOUSLY_THINNED])
+def test_generator_check_scores_each_function_as_a_call_on_it_alone(kind, point, n_mc):
+    params, dep = KERNEL_POINTS[point]
+    phis = (TestFunction.identity(), TestFunction.square())
+    for x0 in (0.0, 2.0):
+        both = generator_check(kind, phis, x0, params, dep, n_mc=n_mc, master_seed=24)
+        alone = tuple(generator_check(kind, (phi,), x0, params, dep, n_mc=n_mc,
+                                      master_seed=24)[0] for phi in phis)
+        # repr spells every float field out to the last bit
+        assert repr(both) == repr(alone)
 
 
 # -- batch-sampler arguments and the AR(1) ladder's limits ---------------------------
@@ -874,7 +897,7 @@ NON_INTEGRAL = {
     "marginal-n": lambda: marginal_sample(ProcessKind.AR1, 100.9, P11, DEP5, master_seed=0),
     "triplet-n": lambda: triplet_sample(ProcessKind.THINNED, 10.5, P11, DEP5, master_seed=0),
     "walker-n": lambda: walker_sample(10.5, P11, 0.5, master_seed=0),
-    "generator-n_mc": lambda: generator_check(ProcessKind.SQUARED_OU, TestFunction.identity(),
+    "generator-n_mc": lambda: generator_check(ProcessKind.SQUARED_OU, (TestFunction.identity(),),
                                               1.0, P11, DEP5, n_mc=100.5),
     "grid-n": lambda: make_uniform_grid(0.0, 1.0, 2.5),
     "stream-seed": lambda: derive_stream(float("nan"), 0),
@@ -895,8 +918,8 @@ def test_integral_floats_and_numpy_integers_count_as_their_ints():
     assert CthinConfig(np.int64(4)).steps_per_unit == 4
     assert (marginal_sample(ProcessKind.AR1, 1e2, P11, DEP5, master_seed=0).tobytes()
             == marginal_sample(ProcessKind.AR1, 100, P11, DEP5, master_seed=0).tobytes())
-    assert generator_check(ProcessKind.SQUARED_OU, TestFunction.identity(), 1.0, P11, DEP5,
-                           n_mc=1e3).n_mc == 1000
+    assert generator_check(ProcessKind.SQUARED_OU, (TestFunction.identity(),), 1.0, P11, DEP5,
+                           n_mc=1e3)[0].n_mc == 1000
 
 
 @pytest.mark.parametrize("euler_burn", [0.0, -1.0, float("nan"), float("inf")])
@@ -945,7 +968,7 @@ def test_exact_cir_gap_correlation_of_one_is_a_numerical_error():
         simulate_ensemble(ProcessKind.SQUARED_OU, make_uniform_grid(0.0, 1.0, 3), P11, dep,
                           4, master_seed=0)
     with pytest.raises(NumericalError):
-        generator_check(ProcessKind.SQUARED_OU, TestFunction.identity(), 1.0, P11, dep,
+        generator_check(ProcessKind.SQUARED_OU, (TestFunction.identity(),), 1.0, P11, dep,
                         n_mc=100)
 
 

@@ -29,6 +29,7 @@ from gammaproc import (
     tail_check,
     two_sample_chf,
 )
+from gammaproc.cli import _tail_grid
 
 P11 = GammaParams(1.0, 1.0)
 DEP5 = Dependence.from_rho(0.5)
@@ -395,10 +396,10 @@ def test_reversibility_check_refuses_a_single_point():
 def test_generator_check_validation():
     for x0 in (-1.0, float("nan"), float("inf")):
         with pytest.raises(ParameterError, match="^x0 must be finite and >= 0"):
-            generator_check(ProcessKind.SQUARED_OU, TestFunction.identity(), x0, P11,
+            generator_check(ProcessKind.SQUARED_OU, (TestFunction.identity(),), x0, P11,
                             DEP5, n_mc=100)
     with pytest.raises(ParameterError, match="^n_mc must be at least 2"):
-        generator_check(ProcessKind.SQUARED_OU, TestFunction.identity(), 1.0, P11, DEP5,
+        generator_check(ProcessKind.SQUARED_OU, (TestFunction.identity(),), 1.0, P11, DEP5,
                         n_mc=1)
 
 
@@ -413,19 +414,32 @@ def test_generator_check_refuses_a_kind_without_a_generator_before_drawing(kind,
     monkeypatch.setattr(st, "derive_stream", refuse)
     monkeypatch.setattr(st, "_lane_step", refuse)
     with pytest.raises(UnsupportedKindError, match="generator_apply supports"):
-        generator_check(kind, TestFunction.identity(), 1.0, P11, DEP5, n_mc=100)
+        generator_check(kind, (TestFunction.identity(),), 1.0, P11, DEP5, n_mc=100)
+
+
+def test_generator_check_refuses_no_test_functions_before_drawing(monkeypatch):
+    from gammaproc import stats as st
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("generator_check drew with no test function")
+
+    monkeypatch.setattr(st, "derive_stream", refuse)
+    monkeypatch.setattr(st, "_lane_step", refuse)
+    for phis in ((), []):
+        with pytest.raises(ParameterError, match="^phis must hold at least one"):
+            generator_check(ProcessKind.SQUARED_OU, phis, 1.0, P11, DEP5, n_mc=100)
 
 
 @pytest.mark.parametrize("epsilon", [0.0, -1.0, float("nan"), float("inf")])
 def test_generator_check_rejects_an_epsilon_that_is_not_finite_and_positive(epsilon):
     with pytest.raises(ParameterError, match="epsilon"):
-        generator_check(ProcessKind.SQUARED_OU, TestFunction.identity(), 1.0, P11, DEP5,
+        generator_check(ProcessKind.SQUARED_OU, (TestFunction.identity(),), 1.0, P11, DEP5,
                         epsilon=epsilon, n_mc=100)
 
 
 def test_generator_check_identity_quick():
-    rep = generator_check(ProcessKind.SQUARED_OU, TestFunction.identity(), 2.0, P11,
-                          DEP5, n_mc=200000, master_seed=13)
+    (rep,) = generator_check(ProcessKind.SQUARED_OU, (TestFunction.identity(),), 2.0, P11,
+                             DEP5, n_mc=200000, master_seed=13)
     assert rep.analytic == pytest.approx(-DEP5.lam * (2.0 - 1.0), rel=1e-12)
     assert rep.z < 4.0
 
@@ -435,10 +449,10 @@ def test_generator_check_blocks_do_not_follow_the_chf_block(monkeypatch):
     from gammaproc import stats as st
 
     assert st._GENERATOR_BLOCK == 1 << 17
-    args = (ProcessKind.CONTINUOUSLY_THINNED, TestFunction.identity(), 2.0, P11, DEP5)
-    before = generator_check(*args, n_mc=(1 << 17) + 5, master_seed=14)
+    args = (ProcessKind.CONTINUOUSLY_THINNED, (TestFunction.identity(),), 2.0, P11, DEP5)
+    (before,) = generator_check(*args, n_mc=(1 << 17) + 5, master_seed=14)
     monkeypatch.setattr(st, "_CHF_BLOCK", 1 << 10)
-    after = generator_check(*args, n_mc=(1 << 17) + 5, master_seed=14)
+    (after,) = generator_check(*args, n_mc=(1 << 17) + 5, master_seed=14)
     assert (after.fd_estimate, after.se) == (before.fd_estimate, before.se)
 
 
@@ -467,32 +481,42 @@ def test_tail_check_validates_grid():
         tail_check(P11, np.array([-1.0, 1.0]))
 
 
-# the u grid of the CLI's tail check, in units of 1/beta
-_CLI_TAIL_GRID = np.array([5.0, 10.0, 15.0, 20.0, 25.0, 30.0])
+# shapes over which the CLI's tail check was measured: every tenth to 200,
+# every fifth unit to 2000, and two far shapes
+_TAIL_ALPHAS = ([float(a) for a in np.round(np.arange(0.1, 200.05, 0.1), 10)]
+                + [float(a) for a in np.arange(205.0, 2000.5, 5.0)] + [1e4, 1e5])
+
+
+def _cli_tail_ok(alpha, beta):
+    params = GammaParams(alpha, beta)
+    return tail_check(params, _tail_grid(params)).tail_ok
+
+
+def test_the_cli_tail_grid_is_the_fixed_grid_up_to_alpha_15():
+    for a in np.round(np.arange(0.1, 15.05, 0.1), 10):
+        assert _tail_grid(GammaParams(a, 3.0)).tobytes() == (
+            np.array([5.0, 10.0, 15.0, 20.0, 25.0, 30.0]) / 3.0).tobytes()
 
 
 @pytest.mark.parametrize("beta", [1.0, 3.0])
 def test_tail_check_passes_the_exact_columns_at_every_alpha(beta):
     # the Levy column's -log(value)/(beta u) crosses 1 near beta u = alpha, so
     # |column - 1| is not monotone there; the ratios to the leading terms are
-    bad = [a for a in np.round(np.arange(0.1, 60.05, 0.1), 10)
-           if not tail_check(GammaParams(a, beta), _CLI_TAIL_GRID / beta).tail_ok]
-    assert bad == []
+    assert [a for a in _TAIL_ALPHAS if not _cli_tail_ok(a, beta)] == []
 
 
 @pytest.mark.parametrize("beta", [1.0, 3.0])
 def test_tail_check_fails_a_survival_column_of_the_wrong_law(beta, monkeypatch):
-    # Ga(2 alpha, beta) in place of Ga(alpha, beta); the grid ends at beta u = 30,
-    # so the check can tell the two laws apart only for alpha below about 28
+    # Ga(2 alpha, beta) in place of Ga(alpha, beta); the grid reaches beta u = 2 alpha
+    # but stops at 600, so the check tells the two laws apart for alpha below 550
     right = analytic.gamma_survival
     monkeypatch.setattr(analytic, "gamma_survival",
                         lambda u, p: right(u, GammaParams(2.0 * p.alpha, p.beta)))
-    passed = [a for a in np.round(np.arange(0.1, 28.05, 0.1), 10)
-              if tail_check(GammaParams(a, beta), _CLI_TAIL_GRID / beta).tail_ok]
-    assert passed == []
+    passed = [a for a in _TAIL_ALPHAS if _cli_tail_ok(a, beta)]
+    assert passed == [a for a in _TAIL_ALPHAS if a >= 550.0]
 
 
-@pytest.mark.parametrize("alpha", [0.5, 2.0, 10.0, 60.0])
+@pytest.mark.parametrize("alpha", [0.5, 2.0, 10.0, 60.0, 500.0, 1e5])
 def test_tail_check_fails_a_levy_column_of_the_wrong_law(alpha, monkeypatch):
     # the exact tail of Ga(alpha, beta / 2) against the approximant of Ga(alpha, beta)
     from gammaproc import stats as st
@@ -502,4 +526,4 @@ def test_tail_check_fails_a_levy_column_of_the_wrong_law(alpha, monkeypatch):
         return t._replace(exact=analytic.levy_tail(u / 2.0, p).exact)
 
     monkeypatch.setattr(st, "levy_tail", wrong)
-    assert not tail_check(GammaParams(alpha, 1.0), _CLI_TAIL_GRID).tail_ok
+    assert not tail_check(GammaParams(alpha, 1.0), _tail_grid(GammaParams(alpha, 1.0))).tail_ok
