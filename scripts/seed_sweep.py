@@ -1,10 +1,15 @@
-"""Rerun the chf checks under K seeds and print their pass rates.
+"""Rerun the chf, cthin acf and generator checks under K seeds and print their pass rates.
 
 Runs, for each seed s = first, first + 1, ..., first + K - 1:
 
 * ``verify --suite chf --seed s`` for every kind with a closed-form pair
   chf: ar1, thinned, rm, changepoint and cir (pass: the report's chf check
   has status ``pass``);
+* ``verify --process cthin --suite acf --seed s`` on the default grid, on
+  ``--dt 0.3`` and on the irregular ``--times`` grid 0, 0.37, 1.5 (whose
+  first gap, 0.37, sets the acf path's step), and ``verify --suite
+  generator --seed s`` for the kinds with a closed-form generator, cir and
+  cthin (pass: the check has status ``pass``);
 * ``compare --points 2 --process-a thinned --process-b rm --seed s``, whose
   two processes share every two-point law, so ``max_z < 4`` is the null
   (pass: the report's ``max_z`` is below 4);
@@ -36,15 +41,16 @@ import sys
 import tempfile
 import traceback
 
-from gammaproc.analytic import PAIR_CHF_KINDS
+from gammaproc.analytic import GENERATOR_KINDS, PAIR_CHF_KINDS
 from gammaproc.cli import main as gammaproc_main
 
 COMPARE_NULL_Z = 4.0
 
 
-def _checks():
-    """(label, argv, passed(report)) for each check of one seed."""
-    def chf_passed(report):
+def _checks(times):
+    """(label, argv, passed(report)) for each check of one seed; ``times`` is a
+    file holding the irregular grid."""
+    def checks_passed(report):
         return all(c["status"] == "pass" for c in report["checks"])
 
     def null_passed(report):
@@ -53,7 +59,16 @@ def _checks():
     for kind in PAIR_CHF_KINDS:
         yield (f"verify chf {kind.cli_name}",
                ["verify", "--process", kind.cli_name, "--suite", "chf"],
-               chf_passed)
+               checks_passed)
+    for label, grid in (("default", []), ("dt 0.3", ["--dt", "0.3"]),
+                        ("times", ["--times", times])):
+        yield (f"verify acf cthin {label}",
+               ["verify", "--process", "cthin", "--suite", "acf", *grid],
+               checks_passed)
+    for kind in GENERATOR_KINDS:
+        yield (f"verify generator {kind.cli_name}",
+               ["verify", "--process", kind.cli_name, "--suite", "generator"],
+               checks_passed)
     for a, b, points in (("thinned", "rm", "2"), ("thinned", "thinned", "3"), ("rm", "rm", "3")):
         yield (f"compare {a}/{b} {points}-point",
                ["compare", "--process-a", a, "--process-b", b, "--points", points],
@@ -81,9 +96,11 @@ def sweep(k, first_seed, paths=None):
     extra = [] if paths is None else ["--paths", str(paths)]
     counts = {}
     with tempfile.TemporaryDirectory() as tmp:
-        out = os.path.join(tmp, "report.json")
+        out, times = os.path.join(tmp, "report.json"), os.path.join(tmp, "times.txt")
+        with open(times, "w") as fh:
+            fh.write("0\n0.37\n1.5\n")
         for seed in range(first_seed, first_seed + k):
-            for label, argv, passed in _checks():
+            for label, argv, passed in _checks(times):
                 row = counts.setdefault(label, [0, 0, 0])
                 row[1] += 1
                 code, err = _run(argv + extra + ["--seed", str(seed)], out)

@@ -45,8 +45,7 @@ from .core import (
     _require_seed,
     make_uniform_grid,
 )
-from .processes import (CirMethod, CthinConfig, _cthin_lattice_indices, marginal_sample,
-                         simulate_ensemble)
+from .processes import CirMethod, marginal_sample, simulate_ensemble
 from .stats import (
     _acf_batch_len,
     _omega_pairs,
@@ -76,7 +75,6 @@ class RunConfig:
     seed: int
     cir_method: CirMethod
     euler_substeps: int
-    cthin_steps: int
     out: str | None
     fmt: str
 
@@ -98,7 +96,6 @@ class RunConfig:
             "seed": self.seed,
             "cir_method": self.cir_method.value,
             "euler_substeps": self.euler_substeps,
-            "cthin_steps": self.cthin_steps,
             "version": __version__,
         }
 
@@ -124,8 +121,6 @@ def _add_common(sp, with_process=True):
                     default="exact", help="cir sampling scheme (default exact)")
     sp.add_argument("--euler-substeps", type=int, default=16,
                     help="Euler substeps per grid gap (default 16)")
-    sp.add_argument("--cthin-steps", type=int, default=256,
-                    help="cthin lattice steps per unit time (default 256)")
     sp.add_argument("--out", type=str, default=None,
                     help="output file (default: standard output)")
 
@@ -213,7 +208,6 @@ def _resolve_config(ns, process_name, n_paths, default_n=100):
         seed=_require_seed("--seed", ns.seed),
         cir_method=CirMethod.parse(ns.cir_method),
         euler_substeps=_require_positive_int("--euler-substeps", ns.euler_substeps),
-        cthin_steps=_require_positive_int("--cthin-steps", ns.cthin_steps),
         out=ns.out,
         fmt=getattr(ns, "format", "json"),
     )
@@ -223,7 +217,6 @@ def _simulate(cfg: RunConfig) -> Ensemble:
     return simulate_ensemble(
         cfg.process, cfg.grid, cfg.params, cfg.dep, cfg.n_paths, cfg.seed,
         method=cfg.cir_method, substeps=cfg.euler_substeps,
-        cthin=CthinConfig(cfg.cthin_steps),
     )
 
 
@@ -333,8 +326,7 @@ def _first_gap(cfg: RunConfig):
 def _check_marginal(cfg: RunConfig):
     x = marginal_sample(
         cfg.process, 100000, cfg.params, cfg.dep, _subseed(cfg, 1), gap=_first_gap(cfg),
-        method=cfg.cir_method, cthin=CthinConfig(cfg.cthin_steps),
-        substeps=cfg.euler_substeps,
+        method=cfg.cir_method, substeps=cfg.euler_substeps,
     )
     ks = ks_statistic(x, cfg.params)
     mom = empirical_moments(x)
@@ -357,10 +349,9 @@ def _acf_grid(cfg: RunConfig):
     """The acf check's path grid, 1e5 steps of the first gap, and its last lag.
 
     The path must hold two batches of ``_acf_batch_len`` steps at the last
-    lag, 5, which fails when lambda * dt is below about 1e-3, and a cthin
-    path must lie on its ``--cthin-steps`` lattice.  Both are refused here,
-    so ``cmd_verify`` can refuse them before anything is sampled, and hands
-    the grid to ``_check_acf``.
+    lag, 5, which fails when lambda * dt is below about 1e-3.  That is
+    refused here, so ``cmd_verify`` can refuse it before anything is
+    sampled, and hands the grid to ``_check_acf``.
     """
     n_steps, max_lag, dt = 100000, 5, _first_gap(cfg)
     batch_len = _acf_batch_len(cfg.dep.lam, dt)
@@ -369,10 +360,7 @@ def _acf_grid(cfg: RunConfig):
             f"the acf check needs lambda*dt >= about 1e-3, got {cfg.dep.lam * dt:.3g}: its "
             f"{n_steps}-step path cannot hold two batches of ceil(50/(lambda*dt)) = "
             f"{batch_len} steps at lag {max_lag}")
-    grid = make_uniform_grid(0.0, dt, n_steps)
-    if cfg.process is ProcessKind.CONTINUOUSLY_THINNED:
-        _cthin_lattice_indices(grid, 1.0 / cfg.cthin_steps)
-    return grid, max_lag
+    return make_uniform_grid(0.0, dt, n_steps), max_lag
 
 
 def _check_acf(cfg: RunConfig, grid, max_lag):

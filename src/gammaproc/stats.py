@@ -607,14 +607,14 @@ def generator_check(
 
     Every replicate starts exactly at x0 and makes one conditional step of
     length eps (``processes._lane_step`` at the gap correlation rho**eps): the
-    exact Poisson-gamma transition for the squared OU kind, one
-    thinning/top-up lattice step for the continuously-thinned kind.  The
+    exact Poisson-gamma transition for the squared OU kind, one series step
+    X_eps = M x0 + Z for the continuously-thinned kind.  The
     n_mc steps are drawn once and every test function of ``phis`` is scored
     on them, so the call returns one ``GeneratorCheck`` per function, in
     order, each with the bytes a call on that function alone would give.
     The rows of one call share their transitions and are not independent
-    (a cthin step does not depend on x0 at all, so neither are calls at
-    different x0 with one seed).  The default eps = 1e-3/lam keeps the
+    (a cthin step's factors M and Z do not depend on x0, so neither are
+    calls at different x0 with one seed).  The default eps = 1e-3/lam keeps the
     O(eps) finite-difference bias far below the Monte Carlo standard error
     at n_mc ~ 1e6.  The analytic side comes first, so ``generator_apply``
     refuses a kind outside ``GENERATOR_KINDS`` (``UnsupportedKindError``)

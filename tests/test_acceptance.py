@@ -14,6 +14,7 @@ extended-precision oracles throughout.
 
 import functools
 import json
+import math
 
 import mpmath as mp
 import numpy as np
@@ -22,7 +23,6 @@ from scipy import integrate, special
 
 from gammaproc import (
     CirMethod,
-    CthinConfig,
     Dependence,
     GammaParams,
     ProcessKind,
@@ -52,6 +52,7 @@ from gammaproc import (
     two_sample_chf,
     walker_sample,
 )
+from gammaproc import processes
 from gammaproc.cli import main as cli_main
 
 MASTER = 20260817
@@ -116,30 +117,160 @@ def test_criterion_01_marginal_ks_grid(capsys):
             f"(cell {worst_cell}) vs critical {crit:.5f}")
 
 
+def _lattice_cthin_marginal(n, params, dep, seed, steps_per_unit=256):
+    # the removed lattice sampler's marginal_sample, kept as a power control: a
+    # quarter time unit of beta thinnings at q = rho**(1/steps_per_unit), whose
+    # kept fraction 1 - g1/(g1+g2) cancels to 0 at small shapes
+    g = derive_stream(seed, 0).gen
+    a, b = params.alpha, params.beta
+    q = dep.rho ** (1.0 / steps_per_unit)
+    p = 1.0 - q
+    x = g.gamma(a, 1.0 / b, size=n)
+    for _ in range(steps_per_unit // 4):
+        g1 = g.standard_gamma(a * p, size=n)
+        s = g1 + g.standard_gamma(a * q, size=n)
+        thin = np.divide(g1, s, out=np.full(n, p), where=s > 0.0)
+        x = (1.0 - thin) * x + g.standard_gamma(a * p, size=n) / b
+    return x
+
+
+def test_criterion_01_cthin_marginal_at_small_shapes(capsys):
+    n = 100000
+    crit = 1.628 / np.sqrt(n)
+    rows = []
+    for alpha in (0.02, 0.05):
+        params = GammaParams(alpha, 1.0)
+        for seed in (1, 2, 3):
+            x = marginal_sample(ProcessKind.CONTINUOUSLY_THINNED, n, params, DEP5, seed)
+            rows.append((alpha, seed, ks_statistic(x, params).statistic, int(np.sum(x == 0.0))))
+    lattice = _lattice_cthin_marginal(n, GammaParams(0.02, 1.0), DEP5, 1)
+    control = ks_statistic(lattice, GammaParams(0.02, 1.0)).statistic
+    worst = max(rows, key=lambda r: r[2])
+    zeros = sum(r[3] for r in rows)
+    ok = worst[2] < crit and zeros == 0 and control > crit
+    _report(capsys, "criterion 1b", ok,
+            f"cthin marginal KS at alpha 0.02 and 0.05, seeds 1-3: worst {worst[2]:.5f} "
+            f"(alpha {worst[0]}, seed {worst[1]}), {zeros} exact zeros, vs critical "
+            f"{crit:.5f}; the lattice control at alpha 0.02 reads {control:.4f} (must fail)")
+
+
 # -- criterion 2: autocorrelation -------------------------------------------------
 
 
 def test_criterion_02_autocorrelation(capsys):
     grid = make_uniform_grid(0.0, 1.0, 100000)
     max_z = {}
-    disc_256 = None
     for kind in ProcessKind:
-        # the cthin option is read by the cthin kind only
-        path = sample_path(kind, derive_stream(MASTER, 0), grid, P11, DEP5, cthin=CthinConfig(256))
-        rep = empirical_acf(path, DEP5, max_lag=5)
-        max_z[kind.cli_name] = rep.max_z
-        if kind is ProcessKind.CONTINUOUSLY_THINNED:
-            disc_256 = np.max(np.abs(rep.estimates - rep.target))
+        path = sample_path(kind, derive_stream(MASTER, 0), grid, P11, DEP5)
+        max_z[kind.cli_name] = empirical_acf(path, DEP5, max_lag=5).max_z
     worst = max(max_z.values())
-    # doubling the cthin lattice resolution must not increase the discrepancy
-    path_512 = sample_path(ProcessKind.CONTINUOUSLY_THINNED, derive_stream(MASTER, 1), grid,
-                           P11, DEP5, cthin=CthinConfig(512))
-    rep_512 = empirical_acf(path_512, DEP5, max_lag=5)
-    disc_512 = np.max(np.abs(rep_512.estimates - rep_512.target))
-    ok = worst <= 4.0 and rep_512.max_z <= 4.0 and disc_512 <= disc_256
+    ok = worst <= 4.0
     _report(capsys, "criterion 2", ok,
-            f"lag 1..5 acf vs 0.5^k, 1e5 steps: worst z {worst:.2f} over six kinds "
-            f"(<= 4); cthin discrepancy {disc_256:.4f} at 256 -> {disc_512:.4f} at 512 steps/unit")
+            f"lag 1..5 acf vs 0.5^k, 1e5 steps: worst z {worst:.2f} over six kinds (<= 4)")
+
+
+# cthin's limit moments: the point, the shapes, and the orders (i, j) of
+# E[(X_s - m)^i (X_t - m)^j], m = alpha / beta, that the oracle scores
+CTHIN_BETA, CTHIN_LAM = 1.3, 0.6
+CTHIN_ALPHAS = (0.05, 0.7, 2.0, 10.0)
+CTHIN_ORDERS = ((1, 1), (1, 2), (2, 2), (0, 1), (0, 2), (0, 3))
+# the irregular grid 0, 0.4, 1.5
+CTHIN_GAPS = (0.4, 1.1)
+
+
+def _cthin_limit_moment(i, j, t, alpha, beta, lam):
+    """E[(X_0 - m)^i (X_t - m)^j] of the stationary cthin limit process, m = alpha / beta.
+
+    The generator maps x^k to a lam sum_{l<k} C(k,l) Gamma(k-l) b^(l-k) x^l
+    - a lam (sum_{r<k} 1/(a+r)) x^k, so E[X_t^q | X_0 = x] is column q of
+    the matrix exponential of t times that matrix, and the mixed moments
+    reduce to the gamma moments E[X^k] = (a)_k / b^k.
+    """
+    from scipy.linalg import expm
+
+    a, b, deg = alpha, beta, i + j
+    gen = np.zeros((deg + 1, deg + 1))
+    for k in range(1, deg + 1):
+        for lo in range(k):
+            gen[lo, k] = a * lam * special.comb(k, lo) * special.gamma(k - lo) * b ** (lo - k)
+        gen[k, k] = -a * lam * sum(1.0 / (a + r) for r in range(k))
+    cond = expm(t * gen)
+    raw = [special.poch(a, k) / b**k for k in range(2 * deg + 1)]
+    m = a / b
+    total = 0.0
+    for p in range(i + 1):
+        for q in range(j + 1):
+            # E[X_0^p X_t^q] = sum_l cond[l, q] E[X_0^(p + l)]
+            joint = sum(cond[lo, q] * raw[p + lo] for lo in range(q + 1))
+            total += special.comb(i, p) * special.comb(j, q) * (-m) ** (i - p + j - q) * joint
+    return total
+
+
+def _cthin_moment_z(alpha, lam, seed, n=200000):
+    """The z-scores of n independent cthin lanes at (alpha, lam) against the limit at CTHIN_LAM.
+
+    Every lane starts at X_0 ~ Ga(alpha, beta) and takes one lane step per
+    gap: one of 1 (lag 1), and one per gap of the irregular grid 0, 0.4, 1.5,
+    whose pair (0, 1.5) spans two steps.  The marginal orders are scored at
+    the end of each pair; the pair (0, 1.5) scores the joint orders only.
+    """
+    g = derive_stream(seed, 0).gen
+
+    def step(x, gap):
+        return processes._lane_step(ProcessKind.CONTINUOUSLY_THINNED, g, x, alpha, CTHIN_BETA,
+                                    math.exp(-lam * gap))
+
+    m = alpha / CTHIN_BETA
+    x0 = g.gamma(alpha, 1.0 / CTHIN_BETA, size=n)
+    grid = [x0, step(x0, CTHIN_GAPS[0])]
+    grid.append(step(grid[1], CTHIN_GAPS[1]))
+    pairs = [(1.0, x0, step(x0, 1.0), CTHIN_ORDERS),
+             (0.4, grid[0], grid[1], CTHIN_ORDERS),
+             (1.1, grid[1], grid[2], CTHIN_ORDERS),
+             (1.5, grid[0], grid[2], CTHIN_ORDERS[:3])]
+    rows = []
+    for t, xs, xt, orders in pairs:
+        for i, j in orders:
+            y = (xs - m) ** i * (xt - m) ** j
+            want = _cthin_limit_moment(i, j, t, alpha, CTHIN_BETA, CTHIN_LAM)
+            rows.append(((t, i, j), (y.mean() - want) / (y.std() / math.sqrt(n))))
+    return rows
+
+
+def test_cthin_limit_moment_oracle_matches_the_closed_forms():
+    a, b, lam, t = 0.7, 1.3, 0.6, 1.0
+    assert _cthin_limit_moment(1, 1, t, a, b, lam) == pytest.approx(a * math.exp(-lam) / b**2,
+                                                                    rel=1e-13)
+    assert _cthin_limit_moment(0, 1, t, a, b, lam) == pytest.approx(0.0, abs=1e-14)
+    assert _cthin_limit_moment(0, 2, t, a, b, lam) == pytest.approx(a / b**2, rel=1e-13)
+    assert _cthin_limit_moment(0, 3, t, a, b, lam) == pytest.approx(2 * a / b**3, rel=1e-13)
+    # E[X_0^2 X_1^2] of the limit process, from its centred moments
+    m = a / b
+    raw = sum(special.comb(2, p) * special.comb(2, q) * m ** (4 - p - q)
+              * _cthin_limit_moment(p, q, t, a, b, lam) for p in range(3) for q in range(3))
+    assert raw == pytest.approx(2.407944, abs=5e-7)
+
+
+def test_criterion_02_cthin_limit_moments(capsys):
+    # orders (1,1)..(0,3) at lag 1 and on an irregular grid, against the limit process
+    rows = [((alpha, *cell), z) for k, alpha in enumerate(CTHIN_ALPHAS)
+            for cell, z in _cthin_moment_z(alpha, CTHIN_LAM, MASTER + k)]
+    cell, worst = max(rows, key=lambda r: abs(r[1]))
+    ok = abs(worst) <= 4.0
+    _report(capsys, "criterion 2b", ok,
+            f"cthin mixed moments vs the limit generator's, {len(rows)} cells: worst |z| "
+            f"{abs(worst):.2f} at {cell} (<= 4)")
+
+
+def test_criterion_02_cthin_limit_moments_power_control(capsys):
+    # the same scoring fails on the law whose rho is 0.02 above the oracle's
+    lam = -math.log(math.exp(-CTHIN_LAM) + 0.02)
+    worst = {alpha: max(abs(z) for _, z in _cthin_moment_z(alpha, lam, MASTER + k))
+             for k, alpha in enumerate(CTHIN_ALPHAS)}
+    ok = max(worst.values()) > 4.0
+    _report(capsys, "criterion 2b power", ok,
+            "rho off by 0.02: worst |z| per alpha "
+            + ", ".join(f"{a}: {z:.1f}" for a, z in worst.items()) + " (some > 4)")
 
 
 # -- criterion 3: innovation sampler ------------------------------------------------

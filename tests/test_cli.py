@@ -179,15 +179,37 @@ def test_unknown_process_is_usage_error(capsys):
     capsys.readouterr()
 
 
-@pytest.mark.parametrize("dt", ["0.3701", "1e-10", "1e-300"])
-def test_cthin_misaligned_dt_exits_2(tmp_path, capsys, dt):
-    # at 1e-10 and 1e-300 every time rounds to lattice point 0: the file held the
-    # first value and uninitialised memory at every later time, with exit code 0
+@pytest.mark.parametrize("dt", ["0.3701", "0.3", "1e-10", "1e-300"])
+def test_cthin_simulates_any_dt(tmp_path, dt):
+    # the lattice refused these grids (exit 2); the series samples any gap
     out = tmp_path / "x.csv"
     assert run(["simulate", "--process", "cthin", "--dt", dt, "--n", "4", "--paths", "2",
-                "--out", str(out)]) == 2
-    assert "must lie on the continuously-thinned lattice" in capsys.readouterr().err
+                "--out", str(out)]) == 0
+    values = read_csv_values(out)
+    assert values.shape == (8, 3)
+    assert np.all(np.isfinite(values[:, 2])) and np.all(values[:, 2] > 0.0)
+
+
+@pytest.mark.parametrize("command", [
+    ["simulate", "--process", "cthin"],
+    ["verify", "--process", "cthin", "--suite", "tail"],
+    ["compare", "--process-a", "cthin", "--process-b", "rm"],
+])
+def test_the_removed_cthin_steps_option_is_a_usage_error(tmp_path, capsys, monkeypatch,
+                                                          command):
+    _no_sampler(monkeypatch)
+    out = tmp_path / "out"
+    assert run([*command, "--cthin-steps", "16", "--out", str(out)]) == 2
+    assert "unrecognized arguments: --cthin-steps 16" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("seed", ["1", "2"])
+def test_verify_cthin_marginal_passes_at_a_small_shape(tmp_path, seed):
+    # the lattice's kept fraction 1 - g1/(g1+g2) cancelled to 0 here, and both seeds failed
+    out = tmp_path / "marg.json"
+    assert run(["verify", "--process", "cthin", "--alpha", "0.05", "--suite", "marginal",
+                "--seed", seed, "--out", str(out)]) == 0
 
 
 def test_verify_tail_suite(tmp_path):
@@ -527,6 +549,16 @@ def test_verify_cthin_generator_reports_the_closed_form_at_small_shapes(tmp_path
         assert row["analytic"] == pytest.approx(closed[row["phi"]](row["x0"]), rel=1e-14)
 
 
+def test_verify_cthin_generator_passes_at_a_tiny_shape_and_rho(tmp_path):
+    # the lattice failed here, with the square rows at z 9.2 and 9.1; the series
+    # passed at each of seeds 1-10
+    out = tmp_path / "report.json"
+    assert run(["verify", "--process", "cthin", "--suite", "generator", "--alpha", "1e-3",
+                "--rho", "1e-6", "--out", str(out)]) == 0
+    [entry] = _strict_json(out.read_text())["checks"]
+    assert entry["status"] == "pass"
+
+
 def test_verify_all_keeps_the_other_checks_when_one_errors(tmp_path, capsys, monkeypatch):
     def raising(*args):
         raise NumericalError("oracle did not converge")
@@ -611,8 +643,10 @@ def test_seed_sweep_counts_passes_and_errors(monkeypatch, capsys):
     counts = sweep.sweep(2, 1, 500)
     assert list(counts) == ["verify chf ar1", "verify chf thinned", "verify chf rm",
                             "verify chf changepoint", "verify chf cir",
-                            "compare thinned/rm 2-point", "compare thinned/thinned 3-point",
-                            "compare rm/rm 3-point"]
+                            "verify acf cthin default", "verify acf cthin dt 0.3",
+                            "verify acf cthin times", "verify generator cir",
+                            "verify generator cthin", "compare thinned/rm 2-point",
+                            "compare thinned/thinned 3-point", "compare rm/rm 3-point"]
     assert all(runs == 2 and errors == 0 and 0 <= passes <= 2
                for passes, runs, errors in counts.values())
     # a run that raises or exits 2 is an error; the script then exits 1
@@ -718,11 +752,8 @@ def test_a_times_entry_that_is_not_a_number_exits_2(tmp_path, capsys, monkeypatc
 
 @pytest.mark.parametrize("argv", [
     ["simulate", "--process", "ar1", "--format", "json", "--euler-substeps", "-3"],
-    ["simulate", "--process", "ar1", "--cthin-steps", "0"],
-    ["verify", "--process", "ar1", "--suite", "tail", "--cthin-steps", "0"],
     ["verify", "--process", "cir", "--suite", "marginal", "--euler-substeps", "0"],
     ["compare", "--process-a", "thinned", "--process-b", "rm", "--euler-substeps", "0"],
-    ["compare", "--process-a", "cthin", "--process-b", "rm", "--cthin-steps", "-3"],
 ])
 def test_a_non_positive_step_count_exits_2_before_sampling(tmp_path, capsys, monkeypatch, argv):
     _no_sampler(monkeypatch)
@@ -799,33 +830,27 @@ def test_verify_refuses_an_acf_check_that_cannot_run_before_sampling(
     assert not out.exists()
 
 
-@pytest.mark.parametrize("argv", [
-    ["--dt", "0.3", "--suite", "all"],
-    ["--dt", "0.5", "--cthin-steps", "3", "--suite", "acf"],
-])
-def test_verify_refuses_a_cthin_acf_path_off_its_lattice_before_sampling(
-        tmp_path, capsys, monkeypatch, argv):
-    _no_sampler(monkeypatch)
+@pytest.mark.parametrize("grid", [["--dt", "0.3"], ["--dt", "0.5"], "times"])
+def test_verify_cthin_runs_its_checks_off_the_old_lattice(tmp_path, grid):
+    # --dt 0.3 and an irregular --times grid were refused (exit 2) on the lattice
+    if grid == "times":
+        times = tmp_path / "times.txt"
+        times.write_text("0\n0.37\n1.5\n")
+        grid = ["--times", str(times)]
     out = tmp_path / "rep.json"
-    assert run(["verify", "--process", "cthin", *argv, "--out", str(out)]) == 2
-    assert "must lie on the continuously-thinned lattice" in capsys.readouterr().err
-    assert not out.exists()
-
-
-def test_verify_cthin_off_its_lattice_runs_the_checks_that_need_no_path(tmp_path):
-    out = tmp_path / "rep.json"
-    assert run(["verify", "--process", "cthin", "--dt", "0.3", "--suite", "marginal",
+    assert run(["verify", "--process", "cthin", *grid, "--seed", "1", "--suite", "all",
                 "--out", str(out)]) == 0
+    statuses = [c["status"] for c in json.loads(out.read_text())["checks"]]
+    assert statuses == ["pass", "pass", "skipped", "pass", "pass"]
 
 
-def test_verify_builds_the_acf_grid_and_checks_its_lattice_once(tmp_path, monkeypatch):
+def test_verify_builds_the_acf_grid_once(tmp_path, monkeypatch):
     calls = []
-    for name in ("_acf_grid", "_cthin_lattice_indices"):
-        monkeypatch.setattr(cli, name, lambda *args, f=getattr(cli, name), name=name:
-                            calls.append(name) or f(*args))
+    monkeypatch.setattr(cli, "_acf_grid", lambda *args, f=cli._acf_grid:
+                        calls.append(args) or f(*args))
     out = tmp_path / "rep.json"
     assert run(["verify", "--process", "cthin", "--suite", "acf", "--out", str(out)]) in (0, 1)
-    assert calls == ["_acf_grid", "_cthin_lattice_indices"]
+    assert len(calls) == 1
     (check,) = json.loads(out.read_text())["checks"]
     assert check["name"] == "acf" and check["status"] in ("pass", "fail")
 

@@ -64,7 +64,7 @@ def test_verify_marginal_loads_scipy_special_but_not_integrate():
 
 def test_verify_cthin_all_loads_scipy_special_but_not_integrate_or_optimize():
     (imported, verified) = _probe([["verify", "--process", "cthin", "--suite", "all",
-                                    "--paths", "2000", "--cthin-steps", "16"]])
+                                    "--paths", "2000"]])
     assert imported["scipy"] == []
     assert verified["code"] == 0
     assert "scipy.special" in verified["scipy"]

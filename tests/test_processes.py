@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 from gammaproc import processes
 from gammaproc import (
     CirMethod,
-    CthinConfig,
     Dependence,
     GammaParams,
     NumericalError,
@@ -219,221 +218,163 @@ def test_cir_method_parse():
         CirMethod.parse("heun")
 
 
+def _cthin_reference_factors(gen, a, b, steps):
+    """(M, Z) of every segment, event by event on Python floats, from the draws
+    ``processes._cthin_factors`` documents, in its stream order (one chunk)."""
+    rate, drift, prob, alias = processes._cthin_series(a)
+    terms = processes._CTHIN_TERMS
+    sizes = (gen.poisson(rate * steps) + 1).tolist()
+    spacing = gen.standard_exponential(sum(sizes))
+    n_events = sum(sizes) - len(sizes)
+    comp = []
+    for v in (gen.random(n_events) * terms).tolist():
+        k = int(v)
+        comp.append(k if v - k < prob[k] else int(alias[k]))
+    mult = [math.exp(-e / (a + j)) for e, j in zip(gen.standard_exponential(n_events), comp)]
+    h = []
+    pos = 0
+    for t, size in zip(steps.tolist(), sizes):
+        seg = spacing[pos : pos + size]
+        h += (t * seg / seg.sum()).tolist()
+        pos += size
+    tops = gen.standard_gamma(a * np.array(h)).tolist()
+    out, i, e = [], 0, 0
+    for size in sizes:
+        m, z = 1.0, 0.0
+        for k in range(size):
+            decay = math.exp(-drift * h[i])
+            scale = (1.0 - decay) / (drift * h[i] * b) if h[i] > 0.0 else 1.0 / b
+            m, z = m * decay, z * decay + tops[i] * scale
+            if k < size - 1:  # every interval but the segment's last ends in an event
+                m, z = m * mult[e], z * mult[e]
+                e += 1
+            i += 1
+        out.append((m, z))
+    return np.array(out).T
+
+
+@pytest.mark.parametrize("alpha", [0.02, 0.7, 2.0, 50.0])
+def test_cthin_series_factors_equal_an_event_by_event_reference(alpha):
+    # several segments of mixed lengths, one with no event at all
+    steps = np.array([0.3, 1e-9, 2.0, 0.05, 1.1])
+    m, z = processes._cthin_factors(derive_stream(3, 0).gen, alpha, 1.5, steps)
+    ref_m, ref_z = _cthin_reference_factors(derive_stream(3, 0).gen, alpha, 1.5, steps)
+    np.testing.assert_allclose(m, ref_m, rtol=1e-12, atol=0.0)
+    # Z sums logs over the chunk in one cumsum, so it carries a relative error of
+    # about |that sum| * 2**-53, up to about 1e-10 at alpha 0.02
+    np.testing.assert_allclose(z, ref_z, rtol=1e-8, atol=1e-300)
+
+
+@pytest.mark.parametrize("alpha", [0.001, 0.05, 2.0, 37.0, 5000.0])
+def test_cthin_alias_table_draws_each_component_at_its_rate(alpha):
+    rate, drift, prob, alias = processes._cthin_series(alpha)
+    terms = processes._CTHIN_TERMS
+    # column k gives j = k with probability prob[k] and alias[k] otherwise
+    implied = prob.copy()
+    np.add.at(implied, alias, 1.0 - prob)
+    w = 1.0 / (alpha + np.arange(terms))
+    np.testing.assert_allclose(implied / terms, w / w.sum(), rtol=1e-9)
+    assert np.all((prob >= 0.0) & (prob <= 1.0))
+    # the kept components and the drift lower the conditional mean at rate 1 (per lam)
+    assert math.fsum(alpha * w / (alpha + 1.0 + np.arange(terms))) + drift == pytest.approx(1.0)
+    assert rate == pytest.approx(alpha * math.fsum(w), rel=1e-12)
+
+
+def test_cthin_chunks_give_the_one_chunk_factors(monkeypatch):
+    steps = np.linspace(0.1, 1.0, 40)
+    one = processes._cthin_factors(derive_stream(5, 0).gen, 2.0, 1.0, steps)
+    monkeypatch.setattr(processes, "_CTHIN_CHUNK", 64)  # chunks of a few segments
+    gen = derive_stream(5, 0).gen
+    cost = np.cumsum(processes._cthin_series(2.0)[0] * steps + 1.0)
+    cuts = [0, *np.searchsorted(cost, np.arange(64, cost[-1], 64)).tolist(), steps.size]
+    assert len(set(cuts)) > 5
+    ref = np.concatenate([_cthin_reference_factors(gen, 2.0, 1.0, steps[lo:hi])
+                          for lo, hi in zip(cuts[:-1], cuts[1:]) if hi > lo], axis=1)
+    chunked = processes._cthin_factors(derive_stream(5, 0).gen, 2.0, 1.0, steps)
+    np.testing.assert_allclose(chunked, ref, rtol=1e-8, atol=1e-300)
+    assert chunked[0].tobytes() != one[0].tobytes()  # the chunks are part of the stream layout
+
+
+def test_cthin_long_gaps_go_in_pieces_of_at_most_a_chunk(monkeypatch):
+    monkeypatch.setattr(processes, "_CTHIN_CHUNK", 256)
+    grid = TimeGrid(np.array([0.0, 0.5, 40.0, 41.0]))
+    params = GammaParams(2.0, 1.0)
+    rate = processes._cthin_series(2.0)[0]
+    plan = processes._plan_for_kind(ProcessKind.CONTINUOUSLY_THINNED, grid, params, DEP5,
+                                    CirMethod.EXACT, 16)
+    assert np.all(rate * plan.steps <= 256)
+    assert plan.keep.tolist() == [0, 1, 1 + math.ceil(rate * 39.5 * DEP5.lam / 256),
+                                  plan.steps.size]
+    gen = derive_stream(8, 0).gen
+    x = gen.gamma(2.0, 1.0)
+    m, z = processes._cthin_factors(gen, 2.0, 1.0, plan.steps)
+    want = [x]
+    for mk, zk in zip(m.tolist(), z.tolist()):
+        want.append(mk * want[-1] + zk)
+    path = sample_path(ProcessKind.CONTINUOUSLY_THINNED, derive_stream(8, 0), grid, params, DEP5)
+    assert path.values.tobytes() == np.array(want)[plan.keep].tobytes()
+    # a lane step of 40 time units takes the same pieces, one after the other
+    lanes = processes._lane_step(ProcessKind.CONTINUOUSLY_THINNED, derive_stream(9, 0).gen,
+                                 np.full(3, 1.5), 2.0, 1.0, DEP5.rho**40.0)
+    gen = derive_stream(9, 0).gen
+    step = -math.log(DEP5.rho**40.0)
+    pieces = math.ceil(rate * step / 256)
+    assert pieces > 1
+    x = np.full(3, 1.5)
+    for _ in range(pieces):
+        mk, zk = processes._cthin_factors(gen, 2.0, 1.0, np.full(3, step / pieces))
+        x = mk * x + zk
+    assert lanes.tobytes() == x.tobytes()
+
+
 @pytest.mark.parametrize("grid", [TimeGrid(np.array([0.0, 0.3701])),
                                   TimeGrid(np.array([0.0, 1e-10, 2e-10, 1.0])),
                                   make_uniform_grid(0.0, 1e-10, 4),
                                   make_uniform_grid(0.0, 1e-300, 4)],
                          ids=["off-lattice", "near-start", "dt-1e-10", "dt-1e-300"])
-def test_cthin_path_requires_lattice_aligned_grid(grid):
-    # the last three put several times within the alignment tolerance of lattice
-    # point 0, where a path read the chunk's last value, or memory no step wrote
-    with pytest.raises(ParameterError, match="must lie on the continuously-thinned lattice"):
-        sample_path(ProcessKind.CONTINUOUSLY_THINNED, derive_stream(0, 0), grid, P11, DEP5,
-                    cthin=CthinConfig(256))
-    with pytest.raises(ParameterError, match="must lie on the continuously-thinned lattice"):
-        simulate_ensemble(ProcessKind.CONTINUOUSLY_THINNED, grid, P11, DEP5, 2, master_seed=3,
-                          cthin=CthinConfig(256))
+def test_cthin_runs_on_any_grid(grid):
+    # the lattice refused these grids; the series samples any gap
+    path = sample_path(ProcessKind.CONTINUOUSLY_THINNED, derive_stream(0, 0), grid, P11, DEP5)
+    ens = simulate_ensemble(ProcessKind.CONTINUOUSLY_THINNED, grid, P11, DEP5, 2, master_seed=0)
+    assert ens.values[0].tobytes() == path.values.tobytes()
+    assert np.all(np.isfinite(ens.values)) and np.all(ens.values > 0.0)
 
 
 def test_cthin_path_runs_and_is_positive():
     grid = make_uniform_grid(0.0, 0.25, 64)
-    path = sample_path(ProcessKind.CONTINUOUSLY_THINNED, derive_stream(6, 0), grid, P11, DEP5,
-                       cthin=CthinConfig(64))
+    path = sample_path(ProcessKind.CONTINUOUSLY_THINNED, derive_stream(6, 0), grid, P11, DEP5)
     assert np.all(path.values > 0.0)
     assert path.values.shape == (64,)
 
 
-def test_cthin_config_validation():
-    with pytest.raises(ParameterError):
-        CthinConfig(0)
+def test_cthin_gap_correlation_of_zero_is_a_numerical_error():
+    # rho**gap underflows to 0, so the lane step has no lam * gap to run
+    with pytest.raises(NumericalError, match="underflowed"):
+        marginal_sample(ProcessKind.CONTINUOUSLY_THINNED, 10, P11, Dependence(800.0),
+                        master_seed=0)
 
 
-def _scalar_scan(a, z, x0):
-    out = np.empty(a.size)
-    x = x0
-    for i in range(a.size):
-        x = a[i] * x + z[i]
-        out[i] = x
-    return out
+def test_cthin_gap_correlation_of_one_is_a_step_of_zero_length():
+    # rho**1e-300 rounds to 1.0, and -log(1.0) is -0.0, a gamma shape numpy refuses
+    x = marginal_sample(ProcessKind.CONTINUOUSLY_THINNED, 100, P11, DEP5, master_seed=0,
+                        gap=1e-300)
+    assert x.tobytes() == derive_stream(0, 0).gen.gamma(1.0, 1.0, size=100).tobytes()
 
 
-def test_affine_scan_underflow_fallback_equals_numpy_scalar_loop():
-    rng = np.random.default_rng(5)
-    # the product of 1024 uniforms underflows, so every block takes the loop
-    # (the short last block through its zero factor)
-    a = rng.random(2500)
-    a[-5] = 0.0
-    z = rng.gamma(0.3, 1.0, size=a.size)
-    out = processes._affine_scan_blocks(a, z, 1.7)
-    assert out.tobytes() == _scalar_scan(a, z, 1.7).tobytes()
+def test_cthin_path_memory_stays_below_the_lattice_peak():
+    import tracemalloc
 
-
-def _reference_affine_scan_blocks(a, z, x0, out=None):
-    # the scan as it was before underflowing blocks ran in one exact pass, verbatim
-    n = a.size
-    if out is None:
-        out = np.empty(n)
-    x = x0
-    for s in range(0, n, 1024):
-        e = min(s + 1024, n)
-        ab = a[s:e]
-        p = np.cumprod(ab)
-        if p[-1] > 1e-280:
-            c = np.cumsum(z[s:e] / p)
-            out[s:e] = p * (x + c)
-            x = out[e - 1]
-        else:
-            # the same fl(a*x + z) per element, on Python floats
-            xs = []
-            for ai, zi in zip(ab.tolist(), z[s:e].tolist()):
-                x = ai * x + zi
-                xs.append(x)
-            out[s:e] = xs
-    return out
-
-
-def _scan_block(rng, kind, size):
-    """Factors and top-ups of one 1024-step block of the given kind."""
-    z = rng.gamma(0.3, 1.0, size)
-    if kind == "formula":  # its prefix product stays above 1e-280
-        a = 0.97 + 0.03 * rng.random(size)
-        hold = rng.random(size) < 0.3
-        a[hold], z[hold] = 1.0, 0.0
-        return a, z
-    u = rng.random(size)
-    zeros = {"mixed": 0.02, "zero-rich": 0.3, "tiny": 0.0}[kind]
-    a = rng.random(size)
-    tiny = u < 0.1
-    a[tiny] = 10.0 ** -rng.uniform(10.0, 300.0, np.count_nonzero(tiny))
-    hold = (u >= 0.1) & (u < 0.8)  # exact ones with zero top-ups
-    a[hold], z[hold] = 1.0, 0.0
-    a[(u >= 0.8) & (u < 0.8 + zeros)] = 0.0
-    z[rng.random(size) < 0.05] = 0.0  # some zero top-ups with other factors
-    a[rng.integers(size)] = 10.0 ** -rng.uniform(285.0, 300.0)  # the product underflows
-    return a, z
-
-
-BLOCK_KINDS = ["formula", "mixed", "zero-rich", "tiny"]
-
-
-def _scan_case(n, kinds, seed):
-    rng = np.random.default_rng(seed)
-    blocks = [_scan_block(rng, kinds[i % len(kinds)], min(1024, n - s))
-              for i, s in enumerate(range(0, n, 1024))]
-    return np.concatenate([b[0] for b in blocks]), np.concatenate([b[1] for b in blocks])
-
-
-def _assert_scan_matches_reference(a, z, x0):
-    ref = _reference_affine_scan_blocks(a, z, x0)
-    assert processes._affine_scan_blocks(a, z, x0).tobytes() == ref.tobytes()
-    out = np.empty(a.size)
-    assert processes._affine_scan_blocks(a, z, x0, out=out) is out
-    assert out.tobytes() == ref.tobytes()
-
-
-# past one group of 16 full blocks, with a short last block
-GROUPS_N = 33 * 1024 + 17
-SCAN_CASES = [
-    (5 * 1024 + 17, ["mixed"]),                     # one run from index 0 to n
-    (5 * 1024 + 17, ["mixed", "formula", "formula"]),  # a run at 0, then formula blocks
-    (5 * 1024 + 17, ["formula", "formula", "zero-rich"]),  # a run that ends at n
-    (5 * 1024 + 17, ["formula", "mixed", "tiny", "zero-rich", "formula"]),  # a run over blocks
-    (5 * 1024 + 17, ["mixed", "formula"]),          # runs alternating with formula blocks
-    (5 * 1024 + 17, ["tiny"]),                      # no zero factor: one segment, one tail
-    (5 * 1024 + 17, ["zero-rich"]),                 # many segments in lockstep
-    (GROUPS_N, ["formula"]),                        # formula carries chained across groups
-    # groups holding both routes; runs over blocks 14-16 and 31-33 cross group
-    # edges, the second into the short last block
-    (GROUPS_N, ["formula"] * 14 + ["mixed", "zero-rich", "tiny"]),
-    (GROUPS_N, ["mixed", "formula"]),               # alternating, a formula last block
-    (GROUPS_N, ["tiny", "formula", "formula", "zero-rich"]),  # runs over blocks 15-16, 31-32
-]
-
-
-@pytest.mark.parametrize("n,kinds", SCAN_CASES,
-                         ids=[f"kinds{i}" for i in range(len(SCAN_CASES))])
-def test_exact_scan_runs_give_the_reference_bytes(n, kinds):
-    a, z = _scan_case(n, kinds, seed=len(kinds))
-    # each kind of block takes the route it is named for
-    routes = [np.cumprod(a[s:s + 1024])[-1] > 1e-280 for s in range(0, a.size, 1024)]
-    assert routes == [kinds[i % len(kinds)] == "formula" for i in range(len(routes))]
-    for x0 in (0.0, 1.7, 3e5):
-        _assert_scan_matches_reference(a, z, x0)
-
-
-@settings(max_examples=150, deadline=None, derandomize=True, database=None)
-@given(n=st.integers(1, 5000) | st.integers(16 * 1024 + 1, 18 * 1024 + 17),
-       kinds=st.lists(st.sampled_from(BLOCK_KINDS), min_size=1, max_size=5),
-       seed=st.integers(0, 2**32 - 1),
-       x0=st.sampled_from([0.0, 1e-300, 0.4, 1.7, 3e5]))
-def test_exact_scan_gives_the_reference_bytes_on_any_block_layout(n, kinds, seed, x0):
-    a, z = _scan_case(n, kinds, seed)
-    _assert_scan_matches_reference(a, z, x0)
-
-
-def _cthin_allocating_reference(grid, params, dep, steps_per_unit, rng):
-    # the lattice loop with fresh arrays per chunk, before its buffers were reused
-    a, b = params.alpha, params.beta
-    eps = 1.0 / steps_per_unit
-    q = dep.rho**eps
-    p = 1.0 - q
-    gen = rng.gen
-    x = gen.gamma(a, 1.0 / b)
-    n_steps = int(np.rint((grid.times[-1] - grid.times[0]) / eps))
-    g1 = gen.gamma(a * p, 1.0, size=n_steps)
-    g2 = gen.gamma(a * q, 1.0, size=n_steps)
-    s = g1 + g2
-    thin = np.where(s > 0.0, g1 / np.where(s > 0.0, s, 1.0), p)
-    zeta = gen.gamma(a * p, 1.0 / b, size=n_steps)
-    lattice = np.concatenate(([x], processes._affine_scan_blocks(1.0 - thin, zeta, x)))
-    idx = np.rint((grid.times - grid.times[0]) / eps).astype(int)
-    return lattice[idx], int(np.sum(s == 0.0))
-
-
-@pytest.mark.parametrize("params,rho", [(GammaParams(2.0, 1.5), 0.5),
-                                        (GammaParams(0.001, 1.0), 0.001)])
-def test_cthin_reused_buffers_give_the_allocating_loop_bytes(params, rho):
-    grid = make_uniform_grid(0.0, 0.5, 30)
-    dep = Dependence.from_rho(rho)
-    path = sample_path(ProcessKind.CONTINUOUSLY_THINNED, derive_stream(9, 2), grid, params, dep,
-                       cthin=CthinConfig(64))
-    ref, underflows = _cthin_allocating_reference(grid, params, dep, 64,
-                                                  derive_stream(9, 2))
-    assert path.values.tobytes() == ref.tobytes()
-    # the small shape makes both beta-stage gammas underflow to 0 at many steps
-    assert (underflows > 0) == (params.alpha < 0.01)
-
-
-CTHIN_POINTS = [(0.01, 0.001), (0.001, 0.5), (0.05, 0.5), (2.0, 0.5)]
-
-
-@pytest.mark.parametrize("steps_per_unit", [64, 256, 4096])
-@pytest.mark.parametrize("alpha,rho", CTHIN_POINTS)
-def test_cthin_gives_the_reference_scan_bytes(monkeypatch, alpha, rho, steps_per_unit):
-    # 8 time units: several scan blocks, and two groups of them at 4096 steps
-    grid = make_uniform_grid(0.0, 1.0, 9)
-    params, dep, config = GammaParams(alpha, 1.0), Dependence.from_rho(rho), CthinConfig(
-        steps_per_unit)
-    exact_runs = []
-    run = processes._exact_affine_run
-    monkeypatch.setattr(processes, "_exact_affine_run",
-                        lambda *args: exact_runs.append(1) or run(*args))
-
-    def both():
-        path = sample_path(ProcessKind.CONTINUOUSLY_THINNED, derive_stream(4, 1), grid, params,
-                           dep, cthin=config)
-        ens = simulate_ensemble(ProcessKind.CONTINUOUSLY_THINNED, grid, params, dep, 6,
-                                master_seed=4, cthin=config)
-        return [path.values.tobytes(), ens.values.tobytes()]
-
-    with monkeypatch.context() as m:
-        m.setattr(processes, "_BLOCK_DRAWS", 2 * grid.n)  # blocks of two paths
-        new = both()
-        m.setattr(processes, "_affine_scan_blocks", _reference_affine_scan_blocks)
-        ref = both()
-    assert new == ref
-    # the small shapes go through the exact route, the default point does not
-    assert bool(exact_runs) == (alpha < 1.0)
+    grid = make_uniform_grid(0.0, 1.0, 100000)
+    params = GammaParams(2.0, 1.0)
+    sample_path(ProcessKind.CONTINUOUSLY_THINNED, derive_stream(1, 0), grid, params, DEP5)
+    tracemalloc.start()
+    try:
+        sample_path(ProcessKind.CONTINUOUSLY_THINNED, derive_stream(1, 0), grid, params, DEP5)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # the 256-per-unit lattice peaked at 11.0 MiB on this path
+    assert peak <= 11.0 * 2**20
 
 
 # -- ensembles -------------------------------------------------------------------
@@ -484,7 +425,7 @@ STREAM_SAMPLERS = {
     "cir-exact": (ProcessKind.SQUARED_OU, {"method": CirMethod.EXACT}),
     "cir-euler": (ProcessKind.SQUARED_OU, {"method": CirMethod.EULER, "substeps": 4}),
     "cir-squared-ou": (ProcessKind.SQUARED_OU, {"method": CirMethod.SQUARED_OU}),
-    "cthin": (ProcessKind.CONTINUOUSLY_THINNED, {"cthin": CthinConfig(64)}),
+    "cthin": (ProcessKind.CONTINUOUSLY_THINNED, {}),
 }
 WIDTH_SAMPLERS = ("ar1", "thinned", "rm", "changepoint")
 
@@ -558,7 +499,7 @@ def _block_reference(kind, grid, params, dep, seed, block, lanes):
 def test_ensemble_blocks_follow_the_block_stream_layout(monkeypatch, sampler, case, lanes):
     kind = STREAM_SAMPLERS[sampler][0]
     grid, params, dep = STREAM_CASES[case]
-    plan = processes._plan_for_kind(kind, grid, params, dep, None, 16, None)
+    plan = processes._plan_for_kind(kind, grid, params, dep, None, 16)
     if lanes is None:  # the real block size
         lanes = processes._BLOCK_DRAWS // plan.width
     else:
@@ -630,20 +571,18 @@ def test_marginal_sample_mean_variance(kind):
     assert abs(np.mean(x) - p.mean) < 4 * se_mean
 
 
-@pytest.mark.parametrize("steps_per_unit", [1, 2])
-def test_cthin_marginal_sample_takes_a_lattice_step_at_coarse_lattices(steps_per_unit):
-    # a quarter time unit rounds to 0 lattice steps here; the sample must still
-    # run the kernel once, not return its Ga(alpha, beta) start draws
+@pytest.mark.parametrize("gap", [1.0, 0.37])
+def test_cthin_marginal_sample_takes_two_lane_steps_of_the_gap(gap):
+    # as for the other kinds: a Ga(alpha, beta) start, then two steps at rho**gap
     n, params = 1000, GammaParams(2.0, 1.0)
     x = marginal_sample(ProcessKind.CONTINUOUSLY_THINNED, n, params, DEP5, master_seed=5,
-                        cthin=CthinConfig(steps_per_unit))
+                        gap=gap)
     g = derive_stream(5, 0).gen
-    start = g.gamma(params.alpha, 1.0 / params.beta, size=n)
-    q = DEP5.rho ** (1.0 / steps_per_unit)
-    step = processes._lane_step(ProcessKind.CONTINUOUSLY_THINNED, g, start, params.alpha,
-                                params.beta, q)
-    assert x.tobytes() != start.tobytes()
-    assert x.tobytes() == step.tobytes()
+    y = g.gamma(params.alpha, 1.0 / params.beta, size=n)
+    for _ in range(2):
+        y = processes._lane_step(ProcessKind.CONTINUOUSLY_THINNED, g, y, params.alpha,
+                                 params.beta, DEP5.rho**gap)
+    assert x.tobytes() == y.tobytes()
 
 
 @pytest.mark.parametrize("kind", [k for k in ProcessKind
@@ -679,7 +618,7 @@ def test_triplet_sample_lag2_correlation_is_rho_squared():
 # processes._lane_step.  The samplers must still give their values bit for bit.
 
 
-def _ref_marginal(kind, n, params, dep, master_seed, gap, method, cthin, euler_burn, substeps):
+def _ref_marginal(kind, n, params, dep, master_seed, gap, method, euler_burn, substeps):
     g = derive_stream(master_seed, 0).gen
     a, b = params.alpha, params.beta
     rho_g = dep.rho ** float(gap)
@@ -739,18 +678,7 @@ def _ref_marginal(kind, n, params, dep, master_seed, gap, method, cthin, euler_b
                 np.maximum(x, 0.0)
             ) * sqh * g.standard_normal(n)
         return x
-    eps = 1.0 / cthin.steps_per_unit
-    n_steps = int(round(0.25 * cthin.steps_per_unit))
-    q = dep.rho**eps
-    p = 1.0 - q
-    x = g.gamma(a, 1.0 / b, size=n)
-    for _ in range(n_steps):
-        g1 = g.gamma(a * p, 1.0, size=n)
-        g2 = g.gamma(a * q, 1.0, size=n)
-        s = g1 + g2
-        thin = np.where(s > 0.0, g1 / np.where(s > 0.0, s, 1.0), p)
-        x = (1.0 - thin) * x + g.gamma(a * p, 1.0 / b, size=n)
-    return x
+    raise UnsupportedKindError(kind)
 
 
 def _ref_triplet(kind, n, params, dep, master_seed, gap):
@@ -791,19 +719,10 @@ def _ref_generator_fd(kind, phi, x0, params, dep, eps, n_mc, master_seed):
     sums, squares, done = [], [], 0
     while done < n_mc:
         nb = min(n_mc - done, 1 << 17)
-        if kind is ProcessKind.SQUARED_OU:
-            rho_d = dep.rho**eps
-            c = b / (1.0 - rho_d)
-            k = g.poisson(c * x0 * rho_d, size=nb)
-            y = g.gamma(a + k, 1.0 / c, size=nb)
-        else:
-            q = dep.rho**eps
-            p = 1.0 - q
-            g1 = g.gamma(a * p, 1.0, size=nb)
-            g2 = g.gamma(a * q, 1.0, size=nb)
-            s = g1 + g2
-            thin = np.where(s > 0.0, g1 / np.where(s > 0.0, s, 1.0), p)
-            y = (1.0 - thin) * x0 + g.gamma(a * p, 1.0 / b, size=nb)
+        rho_d = dep.rho**eps
+        c = b / (1.0 - rho_d)
+        k = g.poisson(c * x0 * rho_d, size=nb)
+        y = g.gamma(a + k, 1.0 / c, size=nb)
         d = (phi.phi(y) - phi_x0) / eps
         sums.append(np.sum(d))
         squares.append(np.sum(d * d))
@@ -828,8 +747,9 @@ KERNEL_POINTS = {
     "small-shape": (GammaParams(0.01, 1.0), Dependence.from_rho(0.001)),
     "large-shape": (GammaParams(37.0, 2.5), Dependence.from_rho(0.999)),
 }
+# cthin's lane step is the series sampler, whose earlier (lattice) body is gone
 KERNEL_SAMPLERS = [(kind, CirMethod.EXACT) for kind in ProcessKind
-                   if kind is not ProcessKind.SQUARED_OU]
+                   if kind not in (ProcessKind.SQUARED_OU, ProcessKind.CONTINUOUSLY_THINNED)]
 KERNEL_SAMPLERS += [(ProcessKind.SQUARED_OU, m) for m in CirMethod]
 
 
@@ -839,9 +759,9 @@ KERNEL_SAMPLERS += [(ProcessKind.SQUARED_OU, m) for m in CirMethod]
                          ids=[f"{k.cli_name}-{m.value}" for k, m in KERNEL_SAMPLERS])
 def test_batch_samplers_equal_their_earlier_bodies(kind, method, point, gap):
     params, dep = KERNEL_POINTS[point]
-    n, cthin = 500, CthinConfig(64)
+    n = 500
     # a short Euler burn-in: rho 0.999 would otherwise take 2e5 substeps
-    opts = {"method": method, "cthin": cthin, "euler_burn": 0.05, "substeps": 4}
+    opts = {"method": method, "euler_burn": 0.05, "substeps": 4}
     got = _outcome(marginal_sample, kind, n, params, dep, 21, gap=gap, **opts)
     assert got == _outcome(_ref_marginal, kind, n, params, dep, 21, gap, **opts)
     if method is CirMethod.EXACT:
@@ -859,7 +779,7 @@ def test_batch_samplers_equal_their_earlier_bodies(kind, method, point, gap):
 
 @pytest.mark.parametrize("n_mc", [3000, (1 << 17) + 5])
 @pytest.mark.parametrize("point", list(KERNEL_POINTS))
-@pytest.mark.parametrize("kind", [ProcessKind.SQUARED_OU, ProcessKind.CONTINUOUSLY_THINNED])
+@pytest.mark.parametrize("kind", [ProcessKind.SQUARED_OU])
 def test_generator_check_equals_its_earlier_step(kind, point, n_mc):
     params, dep = KERNEL_POINTS[point]
     phi = TestFunction.identity()
@@ -891,7 +811,6 @@ GRID3 = make_uniform_grid(0.0, 1.0, 3)
 NON_INTEGRAL = {
     "ensemble-n_paths": lambda: simulate_ensemble(ProcessKind.AR1, GRID3, P11, DEP5, 2.9, 1),
     "ensemble-seed": lambda: simulate_ensemble(ProcessKind.AR1, GRID3, P11, DEP5, 2, 1.7),
-    "cthin-steps": lambda: CthinConfig(2.5),
     "euler-substeps": lambda: sample_path(ProcessKind.SQUARED_OU, derive_stream(0, 0), GRID3,
                                           P11, DEP5, method=CirMethod.EULER, substeps=2.5),
     "marginal-n": lambda: marginal_sample(ProcessKind.AR1, 100.9, P11, DEP5, master_seed=0),
@@ -915,7 +834,6 @@ def test_integral_floats_and_numpy_integers_count_as_their_ints():
     assert ens.master_seed == 1 and type(ens.master_seed) is int
     assert ens.values.tobytes() == simulate_ensemble(ProcessKind.AR1, GRID3, P11, DEP5, 3,
                                                      1).values.tobytes()
-    assert CthinConfig(np.int64(4)).steps_per_unit == 4
     assert (marginal_sample(ProcessKind.AR1, 1e2, P11, DEP5, master_seed=0).tobytes()
             == marginal_sample(ProcessKind.AR1, 100, P11, DEP5, master_seed=0).tobytes())
     assert generator_check(ProcessKind.SQUARED_OU, (TestFunction.identity(),), 1.0, P11, DEP5,

@@ -14,7 +14,6 @@ from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
 from gammaproc import (  # noqa: E402
     CirMethod,
-    CthinConfig,
     Dependence,
     GammaParams,
     NumericalError,
@@ -60,21 +59,19 @@ def _pairs(kind, n, params, dep, master_seed, gap):
 def test_batch_samplers_give_finite_nonnegative_values_or_refuse(kind, alpha, rho, gap):
     params, dep = GammaParams(alpha, 1.0), Dependence.from_rho(rho)
     _finite_nonnegative_or_refused(marginal_sample, kind, params, dep, gap)
-    # cthin refuses a gap off its lattice with a ParameterError
     _finite_nonnegative_or_refused(_pairs, kind, params, dep, gap)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @given(alpha=st.floats(1e-3, 1e3), rho=st.floats(1e-6, 1.0 - 1e-6))
 def test_cthin_paths_and_ensembles_are_finite_and_nonnegative(alpha, rho):
-    grid = make_uniform_grid(0.0, 0.5, 5)  # 128 lattice steps at 64 per unit
-    params, dep, config = GammaParams(alpha, 1.0), Dependence.from_rho(rho), CthinConfig(64)
-    path = sample_path(ProcessKind.CONTINUOUSLY_THINNED, derive_stream(3, 0), grid, params, dep,
-                       cthin=config)
+    grid = make_uniform_grid(0.0, 0.5, 5)
+    params, dep = GammaParams(alpha, 1.0), Dependence.from_rho(rho)
+    path = sample_path(ProcessKind.CONTINUOUSLY_THINNED, derive_stream(3, 0), grid, params, dep)
     with pytest.MonkeyPatch.context() as m:
         m.setattr(processes, "_BLOCK_DRAWS", 2 * grid.n)  # blocks of two paths
         ens = simulate_ensemble(ProcessKind.CONTINUOUSLY_THINNED, grid, params, dep, 6,
-                                master_seed=3, cthin=config)
+                                master_seed=3)
     for values in (path.values, ens.values):
         assert np.all(np.isfinite(values)), (alpha, rho)
         assert np.all(values >= 0.0), (alpha, rho)
@@ -90,9 +87,8 @@ SAMPLERS = {
     "cir-exact": (ProcessKind.SQUARED_OU, {"method": CirMethod.EXACT}),
     "cir-euler": (ProcessKind.SQUARED_OU, {"method": CirMethod.EULER, "substeps": 4}),
     "cir-squared-ou": (ProcessKind.SQUARED_OU, {"method": CirMethod.SQUARED_OU}),
-    "cthin": (ProcessKind.CONTINUOUSLY_THINNED, {"cthin": CthinConfig(64)}),
+    "cthin": (ProcessKind.CONTINUOUSLY_THINNED, {}),
 }
-# gaps are multiples of 1/64, so every grid lies on cthin's lattice
 _GAP = st.integers(1, 96).map(lambda k: k / 64.0)
 
 
@@ -133,7 +129,7 @@ def test_ensembles_extend_across_block_edges(data, sampler, grid, lanes, extra, 
 
     try:
         plan = processes._plan_for_kind(kind, grid, params, dep, opts.get("method"),
-                                        opts.get("substeps", 16), opts.get("cthin"))
+                                        opts.get("substeps", 16))
     except (ParameterError, NumericalError):
         return
     width = plan.width or grid.n
@@ -165,7 +161,7 @@ def test_simulate_rho_and_lambda_spellings_give_the_same_bytes(process, lam, n, 
     rho = math.exp(-lam)  # the rho that --lambda lam resolves to
     process, _, method = process.partition(":")
     base = ["simulate", "--process", process, "--n", str(n), "--dt", "0.5", "--paths", "5",
-            "--seed", "3", "--cthin-steps", "64", "--format", fmt,
+            "--seed", "3", "--format", fmt,
             "--cir-method", method or "exact"]
     outputs = []
     for spelling in (["--rho", repr(rho)], ["--lambda", repr(lam)]):
