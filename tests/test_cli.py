@@ -754,6 +754,11 @@ def test_a_times_entry_that_is_not_a_number_exits_2(tmp_path, capsys, monkeypatc
     ["simulate", "--process", "ar1", "--format", "json", "--euler-substeps", "-3"],
     ["verify", "--process", "cir", "--suite", "marginal", "--euler-substeps", "0"],
     ["compare", "--process-a", "thinned", "--process-b", "rm", "--euler-substeps", "0"],
+    # with the Euler scheme chosen, and where no kind of the run reads the option
+    ["simulate", "--process", "cir", "--cir-method", "euler", "--euler-substeps", "0"],
+    ["verify", "--process", "cthin", "--suite", "tail", "--euler-substeps", "-3"],
+    ["compare", "--process-a", "cir", "--process-b", "cthin", "--cir-method", "euler",
+     "--euler-substeps", "0"],
 ])
 def test_a_non_positive_step_count_exits_2_before_sampling(tmp_path, capsys, monkeypatch, argv):
     _no_sampler(monkeypatch)

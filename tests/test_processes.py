@@ -218,6 +218,29 @@ def test_cir_method_parse():
         CirMethod.parse("heun")
 
 
+@pytest.mark.parametrize("shared", [True, False], ids=["shared", "per-lane"])
+@pytest.mark.parametrize("lanes", [1, 3, 16, 40])
+def test_affine_recursion_equals_a_scalar_loop(lanes, shared):
+    # below 16 lanes the rows run on Python floats, 4096 steps at a time; from 16
+    # on as numpy columns.  Either way each element is fl(fl(a x) + z).
+    rng = np.random.default_rng(lanes)
+    steps = 2 * 4096 + 37
+    a = rng.random(steps if shared else (lanes, steps))
+    a.flat[::97] = 0.0
+    a.flat[5::89] = 1e-300  # the product underflows
+    z = rng.gamma(0.3, 1.0, (lanes, steps))
+    z[:, ::13] = 0.0
+    x0 = rng.gamma(2.0, 1.0, lanes)
+    out = processes._affine_recursion(a, z, x0)
+    a_rows = np.broadcast_to(a, z.shape)
+    for i in range(lanes):
+        x, want = float(x0[i]), [float(x0[i])]
+        for ak, zk in zip(a_rows[i].tolist(), z[i].tolist()):
+            x = ak * x + zk
+            want.append(x)
+        assert out[i].tobytes() == np.array(want).tobytes()
+
+
 def _cthin_reference_factors(gen, a, b, steps):
     """(M, Z) of every segment, event by event on Python floats, from the draws
     ``processes._cthin_factors`` documents, in its stream order (one chunk)."""
@@ -243,7 +266,7 @@ def _cthin_reference_factors(gen, a, b, steps):
         m, z = 1.0, 0.0
         for k in range(size):
             decay = math.exp(-drift * h[i])
-            scale = (1.0 - decay) / (drift * h[i] * b) if h[i] > 0.0 else 1.0 / b
+            scale = -math.expm1(-drift * h[i]) / (drift * h[i] * b) if h[i] > 0.0 else 1.0 / b
             m, z = m * decay, z * decay + tops[i] * scale
             if k < size - 1:  # every interval but the segment's last ends in an event
                 m, z = m * mult[e], z * mult[e]
@@ -280,16 +303,27 @@ def test_cthin_alias_table_draws_each_component_at_its_rate(alpha):
     assert rate == pytest.approx(alpha * math.fsum(w), rel=1e-12)
 
 
+def _cthin_chunk_cuts(a, steps):
+    """Where ``processes._cthin_factors`` cuts a run of segments into chunks of
+    about ``processes._CTHIN_CHUNK`` expected intervals."""
+    chunk = processes._CTHIN_CHUNK
+    cost = np.cumsum(processes._cthin_series(a)[0] * steps + 1.0)
+    return [0, *np.searchsorted(cost, np.arange(chunk, cost[-1], chunk)).tolist(), steps.size]
+
+
+def _cthin_reference_chunks(gen, a, b, steps):
+    """``_cthin_reference_factors`` chunk by chunk, as ``processes._cthin_factors`` draws."""
+    cuts = _cthin_chunk_cuts(a, steps)
+    return np.concatenate([_cthin_reference_factors(gen, a, b, steps[lo:hi])
+                           for lo, hi in zip(cuts[:-1], cuts[1:]) if hi > lo], axis=1)
+
+
 def test_cthin_chunks_give_the_one_chunk_factors(monkeypatch):
     steps = np.linspace(0.1, 1.0, 40)
     one = processes._cthin_factors(derive_stream(5, 0).gen, 2.0, 1.0, steps)
     monkeypatch.setattr(processes, "_CTHIN_CHUNK", 64)  # chunks of a few segments
-    gen = derive_stream(5, 0).gen
-    cost = np.cumsum(processes._cthin_series(2.0)[0] * steps + 1.0)
-    cuts = [0, *np.searchsorted(cost, np.arange(64, cost[-1], 64)).tolist(), steps.size]
-    assert len(set(cuts)) > 5
-    ref = np.concatenate([_cthin_reference_factors(gen, 2.0, 1.0, steps[lo:hi])
-                          for lo, hi in zip(cuts[:-1], cuts[1:]) if hi > lo], axis=1)
+    assert len(set(_cthin_chunk_cuts(2.0, steps))) > 5
+    ref = _cthin_reference_chunks(derive_stream(5, 0).gen, 2.0, 1.0, steps)
     chunked = processes._cthin_factors(derive_stream(5, 0).gen, 2.0, 1.0, steps)
     np.testing.assert_allclose(chunked, ref, rtol=1e-8, atol=1e-300)
     assert chunked[0].tobytes() != one[0].tobytes()  # the chunks are part of the stream layout
@@ -616,6 +650,9 @@ def test_triplet_sample_lag2_correlation_is_rho_squared():
 # The _ref_* functions are the batch samplers and the generator-check step as
 # they were written before each kind's one-gap lane update moved into
 # processes._lane_step.  The samplers must still give their values bit for bit.
+# cthin's lane step has no earlier body of its own (the lattice it replaced drew
+# another law): its reference is the event-by-event series of
+# _cthin_reference_chunks, on the same draws, which equals it to rounding.
 
 
 def _ref_marginal(kind, n, params, dep, master_seed, gap, method, euler_burn, substeps):
@@ -642,6 +679,12 @@ def _ref_marginal(kind, n, params, dep, master_seed, gap, method, euler_burn, su
         x = np.zeros(n)
         for block in [(2, 2), (1, 2), (0, 2)]:
             x += g.gamma(a * shapes[block], 1.0 / b, size=n)
+        return x
+    if kind is ProcessKind.CONTINUOUSLY_THINNED:
+        x = g.gamma(a, 1.0 / b, size=n)
+        for _ in range(2):
+            m, z = _cthin_reference_chunks(g, a, b, np.full(n, -math.log(rho_g)))
+            x = m * x + z
         return x
     if kind is ProcessKind.CHANGE_POINT:
         x = g.gamma(a, 1.0 / b, size=n)
@@ -720,9 +763,13 @@ def _ref_generator_fd(kind, phi, x0, params, dep, eps, n_mc, master_seed):
     while done < n_mc:
         nb = min(n_mc - done, 1 << 17)
         rho_d = dep.rho**eps
-        c = b / (1.0 - rho_d)
-        k = g.poisson(c * x0 * rho_d, size=nb)
-        y = g.gamma(a + k, 1.0 / c, size=nb)
+        if kind is ProcessKind.CONTINUOUSLY_THINNED:
+            m, z = _cthin_reference_chunks(g, a, b, np.full(nb, -math.log(rho_d)))
+            y = m * x0 + z
+        else:
+            c = b / (1.0 - rho_d)
+            k = g.poisson(c * x0 * rho_d, size=nb)
+            y = g.gamma(a + k, 1.0 / c, size=nb)
         d = (phi.phi(y) - phi_x0) / eps
         sums.append(np.sum(d))
         squares.append(np.sum(d * d))
@@ -747,9 +794,8 @@ KERNEL_POINTS = {
     "small-shape": (GammaParams(0.01, 1.0), Dependence.from_rho(0.001)),
     "large-shape": (GammaParams(37.0, 2.5), Dependence.from_rho(0.999)),
 }
-# cthin's lane step is the series sampler, whose earlier (lattice) body is gone
 KERNEL_SAMPLERS = [(kind, CirMethod.EXACT) for kind in ProcessKind
-                   if kind not in (ProcessKind.SQUARED_OU, ProcessKind.CONTINUOUSLY_THINNED)]
+                   if kind is not ProcessKind.SQUARED_OU]
 KERNEL_SAMPLERS += [(ProcessKind.SQUARED_OU, m) for m in CirMethod]
 
 
@@ -763,7 +809,13 @@ def test_batch_samplers_equal_their_earlier_bodies(kind, method, point, gap):
     # a short Euler burn-in: rho 0.999 would otherwise take 2e5 substeps
     opts = {"method": method, "euler_burn": 0.05, "substeps": 4}
     got = _outcome(marginal_sample, kind, n, params, dep, 21, gap=gap, **opts)
-    assert got == _outcome(_ref_marginal, kind, n, params, dep, 21, gap, **opts)
+    want = _outcome(_ref_marginal, kind, n, params, dep, 21, gap, **opts)
+    if kind is ProcessKind.CONTINUOUSLY_THINNED:
+        # the factors test's bound: Z carries the kernel's log-space cumsum rounding
+        np.testing.assert_allclose(np.frombuffer(got), np.frombuffer(want), rtol=1e-8,
+                                   atol=1e-300)
+    else:
+        assert got == want
     if method is CirMethod.EXACT:
         try:
             want = _outcome(_ref_triplet, kind, n, params, dep, 22, gap)
@@ -777,9 +829,14 @@ def test_batch_samplers_equal_their_earlier_bodies(kind, method, point, gap):
             == _ref_walker(n, params, rho, 23).tobytes())
 
 
+# cthin's check against its event-by-event reference: both compose the same
+# draws, in another order of roundings; the worst of the six cases reads 1e-14
+RTOL_CTHIN_FD = 1e-12
+
+
 @pytest.mark.parametrize("n_mc", [3000, (1 << 17) + 5])
 @pytest.mark.parametrize("point", list(KERNEL_POINTS))
-@pytest.mark.parametrize("kind", [ProcessKind.SQUARED_OU])
+@pytest.mark.parametrize("kind", [ProcessKind.SQUARED_OU, ProcessKind.CONTINUOUSLY_THINNED])
 def test_generator_check_equals_its_earlier_step(kind, point, n_mc):
     params, dep = KERNEL_POINTS[point]
     phi = TestFunction.identity()
@@ -787,7 +844,11 @@ def test_generator_check_equals_its_earlier_step(kind, point, n_mc):
     for x0 in (0.0, 2.0):
         (chk,) = generator_check(kind, (phi,), x0, params, dep, n_mc=n_mc, master_seed=24)
         fd, se = _ref_generator_fd(kind, phi, x0, params, dep, eps, n_mc, 24)
-        assert (chk.fd_estimate, chk.se) == (fd, se)
+        if kind is ProcessKind.CONTINUOUSLY_THINNED:
+            assert chk.fd_estimate == pytest.approx(fd, rel=RTOL_CTHIN_FD)
+            assert chk.se == pytest.approx(se, rel=RTOL_CTHIN_FD)
+        else:
+            assert (chk.fd_estimate, chk.se) == (fd, se)
 
 
 @pytest.mark.parametrize("n_mc", [3000, (1 << 17) + 5])
