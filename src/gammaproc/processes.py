@@ -671,24 +671,47 @@ class _SquaredOuPlan(_Plan):
         return np.fromiter(((z * z).sum() for z in walk), float, count=self.n) / self.two_beta
 
 
-# Downward-jump components the cthin series keeps (j < _CTHIN_TERMS); the
-# rest become a deterministic decay.  Part of the stream layout (the alias
-# table's width), so changing it changes every cthin value.
-_CTHIN_TERMS = 1 << 12
+# Downward-jump components the cthin series draws as events (j < _CTHIN_TERMS);
+# a gamma subordinator in log space stands for the rest.  Part of the stream
+# layout (the alias table's width), so changing it changes every cthin value.
+_CTHIN_TERMS = 1 << 8
 # Expected intervals between events per draw chunk of the cthin series (about
 # 0.5 MiB per float vector); a longer segment goes in equal pieces.  Part of
 # the stream layout.
 _CTHIN_CHUNK = 1 << 16
+# Floor of a cthin log multiplier; exp of it, and of anything below -745, is 0.
+_CTHIN_LOG_FLOOR = -800.0
+
+
+def _cthin_remainder(a):
+    """(k, v): R = exp(-Ga(k t, v)) stands for the cthin components j >= J over lam-time t.
+
+    Their log multipliers y = -log m have Levy density
+    a e^(-(a+J) y) / (1 - e^(-y)), nearly a gamma process's a e^(-(a+J) y) / y.
+    The shape k and rate v make E[R] and E[R^2] fall at the components'
+    own rates, c = a / (a + J) and c + a / (a + J + 1): k log1p(1/v) = c, and
+    the log-variance rate 2 c - (c + a / (a + J + 1)) = c / (a + J + 1) is
+    k log1p(1 / (v (v + 2))).  Their ratio fixes v, found by bisection
+    between a + J - 1 and a + J (it is about a + J - 1/2).
+    """
+    big = a + _CTHIN_TERMS
+    lo, hi = big - 1.0, big
+    while lo < (mid := 0.5 * (lo + hi)) < hi:
+        below = (big + 1.0) * math.log1p(1.0 / (mid * (mid + 2.0))) > math.log1p(1.0 / mid)
+        lo, hi = (mid, hi) if below else (lo, mid)
+    return a / big / math.log1p(1.0 / lo), lo
 
 
 @functools.lru_cache(maxsize=16)
 def _cthin_series(a):
-    """(rate, drift, prob, alias): the cthin series at shape a, per unit of lam * time.
+    """(rate, drift, rem_shape, rem_rate, prob, alias): the cthin series at shape a, per lam-time.
 
     Component j < J (J = ``_CTHIN_TERMS``) jumps at rate a / (a + j), so the
-    events come at rate a * sum_j 1 / (a + j), and an event's component is
-    j with probability proportional to 1 / (a + j).  Components j >= J are a
-    deterministic decay at rate a / (a + J).  ``prob`` and ``alias`` are a
+    events come at rate a * sum_j 1 / (a + j) (at most J), and an event's
+    component is j with probability proportional to 1 / (a + j).  The
+    components j >= J lower E[X] at rate ``drift`` = a / (a + J); over an
+    interval of length h they are the factor R = exp(-G), G ~ Ga(``rem_shape`` h,
+    ``rem_rate``) (``_cthin_remainder``).  ``prob`` and ``alias`` are a
     Walker alias table of the components: a uniform V in [0, J) picks
     column k = floor(V), which is j = k if V - k < prob[k], else alias[k].
     The weights decrease in j, so the columns above the mean (0 .. big - 1)
@@ -710,7 +733,7 @@ def _cthin_series(a):
     prob[big - 1], alias[big - 1] = 1.0, big - 1
     prob.setflags(write=False)  # the cache hands the same arrays to every caller
     alias.setflags(write=False)
-    return a * w.sum(), a / (a + _CTHIN_TERMS), prob, alias
+    return (a * w.sum(), a / (a + _CTHIN_TERMS), *_cthin_remainder(a), prob, alias)
 
 
 def _cthin_pieces(a, steps):
@@ -724,10 +747,14 @@ def _cthin_pieces(a, steps):
 def _cthin_chunk(gen, a, b, steps):
     """(M, Z) of one chunk of segments: X_end = M X_start + Z over each (``_CthinPlan``).
 
-    The log factors after each top-up come from one cumsum over the chunk, so
-    each carries an absolute rounding error of about |that sum| * 2**-53.
+    A top-up's log factor sums the logs after it in its own segment, from
+    the segment's end back, so its rounding error is that of those terms and
+    of one subtraction of the next segment's log M, not of the chunk's sums.
+    A log multiplier below ``_CTHIN_LOG_FLOOR`` is raised to it: every
+    factor it enters is exp(< -745) = 0 either way, and no sum holds a term
+    larger than 800 in size.
     """
-    rate, drift, prob, alias = _cthin_series(a)
+    rate, drift, rem_shape, rem_rate, prob, alias = _cthin_series(a)
     sizes = _poisson_counts(gen, rate * steps, "cthin series: the jump count") + 1
     ends = np.cumsum(sizes)
     starts, last, n = ends - sizes, ends - 1, int(ends[-1])
@@ -738,16 +765,25 @@ def _cthin_chunk(gen, a, b, steps):
     events[last] = False
     v = gen.random(n - steps.size) * _CTHIN_TERMS
     k = v.astype(np.intp)
-    log_m = np.zeros(n)
-    component = np.where(v - k < prob[k], k, alias[k])
-    log_m[events] = gen.standard_exponential(v.size) / -(a + component)
-    decay = drift * h
-    z = gen.standard_gamma(a * h)
-    # the top-up's mean with the decay inside its interval: (a h / b) (1 - e^-decay) / decay
-    z *= np.divide(-np.expm1(-decay), decay * b, out=np.full(n, 1.0 / b), where=decay > 0.0)
-    s = np.cumsum(log_m - decay)
-    z *= np.exp(np.repeat(s[last], sizes) - s + log_m)
-    return np.exp(np.add.reduceat(log_m, starts) - drift * steps), np.add.reduceat(z, starts)
+    k = np.where(v - k < prob[k], k, alias[k])
+    log_f = np.zeros(n)  # each interval's log factor, the event that ends it included
+    log_f[events] = np.maximum(gen.standard_exponential(v.size) / -(a + k), _CTHIN_LOG_FLOOR)
+    del v, k
+    z, rem = gen.standard_gamma(np.concatenate((a * h, rem_shape * h))).reshape(2, n)
+    rem /= rem_rate  # -log R, the remainder over each interval
+    log_f -= rem
+    log_m = np.add.reduceat(log_f, starts)
+    # each interval's log factor to its segment's end: a running sum from the
+    # chunk's end, restarted at each segment's end, less what the restarts carry
+    log_f[last[:-1]] -= log_m[1:]
+    log_f = np.cumsum(log_f[::-1])[::-1]
+    log_f -= np.repeat(np.append(log_f[starts[1:]] - log_m[1:], 0.0), sizes)
+    # a top-up takes R^(1/2) of its own interval (a midpoint rule) and every
+    # factor after it in its segment; over (1 - e^-ch) / (ch) E[R^(1/2)] its mean is exact
+    c = drift * h
+    z *= np.divide(-np.expm1(-c), c, out=np.ones(n), where=c > 0.0)
+    z *= np.exp(0.5 * rem + log_f + h * (rem_shape * math.log1p(0.5 / rem_rate)))
+    return np.exp(log_m), np.add.reduceat(z, starts) / b
 
 
 def _cthin_factors(gen, a, b, steps):
@@ -775,30 +811,39 @@ class _CthinPlan(_Plan):
     stream of rate a lam / (a + j) whose multipliers are U^(1/(a+j)), and
     X_t = X_0 prod(m) + the top-ups, each times the multipliers after it
     (a series representation, Rosinski 2001).  The components j < J
-    (J = ``_CTHIN_TERMS`` = 4096) are kept and the rest replaced by a
-    deterministic decay at rate c = a lam / (a + J).  The kept components
-    lower E[X | x] at rate sum_j a lam / ((a+j)(a+j+1)) = lam - c, so with
-    the decay the conditional mean falls at exactly lam: the mean and the
-    rho**|s-t| autocorrelation are exact.  The conditional second moment
-    falls faster than the limit's by a lam [1/(a+J) - 1/(a+J+1)] < a lam / J^2,
-    so the stationary variance is low by a (a+1)^2 / ((a+J)(a+J+1)(2a+1))
-    of itself: 3e-6 at alpha 10, 7e-5 at 50, 3e-4 at 100 and 2% at 1000.
-    The series makes a lam (psi(a+J) - psi(a)) events per unit of time, so
-    its cost grows with alpha.
+    (J = ``_CTHIN_TERMS`` = 256) are drawn as events, at rate
+    a lam sum_j 1 / (a + j), which is below J lam at every shape.  The
+    rest have log multipliers y = -log m with Levy density
+    a lam e^(-(a+J) y) / (1 - e^(-y)), jumps of size about 1 / (a + J):
+    as Asmussen and Rosinski (2001) replace small jumps by a Brownian
+    motion, they become one process, here a gamma subordinator in log space
+    (it keeps the density's 1/y pole), R = exp(-Ga(k lam t, v)) over time t,
+    with k and v chosen so that E[R] and E[R^2] fall at the components' own
+    rates (``_cthin_remainder``).  The generator is then exact on
+    polynomials of degree 2: the mean, the variance and the rho**|s-t|
+    autocorrelation of the process are the limit's at every shape.  Higher
+    moments differ by the gap between the two densities, a relative O(y) at
+    the remainder's jump sizes y ~ 1 / (a + J).
 
     Over a segment of lam-time t (a grid gap times lam, or a lane's step),
     N ~ Po(a t sum_j 1/(a+j)) events split it into N + 1 intervals, whose
-    lengths are t times N + 1 exponential spacings over their sum.  Each event draws its
-    component from an alias table and its log multiplier -E / (a + j), and
-    each interval of length h a top-up Ga(a h, b) times
-    (1 - e^(-c h)) / (c h), which makes its mean, decay included, exact.
+    lengths are t times N + 1 exponential spacings over their sum.  Each
+    event draws its component from an alias table and its log multiplier
+    -E / (a + j); each interval of length h draws its remainder factor R
+    and a top-up Ga(a h, b), which enters at R^(1/2), as if at the
+    interval's midpoint, and is scaled so that its mean is exact.
     Composing the intervals in log space gives the segment's
     X_end = M X_start + Z, with no beta ratio to cancel at small shapes.
+    To second order the midpoint is the one approximation: it leaves the
+    top-ups' second moments off by O(h^2) per interval, a bias in the
+    stationary variance below 2 / J^2 (3e-5) of it, to leading order in h,
+    at every shape.
     A path is X_0 ~ Ga(a, b) and then fl(M_k x + Z_k) gap by gap
     (``_affine_recursion``); a gap of more than ``_CTHIN_CHUNK`` expected
     intervals is drawn in equal pieces.  Stream order: X_0, then per chunk of
     segments (``_cthin_factors``) every segment's count, all spacings, all
-    component uniforms, all multiplier exponentials, all top-up gammas.
+    component uniforms, all multiplier exponentials, all top-up gammas, all
+    remainder gammas.
     """
 
     def __init__(self, grid, params, dep):

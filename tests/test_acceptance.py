@@ -154,6 +154,34 @@ def test_criterion_01_cthin_marginal_at_small_shapes(capsys):
             f"{crit:.5f}; the lattice control at alpha 0.02 reads {control:.4f} (must fail)")
 
 
+def _cthin_variance_z(alpha, n, seed):
+    """z of the sample variance of n cthin lanes a unit of lam-time after a Ga(alpha, 1) start."""
+    g = derive_stream(seed, 0).gen
+    x = g.gamma(alpha, 1.0, size=n)
+    y = processes._lane_step(ProcessKind.CONTINUOUSLY_THINNED, g, x, alpha, 1.0, math.exp(-1.0))
+    return (y.var(ddof=1) - alpha) / (alpha * math.sqrt(2.0 / (n - 1) + 6.0 / (alpha * n)))
+
+
+def test_criterion_01_cthin_variance_at_large_shapes(capsys, monkeypatch):
+    # the stationary law keeps its variance alpha under the series at large shapes,
+    # where a remainder without variance would lose much of it
+    n = 20000
+    z = {alpha: _cthin_variance_z(alpha, n, MASTER + k) for k, alpha in enumerate((300.0, 1000.0))}
+    # power control: the components j >= J as a deterministic decay at their mean
+    # rate c, a gamma remainder of rate 1e12 (variance c/1e12 per unit of lam-time),
+    # which lowers the stationary variance by a (a+1)^2 / ((a+J)(a+J+1)(2a+1))
+    monkeypatch.setattr(processes, "_cthin_series",
+                        functools.lru_cache(maxsize=16)(processes._cthin_series.__wrapped__))
+    monkeypatch.setattr(processes, "_cthin_remainder",
+                        lambda a: (a / (a + processes._CTHIN_TERMS) / math.log1p(1e-12), 1e12))
+    control = _cthin_variance_z(300.0, n, MASTER)
+    ok = max(abs(v) for v in z.values()) <= 4.0 and abs(control) > 4.0
+    _report(capsys, "criterion 1c", ok,
+            f"cthin variance one lam-time after a Ga(alpha, 1) start, n={n}: z "
+            + ", ".join(f"{v:.2f} at alpha {a:g}" for a, v in z.items())
+            + f" (<= 4); a deterministic remainder at alpha 300 reads z {control:.1f} (must fail)")
+
+
 # -- criterion 2: autocorrelation -------------------------------------------------
 
 

@@ -244,7 +244,7 @@ def test_affine_recursion_equals_a_scalar_loop(lanes, shared):
 def _cthin_reference_factors(gen, a, b, steps):
     """(M, Z) of every segment, event by event on Python floats, from the draws
     ``processes._cthin_factors`` documents, in its stream order (one chunk)."""
-    rate, drift, prob, alias = processes._cthin_series(a)
+    rate, drift, rem_shape, rem_rate, prob, alias = processes._cthin_series(a)
     terms = processes._CTHIN_TERMS
     sizes = (gen.poisson(rate * steps) + 1).tolist()
     spacing = gen.standard_exponential(sum(sizes))
@@ -261,13 +261,17 @@ def _cthin_reference_factors(gen, a, b, steps):
         h += (t * seg / seg.sum()).tolist()
         pos += size
     tops = gen.standard_gamma(a * np.array(h)).tolist()
+    rems = gen.standard_gamma(rem_shape * np.array(h)).tolist()
     out, i, e = [], 0, 0
     for size in sizes:
         m, z = 1.0, 0.0
         for k in range(size):
-            decay = math.exp(-drift * h[i])
-            scale = -math.expm1(-drift * h[i]) / (drift * h[i] * b) if h[i] > 0.0 else 1.0 / b
-            m, z = m * decay, z * decay + tops[i] * scale
+            r = math.exp(-rems[i] / rem_rate)  # the remainder factor R of the interval
+            # the top-up enters at R^(1/2), times (1 - e^-ch) / (ch) / E[R^(1/2)]
+            c = drift * h[i]
+            scale_i = -math.expm1(-c) / c if c > 0.0 else 1.0
+            scale_i /= (rem_rate / (rem_rate + 0.5)) ** (rem_shape * h[i])
+            m, z = m * r, z * r + tops[i] * scale_i / b * math.sqrt(r)
             if k < size - 1:  # every interval but the segment's last ends in an event
                 m, z = m * mult[e], z * mult[e]
                 e += 1
@@ -283,14 +287,12 @@ def test_cthin_series_factors_equal_an_event_by_event_reference(alpha):
     m, z = processes._cthin_factors(derive_stream(3, 0).gen, alpha, 1.5, steps)
     ref_m, ref_z = _cthin_reference_factors(derive_stream(3, 0).gen, alpha, 1.5, steps)
     np.testing.assert_allclose(m, ref_m, rtol=1e-12, atol=0.0)
-    # Z sums logs over the chunk in one cumsum, so it carries a relative error of
-    # about |that sum| * 2**-53, up to about 1e-10 at alpha 0.02
-    np.testing.assert_allclose(z, ref_z, rtol=1e-8, atol=1e-300)
+    np.testing.assert_allclose(z, ref_z, rtol=1e-12, atol=1e-300)
 
 
 @pytest.mark.parametrize("alpha", [0.001, 0.05, 2.0, 37.0, 5000.0])
 def test_cthin_alias_table_draws_each_component_at_its_rate(alpha):
-    rate, drift, prob, alias = processes._cthin_series(alpha)
+    rate, drift, _, _, prob, alias = processes._cthin_series(alpha)
     terms = processes._CTHIN_TERMS
     # column k gives j = k with probability prob[k] and alias[k] otherwise
     implied = prob.copy()
@@ -301,6 +303,20 @@ def test_cthin_alias_table_draws_each_component_at_its_rate(alpha):
     # the kept components and the drift lower the conditional mean at rate 1 (per lam)
     assert math.fsum(alpha * w / (alpha + 1.0 + np.arange(terms))) + drift == pytest.approx(1.0)
     assert rate == pytest.approx(alpha * math.fsum(w), rel=1e-12)
+
+
+@pytest.mark.parametrize("alpha", [1e-8, 0.001, 0.05, 2.0, 37.0, 5000.0, 1e9, 1e15])
+def test_cthin_remainder_keeps_the_first_two_moment_rates(alpha):
+    # R = exp(-Ga(k t, v)) over lam-time t: E[R] and E[R^2] fall at the rates of
+    # the components j >= J it replaces, sum_j a/((a+j)(a+j+s)) for s = 1, 2
+    _, drift, k, v, _, _ = processes._cthin_series(alpha)
+    big = alpha + processes._CTHIN_TERMS
+    assert drift == alpha / big
+    assert k * math.log1p(1.0 / v) == pytest.approx(alpha / big, rel=1e-14)
+    assert k * math.log1p(2.0 / v) == pytest.approx(alpha / big + alpha / (big + 1.0), rel=1e-14)
+    # the log-variance rate, a difference of the two, to the same relative precision
+    assert k * math.log1p(1.0 / (v * (v + 2.0))) == pytest.approx(
+        alpha / (big * (big + 1.0)), rel=1e-14)
 
 
 def _cthin_chunk_cuts(a, steps):
@@ -325,7 +341,7 @@ def test_cthin_chunks_give_the_one_chunk_factors(monkeypatch):
     assert len(set(_cthin_chunk_cuts(2.0, steps))) > 5
     ref = _cthin_reference_chunks(derive_stream(5, 0).gen, 2.0, 1.0, steps)
     chunked = processes._cthin_factors(derive_stream(5, 0).gen, 2.0, 1.0, steps)
-    np.testing.assert_allclose(chunked, ref, rtol=1e-8, atol=1e-300)
+    np.testing.assert_allclose(chunked, ref, rtol=1e-12, atol=1e-300)
     assert chunked[0].tobytes() != one[0].tobytes()  # the chunks are part of the stream layout
 
 
@@ -811,8 +827,8 @@ def test_batch_samplers_equal_their_earlier_bodies(kind, method, point, gap):
     got = _outcome(marginal_sample, kind, n, params, dep, 21, gap=gap, **opts)
     want = _outcome(_ref_marginal, kind, n, params, dep, 21, gap, **opts)
     if kind is ProcessKind.CONTINUOUSLY_THINNED:
-        # the factors test's bound: Z carries the kernel's log-space cumsum rounding
-        np.testing.assert_allclose(np.frombuffer(got), np.frombuffer(want), rtol=1e-8,
+        # the factors test's bound: Z composes its factors in log space
+        np.testing.assert_allclose(np.frombuffer(got), np.frombuffer(want), rtol=1e-12,
                                    atol=1e-300)
     else:
         assert got == want
