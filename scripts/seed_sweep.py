@@ -13,9 +13,10 @@ Runs, for each seed s = first, first + 1, ..., first + K - 1:
 * ``compare --points 2 --process-a thinned --process-b rm --seed s``, whose
   two processes share every two-point law, so ``max_z < 4`` is the null
   (pass: the report's ``max_z`` is below 4);
-* ``compare --points 3`` of thinned against thinned and of rm against rm,
-  the same-kind nulls of the triplet separation (seeds s and s + 1; pass:
-  ``max_z`` below 4).
+* ``compare --points 3`` of thinned against thinned, rm against rm, cir
+  against cir and cthin against cthin, the same-kind nulls of the triplet
+  separation (seeds s and s + 1; pass: ``max_z`` below 4); the cir and
+  cthin nulls check the calibration of their ensembles' blocks of lanes.
 
 Each command runs at its own default number of paths.
 
@@ -69,7 +70,8 @@ def _checks(times):
         yield (f"verify generator {kind.cli_name}",
                ["verify", "--process", kind.cli_name, "--suite", "generator"],
                checks_passed)
-    for a, b, points in (("thinned", "rm", "2"), ("thinned", "thinned", "3"), ("rm", "rm", "3")):
+    for a, b, points in (("thinned", "rm", "2"), ("thinned", "thinned", "3"), ("rm", "rm", "3"),
+                         ("cir", "cir", "3"), ("cthin", "cthin", "3")):
         yield (f"compare {a}/{b} {points}-point",
                ["compare", "--process-a", a, "--process-b", b, "--points", points],
                null_passed)

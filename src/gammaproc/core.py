@@ -274,8 +274,11 @@ class Ensemble:
     ``values[m, k]`` is path ``m`` at grid time ``k``.  Path ``m`` is a pure
     function of ``(master_seed, m)``, regardless of how many other paths
     exist; the ``processes`` module docstring gives the block-stream rule.
-    Where a kind's blocks hold one path, path ``m`` is
-    ``sample_path(kind, derive_stream(master_seed, m), ...)``.
+    Where a kind's blocks hold one path (Euler and squared-OU always, every
+    other kind once a path takes more than 8192 draws, or for cthin
+    expected series intervals), path ``m`` is
+    ``sample_path(kind, derive_stream(master_seed, m), ...)``; in a block of
+    more paths it is not, as a block draws each step for all of its paths.
     ``values`` is held read-only, as in ``SamplePath``.
     """
 

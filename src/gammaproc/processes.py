@@ -11,15 +11,19 @@ order, documented on the kind's plan class, so a path is a deterministic
 function of the stream.  In ``simulate_ensemble`` path ``m`` is a function
 of ``(master_seed, m)`` alone, independent of how many paths are simulated:
 paths run in blocks of ``B``, and path ``m`` is lane ``m % B`` of the block
-drawn from the head of ``derive_stream(master_seed, m // B)``, in
-``sample_path``'s stream layout with every draw taken for all ``B`` lanes at
-once.  ``B`` depends on the kind:
+drawn from the head of ``derive_stream(master_seed, m // B)``, in the
+block's stream layout, which each plan class documents: ``sample_path``'s
+layout with every draw taken for all ``B`` lanes at once, except that exact
+cir blocks of fewer than ``_VECTOR_LANES`` lanes draw lane after lane and
+cthin runs its series over every lane's segments, lane-major.  ``B``
+depends on the kind:
 
-* ``max(1, _BLOCK_DRAWS // width)`` for the plans with a ``width`` of raw
-  draws per path: ar1, thinned, changepoint and rm (up to ``_PLAN_CELLS``
-  cells);
-* 1 for the plans that simulate whole paths: exact cir, Euler, squared-OU,
-  cthin and rm past ``_PLAN_CELLS`` cells.
+* ``max(1, _BLOCK_DRAWS // width)`` for the plans with a ``width`` per
+  path: ar1, thinned, changepoint and rm (up to ``_PLAN_CELLS`` cells) and
+  exact cir, whose width is their raw draws, and cthin, whose width is 1 +
+  its series' expected intervals;
+* 1 for the plans that simulate whole paths: Euler, squared-OU and rm past
+  ``_PLAN_CELLS`` cells.
 
 When ``B == 1`` path ``m`` is ``sample_path`` of the same kind and options
 on ``derive_stream(master_seed, m)``, byte for byte.
@@ -42,9 +46,10 @@ Paths and ensembles run on one engine, in three steps:
   block; recursions stay fl(rho * x + zeta) element by element.
 
 An ensemble re-keys one stream to each block in turn and keeps the block's
-first rows; ``sample_path`` draws the one-lane block.  Exact cir draws each
-step from the state, so it has no separate draw step; it, Euler, squared-OU
-and cthin simulate their one-lane blocks whole inside their plans.
+first rows; ``sample_path`` draws the one-lane block.  Exact cir and cthin
+draw as they step, so they have no separate draw step: their plans step
+every lane of a block at once.  Euler and squared-OU simulate their
+one-lane blocks whole inside their plans.
 
 The ``*_sample`` batch helpers at the bottom draw i.i.d. copies of a
 marginal or of a thinned/rm triplet from a *single* stream, as a vector of
@@ -54,9 +59,11 @@ Pairs need no helper: a 2-point ``simulate_ensemble`` is one pair per path.
 The marginal and triplet helpers share one body (``_batch_start`` and
 ``_batch_rows``): each gap of ar1, thinned, changepoint, exact cir and
 cthin is one call of ``_lane_step``, the only lane dispatch on
-kind (the stats generator check calls it too), and rm sums the cells of a
-small tent partition.  Each helper documents why its construction has
-exactly the law of the kind's paths restricted to those times.
+kind, and rm sums the cells of a small tent partition.  The stats
+generator check steps cir lanes through ``_lane_step`` and applies cthin's
+lane factors (``_cthin_lane_factors``) to each of its start points.  Each
+helper documents why its construction has exactly the law of the kind's
+paths restricted to those times.
 
 Shared and duplicated update rules
 ----------------------------------
@@ -69,7 +76,8 @@ Written once, for the path plans and the lanes alike:
 * the exact OU walk (``_ou_walk``): the squared-OU plan and
   ``marginal_sample``;
 * the cthin series factors, X_end = M X_start + Z over a segment
-  (``_cthin_factors``): the cthin plan's grid gaps and the cthin lane step;
+  (``_cthin_factors``): the cthin plan's grid gaps and the cthin lane
+  factors (``_cthin_lane_factors``);
 * a plan's run-by-run standard gammas (``_GammaRunsPlan.draw``): thinned
   and rm;
 * the tent partition's band masses, with their negative-mass guard and
@@ -87,6 +95,9 @@ Still written twice, each for a reason:
   numpy.  One substep costs about 1.2 us on Python floats and about 12 us
   as a one-lane numpy step (Xeon, 2 vCPUs, numpy 2.4), so a path would run
   ten times slower on the lane loop.
+* Exact cir steps a block of fewer than ``_VECTOR_LANES`` lanes on Python
+  floats, lane after lane, and a larger block in numpy across its lanes,
+  for the same reason (``_CirExactPlan``); both call ``_cir_exact_step``.
 """
 
 from __future__ import annotations
@@ -227,17 +238,17 @@ def tent_partition(grid: TimeGrid, dep: Dependence) -> TentPartition:
 # which moved later arrays onto the heap and kept them resident.  Part of the
 # stream layout: a plan with a width draws blocks of
 # B = max(1, _BLOCK_DRAWS // width) paths, each from one stream, so changing
-# this changes the ensemble values of ar1, thinned, rm and changepoint.
-# Whole-path plans have no width and run blocks of one.
+# this changes the ensemble values of ar1, thinned, rm, changepoint, exact
+# cir and cthin.  Whole-path plans have no width and run blocks of one.
 _BLOCK_DRAWS = 1 << 13
 # numpy validates array arguments in Python (about 9 us a call), scalar ones
 # in C (about 1 us): up to this many scalar calls beat one array call.
 _SCALAR_CALLS = 6
 # Cell shapes an rm plan keeps (2 MiB); longer paths go diagonal by diagonal.
 _PLAN_CELLS = 1 << 18
-# Below this many lanes (the paths of a block) a recursion runs on Python
-# floats lane by lane; from it on, one numpy step per time step across all
-# lanes.
+# Below this many lanes (the paths of a block) a recursion, or an exact cir
+# block, runs on Python floats lane by lane; from it on, one numpy step per
+# time step across all lanes.  For exact cir it is part of the stream layout.
 _VECTOR_LANES = 16
 
 
@@ -303,12 +314,14 @@ class _Plan:
     from the head of ``gen``; an ensemble's block sizes keep path m a
     function of (master_seed, m) alone (the module docstring has the rule),
     and ``sample_path`` draws the one-lane block.  A plan with a ``width``
-    splits a block in two steps: ``draw(gen, out)`` takes the
-    ``width`` raw draws of each of ``out.shape[1]`` lanes off ``gen`` into
-    the rows of ``out``, run by run in the documented stream order, and
-    ``build(draws)`` turns the block's rows (one per path) into values,
-    vectorized across the block.  A plan whose ``width`` is None simulates
-    one whole path in ``values(gen)``, and its blocks hold one lane.
+    sizes its ensemble blocks by it.  Most split a block in two steps:
+    ``draw(gen, out)`` takes the ``width`` raw draws of each of
+    ``out.shape[1]`` lanes off ``gen`` into the rows of ``out``, run by run
+    in the documented stream order, and ``build(draws)`` turns the block's
+    rows (one per path) into values, vectorized across the block.  Exact
+    cir and cthin draw as they step and override ``block``.  A plan whose
+    ``width`` is None simulates one whole path in ``values(gen)``, and its
+    blocks hold one lane.
     """
 
     width = None
@@ -561,17 +574,27 @@ def _cir_exact_step(gen, x, a, c, r):
     c = b / (1 - r) (``_cir_rate``); this is the noncentral-chi-square form
     of the kernel.  ``x`` is a Python float (one path, one scalar Poisson
     and one scalar gamma call) or an array of lanes, whose shape the draws
-    take.
+    take.  The gamma is drawn as a standard gamma times 1/c, which is the
+    same number bit for bit and about 7 us faster a call on an array.
     """
-    return gen.gamma(a + _poisson_counts(gen, c * x * r, _CIR_MEAN), 1.0 / c)
+    return gen.standard_gamma(a + _poisson_counts(gen, c * x * r, _CIR_MEAN)) * (1.0 / c)
 
 
 class _CirExactPlan(_Plan):
     """Squared OU / CIR-type diffusion dX = -lam (X - alpha/beta) dt + sqrt(2 lam X / beta) dW.
 
     Method EXACT samples the transition kernel exactly (Poisson mixture of
-    gammas, ``_cir_exact_step`` on Python floats) gap by gap.  Stream order:
-    X_0, then each gap's Poisson count and gamma in turn.
+    gammas, ``_cir_exact_step``) gap by gap; a path takes 2n - 1 draws, its
+    ``width``.  Stream order: a block of ``_VECTOR_LANES`` lanes or more
+    draws X_0 of every lane, then gap by gap every lane's Poisson count and
+    then every lane's gamma, each a numpy call across the lanes.  A smaller
+    block draws its lanes one after another, each as X_0 and then each
+    gap's Poisson count and gamma in turn, on Python floats (``values``); at
+    one lane the two orders are the same, and so are the bytes.  The fork
+    is kept on a measurement: a numpy step costs 18-21 us at 1 to 32 lanes
+    and a float step about 1.4 us a lane (2 vCPUs, numpy 2.4), so they
+    break even near 16 lanes; at 2000 points (blocks of 2 lanes) a 200-path
+    ensemble took 0.75 s on floats and 4.1 s in numpy.
     """
 
     def __init__(self, grid, params, dep):
@@ -583,8 +606,20 @@ class _CirExactPlan(_Plan):
             (dep.rho**dt for (dt,) in _as_floats(grid.gaps)), float, count=self.n - 1
         )
         self.c = _cir_rate(self.beta, self.rho_d)
+        self.width = 2 * self.n - 1
+
+    def block(self, gen, lanes):
+        if lanes < _VECTOR_LANES:
+            return np.array([self.values(gen) for _ in range(lanes)])
+        a = self.alpha
+        out = np.empty((self.n, lanes))
+        x = out[0] = gen.gamma(a, 1.0 / self.beta, size=lanes)
+        for k, (rho_d, c) in enumerate(zip(self.rho_d, self.c), 1):
+            x = out[k] = _cir_exact_step(gen, x, a, c, rho_d)
+        return out.T
 
     def values(self, gen):
+        """One lane's path, step by step on Python floats."""
         a = self.alpha
         out = np.empty(self.n)
         x = out[0] = gen.gamma(a, 1.0 / self.beta)
@@ -736,6 +771,11 @@ def _cthin_series(a):
     return (a * w.sum(), a / (a + _CTHIN_TERMS), *_cthin_remainder(a), prob, alias)
 
 
+def _cthin_intervals(a, steps):
+    """The expected number of series intervals in each segment of lam-time ``steps``."""
+    return _cthin_series(a)[0] * steps + 1.0
+
+
 def _cthin_pieces(a, steps):
     """How many equal pieces each segment of lam-time ``steps`` goes in, each one chunk at most."""
     pieces = np.ceil(_cthin_series(a)[0] * steps / _CTHIN_CHUNK)
@@ -791,7 +831,7 @@ def _cthin_factors(gen, a, b, steps):
     expected intervals; no segment may hold more than a chunk (``_cthin_pieces``)."""
     if not steps.size:
         return steps, steps
-    cost = np.cumsum(_cthin_series(a)[0] * steps + 1.0)
+    cost = np.cumsum(_cthin_intervals(a, steps))
     cuts = [0, *np.searchsorted(cost, np.arange(_CTHIN_CHUNK, cost[-1], _CTHIN_CHUNK)).tolist(),
             steps.size]
     m, z = np.empty(steps.size), np.empty(steps.size)
@@ -842,10 +882,14 @@ class _CthinPlan(_Plan):
     lanes read +1.2%.
     A path is X_0 ~ Ga(a, b) and then fl(M_k x + Z_k) gap by gap
     (``_affine_recursion``); a gap of more than ``_CTHIN_CHUNK`` expected
-    intervals is drawn in equal pieces.  Stream order: X_0, then per chunk of
-    segments (``_cthin_factors``) every segment's count, all spacings, all
-    component uniforms, all multiplier exponentials, all top-up gammas, all
-    remainder gammas.
+    intervals is drawn in equal pieces.  A block steps all of its lanes at
+    once: its segments are every lane's pieces, lane-major (lane 0's in
+    grid order, then lane 1's, ...), in one run of ``_cthin_factors``.
+    Stream order: X_0 of every lane, then per chunk of that run every
+    segment's count, all spacings, all component uniforms, all multiplier
+    exponentials, all top-up gammas, all remainder gammas.  The ``width``
+    is 1 + the expected number of intervals of a path, a function of
+    (grid, params, dep) alone.
     """
 
     def __init__(self, grid, params, dep):
@@ -855,11 +899,13 @@ class _CthinPlan(_Plan):
         pieces = _cthin_pieces(self.a, steps)
         self.steps = np.repeat(steps / pieces, pieces)
         self.keep = np.concatenate(([0], np.cumsum(pieces)))  # the grid times among the pieces
+        self.width = 1 + int(np.sum(_cthin_intervals(self.a, self.steps)))
 
-    def values(self, gen):
-        x = gen.gamma(self.a, 1.0 / self.b)
-        m, z = _cthin_factors(gen, self.a, self.b, self.steps)
-        return _affine_recursion(m, z[None], x)[0, self.keep]
+    def block(self, gen, lanes):
+        x = gen.gamma(self.a, 1.0 / self.b, size=lanes)
+        m, z = _cthin_factors(gen, self.a, self.b, np.tile(self.steps, lanes))
+        shape = (lanes, self.steps.size)
+        return _affine_recursion(m.reshape(shape), z.reshape(shape), x)[:, self.keep]
 
 
 def _plan_for_kind(kind, grid, params, dep, method, substeps):
@@ -902,14 +948,16 @@ def sample_path(
     The options are ``simulate_ensemble``'s: ``method`` and ``substeps``
     choose the cir scheme.  Each kind's plan class documents its
     construction and stream order.  Where a kind's ensemble blocks hold one
-    path, ensemble path m is this path on
+    path, as Euler's always do, ensemble path m is this path on
     ``derive_stream(master_seed, m)``, byte for byte:
 
     >>> from gammaproc import Dependence, GammaParams, make_uniform_grid
     >>> grid = make_uniform_grid(0.0, 0.5, 6)
     >>> params, dep = GammaParams(2.0, 1.0), Dependence.from_rho(0.5)
-    >>> ens = simulate_ensemble(ProcessKind.SQUARED_OU, grid, params, dep, 3, master_seed=7)
-    >>> path = sample_path(ProcessKind.SQUARED_OU, derive_stream(7, 2), grid, params, dep)
+    >>> euler = {"method": CirMethod.EULER, "substeps": 4}
+    >>> ens = simulate_ensemble(ProcessKind.SQUARED_OU, grid, params, dep, 3, 7, **euler)
+    >>> path = sample_path(ProcessKind.SQUARED_OU, derive_stream(7, 2), grid, params, dep,
+    ...                    **euler)
     >>> path.values.tobytes() == ens.values[2].tobytes()
     True
     """
@@ -960,8 +1008,8 @@ def _lane_step(kind, g, x, a, b, r):
       drawn as the gamma ratio g1 / (g1 + g2);
     * changepoint: keep X with probability r, else a fresh Ga(a, b);
     * cir: the exact transition ``_cir_exact_step``;
-    * cthin: X' = M X + Z, the series factors (``_cthin_factors``) of a
-      segment of lam-time -log r, in equal pieces of at most one chunk.
+    * cthin: X' = M X + Z piece by piece, the series factors
+      (``_cthin_lane_factors``) of a segment of lam-time -log r.
     """
     n = x.size
     if kind is ProcessKind.AR1:
@@ -977,15 +1025,25 @@ def _lane_step(kind, g, x, a, b, r):
     if kind is ProcessKind.SQUARED_OU:
         return _cir_exact_step(g, x, a, _cir_rate(b, r), r)
     if kind is ProcessKind.CONTINUOUSLY_THINNED:
-        if not r > 0.0:
-            raise NumericalError("cthin series: a gap correlation underflowed to 0")
-        step = 0.0 - math.log(r)  # +0.0 where r is 1.0: numpy refuses a gamma shape of -0.0
-        pieces = int(_cthin_pieces(a, step))
-        for _ in range(pieces):
-            m, z = _cthin_factors(g, a, b, np.full(n, step / pieces))
+        for m, z in _cthin_lane_factors(g, a, b, r, n):
             x = m * x + z
         return x
     raise UnsupportedKindError(f"no lane update for kind {kind!r}")
+
+
+def _cthin_lane_factors(g, a, b, r, n):
+    """The series factors (M, Z) of one cthin gap of correlation r for n lanes, piece by piece.
+
+    X' = M X + Z over each piece in turn: a segment of lam-time -log r in
+    equal pieces of at most one chunk (``_cthin_pieces``).  The factors do
+    not depend on X, so one draw serves any start.
+    """
+    if not r > 0.0:
+        raise NumericalError("cthin series: a gap correlation underflowed to 0")
+    step = 0.0 - math.log(r)  # +0.0 where r is 1.0: numpy refuses a gamma shape of -0.0
+    pieces = int(_cthin_pieces(a, step))
+    for _ in range(pieces):
+        yield _cthin_factors(g, a, b, np.full(n, step / pieces))
 
 
 def walker_sample(n, params: GammaParams, rho_step, master_seed):

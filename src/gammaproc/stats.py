@@ -37,7 +37,7 @@ from .core import (
     _require_positive_int,
     derive_stream,
 )
-from .processes import _lane_step
+from .processes import _cthin_lane_factors, _lane_step
 
 __all__ = [
     "MomentReport",
@@ -588,15 +588,15 @@ class GeneratorCheck:
         return abs(self.fd_estimate - self.analytic) / self.se
 
 
-# replicates per ``_lane_step`` call of ``generator_check``: part of its
-# stream layout, so changing it changes every estimate it reports
+# replicates per block of ``generator_check``'s steps: part of its stream
+# layout, so changing it changes every estimate it reports
 _GENERATOR_BLOCK = 1 << 17
 
 
 def generator_check(
     kind: ProcessKind,
     phis,
-    x0,
+    x0s,
     params: GammaParams,
     dep: Dependence,
     epsilon=None,
@@ -605,45 +605,69 @@ def generator_check(
 ) -> tuple[GeneratorCheck, ...]:
     """Finite-difference generator estimates (E[phi(X_eps) | X_0 = x0] - phi(x0))/eps.
 
-    Every replicate starts exactly at x0 and makes one conditional step of
-    length eps (``processes._lane_step`` at the gap correlation rho**eps): the
-    exact Poisson-gamma transition for the squared OU kind, one series step
-    X_eps = M x0 + Z for the continuously-thinned kind.  The
-    n_mc steps are drawn once and every test function of ``phis`` is scored
-    on them, so the call returns one ``GeneratorCheck`` per function, in
-    order, each with the bytes a call on that function alone would give.
-    The rows of one call share their transitions and are not independent
-    (a cthin step's factors M and Z do not depend on x0, so neither are
-    calls at different x0 with one seed).  The default eps = 1e-3/lam keeps the
-    O(eps) finite-difference bias far below the Monte Carlo standard error
-    at n_mc ~ 1e6.  The analytic side comes first, so ``generator_apply``
-    refuses a kind outside ``GENERATOR_KINDS`` (``UnsupportedKindError``)
-    before anything is drawn.
+    Every replicate starts exactly at a start point x0 of ``x0s`` and makes
+    one conditional step of length eps at the gap correlation rho**eps: the
+    exact Poisson-gamma transition for the squared OU kind
+    (``processes._lane_step``), one series step X_eps = M x0 + Z for the
+    continuously-thinned kind (``processes._cthin_lane_factors``).  Each
+    start point's n_mc steps are drawn in blocks of ``_GENERATOR_BLOCK``
+    from the head of the stream (master_seed, 0), and every test function
+    of ``phis`` is scored on them.  A cthin block's factors M and Z do not
+    depend on x0, so one draw of them serves every start point, applied to
+    one start at a time; a cir step's draws do, so each start point
+    restarts the stream.  Either way each start point's steps are the
+    ones a call on it alone would draw.  The call returns one
+    ``GeneratorCheck`` per function and start point, function by function
+    and within each in the order of ``x0s``, each with the bytes a call on
+    that function and start point alone would give.  Its rows share their
+    transitions and are not independent.  The default eps = 1e-3/lam keeps
+    the O(eps) finite-difference bias far below the Monte Carlo standard
+    error at n_mc ~ 1e6.  The analytic side comes first, so
+    ``generator_apply`` refuses a kind outside ``GENERATOR_KINDS``
+    (``UnsupportedKindError``) before anything is drawn.
     """
     phis = tuple(phis)
     if not phis:
         raise ParameterError("phis must hold at least one test function")
-    x0 = _require_finite_nonnegative("x0", x0)
+    x0s = tuple(_require_finite_nonnegative("x0", x0) for x0 in x0s)
+    if not x0s:
+        raise ParameterError("x0s must hold at least one start point")
     n_mc = _require_integer("n_mc", n_mc)
     if n_mc < 2:
         raise ParameterError("n_mc must be at least 2")
     eps = _require_finite_positive("epsilon", 1e-3 / dep.lam if epsilon is None else epsilon)
-    analytic = [generator_apply(kind, phi, x0, params, dep) for phi in phis]
-    g = derive_stream(master_seed, 0).gen
-    r = dep.rho**eps
-    blocks = []  # per block of steps: (sum of d, sum of d * d) for each function
-    for done in range(0, n_mc, _GENERATOR_BLOCK):
-        y = _lane_step(kind, g, np.full(min(n_mc - done, _GENERATOR_BLOCK), x0), params.alpha,
-                       params.beta, r)
-        ds = [(phi.phi(y) - float(phi.phi(x0))) / eps for phi in phis]
-        blocks.append([(np.sum(d), np.sum(d * d)) for d in ds])
+    analytic = [[generator_apply(kind, phi, x0, params, dep) for x0 in x0s] for phi in phis]
+    a, b, r = params.alpha, params.beta, dep.rho**eps
+    sizes = [min(n_mc - done, _GENERATOR_BLOCK) for done in range(0, n_mc, _GENERATOR_BLOCK)]
+    blocks = [[[] for _ in x0s] for _ in phis]  # per block: (sum of d, sum of d * d)
+
+    def score(j, y):
+        for per_phi, phi in zip(blocks, phis):
+            d = (phi.phi(y) - float(phi.phi(x0s[j]))) / eps
+            per_phi[j].append((np.sum(d), np.sum(d * d)))
+
+    if kind is ProcessKind.CONTINUOUSLY_THINNED:
+        g = derive_stream(master_seed, 0).gen
+        for n in sizes:
+            factors = list(_cthin_lane_factors(g, a, b, r, n))
+            for j, x0 in enumerate(x0s):
+                y = x0
+                for m, z in factors:
+                    y = m * y + z
+                score(j, y)
+    else:
+        for j, x0 in enumerate(x0s):
+            g = derive_stream(master_seed, 0).gen
+            for n in sizes:
+                score(j, _lane_step(kind, g, np.full(n, x0), a, b, r))
     checks = []
-    for phi, an, per_block in zip(phis, analytic, zip(*blocks)):
-        fd = math.fsum(s for s, _ in per_block) / n_mc
-        var = max(math.fsum(q for _, q in per_block) - n_mc * fd * fd, 0.0) / (n_mc - 1)
-        checks.append(GeneratorCheck(kind=kind, phi=phi, x0=x0, epsilon=eps, n_mc=n_mc,
-                                     fd_estimate=fd, se=float(np.sqrt(var / n_mc)),
-                                     analytic=an))
+    for phi, per_phi, an_phi in zip(phis, blocks, analytic):
+        for x0, per_block, an in zip(x0s, per_phi, an_phi):
+            fd = math.fsum(s for s, _ in per_block) / n_mc
+            var = max(math.fsum(q for _, q in per_block) - n_mc * fd * fd, 0.0) / (n_mc - 1)
+            checks.append(GeneratorCheck(kind=kind, phi=phi, x0=x0, epsilon=eps, n_mc=n_mc,
+                                         fd_estimate=fd, se=float(np.sqrt(var / n_mc)),
+                                         analytic=an))
     return tuple(checks)
 
 

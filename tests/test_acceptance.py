@@ -301,6 +301,49 @@ def test_criterion_02_cthin_limit_moments_power_control(capsys):
             + ", ".join(f"{a}: {z:.1f}" for a, z in worst.items()) + " (some > 4)")
 
 
+def _cthin_ensemble_moment_z(alpha, lam, seed, n=200000):
+    """The z-scores of n-path 2-point cthin ensembles at (alpha, lam) against the limit at CTHIN_LAM.
+
+    The pairs come from ``simulate_ensemble`` in blocks of lanes, one
+    ensemble at lag 1 and one at the irregular grid's first gap, 0.4; each
+    scores the orders (1, 1) and (2, 2).
+    """
+    m = alpha / CTHIN_BETA
+    rows = []
+    for k, t in enumerate((1.0, CTHIN_GAPS[0])):
+        ens = simulate_ensemble(ProcessKind.CONTINUOUSLY_THINNED, make_uniform_grid(0.0, t, 2),
+                                GammaParams(alpha, CTHIN_BETA), Dependence(lam), n,
+                                master_seed=seed + k)
+        xs, xt = ens.values.T
+        for i, j in ((1, 1), (2, 2)):
+            y = (xs - m) ** i * (xt - m) ** j
+            want = _cthin_limit_moment(i, j, t, alpha, CTHIN_BETA, CTHIN_LAM)
+            rows.append(((t, i, j), (y.mean() - want) / (y.std() / math.sqrt(n))))
+    return rows
+
+
+def test_criterion_02_cthin_ensemble_limit_moments(capsys):
+    # the same oracle through the ensemble's blocks of lanes, not the lane steps
+    rows = [((alpha, *cell), z) for k, alpha in enumerate(CTHIN_ALPHAS)
+            for cell, z in _cthin_ensemble_moment_z(alpha, CTHIN_LAM, MASTER + 2 * k)]
+    cell, worst = max(rows, key=lambda r: abs(r[1]))
+    ok = abs(worst) <= 4.0
+    _report(capsys, "criterion 2c", ok,
+            f"cthin 2-point ensembles vs the limit generator's moments, {len(rows)} cells: "
+            f"worst |z| {abs(worst):.2f} at {cell} (<= 4)")
+
+
+def test_criterion_02_cthin_ensemble_limit_moments_power_control(capsys):
+    # the same scoring fails on the law whose rho is 0.02 above the oracle's
+    lam = -math.log(math.exp(-CTHIN_LAM) + 0.02)
+    worst = {alpha: max(abs(z) for _, z in _cthin_ensemble_moment_z(alpha, lam, MASTER + 2 * k))
+             for k, alpha in enumerate(CTHIN_ALPHAS)}
+    ok = max(worst.values()) > 4.0
+    _report(capsys, "criterion 2c power", ok,
+            "rho off by 0.02: worst |z| per alpha "
+            + ", ".join(f"{a}: {z:.1f}" for a, z in worst.items()) + " (some > 4)")
+
+
 # -- criterion 3: innovation sampler ------------------------------------------------
 
 
@@ -484,7 +527,7 @@ def test_criterion_06b_conditional_mean(capsys):
     rho_d = DEP5.gap_corr(dt)
     worst = 0.0
     for i, x0 in enumerate((0.1, 1.0, 5.0)):
-        (rep,) = generator_check(ProcessKind.SQUARED_OU, (TestFunction.identity(),), x0,
+        (rep,) = generator_check(ProcessKind.SQUARED_OU, (TestFunction.identity(),), (x0,),
                                  P11, DEP5, epsilon=dt, n_mc=200000,
                                  master_seed=MASTER + i)
         target_rate = (x0 * rho_d + P11.mean * (1.0 - rho_d) - x0) / dt
@@ -580,7 +623,7 @@ def test_criterion_07_generator_checks(capsys):
     for i, kind in enumerate(kinds):
         for j, phi in enumerate(functions):
             for k, x0 in enumerate((0.5, 2.0)):
-                (rep,) = generator_check(kind, (phi,), x0, P11, DEP5, n_mc=1_000_000,
+                (rep,) = generator_check(kind, (phi,), (x0,), P11, DEP5, n_mc=1_000_000,
                                          master_seed=MASTER + 10 * i + 4 * j + k)
                 worst = max(worst, rep.z)
 
@@ -592,10 +635,10 @@ def test_criterion_07_generator_checks(capsys):
         for x0 in (0.5, 2.0)
     )
     # ...while the square generators separate by more than 8 pooled se at x0=2
-    (sq_ou,) = generator_check(ProcessKind.SQUARED_OU, (TestFunction.square(),), 2.0, P11,
+    (sq_ou,) = generator_check(ProcessKind.SQUARED_OU, (TestFunction.square(),), (2.0,), P11,
                                DEP5, n_mc=10_000_000, master_seed=MASTER)
     (sq_ct,) = generator_check(ProcessKind.CONTINUOUSLY_THINNED, (TestFunction.square(),),
-                               2.0, P11, DEP5, n_mc=10_000_000, master_seed=MASTER + 1)
+                               (2.0,), P11, DEP5, n_mc=10_000_000, master_seed=MASTER + 1)
     gap = abs(sq_ou.analytic - sq_ct.analytic)
     pooled = float(np.hypot(sq_ou.se, sq_ct.se))
     ratio = gap / pooled

@@ -247,7 +247,7 @@ def _four_call_check_generator(cfg):
     ok = True
     for phi in (TestFunction.identity(), TestFunction.square()):
         for x0 in (0.5, 2.0):
-            (chk,) = generator_check(cfg.process, (phi,), x0, cfg.params, cfg.dep,
+            (chk,) = generator_check(cfg.process, (phi,), (x0,), cfg.params, cfg.dep,
                                      n_mc=200000, master_seed=cli._subseed(cfg, 4))
             rows.append({
                 "phi": phi.name, "x0": x0, "fd_estimate": chk.fd_estimate,
@@ -271,22 +271,26 @@ def test_verify_generator_report_has_the_bytes_of_four_single_function_calls(
                                           "checks": [entry], "passed": True})
 
 
-def test_verify_generator_draws_one_transition_sample_per_start_point(tmp_path, monkeypatch):
+def test_verify_generator_draws_cthin_factors_once_for_both_start_points(tmp_path, monkeypatch):
     from gammaproc import stats
 
-    checks, steps = [], []
+    checks, steps, factors = [], [], []
     monkeypatch.setattr(cli, "generator_check", lambda *a, f=cli.generator_check, **k:
                         checks.append(a[2]) or f(*a, **k))
     monkeypatch.setattr(stats, "_lane_step", lambda *a, f=stats._lane_step:
                         steps.append(a[2].size) or f(*a))
-    for process in ("cir", "cthin"):
+    monkeypatch.setattr(stats, "_cthin_lane_factors", lambda *a, f=stats._cthin_lane_factors:
+                        factors.append(a[4]) or f(*a))
+    blocks = [1 << 17, 200000 - (1 << 17)]  # 200000 steps per draw, in blocks of 2^17
+    # cir's draws depend on the start point, so each start draws its own steps
+    for process, want_steps, want_factors in (("cir", blocks * 2, []), ("cthin", [], blocks)):
         checks.clear()
         steps.clear()
+        factors.clear()
         assert run(["verify", "--process", process, "--suite", "generator",
                     "--out", str(tmp_path / f"{process}.json")]) == 0
-        # 200000 steps per start point, in blocks of 2^17
-        assert checks == [0.5, 2.0]
-        assert steps == [1 << 17, 200000 - (1 << 17)] * 2
+        assert checks == [(0.5, 2.0)]
+        assert (steps, factors) == (want_steps, want_factors)
 
 
 def test_verify_chf_suite_passes_with_matching_kind(tmp_path):
@@ -646,7 +650,8 @@ def test_seed_sweep_counts_passes_and_errors(monkeypatch, capsys):
                             "verify acf cthin default", "verify acf cthin dt 0.3",
                             "verify acf cthin times", "verify generator cir",
                             "verify generator cthin", "compare thinned/rm 2-point",
-                            "compare thinned/thinned 3-point", "compare rm/rm 3-point"]
+                            "compare thinned/thinned 3-point", "compare rm/rm 3-point",
+                            "compare cir/cir 3-point", "compare cthin/cthin 3-point"]
     assert all(runs == 2 and errors == 0 and 0 <= passes <= 2
                for passes, runs, errors in counts.values())
     # a run that raises or exits 2 is an error; the script then exits 1

@@ -382,12 +382,14 @@ def test_cthin_long_gaps_go_in_pieces_of_at_most_a_chunk(monkeypatch):
                                   make_uniform_grid(0.0, 1e-10, 4),
                                   make_uniform_grid(0.0, 1e-300, 4)],
                          ids=["off-lattice", "near-start", "dt-1e-10", "dt-1e-300"])
-def test_cthin_runs_on_any_grid(grid):
+def test_cthin_runs_on_any_grid(monkeypatch, grid):
     # the lattice refused these grids; the series samples any gap
     path = sample_path(ProcessKind.CONTINUOUSLY_THINNED, derive_stream(0, 0), grid, P11, DEP5)
     ens = simulate_ensemble(ProcessKind.CONTINUOUSLY_THINNED, grid, P11, DEP5, 2, master_seed=0)
-    assert ens.values[0].tobytes() == path.values.tobytes()
     assert np.all(np.isfinite(ens.values)) and np.all(ens.values > 0.0)
+    monkeypatch.setattr(processes, "_BLOCK_DRAWS", 1)  # B == 1: path 0 is drawn from stream 0
+    ens = simulate_ensemble(ProcessKind.CONTINUOUSLY_THINNED, grid, P11, DEP5, 2, master_seed=0)
+    assert ens.values[0].tobytes() == path.values.tobytes()
 
 
 def test_cthin_path_runs_and_is_positive():
@@ -455,8 +457,8 @@ def test_ensemble_values_are_held_once():
 
 # Stream contract, one stream per path: ensemble path m is byte-identical to
 # the path operation run on derive_stream(master_seed, m).  This holds for the
-# whole-path plans (exact cir, Euler, squared-OU, cthin) and for the plans with
-# a width whenever a block holds one path (B == 1).  (grid, params, dep) per
+# whole-path plans (Euler, squared-OU) and for the plans with a width whenever
+# a block holds one path (B == 1).  (grid, params, dep) per
 # case; the last case makes the thinned beta ratio 0/0, so comparing bytes
 # also pins its NaN.
 STREAM_CASES = {
@@ -477,7 +479,9 @@ STREAM_SAMPLERS = {
     "cir-squared-ou": (ProcessKind.SQUARED_OU, {"method": CirMethod.SQUARED_OU}),
     "cthin": (ProcessKind.CONTINUOUSLY_THINNED, {}),
 }
-WIDTH_SAMPLERS = ("ar1", "thinned", "rm", "changepoint")
+WIDTH_SAMPLERS = ("ar1", "thinned", "rm", "changepoint", "cir-exact", "cthin")
+# the plans that draw a block's raw draws first and build its values after
+DRAW_SAMPLERS = WIDTH_SAMPLERS[:4]
 
 
 @pytest.mark.filterwarnings("ignore:invalid value encountered")
@@ -506,7 +510,9 @@ def test_ensemble_paths_match_path_operations_byte_for_byte(monkeypatch, sampler
 # block j (paths j*B .. j*B + B - 1) is drawn from derive_stream(seed, j), run
 # by run in the path operation's stream order, each run for every lane of the
 # block before the next.  _block_reference writes that layout out by hand and
-# returns the (width, B) raw draws; lane i is column i.
+# returns the (width, B) raw draws; lane i is column i.  Exact cir and cthin
+# step their lanes as they draw, so _block_values_reference writes out their
+# blocks' values, one row per lane.
 
 
 def _gamma_rows(g, shapes, lanes):
@@ -542,6 +548,40 @@ def _block_reference(kind, grid, params, dep, seed, block, lanes):
     return np.concatenate((x0, keep, g.standard_gamma(a, size=(n - 1, lanes))))
 
 
+def _block_values_reference(kind, grid, params, dep, seed, block, lanes):
+    g = derive_stream(seed, block).gen
+    a, b = params.alpha, params.beta
+    gaps = np.diff(grid.times).tolist()
+    if kind is ProcessKind.SQUARED_OU:
+        rates = [(dep.rho**dt, b / (1.0 - dep.rho**dt)) for dt in gaps]
+        if lanes < processes._VECTOR_LANES:  # lane after lane, each a one-lane path
+            rows = []
+            for _ in range(lanes):
+                row = [g.gamma(a, 1.0 / b)]
+                for r, c in rates:
+                    row.append(g.gamma(a + g.poisson(c * row[-1] * r), 1.0 / c))
+                rows.append(row)
+            return np.array(rows)
+        # every lane's X_0, then gap by gap every lane's count, then every lane's gamma
+        cols = [g.gamma(a, 1.0 / b, size=lanes)]
+        for r, c in rates:
+            counts = g.poisson(c * cols[-1] * r)
+            cols.append(g.gamma(a + counts, 1.0 / c))
+        return np.array(cols).T
+    # cthin: every lane's X_0, then the series over every lane's gaps, lane-major
+    x0 = g.gamma(a, 1.0 / b, size=lanes).tolist()
+    if not gaps:
+        return np.array(x0)[:, None]
+    m, z = _cthin_reference_chunks(g, a, b, np.tile(dep.lam * np.diff(grid.times), lanes))
+    rows = []
+    for x, ms, zs in zip(x0, m.reshape(lanes, -1).tolist(), z.reshape(lanes, -1).tolist()):
+        row = [x]
+        for mk, zk in zip(ms, zs):
+            row.append(mk * row[-1] + zk)
+        rows.append(row)
+    return np.array(rows)
+
+
 @pytest.mark.filterwarnings("ignore:invalid value encountered")
 @pytest.mark.parametrize("lanes", [None, 3])
 @pytest.mark.parametrize("case", list(STREAM_CASES))
@@ -549,7 +589,7 @@ def _block_reference(kind, grid, params, dep, seed, block, lanes):
 def test_ensemble_blocks_follow_the_block_stream_layout(monkeypatch, sampler, case, lanes):
     kind = STREAM_SAMPLERS[sampler][0]
     grid, params, dep = STREAM_CASES[case]
-    plan = processes._plan_for_kind(kind, grid, params, dep, None, 16)
+    plan = processes._plan_for_kind(kind, grid, params, dep, CirMethod.EXACT, 16)
     if lanes is None:  # the real block size
         lanes = processes._BLOCK_DRAWS // plan.width
     else:
@@ -558,11 +598,35 @@ def test_ensemble_blocks_follow_the_block_stream_layout(monkeypatch, sampler, ca
     seed, n_paths = 9, min(2 * lanes + 3, 200)
     ens = simulate_ensemble(kind, grid, params, dep, n_paths, master_seed=seed)
     for block in range(-(-n_paths // lanes)):
+        paths = range(block * lanes, min((block + 1) * lanes, n_paths))
+        if sampler not in DRAW_SAMPLERS:
+            want = _block_values_reference(kind, grid, params, dep, seed, block, lanes)
+            got = ens.values[paths.start : paths.stop]
+            if kind is ProcessKind.CONTINUOUSLY_THINNED:  # the reference rounds otherwise
+                assert plan.steps.size == grid.n - 1  # no gap goes in pieces
+                np.testing.assert_allclose(got, want[: len(got)], rtol=1e-12, atol=1e-300)
+            else:
+                assert got.tobytes() == want[: len(got)].tobytes(), (sampler, case)
+            continue
         draws = _block_reference(kind, grid, params, dep, seed, block, lanes)
         assert draws.shape == (plan.width, lanes)
-        for m in range(block * lanes, min((block + 1) * lanes, n_paths)):
+        for m in paths:
             want = plan.build(draws[:, m % lanes][None])[0]
             assert ens.values[m].tobytes() == want.tobytes(), (sampler, case, m)
+
+
+@pytest.mark.parametrize("case", list(STREAM_CASES))
+def test_exact_cir_numpy_route_at_one_lane_gives_the_float_route_bytes(monkeypatch, case):
+    # blocks of fewer than _VECTOR_LANES lanes step on Python floats; at one
+    # lane that is the numpy route's stream order, so the bytes must agree
+    grid, params, dep = STREAM_CASES[case]
+    plan = processes._plan_for_kind(ProcessKind.SQUARED_OU, grid, params, dep,
+                                    CirMethod.EXACT, 16)
+    floats = plan.block(derive_stream(4, 1).gen, 1)
+    monkeypatch.setattr(processes, "_VECTOR_LANES", 1)  # numpy at every lane count
+    numpy_route = plan.block(derive_stream(4, 1).gen, 1)
+    assert floats.shape == (1, grid.n)
+    assert floats.tobytes() == numpy_route.tobytes()
 
 
 # -- batch statistical samplers ---------------------------------------------------
@@ -858,7 +922,7 @@ def test_generator_check_equals_its_earlier_step(kind, point, n_mc):
     phi = TestFunction.identity()
     eps = 1e-3 / dep.lam
     for x0 in (0.0, 2.0):
-        (chk,) = generator_check(kind, (phi,), x0, params, dep, n_mc=n_mc, master_seed=24)
+        (chk,) = generator_check(kind, (phi,), (x0,), params, dep, n_mc=n_mc, master_seed=24)
         fd, se = _ref_generator_fd(kind, phi, x0, params, dep, eps, n_mc, 24)
         if kind is ProcessKind.CONTINUOUSLY_THINNED:
             assert chk.fd_estimate == pytest.approx(fd, rel=RTOL_CTHIN_FD)
@@ -870,15 +934,15 @@ def test_generator_check_equals_its_earlier_step(kind, point, n_mc):
 @pytest.mark.parametrize("n_mc", [3000, (1 << 17) + 5])
 @pytest.mark.parametrize("point", list(KERNEL_POINTS))
 @pytest.mark.parametrize("kind", [ProcessKind.SQUARED_OU, ProcessKind.CONTINUOUSLY_THINNED])
-def test_generator_check_scores_each_function_as_a_call_on_it_alone(kind, point, n_mc):
+def test_generator_check_scores_each_function_and_start_as_a_call_on_it_alone(kind, point,
+                                                                              n_mc):
     params, dep = KERNEL_POINTS[point]
-    phis = (TestFunction.identity(), TestFunction.square())
-    for x0 in (0.0, 2.0):
-        both = generator_check(kind, phis, x0, params, dep, n_mc=n_mc, master_seed=24)
-        alone = tuple(generator_check(kind, (phi,), x0, params, dep, n_mc=n_mc,
-                                      master_seed=24)[0] for phi in phis)
-        # repr spells every float field out to the last bit
-        assert repr(both) == repr(alone)
+    phis, x0s = (TestFunction.identity(), TestFunction.square()), (0.0, 2.0)
+    both = generator_check(kind, phis, x0s, params, dep, n_mc=n_mc, master_seed=24)
+    alone = tuple(generator_check(kind, (phi,), (x0,), params, dep, n_mc=n_mc,
+                                  master_seed=24)[0] for phi in phis for x0 in x0s)
+    # repr spells every float field out to the last bit
+    assert repr(both) == repr(alone)
 
 
 # -- batch-sampler arguments and the AR(1) ladder's limits ---------------------------
@@ -894,7 +958,7 @@ NON_INTEGRAL = {
     "triplet-n": lambda: triplet_sample(ProcessKind.THINNED, 10.5, P11, DEP5, master_seed=0),
     "walker-n": lambda: walker_sample(10.5, P11, 0.5, master_seed=0),
     "generator-n_mc": lambda: generator_check(ProcessKind.SQUARED_OU, (TestFunction.identity(),),
-                                              1.0, P11, DEP5, n_mc=100.5),
+                                              (1.0,), P11, DEP5, n_mc=100.5),
     "grid-n": lambda: make_uniform_grid(0.0, 1.0, 2.5),
     "stream-seed": lambda: derive_stream(float("nan"), 0),
 }
@@ -913,7 +977,7 @@ def test_integral_floats_and_numpy_integers_count_as_their_ints():
                                                      1).values.tobytes()
     assert (marginal_sample(ProcessKind.AR1, 1e2, P11, DEP5, master_seed=0).tobytes()
             == marginal_sample(ProcessKind.AR1, 100, P11, DEP5, master_seed=0).tobytes())
-    assert generator_check(ProcessKind.SQUARED_OU, (TestFunction.identity(),), 1.0, P11, DEP5,
+    assert generator_check(ProcessKind.SQUARED_OU, (TestFunction.identity(),), (1.0,), P11, DEP5,
                            n_mc=1e3)[0].n_mc == 1000
 
 
@@ -963,7 +1027,7 @@ def test_exact_cir_gap_correlation_of_one_is_a_numerical_error():
         simulate_ensemble(ProcessKind.SQUARED_OU, make_uniform_grid(0.0, 1.0, 3), P11, dep,
                           4, master_seed=0)
     with pytest.raises(NumericalError):
-        generator_check(ProcessKind.SQUARED_OU, (TestFunction.identity(),), 1.0, P11, dep,
+        generator_check(ProcessKind.SQUARED_OU, (TestFunction.identity(),), (1.0,), P11, dep,
                         n_mc=100)
 
 

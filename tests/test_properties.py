@@ -68,14 +68,17 @@ def test_cthin_paths_and_ensembles_are_finite_and_nonnegative(alpha, rho):
     grid = make_uniform_grid(0.0, 0.5, 5)
     params, dep = GammaParams(alpha, 1.0), Dependence.from_rho(rho)
     path = sample_path(ProcessKind.CONTINUOUSLY_THINNED, derive_stream(3, 0), grid, params, dep)
+    plan = processes._plan_for_kind(ProcessKind.CONTINUOUSLY_THINNED, grid, params, dep,
+                                    CirMethod.EXACT, 16)
     with pytest.MonkeyPatch.context() as m:
-        m.setattr(processes, "_BLOCK_DRAWS", 2 * grid.n)  # blocks of two paths
+        m.setattr(processes, "_BLOCK_DRAWS", 2 * plan.width)  # blocks of two paths
         ens = simulate_ensemble(ProcessKind.CONTINUOUSLY_THINNED, grid, params, dep, 6,
                                 master_seed=3)
     for values in (path.values, ens.values):
         assert np.all(np.isfinite(values)), (alpha, rho)
         assert np.all(values >= 0.0), (alpha, rho)
-    assert ens.values[0].tobytes() == path.values.tobytes(), (alpha, rho)
+    pair = plan.block(derive_stream(3, 0).gen, 2)
+    assert ens.values[:2].tobytes() == pair.tobytes(), (alpha, rho)
 
 
 # The eight samplers: every kind, and cir under each method.

@@ -396,10 +396,13 @@ def test_reversibility_check_refuses_a_single_point():
 def test_generator_check_validation():
     for x0 in (-1.0, float("nan"), float("inf")):
         with pytest.raises(ParameterError, match="^x0 must be finite and >= 0"):
-            generator_check(ProcessKind.SQUARED_OU, (TestFunction.identity(),), x0, P11,
+            generator_check(ProcessKind.SQUARED_OU, (TestFunction.identity(),), (x0,), P11,
                             DEP5, n_mc=100)
+    with pytest.raises(ParameterError, match="^x0s must hold at least one start point"):
+        generator_check(ProcessKind.SQUARED_OU, (TestFunction.identity(),), (), P11, DEP5,
+                        n_mc=100)
     with pytest.raises(ParameterError, match="^n_mc must be at least 2"):
-        generator_check(ProcessKind.SQUARED_OU, (TestFunction.identity(),), 1.0, P11, DEP5,
+        generator_check(ProcessKind.SQUARED_OU, (TestFunction.identity(),), (1.0,), P11, DEP5,
                         n_mc=1)
 
 
@@ -414,7 +417,7 @@ def test_generator_check_refuses_a_kind_without_a_generator_before_drawing(kind,
     monkeypatch.setattr(st, "derive_stream", refuse)
     monkeypatch.setattr(st, "_lane_step", refuse)
     with pytest.raises(UnsupportedKindError, match="generator_apply supports"):
-        generator_check(kind, (TestFunction.identity(),), 1.0, P11, DEP5, n_mc=100)
+        generator_check(kind, (TestFunction.identity(),), (1.0,), P11, DEP5, n_mc=100)
 
 
 def test_generator_check_refuses_no_test_functions_before_drawing(monkeypatch):
@@ -427,18 +430,18 @@ def test_generator_check_refuses_no_test_functions_before_drawing(monkeypatch):
     monkeypatch.setattr(st, "_lane_step", refuse)
     for phis in ((), []):
         with pytest.raises(ParameterError, match="^phis must hold at least one"):
-            generator_check(ProcessKind.SQUARED_OU, phis, 1.0, P11, DEP5, n_mc=100)
+            generator_check(ProcessKind.SQUARED_OU, phis, (1.0,), P11, DEP5, n_mc=100)
 
 
 @pytest.mark.parametrize("epsilon", [0.0, -1.0, float("nan"), float("inf")])
 def test_generator_check_rejects_an_epsilon_that_is_not_finite_and_positive(epsilon):
     with pytest.raises(ParameterError, match="epsilon"):
-        generator_check(ProcessKind.SQUARED_OU, (TestFunction.identity(),), 1.0, P11, DEP5,
+        generator_check(ProcessKind.SQUARED_OU, (TestFunction.identity(),), (1.0,), P11, DEP5,
                         epsilon=epsilon, n_mc=100)
 
 
 def test_generator_check_identity_quick():
-    (rep,) = generator_check(ProcessKind.SQUARED_OU, (TestFunction.identity(),), 2.0, P11,
+    (rep,) = generator_check(ProcessKind.SQUARED_OU, (TestFunction.identity(),), (2.0,), P11,
                              DEP5, n_mc=200000, master_seed=13)
     assert rep.analytic == pytest.approx(-DEP5.lam * (2.0 - 1.0), rel=1e-12)
     assert rep.z < 4.0
@@ -449,7 +452,7 @@ def test_generator_check_blocks_do_not_follow_the_chf_block(monkeypatch):
     from gammaproc import stats as st
 
     assert st._GENERATOR_BLOCK == 1 << 17
-    args = (ProcessKind.CONTINUOUSLY_THINNED, (TestFunction.identity(),), 2.0, P11, DEP5)
+    args = (ProcessKind.CONTINUOUSLY_THINNED, (TestFunction.identity(),), (2.0,), P11, DEP5)
     (before,) = generator_check(*args, n_mc=(1 << 17) + 5, master_seed=14)
     monkeypatch.setattr(st, "_CHF_BLOCK", 1 << 10)
     (after,) = generator_check(*args, n_mc=(1 << 17) + 5, master_seed=14)
