@@ -7,7 +7,9 @@ Runs, for each seed s = first, first + 1, ..., first + K - 1:
   has status ``pass``);
 * ``verify --process cthin --suite acf --seed s`` on the default grid, on
   ``--dt 0.3`` and on the irregular ``--times`` grid 0, 0.37, 1.5 (whose
-  first gap, 0.37, sets the acf path's step), and ``verify --suite
+  first gap, 0.37, sets the acf path's step), ``verify --process rm
+  --suite acf --seed s`` on the default grid and on ``--dt 0.25`` (14 and
+  47 dense tent diagonals before rm's sparse tail), and ``verify --suite
   generator --seed s`` for the kinds with a closed-form generator, cir and
   cthin (pass: the check has status ``pass``);
 * ``compare --points 2 --process-a thinned --process-b rm --seed s``, whose
@@ -61,10 +63,11 @@ def _checks(times):
         yield (f"verify chf {kind.cli_name}",
                ["verify", "--process", kind.cli_name, "--suite", "chf"],
                checks_passed)
-    for label, grid in (("default", []), ("dt 0.3", ["--dt", "0.3"]),
-                        ("times", ["--times", times])):
-        yield (f"verify acf cthin {label}",
-               ["verify", "--process", "cthin", "--suite", "acf", *grid],
+    for kind, label, grid in (("cthin", "default", []), ("cthin", "dt 0.3", ["--dt", "0.3"]),
+                              ("cthin", "times", ["--times", times]), ("rm", "default", []),
+                              ("rm", "dt 0.25", ["--dt", "0.25"])):
+        yield (f"verify acf {kind} {label}",
+               ["verify", "--process", kind, "--suite", "acf", *grid],
                checks_passed)
     for kind in GENERATOR_KINDS:
         yield (f"verify generator {kind.cli_name}",

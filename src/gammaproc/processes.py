@@ -14,16 +14,18 @@ paths run in blocks of ``B``, and path ``m`` is lane ``m % B`` of the block
 drawn from the head of ``derive_stream(master_seed, m // B)``, in the
 block's stream layout, which each plan class documents: ``sample_path``'s
 layout with every draw taken for all ``B`` lanes at once, except that exact
-cir blocks of fewer than ``_VECTOR_LANES`` lanes draw lane after lane and
-cthin runs its series over every lane's segments, lane-major.  ``B``
-depends on the kind:
+cir blocks of fewer than ``_VECTOR_LANES`` lanes draw lane after lane,
+cthin runs its series over every lane's segments, lane-major, and rm's
+sparse tail draws over every lane's far cells, lane-major.  ``B`` depends
+on the kind:
 
 * ``max(1, _BLOCK_DRAWS // width)`` for the plans with a ``width`` per
-  path: ar1, thinned, changepoint and rm (up to ``_PLAN_CELLS`` cells) and
-  exact cir, whose width is their raw draws, and cthin, whose width is 1 +
-  its series' expected intervals;
+  path: ar1, thinned, changepoint and exact cir, whose width is their raw
+  draws, rm (up to ``_PLAN_CELLS`` dense cells), whose width is its dense
+  cells and at least n, and cthin, whose width is 1 + its series' expected
+  intervals;
 * 1 for the plans that simulate whole paths: Euler, squared-OU and rm past
-  ``_PLAN_CELLS`` cells.
+  ``_PLAN_CELLS`` dense cells.
 
 When ``B == 1`` path ``m`` is ``sample_path`` of the same kind and options
 on ``derive_stream(master_seed, m)``, byte for byte.
@@ -33,9 +35,9 @@ Plan, draw, build
 Paths and ensembles run on one engine, in three steps:
 
 * **plan**: everything that depends only on (grid, params, dep) - gap
-  correlations, gamma shapes, rm band masses, cir per-gap constants - is
-  computed once per ``sample_path`` call or ensemble (``_plan_for_kind``,
-  the one dispatch on kind).
+  correlations, gamma shapes, rm band masses and tail bounds, cir per-gap
+  constants - is computed once per ``sample_path`` call or ensemble
+  (``_plan_for_kind``, the one dispatch on kind).
 * **draw**: a block's raw draws are taken off its stream in the documented
   order, each run of draws of one law in one generator call over its rows
   for every lane (a gamma of shape k and scale s is drawn as
@@ -48,8 +50,9 @@ Paths and ensembles run on one engine, in three steps:
 An ensemble re-keys one stream to each block in turn and keeps the block's
 first rows; ``sample_path`` draws the one-lane block.  Exact cir and cthin
 draw as they step, so they have no separate draw step: their plans step
-every lane of a block at once.  Euler and squared-OU simulate their
-one-lane blocks whole inside their plans.
+every lane of a block at once.  rm draws its sparse tail after it builds
+its dense cells.  Euler and squared-OU simulate their one-lane blocks whole
+inside their plans.
 
 The ``*_sample`` batch helpers at the bottom draw i.i.d. copies of a
 marginal or of a thinned/rm triplet from a *single* stream, as a vector of
@@ -80,9 +83,11 @@ Written once, for the path plans and the lanes alike:
   factors (``_cthin_lane_factors``);
 * a plan's run-by-run standard gammas (``_GammaRunsPlan.draw``): thinned
   and rm;
-* the tent partition's band masses, with their negative-mass guard and
-  clamp, diagonal by diagonal from a rolling window of power rows, each row
-  computed once (``_tent_windows``): ``tent_partition`` and the rm plan.
+* the tent partition's band masses, diagonal by diagonal from a rolling
+  window of power rows, each row computed once (``_tent_windows``):
+  ``tent_partition`` and the rm plan's dense diagonals;
+* the tent masses' negative-mass guard and clamp (``_clamped``): the band
+  masses and the rm tail's cells.
 
 Still written twice, each for a reason:
 
@@ -98,6 +103,10 @@ Still written twice, each for a reason:
 * Exact cir steps a block of fewer than ``_VECTOR_LANES`` lanes on Python
   floats, lane after lane, and a larger block in numpy across its lanes,
   for the same reason (``_CirExactPlan``); both call ``_cir_exact_step``.
+* The tent mass formula runs on power rows for a dense diagonal
+  (``_band_masses``) and on the four corners of each candidate cell for
+  the rm tail (``_RandomMeasurePlan._tail_masses``), in the same order of
+  operations: the tail exists to compute no power rows.
 """
 
 from __future__ import annotations
@@ -158,8 +167,7 @@ def _band_masses(powers, d):
     ``rho**(t[d+e:] - t[:n-d-e])`` for e = 0, 1, 2, as far as they exist.
     Interior blocks factor as
     m(i, j) = rho**(t_j - t_i) (1 - rho**(t_i - t_{i-1})) (1 - rho**(t_{j+1} - t_j)),
-    so every mass is nonnegative: rounding residues down to -1e-9 are clamped
-    to zero, and a mass below that is a NumericalError.
+    so every mass is nonnegative (``_clamped``).
     """
     m = powers[0].copy()
     if len(powers) > 1:
@@ -167,32 +175,43 @@ def _band_masses(powers, d):
         m[:-1] -= powers[1]  # A(i, j+1), i = 0..n-2-d
     if len(powers) > 2:
         m[1:-1] += powers[2]  # A(i-1, j+1), i = 1..n-2-d
-    lo = float(np.min(m))
+    return _clamped(m, f"on diagonal {d}")
+
+
+def _clamped(m, where):
+    """Tent masses ``m`` with rounding residues down to -1e-9 clamped to zero.
+
+    A mass below -1e-9 is a NumericalError; ``where`` says where it arose.
+    """
+    lo = float(np.min(m, initial=0.0))
     if lo < -1e-9:
-        raise NumericalError(f"tent partition produced mass {lo} < 0 on diagonal {d}")
+        raise NumericalError(f"tent partition produced mass {lo} < 0 {where}")
     return np.maximum(m, 0.0)
 
 
-def _tent_windows(times, rho, cutoff=0.0, start=None):
+def _tent_windows(times, rho, cutoff=0.0, start=None, stop=None):
     """The power rows of diagonals d = 0, 1, ... of the tent partition, in turn.
 
     Diagonal d's band masses are ``_band_masses(window, d)``, from the power
     rows ``rho**(t[d+e:] - t[:n-d-e])`` for e = 0, 1, 2; a rolling window
     computes each row once.  The walk yields ``(d, window)``, and stops
     before the first diagonal whose pair correlations rho**(t_{i+d} - t_i)
-    all lie below ``cutoff``.  ``start``, a pair ``(d, list(window))`` kept
-    from an earlier walk, resumes that walk at diagonal d.
+    all lie below ``cutoff``, or before diagonal ``stop``; it computes no
+    row past the last diagonal it yields.  ``start``, a pair
+    ``(d, list(window))`` kept from an earlier walk, resumes that walk at
+    diagonal d.
     """
     n = len(times)
+    last = n if stop is None else min(n, stop)
     if start is None:
         start = (0, [rho ** (times[e:] - times[: n - e]) for e in range(min(3, n))])
     first, window = start[0], list(start[1])
-    for d in range(first, n):
+    for d in range(first, last):
         if not np.any(window[0] >= cutoff):
             return
         yield d, window
         del window[0]
-        if d + 3 < n:
+        if d + 3 < n and d + 1 < last:
             window.append(rho ** (times[d + 3 :] - times[: n - d - 3]))
 
 
@@ -439,6 +458,75 @@ class _ThinnedPlan(_GammaRunsPlan):
         )
 
 
+# From the first rm diagonal whose largest cell shape is at most this on,
+# every diagonal is drawn as the sparse tail (``_RandomMeasurePlan``).  A
+# cell of shape s is nonzero in float64 with probability about 762 s
+# (``_nonzero_prob``), so past it more than 92% of dense draws would come
+# out 0.0, while the tail draws only the cells that can be nonzero.  On
+# verify's 1e5-point acf path (alpha 2, rho 0.5) values from 3e-5 to 1e-3
+# ran within the timing noise of each other; 1e-5 and 1e-2 ran 1.5-1.8x
+# slower (2 vCPUs, numpy 2.4).
+_TAIL_SHAPE = 1e-4
+# -log of the tail's floor, 2**-1100.  By Stuart's identity a Ga(s) cell is
+# U**(1/s) G with U uniform and G ~ Ga(1 + s); a cell whose U**(1/s) lies
+# below the floor is below 2**-1100 G, which rounds to 0.0 in float64 (half
+# the least subnormal is 2**-1075) unless G > 2**25, a probability below
+# e**-3e7.  The tail draws only the cells whose U**(1/s) clears the floor.
+_TAIL_FLOOR = 1100.0 * math.log(2.0)
+
+
+def _nonzero_prob(s):
+    """q(s) = 1 - 2**(-1100 s): the chance that a Ga(s) cell's U**(1/s) clears the floor."""
+    return -np.expm1(-_TAIL_FLOOR * s)
+
+
+def _tail_cells(gen, s, q_max):
+    """The tail's candidates of shapes ``s``, each drawn at rate ``q_max``: (kept, values).
+
+    A candidate is kept with probability q(s) / q_max, so a cell becomes a
+    kept candidate with probability q(s): exactly when its U**(1/s) clears
+    the floor.  Given that, U' = 1 - V q(s) is uniform on (2**(-1100 s), 1)
+    and a kept cell is the standard Ga(s) value U'**(1/s) G, G ~ Ga(1 + s).
+    log U' is taken as log1p(-V q(s)), which keeps its precision where U'
+    lies near 1.  Stream order: one acceptance uniform per candidate, then
+    one V per kept cell, then one G per kept cell.
+    """
+    q = _nonzero_prob(s)
+    kept = gen.random(s.size) < q / q_max
+    s, q = s[kept], q[kept]
+    v = gen.random(s.size)
+    return kept, np.exp(np.log1p(-v * q) / s) * gen.standard_gamma(1.0 + s)
+
+
+def _rm_tail(grid, alpha, dep):
+    """(split, bounds): the rm plan's first sparse diagonal and a shape bound for each sparse one.
+
+    A cell (i, i+d) has pair correlation rho**(t_{i+d} - t_i), at most
+    rho**(d g_min) on diagonal d, and its mass is at most that times
+    1 - rho**g_max (the factor of a nested neighbour), except on the last
+    diagonal, d = n - 1, whose one cell has none.  The bounds come from
+    d, alpha, rho and the smallest and largest gaps alone, so no diagonal
+    is walked for them.  The split is the first diagonal whose bound is at
+    most ``_TAIL_SHAPE``, and the tail runs to the first diagonal whose
+    rho**(d g_min) lies below ``_BAND_CUTOFF``, past every diagonal the
+    walk keeps.  A one-point grid has no tail.
+    """
+    n = grid.n
+    if n < 2:
+        return n, np.empty(0)
+    g_min = float(grid.gaps.min())
+    # rho**(d g_min) reaches the cutoff only while d <= horizon / (lam g_min)
+    horizon = -math.log(_BAND_CUTOFF)
+    reach = dep.lam * g_min
+    d = np.arange(n if reach * n <= horizon else min(n, int(horizon / reach) + 2))
+    corr = dep.rho ** (g_min * d)
+    edge = np.where(d < n - 1, 1.0 - dep.rho ** grid.gaps.max(), 1.0)
+    bounds = (alpha * corr * edge)[corr >= _BAND_CUTOFF]
+    small = np.flatnonzero(bounds <= _TAIL_SHAPE)
+    split = int(small[0]) if small.size else n
+    return split, bounds[split:]
+
+
 class _RandomMeasurePlan(_GammaRunsPlan):
     """Exact grid observation of the random-measure process.
 
@@ -446,14 +534,34 @@ class _RandomMeasurePlan(_GammaRunsPlan):
     partition block, X_{t_k} = sum of the cells whose interval contains k.
     Blocks with pair correlation below 1e-18 are dropped (their draws are 0.0
     in double precision); this keeps the cost O(n * horizon) instead of
-    O(n^2).  Stream order: the cells of diagonal d = 0, 1, ... in turn, as
-    standard gammas.
+    O(n^2).
 
-    When a path has at most ``_PLAN_CELLS`` cells the plan keeps every cell
-    shape and a path is one row of draws.  A longer path is drawn and added
-    up one diagonal at a time: the plan keeps the shapes of the diagonals
-    whose cells fit in ``_PLAN_CELLS`` and the walk's window where they end,
-    and each path resumes the walk there, so no diagonal is computed twice.
+    The diagonals before the split (``_rm_tail``) are dense: every cell is
+    one standard gamma, diagonal d = 0, 1, ... in turn.  The rest are one
+    sparse tail, which draws only the cells that can be nonzero in float64
+    (``_tail_cells``).  Tail diagonal d holds lanes x (n - d) slots,
+    lane-major (slot lane (n - d) + i is cell (i, i+d) of that lane); with
+    its shape bound b, a Binomial(slots, q(b)) count of candidates sits at
+    distinct uniform slots, and each candidate's shape comes from the four
+    corner powers of ``_band_masses``' formula.  One weighted bincount over
+    the kept cells' (cell, time) pairs adds each kept cell to every time it
+    covers, so a time sums its own cells and one that no kept cell covers
+    gets exactly 0.0; the running sum of a difference array would leave
+    rounding residues there.  Stream order for a block: the dense cells
+    run by run for every lane, then the tail: every tail diagonal's count
+    (one binomial call), each diagonal's slots in turn (one choice without
+    replacement each, for the diagonals with a count), then
+    ``_tail_cells``' draws for all candidates.  The ``width`` counts the
+    dense draws only (at least n, for a plan with no dense diagonal), so a
+    block's size is a function of (grid, params, dep) alone.
+
+    When a path has at most ``_PLAN_CELLS`` dense cells the plan keeps every
+    cell shape and a path is one row of draws.  A longer path is drawn and
+    added up one diagonal at a time, each as ``_gamma_runs``' calls, and then
+    the tail: the plan keeps the shapes of the diagonals whose cells fit in
+    ``_PLAN_CELLS`` and the walk's window where they end, and each path
+    resumes the walk there, so no diagonal is computed twice.  Both routes
+    take the same draws.
     """
 
     def __init__(self, grid, params, dep):
@@ -461,16 +569,25 @@ class _RandomMeasurePlan(_GammaRunsPlan):
         self.alpha = params.alpha
         self.rho = dep.rho
         self.inv_beta = 1.0 / params.beta
+        self.split, self.tail_bounds = _rm_tail(grid, self.alpha, dep)
         shapes, cells = [], 0
-        for d, window in _tent_windows(grid.times, self.rho, _BAND_CUTOFF):
+        for d, window in self._walk():
             cells += self.n - d
             if cells > _PLAN_CELLS:
                 self.head, self.resume = shapes, (d, list(window))
                 return
             shapes.append(self.alpha * _band_masses(window, d))
-        self.diagonals = len(shapes)
-        self.runs = _gamma_runs(np.concatenate(shapes))
-        self.width = cells
+        if len(shapes) < self.split:  # the walk ended before the split: no tail
+            self.tail_bounds = self.tail_bounds[:0]
+        self.diagonals, self.cells = len(shapes), cells
+        self.runs = _gamma_runs(np.concatenate(shapes)) if shapes else ()
+        self.width = max(cells, self.n)
+
+    def _walk(self, start=None):
+        """The dense diagonals' walk (``_tent_windows``), from ``start`` up to the split."""
+        if not self.split:
+            return iter(())
+        return _tent_windows(self.grid.times, self.rho, _BAND_CUTOFF, start, self.split)
 
     def _add_diagonal(self, values, d, cells):
         """Add each lane's diagonal-d cells (scaled) to the times they cover.
@@ -488,6 +605,50 @@ class _RandomMeasurePlan(_GammaRunsPlan):
         pad[:, n + 1 :] = pad[:, n : n + 1]
         values += pad[:, d + 1 :] - pad[:, :n]
 
+    def _tail_masses(self, i, j):
+        """The masses of cells (i, j), from ``_band_masses``' four corners in its order."""
+        t, rho, last = self.grid.times, self.rho, self.n - 1
+        before, after = np.maximum(i - 1, 0), np.minimum(j + 1, last)
+        m = rho ** (t[j] - t[i])
+        m -= np.where(i > 0, rho ** (t[j] - t[before]), 0.0)
+        m -= np.where(j < last, rho ** (t[after] - t[i]), 0.0)
+        m += np.where((i > 0) & (j < last), rho ** (t[after] - t[before]), 0.0)
+        return _clamped(m, "in the rm tail")
+
+    def _add_tail(self, gen, values):
+        """Draw each lane's tail cells and add them to the times they cover (see the class)."""
+        if not self.tail_bounds.size:
+            return
+        lanes, n = values.shape
+        diagonals = self.split + np.arange(self.tail_bounds.size)
+        slots = lanes * (n - diagonals)
+        q_max = _nonzero_prob(self.tail_bounds)
+        counts = gen.binomial(slots, q_max)
+        if not counts.any():
+            return
+        picks = [gen.choice(slots[k], counts[k], replace=False, shuffle=False)
+                 for k in np.flatnonzero(counts)]
+        d = np.repeat(diagonals, counts)
+        lane, i = np.divmod(np.concatenate(picks), n - d)
+        kept, cells = _tail_cells(gen, self.alpha * self._tail_masses(i, i + d),
+                                  np.repeat(q_max, counts))
+        if not cells.size:
+            return
+        cover = d[kept] + 1
+        ends = np.cumsum(cover)
+        times = np.arange(ends[-1]) + np.repeat((lane * n + i)[kept] - (ends - cover), cover)
+        weights = np.repeat(cells * self.inv_beta, cover)
+        values += np.bincount(times, weights, minlength=values.size).reshape(lanes, n)
+
+    def block(self, gen, lanes):
+        if self.width is None:
+            return self.values(gen)[None]
+        draws = np.empty((self.cells, lanes))
+        self.draw(gen, draws)
+        values = self.build(draws.T)
+        self._add_tail(gen, values)
+        return values
+
     def build(self, draws):
         cells = draws * self.inv_beta
         values = np.zeros((draws.shape[0], self.n))
@@ -498,12 +659,18 @@ class _RandomMeasurePlan(_GammaRunsPlan):
         return values
 
     def values(self, gen):
-        """One path of more than ``_PLAN_CELLS`` cells, drawn and added up a diagonal at a time."""
+        """One path past ``_PLAN_CELLS`` dense cells, drawn and added up a diagonal at a time."""
         values = np.zeros((1, self.n))
-        rest = (self.alpha * _band_masses(window, d) for d, window
-                in _tent_windows(self.grid.times, self.rho, _BAND_CUTOFF, self.resume))
+        rest = (self.alpha * _band_masses(window, d) for d, window in self._walk(self.resume))
+        d = -1
         for d, shapes in enumerate(itertools.chain(self.head, rest)):
-            self._add_diagonal(values, d, gen.standard_gamma(shapes)[None] * self.inv_beta)
+            cells = np.empty((shapes.size, 1))
+            for shape, a, b in _gamma_runs(shapes):
+                gen.standard_gamma(shape, out=cells[a:b])
+            cells *= self.inv_beta
+            self._add_diagonal(values, d, cells.T)
+        if d + 1 == self.split:
+            self._add_tail(gen, values)
         return values[0]
 
 

@@ -648,7 +648,8 @@ def test_seed_sweep_counts_passes_and_errors(monkeypatch, capsys):
     assert list(counts) == ["verify chf ar1", "verify chf thinned", "verify chf rm",
                             "verify chf changepoint", "verify chf cir",
                             "verify acf cthin default", "verify acf cthin dt 0.3",
-                            "verify acf cthin times", "verify generator cir",
+                            "verify acf cthin times", "verify acf rm default",
+                            "verify acf rm dt 0.25", "verify generator cir",
                             "verify generator cthin", "compare thinned/rm 2-point",
                             "compare thinned/thinned 3-point", "compare rm/rm 3-point",
                             "compare cir/cir 3-point", "compare cthin/cthin 3-point"]

@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -108,24 +109,38 @@ def _reference_add_diagonal(self, values, d, cells):
     values += csum[:, hi] - csum[:, lo]
 
 
-@pytest.mark.parametrize("alpha,rho", [(2.0, 0.5), (0.01, 0.001), (0.7, 0.9)])
+# (grid, split) of each (alpha, rho): the first two draw a sparse tail from
+# diagonals 15 and 1 on 300 gaps of 0.9 to 1.1, where the tail's shape bounds
+# are near the cells' shapes, so it keeps cells; the third has no tail on 60
+# gaps of 0.01 to 1.5
+RM_TAIL_GRID = TimeGrid(np.cumsum(np.random.default_rng(7).uniform(0.9, 1.1, 300)))
+RM_ROUTE_CASES = {(2.0, 0.5): (RM_TAIL_GRID, 15), (0.01, 0.001): (RM_TAIL_GRID, 1),
+                  (0.7, 0.9): (TimeGrid(_irregular_times(60, seed=7)), 60)}
+
+
+@pytest.mark.parametrize("alpha,rho", list(RM_ROUTE_CASES))
 def test_rm_diagonal_by_diagonal_route_gives_the_planned_route_bytes(monkeypatch, alpha, rho):
-    grid = TimeGrid(_irregular_times(60, seed=7))
+    grid, split = RM_ROUTE_CASES[alpha, rho]
     params, dep = GammaParams(alpha, 1.3), Dependence.from_rho(rho)
+    plan = processes._RandomMeasurePlan(grid, params, dep)
+    assert plan.split == split and bool(plan.tail_bounds.size) == (split < grid.n)
 
     def path():
-        return sample_path(ProcessKind.RANDOM_MEASURE, derive_stream(8, 3), grid, params,
+        return sample_path(ProcessKind.RANDOM_MEASURE, derive_stream(8, 2), grid, params,
                            dep).values.tobytes()
 
     def ensemble():
         return simulate_ensemble(ProcessKind.RANDOM_MEASURE, grid, params, dep, 5,
                                  master_seed=8).values.tobytes()
 
-    assert processes._RandomMeasurePlan(grid, params, dep).width is not None
+    assert plan.width is not None
     planned = [path(), ensemble()]
     with monkeypatch.context() as m:
         m.setattr(processes._RandomMeasurePlan, "_add_diagonal", _reference_add_diagonal)
         assert [path(), ensemble()] == planned
+    with monkeypatch.context() as m:  # a tail keeps cells in this path
+        m.setattr(processes._RandomMeasurePlan, "_add_tail", lambda self, gen, values: None)
+        assert (path() != planned[0]) == (split < grid.n)
     monkeypatch.setattr(processes, "_PLAN_CELLS", 10)
     assert processes._RandomMeasurePlan(grid, params, dep).width is None
     assert path() == planned[0]
@@ -133,8 +148,9 @@ def test_rm_diagonal_by_diagonal_route_gives_the_planned_route_bytes(monkeypatch
 
 @pytest.mark.parametrize("plan_cells", [10, 100, 200])
 def test_rm_diagonal_by_diagonal_route_computes_each_diagonal_once(monkeypatch, plan_cells):
-    # the plan keeps the diagonals that fit and each path resumes the walk after them
-    grid = TimeGrid(_irregular_times(60, seed=7))
+    # the plan keeps the diagonals that fit and each path resumes the walk after
+    # them, up to the split; the tail computes no band masses
+    grid = RM_TAIL_GRID
     params, dep = GammaParams(2.0, 1.3), Dependence.from_rho(0.5)
     seen = []
 
@@ -146,16 +162,108 @@ def test_rm_diagonal_by_diagonal_route_computes_each_diagonal_once(monkeypatch, 
     monkeypatch.setattr(processes, "_PLAN_CELLS", plan_cells)
     monkeypatch.setattr(processes, "_band_masses", counted)
     plan = processes._RandomMeasurePlan(grid, params, dep)
-    assert plan.width is None
+    assert plan.width is None and plan.tail_bounds.size
     head = list(seen)
     assert head == list(range(len(plan.head)))
     seen.clear()
     plan.values(derive_stream(8, 3).gen)
     diagonals = seen[-1] + 1
+    assert diagonals == plan.split
     assert seen == list(range(len(head), diagonals))
     seen.clear()
     plan.values(derive_stream(8, 4).gen)
     assert seen == list(range(len(head), diagonals))
+
+
+# -- the rm tail's cells against dense gamma draws --------------------------------
+
+TAIL_SHAPES = (3e-6, 1e-5, 1e-4, 3e-4)  # both sides of processes._TAIL_SHAPE (1e-4)
+TAIL_XS = (0.0, 1e-300, 1e-20, 1e-5, 1e-2)
+TAIL_CELLS = 2_000_000
+
+
+@functools.lru_cache(maxsize=None)
+def _dense_exceedances(k):
+    """How many of TAIL_CELLS dense standard_gamma draws at TAIL_SHAPES[k] exceed each x."""
+    x = derive_stream(31, k).gen.standard_gamma(TAIL_SHAPES[k], TAIL_CELLS)
+    return np.array([np.count_nonzero(x > t) for t in TAIL_XS])
+
+
+def _tail_law_max_z(cells):
+    """Worst binomial z of P(X > x) between ``cells(gen, s)`` and dense draws, over s and x.
+
+    ``cells`` returns the kept values of TAIL_CELLS cells of shape s (the rest are 0.0).
+    """
+    worst = 0.0
+    for k, s in enumerate(TAIL_SHAPES):
+        x = cells(derive_stream(32, k).gen, s)
+        tail = np.array([np.count_nonzero(x > t) for t in TAIL_XS])
+        dense = _dense_exceedances(k)
+        p = (tail + dense) / (2.0 * TAIL_CELLS)
+        z = np.abs(tail - dense) / np.sqrt(2.0 * TAIL_CELLS * p * (1.0 - p))
+        worst = max(worst, float(np.max(z)))
+    return worst
+
+
+def _tail_sampler(gen, s, bound, draw=processes._tail_cells):
+    # the tail's draws for TAIL_CELLS cells of shape s on a diagonal of shape bound
+    q_max = processes._nonzero_prob(bound)
+    candidates = gen.binomial(TAIL_CELLS, q_max)
+    kept, x = draw(gen, np.full(candidates, s), q_max)
+    assert x.size == np.count_nonzero(kept)
+    return x
+
+
+def test_rm_tail_cells_have_the_dense_gamma_law():
+    # the bound 1.5 s exercises the acceptance step; at the bound s itself every candidate is kept
+    assert _tail_law_max_z(lambda gen, s: _tail_sampler(gen, s, 1.5 * s)) <= 4.0
+    assert _tail_law_max_z(lambda gen, s: _tail_sampler(gen, s, s)) <= 4.0
+
+
+def _unconditioned_cells(gen, s, q_max):
+    # _tail_cells with U' ~ U(0, 1): it drops the conditioning U' >= 2**(-1100 s)
+    q = processes._nonzero_prob(s)
+    kept = gen.random(s.size) < q / q_max
+    s = s[kept]
+    v = gen.random(s.size)
+    return kept, np.exp(np.log1p(-v) / s) * gen.standard_gamma(1.0 + s)
+
+
+@pytest.mark.parametrize("control", ["unconditioned", "shape 5% high"])
+def test_rm_tail_law_power_control(control):
+    # the law test must fail a tail that forgets the conditioning or is off in shape
+    if control == "unconditioned":
+        z = _tail_law_max_z(lambda gen, s: _tail_sampler(gen, s, 1.5 * s, _unconditioned_cells))
+    else:
+        z = _tail_law_max_z(lambda gen, s: _tail_sampler(gen, 1.05 * s, 1.5 * 1.05 * s))
+    assert z > 4.0
+
+
+# Corners of the rm plan (a slice of ROADMAP item 10's corner test): on 300 unit
+# gaps, rho 0.999 with alpha up to 0.05 is all sparse (split 0), alpha 2 and 50
+# there are all dense (no tail), and rho 1e-6 and 0.5 are mixed.
+RM_CORNER_GRID = make_uniform_grid(0.0, 1.0, 300)
+
+
+@pytest.mark.parametrize("rho", [1e-6, 0.5, 0.999])
+@pytest.mark.parametrize("alpha", [1e-3, 0.05, 2.0, 50.0])
+def test_rm_corner_paths_and_ensembles_are_finite_nonnegative_and_centred(alpha, rho):
+    grid, params, dep = RM_CORNER_GRID, GammaParams(alpha, 1.5), Dependence.from_rho(rho)
+    n, n_paths = grid.n, 64
+    plan = processes._RandomMeasurePlan(grid, params, dep)
+    layout = ("all sparse" if plan.split == 0 else "mixed" if plan.tail_bounds.size
+              else "all dense")
+    assert layout == {0.999: "all sparse" if alpha < 1.0 else "all dense"}.get(rho, "mixed")
+    # the variance of one path's mean: alpha / beta**2 times the mean pair correlation
+    lags = np.arange(1, n)
+    mean_corr = (n + 2.0 * np.sum((n - lags) * rho**lags)) / n**2
+    path_sd = math.sqrt(params.alpha / params.beta**2 * mean_corr)
+    path = sample_path(ProcessKind.RANDOM_MEASURE, derive_stream(3, 0), grid, params, dep).values
+    ens = simulate_ensemble(ProcessKind.RANDOM_MEASURE, grid, params, dep, n_paths, 4).values
+    for values, sd in ((path, path_sd), (ens, path_sd / math.sqrt(n_paths))):
+        assert np.all(np.isfinite(values)) and np.all(values >= 0.0)
+        # six standard deviations: by Chebyshev, any law stays within with probability >= 35/36
+        assert abs(np.mean(values) - params.mean) <= 6.0 * sd
 
 
 # -- path samplers: structural invariants ---------------------------------------
@@ -527,25 +635,73 @@ def _gamma_rows(g, shapes, lanes):
     return np.concatenate(rows)
 
 
+def _rm_split_reference(grid, params, dep):
+    """(split, bounds) by the rule of the rm plan's docstring, on a grid of two points or more.
+
+    Diagonal d's largest shape is at most alpha rho**(d g_min) (1 - rho**g_max),
+    without the last factor at d = n - 1; the diagonals with rho**(d g_min) below
+    1e-18 are dropped, and the split is the first bound of at most 1e-4.
+    """
+    n, gaps = grid.n, np.diff(grid.times)
+    d = np.arange(n)
+    corr = dep.rho ** (gaps.min() * d)
+    bounds = params.alpha * corr * np.where(d < n - 1, 1.0 - dep.rho ** gaps.max(), 1.0)
+    bounds = bounds[corr >= 1e-18]
+    split = next((k for k, bound in enumerate(bounds) if bound <= 1e-4), n)
+    return split, bounds[split:]
+
+
+def _rm_tail_reference(g, grid, params, dep, split, bounds, lanes):
+    """Each lane's sum of the rm tail's cells, drawn cell by cell in the tail's stream order."""
+    n, a = grid.n, params.alpha
+    masses = tent_partition(grid, dep).masses
+    diagonals = split + np.arange(bounds.size)
+    q_max = -np.expm1(-(1100.0 * math.log(2.0)) * bounds)
+    counts = g.binomial(lanes * (n - diagonals), q_max)  # one count per tail diagonal
+    cells = []  # (lane, i, d, q_max), diagonal by diagonal, in the order of the slots drawn
+    for d, count, q in zip(diagonals.tolist(), counts.tolist(), q_max.tolist()):
+        if count:
+            for slot in g.choice(lanes * (n - d), count, replace=False, shuffle=False).tolist():
+                cells.append((*divmod(slot, n - d), d, q))
+    tail = np.zeros((lanes, n))
+    if not cells:
+        return tail
+    shape = np.array([a * masses[i, i + d] for _, i, d, _ in cells])
+    q = -np.expm1(-(1100.0 * math.log(2.0)) * shape)
+    accept = g.random(len(cells)) < q / np.array([c[3] for c in cells])
+    cells, shape, q = [c for c, ok in zip(cells, accept) if ok], shape[accept], q[accept]
+    v = g.random(len(cells))  # U' = 1 - v q on (2**(-1100 s), 1)
+    x = np.exp(np.log1p(-v * q) / shape) * g.standard_gamma(1.0 + shape) * (1.0 / params.beta)
+    for (lane, i, d, _), xk in zip(cells, x.tolist()):
+        tail[lane, i : i + d + 1] += xk
+    return tail
+
+
 def _block_reference(kind, grid, params, dep, seed, block, lanes):
+    """(draws, tail): the block's raw draws, and for rm each lane's tail sums (else None)."""
     g = derive_stream(seed, block).gen
     a, times, n = params.alpha, grid.times, grid.n
     rho_g = dep.rho ** np.diff(times)
     if kind is ProcessKind.AR1:
         head = g.standard_gamma(a, size=(n, lanes))  # X_0 and the mixing L
         counts = g.poisson((1.0 - rho_g)[:, None] / rho_g[:, None] * head[1:])
-        return np.concatenate((head[:1], g.standard_gamma(counts)))
+        return np.concatenate((head[:1], g.standard_gamma(counts))), None
     if kind is ProcessKind.THINNED:
         kept, fresh = a * rho_g, a * (1.0 - rho_g)
-        return _gamma_rows(g, np.concatenate(([a], kept, fresh, fresh)), lanes)
+        return _gamma_rows(g, np.concatenate(([a], kept, fresh, fresh)), lanes), None
     if kind is ProcessKind.RANDOM_MEASURE:
+        # the dense diagonals before the split, then the tail
+        split, bounds = _rm_split_reference(grid, params, dep) if n > 1 else (1, np.empty(0))
         masses = tent_partition(grid, dep).masses
-        shapes = [a * np.diagonal(masses, d) for d in range(n)
+        shapes = [a * np.diagonal(masses, d) for d in range(min(split, n))
                   if np.any(dep.rho ** (times[d:] - times[: n - d]) >= 1e-18)]
-        return _gamma_rows(g, np.concatenate(shapes), lanes)
+        draws = _gamma_rows(g, np.concatenate(shapes), lanes)
+        if len(shapes) < split:  # the cutoff ends the walk first
+            bounds = bounds[:0]
+        return draws, _rm_tail_reference(g, grid, params, dep, split, bounds, lanes)
     x0 = g.standard_gamma(a, size=(1, lanes))
     keep = g.random((n - 1, lanes))
-    return np.concatenate((x0, keep, g.standard_gamma(a, size=(n - 1, lanes))))
+    return np.concatenate((x0, keep, g.standard_gamma(a, size=(n - 1, lanes)))), None
 
 
 def _block_values_reference(kind, grid, params, dep, seed, block, lanes):
@@ -608,11 +764,31 @@ def test_ensemble_blocks_follow_the_block_stream_layout(monkeypatch, sampler, ca
             else:
                 assert got.tobytes() == want[: len(got)].tobytes(), (sampler, case)
             continue
-        draws = _block_reference(kind, grid, params, dep, seed, block, lanes)
+        draws, tail = _block_reference(kind, grid, params, dep, seed, block, lanes)
         assert draws.shape == (plan.width, lanes)
         for m in paths:
             want = plan.build(draws[:, m % lanes][None])[0]
+            if tail is not None:
+                want += tail[m % lanes]
             assert ens.values[m].tobytes() == want.tobytes(), (sampler, case, m)
+
+
+@pytest.mark.parametrize("n,n_paths", [(3, 20000), (2, 20000)], ids=["compare-triplet", "chf"])
+def test_rm_plans_without_a_tail_keep_the_dense_layout(n, n_paths):
+    # compare --points 3 and verify's chf check draw these rm ensembles (Ga(2, 1), rho 0.5,
+    # unit gaps); with no sparse diagonal every cell is drawn dense, as before the tail existed
+    grid, params = make_uniform_grid(0.0, 1.0, n), GammaParams(2.0, 1.0)
+    plan = processes._RandomMeasurePlan(grid, params, DEP5)
+    assert plan.split == n and plan.tail_bounds.size == 0
+    assert plan.width == n * (n + 1) // 2
+    lanes, seed = processes._BLOCK_DRAWS // plan.width, 41
+    ens = simulate_ensemble(ProcessKind.RANDOM_MEASURE, grid, params, DEP5, n_paths, seed)
+    masses = tent_partition(grid, DEP5).masses
+    shapes = np.concatenate([2.0 * np.diagonal(masses, d) for d in range(n)])
+    for block in range(-(-n_paths // lanes)):
+        draws = _gamma_rows(derive_stream(seed, block).gen, shapes, lanes)
+        want = plan.build(draws.T)[: n_paths - block * lanes]
+        assert ens.values[block * lanes : (block + 1) * lanes].tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("case", list(STREAM_CASES))
