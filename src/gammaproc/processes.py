@@ -21,11 +21,10 @@ on the kind:
 
 * ``max(1, _BLOCK_DRAWS // width)`` for the plans with a ``width`` per
   path: ar1, thinned, changepoint and exact cir, whose width is their raw
-  draws, rm (up to ``_PLAN_CELLS`` dense cells), whose width is its dense
-  cells and at least n, and cthin, whose width is 1 + its series' expected
-  intervals;
-* 1 for the plans that simulate whole paths: Euler, squared-OU and rm past
-  ``_PLAN_CELLS`` dense cells.
+  draws, rm, whose width is its dense cells up to the first diagonal past
+  ``_PLAN_CELLS`` and at least n (so a longer rm path runs alone), and
+  cthin, whose width is 1 + its series' expected intervals;
+* 1 for the plans that simulate whole paths: Euler and squared-OU.
 
 When ``B == 1`` path ``m`` is ``sample_path`` of the same kind and options
 on ``derive_stream(master_seed, m)``, byte for byte.
@@ -113,7 +112,6 @@ from __future__ import annotations
 
 import enum
 import functools
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -263,7 +261,7 @@ _BLOCK_DRAWS = 1 << 13
 # numpy validates array arguments in Python (about 9 us a call), scalar ones
 # in C (about 1 us): up to this many scalar calls beat one array call.
 _SCALAR_CALLS = 6
-# Cell shapes an rm plan keeps (2 MiB); longer paths go diagonal by diagonal.
+# Cell shapes an rm plan keeps (2 MiB); a block walks later dense diagonals one at a time.
 _PLAN_CELLS = 1 << 18
 # Below this many lanes (the paths of a block) a recursion, or an exact cir
 # block, runs on Python floats lane by lane; from it on, one numpy step per
@@ -338,9 +336,11 @@ class _Plan:
     ``out.shape[1]`` lanes off ``gen`` into the rows of ``out``, run by run
     in the documented stream order, and ``build(draws)`` turns the block's
     rows (one per path) into values, vectorized across the block.  Exact
-    cir and cthin draw as they step and override ``block``.  A plan whose
-    ``width`` is None simulates one whole path in ``values(gen)``, and its
-    blocks hold one lane.
+    cir and cthin draw as they step and override ``block``; so does rm,
+    which draws its dense diagonals past ``_PLAN_CELLS`` as it walks them
+    and its sparse tail after them.  A plan whose ``width`` is None
+    simulates one whole path in ``values(gen)``, and its blocks hold one
+    lane.
     """
 
     width = None
@@ -551,17 +551,20 @@ class _RandomMeasurePlan(_GammaRunsPlan):
     run by run for every lane, then the tail: every tail diagonal's count
     (one binomial call), each diagonal's slots in turn (one choice without
     replacement each, for the diagonals with a count), then
-    ``_tail_cells``' draws for all candidates.  The ``width`` counts the
-    dense draws only (at least n, for a plan with no dense diagonal), so a
-    block's size is a function of (grid, params, dep) alone.
+    ``_tail_cells``' draws for all candidates.  The tail is drawn only when
+    the walk reaches the split; a walk that the cutoff ends first has none.
 
-    When a path has at most ``_PLAN_CELLS`` dense cells the plan keeps every
-    cell shape and a path is one row of draws.  A longer path is drawn and
-    added up one diagonal at a time, each as ``_gamma_runs``' calls, and then
-    the tail: the plan keeps the shapes of the diagonals whose cells fit in
-    ``_PLAN_CELLS`` and the walk's window where they end, and each path
-    resumes the walk there, so no diagonal is computed twice.  Both routes
-    take the same draws.
+    The plan keeps the cell shapes of the dense diagonals that fit in
+    ``_PLAN_CELLS``, and a block draws all of their cells in one run of
+    ``_gamma_runs``' calls.  Past that the plan keeps the walk's window
+    where they end, and each block resumes the walk there and draws each
+    later diagonal's cells as it reaches it, so no diagonal is computed
+    twice in a block and a block holds the draws of the plan's diagonals
+    plus one more diagonal.  The ``width`` counts the dense draws up to and
+    including the first diagonal past ``_PLAN_CELLS`` (at least n, for a
+    plan with no dense diagonal), so a block's size is a function of (grid,
+    params, dep) alone, and a plan past ``_PLAN_CELLS`` draws blocks of one
+    path.
     """
 
     def __init__(self, grid, params, dep):
@@ -570,16 +573,14 @@ class _RandomMeasurePlan(_GammaRunsPlan):
         self.rho = dep.rho
         self.inv_beta = 1.0 / params.beta
         self.split, self.tail_bounds = _rm_tail(grid, self.alpha, dep)
-        shapes, cells = [], 0
+        shapes, cells, self.resume = [], 0, None
         for d, window in self._walk():
             cells += self.n - d
             if cells > _PLAN_CELLS:
-                self.head, self.resume = shapes, (d, list(window))
-                return
+                self.resume = (d, list(window))
+                break
             shapes.append(self.alpha * _band_masses(window, d))
-        if len(shapes) < self.split:  # the walk ended before the split: no tail
-            self.tail_bounds = self.tail_bounds[:0]
-        self.diagonals, self.cells = len(shapes), cells
+        self.diagonals, self.cells = len(shapes), sum(s.size for s in shapes)
         self.runs = _gamma_runs(np.concatenate(shapes)) if shapes else ()
         self.width = max(cells, self.n)
 
@@ -640,38 +641,36 @@ class _RandomMeasurePlan(_GammaRunsPlan):
         weights = np.repeat(cells * self.inv_beta, cover)
         values += np.bincount(times, weights, minlength=values.size).reshape(lanes, n)
 
-    def block(self, gen, lanes):
-        if self.width is None:
-            return self.values(gen)[None]
-        draws = np.empty((self.cells, lanes))
-        self.draw(gen, draws)
-        values = self.build(draws.T)
-        self._add_tail(gen, values)
-        return values
+    def _dense_cells(self, gen, lanes):
+        """Each dense diagonal d's cells for every lane, scaled: (d, cells), one row per cell.
 
-    def build(self, draws):
-        cells = draws * self.inv_beta
-        values = np.zeros((draws.shape[0], self.n))
+        The diagonals whose shapes the plan holds are drawn at once; past
+        them the walk resumes, and each later diagonal is drawn as the walk
+        reaches it.
+        """
+        held = np.empty((self.cells, lanes))
+        self.draw(gen, held)
+        held *= self.inv_beta
         pos = 0
         for d in range(self.diagonals):
-            self._add_diagonal(values, d, cells[:, pos : pos + self.n - d])
+            yield d, held[pos : pos + self.n - d]
             pos += self.n - d
-        return values
-
-    def values(self, gen):
-        """One path past ``_PLAN_CELLS`` dense cells, drawn and added up a diagonal at a time."""
-        values = np.zeros((1, self.n))
-        rest = (self.alpha * _band_masses(window, d) for d, window in self._walk(self.resume))
-        d = -1
-        for d, shapes in enumerate(itertools.chain(self.head, rest)):
-            cells = np.empty((shapes.size, 1))
+        for d, window in self._walk(self.resume) if self.resume else ():
+            shapes = self.alpha * _band_masses(window, d)
+            cells = np.empty((shapes.size, lanes))
             for shape, a, b in _gamma_runs(shapes):
                 gen.standard_gamma(shape, out=cells[a:b])
             cells *= self.inv_beta
+            yield d, cells
+
+    def block(self, gen, lanes):
+        values = np.zeros((lanes, self.n))
+        d = -1
+        for d, cells in self._dense_cells(gen, lanes):
             self._add_diagonal(values, d, cells.T)
         if d + 1 == self.split:
             self._add_tail(gen, values)
-        return values[0]
+        return values
 
 
 class _ChangepointPlan(_Plan):
