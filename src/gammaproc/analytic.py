@@ -54,12 +54,6 @@ __all__ = [
     "gamma_survival",
 ]
 
-# The kinds with a closed-form pair chf (``pair_chf``): all but the
-# continuously-thinned process.
-PAIR_CHF_KINDS = tuple(k for k in ProcessKind if k is not ProcessKind.CONTINUOUSLY_THINNED)
-# The kinds with a closed-form generator (``generator_apply``).
-GENERATOR_KINDS = (ProcessKind.SQUARED_OU, ProcessKind.CONTINUOUSLY_THINNED)
-
 
 def _as_float_array(omega):
     w = np.asarray(omega, dtype=float)
@@ -89,51 +83,66 @@ def innovation_chf(omega, params: GammaParams, rho_step):
     return complex(out) if np.ndim(omega) == 0 else out
 
 
+# -- pair chfs: one formula per kind, each (s, t, params, dep) -> chf ------------
+
+
+def _ar1_pair_chf(s, t, params, dep):
+    a, b, rho = params.alpha, params.beta, dep.rho
+    return np.exp(-a * (np.log(1.0 - 1j * (s + rho * t) / b) + np.log(1.0 - 1j * t / b)
+                        - np.log(1.0 - 1j * rho * t / b)))
+
+
+def _thinned_pair_chf(s, t, params, dep):
+    a, b, rho = params.alpha, params.beta, dep.rho
+    return np.exp(-a * ((1.0 - rho) * np.log(1.0 - 1j * s / b)
+                        + rho * np.log(1.0 - 1j * (s + t) / b)
+                        + (1.0 - rho) * np.log(1.0 - 1j * t / b)))
+
+
+def _rm_pair_chf(s, t, params, dep):
+    # Deliberately routed through the tent partition of the two-point grid so
+    # the identity with the thinned closed form is a cross-check of two
+    # independent code paths, not a tautology.
+    return rm_joint_chf(np.array([s, t]), TimeGrid(np.array([0.0, 1.0])), params, dep)
+
+
+def _changepoint_pair_chf(s, t, params, dep):
+    a, b, rho = params.alpha, params.beta, dep.rho
+    same = np.exp(-a * np.log(1.0 - 1j * (s + t) / b))
+    indep = np.exp(-a * (np.log(1.0 - 1j * s / b) + np.log(1.0 - 1j * t / b)))
+    return rho * same + (1.0 - rho) * indep
+
+
+def _cir_pair_chf(s, t, params, dep):
+    a, b, rho = params.alpha, params.beta, dep.rho
+    return np.exp(-a * np.log(1.0 - 1j * (s + t) / b - s * t * (1.0 - rho) / b**2))
+
+
+# The continuously-thinned process has no closed pair chf: its bivariate
+# law is not the thinned one, only marginals and covariance agree.
+_PAIR_CHFS = {ProcessKind.AR1: _ar1_pair_chf, ProcessKind.THINNED: _thinned_pair_chf,
+              ProcessKind.RANDOM_MEASURE: _rm_pair_chf,
+              ProcessKind.CHANGE_POINT: _changepoint_pair_chf, ProcessKind.SQUARED_OU: _cir_pair_chf}
+# The kinds with a closed-form pair chf (``pair_chf``), from its table.
+PAIR_CHF_KINDS = tuple(_PAIR_CHFS)
+
+
+def _formula(table, operation, kind):
+    """``kind``'s entry in ``table``; a kind without one is ``operation``'s UnsupportedKindError."""
+    if kind not in table:
+        raise UnsupportedKindError.of(operation, kind)
+    return table[kind]
+
+
 def pair_chf(kind: ProcessKind, s, t, params: GammaParams, dep: Dependence):
     """Joint chf E exp(i s X_0 + i t X_1) at unit lag for the given kind.
 
-    The kinds of ``PAIR_CHF_KINDS`` are supported; the continuously-thinned
-    process has no closed pair chf (its bivariate law is not the thinned one:
-    only marginals and covariance agree) and raises UnsupportedKindError.
-    Non-finite frequencies are a ParameterError.
+    The kinds of ``PAIR_CHF_KINDS`` (``_PAIR_CHFS``' keys) are supported;
+    any other kind, such as the continuously-thinned process, raises
+    UnsupportedKindError.  Non-finite frequencies are a ParameterError.
     """
     s, t = _as_float_array((float(s), float(t))).tolist()
-    a, b, rho = params.alpha, params.beta, dep.rho
-    if kind is ProcessKind.AR1:
-        log_val = (
-            np.log(1.0 - 1j * (s + rho * t) / b)
-            + np.log(1.0 - 1j * t / b)
-            - np.log(1.0 - 1j * rho * t / b)
-        )
-        return complex(np.exp(-a * log_val))
-    if kind is ProcessKind.THINNED:
-        log_val = (
-            (1.0 - rho) * np.log(1.0 - 1j * s / b)
-            + rho * np.log(1.0 - 1j * (s + t) / b)
-            + (1.0 - rho) * np.log(1.0 - 1j * t / b)
-        )
-        return complex(np.exp(-a * log_val))
-    if kind is ProcessKind.RANDOM_MEASURE:
-        # Deliberately routed through the tent partition of the two-point grid
-        # so the identity with the thinned closed form is a cross-check of two
-        # independent code paths, not a tautology.
-        grid = TimeGrid(np.array([0.0, 1.0]))
-        return rm_joint_chf(np.array([s, t]), grid, params, dep)
-    if kind is ProcessKind.CHANGE_POINT:
-        same = np.exp(-a * np.log(1.0 - 1j * (s + t) / b))
-        indep = np.exp(
-            -a * (np.log(1.0 - 1j * s / b) + np.log(1.0 - 1j * t / b))
-        )
-        return complex(rho * same + (1.0 - rho) * indep)
-    if kind is ProcessKind.SQUARED_OU:
-        z = 1.0 - 1j * (s + t) / b - s * t * (1.0 - rho) / b**2
-        return complex(np.exp(-a * np.log(z)))
-    if kind is ProcessKind.CONTINUOUSLY_THINNED:
-        raise UnsupportedKindError(
-            "the continuously-thinned process has no closed-form pair chf; "
-            "compare empirically instead"
-        )
-    raise UnsupportedKindError(f"no pair chf for kind {kind!r}")
+    return complex(_formula(_PAIR_CHFS, "pair_chf", kind)(s, t, params, dep))
 
 
 def rm_joint_chf(omegas, grid: TimeGrid, params: GammaParams, dep: Dependence):
@@ -246,12 +255,24 @@ def cir_transition_density(y, x, params: GammaParams, dep: Dependence, dt):
 
 @dataclass(frozen=True)
 class TestFunction:
-    """Test functions for generator checks: identity, square, or exp(theta x)."""
+    """Test functions for generator checks: identity, square, or exp(theta x).
+
+    The name must be one of the three, and an exponential's theta must be
+    finite and <= 0; anything else is a ParameterError.
+    """
 
     __test__ = False  # not a test case despite the name
 
     name: str
     theta: float = 0.0
+
+    def __post_init__(self):
+        if self.name not in ("identity", "square", "exponential"):
+            raise ParameterError(f"unknown test function {self.name!r}; expected one of "
+                                 "identity, square, exponential")
+        theta = float(self.theta)
+        if self.name == "exponential" and (theta > 0.0 or not math.isfinite(theta)):
+            raise ParameterError(f"exponential test functions require theta <= 0, got {theta!r}")
 
     @classmethod
     def identity(cls):
@@ -263,12 +284,7 @@ class TestFunction:
 
     @classmethod
     def exponential(cls, theta):
-        theta = float(theta)
-        if theta > 0.0 or not math.isfinite(theta):
-            raise ParameterError(
-                f"exponential test functions require theta <= 0, got {theta!r}"
-            )
-        return cls("exponential", theta)
+        return cls("exponential", float(theta))
 
     def phi(self, x):
         if self.name == "identity":
@@ -329,8 +345,32 @@ def _thinning_series(z, a):
                          f"needs more than {_SERIES_TERMS} terms")
 
 
+def _cir_generator(f, x, a, b, lam):
+    return float(-lam * (x - a / b) * f.dphi(x) + (lam / b) * x * f.d2phi(x))
+
+
+def _cthin_generator(f, x, a, b, lam):
+    if f.name == "identity":
+        return a * lam / b - lam * x
+    if f.name == "square":
+        return (2.0 * a * lam * x / b + a * lam / b**2
+                - 2.0 * lam * x * x + lam * x * x / (a + 1.0))
+    z = -f.theta * x
+    return a * lam * (-math.exp(-z) * math.log1p(-f.theta / b) + _thinning_series(z, a))
+
+
+# The generators, one per kind, each (f, x, alpha, beta, lam) -> (L f)(x).
+_GENERATORS = {ProcessKind.SQUARED_OU: _cir_generator,
+               ProcessKind.CONTINUOUSLY_THINNED: _cthin_generator}
+# The kinds with a closed-form generator (``generator_apply``), from its table.
+GENERATOR_KINDS = tuple(_GENERATORS)
+
+
 def generator_apply(kind: ProcessKind, f: TestFunction, x, params: GammaParams, dep: Dependence):
     """Infinitesimal generator applied to a test function at state x.
+
+    The kinds of ``GENERATOR_KINDS`` (``_GENERATORS``' keys) are supported;
+    any other kind raises UnsupportedKindError.
 
     SquaredOU (diffusion):  -lam (x - alpha/beta) f'(x) + (lam/beta) x f''(x).
 
@@ -353,20 +393,7 @@ def generator_apply(kind: ProcessKind, f: TestFunction, x, params: GammaParams, 
     power against v^{-1} (1-v)^{a-1} as a Beta integral.
     """
     x = _require_finite_nonnegative("x", x)
-    if kind not in GENERATOR_KINDS:
-        raise UnsupportedKindError(
-            f"generator_apply supports the SquaredOU and ContinuouslyThinned kinds, not {kind!r}"
-        )
-    a, b, lam = params.alpha, params.beta, dep.lam
-    if kind is ProcessKind.SQUARED_OU:
-        return float(-lam * (x - a / b) * f.dphi(x) + (lam / b) * x * f.d2phi(x))
-    if f.name == "identity":
-        return a * lam / b - lam * x
-    if f.name == "square":
-        return (2.0 * a * lam * x / b + a * lam / b**2
-                - 2.0 * lam * x * x + lam * x * x / (a + 1.0))
-    z = -f.theta * x
-    return a * lam * (-math.exp(-z) * math.log1p(-f.theta / b) + _thinning_series(z, a))
+    return _formula(_GENERATORS, "generator_apply", kind)(f, x, params.alpha, params.beta, dep.lam)
 
 
 # -- tails ---------------------------------------------------------------------

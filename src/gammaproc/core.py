@@ -45,6 +45,11 @@ class NumericalError(RuntimeError):
 class UnsupportedKindError(ParameterError):
     """The requested operation has no implementation for this process kind."""
 
+    @classmethod
+    def of(cls, operation, kind):
+        """The one refusal form: ``"<operation> does not support kind <kind!r>"``."""
+        return cls(f"{operation} does not support kind {kind!r}")
+
 
 def _require_finite_positive(name, value):
     """``value`` as a float that is finite and > 0; anything else is a ParameterError."""

@@ -29,29 +29,24 @@ on the kind:
 When ``B == 1`` path ``m`` is ``sample_path`` of the same kind and options
 on ``derive_stream(master_seed, m)``, byte for byte.
 
-Plan, draw, build
------------------
-Paths and ensembles run on one engine, in three steps:
+Plans and blocks
+----------------
+Paths and ensembles run on one engine, in two steps:
 
 * **plan**: everything that depends only on (grid, params, dep) - gap
   correlations, gamma shapes, rm band masses and tail bounds, cir per-gap
-  constants - is computed once per ``sample_path`` call or ensemble
-  (``_plan_for_kind``, the one dispatch on kind).
-* **draw**: a block's raw draws are taken off its stream in the documented
-  order, each run of draws of one law in one generator call over its rows
-  for every lane (a gamma of shape k and scale s is drawn as
-  ``s * standard_gamma(k)``, which is the same number bit for bit).  An
-  ensemble re-keys one Philox stream to each block's key in turn, which
-  yields exactly the words of a freshly keyed one.
-* **build**: a block of paths' draws becomes values, vectorized across the
-  block; recursions stay fl(rho * x + zeta) element by element.
-
-An ensemble re-keys one stream to each block in turn and keeps the block's
-first rows; ``sample_path`` draws the one-lane block.  Exact cir and cthin
-draw as they step, so they have no separate draw step: their plans step
-every lane of a block at once.  rm draws its sparse tail after it builds
-its dense cells.  Euler and squared-OU simulate their one-lane blocks whole
-inside their plans.
+  constants - is computed once per ``sample_path`` call or ensemble.  The
+  plan class comes from ``_PLANS``, the one table of kinds (keyed by kind,
+  and by ``CirMethod`` for cir).
+* **block**: ``block(gen, lanes)`` draws a block's values, one row per
+  lane, from the head of ``gen`` in the documented order.  Each run of
+  draws of one law is one generator call over its rows for every lane (a
+  gamma of shape k and scale s is drawn as ``s * standard_gamma(k)``,
+  which is the same number bit for bit), and the values are built
+  vectorized across the block; recursions stay fl(rho * x + zeta) element
+  by element.  An ensemble re-keys one Philox stream to each block's key
+  in turn, which yields exactly the words of a freshly keyed one, and
+  keeps the block's first rows; ``sample_path`` draws the one-lane block.
 
 The ``*_sample`` batch helpers at the bottom draw i.i.d. copies of a
 marginal or of a thinned/rm triplet from a *single* stream, as a vector of
@@ -60,28 +55,29 @@ independent replicates, for which per-path stream setup dominates runtime.
 Pairs need no helper: a 2-point ``simulate_ensemble`` is one pair per path.
 The marginal and triplet helpers share one body (``_batch_start`` and
 ``_batch_rows``): each gap of ar1, thinned, changepoint, exact cir and
-cthin is one call of ``_lane_step``, the only lane dispatch on
-kind, and rm sums the cells of a small tent partition.  The stats
-generator check steps cir lanes through ``_lane_step`` and applies cthin's
-lane factors (``_cthin_lane_factors``) to each of its start points.  Each
-helper documents why its construction has exactly the law of the kind's
-paths restricted to those times.
+cthin is one call of the kind's ``lane_step``, a static method of its plan
+class, and rm sums the cells of a small tent partition; the squared-OU
+marginal is the last column of a 3-point block.  The stats generator check
+steps cir lanes through the exact cir plan's ``lane_step`` and applies the
+cthin plan's ``lane_factors`` to each of its start points.  Each helper
+documents why its construction has exactly the law of the kind's paths
+restricted to those times.
 
 Shared and duplicated update rules
 ----------------------------------
 Written once, for the path plans and the lanes alike:
 
-* the AR(1) gamma-Poisson-gamma ladder (``_ar1_ladder``): the ar1 plan, the
-  ar1 lane step and ``walker_sample``;
-* the exact cir transition (``_cir_exact_step``): the exact cir plan and
+* the AR(1) gamma-Poisson-gamma ladder (``_ar1_ladder``): the ar1 block,
+  the ar1 lane step and ``walker_sample``;
+* the exact cir transition (``_cir_exact_step``): the exact cir block and
   lane step;
-* the exact OU walk (``_ou_walk``): the squared-OU plan and
-  ``marginal_sample``;
+* the exact OU walk (``_ou_walk``): the squared-OU block, which also draws
+  ``marginal_sample``'s squared-OU lanes;
 * the cthin series factors, X_end = M X_start + Z over a segment
-  (``_cthin_factors``): the cthin plan's grid gaps and the cthin lane
-  factors (``_cthin_lane_factors``);
-* a plan's run-by-run standard gammas (``_GammaRunsPlan.draw``): thinned
-  and rm;
+  (``_cthin_factors``): the cthin block's grid gaps and the cthin lane
+  factors (``_CthinPlan.lane_factors``);
+* run-by-run standard gammas (``_standard_gammas``): the thinned and rm
+  blocks;
 * the tent partition's band masses, diagonal by diagonal from a rolling
   window of power rows, each row computed once (``_tent_windows``):
   ``tent_partition`` and the rm plan's dense diagonals;
@@ -91,17 +87,18 @@ Written once, for the path plans and the lanes alike:
 Still written twice, each for a reason:
 
 * thinned, changepoint and rm draw gap by gap in their batch layouts
-  (``_lane_step``, ``_rm_cells``) but run by run in their plans.  Acceptance
-  criteria 1 and 5 read the batch samplers' bytes at frozen seeds with
-  per-cell bounds, so those layouts stay until the criteria have
-  family-wise bounds.
+  (``lane_step``, ``_rm_cells``) but run by run in their blocks.
+  Acceptance criteria 1 and 5 read the batch samplers' bytes at frozen
+  seeds with per-cell bounds, so those layouts stay until the criteria
+  have family-wise bounds.
 * Euler steps a path on Python floats and ``marginal_sample``'s lanes in
   numpy.  One substep costs about 1.2 us on Python floats and about 12 us
   as a one-lane numpy step (Xeon, 2 vCPUs, numpy 2.4), so a path would run
   ten times slower on the lane loop.
 * Exact cir steps a block of fewer than ``_VECTOR_LANES`` lanes on Python
-  floats, lane after lane, and a larger block in numpy across its lanes,
-  for the same reason (``_CirExactPlan``); both call ``_cir_exact_step``.
+  floats, lane after lane (``_CirExactPlan._float_lane``), and a larger
+  block in numpy across its lanes, for the same reason; both call
+  ``_cir_exact_step``.
 * The tent mass formula runs on power rows for a dense diagonal
   (``_band_masses``) and on the four corners of each candidate cell for
   the rm tail (``_RandomMeasurePlan._tail_masses``), in the same order of
@@ -248,7 +245,7 @@ def tent_partition(grid: TimeGrid, dep: Dependence) -> TentPartition:
     return TentPartition(grid=grid, dep=dep, masses=masses)
 
 
-# -- the engine: plan once, draw per block, build across paths ----------------
+# -- the engine: plan once, draw each block across its paths -----------------
 
 # Raw draws held per block of paths: 64 KiB, so block buffers stay below
 # glibc's default mmap threshold.  Freeing larger ones raises that threshold,
@@ -283,6 +280,13 @@ def _gamma_runs(shapes):
         return [(shapes[:, None], 0, shapes.size)]
     bounds = [0, *edges.tolist(), shapes.size]
     return [(float(shapes[a]), a, b) for a, b in zip(bounds[:-1], bounds[1:])]
+
+
+def _standard_gammas(gen, runs, out):
+    """``out`` filled with standard gammas, one call per run of ``_gamma_runs``, row by row."""
+    for shape, a, b in runs:
+        gen.standard_gamma(shape, out=out[a:b])
+    return out
 
 
 def _as_floats(*arrays):
@@ -327,34 +331,27 @@ def _affine_recursion(a, z, x0):
 class _Plan:
     """Everything a kind's paths share on one (grid, params, dep), computed once.
 
-    ``block(gen, lanes)`` gives the values of ``lanes`` paths, one row each,
-    from the head of ``gen``; an ensemble's block sizes keep path m a
-    function of (master_seed, m) alone (the module docstring has the rule),
-    and ``sample_path`` draws the one-lane block.  A plan with a ``width``
-    sizes its ensemble blocks by it.  Most split a block in two steps:
-    ``draw(gen, out)`` takes the ``width`` raw draws of each of
-    ``out.shape[1]`` lanes off ``gen`` into the rows of ``out``, run by run
-    in the documented stream order, and ``build(draws)`` turns the block's
-    rows (one per path) into values, vectorized across the block.  Exact
-    cir and cthin draw as they step and override ``block``; so does rm,
-    which draws its dense diagonals past ``_PLAN_CELLS`` as it walks them
-    and its sparse tail after them.  A plan whose ``width`` is None
-    simulates one whole path in ``values(gen)``, and its blocks hold one
-    lane.
+    Each kind's plan class, built as ``cls(grid, params, dep)`` (Euler also
+    takes ``substeps``), has one sampling method: ``block(gen, lanes)``
+    gives the values of ``lanes`` paths, one row each, from the head of
+    ``gen``, in the stream order its class documents.  An ensemble's block
+    sizes keep path m a function of (master_seed, m) alone (the module
+    docstring has the rule), and ``sample_path`` draws the one-lane block.
+    A plan with a ``width`` (its raw draws per path) sizes its ensemble
+    blocks by it; one without runs blocks of one path.  A kind that steps
+    lanes gap by gap for the batch samplers holds that update as the static
+    method ``lane_step(g, x, a, b, r)``: one gap of gap correlation r for
+    every lane of ``x``, drawn from ``g``, at the Ga(a, b) marginal.  cthin
+    also exposes the affine factors its step applies, ``lane_factors``.
     """
 
     width = None
+    lane_step = None
+    lane_factors = None
 
     def __init__(self, grid: TimeGrid):
         self.grid = grid
         self.n = grid.n
-
-    def block(self, gen, lanes):
-        if self.width is None:
-            return self.values(gen)[None]
-        draws = np.empty((self.width, lanes))
-        self.draw(gen, draws)
-        return self.build(draws.T)
 
 
 def _ladder_odds(rho_g):
@@ -399,7 +396,8 @@ class _Ar1Plan(_Plan):
     N ~ Po(((1-rho_k)/rho_k) L), value ~ Ga(N, beta/rho_k)), its three stages
     drawn vectorized over steps as standard gammas.  Stream order: X_0, all L,
     all N, all values.  The recursion then runs step by step, so that each
-    step is literally fl(rho_k * x + zeta_k).
+    step is literally fl(rho_k * x + zeta_k).  Its lane step draws one gap's
+    ladder for every lane.
     """
 
     def __init__(self, grid, params, dep):
@@ -411,25 +409,19 @@ class _Ar1Plan(_Plan):
         self.zeta_scale = self.rho_g / params.beta
         self.width = self.n
 
-    def draw(self, gen, out):
-        gen.standard_gamma(self.alpha, out=out[0])
-        _ar1_ladder(gen, self.alpha, self.odds, out[1:])
+    def block(self, gen, lanes):
+        draws = np.empty((self.width, lanes))
+        gen.standard_gamma(self.alpha, out=draws[0])
+        _ar1_ladder(gen, self.alpha, self.odds, draws[1:])
+        return _affine_recursion(self.rho_g, draws[1:].T * self.zeta_scale,
+                                 draws[0] * self.inv_beta)
 
-    def build(self, draws):
-        return _affine_recursion(
-            self.rho_g, draws[:, 1:] * self.zeta_scale, draws[:, 0] * self.inv_beta
-        )
-
-
-class _GammaRunsPlan(_Plan):
-    """A plan whose draws are all standard gammas, one call per run of ``self.runs``."""
-
-    def draw(self, gen, out):
-        for shape, a, b in self.runs:
-            gen.standard_gamma(shape, out=out[a:b])
+    @staticmethod
+    def lane_step(g, x, a, b, r):
+        return r * x + _ar1_ladder(g, a, _ladder_odds(r), np.empty(x.size)) * (r / b)
 
 
-class _ThinnedPlan(_GammaRunsPlan):
+class _ThinnedPlan(_Plan):
     """Thinned recursion: X_{t_k} = B_k X_{t_{k-1}} + zeta_k.
 
     B_k ~ Be(alpha rho_k, alpha (1 - rho_k)) thins the previous value
@@ -437,7 +429,8 @@ class _ThinnedPlan(_GammaRunsPlan):
     X ~ Ga(alpha, beta)) and zeta_k ~ Ga(alpha (1 - rho_k), beta) replaces the
     removed mass.  Stream order: X_0, the numerator gammas of all B_k, the
     denominator gammas, all zeta_k.  All are gammas, so a path is one vector
-    of standard-gamma shapes.
+    of standard-gamma shapes.  Its lane step draws one gap for every lane:
+    all numerator gammas, all denominator gammas, all zeta.
     """
 
     def __init__(self, grid, params, dep):
@@ -449,13 +442,16 @@ class _ThinnedPlan(_GammaRunsPlan):
         self.inv_beta = 1.0 / params.beta
         self.width = 3 * self.n - 2
 
-    def build(self, draws):
-        s = self.n - 1
-        g1 = draws[:, 1 : 1 + s]
-        g2 = draws[:, 1 + s : 1 + 2 * s]
-        return _affine_recursion(
-            g1 / (g1 + g2), draws[:, 1 + 2 * s :] * self.inv_beta, draws[:, 0] * self.inv_beta
-        )
+    def block(self, gen, lanes):
+        draws = _standard_gammas(gen, self.runs, np.empty((self.width, lanes)))
+        x0, g1, g2, fresh = np.split(draws, [1, self.n, 2 * self.n - 1])
+        return _affine_recursion((g1 / (g1 + g2)).T, fresh.T * self.inv_beta, x0[0] * self.inv_beta)
+
+    @staticmethod
+    def lane_step(g, x, a, b, r):
+        g1 = g.gamma(a * r, 1.0, size=x.size)
+        g2 = g.gamma(a * (1.0 - r), 1.0, size=x.size)
+        return g1 / (g1 + g2) * x + g.gamma(a * (1.0 - r), 1.0 / b, size=x.size)
 
 
 # From the first rm diagonal whose largest cell shape is at most this on,
@@ -527,7 +523,7 @@ def _rm_tail(grid, alpha, dep):
     return split, bounds[split:]
 
 
-class _RandomMeasurePlan(_GammaRunsPlan):
+class _RandomMeasurePlan(_Plan):
     """Exact grid observation of the random-measure process.
 
     One independent cell variable zeta(i, j) ~ Ga(alpha m(i, j), beta) per
@@ -648,8 +644,7 @@ class _RandomMeasurePlan(_GammaRunsPlan):
         them the walk resumes, and each later diagonal is drawn as the walk
         reaches it.
         """
-        held = np.empty((self.cells, lanes))
-        self.draw(gen, held)
+        held = _standard_gammas(gen, self.runs, np.empty((self.cells, lanes)))
         held *= self.inv_beta
         pos = 0
         for d in range(self.diagonals):
@@ -657,9 +652,7 @@ class _RandomMeasurePlan(_GammaRunsPlan):
             pos += self.n - d
         for d, window in self._walk(self.resume) if self.resume else ():
             shapes = self.alpha * _band_masses(window, d)
-            cells = np.empty((shapes.size, lanes))
-            for shape, a, b in _gamma_runs(shapes):
-                gen.standard_gamma(shape, out=cells[a:b])
+            cells = _standard_gammas(gen, _gamma_runs(shapes), np.empty((shapes.size, lanes)))
             cells *= self.inv_beta
             yield d, cells
 
@@ -681,7 +674,8 @@ class _ChangepointPlan(_Plan):
     variate (the value after the last event in the gap, which is independent
     of everything earlier).  Stream order: X_0 (standard gamma), all
     keep-uniforms, all fresh standard gammas (fresh values are drawn
-    unconditionally to keep the stream layout branch-free).
+    unconditionally to keep the stream layout branch-free).  Its lane step
+    draws one gap for every lane: all keep-uniforms, all fresh values.
     """
 
     def __init__(self, grid, params, dep):
@@ -691,18 +685,19 @@ class _ChangepointPlan(_Plan):
         self.rho_g = dep.rho ** grid.gaps
         self.width = 2 * self.n - 1
 
-    def draw(self, gen, out):
-        n = self.n
-        gen.standard_gamma(self.alpha, out=out[0])
-        gen.random(out=out[1:n])
-        gen.standard_gamma(self.alpha, out=out[n:])
-
-    def build(self, draws):
-        n = self.n
-        pool = np.concatenate((draws[:, :1], draws[:, n:]), axis=1) * self.inv_beta
-        idx = np.zeros((draws.shape[0], n), dtype=np.int64)
-        np.cumsum(draws[:, 1:n] >= self.rho_g, axis=1, out=idx[:, 1:])
+    def block(self, gen, lanes):
+        n, draws = self.n, np.empty((self.width, lanes))
+        gen.standard_gamma(self.alpha, out=draws[0])
+        gen.random(out=draws[1:n])
+        gen.standard_gamma(self.alpha, out=draws[n:])
+        pool = np.concatenate((draws[:1], draws[n:])).T * self.inv_beta
+        idx = np.zeros((lanes, n), dtype=np.int64)
+        np.cumsum(draws[1:n].T >= self.rho_g, axis=1, out=idx[:, 1:])
         return np.take_along_axis(pool, idx, axis=1)
+
+    @staticmethod
+    def lane_step(g, x, a, b, r):
+        return np.where(g.random(x.size) < r, x, g.gamma(a, 1.0 / b, size=x.size))
 
 
 class CirMethod(enum.Enum):
@@ -755,8 +750,9 @@ class _CirExactPlan(_Plan):
     draws X_0 of every lane, then gap by gap every lane's Poisson count and
     then every lane's gamma, each a numpy call across the lanes.  A smaller
     block draws its lanes one after another, each as X_0 and then each
-    gap's Poisson count and gamma in turn, on Python floats (``values``); at
-    one lane the two orders are the same, and so are the bytes.  The fork
+    gap's Poisson count and gamma in turn, on Python floats
+    (``_float_lane``); at one lane the two orders are the same, and so are
+    the bytes.  The lane step is one gap of ``_cir_exact_step``.  The fork
     is kept on a measurement: a numpy step costs 18-21 us at 1 to 32 lanes
     and a float step about 1.4 us a lane (2 vCPUs, numpy 2.4), so they
     break even near 16 lanes; at 2000 points (blocks of 2 lanes) a 200-path
@@ -776,7 +772,7 @@ class _CirExactPlan(_Plan):
 
     def block(self, gen, lanes):
         if lanes < _VECTOR_LANES:
-            return np.array([self.values(gen) for _ in range(lanes)])
+            return np.array([self._float_lane(gen) for _ in range(lanes)])
         a = self.alpha
         out = np.empty((self.n, lanes))
         x = out[0] = gen.gamma(a, 1.0 / self.beta, size=lanes)
@@ -784,7 +780,7 @@ class _CirExactPlan(_Plan):
             x = out[k] = _cir_exact_step(gen, x, a, c, rho_d)
         return out.T
 
-    def values(self, gen):
+    def _float_lane(self, gen):
         """One lane's path, step by step on Python floats."""
         a = self.alpha
         out = np.empty(self.n)
@@ -793,13 +789,18 @@ class _CirExactPlan(_Plan):
             x = out[k] = _cir_exact_step(gen, x, a, c, rho_d)
         return out
 
+    @staticmethod
+    def lane_step(g, x, a, b, r):
+        return _cir_exact_step(g, x, a, _cir_rate(b, r), r)
+
 
 class _CirEulerPlan(_Plan):
     """The cir diffusion by ``substeps`` full-truncation Euler steps per gap.
 
     The diffusion coefficient reads max(X, 0); the state may make small
     negative excursions.  Stream order: X_0, then every substep's standard
-    normal in one call.
+    normal in one call.  It has no ``width``, so its ensemble blocks hold one
+    path; a block of several draws them one after another.
     """
 
     def __init__(self, grid, params, dep, substeps):
@@ -807,7 +808,10 @@ class _CirEulerPlan(_Plan):
         self.substeps = _require_positive_int("substeps", substeps)
         self.params, self.dep = params, dep
 
-    def values(self, gen):
+    def block(self, gen, lanes):
+        return np.array([self._path(gen) for _ in range(lanes)])
+
+    def _path(self, gen):
         grid, m, lam = self.grid, self.substeps, self.dep.lam
         a, b = self.params.alpha, self.params.beta
         values = np.empty(self.n)
@@ -857,8 +861,9 @@ class _SquaredOuPlan(_Plan):
     """The cir diffusion as J = 2 alpha exact OU coordinates (``_ou_walk``).
 
     X = sum Z_j^2 / (2 beta); 2 alpha must be a positive integer.  No
-    substeps are needed because the OU update is exact over any gap; the
-    stream order is ``_ou_walk``'s.
+    substeps are needed because the OU update is exact over any gap.  A
+    block walks ``(lanes, J)`` coordinates, in ``_ou_walk``'s stream order;
+    the plan has no ``width``, so its ensemble blocks hold one path.
     """
 
     def __init__(self, grid, params, dep):
@@ -867,9 +872,9 @@ class _SquaredOuPlan(_Plan):
         self.two_beta = 2.0 * params.beta
         self.half = dep.rho ** (grid.gaps / 2.0)
 
-    def values(self, gen):
-        walk = _ou_walk(gen, self.half, (self.j,))
-        return np.fromiter(((z * z).sum() for z in walk), float, count=self.n) / self.two_beta
+    def block(self, gen, lanes):
+        walk = _ou_walk(gen, self.half, (lanes, self.j))
+        return np.array([np.sum(z * z, axis=1) for z in walk]).T / self.two_beta
 
 
 # Downward-jump components the cthin series draws as events (j < _CTHIN_TERMS);
@@ -1055,7 +1060,7 @@ class _CthinPlan(_Plan):
     segment's count, all spacings, all component uniforms, all multiplier
     exponentials, all top-up gammas, all remainder gammas.  The ``width``
     is 1 + the expected number of intervals of a path, a function of
-    (grid, params, dep) alone.
+    (grid, params, dep) alone.  The lane step applies ``lane_factors``.
     """
 
     def __init__(self, grid, params, dep):
@@ -1073,28 +1078,58 @@ class _CthinPlan(_Plan):
         shape = (lanes, self.steps.size)
         return _affine_recursion(m.reshape(shape), z.reshape(shape), x)[:, self.keep]
 
+    @staticmethod
+    def lane_factors(g, a, b, r, n):
+        """The series factors (M, Z) of one gap of correlation r for n lanes, piece by piece.
+
+        X' = M X + Z over each piece in turn: a segment of lam-time -log r in
+        equal pieces of at most one chunk (``_cthin_pieces``).  The factors
+        do not depend on X, so one draw serves any start.
+        """
+        if not r > 0.0:
+            raise NumericalError("cthin series: a gap correlation underflowed to 0")
+        step = 0.0 - math.log(r)  # +0.0 where r is 1.0: numpy refuses a gamma shape of -0.0
+        pieces = int(_cthin_pieces(a, step))
+        for _ in range(pieces):
+            yield _cthin_factors(g, a, b, np.full(n, step / pieces))
+
+    @staticmethod
+    def lane_step(g, x, a, b, r):
+        for m, z in _CthinPlan.lane_factors(g, a, b, r, x.size):
+            x = m * x + z
+        return x
+
+
+# The one table of kinds: each kind's plan class, by cir method for cir.
+_PLANS = {ProcessKind.AR1: _Ar1Plan, ProcessKind.THINNED: _ThinnedPlan,
+          ProcessKind.RANDOM_MEASURE: _RandomMeasurePlan,
+          ProcessKind.CHANGE_POINT: _ChangepointPlan, ProcessKind.CONTINUOUSLY_THINNED: _CthinPlan,
+          ProcessKind.SQUARED_OU: {CirMethod.EXACT: _CirExactPlan, CirMethod.EULER: _CirEulerPlan,
+                                   CirMethod.SQUARED_OU: _SquaredOuPlan}}
+
+
+def _plan_class(kind, method=CirMethod.EXACT):
+    """``kind``'s plan class in ``_PLANS`` (``method``'s for cir; other kinds ignore it)."""
+    plan = _PLANS.get(kind)
+    if plan is None:
+        raise UnsupportedKindError.of("simulation", kind)
+    if isinstance(plan, dict) and method not in plan:
+        raise ParameterError(f"unknown cir method {method!r}")
+    return plan[method] if isinstance(plan, dict) else plan
+
 
 def _plan_for_kind(kind, grid, params, dep, method, substeps):
-    """The one dispatch on kind (and cir method): the plan that simulates ``kind`` on ``grid``."""
-    if kind is ProcessKind.AR1:
-        return _Ar1Plan(grid, params, dep)
-    if kind is ProcessKind.THINNED:
-        return _ThinnedPlan(grid, params, dep)
-    if kind is ProcessKind.RANDOM_MEASURE:
-        return _RandomMeasurePlan(grid, params, dep)
-    if kind is ProcessKind.CHANGE_POINT:
-        return _ChangepointPlan(grid, params, dep)
-    if kind is ProcessKind.SQUARED_OU:
-        if method is CirMethod.EXACT:
-            return _CirExactPlan(grid, params, dep)
-        if method is CirMethod.EULER:
-            return _CirEulerPlan(grid, params, dep, substeps)
-        if method is CirMethod.SQUARED_OU:
-            return _SquaredOuPlan(grid, params, dep)
-        raise ParameterError(f"unknown cir method {method!r}")
-    if kind is ProcessKind.CONTINUOUSLY_THINNED:
-        return _CthinPlan(grid, params, dep)
-    raise UnsupportedKindError(f"cannot simulate kind {kind!r}")
+    """The plan that simulates ``kind`` (and cir ``method``) on ``grid``."""
+    plan = _plan_class(kind, method)
+    return plan(grid, params, dep, substeps) if plan is _CirEulerPlan else plan(grid, params, dep)
+
+
+def _lane_plan(kind):
+    """The plan class that holds ``kind``'s lane update, ``lane_step`` (exact cir for cir)."""
+    plan = _plan_class(kind)
+    if plan.lane_step is None:
+        raise UnsupportedKindError.of("the lane update", kind)
+    return plan
 
 
 # -- paths and ensembles -------------------------------------------------------
@@ -1162,56 +1197,6 @@ def simulate_ensemble(
 # -- vectorized i.i.d. batch samplers (verification workhorses) ---------------
 
 
-def _lane_step(kind, g, x, a, b, r):
-    """One gap of ``kind``'s update for every lane of ``x``, drawn from ``g``.
-
-    ``a`` and ``b`` are the Ga(a, b) marginal's shape and rate and ``r`` the
-    gap correlation.
-    This is the only lane copy of each update:
-
-    * ar1: X' = r X + zeta, zeta from the innovation ladder ``_ar1_ladder``;
-    * thinned: X' = B X + Ga(a (1-r), b) with B ~ Be(a r, a (1-r)), the beta
-      drawn as the gamma ratio g1 / (g1 + g2);
-    * changepoint: keep X with probability r, else a fresh Ga(a, b);
-    * cir: the exact transition ``_cir_exact_step``;
-    * cthin: X' = M X + Z piece by piece, the series factors
-      (``_cthin_lane_factors``) of a segment of lam-time -log r.
-    """
-    n = x.size
-    if kind is ProcessKind.AR1:
-        return r * x + _ar1_ladder(g, a, _ladder_odds(r), np.empty(n)) * (r / b)
-    if kind is ProcessKind.THINNED:
-        g1 = g.gamma(a * r, 1.0, size=n)
-        g2 = g.gamma(a * (1.0 - r), 1.0, size=n)
-        return g1 / (g1 + g2) * x + g.gamma(a * (1.0 - r), 1.0 / b, size=n)
-    if kind is ProcessKind.CHANGE_POINT:
-        keep = g.random(n) < r
-        fresh = g.gamma(a, 1.0 / b, size=n)
-        return np.where(keep, x, fresh)
-    if kind is ProcessKind.SQUARED_OU:
-        return _cir_exact_step(g, x, a, _cir_rate(b, r), r)
-    if kind is ProcessKind.CONTINUOUSLY_THINNED:
-        for m, z in _cthin_lane_factors(g, a, b, r, n):
-            x = m * x + z
-        return x
-    raise UnsupportedKindError(f"no lane update for kind {kind!r}")
-
-
-def _cthin_lane_factors(g, a, b, r, n):
-    """The series factors (M, Z) of one cthin gap of correlation r for n lanes, piece by piece.
-
-    X' = M X + Z over each piece in turn: a segment of lam-time -log r in
-    equal pieces of at most one chunk (``_cthin_pieces``).  The factors do
-    not depend on X, so one draw serves any start.
-    """
-    if not r > 0.0:
-        raise NumericalError("cthin series: a gap correlation underflowed to 0")
-    step = 0.0 - math.log(r)  # +0.0 where r is 1.0: numpy refuses a gamma shape of -0.0
-    pieces = int(_cthin_pieces(a, step))
-    for _ in range(pieces):
-        yield _cthin_factors(g, a, b, np.full(n, step / pieces))
-
-
 def walker_sample(n, params: GammaParams, rho_step, master_seed):
     """n i.i.d. AR(1) innovations at per-step rho (``_ar1_ladder``)."""
     rho = _require_open_unit("rho_step", rho_step)
@@ -1252,7 +1237,7 @@ def _batch_rows(kind, g, a, b, r, n, rows):
 
     rm adds up the cells of ``_rm_cells``, each row its cells in draw
     order.  Every other kind starts from X_0 ~ Ga(a, b) and takes one
-    ``_lane_step`` per gap, up to row ``rows[-1]``.
+    ``lane_step`` of its plan class per gap, up to row ``rows[-1]``.
     """
     if kind is ProcessKind.RANDOM_MEASURE:
         out = np.zeros((len(rows), n))
@@ -1262,10 +1247,10 @@ def _batch_rows(kind, g, a, b, r, n, rows):
                 if i <= k <= j:
                     row += cell
         return list(out)
-    x, out = g.gamma(a, 1.0 / b, size=n), []
+    step, x, out = _lane_plan(kind).lane_step, g.gamma(a, 1.0 / b, size=n), []
     for k in range(rows[-1] + 1):
         if k:
-            x = _lane_step(kind, g, x, a, b, r)
+            x = step(g, x, a, b, r)
         if k in rows:
             out.append(x)
     return out
@@ -1284,34 +1269,35 @@ def marginal_sample(
 ):
     """n i.i.d. copies of X at a fixed time, after the kind's own update mechanism.
 
-    Each lane runs the same recursion as ``sample_path`` (two ``_lane_step``
+    Each lane runs the same recursion as ``sample_path``: two ``lane_step``
     gaps of length ``gap`` from a Ga(alpha, beta) start for the discrete
-    recursions, exact cir and cthin; for Euler a burn-in of
-    ``euler_burn`` autocorrelation times), so a lane
-    value has exactly the law of a path value at that time.  ``gap`` and
-    ``euler_burn`` must be finite and positive.
+    recursions, exact cir and cthin; the last column of a 3-point
+    squared-OU block with gaps ``gap``; for Euler a burn-in of
+    ``euler_burn`` autocorrelation times.  So a lane value has exactly the
+    law of a path value at that time.  ``gap`` and ``euler_burn`` must be
+    finite and positive.
     """
     n, gap, g, a, b, rho_g = _batch_start(n, params, dep, master_seed, gap)
-    if kind is ProcessKind.SQUARED_OU and method is not CirMethod.EXACT:
-        if method is CirMethod.SQUARED_OU:
-            half = np.full(2, dep.rho ** (gap / 2.0))
-            *_, z = _ou_walk(g, half, (n, _squared_ou_coordinates(a)))
-            return np.sum(z * z, axis=1) / (2.0 * b)
-        if method is CirMethod.EULER:
-            m = _require_positive_int("substeps", substeps)
-            h = gap / m
-            burn = _require_finite_positive("euler_burn", euler_burn)
-            n_steps = int(math.ceil(burn / dep.lam / h))
-            x = g.gamma(a, 1.0 / b, size=n)
-            mean = a / b
-            sig = math.sqrt(2.0 * dep.lam / b)
-            sqh = math.sqrt(h)
-            for _ in range(n_steps):
-                x = x - dep.lam * (x - mean) * h + sig * np.sqrt(
-                    np.maximum(x, 0.0)
-                ) * sqh * g.standard_normal(n)
-            return x
-        raise ParameterError(f"unknown cir method {method!r}")
+    plan = _plan_class(kind, method)
+    if plan is _SquaredOuPlan:
+        # numpy's vector power, which the plan uses, can differ in the last bit from
+        # the scalar rho**(gap/2) these lanes have always walked at
+        walk = plan(TimeGrid(gap * np.arange(3.0)), params, dep)
+        walk.half = np.full(2, dep.rho ** (gap / 2.0))
+        return walk.block(g, n)[:, -1]
+    if plan is _CirEulerPlan:
+        m = _require_positive_int("substeps", substeps)
+        h = gap / m
+        burn = _require_finite_positive("euler_burn", euler_burn)
+        n_steps = int(math.ceil(burn / dep.lam / h))
+        x = g.gamma(a, 1.0 / b, size=n)
+        mean = a / b
+        sig = math.sqrt(2.0 * dep.lam / b)
+        sqh = math.sqrt(h)
+        for _ in range(n_steps):
+            noise = sig * np.sqrt(np.maximum(x, 0.0)) * sqh * g.standard_normal(n)
+            x = x - dep.lam * (x - mean) * h + noise
+        return x
     return _batch_rows(kind, g, a, b, rho_g, n, (2,))[0]
 
 
@@ -1323,7 +1309,5 @@ def triplet_sample(kind: ProcessKind, n, params: GammaParams, dep: Dependence, m
     """
     n, _, g, a, b, rho_g = _batch_start(n, params, dep, master_seed, gap)
     if kind not in (ProcessKind.THINNED, ProcessKind.RANDOM_MEASURE):
-        raise UnsupportedKindError(
-            f"triplet comparison is defined for the thinned/random-measure pair, not {kind!r}"
-        )
+        raise UnsupportedKindError.of("triplet_sample", kind)
     return np.array(_batch_rows(kind, g, a, b, rho_g, n, (0, 1, 2)))

@@ -37,7 +37,7 @@ from .core import (
     _require_positive_int,
     derive_stream,
 )
-from .processes import _cthin_lane_factors, _lane_step
+from .processes import _lane_plan
 
 __all__ = [
     "MomentReport",
@@ -606,17 +606,18 @@ def generator_check(
     """Finite-difference generator estimates (E[phi(X_eps) | X_0 = x0] - phi(x0))/eps.
 
     Every replicate starts exactly at a start point x0 of ``x0s`` and makes
-    one conditional step of length eps at the gap correlation rho**eps: the
-    exact Poisson-gamma transition for the squared OU kind
-    (``processes._lane_step``), one series step X_eps = M x0 + Z for the
-    continuously-thinned kind (``processes._cthin_lane_factors``).  Each
-    start point's n_mc steps are drawn in blocks of ``_GENERATOR_BLOCK``
-    from the head of the stream (master_seed, 0), and every test function
-    of ``phis`` is scored on them.  A cthin block's factors M and Z do not
-    depend on x0, so one draw of them serves every start point, applied to
-    one start at a time; a cir step's draws do, so each start point
-    restarts the stream.  Either way each start point's steps are the
-    ones a call on it alone would draw.  The call returns one
+    one conditional step of length eps at the gap correlation rho**eps, the
+    ``lane_step`` of the kind's plan class in ``processes._PLANS``: the
+    exact Poisson-gamma transition for the squared OU kind, one series step
+    X_eps = M x0 + Z for the continuously-thinned kind.  Each start
+    point's n_mc steps are drawn in blocks of ``_GENERATOR_BLOCK`` from the
+    head of the stream (master_seed, 0), and every test function of
+    ``phis`` is scored on them.  A plan with ``lane_factors`` (cthin) draws
+    factors M and Z that do not depend on x0, so one draw of them serves
+    every start point, applied to one start at a time; a cir step's draws
+    do, so each start point restarts the stream.  Either way each start
+    point's steps are the ones a call on it alone would draw.  The call
+    returns one
     ``GeneratorCheck`` per function and start point, function by function
     and within each in the order of ``x0s``, each with the bytes a call on
     that function and start point alone would give.  Its rows share their
@@ -646,10 +647,11 @@ def generator_check(
             d = (phi.phi(y) - float(phi.phi(x0s[j]))) / eps
             per_phi[j].append((np.sum(d), np.sum(d * d)))
 
-    if kind is ProcessKind.CONTINUOUSLY_THINNED:
+    plan = _lane_plan(kind)
+    if plan.lane_factors is not None:
         g = derive_stream(master_seed, 0).gen
         for n in sizes:
-            factors = list(_cthin_lane_factors(g, a, b, r, n))
+            factors = list(plan.lane_factors(g, a, b, r, n))
             for j, x0 in enumerate(x0s):
                 y = x0
                 for m, z in factors:
@@ -659,7 +661,7 @@ def generator_check(
         for j, x0 in enumerate(x0s):
             g = derive_stream(master_seed, 0).gen
             for n in sizes:
-                score(j, _lane_step(kind, g, np.full(n, x0), a, b, r))
+                score(j, plan.lane_step(g, np.full(n, x0), a, b, r))
     checks = []
     for phi, per_phi, an_phi in zip(phis, blocks, analytic):
         for x0, per_block, an in zip(x0s, per_phi, an_phi):

@@ -158,7 +158,7 @@ def _cthin_variance_z(alpha, n, seed):
     """z of the sample variance of n cthin lanes a unit of lam-time after a Ga(alpha, 1) start."""
     g = derive_stream(seed, 0).gen
     x = g.gamma(alpha, 1.0, size=n)
-    y = processes._lane_step(ProcessKind.CONTINUOUSLY_THINNED, g, x, alpha, 1.0, math.exp(-1.0))
+    y = processes._CthinPlan.lane_step(g, x, alpha, 1.0, math.exp(-1.0))
     return (y.var(ddof=1) - alpha) / (alpha * math.sqrt(2.0 / (n - 1) + 6.0 / (alpha * n)))
 
 
@@ -245,8 +245,7 @@ def _cthin_moment_z(alpha, lam, seed, n=200000):
     g = derive_stream(seed, 0).gen
 
     def step(x, gap):
-        return processes._lane_step(ProcessKind.CONTINUOUSLY_THINNED, g, x, alpha, CTHIN_BETA,
-                                    math.exp(-lam * gap))
+        return processes._CthinPlan.lane_step(g, x, alpha, CTHIN_BETA, math.exp(-lam * gap))
 
     m = alpha / CTHIN_BETA
     x0 = g.gamma(alpha, 1.0 / CTHIN_BETA, size=n)

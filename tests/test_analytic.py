@@ -214,6 +214,26 @@ def test_test_function_exponential_requires_nonpositive_theta():
         TestFunction.exponential(0.5)
 
 
+@pytest.mark.parametrize("name,theta,match", [
+    ("cube", 0.0, "^unknown test function 'cube'"),
+    ("Identity", 0.0, "^unknown test function 'Identity'"),
+    ("exponential", 2.0, "^exponential test functions require theta <= 0, got 2.0"),
+    ("exponential", math.nan, "theta <= 0, got nan"),
+    ("exponential", -math.inf, "theta <= 0, got -inf"),
+])
+def test_test_function_checks_its_fields_when_built_directly(name, theta, match):
+    # TestFunction("cube") acted as the constant 1, and TestFunction("exponential", 2.0)
+    # skipped the rule that TestFunction.exponential enforces
+    with pytest.raises(ParameterError, match=match):
+        TestFunction(name, theta)
+
+
+def test_test_function_built_directly_equals_its_constructor():
+    assert TestFunction("exponential", -0.5) == TestFunction.exponential(-0.5)
+    assert TestFunction("square") == TestFunction.square()
+    assert TestFunction("identity") == TestFunction.identity()
+
+
 def test_exponential_test_function_and_its_squared_ou_generator_against_mpmath():
     mp.mp.dps = 30
     theta = -0.7

@@ -272,15 +272,16 @@ def test_verify_generator_report_has_the_bytes_of_four_single_function_calls(
 
 
 def test_verify_generator_draws_cthin_factors_once_for_both_start_points(tmp_path, monkeypatch):
-    from gammaproc import stats
+    from gammaproc.processes import _CirExactPlan, _CthinPlan
 
     checks, steps, factors = [], [], []
     monkeypatch.setattr(cli, "generator_check", lambda *a, f=cli.generator_check, **k:
                         checks.append(a[2]) or f(*a, **k))
-    monkeypatch.setattr(stats, "_lane_step", lambda *a, f=stats._lane_step:
-                        steps.append(a[2].size) or f(*a))
-    monkeypatch.setattr(stats, "_cthin_lane_factors", lambda *a, f=stats._cthin_lane_factors:
-                        factors.append(a[4]) or f(*a))
+    # the lane updates that generator_check reaches through the table of kinds
+    monkeypatch.setattr(_CirExactPlan, "lane_step", staticmethod(
+        lambda *a, f=_CirExactPlan.lane_step: steps.append(a[1].size) or f(*a)))
+    monkeypatch.setattr(_CthinPlan, "lane_factors", staticmethod(
+        lambda *a, f=_CthinPlan.lane_factors: factors.append(a[4]) or f(*a)))
     blocks = [1 << 17, 200000 - (1 << 17)]  # 200000 steps per draw, in blocks of 2^17
     # cir's draws depend on the start point, so each start draws its own steps
     for process, want_steps, want_factors in (("cir", blocks * 2, []), ("cthin", [], blocks)):

@@ -191,7 +191,8 @@ def test_rm_walk_that_the_cutoff_ends_before_the_split_draws_no_tail():
     assert (plan.diagonals, plan.split, plan.n) == (7, 12, 20)
     gen, dense = derive_stream(8, 0).gen, derive_stream(8, 0).gen
     plan.block(gen, 2)
-    plan.draw(dense, np.empty((plan.cells, 2)))
+    masses = tent_partition(plan.grid, DEP5).masses
+    _gamma_rows(dense, np.concatenate([1e-3 * np.diagonal(masses, d) for d in range(7)]), 2)
     assert gen.random() == dense.random()  # the block drew its dense cells and nothing more
 
 
@@ -506,8 +507,8 @@ def test_cthin_long_gaps_go_in_pieces_of_at_most_a_chunk(monkeypatch):
     path = sample_path(ProcessKind.CONTINUOUSLY_THINNED, derive_stream(8, 0), grid, params, DEP5)
     assert path.values.tobytes() == np.array(want)[plan.keep].tobytes()
     # a lane step of 40 time units takes the same pieces, one after the other
-    lanes = processes._lane_step(ProcessKind.CONTINUOUSLY_THINNED, derive_stream(9, 0).gen,
-                                 np.full(3, 1.5), 2.0, 1.0, DEP5.rho**40.0)
+    lanes = processes._CthinPlan.lane_step(derive_stream(9, 0).gen, np.full(3, 1.5), 2.0, 1.0,
+                                           DEP5.rho**40.0)
     gen = derive_stream(9, 0).gen
     step = -math.log(DEP5.rho**40.0)
     pieces = math.ceil(rate * step / 256)
@@ -623,6 +624,7 @@ STREAM_SAMPLERS = {
 }
 WIDTH_SAMPLERS = ("ar1", "thinned", "rm", "changepoint", "cir-exact", "cthin")
 # the plans that draw a block's raw draws first and build its values after
+# (``_block_reference`` and ``_lane_values_reference``)
 DRAW_SAMPLERS = WIDTH_SAMPLERS[:4]
 
 
@@ -738,6 +740,28 @@ def _block_reference(kind, grid, params, dep, seed, block, lanes):
     return np.concatenate((x0, keep, g.standard_gamma(a, size=(n - 1, lanes)))), None
 
 
+def _lane_values_reference(kind, grid, params, dep, draws):
+    """One ar1, thinned or changepoint lane's values from its raw draws, step by step.
+
+    ``draws`` is one column of ``_block_reference``'s draws; each recursion
+    step is fl(a * x + z), as in the kinds' plan docstrings.
+    """
+    n, inv_beta = grid.n, 1.0 / params.beta
+    rho_g = dep.rho ** np.diff(grid.times)
+    if kind is ProcessKind.CHANGE_POINT:  # keep the value unless a uniform passes rho_g
+        pool = np.concatenate((draws[:1], draws[n:])) * inv_beta
+        return pool[np.concatenate(([0], np.cumsum(draws[1:n] >= rho_g)))]
+    if kind is ProcessKind.AR1:  # X_0, then each innovation at rho_g / beta
+        factors, zetas = rho_g, draws[1:] * (rho_g / params.beta)
+    else:  # thinned: X_0, the beta's numerator and denominator gammas, the fresh gammas
+        g1, g2 = draws[1:n], draws[n : 2 * n - 1]
+        factors, zetas = g1 / (g1 + g2), draws[2 * n - 1 :] * inv_beta
+    values = [float(draws[0] * inv_beta)]
+    for a, z in zip(factors.tolist(), zetas.tolist()):
+        values.append(a * values[-1] + z)
+    return np.array(values)
+
+
 def _rm_dense_reference(plan, params, draws):
     """Values of the dense cells ``draws`` (one row per lane), added diagonal by diagonal."""
     n, cells = plan.n, draws * (1.0 / params.beta)
@@ -816,7 +840,7 @@ def test_ensemble_blocks_follow_the_block_stream_layout(monkeypatch, sampler, ca
                 want = _rm_dense_reference(plan, params, draws[:, m % lanes][None])[0]
                 want += tail[m % lanes]
             else:
-                want = plan.build(draws[:, m % lanes][None])[0]
+                want = _lane_values_reference(kind, grid, params, dep, draws[:, m % lanes])
             assert ens.values[m].tobytes() == want.tobytes(), (sampler, case, m)
 
 
@@ -893,8 +917,8 @@ def test_cir_transition_conditional_mean():
     x0, dt = 2.0, 0.7
     rho_d = dep.gap_corr(dt)
     n = 20000
-    draws = processes._lane_step(ProcessKind.SQUARED_OU, derive_stream(3, 0).gen,
-                                 np.full(n, x0), params.alpha, params.beta, rho_d)
+    draws = processes._CirExactPlan.lane_step(derive_stream(3, 0).gen, np.full(n, x0),
+                                              params.alpha, params.beta, rho_d)
     target = x0 * rho_d + params.mean * (1.0 - rho_d)
     assert np.all(draws >= 0.0)
     assert abs(np.mean(draws) - target) < 4 * np.std(draws) / np.sqrt(n)
@@ -917,8 +941,7 @@ def test_cthin_marginal_sample_takes_two_lane_steps_of_the_gap(gap):
     g = derive_stream(5, 0).gen
     y = g.gamma(params.alpha, 1.0 / params.beta, size=n)
     for _ in range(2):
-        y = processes._lane_step(ProcessKind.CONTINUOUSLY_THINNED, g, y, params.alpha,
-                                 params.beta, DEP5.rho**gap)
+        y = processes._CthinPlan.lane_step(g, y, params.alpha, params.beta, DEP5.rho**gap)
     assert x.tobytes() == y.tobytes()
 
 
@@ -951,8 +974,9 @@ def test_triplet_sample_lag2_correlation_is_rho_squared():
 
 # -- the lane kernel against the batch samplers' earlier bodies -------------------
 # The _ref_* functions are the batch samplers and the generator-check step as
-# they were written before each kind's one-gap lane update moved into
-# processes._lane_step.  The samplers must still give their values bit for bit.
+# they were written before each kind's one-gap lane update moved into one
+# place, now the lane_step of its plan class.  The samplers must still give
+# their values bit for bit.
 # cthin's lane step has no earlier body of its own (the lattice it replaced drew
 # another law): its reference is the event-by-event series of
 # _cthin_reference_chunks, on the same draws, which equals it to rounding.

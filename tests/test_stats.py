@@ -415,8 +415,8 @@ def test_generator_check_refuses_a_kind_without_a_generator_before_drawing(kind,
         raise AssertionError("generator_check drew before refusing the kind")
 
     monkeypatch.setattr(st, "derive_stream", refuse)
-    monkeypatch.setattr(st, "_lane_step", refuse)
-    with pytest.raises(UnsupportedKindError, match="generator_apply supports"):
+    monkeypatch.setattr(st, "_lane_plan", refuse)
+    with pytest.raises(UnsupportedKindError, match="^generator_apply does not support kind"):
         generator_check(kind, (TestFunction.identity(),), (1.0,), P11, DEP5, n_mc=100)
 
 
@@ -427,7 +427,7 @@ def test_generator_check_refuses_no_test_functions_before_drawing(monkeypatch):
         raise AssertionError("generator_check drew with no test function")
 
     monkeypatch.setattr(st, "derive_stream", refuse)
-    monkeypatch.setattr(st, "_lane_step", refuse)
+    monkeypatch.setattr(st, "_lane_plan", refuse)
     for phis in ((), []):
         with pytest.raises(ParameterError, match="^phis must hold at least one"):
             generator_check(ProcessKind.SQUARED_OU, phis, (1.0,), P11, DEP5, n_mc=100)
