@@ -3,7 +3,12 @@
 Three subcommands:
 
 * ``simulate`` writes an ensemble as CSV (long format ``path,t,value``) or
-  JSON (config echo plus nested arrays).
+  JSON (config echo plus nested arrays).  The JSON float rows (``grid`` and
+  ``paths``) are written by ``_floatfmt.repr_chunks``, an exact vectorised
+  shortest-repr kernel, in blocks of a fixed number of values: each value in
+  [1e-4, 1e16) gets the text ``float.__repr__`` gives it, computed with
+  64-bit integer arithmetic, and every other value is written by
+  ``float.__repr__`` itself, so the bytes are those of ``json.dumps``.
 * ``verify`` runs a statistical verification suite against a process and
   emits a JSON report; exit code 1 if any check fails.  A check that raises
   a numerical failure, or whose result holds a NaN or an infinity, is
@@ -32,6 +37,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import __version__
+from ._floatfmt import repr_chunks
 from .analytic import GENERATOR_KINDS, PAIR_CHF_KINDS, TestFunction
 from .core import (
     Dependence,
@@ -233,14 +239,6 @@ def _non_finite():
     return NumericalError("non-finite value in output (NaN or infinity)")
 
 
-def _json_float_row(row, pad):
-    """A non-empty, finite 1-D float array as a JSON list whose items sit on lines
-    indented ``pad + '  '``: the text ``json.dumps`` writes for it, in about 60% of
-    its time on a 2000 x 200 ensemble."""
-    inner = "\n" + pad + "  "
-    return "[" + inner + ("," + inner).join(map(float.__repr__, row.tolist())) + "\n" + pad + "]"
-
-
 def _tolist(obj):
     if isinstance(obj, (np.ndarray, np.generic)):
         return obj.tolist()
@@ -259,18 +257,16 @@ def _dump_json(payload):
 
 
 def _simulate_json_chunks(cfg: RunConfig, values):
-    """The ``simulate --format json`` document, one chunk per path.
+    """The ``simulate --format json`` document, one chunk per block of float values.
 
     Keys sort as config < grid < paths, so the float rows are spliced after
     the config object that ``_dump_json`` writes.
     """
-    yield (_dump_json({"config": cfg.echo()})[:-3] + ',\n  "grid": '
-           + _json_float_row(cfg.grid.times, "  ") + ',\n  "paths": [')
-    sep = "\n    "
-    for row in values:
-        yield sep + _json_float_row(row, "    ")
-        sep = ",\n    "
-    yield "\n  ]\n}\n"
+    yield _dump_json({"config": cfg.echo()})[:-3] + ',\n  "grid": [\n    '
+    yield from repr_chunks(cfg.grid.times[None], ",\n    ",
+                           '\n  ],\n  "paths": [\n    [\n      ')
+    yield from repr_chunks(values[:-1], ",\n      ", "\n    ],\n    [\n      ")
+    yield from repr_chunks(values[-1:], ",\n      ", "\n    ]\n  ]\n}\n")
 
 
 def _csv_chunks(times, values):

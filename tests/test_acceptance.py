@@ -408,7 +408,7 @@ def test_criterion_04_power_control(capsys):
     # Each closed-form oracle scores every kind's criterion-4 pairs.  The kinds share
     # the marginal and the autocorrelation, so a wrong oracle differs only in the
     # joint law: each of the 18 ordered pairs of distinct laws must score z > 5, and
-    # thinned and rm, which share every two-point law, must still pass (z <= 4).
+    # thinned and rm, which share the law of every adjacent pair, must still pass (z <= 4).
     same_law = {ProcessKind.THINNED, ProcessKind.RANDOM_MEASURE}
     oracles = {kind: _criterion_04_oracle(kind) for kind in FIVE_CLOSED_FORM_KINDS}
     distinct, shared = {}, {}
@@ -485,7 +485,7 @@ def test_criterion_05_triplet_separation(capsys):
     z_r = float(np.max(_pair_z(trip_r, top.reshape(1, 3), np.array([oracle_r]))))
     analytic_gap = abs(oracle_t - oracle_r)
 
-    # two-point laws coincide: two-sample pair z must stay below 4
+    # the laws of adjacent pairs coincide: two-sample pair z must stay below 4
     pair_z = float(np.max(two_sample_chf(
         _pairs(ProcessKind.THINNED, n, MASTER + 6),
         _pairs(ProcessKind.RANDOM_MEASURE, n, MASTER + 7), PAIR_OMEGAS)[0]))

@@ -400,7 +400,8 @@ def irregular_times(tmp_path):
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
-@pytest.mark.parametrize("case", ["one-value", "irregular", "ar1-2000x200", "cir-1x5000"])
+@pytest.mark.parametrize("case", ["one-value", "irregular", "ar1-2000x200", "cir-1x5000",
+                                  "rm-small-shape", "ar1-3x1234"])
 def test_simulate_output_equals_reference_writer(tmp_path, irregular_times, fmt, case):
     args = {
         "one-value": ["--process", "cir", "--n", "1", "--paths", "1", "--seed", "3"],
@@ -409,6 +410,11 @@ def test_simulate_output_equals_reference_writer(tmp_path, irregular_times, fmt,
         "ar1-2000x200": ["--process", "ar1", "--alpha", "0.5", "--n", "200",
                          "--paths", "2000", "--seed", "12"],
         "cir-1x5000": ["--process", "cir", "--n", "5000", "--paths", "1", "--seed", "5"],
+        # values below 1e-4 and exact zeros, which float.__repr__ writes itself
+        "rm-small-shape": ["--process", "rm", "--alpha", "0.01", "--rho", "0.001", "--n", "50",
+                           "--paths", "3", "--seed", "9"],
+        # 3702 values: a block of _floatfmt.BLOCK values ends inside a path
+        "ar1-3x1234": ["--process", "ar1", "--n", "1234", "--paths", "3", "--seed", "6"],
     }[case]
     args = ["simulate", *args, "--format", fmt]
     out = tmp_path / f"out.{fmt}"

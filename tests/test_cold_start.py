@@ -43,6 +43,9 @@ def test_import_simulate_and_compare_load_no_scipy():
                 for kind in ("ar1", "thinned", "rm", "changepoint", "cthin")]
     commands += [["simulate", "--process", "cir", "--cir-method", method, *small]
                  for method in ("exact", "euler", "squared-ou")]
+    # the JSON writer's float rows, values below 1e-4 among them
+    commands += [["simulate", "--process", kind, "--alpha", "0.01", "--rho", "0.001", *small,
+                  "--format", "json"] for kind in ("ar1", "rm")]
     commands += [["compare", "--process-a", "thinned", "--process-b", "rm",
                   "--points", points, "--paths", "50", "--seed", "2"]
                  for points in ("2", "3")]

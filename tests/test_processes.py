@@ -289,7 +289,7 @@ def test_rm_corner_paths_and_ensembles_are_finite_nonnegative_and_centred(alpha,
 
 @pytest.mark.xfail(strict=True, reason="rm's dense diagonals sum their cells by differences of "
                    "running sums, which lose a cell small against the sum before it (CHANGES.md "
-                   "FOUND: on _add_diagonal; ROADMAP item 7)")
+                   "FOUND: on _add_diagonal; ROADMAP item 16)")
 def test_rm_small_cells_survive_at_every_time():
     # X_0 and X_1 have one law, so as many exact zeros; X_1 = (c00 + c11) - c00 is 0.0
     # whenever its own cell c11 is small against c00

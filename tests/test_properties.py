@@ -177,7 +177,7 @@ def test_simulate_rho_and_lambda_spellings_give_the_same_bytes(process, lam, n, 
 
 
 @pytest.mark.xfail(strict=True, reason="the thinned beta ratio g1/(g1+g2) is 0/0 when both "
-                   "gammas underflow at small shapes (ROADMAP item 1)")
+                   "gammas underflow at small shapes (ROADMAP item 6)")
 @pytest.mark.filterwarnings("ignore:invalid value encountered")
 def test_thinned_small_shape_values_are_finite():
     params, dep = GammaParams(0.01, 1.0), Dependence.from_rho(0.001)
