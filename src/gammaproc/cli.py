@@ -47,7 +47,6 @@ from .core import (
     ParameterError,
     ProcessKind,
     TimeGrid,
-    _require_positive_int,
     _require_seed,
     make_uniform_grid,
 )
@@ -80,7 +79,6 @@ class RunConfig:
     n_paths: int
     seed: int
     cir_method: CirMethod
-    euler_substeps: int
     out: str | None
     fmt: str
 
@@ -101,7 +99,6 @@ class RunConfig:
             "paths": self.n_paths,
             "seed": self.seed,
             "cir_method": self.cir_method.value,
-            "euler_substeps": self.euler_substeps,
             "version": __version__,
         }
 
@@ -125,8 +122,6 @@ def _add_common(sp, with_process=True):
     sp.add_argument("--seed", type=int, default=0, help="master seed (default 0)")
     sp.add_argument("--cir-method", choices=[m.value for m in CirMethod],
                     default="exact", help="cir sampling scheme (default exact)")
-    sp.add_argument("--euler-substeps", type=int, default=16,
-                    help="Euler substeps per grid gap (default 16)")
     sp.add_argument("--out", type=str, default=None,
                     help="output file (default: standard output)")
 
@@ -213,17 +208,14 @@ def _resolve_config(ns, process_name, n_paths, default_n=100):
         n_paths=int(n_paths),
         seed=_require_seed("--seed", ns.seed),
         cir_method=CirMethod.parse(ns.cir_method),
-        euler_substeps=_require_positive_int("--euler-substeps", ns.euler_substeps),
         out=ns.out,
         fmt=getattr(ns, "format", "json"),
     )
 
 
 def _simulate(cfg: RunConfig) -> Ensemble:
-    return simulate_ensemble(
-        cfg.process, cfg.grid, cfg.params, cfg.dep, cfg.n_paths, cfg.seed,
-        method=cfg.cir_method, substeps=cfg.euler_substeps,
-    )
+    return simulate_ensemble(cfg.process, cfg.grid, cfg.params, cfg.dep, cfg.n_paths,
+                             cfg.seed, method=cfg.cir_method)
 
 
 def _write_text(path, chunks):
@@ -320,10 +312,8 @@ def _first_gap(cfg: RunConfig):
 
 
 def _check_marginal(cfg: RunConfig):
-    x = marginal_sample(
-        cfg.process, 100000, cfg.params, cfg.dep, _subseed(cfg, 1), gap=_first_gap(cfg),
-        method=cfg.cir_method, substeps=cfg.euler_substeps,
-    )
+    x = marginal_sample(cfg.process, 100000, cfg.params, cfg.dep, _subseed(cfg, 1),
+                        gap=_first_gap(cfg), method=cfg.cir_method)
     ks = ks_statistic(x, cfg.params)
     mom = empirical_moments(x)
     z_mean, z_var = mom.z_scores(cfg.params)

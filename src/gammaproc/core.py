@@ -279,7 +279,7 @@ class Ensemble:
     ``values[m, k]`` is path ``m`` at grid time ``k``.  Path ``m`` is a pure
     function of ``(master_seed, m)``, regardless of how many other paths
     exist; the ``processes`` module docstring gives the block-stream rule.
-    Where a kind's blocks hold one path (Euler and squared-OU always, every
+    Where a kind's blocks hold one path (squared-OU always, every
     other kind once a path takes more than 8192 draws, or for cthin
     expected series intervals), path ``m`` is
     ``sample_path(kind, derive_stream(master_seed, m), ...)``; in a block of

@@ -24,7 +24,7 @@ on the kind:
   draws, rm, whose width is its dense cells up to the first diagonal past
   ``_PLAN_CELLS`` and at least n (so a longer rm path runs alone), and
   cthin, whose width is 1 + its series' expected intervals;
-* 1 for the plans that simulate whole paths: Euler and squared-OU.
+* 1 for squared-OU, whose plan simulates whole paths.
 
 When ``B == 1`` path ``m`` is ``sample_path`` of the same kind and options
 on ``derive_stream(master_seed, m)``, byte for byte.
@@ -91,14 +91,10 @@ Still written twice, each for a reason:
   Acceptance criteria 1 and 5 read the batch samplers' bytes at frozen
   seeds with per-cell bounds, so those layouts stay until the criteria
   have family-wise bounds.
-* Euler steps a path on Python floats and ``marginal_sample``'s lanes in
-  numpy.  One substep costs about 1.2 us on Python floats and about 12 us
-  as a one-lane numpy step (Xeon, 2 vCPUs, numpy 2.4), so a path would run
-  ten times slower on the lane loop.
 * Exact cir steps a block of fewer than ``_VECTOR_LANES`` lanes on Python
   floats, lane after lane (``_CirExactPlan._float_lane``), and a larger
-  block in numpy across its lanes, for the same reason; both call
-  ``_cir_exact_step``.
+  block in numpy across its lanes: a numpy step's fixed cost outweighs a
+  float step's below about 16 lanes.  Both call ``_cir_exact_step``.
 * The tent mass formula runs on power rows for a dense diagonal
   (``_band_masses``) and on the four corners of each candidate cell for
   the rm tail (``_RandomMeasurePlan._tail_masses``), in the same order of
@@ -331,12 +327,12 @@ def _affine_recursion(a, z, x0):
 class _Plan:
     """Everything a kind's paths share on one (grid, params, dep), computed once.
 
-    Each kind's plan class, built as ``cls(grid, params, dep)`` (Euler also
-    takes ``substeps``), has one sampling method: ``block(gen, lanes)``
-    gives the values of ``lanes`` paths, one row each, from the head of
-    ``gen``, in the stream order its class documents.  An ensemble's block
-    sizes keep path m a function of (master_seed, m) alone (the module
-    docstring has the rule), and ``sample_path`` draws the one-lane block.
+    Each kind's plan class, built as ``cls(grid, params, dep)``, has one
+    sampling method: ``block(gen, lanes)`` gives the values of ``lanes``
+    paths, one row each, from the head of ``gen``, in the stream order its
+    class documents.  An ensemble's block sizes keep path m a function of
+    (master_seed, m) alone (the module docstring has the rule), and
+    ``sample_path`` draws the one-lane block.
     A plan with a ``width`` (its raw draws per path) sizes its ensemble
     blocks by it; one without runs blocks of one path.  A kind that steps
     lanes gap by gap for the batch samplers holds that update as the static
@@ -704,7 +700,6 @@ class CirMethod(enum.Enum):
     """Sampling scheme for the squared Ornstein-Uhlenbeck (CIR-type) diffusion."""
 
     EXACT = "exact"
-    EULER = "euler"
     SQUARED_OU = "squared-ou"
 
     @classmethod
@@ -794,43 +789,6 @@ class _CirExactPlan(_Plan):
         return _cir_exact_step(g, x, a, _cir_rate(b, r), r)
 
 
-class _CirEulerPlan(_Plan):
-    """The cir diffusion by ``substeps`` full-truncation Euler steps per gap.
-
-    The diffusion coefficient reads max(X, 0); the state may make small
-    negative excursions.  Stream order: X_0, then every substep's standard
-    normal in one call.  It has no ``width``, so its ensemble blocks hold one
-    path; a block of several draws them one after another.
-    """
-
-    def __init__(self, grid, params, dep, substeps):
-        super().__init__(grid)
-        self.substeps = _require_positive_int("substeps", substeps)
-        self.params, self.dep = params, dep
-
-    def block(self, gen, lanes):
-        return np.array([self._path(gen) for _ in range(lanes)])
-
-    def _path(self, gen):
-        grid, m, lam = self.grid, self.substeps, self.dep.lam
-        a, b = self.params.alpha, self.params.beta
-        values = np.empty(self.n)
-        x = gen.gamma(a, 1.0 / b)
-        values[0] = x
-        mean = a / b
-        sig2 = 2.0 * lam / b
-        z = gen.standard_normal((self.n - 1) * m)
-        pos = 0
-        for k in range(1, self.n):
-            h = (grid.times[k] - grid.times[k - 1]) / m
-            sqh = math.sqrt(h)
-            for _ in range(m):
-                x = x - lam * (x - mean) * h + math.sqrt(sig2 * max(x, 0.0)) * sqh * z[pos]
-                pos += 1
-            values[k] = x
-        return values
-
-
 def _squared_ou_coordinates(a):
     """J = 2 alpha, the number of OU coordinates; it must be a positive integer."""
     j = round(2.0 * a)
@@ -860,10 +818,10 @@ def _ou_walk(gen, half, shape):
 class _SquaredOuPlan(_Plan):
     """The cir diffusion as J = 2 alpha exact OU coordinates (``_ou_walk``).
 
-    X = sum Z_j^2 / (2 beta); 2 alpha must be a positive integer.  No
-    substeps are needed because the OU update is exact over any gap.  A
-    block walks ``(lanes, J)`` coordinates, in ``_ou_walk``'s stream order;
-    the plan has no ``width``, so its ensemble blocks hold one path.
+    X = sum Z_j^2 / (2 beta); 2 alpha must be a positive integer.  The OU
+    update is exact over any gap.  A block walks ``(lanes, J)`` coordinates,
+    in ``_ou_walk``'s stream order; the plan has no ``width``, so its
+    ensemble blocks hold one path.
     """
 
     def __init__(self, grid, params, dep):
@@ -1104,7 +1062,7 @@ class _CthinPlan(_Plan):
 _PLANS = {ProcessKind.AR1: _Ar1Plan, ProcessKind.THINNED: _ThinnedPlan,
           ProcessKind.RANDOM_MEASURE: _RandomMeasurePlan,
           ProcessKind.CHANGE_POINT: _ChangepointPlan, ProcessKind.CONTINUOUSLY_THINNED: _CthinPlan,
-          ProcessKind.SQUARED_OU: {CirMethod.EXACT: _CirExactPlan, CirMethod.EULER: _CirEulerPlan,
+          ProcessKind.SQUARED_OU: {CirMethod.EXACT: _CirExactPlan,
                                    CirMethod.SQUARED_OU: _SquaredOuPlan}}
 
 
@@ -1116,12 +1074,6 @@ def _plan_class(kind, method=CirMethod.EXACT):
     if isinstance(plan, dict) and method not in plan:
         raise ParameterError(f"unknown cir method {method!r}")
     return plan[method] if isinstance(plan, dict) else plan
-
-
-def _plan_for_kind(kind, grid, params, dep, method, substeps):
-    """The plan that simulates ``kind`` (and cir ``method``) on ``grid``."""
-    plan = _plan_class(kind, method)
-    return plan(grid, params, dep, substeps) if plan is _CirEulerPlan else plan(grid, params, dep)
 
 
 def _lane_plan(kind):
@@ -1142,27 +1094,25 @@ def sample_path(
     params: GammaParams,
     dep: Dependence,
     method: CirMethod = CirMethod.EXACT,
-    substeps: int = 16,
 ) -> SamplePath:
     """One path of ``kind`` on ``grid``, drawn from the head of ``rng``.
 
-    The options are ``simulate_ensemble``'s: ``method`` and ``substeps``
-    choose the cir scheme.  Each kind's plan class documents its
-    construction and stream order.  Where a kind's ensemble blocks hold one
-    path, as Euler's always do, ensemble path m is this path on
-    ``derive_stream(master_seed, m)``, byte for byte:
+    ``method`` is ``simulate_ensemble``'s: it chooses the cir scheme.  Each
+    kind's plan class documents its construction and stream order.  Where a
+    kind's ensemble blocks hold one path, as squared-OU's always do,
+    ensemble path m is this path on ``derive_stream(master_seed, m)``, byte
+    for byte:
 
     >>> from gammaproc import Dependence, GammaParams, make_uniform_grid
     >>> grid = make_uniform_grid(0.0, 0.5, 6)
     >>> params, dep = GammaParams(2.0, 1.0), Dependence.from_rho(0.5)
-    >>> euler = {"method": CirMethod.EULER, "substeps": 4}
-    >>> ens = simulate_ensemble(ProcessKind.SQUARED_OU, grid, params, dep, 3, 7, **euler)
-    >>> path = sample_path(ProcessKind.SQUARED_OU, derive_stream(7, 2), grid, params, dep,
-    ...                    **euler)
+    >>> sq_ou = CirMethod.SQUARED_OU
+    >>> ens = simulate_ensemble(ProcessKind.SQUARED_OU, grid, params, dep, 3, 7, sq_ou)
+    >>> path = sample_path(ProcessKind.SQUARED_OU, derive_stream(7, 2), grid, params, dep, sq_ou)
     >>> path.values.tobytes() == ens.values[2].tobytes()
     True
     """
-    plan = _plan_for_kind(kind, grid, params, dep, method, substeps)
+    plan = _plan_class(kind, method)(grid, params, dep)
     return SamplePath(grid, plan.block(rng.gen, 1)[0], kind)
 
 
@@ -1174,7 +1124,6 @@ def simulate_ensemble(
     n_paths: int,
     master_seed: int,
     method: CirMethod = CirMethod.EXACT,
-    substeps: int = 16,
 ) -> Ensemble:
     """Simulate ``n_paths`` independent paths; path m depends on (master_seed, m) alone.
 
@@ -1183,7 +1132,7 @@ def simulate_ensemble(
     block-stream rule that makes it so.
     """
     n_paths = _require_positive_int("n_paths", n_paths)
-    plan = _plan_for_kind(kind, grid, params, dep, method, substeps)
+    plan = _plan_class(kind, method)(grid, params, dep)
     values = np.empty((n_paths, grid.n))
     lanes = max(1, _BLOCK_DRAWS // plan.width) if plan.width else 1
     rng = derive_stream(master_seed, 0)
@@ -1264,18 +1213,14 @@ def marginal_sample(
     master_seed,
     gap=1.0,
     method: CirMethod = CirMethod.EXACT,
-    euler_burn=12.0,
-    substeps=16,
 ):
     """n i.i.d. copies of X at a fixed time, after the kind's own update mechanism.
 
     Each lane runs the same recursion as ``sample_path``: two ``lane_step``
     gaps of length ``gap`` from a Ga(alpha, beta) start for the discrete
     recursions, exact cir and cthin; the last column of a 3-point
-    squared-OU block with gaps ``gap``; for Euler a burn-in of
-    ``euler_burn`` autocorrelation times.  So a lane value has exactly the
-    law of a path value at that time.  ``gap`` and ``euler_burn`` must be
-    finite and positive.
+    squared-OU block with gaps ``gap``.  So a lane value has exactly the law
+    of a path value at that time.  ``gap`` must be finite and positive.
     """
     n, gap, g, a, b, rho_g = _batch_start(n, params, dep, master_seed, gap)
     plan = _plan_class(kind, method)
@@ -1285,27 +1230,15 @@ def marginal_sample(
         walk = plan(TimeGrid(gap * np.arange(3.0)), params, dep)
         walk.half = np.full(2, dep.rho ** (gap / 2.0))
         return walk.block(g, n)[:, -1]
-    if plan is _CirEulerPlan:
-        m = _require_positive_int("substeps", substeps)
-        h = gap / m
-        burn = _require_finite_positive("euler_burn", euler_burn)
-        n_steps = int(math.ceil(burn / dep.lam / h))
-        x = g.gamma(a, 1.0 / b, size=n)
-        mean = a / b
-        sig = math.sqrt(2.0 * dep.lam / b)
-        sqh = math.sqrt(h)
-        for _ in range(n_steps):
-            noise = sig * np.sqrt(np.maximum(x, 0.0)) * sqh * g.standard_normal(n)
-            x = x - dep.lam * (x - mean) * h + noise
-        return x
     return _batch_rows(kind, g, a, b, rho_g, n, (2,))[0]
 
 
 def triplet_sample(kind: ProcessKind, n, params: GammaParams, dep: Dependence, master_seed, gap=1.0):
     """n i.i.d. copies of (X_0, X_gap, X_2gap) for the thinned/random-measure pair.
 
-    These two kinds share all pair laws; their joint laws first differ at
-    three points, which is what this sampler exists to expose.
+    These two kinds share only the laws of adjacent pairs (X_0 and X_2gap
+    already differ: ROADMAP item 14); their joint laws differ at three
+    points, which is what this sampler exists to expose.
     """
     n, _, g, a, b, rho_g = _batch_start(n, params, dep, master_seed, gap)
     if kind not in (ProcessKind.THINNED, ProcessKind.RANDOM_MEASURE):

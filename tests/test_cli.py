@@ -763,23 +763,48 @@ def test_a_times_entry_that_is_not_a_number_exits_2(tmp_path, capsys, monkeypatc
     assert not out.exists()
 
 
-@pytest.mark.parametrize("argv", [
-    ["simulate", "--process", "ar1", "--format", "json", "--euler-substeps", "-3"],
-    ["verify", "--process", "cir", "--suite", "marginal", "--euler-substeps", "0"],
-    ["compare", "--process-a", "thinned", "--process-b", "rm", "--euler-substeps", "0"],
-    # with the Euler scheme chosen, and where no kind of the run reads the option
-    ["simulate", "--process", "cir", "--cir-method", "euler", "--euler-substeps", "0"],
-    ["verify", "--process", "cthin", "--suite", "tail", "--euler-substeps", "-3"],
-    ["compare", "--process-a", "cir", "--process-b", "cthin", "--cir-method", "euler",
-     "--euler-substeps", "0"],
+# the Euler scheme and its substep count were removed: both are usage errors now
+@pytest.mark.parametrize("argv,refusal", [
+    (["simulate", "--process", "cir", "--format", "json", "--euler-substeps", "16"],
+     "unrecognized arguments: --euler-substeps 16"),
+    (["verify", "--process", "cir", "--suite", "marginal", "--euler-substeps", "0"],
+     "unrecognized arguments: --euler-substeps 0"),
+    (["compare", "--process-a", "thinned", "--process-b", "rm", "--euler-substeps", "16"],
+     "unrecognized arguments: --euler-substeps 16"),
+    (["simulate", "--process", "cir", "--cir-method", "euler"], "invalid choice: 'euler'"),
+    (["verify", "--process", "cir", "--suite", "marginal", "--cir-method", "euler"],
+     "invalid choice: 'euler'"),
+    (["compare", "--process-a", "cir", "--process-b", "cthin", "--cir-method", "euler"],
+     "invalid choice: 'euler'"),
 ])
-def test_a_non_positive_step_count_exits_2_before_sampling(tmp_path, capsys, monkeypatch, argv):
+def test_the_removed_euler_options_are_usage_errors(tmp_path, capsys, monkeypatch, argv,
+                                                     refusal):
     _no_sampler(monkeypatch)
     out = tmp_path / "out"
-    option = argv[-2]
     assert run(argv + ["--out", str(out)]) == 2
-    assert f"{option} must be a positive integer" in capsys.readouterr().err
+    assert refusal in capsys.readouterr().err
     assert not out.exists()
+
+
+# every JSON artifact echoes the same law-determining settings, the removed
+# Euler substep count no longer among them
+ECHO_KEYS = {"process", "alpha", "beta", "rho", "lambda", "times", "paths", "seed",
+             "cir_method", "version"}
+
+
+@pytest.mark.parametrize("argv,sections", [
+    (["simulate", "--process", "cir", "--n", "3", "--paths", "2", "--format", "json"],
+     ["config"]),
+    (["verify", "--process", "cir", "--suite", "tail"], ["config"]),
+    (["compare", "--process-a", "cir", "--process-b", "cthin", "--points", "2",
+      "--paths", "300", "--seed", "5"], ["config_a", "config_b"]),
+], ids=["simulate", "verify", "compare"])
+def test_the_json_config_echo_holds_the_law_settings_alone(tmp_path, argv, sections):
+    out = tmp_path / "out.json"
+    assert run(argv + ["--out", str(out)]) == 0
+    payload = json.loads(out.read_text())
+    for section in sections:
+        assert set(payload[section]) == ECHO_KEYS, section
 
 
 def test_one_path_is_fine_where_no_chf_check_runs(tmp_path):

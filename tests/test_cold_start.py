@@ -42,7 +42,7 @@ def test_import_simulate_and_compare_load_no_scipy():
     commands = [["simulate", "--process", kind, *small]
                 for kind in ("ar1", "thinned", "rm", "changepoint", "cthin")]
     commands += [["simulate", "--process", "cir", "--cir-method", method, *small]
-                 for method in ("exact", "euler", "squared-ou")]
+                 for method in ("exact", "squared-ou")]
     # the JSON writer's float rows, values below 1e-4 among them
     commands += [["simulate", "--process", kind, "--alpha", "0.01", "--rho", "0.001", *small,
                   "--format", "json"] for kind in ("ar1", "rm")]

@@ -56,7 +56,7 @@ def _accepted(name, operation):
 @pytest.mark.parametrize("kind,method", SAMPLERS,
                          ids=[f"{k.cli_name}-{m.value}" for k, m in SAMPLERS])
 def test_every_kind_and_cir_method_samples_through_block(kind, method):
-    plan = processes._plan_for_kind(kind, GRID, PARAMS, DEP, method, 4)
+    plan = processes._plan_class(kind, method)(GRID, PARAMS, DEP)
     assert isinstance(plan, processes._Plan)
     values = plan.block(derive_stream(1, 0).gen, 2)
     assert values.shape == (2, GRID.n)
@@ -66,7 +66,7 @@ def test_every_kind_and_cir_method_samples_through_block(kind, method):
 @pytest.mark.parametrize("kind", NOT_KINDS)
 def test_a_value_that_is_not_a_kind_is_refused_in_the_one_form(kind):
     with pytest.raises(UnsupportedKindError, match=_refusal("simulation", kind)):
-        processes._plan_for_kind(kind, GRID, PARAMS, DEP, CirMethod.EXACT, 4)
+        processes._plan_class(kind, CirMethod.EXACT)(GRID, PARAMS, DEP)
     with pytest.raises(UnsupportedKindError, match=_refusal("pair_chf", kind)):
         pair_chf(kind, 0.5, 1.0, PARAMS, DEP)
     with pytest.raises(UnsupportedKindError, match=_refusal("generator_apply", kind)):
@@ -76,7 +76,7 @@ def test_a_value_that_is_not_a_kind_is_refused_in_the_one_form(kind):
 @pytest.mark.parametrize("method", ["exact", None])
 def test_an_unknown_cir_method_is_a_parameter_error(method):
     with pytest.raises(ParameterError, match="^unknown cir method"):
-        processes._plan_for_kind(ProcessKind.SQUARED_OU, GRID, PARAMS, DEP, method, 4)
+        processes._plan_class(ProcessKind.SQUARED_OU, method)(GRID, PARAMS, DEP)
 
 
 @pytest.mark.parametrize("kind", list(ProcessKind), ids=lambda k: k.cli_name)

@@ -339,9 +339,6 @@ def test_cir_path_methods():
     exact = sample_path(ProcessKind.SQUARED_OU, derive_stream(5, 0), grid, P11, DEP5,
                         method=CirMethod.EXACT)
     assert np.all(exact.values >= 0.0)
-    euler = sample_path(ProcessKind.SQUARED_OU, derive_stream(5, 0), grid, P11, DEP5,
-                        method=CirMethod.EULER, substeps=16)
-    assert euler.values.shape == (500,)
     sou = sample_path(ProcessKind.SQUARED_OU, derive_stream(5, 0), grid, P11, DEP5,
                       method=CirMethod.SQUARED_OU)
     assert np.all(sou.values >= 0.0)
@@ -493,8 +490,7 @@ def test_cthin_long_gaps_go_in_pieces_of_at_most_a_chunk(monkeypatch):
     grid = TimeGrid(np.array([0.0, 0.5, 40.0, 41.0]))
     params = GammaParams(2.0, 1.0)
     rate = processes._cthin_series(2.0)[0]
-    plan = processes._plan_for_kind(ProcessKind.CONTINUOUSLY_THINNED, grid, params, DEP5,
-                                    CirMethod.EXACT, 16)
+    plan = processes._plan_class(ProcessKind.CONTINUOUSLY_THINNED)(grid, params, DEP5)
     assert np.all(rate * plan.steps <= 256)
     assert plan.keep.tolist() == [0, 1, 1 + math.ceil(rate * 39.5 * DEP5.lam / 256),
                                   plan.steps.size]
@@ -600,7 +596,7 @@ def test_ensemble_values_are_held_once():
 
 # Stream contract, one stream per path: ensemble path m is byte-identical to
 # the path operation run on derive_stream(master_seed, m).  This holds for the
-# whole-path plans (Euler, squared-OU) and for the plans with a width whenever
+# whole-path plan (squared-OU) and for the plans with a width whenever
 # a block holds one path (B == 1).  (grid, params, dep) per
 # case; the last case makes the thinned beta ratio 0/0, so comparing bytes
 # also pins its NaN.
@@ -618,7 +614,6 @@ STREAM_SAMPLERS = {
     "rm": (ProcessKind.RANDOM_MEASURE, {}),
     "changepoint": (ProcessKind.CHANGE_POINT, {}),
     "cir-exact": (ProcessKind.SQUARED_OU, {"method": CirMethod.EXACT}),
-    "cir-euler": (ProcessKind.SQUARED_OU, {"method": CirMethod.EULER, "substeps": 4}),
     "cir-squared-ou": (ProcessKind.SQUARED_OU, {"method": CirMethod.SQUARED_OU}),
     "cthin": (ProcessKind.CONTINUOUSLY_THINNED, {}),
 }
@@ -648,6 +643,20 @@ def test_ensemble_paths_match_path_operations_byte_for_byte(monkeypatch, sampler
     for m in range(n_paths):
         path = sample_path(kind, derive_stream(seed, m), grid, params, dep, **opts)
         assert ens.values[m].tobytes() == path.values.tobytes(), (sampler, case, m)
+
+
+# At the Feller-critical shape alpha = 1 the removed Euler scheme's
+# full-truncation state could dip below 0; every remaining sampler writes
+# finite values >= 0 there, on a fine grid and in a short-gap batch
+@pytest.mark.parametrize("sampler", list(STREAM_SAMPLERS))
+def test_every_sampler_is_nonnegative_at_the_feller_critical_shape(sampler):
+    kind, opts = STREAM_SAMPLERS[sampler]
+    ens = simulate_ensemble(kind, make_uniform_grid(0.0, 1.0 / 16, 64), P11, DEP5, 50,
+                            master_seed=3, **opts)
+    batch = marginal_sample(kind, 5000, P11, DEP5, master_seed=3, gap=1.0 / 16, **opts)
+    for values in (ens.values, batch):
+        assert np.all(np.isfinite(values)), sampler
+        assert np.all(values >= 0.0), sampler
 
 
 # Stream contract, one stream per block: with B = _BLOCK_DRAWS // width > 1,
@@ -814,7 +823,7 @@ def _block_values_reference(kind, grid, params, dep, seed, block, lanes):
 def test_ensemble_blocks_follow_the_block_stream_layout(monkeypatch, sampler, case, lanes):
     kind = STREAM_SAMPLERS[sampler][0]
     grid, params, dep = STREAM_CASES[case]
-    plan = processes._plan_for_kind(kind, grid, params, dep, CirMethod.EXACT, 16)
+    plan = processes._plan_class(kind)(grid, params, dep)
     if lanes is None:  # the real block size
         lanes = processes._BLOCK_DRAWS // plan.width
     else:
@@ -867,8 +876,7 @@ def test_exact_cir_numpy_route_at_one_lane_gives_the_float_route_bytes(monkeypat
     # blocks of fewer than _VECTOR_LANES lanes step on Python floats; at one
     # lane that is the numpy route's stream order, so the bytes must agree
     grid, params, dep = STREAM_CASES[case]
-    plan = processes._plan_for_kind(ProcessKind.SQUARED_OU, grid, params, dep,
-                                    CirMethod.EXACT, 16)
+    plan = processes._plan_class(ProcessKind.SQUARED_OU, CirMethod.EXACT)(grid, params, dep)
     floats = plan.block(derive_stream(4, 1).gen, 1)
     monkeypatch.setattr(processes, "_VECTOR_LANES", 1)  # numpy at every lane count
     numpy_route = plan.block(derive_stream(4, 1).gen, 1)
@@ -982,7 +990,7 @@ def test_triplet_sample_lag2_correlation_is_rho_squared():
 # _cthin_reference_chunks, on the same draws, which equals it to rounding.
 
 
-def _ref_marginal(kind, n, params, dep, master_seed, gap, method, euler_burn, substeps):
+def _ref_marginal(kind, n, params, dep, master_seed, gap, method):
     g = derive_stream(master_seed, 0).gen
     a, b = params.alpha, params.beta
     rho_g = dep.rho ** float(gap)
@@ -1028,26 +1036,14 @@ def _ref_marginal(kind, n, params, dep, master_seed, gap, method, euler_burn, su
                 k = g.poisson(c * x * rho_g)
                 x = g.gamma(a + k, 1.0 / c, size=n)
             return x
-        if method is CirMethod.SQUARED_OU:
-            j = round(2.0 * a)
-            if abs(2.0 * a - j) > 1e-9 or j < 1:
-                raise ParameterError("2*alpha")
-            z = g.standard_normal((n, j))
-            half = dep.rho ** (float(gap) / 2.0)
-            for _ in range(2):
-                z = half * z + np.sqrt(1.0 - half * half) * g.standard_normal((n, j))
-            return np.sum(z * z, axis=1) / (2.0 * b)
-        h = float(gap) / substeps
-        n_steps = int(np.ceil(float(euler_burn) / dep.lam / h))
-        x = g.gamma(a, 1.0 / b, size=n)
-        mean = a / b
-        sig = np.sqrt(2.0 * dep.lam / b)
-        sqh = np.sqrt(h)
-        for _ in range(n_steps):
-            x = x - dep.lam * (x - mean) * h + sig * np.sqrt(
-                np.maximum(x, 0.0)
-            ) * sqh * g.standard_normal(n)
-        return x
+        j = round(2.0 * a)
+        if abs(2.0 * a - j) > 1e-9 or j < 1:
+            raise ParameterError("2*alpha")
+        z = g.standard_normal((n, j))
+        half = dep.rho ** (float(gap) / 2.0)
+        for _ in range(2):
+            z = half * z + np.sqrt(1.0 - half * half) * g.standard_normal((n, j))
+        return np.sum(z * z, axis=1) / (2.0 * b)
     raise UnsupportedKindError(kind)
 
 
@@ -1133,10 +1129,8 @@ KERNEL_SAMPLERS += [(ProcessKind.SQUARED_OU, m) for m in CirMethod]
 def test_batch_samplers_equal_their_earlier_bodies(kind, method, point, gap):
     params, dep = KERNEL_POINTS[point]
     n = 500
-    # a short Euler burn-in: rho 0.999 would otherwise take 2e5 substeps
-    opts = {"method": method, "euler_burn": 0.05, "substeps": 4}
-    got = _outcome(marginal_sample, kind, n, params, dep, 21, gap=gap, **opts)
-    want = _outcome(_ref_marginal, kind, n, params, dep, 21, gap, **opts)
+    got = _outcome(marginal_sample, kind, n, params, dep, 21, gap=gap, method=method)
+    want = _outcome(_ref_marginal, kind, n, params, dep, 21, gap, method)
     if kind is ProcessKind.CONTINUOUSLY_THINNED:
         # the factors test's bound: Z composes its factors in log space
         np.testing.assert_allclose(np.frombuffer(got), np.frombuffer(want), rtol=1e-12,
@@ -1199,8 +1193,6 @@ GRID3 = make_uniform_grid(0.0, 1.0, 3)
 NON_INTEGRAL = {
     "ensemble-n_paths": lambda: simulate_ensemble(ProcessKind.AR1, GRID3, P11, DEP5, 2.9, 1),
     "ensemble-seed": lambda: simulate_ensemble(ProcessKind.AR1, GRID3, P11, DEP5, 2, 1.7),
-    "euler-substeps": lambda: sample_path(ProcessKind.SQUARED_OU, derive_stream(0, 0), GRID3,
-                                          P11, DEP5, method=CirMethod.EULER, substeps=2.5),
     "marginal-n": lambda: marginal_sample(ProcessKind.AR1, 100.9, P11, DEP5, master_seed=0),
     "triplet-n": lambda: triplet_sample(ProcessKind.THINNED, 10.5, P11, DEP5, master_seed=0),
     "walker-n": lambda: walker_sample(10.5, P11, 0.5, master_seed=0),
@@ -1228,13 +1220,42 @@ def test_integral_floats_and_numpy_integers_count_as_their_ints():
                            n_mc=1e3)[0].n_mc == 1000
 
 
-@pytest.mark.parametrize("euler_burn", [0.0, -1.0, float("nan"), float("inf")])
-def test_marginal_sample_rejects_an_euler_burn_that_is_not_finite_and_positive(euler_burn):
-    # nan and inf raised ValueError and OverflowError, and a burn-in <= 0 returned the
-    # unstepped Ga(alpha, beta) start draws
-    with pytest.raises(ParameterError, match="euler_burn"):
-        marginal_sample(ProcessKind.SQUARED_OU, 10, P11, DEP5, master_seed=0,
-                        method=CirMethod.EULER, euler_burn=euler_burn)
+# The Euler scheme went with its options: a caller that still passes one gets a
+# TypeError, not a run that ignores it
+REMOVED_EULER_KEYWORDS = {
+    "path-substeps": lambda: sample_path(ProcessKind.SQUARED_OU, derive_stream(0, 0), GRID3,
+                                         P11, DEP5, substeps=4),
+    "ensemble-substeps": lambda: simulate_ensemble(ProcessKind.SQUARED_OU, GRID3, P11, DEP5, 2,
+                                                   0, substeps=4),
+    "marginal-substeps": lambda: marginal_sample(ProcessKind.SQUARED_OU, 10, P11, DEP5,
+                                                 master_seed=0, substeps=4),
+    "marginal-euler_burn": lambda: marginal_sample(ProcessKind.SQUARED_OU, 10, P11, DEP5,
+                                                   master_seed=0, euler_burn=12.0),
+}
+
+
+@pytest.mark.parametrize("call", list(REMOVED_EULER_KEYWORDS.values()),
+                         ids=list(REMOVED_EULER_KEYWORDS))
+def test_a_removed_euler_keyword_is_refused(call):
+    with pytest.raises(TypeError, match="unexpected keyword argument"):
+        call()
+
+
+EULER_AS_METHOD = {
+    "parse": lambda: CirMethod.parse("euler"),
+    "path": lambda: sample_path(ProcessKind.SQUARED_OU, derive_stream(0, 0), GRID3, P11, DEP5,
+                                method="euler"),
+    "ensemble": lambda: simulate_ensemble(ProcessKind.SQUARED_OU, GRID3, P11, DEP5, 2, 0,
+                                          method="euler"),
+    "marginal": lambda: marginal_sample(ProcessKind.SQUARED_OU, 10, P11, DEP5, master_seed=0,
+                                        method="euler"),
+}
+
+
+@pytest.mark.parametrize("call", list(EULER_AS_METHOD.values()), ids=list(EULER_AS_METHOD))
+def test_euler_is_no_cir_method(call):
+    with pytest.raises(ParameterError, match="^unknown cir method 'euler'"):
+        call()
 
 
 @pytest.mark.parametrize("gap", [0.0, -1.0, float("nan"), float("inf")])

@@ -68,8 +68,7 @@ def test_cthin_paths_and_ensembles_are_finite_and_nonnegative(alpha, rho):
     grid = make_uniform_grid(0.0, 0.5, 5)
     params, dep = GammaParams(alpha, 1.0), Dependence.from_rho(rho)
     path = sample_path(ProcessKind.CONTINUOUSLY_THINNED, derive_stream(3, 0), grid, params, dep)
-    plan = processes._plan_for_kind(ProcessKind.CONTINUOUSLY_THINNED, grid, params, dep,
-                                    CirMethod.EXACT, 16)
+    plan = processes._plan_class(ProcessKind.CONTINUOUSLY_THINNED)(grid, params, dep)
     with pytest.MonkeyPatch.context() as m:
         m.setattr(processes, "_BLOCK_DRAWS", 2 * plan.width)  # blocks of two paths
         ens = simulate_ensemble(ProcessKind.CONTINUOUSLY_THINNED, grid, params, dep, 6,
@@ -81,14 +80,13 @@ def test_cthin_paths_and_ensembles_are_finite_and_nonnegative(alpha, rho):
     assert ens.values[:2].tobytes() == pair.tobytes(), (alpha, rho)
 
 
-# The eight samplers: every kind, and cir under each method.
+# The seven samplers: every kind, and cir under each method.
 SAMPLERS = {
     "ar1": (ProcessKind.AR1, {}),
     "thinned": (ProcessKind.THINNED, {}),
     "rm": (ProcessKind.RANDOM_MEASURE, {}),
     "changepoint": (ProcessKind.CHANGE_POINT, {}),
     "cir-exact": (ProcessKind.SQUARED_OU, {"method": CirMethod.EXACT}),
-    "cir-euler": (ProcessKind.SQUARED_OU, {"method": CirMethod.EULER, "substeps": 4}),
     "cir-squared-ou": (ProcessKind.SQUARED_OU, {"method": CirMethod.SQUARED_OU}),
     "cthin": (ProcessKind.CONTINUOUSLY_THINNED, {}),
 }
@@ -131,8 +129,7 @@ def test_ensembles_extend_across_block_edges(data, sampler, grid, lanes, extra, 
         return simulate_ensemble(kind, grid, params, dep, n_paths, master_seed=5, **opts)
 
     try:
-        plan = processes._plan_for_kind(kind, grid, params, dep, opts.get("method"),
-                                        opts.get("substeps", 16))
+        plan = processes._plan_class(kind, opts.get("method"))(grid, params, dep)
     except (ParameterError, NumericalError):
         return
     width = plan.width or grid.n
@@ -148,17 +145,16 @@ def test_ensembles_extend_across_block_edges(data, sampler, grid, lanes, extra, 
             return
     assert long.values[:n_short].tobytes() == short.values.tobytes(), (sampler, lanes)
     assert np.all(np.isfinite(long.values)), (sampler, alpha, rho)
-    if sampler != "cir-euler":  # Euler's full-truncation state may dip below 0
-        assert np.all(long.values >= 0.0), (sampler, alpha, rho)
+    assert np.all(long.values >= 0.0), (sampler, alpha, rho)
 
 
 @settings(max_examples=30, deadline=None, derandomize=True, database=None)
 @given(process=st.sampled_from([k.cli_name for k in ProcessKind]
-                               + ["cir:euler", "cir:squared-ou"]),
+                               + ["cir:squared-ou"]),
        lam=st.floats(0.05, 10.0), n=st.sampled_from([1, 2, 3, 17]),
        fmt=st.sampled_from(["csv", "json"]))
-# -log(exp(-0.1)) is not 0.1: Euler reads lambda, and JSON echoes it
-@example(process="cir:euler", lam=0.1, n=3, fmt="csv")
+# -log(exp(-0.1)) is not 0.1: cthin reads lambda, and JSON echoes it
+@example(process="cthin", lam=0.1, n=3, fmt="csv")
 @example(process="ar1", lam=0.1, n=2, fmt="json")
 def test_simulate_rho_and_lambda_spellings_give_the_same_bytes(process, lam, n, fmt):
     rho = math.exp(-lam)  # the rho that --lambda lam resolves to

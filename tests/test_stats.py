@@ -259,7 +259,8 @@ def test_ks_statistic_rejects_wrong_rate():
 
 
 def test_ks_statistic_handles_values_below_support():
-    # transiently negative inputs (Euler excursions) sit at cdf 0, not NaN
+    # a negative input (no sampler writes one, but ks_statistic takes any array) sits
+    # at cdf 0, not NaN
     x = np.concatenate([derive_stream(7, 0).gen.gamma(1.0, 1.0, size=5000), [-1e-3]])
     rep = ks_statistic(x, P11)
     assert np.isfinite(rep.statistic)
