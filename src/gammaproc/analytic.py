@@ -7,13 +7,13 @@ logarithm.  Every factor that appears here either has real part exactly 1
 the reals, so the principal branch is the unique continuous continuation from
 the value 1 at the origin.
 
-``scipy.special`` is imported inside the functions that call it, so
-importing this module, and ``gammaproc`` with it, loads numpy and the
-standard library only.  Its uses: ``ive`` in ``log_bessel_i``, with
-``gammaln`` and ``logsumexp`` in that function's power-series fallback;
-``gammaln`` in the diffusion transition density; ``exp1`` and ``gammaincc``
-in the two tails.  The generators are closed forms in ``math`` alone, with
-no quadrature.
+``scipy.special`` is imported inside the two library oracles that call it,
+which no CLI command reaches: ``ive`` in ``log_bessel_i``, with ``gammaln``
+and ``logsumexp`` in that function's power-series fallback, and ``gammaln``
+in the diffusion transition density.  Importing this module, and
+``gammaproc`` with it, loads numpy and the standard library only.  The two
+tails take ``Q`` and ``E1`` from the in-house ``_special`` module, and the
+generators are closed forms in ``math`` alone, with no quadrature.
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from ._special import exp1, gammaincc
 from .core import (
     Dependence,
     GammaParams,
@@ -412,8 +413,6 @@ def levy_tail(u, params: GammaParams):
     the first term of the asymptotic expansion of E1.
     """
     u = _require_finite_positive("u", u)
-    from scipy.special import exp1
-
     a, b = params.alpha, params.beta
     return LevyTail(
         exact=float(a * exp1(b * u)),
@@ -424,6 +423,4 @@ def levy_tail(u, params: GammaParams):
 def gamma_survival(u, params: GammaParams):
     """P(X > u) for X ~ Ga(alpha, beta) (regularized upper incomplete gamma)."""
     u = _require_finite_nonnegative("u", u)
-    from scipy.special import gammaincc
-
-    return float(gammaincc(params.alpha, params.beta * u))
+    return gammaincc(params.alpha, params.beta * u)

@@ -95,7 +95,7 @@ class RunConfig:
             "beta": self.params.beta,
             "rho": self.dep.rho,
             "lambda": self.dep.lam,
-            "times": [float(t) for t in self.grid.times],
+            "times": self.grid.times.tolist(),
             "paths": self.n_paths,
             "seed": self.seed,
             "cir_method": self.cir_method.value,
@@ -252,9 +252,14 @@ def _simulate_json_chunks(cfg: RunConfig, values):
     """The ``simulate --format json`` document, one chunk per block of float values.
 
     Keys sort as config < grid < paths, so the float rows are spliced after
-    the config object that ``_dump_json`` writes.
+    the config object that ``_dump_json`` writes; the config's own ``times``
+    row is spliced into that object in place of an empty list.
     """
-    yield _dump_json({"config": cfg.echo()})[:-3] + ',\n  "grid": [\n    '
+    echo = {**cfg.echo(), "times": []}
+    head, tail = _dump_json({"config": echo})[:-3].split('"times": []')
+    yield head + '"times": [\n      '
+    yield from repr_chunks(cfg.grid.times[None], ",\n      ",
+                           "\n    ]" + tail + ',\n  "grid": [\n    ')
     yield from repr_chunks(cfg.grid.times[None], ",\n    ",
                            '\n  ],\n  "paths": [\n    [\n      ')
     yield from repr_chunks(values[:-1], ",\n      ", "\n    ],\n    [\n      ")

@@ -758,10 +758,9 @@ class _CirExactPlan(_Plan):
         super().__init__(grid)
         self.alpha = params.alpha
         self.beta = params.beta
-        # Python's float power rho**dt, gap by gap
-        self.rho_d = np.fromiter(
-            (dep.rho**dt for (dt,) in _as_floats(grid.gaps)), float, count=self.n - 1
-        )
+        # Python's float power rho**dt, once per distinct gap
+        gaps, at = np.unique(grid.gaps, return_inverse=True)
+        self.rho_d = np.array([dep.rho**dt for dt in gaps.tolist()], dtype=float)[at]
         self.c = _cir_rate(self.beta, self.rho_d)
         self.width = 2 * self.n - 1
 

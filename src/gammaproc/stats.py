@@ -10,10 +10,11 @@ Estimators that need i.i.d. replicates consume ensembles column-wise: one
 observation per path.  Long-path estimators (the ACF) use batch means to get
 standard errors that survive serial dependence.
 
-Importing this module loads numpy and the standard library only.
-``ks_statistic`` imports ``scipy.special`` when it is called, and
-``tail_check`` reaches it through the ``analytic`` tails; ``generator_check``
-needs no scipy, as both analytic generators are closed forms.
+This module loads numpy and the standard library only, and no function in
+it imports scipy: ``ks_statistic`` scores the sample with the in-house
+incomplete gamma function of ``_special``, ``tail_check`` reaches ``Q`` and
+``E1`` through the ``analytic`` tails, and both analytic generators of
+``generator_check`` are closed forms.
 """
 
 from __future__ import annotations
@@ -23,11 +24,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._special import gammainc_sorted
 from .analytic import TestFunction, _as_float_array, generator_apply, levy_tail, pair_chf
 from .core import (
     Dependence,
     Ensemble,
     GammaParams,
+    NumericalError,
     ParameterError,
     ProcessKind,
     SamplePath,
@@ -204,18 +207,21 @@ def ks_statistic(values, params: GammaParams) -> KsReport:
     ``beta 2^-1075``, formed in logs because ``2^-1075`` is not a double.  As
     for any law with an atom (Conover 1972), ``d_plus`` compares with the
     right limit ``F(0) = F(2^-1075)`` and ``d_minus`` with the left limit
-    ``F(0-) = 0``.  A positive value x is scored at ``gammainc(alpha, beta x)``.
+    ``F(0-) = 0``.  A positive value x is scored at ``P(alpha, beta x)``,
+    the regularized lower incomplete gamma function of ``_special``, which
+    reads the sorted sample in one pass.  A NaN in the sample raises
+    ``NumericalError``.
 
     The 1% critical value is the asymptotic 1.628/sqrt(n).
     """
-    from scipy import special
-
     x = np.sort(np.asarray(values, dtype=float))
     n = x.size
     if n < 100:
         raise ParameterError(f"ks_statistic needs at least 100 values, got {n}")
+    if np.isnan(x[-1]):  # np.sort puts NaN last
+        raise NumericalError("non-finite value in the sample (NaN)")
     # the target law lives on [0, inf); anything below has cdf 0
-    cdf = special.gammainc(params.alpha, params.beta * np.maximum(x, 0.0))
+    cdf = gammainc_sorted(params.alpha, params.beta * np.maximum(x, 0.0))
     atom = math.exp(params.alpha * (math.log(params.beta) - 1075.0 * math.log(2.0))
                     - math.lgamma(params.alpha + 1.0))
     i = np.arange(1, n + 1)

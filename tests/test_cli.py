@@ -401,7 +401,7 @@ def irregular_times(tmp_path):
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 @pytest.mark.parametrize("case", ["one-value", "irregular", "ar1-2000x200", "cir-1x5000",
-                                  "rm-small-shape", "ar1-3x1234"])
+                                  "rm-small-shape", "ar1-3x1234", "ar1-1x12345"])
 def test_simulate_output_equals_reference_writer(tmp_path, irregular_times, fmt, case):
     args = {
         "one-value": ["--process", "cir", "--n", "1", "--paths", "1", "--seed", "3"],
@@ -415,6 +415,8 @@ def test_simulate_output_equals_reference_writer(tmp_path, irregular_times, fmt,
                            "--paths", "3", "--seed", "9"],
         # 3702 values: a block of _floatfmt.BLOCK values ends inside a path
         "ar1-3x1234": ["--process", "ar1", "--n", "1234", "--paths", "3", "--seed", "6"],
+        # the config echo's times span several blocks
+        "ar1-1x12345": ["--process", "ar1", "--n", "12345", "--paths", "1", "--seed", "4"],
     }[case]
     args = ["simulate", *args, "--format", fmt]
     out = tmp_path / f"out.{fmt}"
@@ -843,14 +845,18 @@ def test_the_largest_seed_is_accepted(tmp_path):
 def test_verify_seeds_2_to_the_63_apart_run_different_checks(tmp_path):
     # the check subseeds are taken mod 2**64, so seed -> subseed is one to one; seeds
     # below 2**63 / 1000003 keep their subseeds and bytes
-    ks = []
+    checks = []
     for seed in (0, 2**63):
         out = tmp_path / f"{seed}.json"
         assert run(["verify", "--process", "ar1", "--suite", "marginal", "--seed", str(seed),
                     "--out", str(out)]) == 0
-        ks.append(json.loads(out.read_text())["checks"][0]["ks_statistic"])
-    assert ks[0] == 0.0027178756636592194
-    assert ks[1] != ks[0]
+        checks.append(json.loads(out.read_text())["checks"][0])
+    # the sample's bytes, through its mean; the KS statistic to the 1e-12 of its
+    # incomplete gamma function (scipy's gave 0.0027178756636592194)
+    assert checks[0]["mean"] == 1.9967816367757338
+    assert checks[0]["ks_statistic"] == pytest.approx(0.0027178756636592194, abs=1e-12)
+    assert checks[1]["mean"] != checks[0]["mean"]
+    assert checks[1]["ks_statistic"] != checks[0]["ks_statistic"]
     ns = build_parser().parse_args(["verify", "--process", "ar1"])
     cfgs = [RunConfig(**{**_resolve_config(ns, "ar1", 1).__dict__, "seed": seed})
             for seed in (0, 2**63, 2**64 - 1)]

@@ -1,7 +1,8 @@
-"""Which modules a fresh interpreter loads: ``simulate`` and ``compare`` need
-numpy only; ``verify`` imports ``scipy.special`` at its first KS or tail check
-and nothing else from scipy: the cthin generator oracle is a closed form, so
-no command loads ``scipy.integrate`` or the ``scipy.optimize`` it brings."""
+"""Which modules a fresh interpreter loads: no command loads any scipy
+module.  ``simulate`` and ``compare`` need numpy only, and so does
+``verify`` at every kind and suite: the KS and tail checks take ``P``, ``Q``
+and ``E1`` from the in-house ``_special`` module, and the generator oracles
+are closed forms."""
 
 import json
 import os
@@ -9,9 +10,12 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import gammaproc
 
 SRC = str(Path(gammaproc.__file__).resolve().parents[1])
+KINDS = ("ar1", "thinned", "rm", "changepoint", "cir", "cthin")
 
 # Runs each argv (None: import only) in one fresh interpreter and prints, after
 # each, the exit code and the scipy modules loaded so far.
@@ -33,8 +37,16 @@ for argv in json.loads(sys.argv[1]):
 def _probe(commands):
     env = {**os.environ, "PYTHONPATH": SRC}
     out = subprocess.run([sys.executable, "-c", _PROBE, json.dumps(commands)],
-                         capture_output=True, text=True, env=env, timeout=120, check=True)
+                         capture_output=True, text=True, env=env, timeout=300, check=True)
     return [json.loads(line) for line in out.stdout.splitlines()]
+
+
+def _assert_no_scipy(commands):
+    steps = _probe(commands)
+    assert [s["argv"] for s in steps] == [None, *commands]
+    for step in steps:
+        assert step["code"] == 0, step
+        assert step["scipy"] == [], step
 
 
 def test_import_simulate_and_compare_load_no_scipy():
@@ -49,27 +61,14 @@ def test_import_simulate_and_compare_load_no_scipy():
     commands += [["compare", "--process-a", "thinned", "--process-b", "rm",
                   "--points", points, "--paths", "50", "--seed", "2"]
                  for points in ("2", "3")]
-    steps = _probe(commands)
-    assert [s["argv"] for s in steps] == [None, *commands]
-    for step in steps:
-        assert step["code"] == 0, step
-        assert step["scipy"] == [], step
+    _assert_no_scipy(commands)
 
 
-def test_verify_marginal_loads_scipy_special_but_not_integrate():
-    (imported, verified) = _probe([["verify", "--process", "ar1", "--suite", "marginal"]])
-    assert imported["scipy"] == []
-    assert verified["code"] == 0
-    assert "scipy.special" in verified["scipy"]
-    assert "scipy.integrate" not in verified["scipy"]
-    assert "scipy.optimize" not in verified["scipy"]
-
-
-def test_verify_cthin_all_loads_scipy_special_but_not_integrate_or_optimize():
-    (imported, verified) = _probe([["verify", "--process", "cthin", "--suite", "all",
-                                    "--paths", "2000"]])
-    assert imported["scipy"] == []
-    assert verified["code"] == 0
-    assert "scipy.special" in verified["scipy"]
-    assert "scipy.integrate" not in verified["scipy"]
-    assert "scipy.optimize" not in verified["scipy"]
+@pytest.mark.parametrize("kind", KINDS)
+def test_verify_loads_no_scipy_at_any_suite(kind):
+    # each suite on its own, then all of them; the squared-OU method too for cir
+    methods = [[], ["--cir-method", "squared-ou"]] if kind == "cir" else [[]]
+    commands = [["verify", "--process", kind, *method, "--suite", suite, "--paths", "2000"]
+                for method in methods
+                for suite in ("marginal", "acf", "chf", "generator", "tail", "all")]
+    _assert_no_scipy(commands)

@@ -1,3 +1,4 @@
+import argparse
 import functools
 import math
 
@@ -6,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gammaproc import processes
+from gammaproc.cli import _resolve_grid
 from gammaproc import (
     CirMethod,
     Dependence,
@@ -342,6 +344,27 @@ def test_cir_path_methods():
     sou = sample_path(ProcessKind.SQUARED_OU, derive_stream(5, 0), grid, P11, DEP5,
                       method=CirMethod.SQUARED_OU)
     assert np.all(sou.values >= 0.0)
+
+
+def _cir_grids(tmp_path):
+    times = tmp_path / "times.txt"
+    times.write_text("0 0.25 0.5 1.75 1.8\n2.0, 2.25 9.0 11\n")
+    ns = argparse.Namespace(times=str(times), t0=0.0, dt=1.0, n=None)
+    rng = np.random.default_rng(4)
+    return {
+        "uniform": make_uniform_grid(0.0, 1.0, 100000),  # verify's acf grid at the default --dt
+        "irregular": TimeGrid(np.cumsum(rng.exponential(0.3, 5000))),
+        "times": _resolve_grid(ns, 100),
+    }
+
+
+@pytest.mark.parametrize("name", ["uniform", "irregular", "times"])
+def test_exact_cir_gap_correlations_keep_the_scalar_power_bytes(tmp_path, name):
+    grid = _cir_grids(tmp_path)[name]
+    for dep in (DEP5, Dependence(0.1), Dependence.from_rho(0.999)):
+        plan = processes._CirExactPlan(grid, GammaParams(1.5, 2.0), dep)
+        ref = np.fromiter((dep.rho**dt for dt in grid.gaps.tolist()), float, count=grid.n - 1)
+        assert plan.rho_d.tobytes() == ref.tobytes()
 
 
 def test_cir_squared_ou_requires_half_integer_alpha():
