@@ -20,10 +20,22 @@ be compared field by field::
     PYTHONPATH=src python scripts/output_digests.py --seeds 11 12 --keep out/head
     PYTHONPATH=../other/src python scripts/output_digests.py --seeds 11 12 --keep out/base
 
+and ``--diff`` compares two such directories field by field::
+
+    python scripts/output_digests.py --diff out/base out/head
+
+It prints every JSON field (and CSV cell) whose values differ, with their
+relative difference ``|a - b| / max(|a|, |b|)`` for numbers, and every file
+that only one side has.  It exits 1 when a value that is not a number
+differs (a ``status``, ``passed``, a reason or a key), when a file is on one
+side only (a command that failed writes nothing), or when a relative
+difference exceeds ``--rtol`` (default 1e-12); otherwise 0.
+
 The command lists are read, not changed, from ``bench/`` next to this
 script.  The script exits 1 when any command exits nonzero or raises, so CI
 can run it at one seed to catch a flag the benchmark passes that the CLI no
-longer takes.  Only the standard library and gammaproc are used.
+longer takes.  Only the standard library and gammaproc are used, and
+``--diff`` uses the standard library only.
 """
 
 from __future__ import annotations
@@ -32,6 +44,7 @@ import argparse
 import contextlib
 import hashlib
 import io
+import json
 import os
 import sys
 import tempfile
@@ -41,7 +54,8 @@ sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), ".."
 
 import workloads  # noqa: E402
 
-from gammaproc.cli import main as gammaproc_main  # noqa: E402
+# differing fields printed per file; the rest are counted
+_SHOWN = 20
 
 
 def _sha256(path):
@@ -57,6 +71,8 @@ def _sha256(path):
 def digests(seed, out_dir, keep=False):
     """(workload, name, exit code, sha256) per command; an uncaught exception is exit None.
     Each output is deleted after it is hashed unless ``keep``."""
+    from gammaproc.cli import main as gammaproc_main
+
     for workload in workloads.WORKLOADS:
         for cmd in workloads.commands(workload, seed):
             out = os.path.join(out_dir, cmd["out"])
@@ -74,6 +90,77 @@ def digests(seed, out_dir, keep=False):
                     os.remove(out)
 
 
+def _load(path):
+    """A JSON output as its object, another output as rows of CSV cells (numbers parsed)."""
+    with open(path) as fh:
+        if path.endswith(".json"):
+            return json.load(fh)
+        return [[_number(cell) for cell in line.rstrip("\n").split(",")] for line in fh]
+
+
+def _number(cell):
+    try:
+        return float(cell)
+    except ValueError:
+        return cell
+
+
+def _leaves(obj, field=""):
+    """(field, value) for each scalar and empty container of ``obj``, named by keys and indices."""
+    if isinstance(obj, dict) and obj:
+        for key in sorted(obj):
+            yield from _leaves(obj[key], f"{field}.{key}" if field else key)
+    elif isinstance(obj, list) and obj:
+        for i, value in enumerate(obj):
+            yield from _leaves(value, f"{field}[{i}]")
+    else:
+        yield field, obj
+
+
+def _is_number(value):
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def field_diffs(a, b):
+    """(field, value in a, value in b, relative difference or None) for every field that differs.
+
+    The relative difference is ``|a - b| / max(|a|, |b|)`` for two numbers
+    and None otherwise, as for a field that only one side has.
+    """
+    left, right = dict(_leaves(a)), dict(_leaves(b))
+    for field in [*left, *(f for f in right if f not in left)]:
+        x, y = left.get(field, "<absent>"), right.get(field, "<absent>")
+        if x == y and type(x) is type(y):
+            continue
+        if not (_is_number(x) and _is_number(y)):
+            yield field, x, y, None
+        else:
+            yield field, x, y, abs(x - y) / max(abs(x), abs(y)) if x != y else 0.0
+
+
+def diff_dirs(base, head, rtol):
+    """Print where two ``--keep`` directories differ; True when they agree to ``rtol``."""
+    files = set()
+    for root in (base, head):
+        for top, _, names in os.walk(root):
+            files.update(os.path.relpath(os.path.join(top, n), root) for n in names)
+    agree = True
+    for name in sorted(files):
+        paths = [os.path.join(root, name) for root in (base, head)]
+        in_base, in_head = map(os.path.exists, paths)
+        if not (in_base and in_head):
+            print(f"{name}: only in {'base' if in_base else 'head'}")
+            agree = False
+            continue
+        diffs = list(field_diffs(*map(_load, paths)))
+        for field, x, y, rel in diffs[:_SHOWN]:
+            print(f"{name} {field}: {x!r} -> {y!r}" + ("" if rel is None else f" (rel {rel:.3g})"))
+        if len(diffs) > _SHOWN:
+            print(f"{name}: {len(diffs) - _SHOWN} more fields differ")
+        agree = agree and all(rel is not None and rel <= rtol for *_, rel in diffs)
+    return agree
+
+
 def main(argv=None):
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     p.add_argument("--seeds", type=int, nargs="+", default=[11],
@@ -81,7 +168,13 @@ def main(argv=None):
     p.add_argument("--keep", metavar="DIR", default=None,
                    help="write the outputs into DIR/<seed>/ and keep them "
                         "(default: a temporary directory, removed at exit)")
+    p.add_argument("--diff", nargs=2, metavar=("BASE", "HEAD"), default=None,
+                   help="compare two --keep directories field by field instead")
+    p.add_argument("--rtol", type=float, default=1e-12,
+                   help="largest relative difference --diff accepts (default 1e-12)")
     ns = p.parse_args(argv)
+    if ns.diff is not None:
+        return 0 if diff_dirs(*ns.diff, ns.rtol) else 1
     failed = False
     with contextlib.ExitStack() as stack:
         root = ns.keep if ns.keep is not None else stack.enter_context(

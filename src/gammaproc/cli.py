@@ -88,6 +88,7 @@ class RunConfig:
         Only law-determining settings appear, so output bytes depend on the
         configuration and seed alone.  ``lambda`` is ``-log(rho)`` whichever
         of ``--rho`` and ``--lambda`` spelled it (see ``Dependence``).
+        ``times`` is the grid's array, which the writers write as a list.
         """
         return {
             "process": self.process.cli_name,
@@ -95,7 +96,7 @@ class RunConfig:
             "beta": self.params.beta,
             "rho": self.dep.rho,
             "lambda": self.dep.lam,
-            "times": self.grid.times.tolist(),
+            "times": self.grid.times,
             "paths": self.n_paths,
             "seed": self.seed,
             "cir_method": self.cir_method.value,
@@ -246,6 +247,36 @@ def _dump_json(payload):
                           default=_tolist) + "\n"
     except ValueError:
         raise _non_finite() from None
+
+
+def _report_chunks(report):
+    """``_dump_json(report)`` in chunks, each config echo's grid times spliced in as text.
+
+    A config echo is a value of ``report`` with a ``times`` key
+    (``RunConfig.echo``).  json.dumps' indent encoder is pure Python and
+    builds the whole document as one string, which for a million times
+    takes about a second and 150 MiB.  So the report is dumped with each
+    echo's ``"times": []``, and the times go in their place 4096 at a time
+    as ``float.__repr__`` text, which is what json.dumps writes for a float.
+    Only an echo's keys sit at an indent of 4, so the empty lists split the
+    dump at the echoes, in sorted key order.  The dump runs before this
+    returns, so a NaN or infinity raises before the output opens.
+    """
+    echoes = sorted(k for k, v in report.items() if isinstance(v, dict) and "times" in v)
+    text = _dump_json({**report, **{k: {**report[k], "times": []} for k in echoes}})
+    *heads, tail = text.split('\n    "times": []')
+
+    def chunks():
+        for head, key in zip(heads, echoes, strict=True):
+            times = report[key]["times"]
+            yield head + '\n    "times": [\n      '
+            for s in range(0, len(times), 4096):
+                sep = ",\n      " if s else ""
+                yield sep + ",\n      ".join(map(float.__repr__, times[s : s + 4096].tolist()))
+            yield "\n    ]"
+        yield tail
+
+    return chunks()
 
 
 def _simulate_json_chunks(cfg: RunConfig, values):
@@ -470,7 +501,7 @@ def cmd_verify(cfg: RunConfig, suite, omega_axis=None) -> int:
         "checks": checks,
         "passed": passed,
     }
-    _write_text(cfg.out, [_dump_json(report)])
+    _write_text(cfg.out, _report_chunks(report))
     return 0 if passed else 1
 
 
@@ -499,7 +530,7 @@ def cmd_compare(cfg_a: RunConfig, cfg_b: RunConfig, points) -> int:
         "max_z": float(np.max(z)),
         "argmax_omega": omegas[int(np.argmax(z))],
     }
-    _write_text(cfg_a.out, [_dump_json(report)])
+    _write_text(cfg_a.out, _report_chunks(report))
     return 0
 
 

@@ -285,15 +285,16 @@ def _standard_gammas(gen, runs, out):
     return out
 
 
-def _as_floats(*arrays):
-    """Zip equal-length arrays as Python floats, converting 4096 elements at a time.
+def _float_chunks(*arrays):
+    """(s, zip of the elements s to s + 4096 as Python floats) over equal-length arrays.
 
     Python floats make a scalar loop several times faster than numpy scalars;
     converting a chunk at a time keeps a long path from holding a Python
-    float object per step.
+    float object per step, and the loop stores its chunk of results with one
+    slice assignment rather than a numpy item store per step.
     """
     for s in range(0, len(arrays[0]), 4096):
-        yield from zip(*(a[s : s + 4096].tolist() for a in arrays))
+        yield s, zip(*(a[s : s + 4096].tolist() for a in arrays))
 
 
 def _affine_recursion(a, z, x0):
@@ -315,9 +316,9 @@ def _affine_recursion(a, z, x0):
         return out
     for i in range(lanes):
         x = float(out[i, 0])
-        for s in range(0, steps, 4096):
+        for s, chunk in _float_chunks(a[i], z[i]):
             xs = []
-            for ak, zk in zip(a[i, s : s + 4096].tolist(), z[i, s : s + 4096].tolist()):
+            for ak, zk in chunk:
                 x = ak * x + zk
                 xs.append(x)
             out[i, s + 1 : s + 4097] = xs
@@ -747,11 +748,15 @@ class _CirExactPlan(_Plan):
     block draws its lanes one after another, each as X_0 and then each
     gap's Poisson count and gamma in turn, on Python floats
     (``_float_lane``); at one lane the two orders are the same, and so are
-    the bytes.  The lane step is one gap of ``_cir_exact_step``.  The fork
-    is kept on a measurement: a numpy step costs 18-21 us at 1 to 32 lanes
-    and a float step about 1.4 us a lane (2 vCPUs, numpy 2.4), so they
-    break even near 16 lanes; at 2000 points (blocks of 2 lanes) a 200-path
-    ensemble took 0.75 s on floats and 4.1 s in numpy.
+    the bytes.  The lane step is one gap of ``_cir_exact_step``; a float
+    lane stores each chunk of 4096 steps with one slice assignment.  The
+    fork is kept on a measurement: a numpy step costs 16-22 us at 1 to 32
+    lanes and a float step 1.0-1.5 us a lane (1.0 us on a 1e5-step lane,
+    min of 7, where a numpy item store per step made it 1.1; 2 vCPUs,
+    numpy 2.4), so they break even between about 12 and 20 lanes.  The
+    fork at 16 lanes is part of the stream layout and stays; at 2000
+    points (blocks of 2 lanes) a 200-path ensemble took 0.75 s on floats
+    and 4.1 s in numpy.
     """
 
     def __init__(self, grid, params, dep):
@@ -775,12 +780,16 @@ class _CirExactPlan(_Plan):
         return out.T
 
     def _float_lane(self, gen):
-        """One lane's path, step by step on Python floats."""
+        """One lane's path, step by step on Python floats, stored a chunk at a time."""
         a = self.alpha
         out = np.empty(self.n)
         x = out[0] = gen.gamma(a, 1.0 / self.beta)
-        for k, (rho_d, c) in enumerate(_as_floats(self.rho_d, self.c), 1):
-            x = out[k] = _cir_exact_step(gen, x, a, c, rho_d)
+        for s, chunk in _float_chunks(self.rho_d, self.c):
+            xs = []
+            for rho_d, c in chunk:
+                x = _cir_exact_step(gen, x, a, c, rho_d)
+                xs.append(x)
+            out[s + 1 : s + 4097] = xs
         return out
 
     @staticmethod

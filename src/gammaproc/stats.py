@@ -90,6 +90,11 @@ def empirical_moments(values) -> MomentReport:
 
     se(mean) = s/sqrt(n); se(variance) uses the asymptotic variance
     (m4 - m2^2)/n of the sample variance, with central moments m2, m4.
+    The deviations d are squared in place for m2 and squared again for
+    m4, the mean of (d*d)*(d*d): two correctly rounded multiplies an
+    element.  ``d**4`` would be numpy's vector ``power``, whose last bit
+    depends on the host's SIMD routine; on 1e5 values it made the call
+    take 5.9 ms, and the squares make it 0.12 ms (2 vCPUs, numpy 2.4).
     """
     x = np.asarray(values, dtype=float)
     if x.ndim != 1 or x.size < 2:
@@ -97,8 +102,10 @@ def empirical_moments(values) -> MomentReport:
     n = x.size
     mean = float(np.mean(x))
     d = x - mean
-    m2 = float(np.mean(d * d))
-    m4 = float(np.mean(d**4))
+    d *= d
+    m2 = float(np.mean(d))
+    d *= d
+    m4 = float(np.mean(d))
     var = m2 * n / (n - 1)
     se_var = np.sqrt(max(m4 - m2 * m2, 0.0) / n)
     return MomentReport(

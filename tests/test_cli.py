@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -432,24 +433,64 @@ def test_simulate_stdout_equals_reference_writer(capsys, fmt):
     assert capsys.readouterr().out == _reference_simulate(args)
 
 
+@pytest.fixture
+def odd_times(tmp_path):
+    times = tmp_path / "odd-times.txt"
+    times.write_text("-7.25\n-1e-05\n0.0\n1e-05\n0.1\n1e+17\n")
+    return str(times)
+
+
 @pytest.mark.parametrize("argv", [
     ["verify", "--process", "ar1", "--suite", "all", "--paths", "2000", "--seed", "4"],
     ["compare", "--process-a", "thinned", "--process-b", "rm", "--points", "2",
      "--paths", "2000", "--seed", "6"],
-], ids=["verify-all", "compare-pairs"])
-def test_report_equals_reference_writer(tmp_path, monkeypatch, argv):
-    # nested lists, ints, bools, strings, skipped checks, numpy arrays and scalars
+    ["verify", "--process", "ar1", "--suite", "tail", "--times", "ODD"],
+    ["verify", "--process", "ar1", "--suite", "all", "--n", "1", "--paths", "2000", "--seed", "5"],
+    # 10000 times from -5: the echo's times span three chunks of 4096
+    ["verify", "--process", "cir", "--suite", "marginal", "--t0", "-5", "--dt", "0.001",
+     "--n", "10000"],
+    ["compare", "--process-a", "thinned", "--process-b", "rm", "--points", "3",
+     "--paths", "2000", "--times", "ODD"],
+    ["compare", "--process-a", "ar1", "--process-b", "cir", "--points", "2",
+     "--paths", "2000", "--t0", "-3", "--dt", "1e-5"],
+], ids=["verify-all", "compare-pairs", "verify-times-file", "verify-one-time",
+        "verify-long-grid", "compare-times-file", "compare-small-gaps"])
+def test_report_equals_reference_writer(tmp_path, monkeypatch, odd_times, argv):
+    # nested lists, ints, bools, strings, skipped checks, numpy arrays and
+    # scalars; the times 0.0, negative, 1e-5 and 1e17 of the times file
     reports = []
 
-    def spy(payload):
-        reports.append(payload)
-        return _dump_json(payload)
+    def spy(report):
+        reports.append(report)
+        return report_chunks(report)
 
-    monkeypatch.setattr(cli, "_dump_json", spy)
+    report_chunks = cli._report_chunks
+    monkeypatch.setattr(cli, "_report_chunks", spy)
+    argv = [odd_times if a == "ODD" else a for a in argv]
     out = tmp_path / "report.json"
     assert run(argv + ["--out", str(out)]) in (0, 1)
-    report = reports[-1]  # each check's entry is probed for a NaN first; the report is last
+    (report,) = reports
     assert out.read_bytes() == _reference_json(report).encode()
+
+
+def test_report_writer_memory_does_not_grow_with_the_grid():
+    def peak(n):
+        ns = build_parser().parse_args(["verify", "--process", "ar1", "--suite", "tail",
+                                        "--n", str(n)])
+        cfg = _resolve_config(ns, ns.process, ns.paths, default_n=2)
+        report = {"config": cfg.echo(), "suite": "tail", "checks": [], "passed": True}
+        tracemalloc.start()
+        try:
+            size = sum(len(chunk) for chunk in cli._report_chunks(report))
+            return size, tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    (small_size, small), (big_size, big) = peak(20000), peak(200000)
+    assert big_size > 10 * small_size
+    # a writer that holds the document or the times as Python floats peaks
+    # at several MiB on 2e5 times; the spliced writer holds one chunk
+    assert big < 1.25 * small
 
 
 def test_json_writer_covers_every_value_type():
@@ -677,6 +718,48 @@ def test_seed_sweep_counts_passes_and_errors(monkeypatch, capsys):
     assert sweep.main(["--k", "1"]) == 1
     captured = capsys.readouterr()
     assert "RuntimeError: boom" in captured.err and "exited 2" in captured.err
+
+
+def test_output_diff_reports_fields_and_fails_on_status_rtol_or_a_missing_file(
+        tmp_path, capsys):
+    digests = _load_script("output_digests")
+    report = {"checks": [{"name": "marginal", "status": "pass", "z_variance": 0.714891539068676}],
+              "passed": True}
+    base, head = tmp_path / "base" / "11", tmp_path / "head" / "11"
+
+    def write(root, doc, csv="path,t,value\n0,0,1.5\n"):
+        root.mkdir(parents=True, exist_ok=True)
+        (root / "verify-ar1.json").write_text(json.dumps(doc))
+        (root / "sim.csv").write_text(csv)
+
+    def diff(*extra):
+        code = digests.main(["--diff", str(base.parent), str(head.parent), *extra])
+        return code, capsys.readouterr().out
+
+    write(base, report)
+    write(head, report)
+    assert diff() == (0, "")
+    one_ulp = json.loads(json.dumps(report))
+    one_ulp["checks"][0]["z_variance"] = 0.7148915390686759
+    write(head, one_ulp, csv="path,t,value\n0,0,1.5000000000000002\n")
+    code, out = diff()
+    assert code == 0
+    assert out.splitlines() == [
+        "11/sim.csv [1][2]: 1.5 -> 1.5000000000000002 (rel 1.48e-16)",
+        "11/verify-ar1.json checks[0].z_variance: 0.714891539068676 -> "
+        "0.7148915390686759 (rel 1.55e-16)",
+    ]
+    assert diff("--rtol", "1e-16")[0] == 1
+    failed = json.loads(json.dumps(one_ulp))
+    failed["checks"][0]["status"], failed["passed"] = "fail", False
+    write(head, failed)
+    code, out = diff()
+    assert code == 1
+    assert "11/verify-ar1.json checks[0].status: 'pass' -> 'fail'" in out
+    assert "11/verify-ar1.json passed: True -> False" in out
+    write(head, report)
+    (head / "sim.csv").unlink()
+    assert diff() == (1, "11/sim.csv: only in base\n")
 
 
 def _bench_stdout(wall, raw, correct=True):

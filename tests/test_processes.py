@@ -1,6 +1,7 @@
 import argparse
 import functools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -894,11 +895,16 @@ def test_rm_plans_without_a_tail_keep_the_dense_layout(n, n_paths):
         assert ens.values[block * lanes : (block + 1) * lanes].tobytes() == want.tobytes()
 
 
-@pytest.mark.parametrize("case", list(STREAM_CASES))
+# 5000 irregular times: the float route stores its steps in chunks of 4096
+_LONG_IRREGULAR = (TimeGrid(np.cumsum(np.resize([0.25, 0.0625, 1.5, 0.5, 3.0], 5000))),
+                   GammaParams(1.5, 2.0), Dependence.from_rho(0.8))
+
+
+@pytest.mark.parametrize("case", [*STREAM_CASES, "long-irregular"])
 def test_exact_cir_numpy_route_at_one_lane_gives_the_float_route_bytes(monkeypatch, case):
     # blocks of fewer than _VECTOR_LANES lanes step on Python floats; at one
     # lane that is the numpy route's stream order, so the bytes must agree
-    grid, params, dep = STREAM_CASES[case]
+    grid, params, dep = {**STREAM_CASES, "long-irregular": _LONG_IRREGULAR}[case]
     plan = processes._plan_class(ProcessKind.SQUARED_OU, CirMethod.EXACT)(grid, params, dep)
     floats = plan.block(derive_stream(4, 1).gen, 1)
     monkeypatch.setattr(processes, "_VECTOR_LANES", 1)  # numpy at every lane count
@@ -1320,6 +1326,17 @@ def test_exact_cir_gap_correlation_of_one_is_a_numerical_error():
     with pytest.raises(NumericalError):
         generator_check(ProcessKind.SQUARED_OU, (TestFunction.identity(),), (1.0,), P11, dep,
                         n_mc=100)
+
+
+def test_exact_cir_poisson_mean_past_numpy_limit_partway_along_a_float_lane():
+    # 4200 unit gaps, then a gap of 1e-16 in the lane's second chunk of 4096 steps
+    grid = TimeGrid(np.append(np.arange(-4200.0, 1.0), 1e-16))
+    params = GammaParams(2000.0, 1.0)
+    match = re.escape(processes._CIR_MEAN)
+    with pytest.raises(NumericalError, match=match):
+        sample_path(ProcessKind.SQUARED_OU, derive_stream(0, 0), grid, params, DEP5)
+    with pytest.raises(NumericalError, match=match):
+        simulate_ensemble(ProcessKind.SQUARED_OU, grid, params, DEP5, 3, master_seed=0)
 
 
 def test_exact_cir_poisson_mean_past_numpy_limit_is_a_numerical_error():

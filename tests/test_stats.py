@@ -1,3 +1,7 @@
+import math
+from decimal import Decimal, localcontext
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from scipy import special
@@ -47,6 +51,46 @@ def test_empirical_moments_small_array():
     assert rep.mean == pytest.approx(2.5)
     assert rep.variance == pytest.approx(np.var(x, ddof=1))
     assert rep.se_mean == pytest.approx(np.std(x, ddof=1) / 2.0)
+
+
+def _reference_moments(x):
+    """(mean, variance, se_mean), written as before the deviations were squared in place."""
+    n = x.size
+    mean = float(np.mean(x))
+    d = x - mean
+    m2 = float(np.mean(d * d))
+    return mean, m2 * n / (n - 1), float(np.sqrt(m2 / (n - 1)))
+
+
+# repeated values, and values from 1e-300 to 1e3
+_AWKWARD = np.array([1e-300, 1e-300, 3e-300, 0.5, 0.5, 0.5, 2.0**-30, 1e-5, 3.0, 7.25,
+                     123.456, 1e3, 1e3, 999.9999999999999])
+
+
+@pytest.mark.parametrize("sample", ["awkward", "gamma-1e5"])
+def test_empirical_moments_keeps_the_bytes_of_mean_variance_and_se_mean(sample):
+    x = _AWKWARD if sample == "awkward" else derive_stream(3, 0).gen.gamma(2.0, 1.0, 100000)
+    before = x.copy()
+    rep = empirical_moments(x)
+    mean, var, se_mean = _reference_moments(x)
+    assert [rep.mean.hex(), rep.variance.hex(), rep.se_mean.hex()] == [
+        mean.hex(), var.hex(), se_mean.hex()]
+    assert x.tobytes() == before.tobytes()  # the deviations are squared in place, not x
+
+
+def test_empirical_moments_se_variance_against_exact_central_moments():
+    f = [Fraction(v) for v in _AWKWARD.tolist()]
+    n = len(f)
+    mean = sum(f) / n
+    m2 = sum((v - mean) ** 2 for v in f) / n
+    m4 = sum((v - mean) ** 4 for v in f) / n
+    q = (m4 - m2 * m2) / n
+    with localcontext() as ctx:
+        ctx.prec = 60
+        exact = (Decimal(q.numerator) / Decimal(q.denominator)).sqrt()
+        ulps = abs(Decimal(empirical_moments(_AWKWARD).se_variance) - exact) / Decimal(
+            math.ulp(float(exact)))
+    assert ulps <= 4
 
 
 def test_empirical_moments_z_scores_detect_shift():
