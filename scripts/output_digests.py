@@ -29,7 +29,8 @@ relative difference ``|a - b| / max(|a|, |b|)`` for numbers, and every file
 that only one side has.  It exits 1 when a value that is not a number
 differs (a ``status``, ``passed``, a reason or a key), when a file is on one
 side only (a command that failed writes nothing), or when a relative
-difference exceeds ``--rtol`` (default 1e-12); otherwise 0.
+difference exceeds 1e-12; otherwise 0.  It exits 2 when BASE or HEAD is not
+a directory.
 
 The command lists are read, not changed, from ``bench/`` next to this
 script.  The script exits 1 when any command exits nonzero or raises, so CI
@@ -56,6 +57,8 @@ import workloads  # noqa: E402
 
 # differing fields printed per file; the rest are counted
 _SHOWN = 20
+# largest relative difference --diff accepts: a few ulps of rounding
+_RTOL = 1e-12
 
 
 def _sha256(path):
@@ -138,8 +141,8 @@ def field_diffs(a, b):
             yield field, x, y, abs(x - y) / max(abs(x), abs(y)) if x != y else 0.0
 
 
-def diff_dirs(base, head, rtol):
-    """Print where two ``--keep`` directories differ; True when they agree to ``rtol``."""
+def diff_dirs(base, head):
+    """Print where two ``--keep`` directories differ; True when they agree to ``_RTOL``."""
     files = set()
     for root in (base, head):
         for top, _, names in os.walk(root):
@@ -157,7 +160,7 @@ def diff_dirs(base, head, rtol):
             print(f"{name} {field}: {x!r} -> {y!r}" + ("" if rel is None else f" (rel {rel:.3g})"))
         if len(diffs) > _SHOWN:
             print(f"{name}: {len(diffs) - _SHOWN} more fields differ")
-        agree = agree and all(rel is not None and rel <= rtol for *_, rel in diffs)
+        agree = agree and all(rel is not None and rel <= _RTOL for *_, rel in diffs)
     return agree
 
 
@@ -170,11 +173,12 @@ def main(argv=None):
                         "(default: a temporary directory, removed at exit)")
     p.add_argument("--diff", nargs=2, metavar=("BASE", "HEAD"), default=None,
                    help="compare two --keep directories field by field instead")
-    p.add_argument("--rtol", type=float, default=1e-12,
-                   help="largest relative difference --diff accepts (default 1e-12)")
     ns = p.parse_args(argv)
     if ns.diff is not None:
-        return 0 if diff_dirs(*ns.diff, ns.rtol) else 1
+        for root in ns.diff:
+            if not os.path.isdir(root):
+                p.error(f"--diff: {root} is not a directory")
+        return 0 if diff_dirs(*ns.diff) else 1
     failed = False
     with contextlib.ExitStack() as stack:
         root = ns.keep if ns.keep is not None else stack.enter_context(

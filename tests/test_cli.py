@@ -402,8 +402,9 @@ def irregular_times(tmp_path):
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 @pytest.mark.parametrize("case", ["one-value", "irregular", "ar1-2000x200", "cir-1x5000",
-                                  "rm-small-shape", "ar1-3x1234", "ar1-1x12345"])
-def test_simulate_output_equals_reference_writer(tmp_path, irregular_times, fmt, case):
+                                  "rm-small-shape", "ar1-3x1234", "ar1-1x12345", "odd-times"])
+def test_simulate_output_equals_reference_writer(tmp_path, irregular_times, odd_times, fmt,
+                                                 case):
     args = {
         "one-value": ["--process", "cir", "--n", "1", "--paths", "1", "--seed", "3"],
         "irregular": ["--process", "rm", "--times", irregular_times, "--paths", "4",
@@ -416,8 +417,10 @@ def test_simulate_output_equals_reference_writer(tmp_path, irregular_times, fmt,
                            "--paths", "3", "--seed", "9"],
         # 3702 values: a block of _floatfmt.BLOCK values ends inside a path
         "ar1-3x1234": ["--process", "ar1", "--n", "1234", "--paths", "3", "--seed", "6"],
-        # the config echo's times span several blocks
+        # the config echo's times span several chunks
         "ar1-1x12345": ["--process", "ar1", "--n", "12345", "--paths", "1", "--seed", "4"],
+        # the echo's times 0.0, negative, 1e-5 and 1e17
+        "odd-times": ["--process", "rm", "--times", odd_times, "--paths", "2", "--seed", "7"],
     }[case]
     args = ["simulate", *args, "--format", fmt]
     out = tmp_path / f"out.{fmt}"
@@ -721,7 +724,7 @@ def test_seed_sweep_counts_passes_and_errors(monkeypatch, capsys):
 
 
 def test_output_diff_reports_fields_and_fails_on_status_rtol_or_a_missing_file(
-        tmp_path, capsys):
+        tmp_path, capsys, monkeypatch):
     digests = _load_script("output_digests")
     report = {"checks": [{"name": "marginal", "status": "pass", "z_variance": 0.714891539068676}],
               "passed": True}
@@ -732,8 +735,8 @@ def test_output_diff_reports_fields_and_fails_on_status_rtol_or_a_missing_file(
         (root / "verify-ar1.json").write_text(json.dumps(doc))
         (root / "sim.csv").write_text(csv)
 
-    def diff(*extra):
-        code = digests.main(["--diff", str(base.parent), str(head.parent), *extra])
+    def diff():
+        code = digests.main(["--diff", str(base.parent), str(head.parent)])
         return code, capsys.readouterr().out
 
     write(base, report)
@@ -749,7 +752,9 @@ def test_output_diff_reports_fields_and_fails_on_status_rtol_or_a_missing_file(
         "11/verify-ar1.json checks[0].z_variance: 0.714891539068676 -> "
         "0.7148915390686759 (rel 1.55e-16)",
     ]
-    assert diff("--rtol", "1e-16")[0] == 1
+    with monkeypatch.context() as m:
+        m.setattr(digests, "_RTOL", 1e-16)
+        assert diff()[0] == 1
     failed = json.loads(json.dumps(one_ulp))
     failed["checks"][0]["status"], failed["passed"] = "fail", False
     write(head, failed)
@@ -760,6 +765,13 @@ def test_output_diff_reports_fields_and_fails_on_status_rtol_or_a_missing_file(
     write(head, report)
     (head / "sim.csv").unlink()
     assert diff() == (1, "11/sim.csv: only in base\n")
+    # a mistyped or missing directory is refused, not read as agreement
+    for missing in ([str(tmp_path / "nowhere"), str(head.parent)],
+                    [str(tmp_path / "nowhere"), str(tmp_path / "elsewhere")]):
+        with pytest.raises(SystemExit) as exc:
+            digests.main(["--diff", *missing])
+        assert exc.value.code == 2
+        assert "is not a directory" in capsys.readouterr().err
 
 
 def _bench_stdout(wall, raw, correct=True):
