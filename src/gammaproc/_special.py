@@ -234,9 +234,10 @@ def gammainc_sorted(a, x):
     """P(a, x) at every entry of ``x``, an ascending array of values in [0, inf].
 
     P is evaluated exactly at the first sample, once per 2048 samples, and at
-    every sample whose gap from its predecessor is too wide to integrate; in
-    between, each gap's mass of the ``Ga(a, 1)`` density is added to the
-    last exact value.  A gap ``(x0, x0 + w)`` is integrated when
+    every sample whose gap from its predecessor is too wide to integrate or
+    not a number (``inf - inf``, between two infinities); in between, each
+    gap's mass of the ``Ga(a, 1)`` density is added to the last exact value.
+    A gap ``(x0, x0 + w)`` is integrated when
     ``w (max(4, |a - 1|) + x0) <= x0``: the log density then moves by at most
     1 across it and the singularity at 0 lies 4 widths away.  A gap that
     starts at a subnormal value, where the rules below would lose their
@@ -245,9 +246,12 @@ def gammainc_sorted(a, x):
     a = float(a)
     x = np.asarray(x, dtype=float)
     n = x.size
-    left, w = x[:-1], np.diff(x)
+    left = x[:-1]
+    with np.errstate(invalid="ignore"):
+        w = np.diff(x)
     anchor = np.ones(n, dtype=bool)
-    anchor[1:] = (left < _NORMAL_MIN) | (w * (max(4.0, abs(a - 1.0)) + left) > left)
+    # the negated test fails a NaN gap, so that gap is anchored too
+    anchor[1:] = (left < _NORMAL_MIN) | ~(w * (max(4.0, abs(a - 1.0)) + left) <= left)
     anchor[::_BLOCK] = True
     mass = np.zeros(n)
     with np.errstate(all="ignore"):  # the gaps that do not fit are dropped

@@ -7,13 +7,10 @@ logarithm.  Every factor that appears here either has real part exactly 1
 the reals, so the principal branch is the unique continuous continuation from
 the value 1 at the origin.
 
-``scipy.special`` is imported inside the two library oracles that call it,
-which no CLI command reaches: ``ive`` in ``log_bessel_i``, with ``gammaln``
-and ``logsumexp`` in that function's power-series fallback, and ``gammaln``
-in the diffusion transition density.  Importing this module, and
-``gammaproc`` with it, loads numpy and the standard library only.  The two
-tails take ``Q`` and ``E1`` from the in-house ``_special`` module, and the
-generators are closed forms in ``math`` alone, with no quadrature.
+Every function here is written in numpy and ``math``: ``log_bessel_i`` sums
+a power series or Hankel's expansion, the two tails take ``Q`` and ``E1``
+from the in-house ``_special`` module, and the generators are closed forms,
+with no quadrature.
 """
 
 from __future__ import annotations
@@ -25,7 +22,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ._special import exp1, gammaincc
+from ._special import _log_stirling, exp1, gammaincc
 from .core import (
     Dependence,
     GammaParams,
@@ -38,6 +35,7 @@ from .core import (
     _require_finite_positive,
     _require_open_unit,
 )
+from .processes import _cir_rate, tent_partition
 
 __all__ = [
     "PAIR_CHF_KINDS",
@@ -154,8 +152,6 @@ def rm_joint_chf(omegas, grid: TimeGrid, params: GammaParams, dep: Dependence):
     Ga(alpha m_ij, beta) and X_{t_k} sums the cells whose index interval
     contains k.
     """
-    from .processes import tent_partition
-
     w = _as_float_array(omegas)
     if w.shape != (grid.n,):
         raise ParameterError(
@@ -172,25 +168,89 @@ def rm_joint_chf(omegas, grid: TimeGrid, params: GammaParams, dep: Dependence):
 
 # -- modified Bessel function of the first kind, log scale --------------------
 
+# terms a log-space series may sum (at most about a second).  The Bessel
+# series needs more only at orders above about 2.5e5; the downward-jump
+# series of _thinning_series only when alpha > z/4 and z - alpha is above
+# about 1e6
+_SERIES_TERMS = 1 << 20
+
+# log_bessel_i takes Hankel's expansion from x = max(_HANKEL_FROM, q^2/4) on.
+# There the ratio of its consecutive terms, (4 q^2 - (2k - 1)^2) / (8 k x), is
+# at most 2/k in size while (2k - 1)^2 < 4 q^2 and below k/(2x) after, so the
+# terms fall below 1e-17 of the sum within about 30 terms, long before the
+# expansion diverges, and the e^-x part it omits is e^-2x of the sum.
+_HANKEL_FROM = 50.0
+
+
+def _log_power_over_gamma(a, hx, log_hx):
+    """log(hx^(a - 1) / Gamma(a)) for a > 0.  From a = 10 on it is formed as
+    a (log(hx / a) + 1) - log(hx) plus Stirling's log(a^a e^-a / Gamma(a)),
+    so that two terms of size a log(a) do not cancel."""
+    if a < 10.0:
+        return (a - 1.0) * log_hx - math.lgamma(a)
+    r = hx / a
+    log_r = math.log(r) if r >= sys.float_info.min else log_hx - math.log(a)
+    return a * (log_r + 1.0) - log_hx + _log_stirling(a)
+
 
 def _log_bessel_series(q, x):
-    """log I_q(x) from its power series, summed in log space: every term is
-    positive, so the log-sum-exp is stable for any argument."""
-    from scipy.special import gammaln, logsumexp
+    """log I_q(x) from the power series sum_k (x/2)^(q+2k) / (k! Gamma(q+k+1)), q > -1.
 
-    k = np.arange(int(x / 2.0 + 12.0 * math.sqrt(x) + abs(q) + 80.0), dtype=float)
-    with np.errstate(divide="ignore"):
-        logs = (q + 2.0 * k) * math.log(x / 2.0) - gammaln(k + 1.0) - gammaln(q + k + 1.0)
-    return float(logsumexp(logs))
+    The ratio of term k + 1 to term k, (x/2)^2 / ((k+1)(q+k+1)), falls with
+    k, so the terms rise to a largest one, at k0, and then fall.  The sum
+    starts there, in units of that term, and runs outward both ways until a
+    term is below 1e-17 of the total: O(sqrt(k0)) terms.  More than
+    ``_SERIES_TERMS`` of them is a NumericalError.
+    """
+    hx = 0.5 * x
+    log_hx = math.log(x) - math.log(2.0)  # not log(hx): x/2 rounds at a subnormal x
+    # the root of (k+1)(q+k+1) = hx^2 (to within 1 for q < 0), in a form
+    # that neither overflows nor divides 0 by 0
+    k0 = max(0, math.ceil(hx / (math.hypot(q / x, 1.0) + max(q, 0.0) / x) - 1.0))
+    log_peak = _log_power_over_gamma(k0 + 1.0, hx, log_hx) + _log_power_over_gamma(q + k0 + 1.0,
+                                                                                   hx, log_hx)
+    total, n = 1.0, 0
+    for step in (1, -1):
+        term, k = 1.0, k0
+        while term > 1e-17 * total and (step == 1 or k > 0) and n < _SERIES_TERMS:
+            # each ratio as a product of two factors, neither of which overflows
+            term *= (hx / (k + 1.0)) * (hx / (q + k + 1.0)) if step == 1 else (k / hx) * ((q + k) / hx)
+            k += step
+            total += term
+            n += 1
+    # the sum takes at least about 13 sqrt(k0) terms, so a k0 past
+    # _SERIES_TERMS^2 (where q + k0 may overflow) needs too many as well
+    if n == _SERIES_TERMS or k0 > _SERIES_TERMS**2:
+        raise NumericalError(f"the Bessel series at q = {q!r}, x = {x!r} "
+                             f"needs more than {_SERIES_TERMS} terms")
+    return log_peak + math.log(total)
+
+
+def _log_bessel_hankel(q, x):
+    """log I_q(x) by Hankel's expansion (DLMF 10.40.1), for x >= max(_HANKEL_FROM, q^2/4):
+    I_q(x) ~ e^x / sqrt(2 pi x) sum_k (-1)^k a_k(q) / x^k with
+    a_k(q) / a_{k-1}(q) = (4 q^2 - (2k - 1)^2) / (8k)."""
+    term = total = 1.0
+    k = 0
+    while abs(term) > 1e-17 * total:
+        k += 1
+        j = 2.0 * k - 1.0
+        term *= (j - 2.0 * q) / (8.0 * k) * ((j + 2.0 * q) / x)
+        total += term
+    return x - 0.5 * (math.log(2.0 * math.pi) + math.log(x)) + math.log(total)
 
 
 def log_bessel_i(q, x):
     """log I_q(x) for q >= -1, x >= 0, without overflow at any finite x.
 
-    ``log(ive(q, x)) + x`` from scipy's exponentially scaled Bessel function
-    while ``ive(q, x)`` is a normal double, and the power series
-    (``_log_bessel_series``) where it is not: where it underflows, at an
-    order far above the argument, or at a subnormal x, where scipy returns NaN.
+    The power series (DLMF 10.25.2, ``_log_bessel_series``) below
+    x = max(50, q^2/4) and Hankel's large-argument expansion (DLMF 10.40.1,
+    ``_log_bessel_hankel``) from there on, both in ``math`` alone.  Against
+    mpmath at 50 digits the error is at most 1.2e-14 of
+    ``max(|log I_q(x)|, 1)`` for orders -1 to 1000 and x from 1e-300 to 1e12
+    (1500 random points).  Only an order far above 1000 (above about 2.5e5
+    at x just below q^2/4) needs more than ``_SERIES_TERMS`` series terms,
+    which is a NumericalError.
     """
     q = float(q)
     if q < -1.0 or not math.isfinite(q):
@@ -201,12 +261,9 @@ def log_bessel_i(q, x):
             return 0.0
         # I_q(0) is 0 for q > 0 and for q = -1 (I_{-1} = I_1), infinite for -1 < q < 0
         return -math.inf if q > 0.0 or q == -1.0 else math.inf
-    from scipy.special import ive
-
-    scaled = float(ive(q, x))
-    if sys.float_info.min <= scaled < math.inf:
-        return math.log(scaled) + x
-    return _log_bessel_series(q, x)
+    if x >= max(_HANKEL_FROM, 0.25 * q * q):
+        return _log_bessel_hankel(q, x)
+    return _log_bessel_series(1.0 if q == -1.0 else q, x)
 
 
 def cir_transition_density(y, x, params: GammaParams, dep: Dependence, dt):
@@ -217,16 +274,16 @@ def cir_transition_density(y, x, params: GammaParams, dep: Dependence, dt):
         f(y | x) = c exp(-u - v) (v/u)^((alpha-1)/2) I_{alpha-1}(2 sqrt(u v)).
 
     Satisfies detailed balance against Ga(alpha, beta) and reduces to the
-    stationary density as dt -> infinity (u -> 0).
+    stationary density as dt -> infinity (u -> 0).  A gap correlation rho_d
+    that rounds to 1 leaves no c, which is the sampler's NumericalError
+    (``processes._cir_rate``).
     """
     y = _require_finite_nonnegative("y", y)
     x = _require_finite_nonnegative("x", x)
     dt = _require_finite_positive("dt", dt)
-    from scipy.special import gammaln
-
     a = params.alpha
     rho_d = dep.rho**dt
-    c = params.beta / (1.0 - rho_d)
+    c = _cir_rate(params.beta, rho_d)
     u = c * x * rho_d
     v = c * y
     if u == 0.0:
@@ -235,7 +292,7 @@ def cir_transition_density(y, x, params: GammaParams, dep: Dependence, dt):
             if a > 1.0:
                 return 0.0
             return c if a == 1.0 else math.inf
-        log_f = a * math.log(c) + (a - 1.0) * math.log(y) - v - gammaln(a)
+        log_f = a * math.log(c) + (a - 1.0) * math.log(y) - v - math.lgamma(a)
         return math.exp(log_f)
     if v == 0.0:
         if a > 1.0:
@@ -307,11 +364,6 @@ class TestFunction:
         if self.name == "square":
             return 2.0 * np.ones_like(np.asarray(x, dtype=float))
         return self.theta**2 * np.exp(self.theta * np.asarray(x, dtype=float))
-
-
-# terms the log-space series may sum (about a second): more are needed only
-# when alpha > z/4 and z - alpha is above about 1e6
-_SERIES_TERMS = 1 << 20
 
 
 def _thinning_series(z, a):

@@ -10,11 +10,11 @@ Estimators that need i.i.d. replicates consume ensembles column-wise: one
 observation per path.  Long-path estimators (the ACF) use batch means to get
 standard errors that survive serial dependence.
 
-This module loads numpy and the standard library only, and no function in
-it imports scipy: ``ks_statistic`` scores the sample with the in-house
-incomplete gamma function of ``_special``, ``tail_check`` reaches ``Q`` and
-``E1`` through the ``analytic`` tails, and both analytic generators of
-``generator_check`` are closed forms.
+Every function here is written in numpy and ``math``: ``ks_statistic``
+scores the sample with the in-house incomplete gamma function of
+``_special``, ``tail_check`` reaches ``Q`` and ``E1`` through the
+``analytic`` tails, and both analytic generators of ``generator_check`` are
+closed forms.
 """
 
 from __future__ import annotations
@@ -515,7 +515,11 @@ def chf_gof(ensemble: Ensemble, params: GammaParams, dep: Dependence,
     if w.shape[1] != 2:
         raise ParameterError("chf_gof omegas must be (s, t) pairs")
     span = float(ensemble.grid.times[1] - ensemble.grid.times[0])
-    dep_pair = Dependence.from_rho(dep.gap_corr(span))
+    r = dep.gap_corr(span)
+    # a pair correlation that underflows to 0 or rounds to 1, which from_rho
+    # refuses, is an independent or an identical pair: Dependence keeps its
+    # lam and sets rho to 0 or 1
+    dep_pair = Dependence.from_rho(r) if 0.0 < r < 1.0 else Dependence(dep.lam * span)
     est = empirical_chf(ensemble.values[:, :2], w)
     analytic = np.array(
         [pair_chf(ensemble.kind, s, t, params, dep_pair) for s, t in w]

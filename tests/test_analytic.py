@@ -135,9 +135,45 @@ def test_log_bessel_i_against_mpmath(q, x):
 @pytest.mark.parametrize("q", [37.0, 150.0, 1000.0])
 @pytest.mark.parametrize("x", [1e-3, 31.0, 40.0])
 def test_log_bessel_i_far_above_the_argument_against_mpmath(q, x):
-    # at q = 150, x = 1e-3 and at q = 1000 scipy's ive underflows to 0, and
-    # log_bessel_i answers from its log-space power series
+    # at q = 150, x = 1e-3 and at q = 1000 the scaled I_q(x) e^-x underflows
+    # to 0, so only a log-space sum, such as the power series, can answer
     test_log_bessel_i_against_mpmath(q, x)
+
+
+# either side of the switch from the power series to Hankel's expansion at
+# x = max(50, q^2/4), and far past it
+_HANKEL_CASES = [(q, f * max(50.0, q * q / 4.0))
+                 for q in (-1.0, 0.5, 4.0, 37.0, 150.0, 1000.0) for f in (0.99, 1.01)]
+_HANKEL_CASES += [(q, x) for q in (-1.0, 0.0, 2.5, 80.0, 1000.0) for x in (1e6, 1e9, 1e12)]
+
+
+@pytest.mark.parametrize("q,x", _HANKEL_CASES)
+def test_log_bessel_i_around_the_hankel_switch_and_at_large_arguments_against_mpmath(q, x):
+    mp.mp.dps = 50
+    ref = mp.log(mp.besseli(q, x))
+    assert abs(log_bessel_i(q, x) - ref) <= 1e-13 * max(abs(ref), 1)
+
+
+@pytest.mark.parametrize("q,x", [(1.0, 1e10), (1.0, 1e15), (1000.0, 1e12)])
+def test_log_bessel_i_is_finite_at_large_arguments(q, x):
+    # a power series of x/2 terms raised MemoryError at x = 1e15
+    got = log_bessel_i(q, x)
+    # I_q(x) = e^x / sqrt(2 pi x) (1 - (4 q^2 - 1) / (8 x) + O(x^-2))
+    lead = x - 0.5 * math.log(2.0 * math.pi * x) + math.log1p(-(4.0 * q * q - 1.0) / (8.0 * x))
+    assert math.isfinite(got) and got == pytest.approx(lead, rel=1e-15)
+
+
+def test_log_bessel_i_at_extreme_arguments():
+    assert log_bessel_i(0.0, 5e-324) == 0.0  # where x/2 rounds to 0
+    q = 1e300
+    assert log_bessel_i(q, 1.0) == pytest.approx(q * math.log(0.5) - math.lgamma(q + 1.0),
+                                                 rel=1e-15)
+    assert log_bessel_i(1e154, 1.7e308) == pytest.approx(1.7e308, rel=1e-15)
+    # the series needs about 13 sqrt(k0) terms around its largest, k0 near
+    # 1e10 and 3.5e307 here
+    for q, x in ((3e5, 0.999 * 3e5**2 / 4.0), (1.7e308, 1.7e308)):
+        with pytest.raises(NumericalError, match="needs more than"):
+            log_bessel_i(q, x)
 
 
 def test_cir_transition_density_from_zero_state():
@@ -188,6 +224,17 @@ def test_log_bessel_i_at_zero_argument_against_mpmath(q):
 def test_log_bessel_i_refuses_an_argument_that_is_not_finite_and_nonnegative(x):
     with pytest.raises(ParameterError, match="^x must be finite and >= 0"):
         log_bessel_i(1.0, x)
+
+
+def test_cir_transition_density_is_zero_from_a_far_state():
+    # u = 1e300: I_1 at 2 sqrt(u v) = 2.8e150 raised ValueError
+    assert cir_transition_density(1.0, 1e300, GammaParams(2.0, 1.0), Dependence(0.5), 1.0) == 0.0
+
+
+def test_cir_transition_density_refuses_a_gap_correlation_that_rounds_to_one():
+    # rho**1e-300 is 1.0, so c = beta / (1 - rho_d) divided by zero
+    with pytest.raises(NumericalError, match="rounds to 1"):
+        cir_transition_density(1.0, 1.0, GammaParams(2.0, 1.0), Dependence(0.5), 1e-300)
 
 
 def test_cir_transition_density_poisson_mixture_identity():

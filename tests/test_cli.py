@@ -586,6 +586,19 @@ def test_verify_numerical_failure_is_an_error_check_in_the_report(tmp_path, caps
     assert entry["reason"]
 
 
+@pytest.mark.parametrize("kind,lam", [(kind, "800") for kind in ("changepoint", "thinned", "rm", "cir")]
+                         + [(kind, "1e-17") for kind in ("ar1", "changepoint", "thinned", "rm")])
+def test_verify_chf_scores_a_pair_correlation_of_0_or_1(tmp_path, kind, lam):
+    # exp(-800) underflows to 0 and exp(-1e-17) rounds to 1, which
+    # Dependence.from_rho refuses: verify sampled, then exited 2 and wrote no
+    # report (exact cir refuses a gap correlation of 1 as it samples)
+    out = tmp_path / "report.json"
+    assert run(["verify", "--process", kind, "--lambda", lam, "--suite", "chf",
+                "--paths", "2000", "--seed", "1", "--out", str(out)]) == 0
+    [entry] = _strict_json(out.read_text())["checks"]
+    assert entry["status"] == "pass"
+
+
 @pytest.mark.parametrize("alpha,rho", [(1e-3, 1e-6), (0.01, 0.5), (0.02, 0.5)])
 def test_verify_cthin_generator_reports_the_closed_form_at_small_shapes(tmp_path, alpha, rho):
     # small shapes where an adaptive quadrature of the downward-jump integral

@@ -2,9 +2,11 @@
 module.  ``simulate`` and ``compare`` need numpy only, and so does
 ``verify`` at every kind and suite: the KS and tail checks take ``P``, ``Q``
 and ``E1`` from the in-house ``_special`` module, and the generator oracles
-are closed forms."""
+are closed forms.  With scipy unimportable, the benchmark's commands and
+every function of ``analytic`` still run."""
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -15,6 +17,7 @@ import pytest
 import gammaproc
 
 SRC = str(Path(gammaproc.__file__).resolve().parents[1])
+BENCH = str(Path(__file__).resolve().parents[1] / "bench")
 KINDS = ("ar1", "thinned", "rm", "changepoint", "cir", "cthin")
 
 # Runs each argv (None: import only) in one fresh interpreter and prints, after
@@ -72,3 +75,46 @@ def test_verify_loads_no_scipy_at_any_suite(kind):
                 for method in methods
                 for suite in ("marginal", "acf", "chf", "generator", "tail", "all")]
     _assert_no_scipy(commands)
+
+
+# Blocks every scipy import, then runs the benchmark's commands at seed 11
+# (argv[1]: bench/, argv[2]: the output directory) and calls each function of
+# analytic once.
+_NO_SCIPY_PROBE = """
+import inspect, json, os, sys
+sys.modules["scipy"] = None
+sys.path.insert(0, sys.argv[1])
+import numpy as np
+import workloads
+import gammaproc.cli
+from gammaproc import Dependence, GammaParams, ProcessKind, TestFunction, TimeGrid, analytic as an
+
+codes = {cmd["name"]: gammaproc.cli.main(cmd["argv"] + ["--out", os.path.join(sys.argv[2], cmd["out"])])
+         for workload in workloads.WORKLOADS for cmd in workloads.commands(workload, 11)}
+p, dep, cir = GammaParams(2.0, 1.0), Dependence(0.5), ProcessKind.SQUARED_OU
+values = {
+    "gamma_chf": an.gamma_chf(1.0, p),
+    "innovation_chf": an.innovation_chf(1.0, p, 0.5),
+    "pair_chf": an.pair_chf(cir, 1.0, 0.5, p, dep),
+    "rm_joint_chf": an.rm_joint_chf(np.array([1.0, 0.5]), TimeGrid(np.array([0.0, 1.0])), p, dep),
+    "log_bessel_i": an.log_bessel_i(1.0, 2.0),
+    "cir_transition_density": an.cir_transition_density(1.0, 2.0, p, dep, 1.0),
+    "generator_apply": an.generator_apply(cir, TestFunction.square(), 1.0, p, dep),
+    "levy_tail": an.levy_tail(1.0, p).exact,
+    "gamma_survival": an.gamma_survival(1.0, p),
+}
+functions = sorted(n for n in an.__all__ if inspect.isfunction(getattr(an, n)))
+print(json.dumps({"codes": codes, "functions": functions,
+                  "values": {name: abs(v) for name, v in values.items()}}))
+"""
+
+
+def test_benchmark_commands_and_analytic_functions_run_without_scipy(tmp_path):
+    env = {**os.environ, "PYTHONPATH": SRC}
+    out = subprocess.run([sys.executable, "-c", _NO_SCIPY_PROBE, BENCH, str(tmp_path)],
+                         capture_output=True, text=True, env=env, timeout=300)
+    assert out.returncode == 0, out.stderr
+    result = json.loads(out.stdout)
+    assert result["codes"] and set(result["codes"].values()) == {0}, result["codes"]
+    assert sorted(result["values"]) == result["functions"]
+    assert all(0.0 < v < math.inf for v in result["values"].values()), result["values"]

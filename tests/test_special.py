@@ -71,6 +71,14 @@ def test_sorted_p_at_edge_points(a):
         assert abs(pi - _p_ref(a, xi)) <= _p_bound(a), (a, xi)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_sorted_p_is_one_at_each_repeated_infinity():
+    # P was NaN at the second infinity: the gap inf - inf was integrated
+    p = gammainc_sorted(2.0, np.array([1.0, 2.0, math.inf, math.inf, math.inf]))
+    assert p[2:].tolist() == [1.0, 1.0, 1.0]
+    assert abs(p[0] - _p_ref(2.0, 1.0)) <= _p_bound(2.0)
+
+
 def _q_points(a):
     # up to x = 1000, where Q is near the smallest normal and its exponent near -700
     xs = [5e-324, 1e-300, 1e-20, 1e-3, 0.5, 1.0999999, 1.1, 2.0, 5.0, 30.0, 200.0, 600.0,

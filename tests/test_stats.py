@@ -318,6 +318,17 @@ def test_ks_statistic_refuses_a_nan_sample():
         ks_statistic(x, P11)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_ks_statistic_is_finite_with_repeated_infinities():
+    # the gap between two infinities, inf - inf, is NaN; it was integrated, so
+    # the cdf and the statistic were NaN
+    x = np.concatenate([derive_stream(9, 0).gen.gamma(2.0, 1.0, size=1000), [np.inf, np.inf]])
+    stat = ks_statistic(x, GammaParams(2.0, 1.0)).statistic
+    cdf = special.gammainc(2.0, np.sort(x))
+    i = np.arange(1, x.size + 1)
+    assert abs(stat - np.max(np.maximum(i / x.size - cdf, cdf - (i - 1) / x.size))) <= 1e-12
+
+
 def test_ks_statistic_matches_an_mpmath_reference_on_a_sample_without_zeros():
     import mpmath as mp
 
