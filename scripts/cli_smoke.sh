@@ -1,7 +1,8 @@
 #!/bin/sh
 # Runs the installed `gammaproc` console script on small commands, and exits
 # nonzero at the first command that fails or, for a removed option, that does
-# not exit 2 (a usage error).
+# not exit 2 (a usage error).  One CSV is read back with the standard library:
+# each of its cells must be Python's '%.17g' text of the double it reads as.
 #
 #     sh scripts/cli_smoke.sh
 set -e
@@ -19,6 +20,19 @@ gammaproc verify --process rm --suite acf
 gammaproc simulate --process rm --n 10000 --dt 0.25 --paths 2
 gammaproc simulate --process cthin --dt 0.3 --n 3
 gammaproc compare --process-a cthin --process-b cir --points 3 --paths 2000
+# every CSV time and value cell must be the '%.17g' text of the double it reads as
+csv=$(mktemp)
+gammaproc simulate --process cthin --alpha 0.01 --rho 0.001 --n 200 --paths 5 --format csv \
+    --out "$csv"
+python - "$csv" <<'PY'
+import sys
+with open(sys.argv[1]) as fh:
+    lines = fh.read().splitlines()
+assert lines[0] == "path,t,value" and len(lines) == 1001, len(lines)
+bad = [c for line in lines[1:] for c in line.split(",")[1:] if "%.17g" % float(c) != c]
+assert not bad, bad[:5]
+PY
+rm -f "$csv"
 code=0; gammaproc simulate --process cthin --cthin-steps 16 --n 3 || code=$?
 test "$code" -eq 2
 code=0; gammaproc simulate --process cir --cir-method euler --n 3 || code=$?

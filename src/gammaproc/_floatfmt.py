@@ -1,4 +1,4 @@
-"""Shortest round-trip text of float64 arrays: the bytes ``float.__repr__`` writes.
+"""Text of float64 arrays in numpy: the bytes of ``float.__repr__`` and of ``'%.17g' %``.
 
 ``repr_chunks(values, sep, end)`` writes a 2-D float64 array row by row, each
 value followed by ``sep``, or by ``end`` after the last value of its row, and
@@ -26,9 +26,33 @@ range is formatted here, in numpy, with exact 64-bit integer arithmetic:
   block's rows, in one ``bytes.translate``, leaves the block's text.
 
 Every other value (zeros, negatives, exponent notation, NaN) is formatted by
-``float.__repr__`` on its own and spliced in.  No transcendental function is
-used, so the bytes do not depend on numpy's SIMD dispatch.  uint64 operands
-are explicit ``np.uint64`` so that numpy 1.x does not promote them to float64.
+``float.__repr__`` on its own and spliced in.
+
+``g17_into(x, out)`` writes ``'%.17g\\n' % v`` for each value of a 1-D array
+as one row of ``G17_WORDS`` words (the CSV writer, ``cli._csv_chunks``, puts
+its ``"m,t,"`` words before them).  ``'%.17g'`` rounds to 17 significant
+digits, to the nearest with a tie to the even digit, and writes fixed
+notation from 1e-4 up to but not including 1e17, exponent notation
+(``e-05``, ``e+17``, ``e-308``) elsewhere, both without trailing zeros or a
+bare point.  Every positive normal double is formatted here (the method of
+Ryu printf, Adams, OOPSLA 2019):
+
+* **Digits.**  With ``s`` as above, a table row per binary exponent holds
+  ``floor(10^s 2^(e2 + 32))`` as four 28-bit limbs, built at the first value
+  with that exponent.  ``m`` times it, over ``2^84``, is ``x 10^s`` to within
+  2^-27 below; that is rounded to 17 digits.  A value whose rounding that
+  error could flip, one that falls within 2^-27 below half a unit of its
+  17th digit (every exact tie among them), is left to ``'%.17g' %``.
+* **Text.**  The 17 digits, zero-padded to 20, are written twice, then the
+  line end (its exponent and ``"\\n"``); one table row, chosen by the
+  point's and the last digit's columns, masks the first copy to the integer
+  part and the second to the fraction, and another puts the point (or
+  ``"0."``) in the first.  Zero is written as ``"0"``; subnormals,
+  negatives, NaN and infinities go to ``'%.17g' %`` on their own.
+
+No transcendental function is used by either writer, so the bytes do not
+depend on numpy's SIMD dispatch.  uint64 operands are explicit ``np.uint64``
+so that numpy 1.x does not promote them to float64.
 """
 
 from __future__ import annotations
@@ -105,6 +129,16 @@ def _shortest(x):
     return q * p, s, k
 
 
+def _digit_columns(n):
+    """Words 1 to 5 of ``n < 10**20`` in 24 zero-padded digits, as five arrays of
+    uint32 words (word 0 is ``"0000"``)."""
+    digits, high = _tables()[0], 0
+    for power in (16, 12, 8, 4, 0):
+        q = n // 10**power
+        yield digits[q - high * 10000]
+        high = q
+
+
 def _text(x, seps, ends):
     """The text of the block ``x``, each value followed by the words ``seps[0]``, or by
     ``seps[1]`` where the slice ``ends`` selects it (NUL-padded)."""
@@ -113,10 +147,9 @@ def _text(x, seps, ends):
     n = n.view(np.int64)
     digits, span, dot, mark = _tables()
     words = np.empty((x.size, 6), np.uint32)  # n as 24 zero-padded digits
-    words[:, 0], high = digits[0], 0
-    for i, power in enumerate((16, 12, 8, 4, 0), 1):
-        q = n // 10**power
-        words[:, i], high = digits[q - high * 10000], q
+    words[:, 0] = digits[0]
+    for i, column in enumerate(_digit_columns(n), 1):
+        words[:, i] = column
     # the point goes before column 24 - s; n's first and last nonzero digits are in
     # column 5 (6 below 1e18) and 23 - k
     point = 24 - s
@@ -150,3 +183,141 @@ def repr_chunks(values, sep, end):
         x = flat[start:start + BLOCK]
         ends = slice((width - 1 - start) % width, None, width)
         yield _text(x, seps, ends).replace("\x02", end)
+
+
+# -- %.17g ----------------------------------------------------------------------
+
+G17_WORDS = 12  # words of a value's row in g17_into
+
+
+@functools.cache
+def _g17_tables():
+    """The ``%.17g`` tables.
+
+    ``limbs[:, b]`` and ``scale[b]`` are the row of biased exponent ``b``,
+    filled by ``_g17_rows`` at the first value with that exponent
+    (``built[b]``).  A value's row holds its 17 digits in columns 3 to 19 of
+    20 zero-padded digits, as words 0-4 and again as words 5-9, and its line
+    end as words 10-11: ``ends[X + 308]`` is the 8 bytes of ``"e%+03d\\n" % X``
+    and ``ends[617]`` those of ``"\\n"``.  With the point before column ``p``
+    and the last digit written in column ``l - 1``, ``keep[21 p + l]`` masks
+    the first copy to the integer part, columns 3 to ``p``, and the second to
+    the fraction, columns ``p`` to ``l``; ``dots[21 p + l]`` puts ``"."`` in
+    column ``p`` of the first copy where ``p >= 4`` and ``l > p``, and ``"0."``
+    in its columns 0 and 1 where ``p < 4`` (an integer part of 0).
+    """
+    ends = "".join(f"e{e:+03d}\n".ljust(8, "\0") for e in range(-308, 309)) + "\n".ljust(8, "\0")
+    span = _tables()[1]  # of 24 columns: column c here is column c + 4 there
+    p, last = np.divmod(np.arange(441), 21)
+    keep = np.full((441, G17_WORDS), 2**32 - 1, np.uint32)
+    keep[:, :5] = span.take(7 * 25 + p + 4, 0)[:, 1:]
+    keep[:, 5:10] = span.take((p + 4) * 25 + last + 4, 0)[:, 1:]
+    dots = np.zeros((441, 4 * G17_WORDS), np.uint8)
+    frac = np.flatnonzero((last > p) & (p > 3))
+    dots[frac, p[frac]] = ord(".")
+    dots[p < 4, :2] = np.frombuffer(b"0.", np.uint8)
+    return (np.zeros((4, 2047), np.uint64), np.zeros(2047, np.int64), np.zeros(2047, bool),
+            np.frombuffer(ends.encode("ascii"), np.uint64), keep, dots.view(np.uint32))
+
+
+def _g17_rows(b):
+    """``(t, s)`` for the biased exponents ``b`` of normal doubles: ``x 10^s`` lies in
+    [1e17, 2e18), and ``t[:, i]`` is ``floor(10^s 2^(e2 + 32))`` in 28-bit limbs,
+    least significant first, where ``e2 = b - 1023``."""
+    limbs, scale, built = _g17_tables()[:3]
+    for e in set(b[~built[b]].tolist()):
+        e2 = e - 1023
+        s = 17 - ((e2 * 78913) >> 18)  # floor(e2 log10 2) at every e2 from -1074 to 1023
+        t = (10 ** max(s, 0) << max(e2 + 32, 0)) // (10 ** max(-s, 0) << max(-e2 - 32, 0))
+        limbs[:, e] = [(t >> 28 * i) & (2**28 - 1) for i in range(4)]
+        scale[e], built[e] = s, True
+    return limbs.take(b, 1), scale.take(b)
+
+
+def _g17_digits(bits):
+    """``(q, X, sure)``: the positive normal doubles ``bits`` rounded to 17 significant
+    digits are ``q 10^(X - 16)``, with ``10^16 <= q < 10^17``, wherever ``sure``."""
+    t, s = _g17_rows((bits >> _U(52)).astype(np.intp))
+    m = (bits & _U(2**52 - 1)) | _U(2**52)
+    m1, m0 = m >> _U(28), m & _M28
+    # m t = x 10^s 2^84, from 28-bit limbs; v is its integer part and f / 2^28 the
+    # fraction's first 28 bits, so v + f / 2^28 falls short of x 10^s by under 2^-27
+    c = m0 * t[0]
+    c = m0 * t[1] + m1 * t[0] + (c >> _U(28))
+    c = m0 * t[2] + m1 * t[1] + (c >> _U(28))
+    f = c & _M28
+    c = m0 * t[3] + m1 * t[2] + (c >> _U(28))
+    v = c + ((m1 * t[3]) << _U(28))
+    big = v >= _U(10**18)
+    p = _P10[1 + big]  # the unit of the 17th digit
+    q = v // p
+    # the remainder over p and half of p, in units of 2^-28; the true remainder is
+    # below rem + 2, so a remainder within 2 units under the half is left undecided
+    rem, half = ((v - q * p) << _U(28)) | f, p << _U(27)
+    sure = (rem > half) | (rem + _U(2) <= half)
+    q += rem > half
+    X = 17 - s + big
+    carry = q == _U(10**17)  # 99999999999999999.5 and up rounds to 1e17
+    return np.where(carry, _U(10**16), q), X + carry, sure
+
+
+def _g17_text(bits, out):
+    """Writes the rows of the positive normal doubles ``bits`` into ``out``; returns
+    where they are sure (``_g17_digits``)."""
+    q, X, sure = _g17_digits(bits)
+    *_, ends, keep, dots = _g17_tables()
+    rows = np.empty((q.size, G17_WORDS), np.uint32)
+    for i, column in enumerate(_digit_columns(q.view(np.int64))):
+        rows[:, i] = rows[:, i + 5] = column
+    # the point goes before column 4 + X in fixed notation, and before column 4
+    # in exponent notation
+    fixed = (X >= -4) & (X < 17)
+    point = np.where(fixed, 4 + X, 4)
+    chars = rows.view(np.uint8)[:, :20]
+    k = np.zeros(q.size, np.intp)  # q's trailing zeros
+    act = np.flatnonzero(chars[:, 19] == ord("0"))
+    k[act] = (chars[act, 19::-1] == ord("0")).argmin(1)
+    rows.view(np.uint64)[:, 5] = ends.take(np.where(fixed, 617, X + 308))
+    cell = point * 21 + np.maximum(20 - k, point)
+    # rows is contiguous, so each operation runs as one loop rather than one a row
+    np.bitwise_and(rows, keep.take(cell, 0), out=rows)
+    np.bitwise_or(rows, dots.take(cell, 0), out=rows)
+    out[...] = rows
+    return sure
+
+
+def g17_into(x, out):
+    """Writes ``'%.17g\\n' % v`` for each ``v`` of the 1-D float64 array ``x`` into
+    the ``(x.size, G17_WORDS)`` uint32 array ``out``, one row a value, NUL-padded."""
+    bits = x.view(np.uint64)
+    normal = (bits >> _U(52)) - _U(1) < _U(2046)  # positive, normal and finite
+    # the other values are written as 1.0, then replaced
+    undecided = ~_g17_text(np.where(normal, bits, _U(0x3FF0000000000000)), out) | ~normal
+    zero = bits == _U(0)
+    out[zero] = np.frombuffer(b"0\n".ljust(4 * G17_WORDS, b"\0"), np.uint32)
+    rest = np.flatnonzero(undecided & ~zero)
+    if rest.size:
+        text = "".join([("%.17g\n" % v).ljust(4 * G17_WORDS, "\0") for v in x[rest].tolist()])
+        out[rest] = np.frombuffer(text.encode("ascii"), np.uint32).reshape(-1, G17_WORDS)
+
+
+def padded_words(strings):
+    """The ASCII ``strings`` as rows of uint32 words, one width, NUL-padded."""
+    width = 4 * -(-max(map(len, strings)) // 4)
+    text = "".join([s.ljust(width, "\0") for s in strings])
+    return np.frombuffer(text.encode("ascii"), np.uint32).reshape(len(strings), -1)
+
+
+def g17_cells(x, end):
+    """``'%.17g' % v + end`` for each ``v`` of the 1-D float64 array ``x``, as rows of
+    uint32 words of one width, NUL-padded.  ``end`` is ASCII without ``"\\n"``."""
+    blocks = []
+    for start in range(0, x.size, BLOCK):  # a block at a time: only the cells grow with x
+        rows = np.empty((min(BLOCK, x.size - start), G17_WORDS), np.uint32)
+        g17_into(x[start:start + BLOCK], rows)
+        text = rows.tobytes().translate(None, b"\0").decode("ascii")
+        blocks.append(padded_words([t + end for t in text.split("\n")[:-1]]))
+    cells = np.zeros((x.size, max(b.shape[1] for b in blocks)), np.uint32)
+    for start, b in zip(range(0, x.size, BLOCK), blocks):
+        cells[start:start + len(b), :b.shape[1]] = b
+    return cells

@@ -227,7 +227,7 @@ def _log_bessel_series(q, x):
 
 
 def _log_bessel_hankel(q, x):
-    """log I_q(x) by Hankel's expansion (DLMF 10.40.1), for x >= max(_HANKEL_FROM, q^2/4):
+    """log I_q(x) - x by Hankel's expansion (DLMF 10.40.1), for x >= max(_HANKEL_FROM, q^2/4):
     I_q(x) ~ e^x / sqrt(2 pi x) sum_k (-1)^k a_k(q) / x^k with
     a_k(q) / a_{k-1}(q) = (4 q^2 - (2k - 1)^2) / (8k)."""
     term = total = 1.0
@@ -237,7 +237,7 @@ def _log_bessel_hankel(q, x):
         j = 2.0 * k - 1.0
         term *= (j - 2.0 * q) / (8.0 * k) * ((j + 2.0 * q) / x)
         total += term
-    return x - 0.5 * (math.log(2.0 * math.pi) + math.log(x)) + math.log(total)
+    return math.log(total) - 0.5 * (math.log(2.0 * math.pi) + math.log(x))
 
 
 def log_bessel_i(q, x):
@@ -262,7 +262,7 @@ def log_bessel_i(q, x):
         # I_q(0) is 0 for q > 0 and for q = -1 (I_{-1} = I_1), infinite for -1 < q < 0
         return -math.inf if q > 0.0 or q == -1.0 else math.inf
     if x >= max(_HANKEL_FROM, 0.25 * q * q):
-        return _log_bessel_hankel(q, x)
+        return x + _log_bessel_hankel(q, x)
     return _log_bessel_series(1.0 if q == -1.0 else q, x)
 
 
@@ -298,13 +298,20 @@ def cir_transition_density(y, x, params: GammaParams, dep: Dependence, dt):
         if a > 1.0:
             return 0.0
         return c * math.exp(-u) if a == 1.0 else math.inf
-    log_f = (
-        math.log(c)
-        - u
-        - v
-        + 0.5 * (a - 1.0) * (math.log(v) - math.log(u))
-        + log_bessel_i(a - 1.0, 2.0 * math.sqrt(u * v))
-    )
+    if math.isinf(u) or math.isinf(v):
+        # the density of v = c y peaks near 1 / sqrt(4 pi u), so here f is below
+        # about c 1e-154
+        return 0.0
+    q, su, sv = a - 1.0, math.sqrt(u), math.sqrt(v)
+    z = 2.0 * su * sv  # not 2 sqrt(u v), which overflows first
+    log_f = math.log(c) + 0.5 * q * (math.log(v) - math.log(u))
+    if z >= max(_HANKEL_FROM, 0.25 * q * q):
+        # -u - v + z cancels where u is near v: it is -(su - sv)^2, with su - sv
+        # taken from u - v, which is exact there
+        d = (u - v) / (su + sv)
+        log_f += _log_bessel_hankel(q, z) - d * d
+    else:
+        log_f += log_bessel_i(q, z) - u - v
     return math.exp(log_f)
 
 

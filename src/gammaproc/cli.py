@@ -8,7 +8,9 @@ Three subcommands:
   shortest-repr kernel, in blocks of a fixed number of values: each value in
   [1e-4, 1e16) gets the text ``float.__repr__`` gives it, computed with
   64-bit integer arithmetic, and every other value is written by
-  ``float.__repr__`` itself, so the bytes are those of ``json.dumps``.
+  ``float.__repr__`` itself, so the bytes are those of ``json.dumps``.  The
+  CSV's times and values are written by ``_floatfmt.g17_into``, in blocks
+  of the same number of values, with the bytes of ``'%.17g' %``.
 * ``verify`` runs a statistical verification suite against a process and
   emits a JSON report; exit code 1 if any check fails.  A check that raises
   a numerical failure, or whose result holds a NaN or an infinity, is
@@ -37,7 +39,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import __version__
-from ._floatfmt import repr_chunks
+from ._floatfmt import BLOCK, G17_WORDS, g17_cells, g17_into, padded_words, repr_chunks
 from .analytic import GENERATOR_KINDS, PAIR_CHF_KINDS, TestFunction
 from .core import (
     Dependence,
@@ -303,16 +305,30 @@ def _simulate_json_chunks(cfg: RunConfig, values):
 
 
 def _csv_chunks(times, values):
-    """The ``path,t,value`` CSV of an ensemble, one chunk per path.
+    """The ``path,t,value`` CSV of an ensemble, one chunk per ``_floatfmt.BLOCK`` lines.
 
-    Each line is ``f"{m},{t:.17g},{v:.17g}"``: the time column is formatted
-    once, and each path's values in one ``%`` operation over its ``tolist()``.
+    Each line is ``"%d,%.17g,%.17g\\n" % (m, t, v)``.  Every time and value is
+    formatted by ``_floatfmt.g17_into``, in integer arithmetic (a subnormal,
+    a negative and the rare value it cannot round go to ``'%.17g' %``): each
+    time once, as a row of words that holds ``"t,"``, and each value into a
+    block's rows of words, after its path's ``"m,"`` and its time's row.
+    Deleting the NUL bytes of the block's rows, in one ``bytes.translate``,
+    leaves its lines, so memory grows with neither the number of paths nor
+    their length (beyond the times' row of words).
     """
     yield "path,t,value\n"
-    cells = [format(t, ".17g") + ",%.17g" for t in times.tolist()]
-    for m, row in enumerate(values):
-        head = f"{m},"
-        yield (head + ("\n" + head).join(cells) + "\n") % tuple(row.tolist())
+    n, flat = times.size, values.ravel()
+    cells = g17_cells(times, ",")
+    for start in range(0, flat.size, BLOCK):
+        x = flat[start : start + BLOCK]
+        m, j = np.divmod(np.arange(start, start + x.size), n)
+        heads = padded_words([f"{p}," for p in range(m[0], m[-1] + 1)])
+        a, b = heads.shape[1], heads.shape[1] + cells.shape[1]
+        rows = np.empty((x.size, b + G17_WORDS), np.uint32)
+        rows[:, :a] = heads.take(m - m[0], 0)
+        rows[:, a:b] = cells.take(j, 0)
+        g17_into(x, rows[:, b:])
+        yield rows.tobytes().translate(None, b"\0").decode("ascii")
 
 
 # -- simulate -----------------------------------------------------------------

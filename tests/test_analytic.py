@@ -231,6 +231,33 @@ def test_cir_transition_density_is_zero_from_a_far_state():
     assert cir_transition_density(1.0, 1e300, GammaParams(2.0, 1.0), Dependence(0.5), 1.0) == 0.0
 
 
+@pytest.mark.parametrize("y,x,dt", [
+    (1.0, 1e308, 0.01),  # u = c x rho_d overflows
+    (1e10, 1e300, 1.0),  # u and v are finite, u v overflows
+])
+def test_cir_transition_density_is_zero_where_u_or_u_v_overflows(y, x, dt):
+    # both raised "x must be finite and >= 0, got inf", about an x never passed
+    assert cir_transition_density(y, x, GammaParams(2.0, 1.0), Dependence(0.5), dt) == 0.0
+
+
+@pytest.mark.parametrize("alpha", [0.3, 2.0, 300.0])
+@pytest.mark.parametrize("x", [1e10, 1e16, 1e20, 1e100])
+def test_cir_transition_density_near_the_mean_from_a_far_state_against_mpmath(alpha, x):
+    # -u - v + log I(2 sqrt(u v)) cancels near the mean: summed as written it
+    # read 2.1e-9 for 3.8e-11 at x = 1e16 and 2.3e222 at 1e18 (y = x rho_d + 2).
+    # The reference takes the same rounded u and v: at large x one ulp of u moves
+    # the mean by many standard deviations.
+    dep = Dependence(0.5)
+    rho_d = dep.rho
+    c = 1.0 / (1.0 - rho_d)
+    y = x * rho_d + 0.5 * math.sqrt(x)
+    with mp.workdps(60):
+        u, v, a = mp.mpf(c * x * rho_d), mp.mpf(c * y), mp.mpf(alpha)
+        want = c * mp.exp(-u - v) * (v / u) ** ((a - 1) / 2) * mp.besseli(a - 1, 2 * mp.sqrt(u * v))
+    got = cir_transition_density(y, x, GammaParams(alpha, 1.0), dep, 1.0)
+    assert got == pytest.approx(float(want), rel=1e-9)
+
+
 def test_cir_transition_density_refuses_a_gap_correlation_that_rounds_to_one():
     # rho**1e-300 is 1.0, so c = beta / (1 - rho_d) divided by zero
     with pytest.raises(NumericalError, match="rounds to 1"):

@@ -118,3 +118,22 @@ def test_benchmark_commands_and_analytic_functions_run_without_scipy(tmp_path):
     assert result["codes"] and set(result["codes"].values()) == {0}, result["codes"]
     assert sorted(result["values"]) == result["functions"]
     assert all(0.0 < v < math.inf for v in result["values"].values()), result["values"]
+
+
+_TABLES_PROBE = """
+import numpy as np
+import gammaproc.cli
+from gammaproc import _floatfmt
+
+print(_floatfmt._tables.cache_info().currsize, _floatfmt._g17_tables.cache_info().currsize)
+_floatfmt.g17_cells(np.array([1.5, 1.75, 3e-5]), ",")
+print(int(_floatfmt._g17_tables()[2].sum()))
+"""
+
+
+def test_the_writers_build_no_table_at_import_and_only_the_rows_in_use():
+    env = {**os.environ, "PYTHONPATH": SRC}
+    out = subprocess.run([sys.executable, "-c", _TABLES_PROBE], capture_output=True, text=True,
+                         env=env, timeout=300, check=True)
+    # 1.5 and 1.75 share a binary exponent, so two %.17g rows are built
+    assert out.stdout.splitlines() == ["0 0", "2"]
