@@ -5,54 +5,52 @@ value followed by ``sep``, or by ``end`` after the last value of its row, and
 yields one ``str`` per block of ``BLOCK`` values, so memory does not grow
 with the array.  Python's ``repr`` writes the shortest decimal that reads back
 as the same double (the nearest such decimal; a tie goes to the even digit),
-in fixed notation from 1e-4 up to but not including 1e16.  A value in that
-range is formatted here, in numpy, with exact 64-bit integer arithmetic:
+in fixed notation from 1e-4 up to but not including 1e16, with at least one
+fraction digit (``1.0``).  ``g17_into(x, out)`` writes ``'%.17g\\n' % v`` for
+each value of a 1-D array as one row of ``G17_WORDS`` words (the CSV writer,
+``cli._csv_chunks``, puts its ``"m,t,"`` words before them).  ``'%.17g'``
+rounds to 17 significant digits, to the nearest with a tie to the even
+digit, and writes fixed notation from 1e-4 up to but not including 1e17,
+exponent notation (``e-05``, ``e+17``, ``e-308``) elsewhere, both without
+trailing zeros or a bare point.  Each writer finds its digits in exact 64-bit
+integer arithmetic, and both lay them out in one text stage.
 
-* **Digits** (the idea behind Ryu, Adams, PLDI 2018).  ``x = m 2^(e2 - 52)``
-  with ``2^52 <= m < 2^53``.  With ``s = 17 - floor(e2 log10 2)``,
-  ``x 10^s`` lies in [1e17, 2e18).  ``8m 5^s`` is formed as two uint64 halves
-  and shifted right by ``55 - e2 - s`` bits, which gives ``x 10^s`` and both
-  ends of its rounding interval (``x -+ 2^(e2 - 53)``, or ``2^(e2 - 54)`` below
-  when ``m = 2^52``) as integer parts and exact remainders.  The ends are
+* **Shortest digits** (``_shortest``, the idea behind Ryu, Adams, PLDI 2018),
+  for each value in [1e-4, 1e16).  ``x = m 2^(e2 - 52)`` with
+  ``2^52 <= m < 2^53``.  With ``s = 17 - floor(e2 log10 2)``, ``x 10^s`` lies
+  in [1e17, 2e18).  ``8m 5^s`` is formed as two uint64 halves and shifted
+  right by ``55 - e2 - s`` bits, which gives ``x 10^s`` and both ends of its
+  rounding interval (``x -+ 2^(e2 - 53)``, or ``2^(e2 - 54)`` below when
+  ``m = 2^52``) as integer parts and exact remainders.  The ends are
   inclusive when ``m`` is even, as in David Gay's ``dtoa``.  Over a shrinking
   active set, ``k`` then grows while the interval still holds a multiple of
   ``10^k``; the decimal is the nearer of the two multiples of ``10^k`` around
   ``x 10^s`` that lie in the interval.
-* **Text.** The decimal's 24 zero-padded digits are six uint32 words from a
-  table of 4-digit words.  A value's row of words is its digits masked to
-  the integer part, a point word, its digits masked to the fraction, and
-  the separator, each mask a table row that zeroes every other byte, the
-  leading and trailing zeros among them.  Deleting the NUL bytes of a
-  block's rows, in one ``bytes.translate``, leaves the block's text.
+* **17 digits** (``_g17_digits``, the method of Ryu printf, Adams, OOPSLA
+  2019), for each positive normal double.  With ``s`` as above, a table row
+  per binary exponent holds ``floor(10^s 2^(e2 + 32))`` as four 28-bit limbs,
+  built at the first value with that exponent.  ``m`` times it, over
+  ``2^84``, is ``x 10^s`` to within 2^-27 below; that is rounded to 17
+  digits.  A value whose rounding that error could flip, one that falls
+  within 2^-27 below half a unit of its 17th digit (every exact tie among
+  them), is left to ``'%.17g' %``.
+* **Text** (``_decimal_rows``).  A decimal's 17 digits, zero-padded to 20,
+  are written twice from a table of 4-digit words, then an 8-byte tail: the
+  separator (for ``repr``) or the line end, its exponent and ``"\\n"`` (for
+  ``'%.17g'``).  One table row, chosen by the point's and the last digit's
+  columns, masks the first copy to the integer part and the second to the
+  fraction, and another puts the point (or ``"0."``) in the first.
+  Deleting the NUL bytes of a block's rows, in one ``bytes.translate``,
+  leaves the block's text.
 
-Every other value (zeros, negatives, exponent notation, NaN) is formatted by
-``float.__repr__`` on its own and spliced in.
-
-``g17_into(x, out)`` writes ``'%.17g\\n' % v`` for each value of a 1-D array
-as one row of ``G17_WORDS`` words (the CSV writer, ``cli._csv_chunks``, puts
-its ``"m,t,"`` words before them).  ``'%.17g'`` rounds to 17 significant
-digits, to the nearest with a tie to the even digit, and writes fixed
-notation from 1e-4 up to but not including 1e17, exponent notation
-(``e-05``, ``e+17``, ``e-308``) elsewhere, both without trailing zeros or a
-bare point.  Every positive normal double is formatted here (the method of
-Ryu printf, Adams, OOPSLA 2019):
-
-* **Digits.**  With ``s`` as above, a table row per binary exponent holds
-  ``floor(10^s 2^(e2 + 32))`` as four 28-bit limbs, built at the first value
-  with that exponent.  ``m`` times it, over ``2^84``, is ``x 10^s`` to within
-  2^-27 below; that is rounded to 17 digits.  A value whose rounding that
-  error could flip, one that falls within 2^-27 below half a unit of its
-  17th digit (every exact tie among them), is left to ``'%.17g' %``.
-* **Text.**  The 17 digits, zero-padded to 20, are written twice, then the
-  line end (its exponent and ``"\\n"``); one table row, chosen by the
-  point's and the last digit's columns, masks the first copy to the integer
-  part and the second to the fraction, and another puts the point (or
-  ``"0."``) in the first.  Zero is written as ``"0"``; subnormals,
-  negatives, NaN and infinities go to ``'%.17g' %`` on their own.
-
-No transcendental function is used by either writer, so the bytes do not
-depend on numpy's SIMD dispatch.  uint64 operands are explicit ``np.uint64``
-so that numpy 1.x does not promote them to float64.
+Every other value (zeros for ``repr``, negatives, subnormals for
+``'%.17g'``, exponent notation for ``repr``, NaN, infinities, and the
+values ``'%.17g'`` could not round) has its text written by ``float.__repr__``
+or ``'%.17g' %`` into its row, NUL-padded; ``'%.17g'``'s zeros are written
+as ``"0"`` in one store.  No transcendental function is used by either
+writer, so the bytes do not depend on numpy's SIMD dispatch.  uint64
+operands are explicit ``np.uint64`` so that numpy 1.x does not promote them
+to float64.
 """
 
 from __future__ import annotations
@@ -62,6 +60,7 @@ import functools
 import numpy as np
 
 BLOCK = 3200  # values per block
+G17_WORDS = 12  # words of a value's row
 
 _U = np.uint64
 _M28 = _U(2**28 - 1)
@@ -72,18 +71,64 @@ _P10 = np.array([10**j for j in range(20)], np.uint64)
 
 @functools.cache
 def _tables():
-    """The word tables, built at first use rather than at import.
+    """The text stage's tables, built at first use rather than at import.
 
-    ``digits[v]`` is the four ASCII digits of ``v`` in 0..9999; ``span[25 i + j]``
-    is six words whose bytes are 0xff in columns ``i <= c < j`` and 0 elsewhere;
-    ``dot`` and ``mark`` are the words of ``"."`` and ``"\\x01"``.  Each word is a
-    view of four bytes in text order, so rows of words read as text on any host.
+    ``digits[v]`` is the four ASCII digits of ``v`` in 0..9999.  A value's row
+    holds its 17 digits in columns 3 to 19 of 20 zero-padded digits, as words
+    0-4 and again as words 5-9, and its tail as words 10-11.  With the point
+    before column ``p`` and the last digit written in column ``l - 1``,
+    ``keep[21 p + l]`` masks the first copy to the integer part, columns 3 to
+    ``p``, and the second to the fraction, columns ``p`` to ``l``, and keeps the
+    tail; ``dots[21 p + l]`` puts ``"."`` in column ``p`` of the first copy where
+    ``p >= 4`` and ``l > p``, and ``"0."`` in its columns 0 and 1 where ``p < 4``
+    (an integer part of 0).  Each word is a view of four bytes in text order,
+    so rows of words read as text on any host.
     """
-    d, c = np.arange(48, 58, dtype=np.uint8), np.arange(25)
+    d, c = np.arange(48, 58, dtype=np.uint8), np.arange(20)
     digits = np.stack(np.meshgrid(d, d, d, d, indexing="ij"), -1).view(np.uint32).ravel()
-    span = ((c[:-1] >= c[:, None, None]) & (c[:-1] < c[:, None])).view(np.uint8) * np.uint8(255)
-    dot, mark = np.frombuffer(b".\0\0\0\x01\0\0\0", np.uint32)
-    return digits, span.view(np.uint32).reshape(625, 6), dot, mark
+    p, last = np.divmod(np.arange(441), 21)
+    keep = np.concatenate([(c >= 3) & (c < p[:, None]), (c >= p[:, None]) & (c < last[:, None]),
+                           np.ones((441, 8), bool)], 1).view(np.uint8) * np.uint8(255)
+    dots = np.zeros((441, 4 * G17_WORDS), np.uint8)
+    frac = np.flatnonzero((last > p) & (p > 3))
+    dots[frac, p[frac]] = ord(".")
+    dots[p < 4, :2] = np.frombuffer(b"0.", np.uint8)
+    return digits, keep.view(np.uint32), dots.view(np.uint32)
+
+
+def _decimal_rows(q, X, k, tail, frac):
+    """The rows of the decimals ``q 10^(X - 16)``, ``10^16 <= q < 10^17``, each
+    followed by its 8 bytes of ``tail`` (uint64): in fixed notation where
+    ``-4 <= X < 17`` and with the point after the first digit elsewhere, and
+    without trailing zeros past ``frac`` fraction digits.  ``k`` is each ``q``'s
+    trailing zeros, or ``None`` to count them."""
+    digits, keep, dots = _tables()
+    rows, high = np.empty((q.size, G17_WORDS), np.uint32), 0
+    for i, power in enumerate((16, 12, 8, 4, 0)):
+        top = q.view(np.int64) // 10**power
+        rows[:, i] = rows[:, i + 5] = digits[top - high * 10000]
+        high = top
+    # the point goes before column 4 + X in fixed notation, and before column 4
+    # in exponent notation
+    point = np.where((X >= -4) & (X < 17), 4 + X, 4)
+    if k is None:  # count q's trailing zeros
+        chars = rows.view(np.uint8)[:, :20]
+        k = np.zeros(q.size, np.intp)
+        act = np.flatnonzero(chars[:, 19] == ord("0"))
+        k[act] = (chars[act, 19::-1] == ord("0")).argmin(1)
+    rows.view(np.uint64)[:, 5] = tail
+    cell = point * 21 + np.maximum(20 - k, point + frac)
+    # rows is contiguous, so each operation runs as one loop rather than one a row
+    np.bitwise_and(rows, keep.take(cell, 0), out=rows)
+    np.bitwise_or(rows, dots.take(cell, 0), out=rows)
+    return rows
+
+
+def _overwrite(rows, x, at, text):
+    """Writes ``text(v)`` for each ``v`` of ``x`` where ``at`` into its row of ``rows``."""
+    at = np.flatnonzero(at)
+    if at.size:
+        rows[at] = padded_words([text(v) for v in x[at].tolist()], 4 * rows.shape[1])
 
 
 def _shortest(x):
@@ -129,65 +174,28 @@ def _shortest(x):
     return q * p, s, k
 
 
-def _digit_columns(n):
-    """Words 1 to 5 of ``n < 10**20`` in 24 zero-padded digits, as five arrays of
-    uint32 words (word 0 is ``"0000"``)."""
-    digits, high = _tables()[0], 0
-    for power in (16, 12, 8, 4, 0):
-        q = n // 10**power
-        yield digits[q - high * 10000]
-        high = q
-
-
-def _text(x, seps, ends):
-    """The text of the block ``x``, each value followed by the words ``seps[0]``, or by
-    ``seps[1]`` where the slice ``ends`` selects it (NUL-padded)."""
-    fb = ~((x >= 1e-4) & (x < 1e16))
-    n, s, k = _shortest(np.where(fb, 1.0, x))
-    n = n.view(np.int64)
-    digits, span, dot, mark = _tables()
-    words = np.empty((x.size, 6), np.uint32)  # n as 24 zero-padded digits
-    words[:, 0] = digits[0]
-    for i, column in enumerate(_digit_columns(n), 1):
-        words[:, i] = column
-    # the point goes before column 24 - s; n's first and last nonzero digits are in
-    # column 5 (6 below 1e18) and 23 - k
-    point = 24 - s
-    first = np.minimum(6 - (n >= 10**18), point - 1)
-    last = np.maximum(24 - k, point + 1)
-    rows = np.empty((x.size, 13 + seps.shape[1]), np.uint32)
-    np.bitwise_and(words, span.take(first * 25 + point, 0), out=rows[:, :6])
-    rows[:, 6] = dot
-    np.bitwise_and(words, span.take(point * 25 + last, 0), out=rows[:, 7:13])
-    rows[:, 13:] = seps[0]
-    rows[ends, 13:] = seps[1]
-    rows[fb, :13] = 0
-    rows[fb, 6] = mark  # where float.__repr__'s text goes
-    pieces = rows.tobytes().translate(None, b"\0").decode("ascii").split("\x01")
-    reprs = map(float.__repr__, x[fb].tolist())
-    return "".join(map(str.__add__, pieces, reprs)) + pieces[-1]
-
-
 def repr_chunks(values, sep, end):
     """The text of the 2-D float64 array ``values``: each value as ``float.__repr__``
     writes it, followed by ``sep``, or by ``end`` after the last value of its row;
-    one ``str`` per block of ``BLOCK`` values.  ``sep`` is ASCII without control
-    characters below ``"\\x03"``."""
+    one ``str`` per block of ``BLOCK`` values.  ``sep`` is at most 8 ASCII bytes,
+    without NUL or ``"\\x02"``."""
     values = np.asarray(values, np.float64)
     width, flat = values.shape[1], values.ravel()
     # a row's end is written as "\x02" and replaced in the block's text
-    width4 = -(-max(len(sep), 1) // 4) * 4
-    seps = np.frombuffer(sep.encode("ascii").ljust(width4, b"\0")
-                         + b"\x02".ljust(width4, b"\0"), np.uint32).reshape(2, -1)
+    seps = np.frombuffer(sep.encode("ascii").ljust(8, b"\0") + b"\x02".ljust(8, b"\0"), np.uint64)
     for start in range(0, flat.size, BLOCK):
         x = flat[start:start + BLOCK]
-        ends = slice((width - 1 - start) % width, None, width)
-        yield _text(x, seps, ends).replace("\x02", end)
+        tail = np.full(x.size, seps[0])
+        tail[(width - 1 - start) % width::width] = seps[1]
+        fb = ~((x >= 1e-4) & (x < 1e16))
+        n, s, k = _shortest(np.where(fb, 1.0, x))
+        big = n >= _U(10**18)  # n has 19 digits, not 18
+        rows = _decimal_rows(n // _P10[1 + big], 17 + big - s, k - 1 - big, tail, 1)
+        _overwrite(rows[:, :10], x, fb, float.__repr__)  # words 0-9: the tail stays
+        yield rows.tobytes().translate(None, b"\0").decode("ascii").replace("\x02", end)
 
 
 # -- %.17g ----------------------------------------------------------------------
-
-G17_WORDS = 12  # words of a value's row in g17_into
 
 
 @functools.cache
@@ -196,28 +204,13 @@ def _g17_tables():
 
     ``limbs[:, b]`` and ``scale[b]`` are the row of biased exponent ``b``,
     filled by ``_g17_rows`` at the first value with that exponent
-    (``built[b]``).  A value's row holds its 17 digits in columns 3 to 19 of
-    20 zero-padded digits, as words 0-4 and again as words 5-9, and its line
-    end as words 10-11: ``ends[X + 308]`` is the 8 bytes of ``"e%+03d\\n" % X``
-    and ``ends[617]`` those of ``"\\n"``.  With the point before column ``p``
-    and the last digit written in column ``l - 1``, ``keep[21 p + l]`` masks
-    the first copy to the integer part, columns 3 to ``p``, and the second to
-    the fraction, columns ``p`` to ``l``; ``dots[21 p + l]`` puts ``"."`` in
-    column ``p`` of the first copy where ``p >= 4`` and ``l > p``, and ``"0."``
-    in its columns 0 and 1 where ``p < 4`` (an integer part of 0).
+    (``built[b]``).  ``ends[X + 308]`` is the 8 bytes of a line end: ``"\\n"``
+    where ``-4 <= X < 17`` (fixed notation) and ``"e%+03d\\n" % X`` elsewhere.
     """
-    ends = "".join(f"e{e:+03d}\n".ljust(8, "\0") for e in range(-308, 309)) + "\n".ljust(8, "\0")
-    span = _tables()[1]  # of 24 columns: column c here is column c + 4 there
-    p, last = np.divmod(np.arange(441), 21)
-    keep = np.full((441, G17_WORDS), 2**32 - 1, np.uint32)
-    keep[:, :5] = span.take(7 * 25 + p + 4, 0)[:, 1:]
-    keep[:, 5:10] = span.take((p + 4) * 25 + last + 4, 0)[:, 1:]
-    dots = np.zeros((441, 4 * G17_WORDS), np.uint8)
-    frac = np.flatnonzero((last > p) & (p > 3))
-    dots[frac, p[frac]] = ord(".")
-    dots[p < 4, :2] = np.frombuffer(b"0.", np.uint8)
+    ends = "".join(("\n" if -4 <= e < 17 else f"e{e:+03d}\n").ljust(8, "\0")
+                   for e in range(-308, 309))
     return (np.zeros((4, 2047), np.uint64), np.zeros(2047, np.int64), np.zeros(2047, bool),
-            np.frombuffer(ends.encode("ascii"), np.uint64), keep, dots.view(np.uint32))
+            np.frombuffer(ends.encode("ascii"), np.uint64))
 
 
 def _g17_rows(b):
@@ -261,49 +254,23 @@ def _g17_digits(bits):
     return np.where(carry, _U(10**16), q), X + carry, sure
 
 
-def _g17_text(bits, out):
-    """Writes the rows of the positive normal doubles ``bits`` into ``out``; returns
-    where they are sure (``_g17_digits``)."""
-    q, X, sure = _g17_digits(bits)
-    *_, ends, keep, dots = _g17_tables()
-    rows = np.empty((q.size, G17_WORDS), np.uint32)
-    for i, column in enumerate(_digit_columns(q.view(np.int64))):
-        rows[:, i] = rows[:, i + 5] = column
-    # the point goes before column 4 + X in fixed notation, and before column 4
-    # in exponent notation
-    fixed = (X >= -4) & (X < 17)
-    point = np.where(fixed, 4 + X, 4)
-    chars = rows.view(np.uint8)[:, :20]
-    k = np.zeros(q.size, np.intp)  # q's trailing zeros
-    act = np.flatnonzero(chars[:, 19] == ord("0"))
-    k[act] = (chars[act, 19::-1] == ord("0")).argmin(1)
-    rows.view(np.uint64)[:, 5] = ends.take(np.where(fixed, 617, X + 308))
-    cell = point * 21 + np.maximum(20 - k, point)
-    # rows is contiguous, so each operation runs as one loop rather than one a row
-    np.bitwise_and(rows, keep.take(cell, 0), out=rows)
-    np.bitwise_or(rows, dots.take(cell, 0), out=rows)
-    out[...] = rows
-    return sure
-
-
 def g17_into(x, out):
     """Writes ``'%.17g\\n' % v`` for each ``v`` of the 1-D float64 array ``x`` into
     the ``(x.size, G17_WORDS)`` uint32 array ``out``, one row a value, NUL-padded."""
     bits = x.view(np.uint64)
     normal = (bits >> _U(52)) - _U(1) < _U(2046)  # positive, normal and finite
     # the other values are written as 1.0, then replaced
-    undecided = ~_g17_text(np.where(normal, bits, _U(0x3FF0000000000000)), out) | ~normal
+    q, X, sure = _g17_digits(np.where(normal, bits, _U(0x3FF0000000000000)))
+    out[...] = _decimal_rows(q, X, None, _g17_tables()[3].take(X + 308), 0)
     zero = bits == _U(0)
     out[zero] = np.frombuffer(b"0\n".ljust(4 * G17_WORDS, b"\0"), np.uint32)
-    rest = np.flatnonzero(undecided & ~zero)
-    if rest.size:
-        text = "".join([("%.17g\n" % v).ljust(4 * G17_WORDS, "\0") for v in x[rest].tolist()])
-        out[rest] = np.frombuffer(text.encode("ascii"), np.uint32).reshape(-1, G17_WORDS)
+    _overwrite(out, x, ~(sure & normal | zero), "%.17g\n".__mod__)
 
 
-def padded_words(strings):
-    """The ASCII ``strings`` as rows of uint32 words, one width, NUL-padded."""
-    width = 4 * -(-max(map(len, strings)) // 4)
+def padded_words(strings, width=0):
+    """The ASCII ``strings`` as rows of uint32 words, NUL-padded to ``width`` bytes, or
+    by default to one width: the longest string's, in whole words."""
+    width = width or 4 * -(-max(map(len, strings)) // 4)
     text = "".join([s.ljust(width, "\0") for s in strings])
     return np.frombuffer(text.encode("ascii"), np.uint32).reshape(len(strings), -1)
 

@@ -3,14 +3,14 @@
 Three subcommands:
 
 * ``simulate`` writes an ensemble as CSV (long format ``path,t,value``) or
-  JSON (config echo plus nested arrays).  The JSON float rows (``grid`` and
-  ``paths``) are written by ``_floatfmt.repr_chunks``, an exact vectorised
-  shortest-repr kernel, in blocks of a fixed number of values: each value in
-  [1e-4, 1e16) gets the text ``float.__repr__`` gives it, computed with
-  64-bit integer arithmetic, and every other value is written by
-  ``float.__repr__`` itself, so the bytes are those of ``json.dumps``.  The
-  CSV's times and values are written by ``_floatfmt.g17_into``, in blocks
-  of the same number of values, with the bytes of ``'%.17g' %``.
+  JSON (config echo plus nested arrays).  Both float writers are in
+  ``_floatfmt`` and write exact bytes in blocks of a fixed number of
+  values: the JSON float rows (``grid`` and ``paths``) by ``repr_chunks``,
+  with the bytes of ``float.__repr__`` and so of ``json.dumps``, and the
+  CSV's times and values by ``g17_into``, with the bytes of ``'%.17g' %``.
+  Each finds its digits in 64-bit integer arithmetic and lays them out in
+  the one text stage they share; a value either kernel leaves is written by
+  ``float.__repr__`` or ``'%.17g' %`` itself.
 * ``verify`` runs a statistical verification suite against a process and
   emits a JSON report; exit code 1 if any check fails.  A check that raises
   a numerical failure, or whose result holds a NaN or an infinity, is
@@ -18,13 +18,15 @@ Three subcommands:
   still run and the report is still written.
 * ``compare`` runs a two-sample chf comparison between two processes at
   pairs (``--points 2``) or triplets (``--points 3``); always exit 0 on a
-  completed comparison (the report is informative, not pass/fail).
+  completed comparison (the report is informative, not pass/fail).  Its
+  grid has ``--points`` times (or those of ``--times``), so ``--n`` is
+  refused.
 
 Exit codes: 0 success / all checks pass, 1 verification failure (a check
-with status ``fail`` or ``error``) or numerical failure (a NaN or infinity
-in the output, in which case nothing is written), 2 usage or parameter
-error, 3 I/O error.  Output bytes are deterministic given the resolved
-config and seed.
+with status ``fail`` or ``error``), numerical failure (a NaN or infinity
+in the output) or out of memory, in both of which cases nothing is
+written, 2 usage or parameter error, 3 I/O error.  Output bytes are
+deterministic given the resolved config and seed.
 """
 
 from __future__ import annotations
@@ -119,7 +121,8 @@ def _add_common(sp, with_process=True):
                      help="decay rate; equivalent to --rho exp(-lambda)")
     sp.add_argument("--t0", type=float, default=0.0, help="first grid time (default 0)")
     sp.add_argument("--dt", type=float, default=1.0, help="grid spacing (default 1)")
-    sp.add_argument("--n", type=int, default=None, help="number of grid times")
+    sp.add_argument("--n", type=int, default=None,
+                    help="number of grid times (compare refuses it: its grid has --points times)")
     sp.add_argument("--times", type=str, default=None,
                     help="file of explicit grid times (one per line; overrides --t0/--dt/--n)")
     sp.add_argument("--seed", type=int, default=0, help="master seed (default 0)")
@@ -586,6 +589,9 @@ def main(argv=None) -> int:
             axis = None if ns.omega_grid is None else _parse_omega_grid(ns.omega_grid)
             return cmd_verify(cfg, ns.suite, omega_axis=axis)
         # compare: argparse admits no other command
+        if ns.n is not None:
+            raise ParameterError("compare takes no --n: its grid has --points times, "
+                                 "from --t0 and --dt, or the --times file's")
         ns.n = ns.points
         cfg = _resolve_config(ns, ns.process_a, ns.paths)
         seed_a = ns.seed if ns.seed_a is None else ns.seed_a
@@ -599,6 +605,9 @@ def main(argv=None) -> int:
         return 2
     except NumericalError as exc:
         print(f"gammaproc: numerical failure: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:
+        print(f"gammaproc: out of memory: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:
         print(f"gammaproc: i/o error: {exc}", file=sys.stderr)

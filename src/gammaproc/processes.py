@@ -366,9 +366,10 @@ def _poisson_counts(gen, means, what):
         raise NumericalError(f"{what} is too large to draw") from exc
 
 
-# At a gap correlation rho_g below about 1e-19 the ladder's mean passes numpy's limit.
+# At a gap correlation rho_g below about 1e-19, or an alpha above about 1e19 (L is
+# about alpha), the ladder's mean passes numpy's limit.
 _LADDER_MEAN = ("AR(1) innovation ladder: the Poisson mean (1 - rho_g)/rho_g * L "
-                "(gap correlation rho_g too small)")
+                "(gap correlation rho_g too small, or alpha too large)")
 
 
 def _ar1_ladder(gen, alpha, odds, out):

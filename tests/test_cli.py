@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from gammaproc import GammaParams, NumericalError, ParameterError, TestFunction, cli
+from gammaproc import GammaParams, NumericalError, ParameterError, TestFunction, cli, processes
 from gammaproc.cli import (
     RunConfig,
     _dump_json,
@@ -917,6 +917,34 @@ def test_compare_refuses_more_points_than_its_times_grid_before_sampling(
                 "--times", str(times), "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert "--points 3" in err and "got 2" in err
+    assert not out.exists()
+
+
+def test_compare_refuses_n_before_sampling(tmp_path, capsys, monkeypatch):
+    # compare's grid has --points times, so an --n would do nothing
+    _no_sampler(monkeypatch)
+    out = tmp_path / "out.json"
+    assert run(["compare", "--process-a", "ar1", "--process-b", "rm", "--n", "50",
+                "--points", "3", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "--n" in err and "--points" in err and "--times" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", [["simulate", "--n", "3"], ["verify", "--suite", "marginal"]])
+def test_out_of_memory_exits_1_with_one_line_and_writes_nothing(tmp_path, capsys, monkeypatch,
+                                                                command):
+    # at alpha 1e10 the squared-OU walk asks numpy for 2e10 coordinates a lane;
+    # its refusal is stood in for, as the allocation must not be tried
+    def refuse(*args):
+        raise MemoryError("Unable to allocate 149. GiB for an array")
+
+    monkeypatch.setattr(processes, "_ou_walk", refuse)
+    out = tmp_path / "out"
+    assert run([*command, "--process", "cir", "--cir-method", "squared-ou", "--alpha", "1e10",
+                "--out", str(out)]) == 1
+    assert capsys.readouterr().err == \
+        "gammaproc: out of memory: Unable to allocate 149. GiB for an array\n"
     assert not out.exists()
 
 

@@ -1295,21 +1295,25 @@ def test_batch_samplers_reject_a_gap_that_is_not_finite_and_positive(sampler, ga
             sampler(kind, 10, P11, DEP5, master_seed=0, gap=gap)
 
 
-@pytest.mark.parametrize("dep", [Dependence(50.0), Dependence(800.0),
-                                 Dependence.from_rho(1e-25)])
-def test_ar1_ladder_past_numpy_poisson_limit_is_a_numerical_error(dep):
-    # rho_g = 1.9e-22 and 1e-25 put the Poisson mean past numpy's 9.2e18;
-    # exp(-800) underflows to 0
+@pytest.mark.parametrize("params,dep,cause", [
+    (P11, Dependence(50.0), "rho_g too small"),
+    (P11, Dependence(800.0), "underflowed"),
+    (P11, Dependence.from_rho(1e-25), "rho_g too small"),
+    (GammaParams(1e300, 1.0), DEP5, "alpha too large"),
+], ids=["dep0", "dep1", "dep2", "alpha1e300"])
+def test_ar1_ladder_past_numpy_poisson_limit_is_a_numerical_error(params, dep, cause):
+    # rho_g = 1.9e-22 and 1e-25 put the Poisson mean past numpy's 9.2e18, and so
+    # does the mixing L ~ Ga(1e300, 1) at rho_g 0.5; exp(-800) underflows to 0
     grid = make_uniform_grid(0.0, 1.0, 5)
-    with pytest.raises(NumericalError):
-        marginal_sample(ProcessKind.AR1, 100, P11, dep, master_seed=0)
-    with pytest.raises(NumericalError):
-        sample_path(ProcessKind.AR1, derive_stream(0, 0), grid, P11, dep)
-    with pytest.raises(NumericalError):
-        simulate_ensemble(ProcessKind.AR1, grid, P11, dep, 40, master_seed=0)
+    with pytest.raises(NumericalError, match=cause):
+        marginal_sample(ProcessKind.AR1, 100, params, dep, master_seed=0)
+    with pytest.raises(NumericalError, match=cause):
+        sample_path(ProcessKind.AR1, derive_stream(0, 0), grid, params, dep)
+    with pytest.raises(NumericalError, match=cause):
+        simulate_ensemble(ProcessKind.AR1, grid, params, dep, 40, master_seed=0)
     if dep.rho > 0.0:
-        with pytest.raises(NumericalError):
-            walker_sample(100, P11, dep.rho, master_seed=0)
+        with pytest.raises(NumericalError, match=cause):
+            walker_sample(100, params, dep.rho, master_seed=0)
 
 
 def test_exact_cir_gap_correlation_of_one_is_a_numerical_error():
