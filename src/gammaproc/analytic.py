@@ -282,7 +282,7 @@ def cir_transition_density(y, x, params: GammaParams, dep: Dependence, dt):
     x = _require_finite_nonnegative("x", x)
     dt = _require_finite_positive("dt", dt)
     a = params.alpha
-    rho_d = dep.rho**dt
+    rho_d = dep.gap_corr(dt)
     c = _cir_rate(params.beta, rho_d)
     u = c * x * rho_d
     v = c * y

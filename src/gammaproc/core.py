@@ -6,8 +6,11 @@ Conventions used throughout the package:
   ``beta`` (mean ``alpha/beta``, variance ``alpha/beta**2``).
 * Temporal dependence is exponential: ``corr(X_s, X_t) = exp(-lam*|s-t|)``.
   The unit-lag autocorrelation is ``rho = exp(-lam)``; the correlation over a
-  gap ``d`` is computed as ``rho**d`` everywhere (identical to
-  ``exp(-lam*d)``, but exact under the CLI's rho/lambda equivalence).
+  gap ``d`` is ``rho**d`` (identical to ``exp(-lam*d)``, but exact under the
+  CLI's rho/lambda equivalence).  ``Dependence.gap_corr`` computes it with
+  Python's float power, so it does not depend on numpy's SIMD dispatch, for
+  every plan, batch sampler, check and oracle; only the rm plan's tent lag
+  powers, one per cell, take numpy's vector power.
 """
 
 from __future__ import annotations
@@ -169,8 +172,16 @@ class Dependence:
         return dep
 
     def gap_corr(self, delta):
-        """Correlation over a time gap ``delta`` (scalar or array), ``rho**delta``."""
-        return self.rho ** np.asarray(delta, dtype=float) if np.ndim(delta) else self.rho ** float(delta)
+        """Correlation over a time gap ``delta`` (scalar or 1-D array), ``rho**delta``.
+
+        Python's float power, once per distinct gap of an array: numpy's
+        vector power picks a SIMD routine at import and can differ in the
+        last bit.
+        """
+        if not np.ndim(delta):
+            return self.rho ** float(delta)
+        gaps, at = np.unique(np.asarray(delta, dtype=float), return_inverse=True)
+        return np.array([self.rho**d for d in gaps.tolist()], dtype=float)[at]
 
 
 @dataclass(frozen=True)

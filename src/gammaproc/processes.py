@@ -67,6 +67,12 @@ Shared and duplicated update rules
 ----------------------------------
 Written once, for the path plans and the lanes alike:
 
+* the gap correlation rho**gap (``Dependence.gap_corr``, Python's float
+  power once per distinct gap): the ar1, thinned, changepoint, exact cir
+  and squared-OU plans (at gap/2), ``_batch_start``, the reversibility and
+  generator checks and the cir transition density, so their bytes do not
+  depend on numpy's SIMD dispatch; rm's tent lag powers stay numpy's
+  vector power, one per cell (ROADMAP item 17);
 * the AR(1) gamma-Poisson-gamma ladder (``_ar1_ladder``): the ar1 block,
   the ar1 lane step and ``walker_sample``;
 * the exact cir transition (``_cir_exact_step``): the exact cir block and
@@ -402,7 +408,7 @@ class _Ar1Plan(_Plan):
         super().__init__(grid)
         self.alpha = params.alpha
         self.inv_beta = 1.0 / params.beta
-        self.rho_g = dep.rho ** grid.gaps
+        self.rho_g = dep.gap_corr(grid.gaps)
         self.odds = _ladder_odds(self.rho_g)[:, None]
         self.zeta_scale = self.rho_g / params.beta
         self.width = self.n
@@ -433,7 +439,7 @@ class _ThinnedPlan(_Plan):
 
     def __init__(self, grid, params, dep):
         super().__init__(grid)
-        rho_g = dep.rho ** grid.gaps
+        rho_g = dep.gap_corr(grid.gaps)
         kept = params.alpha * rho_g
         fresh = params.alpha * (1.0 - rho_g)
         self.runs = _gamma_runs(np.concatenate(([params.alpha], kept, fresh, fresh)))
@@ -680,7 +686,7 @@ class _ChangepointPlan(_Plan):
         super().__init__(grid)
         self.alpha = params.alpha
         self.inv_beta = 1.0 / params.beta
-        self.rho_g = dep.rho ** grid.gaps
+        self.rho_g = dep.gap_corr(grid.gaps)
         self.width = 2 * self.n - 1
 
     def block(self, gen, lanes):
@@ -757,16 +763,15 @@ class _CirExactPlan(_Plan):
     numpy 2.4), so they break even between about 12 and 20 lanes.  The
     fork at 16 lanes is part of the stream layout and stays; at 2000
     points (blocks of 2 lanes) a 200-path ensemble took 0.75 s on floats
-    and 4.1 s in numpy.
+    and 4.1 s in numpy.  Its gap correlations ``rho_d`` come from
+    ``Dependence.gap_corr``.
     """
 
     def __init__(self, grid, params, dep):
         super().__init__(grid)
         self.alpha = params.alpha
         self.beta = params.beta
-        # Python's float power rho**dt, once per distinct gap
-        gaps, at = np.unique(grid.gaps, return_inverse=True)
-        self.rho_d = np.array([dep.rho**dt for dt in gaps.tolist()], dtype=float)[at]
+        self.rho_d = dep.gap_corr(grid.gaps)
         self.c = _cir_rate(self.beta, self.rho_d)
         self.width = 2 * self.n - 1
 
@@ -837,7 +842,7 @@ class _SquaredOuPlan(_Plan):
         super().__init__(grid)
         self.j = _squared_ou_coordinates(params.alpha)
         self.two_beta = 2.0 * params.beta
-        self.half = dep.rho ** (grid.gaps / 2.0)
+        self.half = dep.gap_corr(grid.gaps / 2.0)
 
     def block(self, gen, lanes):
         walk = _ou_walk(gen, self.half, (lanes, self.j))
@@ -1187,7 +1192,7 @@ def _batch_start(n, params, dep, master_seed, gap):
     n = _require_positive_int("n", n)
     gap = _require_finite_positive("gap", gap)
     g = derive_stream(master_seed, 0).gen
-    return n, gap, g, params.alpha, params.beta, dep.rho**gap
+    return n, gap, g, params.alpha, params.beta, dep.gap_corr(gap)
 
 
 def _batch_rows(kind, g, a, b, r, n, rows):
@@ -1234,11 +1239,7 @@ def marginal_sample(
     n, gap, g, a, b, rho_g = _batch_start(n, params, dep, master_seed, gap)
     plan = _plan_class(kind, method)
     if plan is _SquaredOuPlan:
-        # numpy's vector power, which the plan uses, can differ in the last bit from
-        # the scalar rho**(gap/2) these lanes have always walked at
-        walk = plan(TimeGrid(gap * np.arange(3.0)), params, dep)
-        walk.half = np.full(2, dep.rho ** (gap / 2.0))
-        return walk.block(g, n)[:, -1]
+        return plan(TimeGrid(gap * np.arange(3.0)), params, dep).block(g, n)[:, -1]
     return _batch_rows(kind, g, a, b, rho_g, n, (2,))[0]
 
 

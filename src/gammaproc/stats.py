@@ -570,16 +570,16 @@ class ReversibilityReport:
 def reversibility_check(path: SamplePath, dep: Dependence) -> ReversibilityReport:
     """Count violations of X_{t_k} >= rho_k X_{t_{k-1}} forward and backward in time.
 
-    The per-gap factor is computed as rho ** gap, the same expression the path
-    samplers use, so the forward check reproduces exactly the floating-point
-    products the recursion formed.  The AR(1) construction adds a nonnegative
-    innovation to that product, hence never violates forward; its time
-    reversal has no such constraint.
+    The per-gap factor is ``Dependence.gap_corr`` of the grid's gaps, the same
+    routine the path plans use, so the forward check reproduces exactly the
+    floating-point products the recursion formed.  The AR(1) construction
+    adds a nonnegative innovation to that product, hence never violates
+    forward; its time reversal has no such constraint.
     """
     x = path.values
     if x.size < 2:
         raise ParameterError(f"path must hold at least 2 observations, got {x.size}")
-    rho_g = dep.rho ** path.grid.gaps
+    rho_g = dep.gap_corr(path.grid.gaps)
     fwd = int(np.count_nonzero(x[1:] < rho_g * x[:-1]))
     bwd = int(np.count_nonzero(x[:-1] < rho_g * x[1:]))
     return ReversibilityReport(n_steps=x.size - 1, forward_violations=fwd,
@@ -655,7 +655,7 @@ def generator_check(
         raise ParameterError("n_mc must be at least 2")
     eps = _require_finite_positive("epsilon", 1e-3 / dep.lam if epsilon is None else epsilon)
     analytic = [[generator_apply(kind, phi, x0, params, dep) for x0 in x0s] for phi in phis]
-    a, b, r = params.alpha, params.beta, dep.rho**eps
+    a, b, r = params.alpha, params.beta, dep.gap_corr(eps)
     sizes = [min(n_mc - done, _GENERATOR_BLOCK) for done in range(0, n_mc, _GENERATOR_BLOCK)]
     blocks = [[[] for _ in x0s] for _ in phis]  # per block: (sum of d, sum of d * d)
 
