@@ -11,8 +11,21 @@ first: the base at the first seed, this checkout at the second, and so on.
 prints, for each side, the median and quartiles of every end-to-end metric
 that ``BENCHMARK.json`` lists, how many pairs the change wins on it (the
 metric's ``better`` gives the direction; a tie counts for neither side),
-and the median over the runs of each command's raw and adjusted median
-time.  A run whose result is not ``correct`` is counted and reported.
+and on the next line one verdict:
+
+* ``gain``: the change is better in at least 9 of 10 pairs, and its median
+  is better than the base's by more than the base's quartile spread
+  (q3 - q1);
+* ``regression``: the change's median is worse than the base's by more
+  than the metric's ``bound``, a fraction of the base's median;
+* ``unresolved``: the base's quartile spread, as a fraction of its median,
+  is wider than the bound, and not every run of the change is better than
+  every run of the base;
+* ``no regression``: otherwise.
+
+Then it prints the median over the runs of each command's raw and adjusted
+median time.  A run whose result is not ``correct`` is counted and
+reported.
 
 ``bench/`` is read, never changed, on both sides.  Only the standard
 library is used.
@@ -62,11 +75,25 @@ def _wins(base, change, better):
     return sum(c > b for b, c in zip(base, change))
 
 
+def verdict(base, change, better, bound):
+    """The module docstring's verdict on one metric's runs, ``base[i]`` paired with ``change[i]``."""
+    sign = 1.0 if better == "lower" else -1.0  # signed so that lower is better
+    base, change = [sign * v for v in base], [sign * v for v in change]
+    (bm, b1, b3), cm = _spread(base), _spread(change)[0]
+    if 10 * _wins(base, change, "lower") >= 9 * len(base) and bm - cm > b3 - b1:
+        return "gain"
+    if cm - bm > bound * abs(bm):
+        return "regression"
+    if b3 - b1 > bound * abs(bm) and max(change) >= min(base):
+        return "unresolved"
+    return "no regression"
+
+
 def summarize(pairs, end_to_end):
     """Report lines for ``pairs`` of (base stdout, change stdout), one pair per seed.
 
     ``end_to_end`` is ``BENCHMARK.json``'s list of end-to-end metrics, each a
-    dict with ``name``, ``unit`` and ``better``.
+    dict with ``name``, ``unit``, ``better`` and ``bound``.
     """
     runs = [(parse_run(base), parse_run(change)) for base, change in pairs]
     n = len(runs)
@@ -80,6 +107,7 @@ def summarize(pairs, end_to_end):
         lines.append(f"{name} ({metric['unit']}, {metric['better']} is better): "
                      f"base {bm:.4g} [{b1:.4g}, {b3:.4g}], change {cm:.4g} [{c1:.4g}, {c3:.4g}], "
                      f"{ratio}, better in {_wins(base, change, metric['better'])}/{n}")
+        lines.append(f"  verdict: {verdict(base, change, metric['better'], metric['bound'])}")
     for command in runs[0][0][0]["commands"]:
         cells = []
         for key, label in (("median_s", "raw"), ("median_adjusted_s", "adjusted")):

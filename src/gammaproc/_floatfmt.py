@@ -36,12 +36,15 @@ integer arithmetic, and both lay them out in one text stage.
   them), is left to ``'%.17g' %``.
 * **Text** (``_decimal_rows``).  A decimal's 17 digits, zero-padded to 20,
   are written twice from a table of 4-digit words, then an 8-byte tail: the
-  separator (for ``repr``) or the line end, its exponent and ``"\\n"`` (for
-  ``'%.17g'``).  One table row, chosen by the point's and the last digit's
-  columns, masks the first copy to the integer part and the second to the
-  fraction, and another puts the point (or ``"0."``) in the first.
-  Deleting the NUL bytes of a block's rows, in one ``bytes.translate``,
-  leaves the block's text.
+  line end, its exponent and ``"\\n"`` (for ``'%.17g'``), or the separator
+  (for ``repr``).  One table row, chosen by the point's and the last
+  digit's columns, masks the first copy to the integer part and the second
+  to the fraction, and another puts the point (or ``"0."``) in the first.
+  Each run of bit-identical adjacent values is formatted once, and its row
+  copied to every position of the run (``_by_run``); ``repr``'s separators
+  are written after the copy, as a run may cross a row's end.  Deleting the
+  NUL bytes of a block's rows, in one ``bytes.translate``, leaves the
+  block's text.
 
 Every other value (zeros for ``repr``, negatives, subnormals for
 ``'%.17g'``, exponent notation for ``repr``, NaN, infinities, and the
@@ -96,12 +99,12 @@ def _tables():
     return digits, keep.view(np.uint32), dots.view(np.uint32)
 
 
-def _decimal_rows(q, X, k, tail, frac):
-    """The rows of the decimals ``q 10^(X - 16)``, ``10^16 <= q < 10^17``, each
-    followed by its 8 bytes of ``tail`` (uint64): in fixed notation where
-    ``-4 <= X < 17`` and with the point after the first digit elsewhere, and
-    without trailing zeros past ``frac`` fraction digits.  ``k`` is each ``q``'s
-    trailing zeros, or ``None`` to count them."""
+def _decimal_rows(q, X, k, frac):
+    """The rows of the decimals ``q 10^(X - 16)``, ``10^16 <= q < 10^17``: in fixed
+    notation where ``-4 <= X < 17`` and with the point after the first digit
+    elsewhere, and without trailing zeros past ``frac`` fraction digits.  ``k`` is
+    each ``q``'s trailing zeros, or ``None`` to count them.  The tail, words 10-11,
+    is left for the caller to write."""
     digits, keep, dots = _tables()
     rows, high = np.empty((q.size, G17_WORDS), np.uint32), 0
     for i, power in enumerate((16, 12, 8, 4, 0)):
@@ -116,12 +119,25 @@ def _decimal_rows(q, X, k, tail, frac):
         k = np.zeros(q.size, np.intp)
         act = np.flatnonzero(chars[:, 19] == ord("0"))
         k[act] = (chars[act, 19::-1] == ord("0")).argmin(1)
-    rows.view(np.uint64)[:, 5] = tail
     cell = point * 21 + np.maximum(20 - k, point + frac)
     # rows is contiguous, so each operation runs as one loop rather than one a row
     np.bitwise_and(rows, keep.take(cell, 0), out=rows)
     np.bitwise_or(rows, dots.take(cell, 0), out=rows)
     return rows
+
+
+def _by_run(x, text_rows):
+    """``text_rows(x)``, the rows of the 1-D float64 array ``x``, with each run of
+    bit-identical adjacent values formatted once: ``text_rows`` gets the first
+    value of each run, and its row is copied to every position of the run.  An
+    array without such a run is formatted as it is."""
+    new = np.empty(x.size, bool)
+    new[:1] = True
+    bits = x.view(np.uint64)
+    np.not_equal(bits[1:], bits[:-1], out=new[1:])
+    if new.all():
+        return text_rows(x)
+    return text_rows(x[new]).take(np.cumsum(new) - 1, 0)
 
 
 def _overwrite(rows, x, at, text):
@@ -174,6 +190,16 @@ def _shortest(x):
     return q * p, s, k
 
 
+def _repr_text(x):
+    """The rows of ``float.__repr__`` of each value of the 1-D ``x``, without a tail."""
+    fb = ~((x >= 1e-4) & (x < 1e16))
+    n, s, k = _shortest(np.where(fb, 1.0, x))
+    big = n >= _U(10**18)  # n has 19 digits, not 18
+    rows = _decimal_rows(n // _P10[1 + big], 17 + big - s, k - 1 - big, 1)
+    _overwrite(rows[:, :10], x, fb, float.__repr__)  # words 0-9: the tail is written later
+    return rows
+
+
 def repr_chunks(values, sep, end):
     """The text of the 2-D float64 array ``values``: each value as ``float.__repr__``
     writes it, followed by ``sep``, or by ``end`` after the last value of its row;
@@ -184,14 +210,11 @@ def repr_chunks(values, sep, end):
     # a row's end is written as "\x02" and replaced in the block's text
     seps = np.frombuffer(sep.encode("ascii").ljust(8, b"\0") + b"\x02".ljust(8, b"\0"), np.uint64)
     for start in range(0, flat.size, BLOCK):
-        x = flat[start:start + BLOCK]
-        tail = np.full(x.size, seps[0])
+        rows = _by_run(flat[start:start + BLOCK], _repr_text)
+        # a position's tail, after the copies: a run may cross a row's end
+        tail = rows.view(np.uint64)[:, 5]
+        tail[...] = seps[0]
         tail[(width - 1 - start) % width::width] = seps[1]
-        fb = ~((x >= 1e-4) & (x < 1e16))
-        n, s, k = _shortest(np.where(fb, 1.0, x))
-        big = n >= _U(10**18)  # n has 19 digits, not 18
-        rows = _decimal_rows(n // _P10[1 + big], 17 + big - s, k - 1 - big, tail, 1)
-        _overwrite(rows[:, :10], x, fb, float.__repr__)  # words 0-9: the tail stays
         yield rows.tobytes().translate(None, b"\0").decode("ascii").replace("\x02", end)
 
 
@@ -254,17 +277,24 @@ def _g17_digits(bits):
     return np.where(carry, _U(10**16), q), X + carry, sure
 
 
-def g17_into(x, out):
-    """Writes ``'%.17g\\n' % v`` for each ``v`` of the 1-D float64 array ``x`` into
-    the ``(x.size, G17_WORDS)`` uint32 array ``out``, one row a value, NUL-padded."""
+def _g17_text(x):
+    """The rows of ``'%.17g\\n' % v`` for each ``v`` of the 1-D ``x``, NUL-padded."""
     bits = x.view(np.uint64)
     normal = (bits >> _U(52)) - _U(1) < _U(2046)  # positive, normal and finite
     # the other values are written as 1.0, then replaced
     q, X, sure = _g17_digits(np.where(normal, bits, _U(0x3FF0000000000000)))
-    out[...] = _decimal_rows(q, X, None, _g17_tables()[3].take(X + 308), 0)
+    rows = _decimal_rows(q, X, None, 0)
+    rows.view(np.uint64)[:, 5] = _g17_tables()[3].take(X + 308)
     zero = bits == _U(0)
-    out[zero] = np.frombuffer(b"0\n".ljust(4 * G17_WORDS, b"\0"), np.uint32)
-    _overwrite(out, x, ~(sure & normal | zero), "%.17g\n".__mod__)
+    rows[zero] = np.frombuffer(b"0\n".ljust(4 * G17_WORDS, b"\0"), np.uint32)
+    _overwrite(rows, x, ~(sure & normal | zero), "%.17g\n".__mod__)
+    return rows
+
+
+def g17_into(x, out):
+    """Writes ``'%.17g\\n' % v`` for each ``v`` of the 1-D float64 array ``x`` into
+    the ``(x.size, G17_WORDS)`` uint32 array ``out``, one row a value, NUL-padded."""
+    out[...] = _by_run(x, _g17_text)
 
 
 def padded_words(strings, width=0):

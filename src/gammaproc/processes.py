@@ -47,6 +47,11 @@ Paths and ensembles run on one engine, in two steps:
   by element.  An ensemble re-keys one Philox stream to each block's key
   in turn, which yields exactly the words of a freshly keyed one, and
   keeps the block's first rows; ``sample_path`` draws the one-lane block.
+* **finish**: ``finish(values)`` completes the kept rows in place.  Only
+  ar1 has work here: its blocks give each path's start and innovations,
+  and its recursion runs once over every row of the ensemble, so that an
+  ensemble of many small blocks pays one numpy step per time step, not
+  one per time step and block.
 
 The ``*_sample`` batch helpers at the bottom draw i.i.d. copies of a
 marginal or of a thinned/rm triplet from a *single* stream, as a vector of
@@ -303,43 +308,47 @@ def _float_chunks(*arrays):
         yield s, zip(*(a[s : s + 4096].tolist() for a in arrays))
 
 
-def _affine_recursion(a, z, x0):
-    """Rows x with x[:, 0] = x0 and x[:, k] = fl(a[k-1] * x[:, k-1] + z[:, k-1]).
+def _affine_recursion(a, x):
+    """Rows x, in place: x[:, k] = fl(a[k-1] * x[:, k-1] + x[:, k]) for k = 1, 2, ...
 
-    ``a`` is one factor per step (shared by all lanes) or one per lane and
+    On entry x[:, 0] holds each row's start and x[:, k] its top-up at step k;
+    ``a`` is one factor per step (shared by all rows) or one per row and
     step.  Every element is one rounded multiply and one rounded add, in the
-    same order, whether the lanes run as numpy columns or as Python floats;
+    same order, whether the rows run as numpy columns or as Python floats;
     Python floats go 4096 steps at a time, so a long path does not hold a
-    Python float object per step.
+    Python float object per step.  Only one column's products are held
+    besides ``x``.
     """
-    lanes, steps = z.shape
-    a = np.broadcast_to(a, z.shape)
-    out = np.empty((lanes, steps + 1))
-    out[:, 0] = x0
+    lanes, n = x.shape
+    a = np.broadcast_to(a, (lanes, n - 1))
     if lanes >= _VECTOR_LANES:
-        for k in range(steps):
-            out[:, k + 1] = a[:, k] * out[:, k] + z[:, k]
-        return out
+        for k in range(1, n):
+            x[:, k] += a[:, k - 1] * x[:, k - 1]  # IEEE addition commutes
+        return x
     for i in range(lanes):
-        x = float(out[i, 0])
-        for s, chunk in _float_chunks(a[i], z[i]):
-            xs = []
+        v = float(x[i, 0])
+        for s, chunk in _float_chunks(a[i], x[i, 1:]):  # a chunk is read before it is stored
+            vs = []
             for ak, zk in chunk:
-                x = ak * x + zk
-                xs.append(x)
-            out[i, s + 1 : s + 4097] = xs
-    return out
+                v = ak * v + zk
+                vs.append(v)
+            x[i, s + 1 : s + 4097] = vs
+    return x
 
 
 class _Plan:
     """Everything a kind's paths share on one (grid, params, dep), computed once.
 
-    Each kind's plan class, built as ``cls(grid, params, dep)``, has one
-    sampling method: ``block(gen, lanes)`` gives the values of ``lanes``
-    paths, one row each, from the head of ``gen``, in the stream order its
-    class documents.  An ensemble's block sizes keep path m a function of
+    Each kind's plan class, built as ``cls(grid, params, dep)``, samples in
+    two steps: ``block(gen, lanes)`` gives the rows of ``lanes`` paths, one
+    row each, from the head of ``gen``, in the stream order its class
+    documents, and ``finish(values)`` completes, in place, rows that blocks
+    gave.  Every plan but ar1's gives finished values from its blocks, so
+    its ``finish`` returns them as they are; ar1's blocks give each path's
+    start and top-ups, and its ``finish`` runs the recursion once over all
+    of them.  An ensemble's block sizes keep path m a function of
     (master_seed, m) alone (the module docstring has the rule), and
-    ``sample_path`` draws the one-lane block.
+    ``sample_path`` finishes the one-lane block.
     A plan with a ``width`` (its raw draws per path) sizes its ensemble
     blocks by it; one without runs blocks of one path.  A kind that steps
     lanes gap by gap for the batch samplers holds that update as the static
@@ -355,6 +364,9 @@ class _Plan:
     def __init__(self, grid: TimeGrid):
         self.grid = grid
         self.n = grid.n
+
+    def finish(self, values):
+        return values
 
 
 def _ladder_odds(rho_g):
@@ -399,26 +411,30 @@ class _Ar1Plan(_Plan):
     ladder of ``_ar1_ladder`` (mixing L ~ Ga(alpha, 1), count
     N ~ Po(((1-rho_k)/rho_k) L), value ~ Ga(N, beta/rho_k)), its three stages
     drawn vectorized over steps as standard gammas.  Stream order: X_0, all L,
-    all N, all values.  The recursion then runs step by step, so that each
-    step is literally fl(rho_k * x + zeta_k).  Its lane step draws one gap's
-    ladder for every lane.
+    all N, all values.  A block gives each lane's X_0 and its innovations
+    zeta_k; ``finish`` then runs the recursion step by step over every row
+    an ensemble holds, once, so that each step is literally
+    fl(rho_k * x + zeta_k).  Its lane step draws one gap's ladder for every
+    lane.
     """
 
     def __init__(self, grid, params, dep):
         super().__init__(grid)
         self.alpha = params.alpha
-        self.inv_beta = 1.0 / params.beta
         self.rho_g = dep.gap_corr(grid.gaps)
         self.odds = _ladder_odds(self.rho_g)[:, None]
-        self.zeta_scale = self.rho_g / params.beta
+        # X_0 = draw / beta, zeta_k = draw * rho_k / beta
+        self.scale = np.concatenate(([1.0 / params.beta], self.rho_g / params.beta))
         self.width = self.n
 
     def block(self, gen, lanes):
         draws = np.empty((self.width, lanes))
         gen.standard_gamma(self.alpha, out=draws[0])
         _ar1_ladder(gen, self.alpha, self.odds, draws[1:])
-        return _affine_recursion(self.rho_g, draws[1:].T * self.zeta_scale,
-                                 draws[0] * self.inv_beta)
+        return draws.T * self.scale
+
+    def finish(self, values):
+        return _affine_recursion(self.rho_g, values)
 
     @staticmethod
     def lane_step(g, x, a, b, r):
@@ -449,7 +465,7 @@ class _ThinnedPlan(_Plan):
     def block(self, gen, lanes):
         draws = _standard_gammas(gen, self.runs, np.empty((self.width, lanes)))
         x0, g1, g2, fresh = np.split(draws, [1, self.n, 2 * self.n - 1])
-        return _affine_recursion((g1 / (g1 + g2)).T, fresh.T * self.inv_beta, x0[0] * self.inv_beta)
+        return _affine_recursion((g1 / (g1 + g2)).T, np.concatenate((x0, fresh)).T * self.inv_beta)
 
     @staticmethod
     def lane_step(g, x, a, b, r):
@@ -1045,10 +1061,10 @@ class _CthinPlan(_Plan):
         self.width = 1 + int(np.sum(_cthin_intervals(self.a, self.steps)))
 
     def block(self, gen, lanes):
-        x = gen.gamma(self.a, 1.0 / self.b, size=lanes)
+        x0 = gen.gamma(self.a, 1.0 / self.b, size=lanes)
         m, z = _cthin_factors(gen, self.a, self.b, np.tile(self.steps, lanes))
-        shape = (lanes, self.steps.size)
-        return _affine_recursion(m.reshape(shape), z.reshape(shape), x)[:, self.keep]
+        x = np.concatenate((x0[:, None], z.reshape(lanes, -1)), 1)
+        return _affine_recursion(m.reshape(lanes, -1), x)[:, self.keep]
 
     @staticmethod
     def lane_factors(g, a, b, r, n):
@@ -1127,7 +1143,7 @@ def sample_path(
     True
     """
     plan = _plan_class(kind, method)(grid, params, dep)
-    return SamplePath(grid, plan.block(rng.gen, 1)[0], kind)
+    return SamplePath(grid, plan.finish(plan.block(rng.gen, 1))[0], kind)
 
 
 def simulate_ensemble(
@@ -1143,7 +1159,10 @@ def simulate_ensemble(
 
     So the output does not depend on ``n_paths`` itself: a longer run
     extends a shorter one path for path.  The module docstring gives the
-    block-stream rule that makes it so.
+    block-stream rule that makes it so.  Each block's kept rows go straight
+    into the ensemble's values, and the plan's ``finish`` then completes
+    them there, in place (ar1's recursion, once over all rows), so no
+    second array the size of the values is held.
     """
     n_paths = _require_positive_int("n_paths", n_paths)
     plan = _plan_class(kind, method)(grid, params, dep)
@@ -1153,6 +1172,7 @@ def simulate_ensemble(
     for start in range(0, n_paths, lanes):
         rng.rekey(start // lanes)
         values[start : start + lanes] = plan.block(rng.gen, lanes)[: n_paths - start]
+    plan.finish(values)
     values.setflags(write=False)  # so Ensemble holds it without a copy
     return Ensemble(grid=grid, kind=kind, values=values, master_seed=rng.master_seed)
 

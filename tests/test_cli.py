@@ -857,9 +857,10 @@ def test_ab_bench_summary_reads_quartiles_wins_and_command_medians():
     ab = _load_script("ab_bench")
     assert ab.parse_seeds("601-604") == [601, 602, 603, 604]
     assert ab.parse_seeds("7") == [7]
-    end_to_end = [{"name": "wall_s", "unit": "s", "better": "lower"},
-                  {"name": "values_per_s", "unit": "values/s", "better": "higher"}]
-    # (base wall, change wall): the change wins twice, ties once and loses once
+    end_to_end = [{"name": "wall_s", "unit": "s", "better": "lower", "bound": 0.2},
+                  {"name": "values_per_s", "unit": "values/s", "better": "higher", "bound": 0.2}]
+    # (base wall, change wall): the change wins twice, ties once and loses once; the
+    # base's quartiles are 60% of its median apart, wider than the bound
     walls = [(4.0, 2.0), (2.0, 1.0), (1.0, 1.0), (3.0, 5.0)]
     pairs = [(_bench_stdout(b, 2 * b), _bench_stdout(c, 2 * c, correct=c != 5.0))
              for b, c in walls]
@@ -868,11 +869,31 @@ def test_ab_bench_summary_reads_quartiles_wins_and_command_medians():
         "4 pairs; each side's median [q1, q3]; change better in k of 4 pairs",
         "wall_s (s, lower is better): base 2.5 [1.75, 3.25], change 1.5 [1, 2.75], -40.0%, "
         "better in 2/4",
+        "  verdict: unresolved",
         "values_per_s (values/s, higher is better): base 41.67 [31.25, 62.5], "
         "change 75 [42.5, 100], +80.0%, better in 2/4",
+        "  verdict: unresolved",
         "command cmd: raw 5 -> 3 s, adjusted 2.5 -> 1.5 s",
         "correct runs: base 4/4, change 3/4",
     ]
+
+    def verdicts(walls):
+        pairs = [(_bench_stdout(b, b), _bench_stdout(c, c)) for b, c in walls]
+        return [line for line in ab.summarize(pairs, end_to_end) if line.startswith("  ")]
+
+    base = [1.0 + 0.01 * i for i in range(10)]  # quartiles 0.045 apart, 4% of the median
+    # 9 of 10 pairs faster by 0.09, more than the base's spread; one pair slower
+    assert verdicts([(b, b - 0.09 if i else b + 0.01) for i, b in enumerate(base)]) == \
+        ["  verdict: gain"] * 2
+    # 10 of 10 faster, but by less than the spread
+    assert verdicts([(b, b - 0.04) for b in base]) == ["  verdict: no regression"] * 2
+    # 30% slower: values_per_s is 23% lower, both past the 20% bound
+    assert verdicts([(b, 1.3 * b) for b in base]) == ["  verdict: regression"] * 2
+    # 10% slower, within the bound
+    assert verdicts([(b, 1.1 * b) for b in base]) == ["  verdict: no regression"] * 2
+    # the base's spread is wider than the bound, but every change run beats every base run
+    assert verdicts([(1.0, 0.9), (1.0, 0.9), (10.0, 0.9), (10.0, 0.9)]) == \
+        ["  verdict: no regression"] * 2
 
 
 def test_verify_marginal_passes_at_a_shape_whose_draws_underflow(tmp_path):

@@ -102,6 +102,35 @@ def test_rows_and_blocks_keep_every_separator(monkeypatch, shape):
         assert _written(values, sep, end) == _reference(values, sep, end)
 
 
+# values for runs: zeros, both ends of repr's fixed notation, '%.17g''s exponent
+# notation from 1e17 on, negatives and subnormals
+_RUN_VALUES = [0.0, -0.0, 1.0, 0.1, 2.5, 1e-4, 9.999999999999999e-5, 2.5e-7, 1e16,
+               9.999999999999998e15, 3.5e20, 1e17, 99999999999999999.0, -1.5, -0.1,
+               5e-324, 1e-310, 2.2250738585072014e-308]
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(st.lists(st.tuples(st.one_of(st.sampled_from(_RUN_VALUES),
+                                    st.floats(allow_nan=False, allow_infinity=False)),
+                          st.one_of(st.integers(1, 4), st.integers(1, 2 * _floatfmt.BLOCK))),
+                min_size=1, max_size=8),
+       st.integers(1, 450))
+# a run of zeros across the first block edge, which is also a row end, and a run
+# that ends at a block edge
+@example([(1.5, _floatfmt.BLOCK - 1), (0.0, 2), (0.25, _floatfmt.BLOCK + 5)], 40)
+@example([(1e-5, _floatfmt.BLOCK), (-2.5, 3)], 7)
+def test_runs_of_repeated_values(runs, width):
+    # each run is formatted once; every position keeps its own separator or line
+    flat = np.repeat([v for v, _ in runs], [count for _, count in runs])
+    flat = np.concatenate([flat, np.full(-flat.size % width, flat[-1])])  # whole rows
+    values = flat.reshape(-1, width)
+    assert _written(values) == _reference(values)
+    times = np.arange(width) * 0.37
+    assert "".join(_csv_chunks(times, values)) == "path,t,value\n" + "".join(
+        f"{m},{t:.17g},{v:.17g}\n" for m, row in enumerate(values.tolist())
+        for t, v in zip(times.tolist(), row))
+
+
 def test_blocks_hold_a_fixed_number_of_values():
     chunks = list(repr_chunks(np.ones((1, 2 * _floatfmt.BLOCK + 1)), ",", "\n"))
     assert [c.count(",") + c.count("\n") for c in chunks] == [_floatfmt.BLOCK] * 2 + [1]

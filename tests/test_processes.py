@@ -395,7 +395,9 @@ def test_affine_recursion_equals_a_scalar_loop(lanes, shared):
     z = rng.gamma(0.3, 1.0, (lanes, steps))
     z[:, ::13] = 0.0
     x0 = rng.gamma(2.0, 1.0, lanes)
-    out = processes._affine_recursion(a, z, x0)
+    x = np.concatenate((x0[:, None], z), 1)
+    out = processes._affine_recursion(a, x)
+    assert out is x  # in place
     a_rows = np.broadcast_to(a, z.shape)
     for i in range(lanes):
         x, want = float(x0[i]), [float(x0[i])]
@@ -603,14 +605,15 @@ def test_ensemble_path_is_pure_function_of_seed_and_index():
         assert np.array_equal(small.values, large.values[:3]), kind
 
 
-def test_ensemble_values_are_held_once():
+@pytest.mark.parametrize("kind", [ProcessKind.CHANGE_POINT, ProcessKind.AR1])
+def test_ensemble_values_are_held_once(kind):
+    # ar1's recursion runs in place over the ensemble's rows, holding one column beside them
     import tracemalloc
 
     grid = make_uniform_grid(0.0, 1.0, 200)
     tracemalloc.start()
     try:
-        ens = simulate_ensemble(ProcessKind.CHANGE_POINT, grid, P11, DEP5, 20000,
-                                master_seed=1)
+        ens = simulate_ensemble(kind, grid, P11, DEP5, 20000, master_seed=1)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -875,6 +878,20 @@ def test_ensemble_blocks_follow_the_block_stream_layout(monkeypatch, sampler, ca
             else:
                 want = _lane_values_reference(kind, grid, params, dep, draws[:, m % lanes])
             assert ens.values[m].tobytes() == want.tobytes(), (sampler, case, m)
+
+
+@pytest.mark.parametrize("n_paths", [15, 16, 17])
+def test_ar1_ensembles_across_the_vector_lanes_follow_the_block_layout(n_paths):
+    # one block of B = 40 lanes; ar1's recursion runs once over the ensemble's rows, on
+    # Python floats below _VECTOR_LANES rows and as numpy columns from it on
+    grid, params = make_uniform_grid(0.0, 1.0, 200), GammaParams(1.5, 2.0)
+    lanes = processes._BLOCK_DRAWS // processes._Ar1Plan(grid, params, DEP5).width
+    assert lanes == 40 and processes._VECTOR_LANES == 16
+    ens = simulate_ensemble(ProcessKind.AR1, grid, params, DEP5, n_paths, master_seed=9)
+    draws, _ = _block_reference(ProcessKind.AR1, grid, params, DEP5, 9, 0, lanes)
+    for m in range(n_paths):
+        want = _lane_values_reference(ProcessKind.AR1, grid, params, DEP5, draws[:, m])
+        assert ens.values[m].tobytes() == want.tobytes(), m
 
 
 @pytest.mark.parametrize("n,n_paths", [(3, 20000), (2, 20000)], ids=["compare-triplet", "chf"])
