@@ -23,9 +23,13 @@ and on the next line one verdict:
   every run of the base;
 * ``no regression``: otherwise.
 
-Then it prints the median over the runs of each command's raw and adjusted
-median time.  A run whose result is not ``correct`` is counted and
-reported.
+After ``wall_s``, which sums the commands' host-speed adjusted medians,
+the same two lines read the sum of their raw medians, against ``wall_s``'s
+bound: the speed samples that adjust a time run in the worker's own
+process, so a change that keeps a second thread busy there slows them and
+reads better adjusted than raw.  Then it prints the median over the runs
+of each command's raw and adjusted median time.  A run whose result is not
+``correct`` is counted and reported.
 
 ``bench/`` is read, never changed, on both sides.  Only the standard
 library is used.
@@ -98,16 +102,24 @@ def summarize(pairs, end_to_end):
     runs = [(parse_run(base), parse_run(change)) for base, change in pairs]
     n = len(runs)
     lines = [f"{n} pairs; each side's median [q1, q3]; change better in k of {n} pairs"]
-    for metric in end_to_end:
-        name = metric["name"]
-        sides = [[side[1]["metrics"][name]["value"] for side in pair] for pair in runs]
-        base, change = [v[0] for v in sides], [v[1] for v in sides]
+
+    def compare(label, metric, base, change):
         (bm, b1, b3), (cm, c1, c3) = _spread(base), _spread(change)
         ratio = f"{cm / bm - 1.0:+.1%}" if bm else "n/a"
-        lines.append(f"{name} ({metric['unit']}, {metric['better']} is better): "
+        lines.append(f"{label} ({metric['unit']}, {metric['better']} is better): "
                      f"base {bm:.4g} [{b1:.4g}, {b3:.4g}], change {cm:.4g} [{c1:.4g}, {c3:.4g}], "
                      f"{ratio}, better in {_wins(base, change, metric['better'])}/{n}")
         lines.append(f"  verdict: {verdict(base, change, metric['better'], metric['bound'])}")
+
+    for metric in end_to_end:
+        name = metric["name"]
+        sides = [[side[1]["metrics"][name]["value"] for side in pair] for pair in runs]
+        compare(name, metric, [v[0] for v in sides], [v[1] for v in sides])
+        if name == "wall_s":  # the raw times, read against the same bound
+            sides = [[sum(c["median_s"] for c in side[0]["commands"].values()) for side in pair]
+                     for pair in runs]
+            compare("raw sum of command medians", metric, [v[0] for v in sides],
+                    [v[1] for v in sides])
     for command in runs[0][0][0]["commands"]:
         cells = []
         for key, label in (("median_s", "raw"), ("median_adjusted_s", "adjusted")):

@@ -15,7 +15,9 @@ Three subcommands:
   emits a JSON report; exit code 1 if any check fails.  A check that raises
   a numerical failure, or whose result holds a NaN or an infinity, is
   reported as ``{"name", "status": "error", "reason"}``; the other checks
-  still run and the report is still written.
+  still run and the report is still written.  Where two or more CPUs are
+  usable the checks run on the calling thread and one helper thread
+  (``_run_checks``), with the same report, stderr and exit code.
 * ``compare`` runs a two-sample chf comparison between two processes at
   pairs (``--points 2``) or triplets (``--points 3``); always exit 0 on a
   completed comparison (the report is informative, not pass/fail).  Its
@@ -32,10 +34,13 @@ deterministic given the resolved config and seed.
 from __future__ import annotations
 
 import argparse
+import contextvars
 import functools
 import json
 import math
+import os
 import sys
+import threading
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -493,15 +498,73 @@ def _check_tail(cfg: RunConfig):
 
 
 def _run_check(name, check):
-    """One check's report entry; a NumericalError, or a NaN or infinity in the
-    entry, fails this check alone, as status "error"."""
+    """``(entry, note)``: one check's report entry and the stderr line it owes, or ``None``.
+
+    A NumericalError, or a NaN or infinity in the entry, fails this check
+    alone, as status "error", and owes a "numerical failure" line.
+    """
     try:
         entry = check()
         _dump_json(entry)  # raises NumericalError on a NaN or infinity
-        return entry
+        return entry, None
     except NumericalError as exc:
-        print(f"gammaproc: numerical failure in the {name} check: {exc}", file=sys.stderr)
-        return {"name": name, "status": "error", "reason": str(exc)}
+        return ({"name": name, "status": "error", "reason": str(exc)},
+                f"gammaproc: numerical failure in the {name} check: {exc}")
+
+
+def _usable_cpus():
+    """How many CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _run_checks(runs):
+    """``_run_check`` of each ``(name, check)``, in order: a result or the exception raised.
+
+    The calling thread takes check 0 and one helper thread check 1, then
+    each takes the next untaken check in list order.  Each result is stored
+    by its index, so the results read as a serial run's whatever ran where:
+    each check draws from its own ``_subseed`` stream, and the helper runs in
+    a copy of the caller's context (numpy's error state).  After an
+    exception no lane takes another check; every earlier check was taken
+    first and completes.  With one usable CPU, or one check, the calling
+    thread runs them all.
+    """
+    results = [None] * len(runs)
+    todo = iter(enumerate(runs))
+    lock = threading.Lock()
+    stop = False
+
+    def take():
+        with lock:
+            return None if stop else next(todo, None)
+
+    def lane(item):
+        nonlocal stop
+        while item is not None:
+            i, (name, check) = item
+            try:
+                results[i] = _run_check(name, check)
+            except Exception as exc:  # re-raised by the caller, in check order
+                results[i] = exc
+                stop = True
+            item = take()
+
+    first = take()
+    if len(runs) < 2 or _usable_cpus() < 2:
+        lane(first)
+        return results
+    helper = threading.Thread(target=contextvars.copy_context().run, args=(lane, take()),
+                              name="gammaproc-verify", daemon=True)
+    helper.start()
+    try:
+        lane(first)
+    finally:
+        stop = True  # all taken, unless this lane was interrupted
+        helper.join()
+    return results
 
 
 def cmd_verify(cfg: RunConfig, suite, omega_axis=None) -> int:
@@ -517,7 +580,14 @@ def cmd_verify(cfg: RunConfig, suite, omega_axis=None) -> int:
         ("generator", lambda: _check_generator(cfg)),
         ("tail", lambda: _check_tail(cfg)),
     ]
-    checks = [_run_check(name, check) for name, check in runs if suite in (name, "all")]
+    checks = []
+    for result in _run_checks([run for run in runs if suite in (run[0], "all")]):
+        if isinstance(result, Exception):
+            raise result
+        entry, note = result
+        if note is not None:
+            print(note, file=sys.stderr)
+        checks.append(entry)
     passed = all(c["status"] not in ("fail", "error") for c in checks)
     report = {
         "config": cfg.echo(),

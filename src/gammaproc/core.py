@@ -176,11 +176,15 @@ class Dependence:
 
         Python's float power, once per distinct gap of an array: numpy's
         vector power picks a SIMD routine at import and can differ in the
-        last bit.
+        last bit.  An array of one gap value (a uniform grid's, often) takes
+        one power without sorting.
         """
         if not np.ndim(delta):
             return self.rho ** float(delta)
-        gaps, at = np.unique(np.asarray(delta, dtype=float), return_inverse=True)
+        delta = np.asarray(delta, dtype=float)
+        if delta.size and (lo := delta.min()) == delta.max():
+            return np.full(delta.shape, self.rho ** float(lo))
+        gaps, at = np.unique(delta, return_inverse=True)
         return np.array([self.rho**d for d in gaps.tolist()], dtype=float)[at]
 
 

@@ -1,5 +1,6 @@
 import json
 import math
+import threading
 import tracemalloc
 
 import numpy as np
@@ -704,6 +705,103 @@ def test_verify_all_keeps_the_other_checks_when_one_errors(tmp_path, capsys, mon
     assert acf == {"name": "acf", "status": "error", "reason": "oracle did not converge"}
 
 
+def _lanes(monkeypatch, cpus):
+    """Let verify see ``cpus`` usable CPUs; the name of the thread each check ran on."""
+    threads = {}
+
+    def recorded(name, check, f=cli._run_check):
+        threads[name] = threading.current_thread().name
+        return f(name, check)
+
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: cpus)
+    monkeypatch.setattr(cli, "_run_check", recorded)
+    return threads
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("kind,method", [(k, "exact") for k in
+                                         ("ar1", "thinned", "rm", "changepoint", "cir", "cthin")]
+                         + [("cir", "squared-ou")])
+def test_verify_reports_the_same_bytes_on_one_lane_and_two(tmp_path, capsys, monkeypatch,
+                                                           kind, method):
+    # every check draws from its own subseed stream, so which thread ran it
+    # moves no byte of the report, of stderr or of the exit code
+    argv = ["verify", "--process", kind, "--suite", "all", "--cir-method", method,
+            "--alpha", "2", "--rho", "0.5", "--seed", "777"]
+    outs = []
+    for cpus in (1, 2):
+        threads = _lanes(monkeypatch, cpus)
+        out = tmp_path / f"lanes-{cpus}.json"
+        code = run(argv + ["--out", str(out)])
+        outs.append((code, out.read_bytes(), capsys.readouterr().err))
+        assert len(set(threads.values())) == cpus and len(threads) == 5
+    assert outs[0] == outs[1]
+    assert outs[0][0] == 0 and outs[0][2] == ""
+
+
+def test_verify_numerical_failures_print_in_check_order_from_both_lanes(tmp_path, capsys,
+                                                                       monkeypatch):
+    threads = _lanes(monkeypatch, 2)
+    acf_failed = threading.Event()
+
+    def marginal(cfg):  # fails after acf has failed on the other lane
+        assert acf_failed.wait(30)
+        raise NumericalError("marginal did not converge")
+
+    def acf(cfg, grid, max_lag):
+        acf_failed.set()
+        raise NumericalError("acf did not converge")
+
+    monkeypatch.setattr(cli, "_check_marginal", marginal)
+    monkeypatch.setattr(cli, "_check_acf", acf)
+    out = tmp_path / "report.json"
+    assert run(["verify", "--process", "ar1", "--suite", "all", "--paths", "2000",
+                "--seed", "3", "--out", str(out)]) == 1
+    assert threads["marginal"] == "MainThread" and threads["acf"] == "gammaproc-verify"
+    assert capsys.readouterr().err.splitlines() == [
+        "gammaproc: numerical failure in the marginal check: marginal did not converge",
+        "gammaproc: numerical failure in the acf check: acf did not converge",
+    ]
+    checks = _strict_json(out.read_text())["checks"]
+    assert [c["status"] for c in checks] == ["error", "error", "pass", "skipped", "pass"]
+
+
+def test_verify_an_exception_on_the_helper_lane_reaches_the_caller(tmp_path, monkeypatch):
+    _lanes(monkeypatch, 2)
+    ran_on = []
+
+    def acf(cfg, grid, max_lag):
+        ran_on.append(threading.current_thread())
+        raise RuntimeError("acf broke")
+
+    monkeypatch.setattr(cli, "_check_acf", acf)
+    out = tmp_path / "report.json"
+    with pytest.raises(RuntimeError, match="acf broke"):
+        run(["verify", "--process", "ar1", "--suite", "all", "--paths", "2000",
+             "--out", str(out)])
+    assert ran_on and ran_on[0] is not threading.main_thread()
+    assert not out.exists()
+
+
+def test_verify_raises_the_first_failing_check_in_check_order(monkeypatch):
+    # acf fails first in time, on the helper; marginal, check 0, fails after it
+    _lanes(monkeypatch, 2)
+    acf_failed = threading.Event()
+
+    def marginal(cfg):
+        assert acf_failed.wait(30)
+        raise ValueError("marginal broke")
+
+    def acf(cfg, grid, max_lag):
+        acf_failed.set()
+        raise RuntimeError("acf broke")
+
+    monkeypatch.setattr(cli, "_check_marginal", marginal)
+    monkeypatch.setattr(cli, "_check_acf", acf)
+    with pytest.raises(ValueError, match="marginal broke"):
+        run(["verify", "--process", "ar1", "--suite", "all", "--paths", "2000"])
+
+
 @pytest.mark.filterwarnings("ignore:invalid value encountered")
 def test_verify_check_with_a_non_finite_result_is_an_error_check(tmp_path, capsys):
     # both beta-stage gammas of the thinned sampler underflow here, so its
@@ -844,9 +942,12 @@ def test_output_diff_reports_fields_and_fails_on_status_rtol_or_a_missing_file(
         assert "is not a directory" in capsys.readouterr().err
 
 
-def _bench_stdout(wall, raw, correct=True):
-    details = {"workload": "w", "commands": {"cmd": {"median_s": raw,
-                                                     "median_adjusted_s": wall}}}
+def _bench_stdout(wall, raw, correct=True, other_raw=None):
+    """One run's stdout: command ``cmd``, and ``other`` too if ``other_raw`` is given."""
+    commands = {"cmd": {"median_s": raw, "median_adjusted_s": wall}}
+    if other_raw is not None:
+        commands["other"] = {"median_s": other_raw, "median_adjusted_s": 0.0}
+    details = {"workload": "w", "commands": commands}
     result = {"correct": correct, "attempted": 3, "failed": 0, "metrics": {
         "wall_s": {"value": wall, "unit": "s"},
         "values_per_s": {"value": 100.0 / wall, "unit": "values/s"}}}
@@ -870,6 +971,9 @@ def test_ab_bench_summary_reads_quartiles_wins_and_command_medians():
         "wall_s (s, lower is better): base 2.5 [1.75, 3.25], change 1.5 [1, 2.75], -40.0%, "
         "better in 2/4",
         "  verdict: unresolved",
+        "raw sum of command medians (s, lower is better): base 5 [3.5, 6.5], "
+        "change 3 [2, 5.5], -40.0%, better in 2/4",
+        "  verdict: unresolved",
         "values_per_s (values/s, higher is better): base 41.67 [31.25, 62.5], "
         "change 75 [42.5, 100], +80.0%, better in 2/4",
         "  verdict: unresolved",
@@ -884,16 +988,29 @@ def test_ab_bench_summary_reads_quartiles_wins_and_command_medians():
     base = [1.0 + 0.01 * i for i in range(10)]  # quartiles 0.045 apart, 4% of the median
     # 9 of 10 pairs faster by 0.09, more than the base's spread; one pair slower
     assert verdicts([(b, b - 0.09 if i else b + 0.01) for i, b in enumerate(base)]) == \
-        ["  verdict: gain"] * 2
+        ["  verdict: gain"] * 3
     # 10 of 10 faster, but by less than the spread
-    assert verdicts([(b, b - 0.04) for b in base]) == ["  verdict: no regression"] * 2
+    assert verdicts([(b, b - 0.04) for b in base]) == ["  verdict: no regression"] * 3
     # 30% slower: values_per_s is 23% lower, both past the 20% bound
-    assert verdicts([(b, 1.3 * b) for b in base]) == ["  verdict: regression"] * 2
+    assert verdicts([(b, 1.3 * b) for b in base]) == ["  verdict: regression"] * 3
     # 10% slower, within the bound
-    assert verdicts([(b, 1.1 * b) for b in base]) == ["  verdict: no regression"] * 2
+    assert verdicts([(b, 1.1 * b) for b in base]) == ["  verdict: no regression"] * 3
     # the base's spread is wider than the bound, but every change run beats every base run
     assert verdicts([(1.0, 0.9), (1.0, 0.9), (10.0, 0.9), (10.0, 0.9)]) == \
-        ["  verdict: no regression"] * 2
+        ["  verdict: no regression"] * 3
+
+    # adjusted 10% faster in every pair, raw 30% slower: the raw sum adds both
+    # commands' raw medians and has a verdict of its own
+    pairs = [(_bench_stdout(b, b, other_raw=1.0), _bench_stdout(0.9 * b, 1.3 * b, other_raw=1.3))
+             for b in base]
+    lines = ab.summarize(pairs, end_to_end)
+    assert lines[1].startswith("wall_s (s, lower is better): base 1.045 ")
+    assert lines[2:5] == [
+        "  verdict: gain",
+        "raw sum of command medians (s, lower is better): base 2.045 [2.022, 2.068], "
+        "change 2.659 [2.629, 2.688], +30.0%, better in 0/10",
+        "  verdict: regression",
+    ]
 
 
 def test_verify_marginal_passes_at_a_shape_whose_draws_underflow(tmp_path):

@@ -58,6 +58,32 @@ def test_dependence_gap_corr_is_power():
         assert dep.gap_corr(np.full(5, gap)).tolist() == [rho**gap] * 5
 
 
+def _grids_of_every_gap_pattern():
+    rng = np.random.default_rng(5)
+    yield make_uniform_grid(0.0, 1.0, 100000)  # one gap value
+    yield make_uniform_grid(3.0, 0.5, 1000)
+    yield make_uniform_grid(0.0, 0.37, 100000)  # 22 distinct gaps, by rounding
+    yield make_uniform_grid(0.0, 0.1, 2)  # one gap
+    yield make_uniform_grid(-1e-300, 1e-300, 2)
+    yield TimeGrid(np.cumsum(rng.exponential(size=500)))  # every gap distinct
+    yield TimeGrid(np.array([0.0, 1.0, 2.0, 2.5, 3.5, 3.75]))
+
+
+@pytest.mark.parametrize("rho", [0.001, 0.5, math.exp(-0.7), 0.999])
+def test_dependence_gap_corr_keeps_the_per_gap_bytes_on_every_grid(rho):
+    # an array of one gap value takes one power and no sort; it must give the
+    # bytes of one Python power per gap
+    dep = Dependence.from_rho(rho)
+    grids = list(_grids_of_every_gap_pattern())
+    assert np.unique(grids[2].gaps).size == 22
+    for grid in grids:
+        expected = np.array([rho**g for g in grid.gaps.tolist()], dtype=float)
+        got = dep.gap_corr(grid.gaps)
+        assert got.dtype == np.float64 and got.tobytes() == expected.tobytes()
+        assert dep.gap_corr(grid.gaps / 2.0).tobytes() == \
+            np.array([rho**g for g in (grid.gaps / 2.0).tolist()]).tobytes()
+
+
 @pytest.mark.parametrize("rho", [0.0, 1.0, -0.1, 1.5, np.nan, np.inf])
 def test_dependence_rejects_degenerate_rho(rho):
     with pytest.raises(ParameterError, match=r"^rho must lie strictly in \(0, 1\), got "):
