@@ -27,9 +27,10 @@ After ``wall_s``, which sums the commands' host-speed adjusted medians,
 the same two lines read the sum of their raw medians, against ``wall_s``'s
 bound: the speed samples that adjust a time run in the worker's own
 process, so a change that keeps a second thread busy there slows them and
-reads better adjusted than raw.  Then it prints the median over the runs
-of each command's raw and adjusted median time.  A run whose result is not
-``correct`` is counted and reported.
+reads better adjusted than raw.  Then, for each command, the same two
+lines read its raw median time per run, against ``wall_s``'s bound, and
+one more line gives the median over the runs of its adjusted median.  A
+run whose result is not ``correct`` is counted and reported.
 
 ``bench/`` is read, never changed, on both sides.  Only the standard
 library is used.
@@ -120,13 +121,13 @@ def summarize(pairs, end_to_end):
                      for pair in runs]
             compare("raw sum of command medians", metric, [v[0] for v in sides],
                     [v[1] for v in sides])
+    wall = next(metric for metric in end_to_end if metric["name"] == "wall_s")
     for command in runs[0][0][0]["commands"]:
-        cells = []
-        for key, label in (("median_s", "raw"), ("median_adjusted_s", "adjusted")):
-            b, c = (statistics.median(pair[i][0]["commands"][command][key] for pair in runs)
-                    for i in (0, 1))
-            cells.append(f"{label} {b:.4g} -> {c:.4g} s")
-        lines.append(f"command {command}: " + ", ".join(cells))
+        sides = [[side[0]["commands"][command]["median_s"] for side in pair] for pair in runs]
+        compare(f"command {command} raw", wall, [v[0] for v in sides], [v[1] for v in sides])
+        b, c = (statistics.median(pair[i][0]["commands"][command]["median_adjusted_s"]
+                                  for pair in runs) for i in (0, 1))
+        lines.append(f"command {command} adjusted: median {b:.4g} -> {c:.4g} s")
     correct = [sum(pair[i][1]["correct"] for pair in runs) for i in (0, 1)]
     lines.append(f"correct runs: base {correct[0]}/{n}, change {correct[1]}/{n}")
     return lines

@@ -41,6 +41,7 @@ import math
 import os
 import sys
 import threading
+import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -521,7 +522,31 @@ def _usable_cpus():
 
 
 def _run_checks(runs):
-    """``_run_check`` of each ``(name, check)``, in order: a result or the exception raised.
+    """The report entries of the checks ``runs``, a list of ``(name, check)``, in order.
+
+    Each check's "numerical failure" line is printed to stderr, and any
+    other exception raised, in check order, as a serial run prints and
+    raises them.  With two or more usable CPUs the checks run on two lanes
+    first (``_run_on_two_lanes``); a check that they leave unrun runs here,
+    on the calling thread.  With one usable CPU they all run here: a helper
+    there would hold a second check's arrays.
+    """
+    results = _run_on_two_lanes(runs) if _usable_cpus() >= 2 else [None] * len(runs)
+    entries = []
+    for (name, check), result in zip(runs, results):
+        if result is None:
+            result = _run_check(name, check)
+        if isinstance(result, Exception):
+            raise result
+        entry, note = result
+        if note is not None:
+            print(note, file=sys.stderr)
+        entries.append(entry)
+    return entries
+
+
+def _run_on_two_lanes(runs):
+    """``_run_check`` of each ``(name, check)``: a result, the exception raised, or ``None``.
 
     The calling thread takes check 0 and one helper thread check 1, then
     each takes the next untaken check in list order.  Each result is stored
@@ -529,8 +554,10 @@ def _run_checks(runs):
     each check draws from its own ``_subseed`` stream, and the helper runs in
     a copy of the caller's context (numpy's error state).  After an
     exception no lane takes another check; every earlier check was taken
-    first and completes.  With one usable CPU, or one check, the calling
-    thread runs them all.
+    first and completes.  Warnings are held while both lanes run, and if
+    any was raised every result is dropped (``None``), so that the checks
+    run again one by one and each warning is shown, deduplicated or raised
+    where a serial run has it.
     """
     results = [None] * len(runs)
     todo = iter(enumerate(runs))
@@ -552,19 +579,18 @@ def _run_checks(runs):
                 stop = True
             item = take()
 
-    first = take()
-    if len(runs) < 2 or _usable_cpus() < 2:
-        lane(first)
-        return results
-    helper = threading.Thread(target=contextvars.copy_context().run, args=(lane, take()),
-                              name="gammaproc-verify", daemon=True)
-    helper.start()
-    try:
-        lane(first)
-    finally:
-        stop = True  # all taken, unless this lane was interrupted
-        helper.join()
-    return results
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        first = take()
+        helper = threading.Thread(target=contextvars.copy_context().run, args=(lane, take()),
+                                  name="gammaproc-verify", daemon=True)
+        helper.start()
+        try:
+            lane(first)
+        finally:
+            stop = True  # all taken, unless this lane was interrupted
+            helper.join()
+    return [None] * len(runs) if caught else results
 
 
 def cmd_verify(cfg: RunConfig, suite, omega_axis=None) -> int:
@@ -580,14 +606,7 @@ def cmd_verify(cfg: RunConfig, suite, omega_axis=None) -> int:
         ("generator", lambda: _check_generator(cfg)),
         ("tail", lambda: _check_tail(cfg)),
     ]
-    checks = []
-    for result in _run_checks([run for run in runs if suite in (run[0], "all")]):
-        if isinstance(result, Exception):
-            raise result
-        entry, note = result
-        if note is not None:
-            print(note, file=sys.stderr)
-        checks.append(entry)
+    checks = _run_checks([run for run in runs if suite in (run[0], "all")])
     passed = all(c["status"] not in ("fail", "error") for c in checks)
     report = {
         "config": cfg.echo(),

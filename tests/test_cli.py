@@ -1,7 +1,11 @@
 import json
 import math
+import os
+import subprocess
+import sys
 import threading
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,6 +22,8 @@ from gammaproc.cli import (
 )
 from gammaproc.stats import (default_omega_pairs, default_omega_triples, generator_check,
                               two_sample_chf)
+
+SRC = str(Path(cli.__file__).resolve().parents[1])
 
 
 def run(args):
@@ -739,6 +745,40 @@ def test_verify_reports_the_same_bytes_on_one_lane_and_two(tmp_path, capsys, mon
     assert outs[0][0] == 0 and outs[0][2] == ""
 
 
+# Runs verify in a fresh interpreter, with Python's default warning filters
+# and argv[1] usable CPUs.
+_VERIFY_PROBE = """
+import sys
+from gammaproc import cli
+
+cli._usable_cpus = lambda: int(sys.argv[1])
+sys.exit(cli.main(sys.argv[2:]))
+"""
+
+
+def test_verify_stderr_with_numpy_warnings_is_a_serial_runs(tmp_path):
+    # marginal, acf and chf meet NaN here and numpy warns from both lanes;
+    # the warnings and the numerical failure lines read as a serial run's
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONWARNINGS"}
+    env["PYTHONPATH"] = SRC
+    argv = ["verify", "--process", "thinned", "--alpha", "0.01", "--rho", "0.001",
+            "--suite", "all", "--paths", "2000", "--out", str(tmp_path / "report.json")]
+    outs = []
+    for cpus in ("1", "2"):
+        out = subprocess.run([sys.executable, "-c", _VERIFY_PROBE, cpus, *argv],
+                             capture_output=True, text=True, env=env, timeout=300)
+        outs.append((out.returncode, (tmp_path / "report.json").read_bytes(), out.stderr))
+    assert outs[0] == outs[1]
+    assert outs[0][0] == 1 and "RuntimeWarning: invalid value encountered" in outs[0][2]
+    lines = outs[0][2].splitlines()
+    notes = [line for line in lines if line.startswith("gammaproc:")]
+    assert [line.split(" check:")[0] for line in notes] == [
+        f"gammaproc: numerical failure in the {name}" for name in ("marginal", "acf", "chf")]
+    # a check's line comes right after its own warnings, before a later check's
+    warned = [i for i, line in enumerate(lines) if "RuntimeWarning" in line]
+    assert warned[0] < lines.index(notes[0]) < warned[-1]
+
+
 def test_verify_numerical_failures_print_in_check_order_from_both_lanes(tmp_path, capsys,
                                                                        monkeypatch):
     threads = _lanes(monkeypatch, 2)
@@ -977,7 +1017,10 @@ def test_ab_bench_summary_reads_quartiles_wins_and_command_medians():
         "values_per_s (values/s, higher is better): base 41.67 [31.25, 62.5], "
         "change 75 [42.5, 100], +80.0%, better in 2/4",
         "  verdict: unresolved",
-        "command cmd: raw 5 -> 3 s, adjusted 2.5 -> 1.5 s",
+        "command cmd raw (s, lower is better): base 5 [3.5, 6.5], change 3 [2, 5.5], -40.0%, "
+        "better in 2/4",
+        "  verdict: unresolved",
+        "command cmd adjusted: median 2.5 -> 1.5 s",
         "correct runs: base 4/4, change 3/4",
     ]
 
@@ -988,16 +1031,16 @@ def test_ab_bench_summary_reads_quartiles_wins_and_command_medians():
     base = [1.0 + 0.01 * i for i in range(10)]  # quartiles 0.045 apart, 4% of the median
     # 9 of 10 pairs faster by 0.09, more than the base's spread; one pair slower
     assert verdicts([(b, b - 0.09 if i else b + 0.01) for i, b in enumerate(base)]) == \
-        ["  verdict: gain"] * 3
+        ["  verdict: gain"] * 4
     # 10 of 10 faster, but by less than the spread
-    assert verdicts([(b, b - 0.04) for b in base]) == ["  verdict: no regression"] * 3
+    assert verdicts([(b, b - 0.04) for b in base]) == ["  verdict: no regression"] * 4
     # 30% slower: values_per_s is 23% lower, both past the 20% bound
-    assert verdicts([(b, 1.3 * b) for b in base]) == ["  verdict: regression"] * 3
+    assert verdicts([(b, 1.3 * b) for b in base]) == ["  verdict: regression"] * 4
     # 10% slower, within the bound
-    assert verdicts([(b, 1.1 * b) for b in base]) == ["  verdict: no regression"] * 3
+    assert verdicts([(b, 1.1 * b) for b in base]) == ["  verdict: no regression"] * 4
     # the base's spread is wider than the bound, but every change run beats every base run
     assert verdicts([(1.0, 0.9), (1.0, 0.9), (10.0, 0.9), (10.0, 0.9)]) == \
-        ["  verdict: no regression"] * 3
+        ["  verdict: no regression"] * 4
 
     # adjusted 10% faster in every pair, raw 30% slower: the raw sum adds both
     # commands' raw medians and has a verdict of its own
@@ -1009,6 +1052,17 @@ def test_ab_bench_summary_reads_quartiles_wins_and_command_medians():
         "  verdict: gain",
         "raw sum of command medians (s, lower is better): base 2.045 [2.022, 2.068], "
         "change 2.659 [2.629, 2.688], +30.0%, better in 0/10",
+        "  verdict: regression",
+    ]
+    # each command's raw times have a verdict of their own: both rose 30%,
+    # past the bound
+    assert lines[-7:-2] == [
+        "command cmd raw (s, lower is better): base 1.045 [1.022, 1.067], "
+        "change 1.359 [1.329, 1.388], +30.0%, better in 0/10",
+        "  verdict: regression",
+        "command cmd adjusted: median 1.045 -> 0.9405 s",
+        "command other raw (s, lower is better): base 1 [1, 1], change 1.3 [1.3, 1.3], "
+        "+30.0%, better in 0/10",
         "  verdict: regression",
     ]
 
